@@ -33,6 +33,7 @@ from .explorer import (
     in_neighbors,
     is_isomorphic,
     labels_equivalent,
+    neighbors,
     out_neighbors,
 )
 from .moebius import (
@@ -63,7 +64,7 @@ from .quadratic import (
     recurrence_orbit,
     singular_inventory_quad,
 )
-from .rootfind import Root, RootSet, poly_from_roots, roots
+from .rootfind import Root, RootSet, poly_from_roots, roots, roots_batch
 from .scalars import GaussRat
 from .synthesis import (
     FiniteDigraph,

@@ -96,7 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("poly")
     p.add_argument("--seeds", type=int, default=10)
     p.add_argument("--rng-seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     _add_budget_flags(p)
 
     p = sub.add_parser("export", help="re-encode an exploration JSON file")
@@ -178,7 +177,6 @@ def _cmd_probe(args) -> None:
         n_seeds=args.seeds,
         budget=_budget(args),
         rng_seed=args.rng_seed,
-        workers=args.workers,
     )
     _emit(result.as_json())
 

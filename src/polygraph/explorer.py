@@ -5,6 +5,11 @@ side dedup_eps; the first value discovered in a cell neighborhood is the
 canonical representative, and ids follow BFS discovery order, so identical
 inputs give identical graphs.
 
+The BFS is level-synchronous: the rows Phi(u, y) and/or Phi(x, u) of every
+vertex of a level go to one batched root-finding call, and the neighbors
+are then materialized in the order a vertex-at-a-time BFS would meet them,
+so ids, dedup and budget cut-offs are those of that BFS.
+
 Weak components alternate out- and in-neighbors; strong components run a
 forward sweep and, only if that sweep hits the budget, a backward one, then
 extract the strongly connected component of the seed.  A forward sweep that
@@ -27,8 +32,9 @@ from .errors import (
     NotStandardError,
     RootFindingError,
     SizeLimitError,
+    UniversalVertexError,
 )
-from .rootfind import newton_polish, roots as find_roots
+from .rootfind import roots_batch
 
 DEFAULT_MAX_VERTICES = 5000
 DEFAULT_MAX_DEPTH = 50
@@ -150,45 +156,39 @@ class _VertexTable:
         self.cells.setdefault(self._cell(z), []).append(vid)
         return vid
 
-    def find_or_add(self, z: complex) -> tuple[int, bool]:
-        vid = self.find(z)
-        if vid is not None:
-            return vid, False
-        return self.add(z), True
-
 
 # -- neighbor enumeration ---------------------------------------------------------
 
 
+def _row(phi: BiPoly, u: complex, axis: str):
+    """Phi(u, y) for axis "x" (out-neighbors), Phi(x, u) for axis "y" (in-neighbors)."""
+    return out_poly(phi, u) if axis == "x" else in_poly(phi, u)
+
+
+def neighbors(phi: BiPoly, values, axis: str) -> list[list[tuple[complex, int]]]:
+    """Roots with multiplicity of each row Phi(u, y) (axis "x") or Phi(x, u)
+    (axis "y") for u in values, sorted; [] where the degree drops to 0."""
+    rows = [_row(phi, u, axis) for u in values]
+    return [rs.with_multiplicity() for rs in roots_batch(rows)]
+
+
 def out_neighbors(phi: BiPoly, u: complex) -> list[tuple[complex, int]]:
     """Roots with multiplicity of Phi(u, y), sorted; [] if the degree drops to 0."""
-    q = out_poly(phi, u)
-    if q.degree < 1:
-        return []
-    rs = find_roots(q)
-    vals = [
-        (newton_polish(r.value, q, r.multiplicity), r.multiplicity) for r in rs.roots
-    ]
-    return sorted(vals, key=lambda vm: (vm[0].real, vm[0].imag))
+    return neighbors(phi, [u], "x")[0]
 
 
 def in_neighbors(phi: BiPoly, v: complex) -> list[tuple[complex, int]]:
     """Roots with multiplicity of Phi(x, v), sorted; [] if the degree drops to 0."""
-    q = in_poly(phi, v)
-    if q.degree < 1:
-        return []
-    rs = find_roots(q)
-    vals = [
-        (newton_polish(r.value, q, r.multiplicity), r.multiplicity) for r in rs.roots
-    ]
-    return sorted(vals, key=lambda vm: (vm[0].real, vm[0].imag))
+    return neighbors(phi, [v], "y")[0]
 
 
 # -- BFS engine ---------------------------------------------------------------------
 
+_AXES = {"weak": ("x", "y"), "fwd": ("x",), "bwd": ("y",)}
+
 
 class _Sweep:
-    """Shared BFS machinery for weak/forward/backward exploration."""
+    """Shared level-synchronous BFS machinery for weak/forward/backward exploration."""
 
     def __init__(self, phi: BiPoly, budget: Budget, table: _VertexTable):
         self.phi = phi.to_float()
@@ -200,56 +200,69 @@ class _Sweep:
         self.frontier: set[int] = set()
         self.truncated = False
 
-    def run(self, seed_id: int, direction: str, depth0: int = 0):
-        queue = deque([(seed_id, depth0)])
+    def run(self, seed_id: int, direction: str):
+        axes = _AXES[direction]
+        level = [seed_id]
         enqueued = {seed_id}
-        while queue:
-            vid, depth = queue.popleft()
-            if vid in self.expanded:
-                continue
-            if depth >= self.budget.max_depth:
-                self.truncated = True
-                self.frontier.add(vid)
-                continue
-            try:
-                targets = self._expand(vid, direction)
-            except RootFindingError as exc:
-                raise ExplorationError(
-                    "root finding failed during exploration",
-                    partial=self._snapshot(seed_id),
-                    vertex=str(self.table.values[vid]),
-                ) from exc
-            self.expanded.add(vid)
-            self.frontier.discard(vid)
-            for wid in targets:
-                if wid not in enqueued and wid not in self.expanded:
-                    enqueued.add(wid)
-                    queue.append((wid, depth + 1))
+        for _depth in range(self.budget.max_depth):
+            targets = self._expand_level(seed_id, level, axes)
+            level = [wid for wid in dict.fromkeys(targets) if wid not in enqueued]
+            enqueued.update(level)
+            if not level:
+                return
+        self.truncated = True
+        self.frontier.update(level)
 
-    def _expand(self, vid: int, direction: str) -> list[int]:
-        u = self.table.values[vid]
-        new_ids: list[int] = []
-        if direction in ("weak", "fwd"):
-            outs = out_neighbors(self.phi, u)
-            arc_list: list[tuple[int, int]] = []
-            for val, mult in outs:
+    def _expand_level(self, seed_id: int, level: list[int], axes) -> list[int]:
+        """Expand every vertex of level; returns their targets in BFS order."""
+        rows, owners = [], []
+        deferred = None
+        for vid in level:
+            u = self.table.values[vid]
+            try:
+                for axis in axes:
+                    rows.append(_row(self.phi, u, axis))
+                    owners.append((vid, axis))
+            except UniversalVertexError as exc:
+                # Raised once the vertices before this one are expanded, as a
+                # vertex-at-a-time BFS would.
+                deferred = exc
+                break
+        try:
+            root_sets = roots_batch(rows)
+        except RootFindingError as exc:
+            k = exc.payload["row"]
+            self._materialize_rows(owners[:k], roots_batch(rows[:k]), axes)
+            raise ExplorationError(
+                "root finding failed during exploration",
+                partial=self._snapshot(seed_id),
+                vertex=str(self.table.values[owners[k][0]]),
+            ) from exc
+        targets = self._materialize_rows(owners, root_sets, axes)
+        if deferred is not None:
+            raise deferred
+        return targets
+
+    def _materialize_rows(self, owners, root_sets, axes) -> list[int]:
+        targets: list[int] = []
+        for (vid, axis), rs in zip(owners, root_sets):
+            ids = []
+            for val, mult in rs.with_multiplicity():
                 wid = self._materialize(val)
                 if wid is None:
                     continue
-                arc_list.append((wid, mult))
-                new_ids.append(wid)
-            self.out_arcs[vid] = arc_list
-        if direction in ("weak", "bwd"):
-            ins = in_neighbors(self.phi, u)
-            for val, mult in ins:
-                wid = self._materialize(val)
-                if wid is None:
-                    continue
-                # Provisional: arc multiplicity is authoritative from the
-                # out side; replaced when/if wid itself is expanded.
-                self.in_arcs_seen[(wid, vid)] = mult
-                new_ids.append(wid)
-        return new_ids
+                ids.append((wid, mult))
+                targets.append(wid)
+            if axis == "x":
+                self.out_arcs[vid] = ids
+            else:
+                for wid, mult in ids:
+                    # Provisional: arc multiplicity is authoritative from the
+                    # out side; replaced when/if wid itself is expanded.
+                    self.in_arcs_seen[(wid, vid)] = mult
+            if axis == axes[-1]:
+                self.expanded.add(vid)
+        return targets
 
     def _materialize(self, val: complex) -> int | None:
         wid = self.table.find(val)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .analyzer import analyze, singular_vertex_values
@@ -73,7 +72,6 @@ def probe_conjecture(
     n_seeds: int = 10,
     budget: Budget = Budget(),
     rng_seed: int = 0,
-    workers: int = 1,
     margin: float = SEED_MARGIN,
 ) -> ProbeResult:
     """Explore n_seeds random non-singular seeds and compare the components."""
@@ -97,14 +95,7 @@ def probe_conjecture(
         if all(abs(u - s) > margin for s in singular):
             seeds.append(u)
 
-    def job(u: complex) -> ExploredDigraph:
-        return explore_component(phi, u, budget)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            graphs = list(pool.map(job, seeds))
-    else:
-        graphs = [job(u) for u in seeds]
+    graphs = [explore_component(phi, u, budget) for u in seeds]
 
     labels = [classify(g) for g in graphs]
     truncated_count = sum(1 for g in graphs if g.truncated)

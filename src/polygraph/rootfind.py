@@ -1,11 +1,19 @@
-"""All complex roots of a univariate polynomial, with multiplicities.
+"""All complex roots of univariate polynomials, with multiplicities.
 
-Aberth-Ehrlich simultaneous iteration from a deterministic perturbed-circle
-start, followed by multiplicity clustering.  A cluster of m iterates around a
-multiplicity-m root is only determined to accuracy eps**(1/m), so candidate
-clusterings are scored by how well the reconstructed product matches the
-input coefficients, and multiple roots are re-polished on the (m-1)-th
-derivative where they are simple again.
+Root finding is batched: `roots_batch` deflates exact zeros at the origin,
+buckets the rows by the degree that remains, and runs Aberth-Ehrlich
+simultaneous iteration on each bucket as one (rows, deg+1) array, from a
+deterministic perturbed-circle start.  Every row keeps its own stopping
+rule, so a row's result does not depend on the other rows of the call;
+`roots` is a batch of one.
+
+A cluster of m iterates around a multiplicity-m root is only determined to
+accuracy eps**(1/m), so rows whose iterates come close are clustered by
+scoring candidate clusterings on how well the reconstructed product matches
+the input coefficients, and multiple roots are re-polished on the (m-1)-th
+derivative where they are simple again.  Rows whose iterates are all well
+separated skip that search: their clusters are their iterates.  Every root
+then gets multiplicity-corrected Newton steps on the input polynomial.
 
 Residuals |p(root)| are reported against an evaluation-noise bound derived
 from the standard Horner error estimate, so callers can tell a converged
@@ -15,6 +23,7 @@ root from a stalled iterate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -23,6 +32,7 @@ from .unipoly import UniPoly, from_roots as _expand_roots
 
 MAX_ITERS = 200
 DEFAULT_TOL = 1e-12
+POLISH_STEPS = 3
 _START_ANGLE = 0.4
 _EPS = np.finfo(float).eps
 
@@ -55,44 +65,62 @@ class RootSet:
 
 def roots(p: UniPoly, tol: float = DEFAULT_TOL) -> RootSet:
     """Find all roots of p with multiplicities (exact inputs are converted)."""
-    if p.is_zero:
-        raise ZeroPolynomialError("cannot take roots of the zero polynomial")
-    pf = p.to_float()
-    if pf.degree < 1:
-        raise DomainError("root finding needs degree >= 1", degree=pf.degree)
-    c = np.array(pf.coeffs, dtype=complex)
-    lead = complex(c[-1])
+    (rs,) = roots_batch([p], tol)
+    if rs.degree < 1:
+        raise DomainError("root finding needs degree >= 1", degree=rs.degree)
+    return rs
 
-    # Deflate exact zero roots at the origin before iterating.
-    n_zero = 0
-    while abs(c[0]) == 0.0:
-        c = c[1:]
-        n_zero += 1
-    n = len(c) - 1
 
-    z = _aberth(c, tol) if n >= 1 else np.empty(0, dtype=complex)
-    clusters = _best_clustering(z, c, tol) if n >= 1 else []
-    clusters = [_refine_cluster(v, m, c) for v, m in clusters]
-    if n_zero:
-        clusters.append((0j, n_zero))
-    clusters.sort(key=lambda vm: (vm[0].real, vm[0].imag))
+def roots_batch(polys: Sequence[UniPoly], tol: float = DEFAULT_TOL) -> list[RootSet]:
+    """Roots of every polynomial in one pass; entry k belongs to polys[k].
 
-    full = np.array(pf.coeffs, dtype=complex)
-    root_objs = []
-    bound = 0.0
-    for v, m in clusters:
-        res = abs(_horner(full, np.array([v]))[0])
-        root_objs.append(Root(complex(v), int(m), float(res)))
-        bound = max(bound, _noise_abs(full, abs(v)))
-    recon = _reconstruction_error(clusters, np.array(pf.coeffs, dtype=complex))
-    return RootSet(
-        roots=tuple(root_objs),
-        residual_bound=float(bound),
-        reconstruction_error=float(recon),
-        degree=pf.degree,
-        lead=lead,
-        var=pf.var,
-    )
+    Roots come sorted by (real, imag).  A constant row gets a RootSet with
+    no roots.  Raises ZeroPolynomialError for a zero row, and
+    RootFindingError with payload ``row=k`` for the first row k (in input
+    order) whose iteration does not converge.
+    """
+    results: list[RootSet | None] = [None] * len(polys)
+    buckets: dict[tuple[int, int], list[int]] = {}
+    rows: list[np.ndarray] = []
+    for k, p in enumerate(polys):
+        if p.is_zero:
+            raise ZeroPolynomialError("cannot take roots of the zero polynomial")
+        c = np.array(p.to_float().coeffs, dtype=complex)
+        rows.append(c)
+        n_zero = int(np.argmax(c != 0))
+        buckets.setdefault((len(c) - 1 - n_zero, n_zero), []).append(k)
+
+    solved = []
+    failed: list[tuple[int, np.ndarray]] = []
+    for (_, n_zero), ks in buckets.items():
+        full = np.array([rows[k] for k in ks])
+        z, bad = _aberth(full[:, n_zero:], tol)
+        failed += [(ks[i], z[i]) for i in np.flatnonzero(bad)]
+        solved.append((ks, full, n_zero, z))
+    if failed:
+        k, best = min(failed, key=lambda kb: kb[0])
+        raise RootFindingError(
+            "simultaneous iteration did not converge",
+            best=[complex(v) for v in best],
+            max_iters=MAX_ITERS,
+            row=k,
+        )
+
+    for ks, full, n_zero, z in solved:
+        fast = _separated(z, tol)
+        done = np.flatnonzero(fast)
+        var = [polys[ks[i]].var for i in done]
+        ones = np.ones(z.shape[1], dtype=int)
+        # + 0.0 turns a -0.0 part into +0.0, as the cluster mean of one iterate does.
+        for i, rs in zip(done, _finish(full[fast], z[fast] + 0.0, ones, n_zero, var)):
+            results[ks[i]] = rs
+        for i in np.flatnonzero(~fast):
+            c = full[i, n_zero:]
+            clusters = [_refine_cluster(v, m, c) for v, m in _best_clustering(z[i], c, tol)]
+            vals = np.array([[v for v, _ in clusters]])
+            mult = np.array([m for _, m in clusters])
+            (results[ks[i]],) = _finish(full[i : i + 1], vals, mult, n_zero, [polys[ks[i]].var])
+    return results
 
 
 def poly_from_roots(root_set, lead=None, var: str | None = None) -> UniPoly:
@@ -109,73 +137,123 @@ def poly_from_roots(root_set, lead=None, var: str | None = None) -> UniPoly:
     return _expand_roots(flat, complex(lead), var)
 
 
-# -- Aberth-Ehrlich core ------------------------------------------------------
+# -- array kernels: c is (rows, deg+1) low to high, z is (rows, k) --------------
 
 
 def _horner(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     acc = np.zeros_like(z)
-    for k in range(len(c) - 1, -1, -1):
-        acc = acc * z + c[k]
+    for k in range(c.shape[1] - 1, -1, -1):
+        acc = acc * z + c[:, k : k + 1]
     return acc
 
 
-def _noise_abs(c: np.ndarray, r: float) -> float:
-    """Evaluation-noise bound for |p| at radius r (Horner roundoff model)."""
-    n = len(c) - 1
-    powers = np.power(r, np.arange(len(c)))
-    return float(4.0 * (2 * n + 1) * _EPS * np.sum(np.abs(c) * powers) + 1e-300)
+def _derivative(c: np.ndarray) -> np.ndarray:
+    return c[:, 1:] * np.arange(1, c.shape[1])
 
 
-def _start_circle(c: np.ndarray) -> np.ndarray:
-    n = len(c) - 1
-    radius = 1.0 + float(np.max(np.abs(c[:-1])) / abs(c[-1]))  # Cauchy bound
-    angles = 2.0 * np.pi * np.arange(n) / n + _START_ANGLE
-    return radius * np.exp(1j * angles)
+def _noise(c: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Evaluation-noise bound for |p| at radii r (Horner roundoff model)."""
+    n = c.shape[1] - 1
+    terms = np.abs(c)[:, None, :] * np.power(r[..., None], np.arange(n + 1))
+    return 4.0 * (2 * n + 1) * _EPS * terms.sum(axis=-1) + 1e-300
 
 
-def _aberth(c: np.ndarray, tol: float) -> np.ndarray:
-    n = len(c) - 1
+def _expand(lead: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Coefficients of lead * prod_j (x - z[:, j]), one row per row of z."""
+    prod = lead[:, None]
+    for j in range(z.shape[1]):
+        nxt = np.zeros((len(prod), prod.shape[1] + 1), dtype=complex)
+        nxt[:, 1:] = prod
+        nxt[:, :-1] -= z[:, j : j + 1] * prod
+        prod = nxt
+    return prod
+
+
+def _reconstruction_error(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Relative coefficient mismatch of c[:, -1] * prod (x - z) against c."""
+    prod = _expand(c[:, -1], z)
+    return np.max(np.abs(prod - c), axis=1) / np.max(np.abs(c), axis=1)
+
+
+# -- Aberth-Ehrlich core ------------------------------------------------------
+
+
+def _aberth(c: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Iterates (rows, n) and a per-row failure mask for the rows of c.
+
+    A row leaves the iteration once every root has |corr| < tol*(1+|z|) or
+    |p| <= 4*noise; a row still running after MAX_ITERS is accepted only if
+    every residual is within 64*noise.
+    """
+    rows, n = c.shape[0], c.shape[1] - 1
+    failed = np.zeros(rows, dtype=bool)
+    if n == 0:
+        return np.empty((rows, 0), dtype=complex), failed
     if n == 1:
-        return np.array([-c[0] / c[1]])
-    dc = c[1:] * np.arange(1, n + 1)
-    z = _start_circle(c)
-    settled = np.zeros(n, dtype=bool)
+        return -c[:, :1] / c[:, 1:], failed
+    radius = 1.0 + np.max(np.abs(c[:, :-1]), axis=1) / np.abs(c[:, -1])  # Cauchy bound
+    angles = 2.0 * np.pi * np.arange(n) / n + _START_ANGLE
+    z = radius[:, None] * np.exp(1j * angles)
+    diag = np.arange(n)
+    live = np.arange(rows)
+    zl, cl, dcl = z, c, _derivative(c)
+    settled = np.zeros((rows, n), dtype=bool)
     for _ in range(MAX_ITERS):
-        pv = _horner(c, z)
-        dv = _horner(dc, z)
+        pv = _horner(cl, zl)
+        dv = _horner(dcl, zl)
         dead = dv == 0
         if np.any(dead):
-            z = np.where(dead, z * (1 + 1e-8) + 1e-8, z)
-            pv = _horner(c, z)
-            dv = _horner(dc, z)
+            zl = np.where(dead, zl * (1 + 1e-8) + 1e-8, zl)
+            pv = _horner(cl, zl)
+            dv = _horner(dcl, zl)
         w = pv / dv
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
+        diff = zl[:, :, None] - zl[:, None, :]
+        diff[:, diag, diag] = 1.0
         inv = 1.0 / diff
-        np.fill_diagonal(inv, 0.0)
-        s = inv.sum(axis=1)
+        inv[:, diag, diag] = 0.0
+        s = inv.sum(axis=2)
         denom = 1.0 - w * s
         small = np.abs(denom) < 1e-12
         corr = np.where(small, w, w / np.where(small, 1.0, denom))
         corr = np.where(settled, 0.0, corr)
-        z = z - corr
-        noise = np.array([_noise_abs(c, abs(zk)) for zk in z])
-        settled = (np.abs(corr) < tol * (1.0 + np.abs(z))) | (np.abs(pv) <= 4.0 * noise)
-        if settled.all():
-            return z
-    # Accept a stalled configuration only if every residual sits at noise level.
-    pv = np.abs(_horner(c, z))
-    noise = np.array([_noise_abs(c, abs(zk)) for zk in z])
-    if np.all(pv <= 64.0 * noise):
-        return z
-    raise RootFindingError(
-        "simultaneous iteration did not converge",
-        best=[complex(v) for v in z],
-        max_iters=MAX_ITERS,
-    )
+        zl = zl - corr
+        settled = (np.abs(corr) < tol * (1.0 + np.abs(zl))) | (
+            np.abs(pv) <= 4.0 * _noise(cl, np.abs(zl))
+        )
+        done = settled.all(axis=1)
+        if done.any():
+            z[live[done]] = zl[done]
+            keep = ~done
+            live, zl, cl, dcl, settled = live[keep], zl[keep], cl[keep], dcl[keep], settled[keep]
+            if live.size == 0:
+                return z, failed
+    # Accept a stalled row only if every residual sits at noise level.
+    z[live] = zl
+    stalled = np.abs(_horner(cl, zl)) <= 64.0 * _noise(cl, np.abs(zl))
+    failed[live] = ~stalled.all(axis=1)
+    return z, failed
 
 
-# -- multiplicity clustering ---------------------------------------------------
+# -- multiplicity clustering and polishing -------------------------------------
+
+
+def _cluster_base(tol: float) -> float:
+    return max(tol, 64.0 * _EPS)
+
+
+def _separated(z: np.ndarray, tol: float) -> np.ndarray:
+    """Rows whose iterates are farther apart than any cluster radius.
+
+    For such a row `_best_clustering` returns the iterates as singletons,
+    because no candidate radius base**(1/m) * (1 + max|z|) joins two of them.
+    """
+    n = z.shape[1]
+    if n <= 1:
+        return np.ones(len(z), dtype=bool)
+    dist = np.abs(z[:, :, None] - z[:, None, :])
+    dist[:, np.arange(n), np.arange(n)] = np.inf
+    reach = _cluster_base(tol) ** (1.0 / n) * (1.0 + np.max(np.abs(z), axis=1))
+    return dist.min(axis=(1, 2)) > reach
 
 
 def _single_linkage(z: np.ndarray, threshold_rel: float) -> list[list[int]]:
@@ -201,21 +279,6 @@ def _single_linkage(z: np.ndarray, threshold_rel: float) -> list[list[int]]:
     return [groups[k] for k in sorted(groups)]
 
 
-def _clusters_from_groups(z: np.ndarray, groups: list[list[int]]) -> list[tuple[complex, int]]:
-    return [(complex(np.mean(z[g])), len(g)) for g in groups]
-
-
-def _reconstruction_error(clusters: list[tuple[complex, int]], c: np.ndarray) -> float:
-    prod = np.array([c[-1]], dtype=complex)
-    for v, m in clusters:
-        for _ in range(m):
-            prod = np.convolve(prod, np.array([-v, 1.0], dtype=complex))
-    if len(prod) != len(c):
-        return np.inf
-    scale = np.max(np.abs(c))
-    return float(np.max(np.abs(prod - c)) / scale)
-
-
 def _best_clustering(z: np.ndarray, c: np.ndarray, tol: float) -> list[tuple[complex, int]]:
     """Try cluster radii tol**(1/m) for rising tentative multiplicity m.
 
@@ -225,41 +288,36 @@ def _best_clustering(z: np.ndarray, c: np.ndarray, tol: float) -> list[tuple[com
     as a reconstruction mismatch.
     """
     n = len(z)
-    base = max(tol, 64.0 * _EPS)
+    base = _cluster_base(tol)
     seen: list[tuple[float, list[tuple[complex, int]]]] = []
     for m_try in range(1, n + 1):
-        radius = base ** (1.0 / m_try)
-        groups = _single_linkage(z, radius)
-        clusters = _clusters_from_groups(z, groups)
-        err = _reconstruction_error(clusters, c)
-        seen.append((err, clusters))
+        groups = _single_linkage(z, base ** (1.0 / m_try))
+        clusters = [(complex(np.mean(z[g])), len(g)) for g in groups]
+        flat = np.array([[v for v, m in clusters for _ in range(m)]])
+        seen.append((float(_reconstruction_error(c[None, :], flat)[0]), clusters))
     best_err = min(e for e, _ in seen)
     floor = max(4.0 * best_err, 1e-11)
-    chosen = min(
-        (cl for e, cl in seen if e <= floor),
-        key=len,
-    )
-    return chosen
+    return min((cl for e, cl in seen if e <= floor), key=len)
 
 
 def _refine_cluster(v: complex, m: int, c: np.ndarray) -> tuple[complex, int]:
     """Polish a multiplicity-m root on p**(m-1) where it is simple."""
     if m <= 1:
         return v, m
-    d = c.copy()
+    d = c[None, :]
     for _ in range(m - 1):
-        d = d[1:] * np.arange(1, len(d))
-    dd = d[1:] * np.arange(1, len(d))
+        d = _derivative(d)
+    dd = _derivative(d)
     best = v
-    best_val = abs(_horner(d, np.array([v]))[0])
+    best_val = abs(_horner(d, np.array([[v]]))[0, 0])
     cur = v
     for _ in range(8):
-        fv = _horner(d, np.array([cur]))[0]
-        fd = _horner(dd, np.array([cur]))[0]
+        fv = _horner(d, np.array([[cur]]))[0, 0]
+        fd = _horner(dd, np.array([[cur]]))[0, 0]
         if fd == 0:
             break
         cur = cur - fv / fd
-        val = abs(_horner(d, np.array([cur]))[0])
+        val = abs(_horner(d, np.array([[cur]]))[0, 0])
         if val < best_val:
             best, best_val = cur, val
         else:
@@ -267,23 +325,62 @@ def _refine_cluster(v: complex, m: int, c: np.ndarray) -> tuple[complex, int]:
     return complex(best), m
 
 
-def newton_polish(value: complex, p: UniPoly, multiplicity: int = 1, steps: int = 3) -> complex:
-    """Multiplicity-corrected Newton steps; keeps the best |p| seen."""
-    c = np.array(p.to_float().coeffs, dtype=complex)
-    if len(c) < 2:
-        return value
-    dc = c[1:] * np.arange(1, len(c))
-    best = value
-    best_val = abs(_horner(c, np.array([value]))[0])
-    cur = value
-    for _ in range(steps):
-        fd = _horner(dc, np.array([cur]))[0]
-        if fd == 0:
-            break
-        cur = cur - multiplicity * _horner(c, np.array([cur]))[0] / fd
-        val = abs(_horner(c, np.array([cur]))[0])
-        if val < best_val:
-            best, best_val = cur, val
-        else:
-            break
-    return complex(best)
+def _polish(c: np.ndarray, z: np.ndarray, mult: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Multiplicity-corrected Newton steps on c, as one masked pass.
+
+    Each root keeps the best |p| seen and stops at the first step that does
+    not improve it (or meets p' = 0).  Returns the roots and their |p|.
+    """
+    dc = _derivative(c)
+    best = z
+    pv = _horner(c, z)
+    best_val = np.abs(pv)
+    going = np.ones(z.shape, dtype=bool)
+    # A diverging step shows up as an inf or nan |p| and is never kept.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(POLISH_STEPS):
+            fd = _horner(dc, best)
+            going &= fd != 0
+            if not going.any():
+                break
+            step = np.where(going, mult * pv / np.where(going, fd, 1.0), 0.0)
+            cur = best - step
+            pv_cur = _horner(c, cur)
+            val = np.abs(pv_cur)
+            going &= val < best_val
+            best = np.where(going, cur, best)
+            best_val = np.where(going, val, best_val)
+            pv = np.where(going, pv_cur, pv)
+    return best, best_val
+
+
+def _finish(
+    full: np.ndarray, z: np.ndarray, mult: np.ndarray, n_zero: int, var: list[str]
+) -> list[RootSet]:
+    """RootSets for the rows of full: nonzero roots z, n_zero roots at 0.
+
+    Column j of z has multiplicity mult[j] in every row (all ones on the
+    separated path; the cluster path passes one row at a time).
+    """
+    vals, residuals = _polish(full, z, mult)
+    bounds = np.max(_noise(full, np.abs(vals)), axis=1, initial=1e-300)
+    flat = np.repeat(vals, mult, axis=1)
+    recon = _reconstruction_error(full, np.pad(flat, ((0, 0), (0, n_zero))))
+    out = []
+    for i in range(len(full)):
+        found = list(zip(vals[i].tolist(), mult.tolist(), residuals[i].tolist()))
+        if n_zero:
+            found.append((0j, n_zero, 0.0))
+        found.sort(key=lambda r: (r[0].real, r[0].imag))
+        out.append(
+            RootSet(
+                roots=tuple(Root(v, m, r) for v, m, r in found),
+                residual_bound=float(bounds[i]),
+                reconstruction_error=float(recon[i]),
+                degree=full.shape[1] - 1,
+                lead=complex(full[i, -1]),
+                var=var[i],
+            )
+        )
+    return out
+

@@ -99,14 +99,13 @@ def test_probe_deterministic(capsys):
     assert set(data["labels"]) == {"CompleteK(3)"}
 
 
-def test_probe_workers_match_serial(capsys):
-    base = (
-        "probe", "x^2+y^2", "--seeds", "4", "--rng-seed", "3",
-        "--max-vertices", "60", "--depth", "20",
-    )
-    _, serial, _ = run_cli(capsys, *base)
-    _, threaded, _ = run_cli(capsys, *base, "--workers", "3")
-    assert serial == threaded
+def test_probe_workers_flag_is_usage_error(capsys):
+    # Probes run serially: a thread pool only slowed them down under the GIL.
+    with pytest.raises(SystemExit) as exc:
+        main(["probe", "x^2+y^2", "--seeds", "2", "--workers", "3"])
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--workers" in captured.err
 
 
 def test_domain_error_exit_2(capsys):

@@ -10,7 +10,7 @@ The known wrong certificate of the double ray (a truncated=False graph for
 an infinite component) is pinned on purpose: fixing it is a separate,
 deliberate change that regenerates this file.
 
-Regenerate with `python tests/test_explore_golden.py`.
+Regenerate with `PYTHONPATH=src python tests/test_explore_golden.py`.
 """
 
 import json

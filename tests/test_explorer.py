@@ -18,10 +18,19 @@ from polygraph import (
     in_neighbors,
     is_isomorphic,
     labels_equivalent,
+    neighbors,
     out_neighbors,
     parse,
 )
-from polygraph.errors import NotStandardError, SizeLimitError, UniversalVertexError
+from polygraph import explorer
+from polygraph.bipoly import in_poly
+from polygraph.errors import (
+    ExplorationError,
+    NotStandardError,
+    RootFindingError,
+    SizeLimitError,
+    UniversalVertexError,
+)
 from polygraph.synthesis import FiniteDigraph, digraph_to_poly
 
 GRID = parse("(y-x)^4-1")
@@ -115,6 +124,67 @@ class TestExplore:
         g = explore_component(phi, 0j, Budget(max_depth=1, max_vertices=50, dedup_eps=eps))
         near_one = [v for _, v in g.vertices if abs(v - 1) < 0.1]
         assert len(near_one) == 2
+
+
+def _bfs_prefix(phi, seed, stop):
+    """Values a vertex-at-a-time weak BFS has discovered just before row stop.
+
+    In one sweep every new vertex is enqueued when discovered, so vertices
+    are expanded in id order, out-row first.
+    """
+    eps = Budget().dedup_eps
+    values = [seed]
+    for vid in range(stop[0] + 1):
+        for axis in ("x", "y"):
+            if (vid, axis) == stop:
+                return values
+            (found,) = neighbors(phi, [values[vid]], axis)
+            for val, _ in found:
+                if all(abs(val - w) >= eps for w in values):
+                    values.append(val)
+    raise AssertionError("stop row not reached")
+
+
+class TestFailureContract:
+    # Vertex 7 of the grid BFS from 0 sits mid-way through level 2 (ids 5..12).
+    FAIL_VID = 7
+
+    def test_root_failure_mid_level_keeps_bfs_prefix(self, monkeypatch):
+        want = _bfs_prefix(GRID, 0j, (self.FAIL_VID, "y"))
+        bad_row = in_poly(GRID.to_float(), want[self.FAIL_VID])
+        real = explorer.roots_batch
+
+        def failing(rows):
+            for k, row in enumerate(rows):
+                if row == bad_row:
+                    raise RootFindingError("injected", row=k)
+            return real(rows)
+
+        monkeypatch.setattr(explorer, "roots_batch", failing)
+        with pytest.raises(ExplorationError) as info:
+            explore_component(GRID, 0j, Budget(max_depth=4))
+        partial = info.value.partial
+        assert partial.truncated and partial.order == len(want)
+        assert [v for _, v in partial.vertices] == want
+        assert info.value.payload["vertex"] == str(want[self.FAIL_VID])
+        # The failing vertex's out-row was materialized; the vertex itself is unexpanded.
+        assert len([a for a in partial.arcs if a[0] == self.FAIL_VID]) == GRID.deg_y
+        assert self.FAIL_VID in partial.frontier_ids
+        assert 6 not in partial.frontier_ids
+
+    def test_universal_vertex_error_comes_from_its_vertex(self, monkeypatch):
+        want = _bfs_prefix(GRID, 0j, (self.FAIL_VID, "y"))
+        real = explorer.in_poly
+
+        def universal_at_fail_vid(phi, v):
+            if v == want[self.FAIL_VID]:
+                raise UniversalVertexError("universal sink vertex", vertex=str(v))
+            return real(phi, v)
+
+        monkeypatch.setattr(explorer, "in_poly", universal_at_fail_vid)
+        with pytest.raises(UniversalVertexError) as info:
+            explore_component(GRID, 0j, Budget(max_depth=4))
+        assert info.value.payload["vertex"] == str(want[self.FAIL_VID])
 
 
 class TestStrong:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from polygraph import parse, poly_from_roots, roots
+from polygraph import parse, poly_from_roots, roots, roots_batch
 from polygraph.errors import DomainError, ZeroPolynomialError
 from polygraph.synthesis import FiniteDigraph, digraph_to_poly
 from polygraph.unipoly import UniPoly, from_roots
@@ -93,3 +93,41 @@ def test_exact_input_converted():
     rs = roots(parse("y^2 - 2").eval_partial(0, "x"))
     vals = sorted(v.real for v in rs.values())
     assert abs(vals[0] + 2**0.5) < 1e-12 and abs(vals[1] - 2**0.5) < 1e-12
+
+
+def test_batch_matches_each_row_alone():
+    rng = random.Random(57)
+
+    def draw() -> complex:
+        return complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+
+    rows = [
+        UniPoly.make([draw() for _ in range(d)] + [complex(rng.uniform(0.5, 2), 0)], "y")
+        for d in [rng.randint(1, 6) for _ in range(24)]
+    ]
+    a, b = draw(), draw()
+    special = [
+        UniPoly.make([0.0, 0.0, draw(), draw(), 1.0], "y"),  # two exact zeros at 0
+        UniPoly.make([0.0, 0.0, 0.0, 3.0], "y"),  # only zeros at 0
+        from_roots([a, a, b], 1.0, "y"),  # double root
+        from_roots([b, b, b, a], 1.0, "y"),  # triple root
+        UniPoly.make([2.0, 1e-15], "y"),  # trims to degree 0
+    ]
+    rows += special
+    rng.shuffle(rows)
+    batch = roots_batch(rows)
+    assert len(batch) == len(rows)
+    for p, rs in zip(rows, batch):
+        if p.degree < 1:
+            assert rs.roots == () and rs.degree == 0
+            with pytest.raises(DomainError):
+                roots(p)
+            continue
+        assert rs == roots(p)
+        assert rs.total_multiplicity() == p.degree
+        assert all(r.residual <= rs.residual_bound for r in rs.roots)
+    mults = {p: sorted(r.multiplicity for r in rs.roots) for p, rs in zip(rows, batch)}
+    assert mults[special[0]] == [1, 1, 2]
+    assert mults[special[1]] == [3]
+    assert mults[special[2]] == [1, 2]
+    assert mults[special[3]] == [1, 3]
