@@ -4,16 +4,18 @@ Coefficients live in a sparse map (x_power, y_power) -> scalar, all exact
 (GaussRat) or all complex doubles.  Highlights:
 
 * partial evaluation Phi(u, y) / Phi(x, u) into a UniPoly,
-* resultants: fraction-free Bareiss on a Sylvester matrix with UniPoly
-  entries in exact mode, evaluation-interpolation at roots of unity in
-  float mode,
+* resultants: fraction-free Bareiss on a Sylvester matrix in exact mode
+  (rows cleared of denominators, entries as polynomials over Z[i]),
+  evaluation-interpolation at roots of unity in float mode,
 * squarefree part (exact), exact division, affine reparametrization.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
@@ -24,7 +26,7 @@ from .errors import (
     UniversalVertexError,
     ZeroPolynomialError,
 )
-from .scalars import GR_ONE, GR_ZERO, is_exact, require_finite
+from .scalars import GR_ONE, GR_ZERO, GaussRat, is_exact, require_finite
 from .unipoly import TRIM_REL, UniPoly
 
 _INTERP_ANGLE = 0.3  # fixed angular offset for float resultant sample points
@@ -403,28 +405,100 @@ def _sylvester(pc: list[UniPoly], qc: list[UniPoly], var: str) -> list[list[UniP
 
 
 def _bareiss_poly_det(mat: list[list[UniPoly]], var: str) -> UniPoly:
-    """Fraction-free determinant of a matrix with exact UniPoly entries."""
+    """Fraction-free determinant of a matrix with exact UniPoly entries.
+
+    Each row is multiplied by the common denominator of its entries, so that
+    Bareiss runs on polynomials over Z[i] (ascending lists of (re, im) int
+    pairs, no Fraction in the inner loops); the determinant is divided by
+    the product of those denominators at the end.
+    """
     size = len(mat)
     if size == 0:
         return UniPoly.one(var)
-    m = [row[:] for row in mat]
-    sign = 1
-    prev = UniPoly.one(var)
+    scale = 1
+    m = []
+    for row in mat:
+        den = 1
+        for entry in row:
+            for c in entry.coeffs:
+                den = math.lcm(den, c.re.denominator, c.im.denominator)
+        scale *= den
+        m.append([
+            [(c.re.numerator * (den // c.re.denominator),
+              c.im.numerator * (den // c.im.denominator)) for c in entry.coeffs]
+            for entry in row
+        ])
+    prev = [(1, 0)]
     for k in range(size - 1):
-        if m[k][k].is_zero:
-            pivot = next((r for r in range(k + 1, size) if not m[r][k].is_zero), None)
-            if pivot is None:
+        if not m[k][k]:
+            swap = next((r for r in range(k + 1, size) if m[r][k]), None)
+            if swap is None:
                 return UniPoly.zero(var)
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
+            m[k], m[swap] = m[swap], m[k]
+            scale = -scale
+        row_k = m[k]
+        pivot = row_k[k]
         for i in range(k + 1, size):
+            row_i = m[i]
+            lead = row_i[k]
             for j in range(k + 1, size):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = num.divexact(prev)
-            m[i][k] = UniPoly.zero(var)
-        prev = m[k][k]
-    det = m[-1][-1]
-    return det if sign == 1 else -det
+                num = _gz_sub(_gz_mul(pivot, row_i[j]), _gz_mul(lead, row_k[j]))
+                row_i[j] = _gz_divexact(num, prev)
+            row_i[k] = []
+        prev = pivot
+    return UniPoly.make(
+        [GaussRat(Fraction(re, scale), Fraction(im, scale)) for re, im in m[-1][-1]], var
+    )
+
+
+# Polynomials over Z[i] for the exact Bareiss: ascending lists of (re, im)
+# int pairs with a nonzero last entry; [] is the zero polynomial.
+
+
+def _gz_mul(p: list, q: list) -> list:
+    if not p or not q:
+        return []
+    re = [0] * (len(p) + len(q) - 1)
+    im = re[:]
+    for i, (a, b) in enumerate(p):
+        for j, (c, d) in enumerate(q):
+            re[i + j] += a * c - b * d
+            im[i + j] += a * d + b * c
+    return list(zip(re, im))  # Z[i] has no zero divisors: the lead is nonzero
+
+
+def _gz_sub(p: list, q: list) -> list:
+    if len(p) < len(q):
+        p = p + [(0, 0)] * (len(q) - len(p))
+    out = p[:]
+    for k, (c, d) in enumerate(q):
+        a, b = out[k]
+        out[k] = (a - c, b - d)
+    while out and out[-1] == (0, 0):
+        out.pop()
+    return out
+
+
+def _gz_divexact(num: list, den: list) -> list:
+    """num / den for a den that divides num in Z[i][x] (long division)."""
+    if not num:
+        return []
+    dn = len(den) - 1
+    c, d = den[-1]
+    norm = c * c + d * d
+    rem = num[:]
+    quo = [(0, 0)] * (len(num) - dn)
+    for k in range(len(num) - 1 - dn, -1, -1):
+        a, b = rem[k + dn]
+        if not a and not b:
+            continue
+        qa, qb = (a * c + b * d) // norm, (b * c - a * d) // norm
+        quo[k] = (qa, qb)
+        for t in range(dn):
+            e, f = den[t]
+            r, s = rem[k + t]
+            rem[k + t] = (r - qa * e + qb * f, s - qa * f - qb * e)
+    return quo
 
 
 def _resultant_float(p: BiPoly, q: BiPoly, var: str) -> UniPoly:

@@ -177,6 +177,58 @@ class TestResultant:
             for k in range(max(exact.degree, approx.degree) + 1):
                 assert abs(complex(exact.coeff(k)) - complex(approx.coeff(k))) <= 1e-6 * scale
 
+    def test_specialisation_matches_scalar_determinant(self):
+        # Independent oracle: where neither leading coefficient in y vanishes,
+        # Res_y(P, Q)(x0) is the determinant of the Sylvester matrix of
+        # P(x0, y) and Q(x0, y), here by Gaussian elimination over Q(i).
+        def det(rows):
+            rows = [r[:] for r in rows]
+            out = gr(1)
+            for k in range(len(rows)):
+                piv = next((r for r in range(k, len(rows)) if rows[r][k]), None)
+                if piv is None:
+                    return gr(0)
+                if piv != k:
+                    rows[k], rows[piv] = rows[piv], rows[k]
+                    out = -out
+                out = out * rows[k][k]
+                for r in range(k + 1, len(rows)):
+                    f = rows[r][k] / rows[k][k]
+                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[k])]
+            return out
+
+        def sylvester(p, q):
+            m, n = p.degree, q.degree
+            p_desc = [p.coeff(k) for k in range(m, -1, -1)]
+            q_desc = [q.coeff(k) for k in range(n, -1, -1)]
+            rows = [[gr(0)] * r + p_desc + [gr(0)] * (n - 1 - r) for r in range(n)]
+            return rows + [[gr(0)] * r + q_desc + [gr(0)] * (m - 1 - r) for r in range(m)]
+
+        rng = random.Random(11)
+
+        def rand_bipoly():
+            def scalar():
+                im = Fraction(rng.randint(-3, 3), rng.randint(1, 4)) if rng.random() < 0.4 else 0
+                return gr(Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3, 6])), im)
+
+            dx, dy = rng.randint(0, 3), rng.randint(1, 3)
+            return BiPoly.make({(i, j): scalar() for i in range(dx + 1)
+                                for j in range(dy + 1) if rng.random() < 0.6})
+
+        checked = 0
+        for _ in range(30):
+            p, q = rand_bipoly(), rand_bipoly()
+            if p.deg_y < 1 or q.deg_y < 1:
+                continue
+            res = p.resultant(q, "y")
+            for x0 in (gr(0), gr(1), gr(-2), gr(3, 1), gr(Fraction(1, 2), -1)):
+                pu, qu = p.eval_partial(x0, "x"), q.eval_partial(x0, "x")
+                if pu.degree < p.deg_y or qu.degree < q.deg_y:
+                    continue
+                assert res.eval(x0) == det(sylvester(pu, qu))
+                checked += 1
+        assert checked >= 50
+
     def test_zero_iff_positive_degree_gcd(self):
         rng = random.Random(5)
         for _ in range(40):
