@@ -5,17 +5,17 @@ Coefficients live in a sparse map (x_power, y_power) -> scalar, all exact
 
 * partial evaluation Phi(u, y) / Phi(x, u) into a UniPoly,
 * resultants: fraction-free Bareiss on a Sylvester matrix in exact mode
-  (rows cleared of denominators, entries as polynomials over Z[i]),
+  (rows cleared of denominators, entries as polynomials over Z[i] through
+  the `_gz_*` helpers of `unipoly`; GaussRat only on entry and exit),
   evaluation-interpolation at roots of unity in float mode,
-* squarefree part (exact), exact division, affine reparametrization.
+* squarefree part (exact), exact division, affine reparametrization.  The
+  bivariate ring operations behind these still run on GaussRat.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
@@ -26,8 +26,16 @@ from .errors import (
     UniversalVertexError,
     ZeroPolynomialError,
 )
-from .scalars import GR_ONE, GR_ZERO, GaussRat, is_exact, require_finite
-from .unipoly import TRIM_REL, UniPoly
+from .scalars import GR_ONE, GR_ZERO, is_exact, require_finite
+from .unipoly import (
+    TRIM_REL,
+    UniPoly,
+    _gz_clear,
+    _gz_divexact,
+    _gz_mul,
+    _gz_sub,
+    _gz_unipoly,
+)
 
 _INTERP_ANGLE = 0.3  # fixed angular offset for float resultant sample points
 
@@ -188,10 +196,10 @@ class BiPoly:
         for (i, j), c in self.coeffs.items():
             k, m = (i, j) if var == "x" else (j, i)
             rows[k][m] = c
+        zero = GR_ZERO if self.mode == "exact" else 0j
         out = []
         for row in rows:
             n = max(row, default=-1)
-            zero = GR_ZERO if self.mode == "exact" else 0j
             out.append(UniPoly.make([row.get(t, zero) for t in range(n + 1)], other))
         return out
 
@@ -298,12 +306,6 @@ class BiPoly:
         for a in self.coeff_polys("y"):
             g = g.gcd(a)
         return g
-
-    def primitive_y(self) -> "BiPoly":
-        g = self.content_y()
-        if g.is_zero or g.degree <= 0:
-            return self
-        return self.divexact_y(BiPoly.from_unipoly(g))
 
     def divexact_y(self, g: "BiPoly") -> "BiPoly":
         """Exact division viewing both as polynomials in y over exact x-polys."""
@@ -418,16 +420,9 @@ def _bareiss_poly_det(mat: list[list[UniPoly]], var: str) -> UniPoly:
     scale = 1
     m = []
     for row in mat:
-        den = 1
-        for entry in row:
-            for c in entry.coeffs:
-                den = math.lcm(den, c.re.denominator, c.im.denominator)
+        cleared, den = _gz_clear(row)
         scale *= den
-        m.append([
-            [(c.re.numerator * (den // c.re.denominator),
-              c.im.numerator * (den // c.im.denominator)) for c in entry.coeffs]
-            for entry in row
-        ])
+        m.append(cleared)
     prev = [(1, 0)]
     for k in range(size - 1):
         if not m[k][k]:
@@ -446,59 +441,7 @@ def _bareiss_poly_det(mat: list[list[UniPoly]], var: str) -> UniPoly:
                 row_i[j] = _gz_divexact(num, prev)
             row_i[k] = []
         prev = pivot
-    return UniPoly.make(
-        [GaussRat(Fraction(re, scale), Fraction(im, scale)) for re, im in m[-1][-1]], var
-    )
-
-
-# Polynomials over Z[i] for the exact Bareiss: ascending lists of (re, im)
-# int pairs with a nonzero last entry; [] is the zero polynomial.
-
-
-def _gz_mul(p: list, q: list) -> list:
-    if not p or not q:
-        return []
-    re = [0] * (len(p) + len(q) - 1)
-    im = re[:]
-    for i, (a, b) in enumerate(p):
-        for j, (c, d) in enumerate(q):
-            re[i + j] += a * c - b * d
-            im[i + j] += a * d + b * c
-    return list(zip(re, im))  # Z[i] has no zero divisors: the lead is nonzero
-
-
-def _gz_sub(p: list, q: list) -> list:
-    if len(p) < len(q):
-        p = p + [(0, 0)] * (len(q) - len(p))
-    out = p[:]
-    for k, (c, d) in enumerate(q):
-        a, b = out[k]
-        out[k] = (a - c, b - d)
-    while out and out[-1] == (0, 0):
-        out.pop()
-    return out
-
-
-def _gz_divexact(num: list, den: list) -> list:
-    """num / den for a den that divides num in Z[i][x] (long division)."""
-    if not num:
-        return []
-    dn = len(den) - 1
-    c, d = den[-1]
-    norm = c * c + d * d
-    rem = num[:]
-    quo = [(0, 0)] * (len(num) - dn)
-    for k in range(len(num) - 1 - dn, -1, -1):
-        a, b = rem[k + dn]
-        if not a and not b:
-            continue
-        qa, qb = (a * c + b * d) // norm, (b * c - a * d) // norm
-        quo[k] = (qa, qb)
-        for t in range(dn):
-            e, f = den[t]
-            r, s = rem[k + t]
-            rem[k + t] = (r - qa * e + qb * f, s - qa * f - qb * e)
-    return quo
+    return _gz_unipoly(m[-1][-1], (scale, 0), var)
 
 
 def _resultant_float(p: BiPoly, q: BiPoly, var: str) -> UniPoly:

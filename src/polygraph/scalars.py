@@ -104,9 +104,6 @@ class GaussRat:
     def conjugate(self) -> "GaussRat":
         return GaussRat(self.re, -self.im)
 
-    def norm2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
     def is_real(self) -> bool:
         return self.im == 0
 
@@ -133,36 +130,6 @@ def _as_gauss(v):
 
 def is_exact(v) -> bool:
     return isinstance(v, GaussRat)
-
-
-def to_complex(v) -> complex:
-    return complex(v)
-
-
-def exact(re, im=0) -> GaussRat:
-    """Build an exact scalar from ints/Fractions; floats are rejected."""
-    if isinstance(re, float) or isinstance(im, float) or isinstance(re, complex):
-        raise ExactFromFloat(re, im)
-    return GaussRat(Fraction(re), Fraction(im))
-
-
-class ExactFromFloat(DomainError):
-    def __init__(self, re, im):
-        super().__init__(
-            "floats are never promoted to exact scalars; use Fractions or ints"
-        )
-
-
-def scalar_close(u, v, tol: float) -> bool:
-    """|u - v| <= tol * (1 + max(|u|, |v|)) in complex doubles."""
-    cu, cv = complex(u), complex(v)
-    return abs(cu - cv) <= tol * (1.0 + max(abs(cu), abs(cv)))
-
-
-def scalar_is_zero(v, tol: float = 0.0) -> bool:
-    if isinstance(v, GaussRat):
-        return not v
-    return abs(complex(v)) <= tol
 
 
 def require_finite(z: complex, context: str) -> complex:

@@ -15,7 +15,6 @@ mode.  "2i" and "3/2i" are single imaginary literals.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 from .bipoly import BiPoly
@@ -292,16 +291,3 @@ def bipoly_from_json(obj: dict) -> BiPoly:
         else:
             out[(int(i), int(j))] = complex(float(re), float(im))
     return BiPoly.make(out)
-
-
-def bipoly_dumps(p: BiPoly) -> str:
-    return json.dumps(bipoly_to_json(p), sort_keys=True)
-
-
-def bipoly_loads(text: str) -> BiPoly:
-    return bipoly_from_json(json.loads(text))
-
-
-def unipoly_to_text(p: UniPoly) -> str:
-    return format_unipoly(p)
-

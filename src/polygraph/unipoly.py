@@ -4,15 +4,25 @@ Coefficients are stored ascending.  A polynomial is exact when every
 coefficient is a :class:`~polygraph.scalars.GaussRat`; mixing an exact
 polynomial with a float one coerces the result to floats (never the other
 way around).  The zero polynomial has an empty coefficient tuple and degree -1.
+
+`GaussRat` is only the stored and public scalar.  Exact multiplication,
+division and gcd clear the common denominator of their operands on entry,
+run on polynomials over Z[i] (ascending lists of (re, im) int pairs, the
+`_gz_*` helpers below) and convert back once on exit: integer convolution,
+pseudo-division followed by one division by lc**e and the denominators, and
+the subresultant PRS (Collins 1967; Brown and Traub 1971).  The exact
+resultant of `bipoly` runs its Bareiss elimination on the same helpers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DomainError, ExactArithmeticRequired, SynthesisError
-from .scalars import GR_ONE, GR_ZERO, is_exact, require_finite
+from .scalars import GR_ONE, GR_ZERO, GaussRat, is_exact, require_finite
 
 # Float coefficients below this fraction of the largest one are treated as
 # arithmetic debris and trimmed from the leading end.
@@ -123,11 +133,13 @@ class UniPoly:
         p, q = self._pair(other)
         if p.is_zero or q.is_zero:
             return UniPoly.zero(self.var)
-        out = [GR_ZERO if p.mode == "exact" else 0j] * (
-            len(p.coeffs) + len(q.coeffs) - 1
-        )
+        if p.mode == "exact":
+            (a,), da = _gz_clear([p])
+            (b,), db = _gz_clear([q])
+            return _gz_unipoly(_gz_mul(a, b), (da * db, 0), self.var)
+        out = [0j] * (len(p.coeffs) + len(q.coeffs) - 1)
         for i, a in enumerate(p.coeffs):
-            if not _nonzero(a):
+            if not a:
                 continue
             for j, b in enumerate(q.coeffs):
                 out[i + j] = out[i + j] + a * b
@@ -135,16 +147,9 @@ class UniPoly:
 
     def scale(self, s) -> "UniPoly":
         if is_exact(s) and self.mode == "exact":
-            return UniPoly(tuple(c * s for c in self.coeffs), self.var)
+            return UniPoly(_trim([c * s for c in self.coeffs], True), self.var)
         cs = complex(s)
         return UniPoly.make([complex(c) * cs for c in self.coeffs], self.var)
-
-    def shift_mul_x(self, k: int) -> "UniPoly":
-        """Multiply by var**k."""
-        if self.is_zero or k == 0:
-            return self
-        pad = (GR_ZERO,) * k if self.mode == "exact" else (0j,) * k
-        return UniPoly(pad + self.coeffs, self.var)
 
     def power(self, k: int) -> "UniPoly":
         if k < 0:
@@ -197,19 +202,14 @@ class UniPoly:
             raise ExactArithmeticRequired("polynomial division requires exact scalars")
         if other.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        dq = len(other.coeffs) - 1
-        lead = other.lead
-        quo = [GR_ZERO] * max(0, len(rem) - dq)
-        while len(rem) - 1 >= dq and rem:
-            k = len(rem) - 1 - dq
-            q = rem[-1] / lead
-            quo[k] = q
-            for j, b in enumerate(other.coeffs):
-                rem[k + j] = rem[k + j] - q * b
-            while rem and not rem[-1]:
-                rem.pop()
-        return UniPoly(_trim(quo, True), self.var), UniPoly(tuple(rem), self.var)
+        # lc**e * a = Q*b + R over Z[i] for the cleared a = A/da, b = B/db,
+        # so the quotient is Q*db / (lc**e*da) and the remainder R / (lc**e*da).
+        (a,), da = _gz_clear([self])
+        (b,), db = _gz_clear([other])
+        quo, rem, lc_e = _gz_pseudo_divmod(a, b)
+        den = (lc_e[0] * da, lc_e[1] * da)
+        quo = [(re * db, im * db) for re, im in quo]
+        return _gz_unipoly(quo, den, self.var), _gz_unipoly(rem, den, self.var)
 
     def divexact(self, other: "UniPoly") -> "UniPoly":
         q, r = self.divmod(other)
@@ -221,10 +221,10 @@ class UniPoly:
         """Monic gcd over exact scalars; gcd(0, 0) = 0."""
         if self.mode != "exact" or other.mode != "exact":
             raise ExactArithmeticRequired("gcd is only defined in exact mode")
-        p, q = self, other
-        while not q.is_zero:
-            p, q = q, p.divmod(q)[1]
-        return p.monic()
+        var = other.var if self.is_zero and not other.is_zero else self.var
+        (a, b), _ = _gz_clear([self, other])
+        g = _gz_gcd(a, b)
+        return _gz_unipoly(g, g[-1], var) if g else UniPoly.zero(var)
 
     def divides(self, other: "UniPoly") -> bool:
         if self.is_zero:
@@ -241,8 +241,148 @@ class UniPoly:
     __repr__ = __str__
 
 
-def _nonzero(c) -> bool:
-    return bool(c) if is_exact(c) else c != 0
+# -- polynomials over Z[i] ----------------------------------------------------
+#
+# Ascending lists of (re, im) int pairs with a nonzero last entry; [] is the
+# zero polynomial.  Gaussian integer scalars are (re, im) pairs too.
+
+
+def _gz_clear(polys: Sequence[UniPoly]) -> tuple[list, int]:
+    """Exact polys as Z[i] polynomials over their common denominator den."""
+    den = 1
+    for p in polys:
+        for c in p.coeffs:
+            den = math.lcm(den, c.re.denominator, c.im.denominator)
+    return [
+        [(c.re.numerator * (den // c.re.denominator),
+          c.im.numerator * (den // c.im.denominator)) for c in p.coeffs]
+        for p in polys
+    ], den
+
+
+def _gz_unipoly(p: list, den: tuple, var: str) -> UniPoly:
+    """The exact UniPoly p / den, for a nonzero Gaussian integer den."""
+    c, d = den
+    if not d:
+        coeffs = (GaussRat(Fraction(re, c), Fraction(im, c)) for re, im in p)
+    else:
+        n = c * c + d * d
+        coeffs = (
+            GaussRat(Fraction(re * c + im * d, n), Fraction(im * c - re * d, n))
+            for re, im in p
+        )
+    return UniPoly(tuple(coeffs), var)
+
+
+def _gi_mul(s: tuple, t: tuple) -> tuple:
+    return (s[0] * t[0] - s[1] * t[1], s[0] * t[1] + s[1] * t[0])
+
+
+def _gi_pow(s: tuple, k: int) -> tuple:
+    out = (1, 0)
+    for _ in range(k):
+        out = _gi_mul(out, s)
+    return out
+
+
+def _gi_divexact(s: tuple, t: tuple) -> tuple:
+    """s / t for a Gaussian integer t that divides s."""
+    c, d = t
+    n = c * c + d * d
+    return ((s[0] * c + s[1] * d) // n, (s[1] * c - s[0] * d) // n)
+
+
+def _gz_mul(p: list, q: list) -> list:
+    if not p or not q:
+        return []
+    re = [0] * (len(p) + len(q) - 1)
+    im = re[:]
+    for i, (a, b) in enumerate(p):
+        if not a and not b:
+            continue
+        for j, (c, d) in enumerate(q):
+            re[i + j] += a * c - b * d
+            im[i + j] += a * d + b * c
+    return list(zip(re, im))  # Z[i] has no zero divisors: the lead is nonzero
+
+
+def _gz_sub(p: list, q: list) -> list:
+    if len(p) < len(q):
+        p = p + [(0, 0)] * (len(q) - len(p))
+    out = p[:]
+    for k, (c, d) in enumerate(q):
+        a, b = out[k]
+        out[k] = (a - c, b - d)
+    while out and out[-1] == (0, 0):
+        out.pop()
+    return out
+
+
+def _gz_divexact(num: list, den: list) -> list:
+    """num / den for a den that divides num in Z[i][x] (long division)."""
+    if not num:
+        return []
+    dn = len(den) - 1
+    c, d = den[-1]
+    norm = c * c + d * d
+    rem = num[:]
+    quo = [(0, 0)] * (len(num) - dn)
+    for k in range(len(num) - 1 - dn, -1, -1):
+        a, b = rem[k + dn]
+        if not a and not b:
+            continue
+        qa, qb = (a * c + b * d) // norm, (b * c - a * d) // norm
+        quo[k] = (qa, qb)
+        for t in range(dn):
+            e, f = den[t]
+            r, s = rem[k + t]
+            rem[k + t] = (r - qa * e + qb * f, s - qa * f - qb * e)
+    return quo
+
+
+def _gz_pseudo_divmod(a: list, b: list) -> tuple[list, list, tuple]:
+    """(Q, R, lc**e) with lc**e * a = Q*b + R and deg R < deg b.
+
+    lc is the leading coefficient of b != [] and e = max(deg a - deg b + 1, 0).
+    """
+    m = len(b) - 1
+    e = max(len(a) - m, 0)
+    lc = b[-1]
+    rem = a[:]
+    quo = [(0, 0)] * e
+    for k in range(e - 1, -1, -1):
+        t = rem.pop()  # the coefficient of x**(k + m)
+        quo = [_gi_mul(lc, q) for q in quo]
+        quo[k] = t
+        rem = [_gi_mul(lc, r) for r in rem]
+        if t[0] or t[1]:
+            for j in range(m):
+                r, s = rem[k + j]
+                u, v = _gi_mul(t, b[j])
+                rem[k + j] = (r - u, s - v)
+    while rem and rem[-1] == (0, 0):
+        rem.pop()
+    return quo, rem, _gi_pow(lc, e)
+
+
+def _gz_gcd(a: list, b: list) -> list:
+    """An associate of gcd(a, b) over Q(i), by the subresultant PRS; [] iff both are []."""
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return a
+    g = h = (1, 0)
+    while True:
+        delta = len(a) - len(b)
+        _, r, _ = _gz_pseudo_divmod(a, b)
+        if not r:
+            return b
+        if len(r) == 1:
+            return [(1, 0)]
+        s = _gi_mul(g, _gi_pow(h, delta))
+        a, b = b, [_gi_divexact(c, s) for c in r]
+        g = a[-1]
+        h = _gi_divexact(_gi_pow(g, delta), _gi_pow(h, delta - 1)) if delta else h
 
 
 def from_roots(roots: Sequence, lead=1.0, var: str = "x") -> UniPoly:
