@@ -64,6 +64,14 @@ def _cases():
         "dihedral_3": lambda: explore_component(dihedral_poly(3), -0.8 + 0.5j, _FAMILY_BUDGET),
         "double_ray_depth_40": lambda: explore_component(
             cayley_multiplicative([GaussRat.of(2)]), 1 + 0j, Budget(max_depth=40)),
+        # The strong cases below hit the budget on the forward sweep, so the
+        # backward sweep and its provisional in-arcs decide the component.
+        "strong_quartic_bwd": lambda: explore_strong_component(
+            quartic, 0.3 + 0.2j, _GRID_BUDGET),
+        "strong_two_lines_seed_only": lambda: explore_strong_component(
+            parse("(y-x-1)*(y-x-i)"), 0.5 + 0.25j, Budget(max_depth=6)),
+        "strong_scaling_pair": lambda: explore_strong_component(
+            parse("(y-2*x)*(2*y-x)"), 1 + 0j, Budget(max_depth=8)),
     }
 
 
