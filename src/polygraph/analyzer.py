@@ -125,17 +125,6 @@ class _Uncertainty:
             self.flagged = True
         return mag <= thr
 
-    def is_constant(self, p: UniPoly, ref_scale: float) -> bool:
-        if p.mode == "exact":
-            return p.degree <= 0
-        if p.degree <= 0:
-            return True
-        tail = max(abs(complex(c)) for c in p.coeffs[1:])
-        thr = _ZERO_REL * max(ref_scale, 1.0)
-        if thr / _UNCERTAIN_BAND < tail <= thr * _UNCERTAIN_BAND:
-            self.flagged = True
-        return tail <= thr
-
 
 def _common_root_poly(polys: list[UniPoly], unc: _Uncertainty) -> UniPoly:
     """Monic polynomial of values common to all float polys (A/B substitute)."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -50,7 +51,9 @@ class BiPoly:
         exact_mode = all(is_exact(v) for v in items.values())
         if exact_mode:
             return BiPoly({k: v for k, v in items.items() if v})
-        out = {k: complex(v) for k, v in items.items()}
+        out = {
+            k: require_finite(complex(v), "polynomial construction") for k, v in items.items()
+        }
         scale = max((abs(v) for v in out.values()), default=0.0)
         floor = TRIM_REL * scale
         return BiPoly({k: v for k, v in out.items() if abs(v) > floor})
@@ -95,7 +98,7 @@ class BiPoly:
     def total_degree(self) -> int:
         return max((i + j for i, j in self.coeffs), default=-1)
 
-    @property
+    @cached_property
     def mode(self) -> str:
         return "exact" if all(is_exact(v) for v in self.coeffs.values()) else "float"
 
@@ -234,9 +237,6 @@ class BiPoly:
             k_sub, k_keep = (i, j) if axis == "x" else (j, i)
             term = c * powers[k_sub] if exact_path else complex(c) * powers[k_sub]
             acc[k_keep] = acc[k_keep] + term
-        if not exact_path:
-            for v in acc:
-                require_finite(v, "partial evaluation")
         return UniPoly.make(acc, other)
 
     def eval(self, u, v):
@@ -250,9 +250,6 @@ class BiPoly:
         for (i, j), c in self.coeffs.items():
             acc[i + j] = acc[i + j] + c
         return UniPoly.make(acc, "x")
-
-    def swap_vars(self) -> "BiPoly":
-        return BiPoly({(j, i): c for (i, j), c in self.coeffs.items()})
 
     def shear_y(self) -> "BiPoly":
         """Substitute y -> y + x; kills x-dependence exactly for f(y-x) forms."""

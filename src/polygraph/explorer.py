@@ -11,10 +11,10 @@ are then materialized in the order a vertex-at-a-time BFS would meet them,
 so ids, dedup and budget cut-offs are those of that BFS.
 
 Weak components alternate out- and in-neighbors; strong components run a
-forward sweep and, only if that sweep hits the budget, a backward one, then
-extract the strongly connected component of the seed.  A forward sweep that
-closes is a complete certificate: every directed cycle through the seed
-lies inside it.
+forward sweep and, only if that sweep hits the budget, a backward one.  The
+strong component is the set of vertices both reachable from and reaching
+the seed over the recorded arcs.  A forward sweep that closes is a complete
+certificate: every directed cycle through the seed lies inside it.
 """
 
 from __future__ import annotations
@@ -197,7 +197,6 @@ class _Sweep:
         self.out_arcs: dict[int, list[tuple[int, int]]] = {}
         self.in_arcs_seen: dict[tuple[int, int], int] = {}
         self.expanded: set[int] = set()
-        self.frontier: set[int] = set()
         self.truncated = False
 
     def run(self, seed_id: int, direction: str):
@@ -211,7 +210,15 @@ class _Sweep:
             if not level:
                 return
         self.truncated = True
-        self.frontier.update(level)
+
+    def arcs(self) -> list[tuple[int, int, int]]:
+        """Recorded arcs (from, to, mult).  Out-arcs are authoritative; a
+        provisional in-arc stands in only for a vertex with no recorded out side."""
+        arcs = [(f, t, m) for f, lst in self.out_arcs.items() for t, m in lst]
+        arcs += [
+            (f, t, m) for (f, t), m in self.in_arcs_seen.items() if f not in self.out_arcs
+        ]
+        return arcs
 
     def _expand_level(self, seed_id: int, level: list[int], axes) -> list[int]:
         """Expand every vertex of level; returns their targets in BFS order."""
@@ -233,10 +240,14 @@ class _Sweep:
         except RootFindingError as exc:
             k = exc.payload["row"]
             self._materialize_rows(owners[:k], roots_batch(rows[:k]), axes)
+            values = self.table.values
             raise ExplorationError(
                 "root finding failed during exploration",
-                partial=self._snapshot(seed_id),
-                vertex=str(self.table.values[owners[k][0]]),
+                partial=_graph(
+                    values, self.arcs(), range(len(values)), seed_id, True,
+                    frontier=set(range(len(values))) - self.expanded,
+                ),
+                vertex=str(values[owners[k][0]]),
             ) from exc
         targets = self._materialize_rows(owners, root_sets, axes)
         if deferred is not None:
@@ -273,28 +284,35 @@ class _Sweep:
             return None
         return self.table.add(val)
 
-    def _snapshot(self, seed_id: int) -> "ExploredDigraph":
-        return _build_graph(self, seed_id, truncated=True)
 
-
-def _build_graph(sweep: _Sweep, seed_id: int, truncated: bool | None = None) -> ExploredDigraph:
-    arcs: list[tuple[int, int, int]] = []
-    for f in sorted(sweep.out_arcs):
-        for t, m in sweep.out_arcs[f]:
-            arcs.append((f, t, m))
-    for (f, t), m in sorted(sweep.in_arcs_seen.items()):
-        if f not in sweep.out_arcs:
-            arcs.append((f, t, m))
-    n = len(sweep.table.values)
-    unexpanded = [i for i in range(n) if i not in sweep.expanded]
-    trunc = sweep.truncated or bool(unexpanded) if truncated is None else truncated
+def _graph(values, arcs, keep, seed_id: int, truncated: bool, frontier=()) -> ExploredDigraph:
+    """The subgraph induced on the ids in keep, renumbered from 0 in id order."""
+    order = sorted(keep)
+    remap = {old: new for new, old in enumerate(order)}
     return ExploredDigraph(
-        vertices=tuple((i, sweep.table.values[i]) for i in range(n)),
-        arcs=tuple(sorted(arcs)),
-        truncated=trunc,
-        seed_id=seed_id,
-        frontier_ids=tuple(sorted(set(unexpanded) | sweep.frontier)),
+        vertices=tuple((remap[v], values[v]) for v in order),
+        arcs=tuple(sorted(
+            (remap[f], remap[t], m) for f, t, m in arcs if f in remap and t in remap
+        )),
+        truncated=truncated,
+        seed_id=remap[seed_id],
+        frontier_ids=tuple(sorted(remap[v] for v in frontier)),
     )
+
+
+def _reach(seed_id: int, arcs) -> set[int]:
+    """Ids reachable from seed_id along arcs (from, to, mult)."""
+    succ: dict[int, list[int]] = {}
+    for f, t, _m in arcs:
+        succ.setdefault(f, []).append(t)
+    seen = {seed_id}
+    stack = [seed_id]
+    while stack:
+        for w in succ.get(stack.pop(), ()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 def _require_standard(phi: BiPoly):
@@ -314,7 +332,11 @@ def explore_component(phi: BiPoly, seed: complex, budget: Budget = Budget()) -> 
     seed_id = table.add(complex(seed))
     sweep = _Sweep(phi, budget, table)
     sweep.run(seed_id, "weak")
-    return _build_graph(sweep, seed_id)
+    n = len(table.values)
+    return _graph(
+        table.values, sweep.arcs(), range(n), seed_id, sweep.truncated,
+        frontier=set(range(n)) - sweep.expanded,
+    )
 
 
 def explore_strong_component(phi: BiPoly, seed: complex, budget: Budget = Budget()) -> ExploredDigraph:
@@ -322,100 +344,15 @@ def explore_strong_component(phi: BiPoly, seed: complex, budget: Budget = Budget
     _require_standard(phi)
     table = _VertexTable(budget.dedup_eps)
     seed_id = table.add(complex(seed))
-    fwd = _Sweep(phi, budget, table)
+    fwd = sweep = _Sweep(phi, budget, table)
     fwd.run(seed_id, "fwd")
-    fwd_closed = not fwd.truncated and all(
-        i in fwd.expanded for i in range(len(table.values))
-    )
-    if fwd_closed:
-        comp = _scc_of(seed_id, len(table.values), fwd.out_arcs)
-        return _induced(table, fwd.out_arcs, comp, seed_id, truncated=False)
-
-    bwd = _Sweep(phi, budget, table)
-    bwd.out_arcs = fwd.out_arcs  # share definitively recorded out-arcs
-    bwd.run(seed_id, "bwd")
-    n = len(table.values)
-    arcs: dict[int, list[tuple[int, int]]] = {i: [] for i in range(n)}
-    for f, lst in fwd.out_arcs.items():
-        arcs[f] = list(lst)
-    for (f, t), m in bwd.in_arcs_seen.items():
-        if f not in fwd.out_arcs:
-            arcs[f].append((t, m))
-    comp = _scc_of(seed_id, n, arcs)
-    return _induced(table, arcs, comp, seed_id, truncated=True)
-
-
-def _scc_of(seed_id: int, n: int, out_arcs: dict[int, list[tuple[int, int]]]) -> set[int]:
-    """Iterative Tarjan restricted to the component containing seed_id."""
-    index = {}
-    low = {}
-    on_stack = set()
-    stack: list[int] = []
-    comp_of: dict[int, int] = {}
-    counter = [0]
-    comps: list[set[int]] = []
-
-    for root in range(n):
-        if root in index:
-            continue
-        work = [(root, iter(out_arcs.get(root, ())))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w, _m in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(out_arcs.get(w, ()))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    comp_of[w] = len(comps)
-                    if w == v:
-                        break
-                comps.append(comp)
-    return comps[comp_of[seed_id]]
-
-
-def _induced(
-    table: _VertexTable,
-    out_arcs: dict[int, list[tuple[int, int]]],
-    comp: set[int],
-    seed_id: int,
-    truncated: bool,
-) -> ExploredDigraph:
-    order = sorted(comp)
-    remap = {old: new for new, old in enumerate(order)}
-    arcs = []
-    for f in order:
-        for t, m in out_arcs.get(f, ()):
-            if t in comp:
-                arcs.append((remap[f], remap[t], m))
-    return ExploredDigraph(
-        vertices=tuple((remap[v], table.values[v]) for v in order),
-        arcs=tuple(sorted(arcs)),
-        truncated=truncated,
-        seed_id=remap[seed_id],
-    )
+    if fwd.truncated:
+        sweep = _Sweep(phi, budget, table)
+        sweep.out_arcs = fwd.out_arcs  # share definitively recorded out-arcs
+        sweep.run(seed_id, "bwd")
+    arcs = sweep.arcs()
+    comp = _reach(seed_id, arcs) & _reach(seed_id, [(t, f, m) for f, t, m in arcs])
+    return _graph(table.values, arcs, comp, seed_id, truncated=fwd.truncated)
 
 
 # -- classification ------------------------------------------------------------------

@@ -72,14 +72,6 @@ class Mobius:
             [complex(self.c), complex(self.d)],
         ]
 
-    def compose(self, other: "Mobius") -> "Mobius":
-        return Mobius(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
 
 def to_poly(m: Mobius) -> BiPoly:
     """(c x + d) y - (a x + b)."""
@@ -125,10 +117,6 @@ def _deg1_standard_failure(a, b, c, d) -> str | None:
     ):
         return "DivisibleByYMinusX"
     return None
-
-
-def is_standard_mobius(m: Mobius) -> bool:
-    return _deg1_standard_failure(m.a, m.b, m.c, m.d) is None
 
 
 # -- projective order -------------------------------------------------------------

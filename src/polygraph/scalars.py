@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, EvaluationOverflow
 
 # Relative tolerance for float-mode predicates; quantities within 10x of the
 # threshold are reported as numerically uncertain.
@@ -133,8 +133,6 @@ def is_exact(v) -> bool:
 
 
 def require_finite(z: complex, context: str) -> complex:
-    from .errors import EvaluationOverflow
-
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise EvaluationOverflow(f"non-finite value during {context}")
     return z

@@ -15,6 +15,7 @@ mode.  "2i" and "3/2i" are single imaginary literals.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .bipoly import BiPoly
@@ -58,6 +59,8 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             lit = text[start:i]
             if "." in lit or "e" in lit or "E" in lit:
                 value: object = float(lit)  # any decimal literal -> float mode
+                if not math.isfinite(value):
+                    raise ParseError(f"decimal literal {lit} is not finite", start)
             elif i < n and text[i] == "/" and i + 1 < n and text[i + 1].isdigit():
                 i += 1
                 dstart = i

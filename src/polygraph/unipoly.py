@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -52,7 +53,8 @@ class UniPoly:
         exact_mode = all(is_exact(c) for c in cs)
         if exact_mode:
             return UniPoly(_trim(cs, True), var)
-        return UniPoly(_trim([complex(c) for c in cs], False), var)
+        cs = [require_finite(complex(c), "polynomial construction") for c in cs]
+        return UniPoly(_trim(cs, False), var)
 
     @staticmethod
     def zero(var: str = "x") -> "UniPoly":
@@ -80,7 +82,7 @@ class UniPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
+    @cached_property
     def mode(self) -> str:
         return "exact" if all(is_exact(c) for c in self.coeffs) else "float"
 

@@ -121,6 +121,16 @@ def test_parse_error_exit_2(capsys):
     assert json.loads(err)["error"]["type"] == "ParseError"
 
 
+@pytest.mark.parametrize("text,error", [
+    ("1e400*x + y", "ParseError"),
+    ("1e308*x*1e308 + y", "EvaluationOverflow"),
+])
+def test_overflowing_float_coefficient_exit_2(capsys, text, error):
+    code, out, err = run_cli(capsys, "analyze", text)
+    assert code == EXIT_DOMAIN and out == ""
+    assert json.loads(err)["error"]["type"] == error
+
+
 def test_flag_error_exit_64(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["explore"])  # missing polynomial argument

@@ -25,6 +25,7 @@ from polygraph import (
 from polygraph import explorer
 from polygraph.bipoly import in_poly
 from polygraph.errors import (
+    EvaluationOverflow,
     ExplorationError,
     NotStandardError,
     RootFindingError,
@@ -82,6 +83,10 @@ class TestNeighbors:
     def test_universal_vertex_error(self):
         with pytest.raises(UniversalVertexError):
             out_neighbors(parse("(x-1)*y + x - 1"), 1.0 + 0j)
+
+    def test_overflowing_row_raises(self):
+        with pytest.raises(EvaluationOverflow):
+            out_neighbors(parse("x^2*y - 1.0"), 1e200)
 
 
 class TestExplore:

@@ -7,6 +7,7 @@ import pytest
 
 from polygraph import BiPoly, GaussRat, UniPoly, parse
 from polygraph.errors import (
+    EvaluationOverflow,
     ExactArithmeticRequired,
     ParseError,
     ZeroPolynomialError,
@@ -46,6 +47,18 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse("x^2 + @")
         assert err.value.position == 6
+
+    def test_non_finite_decimal_literal_rejected(self):
+        with pytest.raises(ParseError) as err:
+            parse("y + 1e400*x")
+        assert err.value.position == 4
+
+    def test_overflowing_float_coefficient_raises(self):
+        # Used to trim every float term against an infinite floor and return y.
+        with pytest.raises(EvaluationOverflow):
+            parse("1e308*x*1e308 + y")
+        with pytest.raises(EvaluationOverflow):
+            UniPoly.make([1.0, float("nan")])
 
     def test_unsupported_variable(self):
         with pytest.raises(ParseError):
