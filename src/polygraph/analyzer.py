@@ -18,6 +18,7 @@ tolerance.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .bipoly import BiPoly
@@ -29,6 +30,7 @@ from .unipoly import UniPoly, from_roots
 VERTEX_TOL = 1e-7  # default classification tolerance for singular vertices
 _ZERO_REL = 1e-9  # relative zero test for float-mode polynomials
 _UNCERTAIN_BAND = 10.0
+_LOG_BAND = math.log(_UNCERTAIN_BAND)
 
 
 class Failure(enum.Enum):
@@ -114,16 +116,21 @@ class _Uncertainty:
     def __init__(self):
         self.flagged = False
 
-    def is_zero(self, p: UniPoly, ref_scale: float) -> bool:
-        if p.mode == "exact":
+    def is_zero(self, p: UniPoly, log_ref: float) -> bool:
+        """Is p below _ZERO_REL * exp(log_ref)?  In logarithms, so the
+        verdict does not change with the scale of Phi and cannot overflow."""
+        if p.mode == "exact" or p.is_zero:
             return p.is_zero
-        if p.is_zero:
-            return True
-        mag = p.coeff_scale()
-        thr = _ZERO_REL * max(ref_scale, 1.0)
-        if mag <= thr * _UNCERTAIN_BAND and mag > thr / _UNCERTAIN_BAND:
+        rel = math.log(p.coeff_scale()) - log_ref - math.log(_ZERO_REL)
+        if -_LOG_BAND < rel <= _LOG_BAND:
             self.flagged = True
-        return mag <= thr
+        return rel <= 0
+
+
+def _sylvester_log_ref(log_s: float, d: int) -> float:
+    """log(s^(2d-1) * 2d): D and E are (2d-1)-square Sylvester determinants
+    of Phi and a derivative, so they scale as s^(2d-1)."""
+    return (2 * d - 1) * log_s + math.log(max(2 * d, 1))
 
 
 def _common_root_poly(polys: list[UniPoly], unc: _Uncertainty) -> UniPoly:
@@ -158,7 +165,6 @@ def analyze(phi: BiPoly) -> StandardReport:
     unc = _Uncertainty()
     exact_mode = phi.mode == "exact"
     failures: list[Failure] = []
-    scale = phi.coeff_scale()
 
     if phi.is_constant():
         zero = UniPoly.zero("x")
@@ -190,19 +196,18 @@ def analyze(phi: BiPoly) -> StandardReport:
     dphi_x = phi.derivative("x")
     D = phi.resultant(dphi_y, "y") if not dphi_y.is_zero else UniPoly.zero("x")
     E = phi.resultant(dphi_x, "x") if not dphi_x.is_zero else UniPoly.zero("y")
-    sylv_scale = max(scale, 1.0) ** (phi.deg_y * 2) * max(phi.deg_y * 2, 1)
-    if unc.is_zero(D, sylv_scale):
+    log_s = math.log(phi.coeff_scale())
+    if unc.is_zero(D, _sylvester_log_ref(log_s, phi.deg_y)):
         failures.append(Failure.NON_RADICAL_Y)
-        D = UniPoly.zero("x") if D.mode == "float" else D
-    sylv_scale_x = max(scale, 1.0) ** (phi.deg_x * 2) * max(phi.deg_x * 2, 1)
-    if unc.is_zero(E, sylv_scale_x):
+        D = UniPoly.zero("x")
+    if unc.is_zero(E, _sylvester_log_ref(log_s, phi.deg_x)):
         failures.append(Failure.NON_RADICAL_X)
-        E = UniPoly.zero("y") if E.mode == "float" else E
+        E = UniPoly.zero("y")
 
     L = phi.diagonal()
-    if unc.is_zero(L, scale):
+    if unc.is_zero(L, log_s):
         failures.append(Failure.LOOP_EVERYWHERE)
-        L = UniPoly.zero("x") if L.mode == "float" else L
+        L = UniPoly.zero("x")
 
     is_standard = not failures
     if is_standard:

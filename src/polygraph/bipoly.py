@@ -1,7 +1,8 @@
 """Bivariate polynomials Phi(x, y) and the algebra the digraph machinery needs.
 
 Coefficients live in a sparse map (x_power, y_power) -> scalar, all exact
-(GaussRat) or all complex doubles.  Highlights:
+(GaussRat) or all complex doubles; mixing the two follows the scalar rule of
+:mod:`polygraph.scalars`.  Highlights:
 
 * partial evaluation Phi(u, y) / Phi(x, u) into a UniPoly,
 * resultants: fraction-free Bareiss on a Sylvester matrix in exact mode
@@ -102,6 +103,10 @@ class BiPoly:
     def mode(self) -> str:
         return "exact" if all(is_exact(v) for v in self.coeffs.values()) else "float"
 
+    @property
+    def _zero(self):
+        return GR_ZERO if self.mode == "exact" else 0j
+
     def degree(self, var: str) -> int:
         return self.deg_x if var == "x" else self.deg_y
 
@@ -109,7 +114,7 @@ class BiPoly:
         return self.deg_x <= 0 and self.deg_y <= 0
 
     def coeff(self, i: int, j: int):
-        return self.coeffs.get((i, j), GR_ZERO if self.mode == "exact" else 0j)
+        return self.coeffs.get((i, j), self._zero)
 
     def coeff_scale(self) -> float:
         return max((abs(complex(v)) for v in self.coeffs.values()), default=0.0)
@@ -127,27 +132,18 @@ class BiPoly:
         return self.coeffs[key]
 
     def normalized(self) -> "BiPoly":
-        """Scale so the graded-lex leading coefficient is 1 (exact mode)."""
+        """Scale so the graded-lex leading coefficient is 1."""
         if self.is_zero:
             return self
         lead = self.lead_gl()
-        if self.mode == "exact":
-            inv = GR_ONE / lead
-            return BiPoly({k: v * inv for k, v in self.coeffs.items()})
         return BiPoly({k: v / lead for k, v in self.coeffs.items()})
 
     # -- ring operations -----------------------------------------------------
 
-    def _pair(self, other: "BiPoly"):
-        if self.mode == other.mode:
-            return self, other
-        return self.to_float(), other.to_float()
-
     def __add__(self, other: "BiPoly") -> "BiPoly":
-        p, q = self._pair(other)
-        out = dict(p.coeffs)
-        zero = GR_ZERO if p.mode == "exact" else 0j
-        for k, v in q.coeffs.items():
+        out = dict(self.coeffs)
+        zero = self._zero
+        for k, v in other.coeffs.items():
             out[k] = out.get(k, zero) + v
         return BiPoly.make(out)
 
@@ -158,29 +154,23 @@ class BiPoly:
         return BiPoly({k: -v for k, v in self.coeffs.items()})
 
     def __mul__(self, other: "BiPoly") -> "BiPoly":
-        p, q = self._pair(other)
-        if p.is_zero or q.is_zero:
+        if self.is_zero or other.is_zero:
             return BiPoly.zero()
-        zero = GR_ZERO if p.mode == "exact" else 0j
+        zero = self._zero
         out: dict = {}
-        for (i1, j1), a in p.coeffs.items():
-            for (i2, j2), b in q.coeffs.items():
+        for (i1, j1), a in self.coeffs.items():
+            for (i2, j2), b in other.coeffs.items():
                 k = (i1 + i2, j1 + j2)
                 out[k] = out.get(k, zero) + a * b
         return BiPoly.make(out)
 
     def scale(self, s) -> "BiPoly":
-        if self.is_zero:
-            return self
-        if is_exact(s) and self.mode == "exact":
-            return BiPoly.make({k: v * s for k, v in self.coeffs.items()})
-        cs = complex(s)
-        return BiPoly.make({k: complex(v) * cs for k, v in self.coeffs.items()})
+        return BiPoly.make({k: v * s for k, v in self.coeffs.items()})
 
     def power(self, k: int) -> "BiPoly":
         if k < 0:
             raise DomainError("negative polynomial power")
-        out = BiPoly.constant(GR_ONE if self.mode == "exact" else 1.0)
+        out = BiPoly.constant(GR_ONE)
         base = self
         while k:
             if k & 1:
@@ -199,7 +189,7 @@ class BiPoly:
         for (i, j), c in self.coeffs.items():
             k, m = (i, j) if var == "x" else (j, i)
             rows[k][m] = c
-        zero = GR_ZERO if self.mode == "exact" else 0j
+        zero = self._zero
         out = []
         for row in rows:
             n = max(row, default=-1)
@@ -222,21 +212,22 @@ class BiPoly:
         if axis not in ("x", "y"):
             raise DomainError(f"axis must be x or y, got {axis!r}")
         other = "y" if axis == "x" else "x"
-        exact_path = self.mode == "exact" and is_exact(u)
         d = self.degree(other)
         if d < 0:
             return UniPoly.zero(other)
-        if exact_path:
+        if self.mode == "exact" and is_exact(u):
             acc: list = [GR_ZERO] * (d + 1)
-            powers = _power_table(u, self.degree(axis), exact=True)
+            powers = [GR_ONE]
         else:
+            # float rows are the explorer's hot path: keep complex seeds
             acc = [0j] * (d + 1)
-            cu = complex(u)
-            powers = _power_table(cu, self.degree(axis), exact=False)
+            powers = [1.0 + 0j]
+            u = complex(u)
+        for _ in range(self.degree(axis)):
+            powers.append(powers[-1] * u)
         for (i, j), c in self.coeffs.items():
             k_sub, k_keep = (i, j) if axis == "x" else (j, i)
-            term = c * powers[k_sub] if exact_path else complex(c) * powers[k_sub]
-            acc[k_keep] = acc[k_keep] + term
+            acc[k_keep] = acc[k_keep] + c * powers[k_sub]
         return UniPoly.make(acc, other)
 
     def eval(self, u, v):
@@ -244,17 +235,15 @@ class BiPoly:
 
     def diagonal(self) -> UniPoly:
         """Phi(x, x) as a UniPoly in x (the loop polynomial)."""
-        exact_mode = self.mode == "exact"
         d = max((i + j for i, j in self.coeffs), default=-1)
-        acc = [GR_ZERO if exact_mode else 0j] * (d + 1)
+        acc = [self._zero] * (d + 1)
         for (i, j), c in self.coeffs.items():
             acc[i + j] = acc[i + j] + c
         return UniPoly.make(acc, "x")
 
     def shear_y(self) -> "BiPoly":
         """Substitute y -> y + x; kills x-dependence exactly for f(y-x) forms."""
-        exact_mode = self.mode == "exact"
-        zero = GR_ZERO if exact_mode else 0j
+        zero = self._zero
         out: dict = {}
         for (i, j), c in self.coeffs.items():
             binom = 1
@@ -266,7 +255,7 @@ class BiPoly:
 
     def affine_transform(self, a, b, c) -> "BiPoly":
         """c * Phi(a x + b, a y + b); requires a != 0 and c != 0."""
-        if not _scalar_nonzero(a) or not _scalar_nonzero(c):
+        if not a or not c:
             raise DomainError("affine transform requires a != 0 and c != 0")
         lin_x = BiPoly.make({(1, 0): a, (0, 0): b})
         lin_y = BiPoly.make({(0, 1): a, (0, 0): b})
@@ -281,19 +270,17 @@ class BiPoly:
 
     def resultant(self, other: "BiPoly", var: str) -> UniPoly:
         """Sylvester resultant in var, as a UniPoly in the other variable."""
-        p, q = self._pair(other)
         other_var = "y" if var == "x" else "x"
-        if p.is_zero and q.is_zero:
+        if self.is_zero and other.is_zero:
             raise ZeroPolynomialError("resultant of two zero polynomials")
-        if p.is_zero or q.is_zero:
+        if self.is_zero or other.is_zero:
             return UniPoly.zero(other_var)
-        m, n = p.degree(var), q.degree(var)
-        if m == 0 and n == 0:
+        if self.degree(var) == 0 and other.degree(var) == 0:
             return UniPoly.one(other_var)
-        if p.mode == "exact":
-            mat = _sylvester(p.coeff_polys(var), q.coeff_polys(var), other_var)
+        if self.mode == "exact" and other.mode == "exact":
+            mat = _sylvester(self.coeff_polys(var), other.coeff_polys(var), other_var)
             return _bareiss_poly_det(mat, other_var)
-        return _resultant_float(p, q, var)
+        return _resultant_float(self, other, var)
 
     # -- squarefree part ---------------------------------------------------------
 
@@ -360,23 +347,12 @@ class BiPoly:
 # -- helpers ---------------------------------------------------------------
 
 
-def _scalar_nonzero(s) -> bool:
-    return bool(s) if is_exact(s) else complex(s) != 0
-
-
 def _is_one(p: BiPoly) -> bool:
     return p.deg_x == 0 and p.deg_y == 0 and not p.is_zero
 
 
-def _power_table(u, n: int, exact: bool) -> list:
-    out = [GR_ONE if exact else 1.0 + 0j]
-    for _ in range(n):
-        out.append(out[-1] * u)
-    return out
-
-
 def _bipoly_powers(p: BiPoly, n: int) -> list[BiPoly]:
-    out = [BiPoly.constant(GR_ONE if p.mode == "exact" else 1.0)]
+    out = [BiPoly.constant(GR_ONE)]
     for _ in range(max(0, n)):
         out.append(out[-1] * p)
     return out

@@ -55,8 +55,7 @@ class Mobius:
         return "exact" if all(is_exact(p) for p in parts) else "float"
 
     def __post_init__(self):
-        det = self.det()
-        if (is_exact(det) and not det) or (not is_exact(det) and complex(det) == 0):
+        if not self.det():
             raise DomainError("Mobius transformation needs ad - bc != 0")
 
     def __call__(self, z: complex) -> complex:
@@ -130,7 +129,7 @@ def _mat_mul(p, q):
 
 
 def _mat_pow(m, k: int):
-    out = [[1.0 + 0j, 0j], [0j, 1.0 + 0j]]
+    out = [[1, 0], [0, 1]]
     base = [row[:] for row in m]
     while k:
         if k & 1:
@@ -215,15 +214,7 @@ def projective_order(m: Mobius, n_max: int = DEFAULT_NMAX) -> int | None:
 
 
 def _exact_order_check(m: Mobius, n: int) -> bool:
-    p = [[m.a, m.b], [m.c, m.d]]
-    out = [[GR_ONE, GaussRat.of(0)], [GaussRat.of(0), GR_ONE]]
-    k = n
-    base = p
-    while k:
-        if k & 1:
-            out = _mat_mul(out, base)
-        base = _mat_mul(base, base)
-        k >>= 1
+    out = _mat_pow([[m.a, m.b], [m.c, m.d]], n)
     return (not out[0][1]) and (not out[1][0]) and out[0][0] == out[1][1]
 
 
@@ -306,8 +297,7 @@ def check_condition(m: Mobius, n: int, tol: float = ORDER_TOL) -> bool:
     cond = cycle_condition(n)
     values = {"a": m.a, "b": m.b, "c": m.c, "d": m.d}
     if m.mode == "exact":
-        val = cond.evaluate(values)
-        return not val if isinstance(val, GaussRat) else val == 0
+        return not cond.evaluate(values)
     cvals = {k: complex(v) for k, v in values.items()}
     val = complex(cond.evaluate(cvals))
     scale = cond.evaluate_abs({k: abs(v) for k, v in cvals.items()})

@@ -88,11 +88,10 @@ class QuadSym:
             )
 
     def as_bipoly(self) -> BiPoly:
-        one = GR_ONE if self.mode == "exact" else 1.0
         return BiPoly.make(
             {
-                (2, 0): one,
-                (0, 2): one,
+                (2, 0): GR_ONE,
+                (0, 2): GR_ONE,
                 (1, 1): self.a,
                 (1, 0): self.b,
                 (0, 1): self.b,
@@ -138,8 +137,7 @@ def shift_amount(q: QuadSym) -> complex:
 
 def recurrence_orbit(q: QuadSym, v0: complex, v1: complex, steps: int) -> list[complex]:
     """[v_0 .. v_steps] with v_{n+1} = -a v_n - v_{n-1} - b; seed must be an arc."""
-    phi = q.as_bipoly().to_float()
-    val = phi.eval(complex(v0), complex(v1))
+    val = q.as_bipoly().eval(complex(v0), complex(v1))
     scale = max(1.0, abs(complex(v0)), abs(complex(v1))) ** 2
     if abs(complex(val)) > 1e-6 * scale:
         raise DomainError(

@@ -5,6 +5,12 @@ authoritative over the exact backend; root finding and exploration live in
 complex doubles.  A value is "exact" exactly when it is a :class:`GaussRat`;
 everything else (int/float/complex) is treated as a float-mode scalar and is
 never promoted to exact.
+
+The mixing rule lives here and nowhere else: a GaussRat combined with an
+int or Fraction by + - * / stays exact, and combined with a float or
+complex it gives what ``complex(exact)`` gives in its place.  Exact with
+float gives float, never the reverse, so polynomial arithmetic mixes the
+two backends without branching on their modes.
 """
 
 from __future__ import annotations
@@ -32,53 +38,53 @@ class GaussRat:
         return GaussRat(Fraction(re), Fraction(im))
 
     def __add__(self, other):
-        other = _as_gauss(other)
-        if other is None:
-            return NotImplemented
-        return GaussRat(self.re + other.re, self.im + other.im)
+        o = _as_gauss(other)
+        if o is None:
+            return complex(self) + other if isinstance(other, _FLOATS) else NotImplemented
+        return GaussRat(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _as_gauss(other)
-        if other is None:
-            return NotImplemented
-        return GaussRat(self.re - other.re, self.im - other.im)
+        o = _as_gauss(other)
+        if o is None:
+            return complex(self) - other if isinstance(other, _FLOATS) else NotImplemented
+        return GaussRat(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
-        other = _as_gauss(other)
-        if other is None:
-            return NotImplemented
-        return GaussRat(other.re - self.re, other.im - self.im)
+        o = _as_gauss(other)
+        if o is None:
+            return other - complex(self) if isinstance(other, _FLOATS) else NotImplemented
+        return GaussRat(o.re - self.re, o.im - self.im)
 
     def __mul__(self, other):
-        other = _as_gauss(other)
-        if other is None:
-            return NotImplemented
+        o = _as_gauss(other)
+        if o is None:
+            return complex(self) * other if isinstance(other, _FLOATS) else NotImplemented
         return GaussRat(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
+            self.re * o.re - self.im * o.im,
+            self.re * o.im + self.im * o.re,
         )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _as_gauss(other)
-        if other is None:
-            return NotImplemented
-        n = other.re * other.re + other.im * other.im
+        o = _as_gauss(other)
+        if o is None:
+            return complex(self) / other if isinstance(other, _FLOATS) else NotImplemented
+        n = o.re * o.re + o.im * o.im
         if n == 0:
             raise ZeroDivisionError("division by zero GaussRat")
         return GaussRat(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
+            (self.re * o.re + self.im * o.im) / n,
+            (self.im * o.re - self.re * o.im) / n,
         )
 
     def __rtruediv__(self, other):
-        other = _as_gauss(other)
-        if other is None:
-            return NotImplemented
-        return other / self
+        o = _as_gauss(other)
+        if o is None:
+            return other / complex(self) if isinstance(other, _FLOATS) else NotImplemented
+        return o / self
 
     def __neg__(self):
         return GaussRat(-self.re, -self.im)
@@ -118,6 +124,9 @@ class GaussRat:
 GR_ZERO = GaussRat()
 GR_ONE = GaussRat(Fraction(1))
 GR_I = GaussRat(Fraction(0), Fraction(1))
+
+
+_FLOATS = (float, complex)
 
 
 def _as_gauss(v):

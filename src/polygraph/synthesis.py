@@ -221,7 +221,7 @@ def _close(a, b) -> bool:
 def cayley_additive(gens) -> BiPoly:
     """Phi(x,y) = prod (y - x - s) realizing Cay(C, {s_1..s_d})."""
     vals = _check_generators(gens, (0,), "additive Cayley")
-    phi = BiPoly.constant(GR_ONE if all(is_exact(s) for s in vals) else 1.0)
+    phi = BiPoly.constant(GR_ONE)
     for s in vals:
         phi = phi * BiPoly.make({(0, 1): GR_ONE, (1, 0): -GR_ONE, (0, 0): -s})
     return phi
@@ -230,7 +230,7 @@ def cayley_additive(gens) -> BiPoly:
 def cayley_multiplicative(gens) -> BiPoly:
     """Homogeneous Phi(x,y) = prod (y - s x) realizing Cay(C*, {s_1..s_d})."""
     vals = _check_generators(gens, (0, 1), "multiplicative Cayley")
-    phi = BiPoly.constant(GR_ONE if all(is_exact(s) for s in vals) else 1.0)
+    phi = BiPoly.constant(GR_ONE)
     for s in vals:
         phi = phi * BiPoly.make({(0, 1): GR_ONE, (1, 0): -s})
     return phi
@@ -246,6 +246,9 @@ class NamedFamily(enum.Enum):
 
 # 2*cos(2*pi/n) is rational exactly for these n.
 _RATIONAL_COS = {1: 2, 2: -2, 3: -1, 4: 0, 6: 1}
+
+# x y - 2, the factor of z -> 2/z in the prism and dihedral constructions
+_SWAP = BiPoly.make({(1, 1): GR_ONE, (0, 0): GaussRat.of(-2)})
 
 
 def complete_graph_poly(n: int) -> BiPoly:
@@ -286,28 +289,19 @@ def prism_poly(n: int) -> BiPoly:
         raise DomainError("prisms need n >= 3", n=n)
     if n in _RATIONAL_COS:
         tau: object = GaussRat.of(_RATIONAL_COS[n])
-        one: object = GR_ONE
     else:
         tau = complex(2 * cmath.cos(2 * cmath.pi / n))
-        one = 1.0
-    ring = BiPoly.make({(0, 2): one, (1, 1): -tau, (2, 0): one})
-    swap = BiPoly.make({(1, 1): one, (0, 0): -(one + one)})
-    return ring * swap
+    ring = BiPoly.make({(0, 2): GR_ONE, (1, 1): -tau, (2, 0): GR_ONE})
+    return ring * _SWAP
 
 
 def dihedral_poly(n: int) -> BiPoly:
     """(y - w x)(x y - 2): Cay(D_2n, {rotation, z -> 2/z})."""
     if n < 3:
         raise DomainError("dihedral construction needs n >= 3", n=n)
-    if n == 4:
-        w: object = GaussRat.of(0, 1)
-        one: object = GR_ONE
-    else:
-        w = cmath.exp(2j * cmath.pi / n)
-        one = 1.0
-    rot = BiPoly.make({(0, 1): one, (1, 0): -w})
-    swap = BiPoly.make({(1, 1): one, (0, 0): -(one + one)})
-    return rot * swap
+    w: object = GaussRat.of(0, 1) if n == 4 else cmath.exp(2j * cmath.pi / n)
+    rot = BiPoly.make({(0, 1): GR_ONE, (1, 0): -w})
+    return rot * _SWAP
 
 
 def named_constructor(kind: NamedFamily | str, **params) -> BiPoly:

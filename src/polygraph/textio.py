@@ -254,7 +254,7 @@ def format_unipoly(p: UniPoly) -> str:
     terms = []
     for k in range(p.degree, -1, -1):
         c = p.coeff(k)
-        if (is_exact(c) and not c) or (not is_exact(c) and c == 0):
+        if not c:
             continue
         mono = _monomial(p.var, k)
         terms.append(_fmt_term(c, mono))

@@ -1,9 +1,9 @@
 """Dense univariate polynomials over exact Gaussian rationals or complex doubles.
 
 Coefficients are stored ascending.  A polynomial is exact when every
-coefficient is a :class:`~polygraph.scalars.GaussRat`; mixing an exact
-polynomial with a float one coerces the result to floats (never the other
-way around).  The zero polynomial has an empty coefficient tuple and degree -1.
+coefficient is a :class:`~polygraph.scalars.GaussRat`; arithmetic mixing
+the two modes follows the scalar rule of :mod:`polygraph.scalars`.  The zero
+polynomial has an empty coefficient tuple and degree -1.
 
 `GaussRat` is only the stored and public scalar.  Exact multiplication,
 division and gcd clear the common denominator of their operands on entry,
@@ -87,6 +87,10 @@ class UniPoly:
         return "exact" if all(is_exact(c) for c in self.coeffs) else "float"
 
     @property
+    def _zero(self):
+        return GR_ZERO if self.mode == "exact" else 0j
+
+    @property
     def lead(self):
         if self.is_zero:
             raise DomainError("zero polynomial has no leading coefficient")
@@ -95,7 +99,7 @@ class UniPoly:
     def coeff(self, k: int):
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return GR_ZERO if self.mode == "exact" else 0j
+        return self._zero
 
     def is_constant(self) -> bool:
         return self.degree <= 0
@@ -113,16 +117,10 @@ class UniPoly:
 
     # -- arithmetic ------------------------------------------------------
 
-    def _pair(self, other: "UniPoly"):
-        if self.mode == other.mode:
-            return self, other
-        return self.to_float(), other.to_float()
-
     def __add__(self, other: "UniPoly") -> "UniPoly":
-        p, q = self._pair(other)
-        n = max(len(p.coeffs), len(q.coeffs))
+        n = max(len(self.coeffs), len(other.coeffs))
         return UniPoly.make(
-            [p.coeff(k) + q.coeff(k) for k in range(n)], self.var
+            [self.coeff(k) + other.coeff(k) for k in range(n)], self.var
         )
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
@@ -132,31 +130,27 @@ class UniPoly:
         return UniPoly(tuple(-c for c in self.coeffs), self.var)
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
-        p, q = self._pair(other)
-        if p.is_zero or q.is_zero:
+        if self.is_zero or other.is_zero:
             return UniPoly.zero(self.var)
-        if p.mode == "exact":
-            (a,), da = _gz_clear([p])
-            (b,), db = _gz_clear([q])
+        if self.mode == "exact" and other.mode == "exact":
+            (a,), da = _gz_clear([self])
+            (b,), db = _gz_clear([other])
             return _gz_unipoly(_gz_mul(a, b), (da * db, 0), self.var)
-        out = [0j] * (len(p.coeffs) + len(q.coeffs) - 1)
-        for i, a in enumerate(p.coeffs):
+        out = [0j] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
             if not a:
                 continue
-            for j, b in enumerate(q.coeffs):
+            for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
         return UniPoly.make(out, self.var)
 
     def scale(self, s) -> "UniPoly":
-        if is_exact(s) and self.mode == "exact":
-            return UniPoly(_trim([c * s for c in self.coeffs], True), self.var)
-        cs = complex(s)
-        return UniPoly.make([complex(c) * cs for c in self.coeffs], self.var)
+        return UniPoly.make([c * s for c in self.coeffs], self.var)
 
     def power(self, k: int) -> "UniPoly":
         if k < 0:
             raise DomainError("negative polynomial power")
-        out = UniPoly.one(self.var) if self.mode == "exact" else UniPoly.make([1.0], self.var)
+        out = UniPoly.one(self.var)
         base = self
         while k:
             if k & 1:
@@ -175,18 +169,13 @@ class UniPoly:
 
     def eval(self, u):
         """Horner evaluation; float paths raise on overflow."""
-        if self.is_zero:
-            return GR_ZERO if is_exact(u) else 0j
         if self.mode == "exact" and is_exact(u):
             acc = GR_ZERO
-            for c in reversed(self.coeffs):
-                acc = acc * u + c
-            return acc
-        cu = complex(u)
-        acc = 0j
+        else:
+            acc, u = 0j, complex(u)
         for c in reversed(self.coeffs):
-            acc = acc * cu + complex(c)
-        return require_finite(acc, "polynomial evaluation")
+            acc = acc * u + c
+        return acc if is_exact(acc) else require_finite(acc, "polynomial evaluation")
 
     # -- exact division and gcd ------------------------------------------
 
@@ -194,10 +183,7 @@ class UniPoly:
         if self.is_zero:
             return self
         lead = self.lead
-        if self.mode == "exact":
-            inv = GR_ONE / lead
-            return UniPoly(tuple(c * inv for c in self.coeffs), self.var)
-        return UniPoly(tuple(complex(c) / complex(lead) for c in self.coeffs), self.var)
+        return UniPoly(tuple(c / lead for c in self.coeffs), self.var)
 
     def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         if self.mode != "exact" or other.mode != "exact":
@@ -390,9 +376,8 @@ def _gz_gcd(a: list, b: list) -> list:
 def from_roots(roots: Sequence, lead=1.0, var: str = "x") -> UniPoly:
     """Expand lead * prod (var - r) over the mode of the inputs."""
     p = UniPoly.constant(lead, var)
-    lin_one = GR_ONE if is_exact(lead) else 1.0
     for r in roots:
-        p = p * UniPoly.make([-r if is_exact(r) else -complex(r), lin_one], var)
+        p = p * UniPoly.make([-r, GR_ONE], var)
     return p
 
 

@@ -16,7 +16,12 @@ from polygraph import (
     singular_vertex_values,
     standardize,
 )
-from polygraph.errors import DomainError, ExactArithmeticRequired, NotStandardError
+from polygraph.errors import (
+    DomainError,
+    EvaluationOverflow,
+    ExactArithmeticRequired,
+    NotStandardError,
+)
 
 
 class TestAnalyze:
@@ -70,6 +75,35 @@ class TestAnalyze:
         phi2 = (parse("y-x-1") * parse("y-x-1-0.01")).to_float()
         report2 = analyze(phi2)
         assert report2.is_standard and not report2.numerically_uncertain
+
+
+class TestFloatScale:
+    """Float verdicts do not change when every coefficient is scaled by c."""
+
+    BASES = [
+        "x^2 + x*y + y^2",
+        "x^3 + x*y + y^3 - 1",
+        "(y-x)^4 - 1",
+        "(y-x-1)*(y-x-1-1/100)",
+        "(y-x)^2*(y+x) - 1",
+    ]
+
+    @pytest.mark.parametrize("base", BASES)
+    @pytest.mark.parametrize("c", [1e-10, 1e5, 1e10])
+    def test_verdict_does_not_depend_on_scale(self, base, c):
+        want = analyze(parse(base).to_float())
+        got = analyze(parse(base).scale(c))
+        assert got.failure_reasons == want.failure_reasons
+        assert got.is_standard == want.is_standard
+
+    @pytest.mark.parametrize("text", [
+        "1e100*(x^2 + x*y + y^2)",
+        "1e60*(x^3 + x*y + y^3 - 1)",
+    ])
+    def test_huge_scale_overflows_cleanly(self, text):
+        # the Sylvester reference s^(2d) used to overflow a Python float
+        with pytest.raises(EvaluationOverflow):
+            analyze(parse(text))
 
 
 class TestSingularInventory:

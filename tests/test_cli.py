@@ -131,6 +131,22 @@ def test_overflowing_float_coefficient_exit_2(capsys, text, error):
     assert json.loads(err)["error"]["type"] == error
 
 
+@pytest.mark.parametrize("text", [
+    "1e100*(x^2 + x*y + y^2)",
+    "1e60*(x^3 + x*y + y^3 - 1)",
+])
+def test_huge_float_scale_exit_2(capsys, text):
+    code, out, err = run_cli(capsys, "analyze", text)
+    assert code == EXIT_DOMAIN and out == ""
+    assert json.loads(err)["error"]["type"] == "EvaluationOverflow"
+
+
+def test_cancelled_exact_term_beside_float(capsys):
+    code, out, _ = run_cli(capsys, "analyze", "(x - x) + 0.5*y")
+    assert code == EXIT_OK
+    assert out == run_cli(capsys, "analyze", "0.5*y")[1]
+
+
 def test_flag_error_exit_64(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["explore"])  # missing polynomial argument
