@@ -6,11 +6,11 @@ complex doubles.  A value is "exact" exactly when it is a :class:`GaussRat`;
 everything else (int/float/complex) is treated as a float-mode scalar and is
 never promoted to exact.
 
-The mixing rule lives here and nowhere else: a GaussRat combined with an
-int or Fraction by + - * / stays exact, and combined with a float or
-complex it gives what ``complex(exact)`` gives in its place.  Exact with
-float gives float, never the reverse, so polynomial arithmetic mixes the
-two backends without branching on their modes.
+The mixing rule lives here and nowhere else: in arithmetic, a GaussRat
+combined with an int or Fraction by + - * / stays exact, and combined with
+a float or complex it gives what ``complex(exact)`` gives in its place.
+Exact with float gives float, never the reverse, so polynomial arithmetic
+mixes the two backends without branching on their modes.
 """
 
 from __future__ import annotations
