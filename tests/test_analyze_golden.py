@@ -14,7 +14,8 @@ GOLDEN_REL_TOL * (1 + coefficient scale), everything else exactly.
 
 The cases are a seeded set of exact polynomials (rational and Gaussian
 coefficients, degrees up to (4, 4), with planted f^2*g, (y-x)*f and (x-c)*f
-factors) and the named families of `polygraph.synthesis`.
+factors), the named families of `polygraph.synthesis` and two 3-regular
+synthesis round trips, whose Res_x is the largest exact resultant here.
 
 Regenerate with `PYTHONPATH=src python tests/test_analyze_golden.py`.
 """
@@ -28,6 +29,7 @@ import pytest
 
 from polygraph import (
     BiPoly,
+    FiniteDigraph,
     GaussRat,
     analyze,
     bipartite_poly,
@@ -36,6 +38,7 @@ from polygraph import (
     circulant_poly,
     complete_graph_poly,
     dihedral_poly,
+    digraph_to_poly,
     format_bipoly,
     prism_poly,
 )
@@ -113,7 +116,15 @@ def _family_cases() -> dict:
         "cayley_additive_half_third": cayley_additive([G(Fraction(1, 2)), G(Fraction(-1, 3), 1)]),
         "cayley_multiplicative_2": cayley_multiplicative([G(2)]),
         "cayley_multiplicative_i_3": cayley_multiplicative([G(0, 1), G(3)]),
+        "round_trip_d3_n6_1_2_3": _circulant_round_trip(6, (1, 2, 3)),
+        "round_trip_d3_n8_1_3_4": _circulant_round_trip(8, (1, 3, 4)),
     }
+
+
+def _circulant_round_trip(n: int, steps: tuple) -> BiPoly:
+    """Phi synthesized from the digraph on 1..n with arcs i -> i + s (mod n)."""
+    arcs = [(i, (i + s) % n) for i in range(n) for s in steps]
+    return digraph_to_poly(FiniteDigraph.on_integers(n, arcs))
 
 
 def _cases() -> dict:
