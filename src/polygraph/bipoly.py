@@ -5,10 +5,11 @@ Coefficients live in a sparse map (x_power, y_power) -> scalar, all exact
 :mod:`polygraph.scalars`.  Highlights:
 
 * partial evaluation Phi(u, y) / Phi(x, u) into a UniPoly,
-* resultants: fraction-free Bareiss on a Sylvester matrix in exact mode
-  (rows cleared of denominators, entries as polynomials over Z[i] through
-  the `_gz_*` helpers of `unipoly`; GaussRat only on entry and exit),
-  evaluation-interpolation at roots of unity in float mode,
+* resultants by evaluation and interpolation in both modes: in exact mode
+  at a run of integers, with the scalar resultant from the subresultant PRS
+  over Z[i] and Newton interpolation in integers (the `_gz_*` helpers of
+  `unipoly`; GaussRat only on entry and exit), in float mode at roots of
+  unity, with Sylvester determinants and an FFT,
 * squarefree part (exact), exact division, affine reparametrization.  The
   bivariate ring operations behind these still run on GaussRat.
 """
@@ -16,6 +17,7 @@ Coefficients live in a sparse map (x_power, y_power) -> scalar, all exact
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
@@ -33,9 +35,9 @@ from .unipoly import (
     TRIM_REL,
     UniPoly,
     _gz_clear,
-    _gz_divexact,
-    _gz_mul,
-    _gz_sub,
+    _gz_eval,
+    _gz_interpolate,
+    _gz_resultant,
     _gz_unipoly,
 )
 
@@ -175,8 +177,9 @@ class BiPoly:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     # -- coefficient views ---------------------------------------------------
@@ -269,18 +272,30 @@ class BiPoly:
     # -- resultants -------------------------------------------------------------
 
     def resultant(self, other: "BiPoly", var: str) -> UniPoly:
-        """Sylvester resultant in var, as a UniPoly in the other variable."""
+        """Sylvester resultant in var, as a UniPoly in the other variable.
+
+        Both modes evaluate at bound + 1 points, take scalar resultants and
+        interpolate.  bound is the smaller of the Sylvester row bound and the
+        Bezout bound (Cox, Little and O'Shea, Ch. 8 Sec. 7).
+        """
         other_var = "y" if var == "x" else "x"
         if self.is_zero and other.is_zero:
             raise ZeroPolynomialError("resultant of two zero polynomials")
         if self.is_zero or other.is_zero:
             return UniPoly.zero(other_var)
-        if self.degree(var) == 0 and other.degree(var) == 0:
-            return UniPoly.one(other_var)
-        if self.mode == "exact" and other.mode == "exact":
-            mat = _sylvester(self.coeff_polys(var), other.coeff_polys(var), other_var)
-            return _bareiss_poly_det(mat, other_var)
-        return _resultant_float(self, other, var)
+        exact = self.mode == "exact" and other.mode == "exact"
+        dv_p, dv_q = self.degree(var), other.degree(var)
+        if dv_p == 0 or dv_q == 0:  # Res(c, q) = c**deg q and Res(p, c) = c**deg p
+            c, k = (self, dv_q) if dv_p == 0 else (other, dv_p)
+            base = c.coeff_polys(var)[0]
+            return (base if exact else base.to_float()).power(k)
+        bound = min(
+            self.degree(other_var) * dv_q + other.degree(other_var) * dv_p,
+            self.total_degree * other.total_degree,
+        )
+        if exact:
+            return _resultant_exact(self, other, var, bound)
+        return _resultant_float(self, other, var, bound)
 
     # -- squarefree part ---------------------------------------------------------
 
@@ -358,71 +373,34 @@ def _bipoly_powers(p: BiPoly, n: int) -> list[BiPoly]:
     return out
 
 
-def _sylvester(pc: list[UniPoly], qc: list[UniPoly], var: str) -> list[list[UniPoly]]:
-    """Sylvester matrix rows from ascending coefficient lists (UniPoly entries)."""
-    m, n = len(pc) - 1, len(qc) - 1
-    size = m + n
-    zero = UniPoly.zero(var)
-    p_desc = list(reversed(pc))
-    q_desc = list(reversed(qc))
-    rows = []
-    for r in range(n):
-        row = [zero] * size
-        for k, c in enumerate(p_desc):
-            row[r + k] = c
-        rows.append(row)
-    for r in range(m):
-        row = [zero] * size
-        for k, c in enumerate(q_desc):
-            row[r + k] = c
-        rows.append(row)
-    return rows
+def _resultant_exact(p: BiPoly, q: BiPoly, var: str, bound: int) -> UniPoly:
+    """Evaluation at integers, the subresultant PRS and integer interpolation.
 
-
-def _bareiss_poly_det(mat: list[list[UniPoly]], var: str) -> UniPoly:
-    """Fraction-free determinant of a matrix with exact UniPoly entries.
-
-    Each row is multiplied by the common denominator of its entries, so that
-    Bareiss runs on polynomials over Z[i] (ascending lists of (re, im) int
-    pairs, no Fraction in the inner loops); the determinant is divided by
-    the product of those denominators at the end.
+    The rows of p and q are cleared of denominators once.  The points are the
+    first run t0..t0+bound of integers where neither leading coefficient in
+    var vanishes: only there does specialisation commute with the resultant.
     """
-    size = len(mat)
-    if size == 0:
-        return UniPoly.one(var)
-    scale = 1
-    m = []
-    for row in mat:
-        cleared, den = _gz_clear(row)
-        scale *= den
-        m.append(cleared)
-    prev = [(1, 0)]
-    for k in range(size - 1):
-        if not m[k][k]:
-            swap = next((r for r in range(k + 1, size) if m[r][k]), None)
-            if swap is None:
-                return UniPoly.zero(var)
-            m[k], m[swap] = m[swap], m[k]
-            scale = -scale
-        row_k = m[k]
-        pivot = row_k[k]
-        for i in range(k + 1, size):
-            row_i = m[i]
-            lead = row_i[k]
-            for j in range(k + 1, size):
-                num = _gz_sub(_gz_mul(pivot, row_i[j]), _gz_mul(lead, row_k[j]))
-                row_i[j] = _gz_divexact(num, prev)
-            row_i[k] = []
-        prev = pivot
-    return _gz_unipoly(m[-1][-1], (scale, 0), var)
+    other = "y" if var == "x" else "x"
+    pc, den_p = _gz_clear(p.coeff_polys(var))
+    qc, den_q = _gz_clear(q.coeff_polys(var))
+    t0 = t = 0
+    while t <= t0 + bound:
+        if _gz_eval(pc[-1], t) == (0, 0) or _gz_eval(qc[-1], t) == (0, 0):
+            t0 = t + 1
+        t += 1
+    vals = [
+        _gz_resultant([_gz_eval(c, t) for c in pc], [_gz_eval(c, t) for c in qc])
+        for t in range(t0, t0 + bound + 1)
+    ]
+    # Res(pc, qc) = den_p**deg_q * den_q**deg_p * Res(p, q)
+    den = math.factorial(bound) * den_p ** q.degree(var) * den_q ** p.degree(var)
+    return _gz_unipoly(_gz_interpolate(vals, t0), (den, 0), other)
 
 
-def _resultant_float(p: BiPoly, q: BiPoly, var: str) -> UniPoly:
+def _resultant_float(p: BiPoly, q: BiPoly, var: str, bound: int) -> UniPoly:
     """Evaluation-interpolation resultant on a root-of-unity circle."""
     other = "y" if var == "x" else "x"
-    do_p, do_q = p.degree(other), q.degree(other)
     dv_p, dv_q = p.degree(var), q.degree(var)
-    bound = max(do_p, 0) * max(dv_q, 0) + max(do_q, 0) * max(dv_p, 0)
     n_samples = bound + 1
     vals = np.empty(n_samples, dtype=complex)
     for t in range(n_samples):
@@ -438,10 +416,8 @@ def _resultant_float(p: BiPoly, q: BiPoly, var: str) -> UniPoly:
 
 
 def _scalar_resultant(pu: UniPoly, qu: UniPoly, dp: int, dq: int) -> complex:
-    """det of the Sylvester matrix built at fixed degrees dp, dq."""
+    """det of the Sylvester matrix built at fixed degrees dp, dq >= 1."""
     size = dp + dq
-    if size == 0:
-        return 1.0 + 0j
     mat = np.zeros((size, size), dtype=complex)
     p_desc = [complex(pu.coeff(k)) for k in range(dp, -1, -1)]
     q_desc = [complex(qu.coeff(k)) for k in range(dq, -1, -1)]

@@ -11,7 +11,8 @@ run on polynomials over Z[i] (ascending lists of (re, im) int pairs, the
 `_gz_*` helpers below) and convert back once on exit: integer convolution,
 pseudo-division followed by one division by lc**e and the denominators, and
 the subresultant PRS (Collins 1967; Brown and Traub 1971).  The exact
-resultant of `bipoly` runs its Bareiss elimination on the same helpers.
+resultant of `bipoly` evaluates, takes scalar resultants by the same PRS
+and interpolates on the same helpers.
 """
 
 from __future__ import annotations
@@ -155,8 +156,9 @@ class UniPoly:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def derivative(self) -> "UniPoly":
@@ -294,40 +296,6 @@ def _gz_mul(p: list, q: list) -> list:
     return list(zip(re, im))  # Z[i] has no zero divisors: the lead is nonzero
 
 
-def _gz_sub(p: list, q: list) -> list:
-    if len(p) < len(q):
-        p = p + [(0, 0)] * (len(q) - len(p))
-    out = p[:]
-    for k, (c, d) in enumerate(q):
-        a, b = out[k]
-        out[k] = (a - c, b - d)
-    while out and out[-1] == (0, 0):
-        out.pop()
-    return out
-
-
-def _gz_divexact(num: list, den: list) -> list:
-    """num / den for a den that divides num in Z[i][x] (long division)."""
-    if not num:
-        return []
-    dn = len(den) - 1
-    c, d = den[-1]
-    norm = c * c + d * d
-    rem = num[:]
-    quo = [(0, 0)] * (len(num) - dn)
-    for k in range(len(num) - 1 - dn, -1, -1):
-        a, b = rem[k + dn]
-        if not a and not b:
-            continue
-        qa, qb = (a * c + b * d) // norm, (b * c - a * d) // norm
-        quo[k] = (qa, qb)
-        for t in range(dn):
-            e, f = den[t]
-            r, s = rem[k + t]
-            rem[k + t] = (r - qa * e + qb * f, s - qa * f - qb * e)
-    return quo
-
-
 def _gz_pseudo_divmod(a: list, b: list) -> tuple[list, list, tuple]:
     """(Q, R, lc**e) with lc**e * a = Q*b + R and deg R < deg b.
 
@@ -353,24 +321,93 @@ def _gz_pseudo_divmod(a: list, b: list) -> tuple[list, list, tuple]:
     return quo, rem, _gi_pow(lc, e)
 
 
-def _gz_gcd(a: list, b: list) -> list:
-    """An associate of gcd(a, b) over Q(i), by the subresultant PRS; [] iff both are []."""
-    if len(a) < len(b):
-        a, b = b, a
-    if not b:
-        return a
+def _gz_eval(p: list, t: int) -> tuple:
+    """p(t) for an integer t, by Horner."""
+    re = im = 0
+    for a, b in reversed(p):
+        re, im = re * t + a, im * t + b
+    return re, im
+
+
+def _gz_prs(a: list, b: list) -> tuple[list, list, tuple, int]:
+    """Run the subresultant PRS of a and b over Z[i] (Collins 1967; Brown and
+    Traub 1971; Cohen, Alg. 3.3.7) for len(a) >= len(b).
+
+    Stops at the first element b of degree <= 0 and returns (a, b, h, s): a is
+    the element before it and an associate of gcd(a, b) when b is [], h is the
+    recurrence's h at that point and s the sign the resultant collects.
+    """
     g = h = (1, 0)
-    while True:
+    sign = 1
+    while len(b) > 1:
         delta = len(a) - len(b)
         _, r, _ = _gz_pseudo_divmod(a, b)
-        if not r:
-            return b
-        if len(r) == 1:
-            return [(1, 0)]
+        if len(a) % 2 == 0 and len(b) % 2 == 0:  # both degrees odd
+            sign = -sign
         s = _gi_mul(g, _gi_pow(h, delta))
         a, b = b, [_gi_divexact(c, s) for c in r]
         g = a[-1]
         h = _gi_divexact(_gi_pow(g, delta), _gi_pow(h, delta - 1)) if delta else h
+    return a, b, h, sign
+
+
+def _gz_gcd(a: list, b: list) -> list:
+    """An associate of gcd(a, b) over Q(i), by the subresultant PRS; [] iff both are []."""
+    if len(a) < len(b):
+        a, b = b, a
+    a, b, _, _ = _gz_prs(a, b)
+    return a if not b else [(1, 0)]
+
+
+def _gz_resultant(a: list, b: list) -> tuple:
+    """Res(a, b) of nonzero a and b over Z[i], by the subresultant PRS."""
+    sign = 1
+    if len(a) < len(b):
+        a, b = b, a
+        if len(a) % 2 == 0 and len(b) % 2 == 0:
+            sign = -1
+    a, b, h, s = _gz_prs(a, b)
+    if not b:
+        return (0, 0)
+    k = len(a) - 1
+    if not k:  # both operands were constants
+        return (1, 0)
+    res = _gi_divexact(_gi_pow(b[0], k), _gi_pow(h, k - 1))
+    return res if sign * s > 0 else (-res[0], -res[1])
+
+
+def _int_interpolate(values: list, t0: int) -> list:
+    """n! * f for the f of degree <= n with f(t0 + k) = values[k], k = 0..n.
+
+    Forward differences give the Newton form over the nodes t0..t0+n, whose
+    coefficients are the k-th differences over k!; scaled by n! they are
+    integers, and Horner on the Newton form stays in the integers.
+    """
+    n = len(values) - 1
+    diffs = []
+    for _ in range(n + 1):
+        diffs.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    out = [diffs[n]]
+    scale = 1  # n! / k!
+    for k in range(n - 1, -1, -1):
+        scale *= k + 1
+        node = t0 + k
+        out = [0] + out  # out * (t - node)
+        for i in range(len(out) - 1):
+            out[i] -= node * out[i + 1]
+        out[0] += scale * diffs[k]
+    return out
+
+
+def _gz_interpolate(values: list, t0: int) -> list:
+    """n! * f over Z[i] for f(t0 + k) = values[k]; see `_int_interpolate`."""
+    re = _int_interpolate([v[0] for v in values], t0)
+    im = _int_interpolate([v[1] for v in values], t0)
+    out = list(zip(re, im))
+    while out and out[-1] == (0, 0):
+        out.pop()
+    return out
 
 
 def from_roots(roots: Sequence, lead=1.0, var: str = "x") -> UniPoly:

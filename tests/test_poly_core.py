@@ -1,11 +1,12 @@
 """Parsing, evaluation, gcd, resultants, squarefree part, affine maps."""
 
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
 
-from polygraph import BiPoly, GaussRat, UniPoly, parse
+from polygraph import BiPoly, GaussRat, UniPoly, analyze, parse
 from polygraph.errors import (
     EvaluationOverflow,
     ExactArithmeticRequired,
@@ -173,6 +174,24 @@ class TestResultant:
         with pytest.raises(ZeroPolynomialError):
             BiPoly.zero().resultant(BiPoly.zero(), "y")
 
+    def test_degree_zero_operand_is_a_power(self):
+        # Res(c, q) = c**deg q and Res(p, c) = c**deg p in both modes.
+        p = parse("x*y^3 + y - 1")
+        c = parse("2*x + i")
+        assert p.resultant(c, "y") == c.coeff_polys("y")[0].power(3)
+        assert c.resultant(p, "y") == c.coeff_polys("y")[0].power(3)
+        cf = c.to_float()
+        assert p.resultant(cf, "y") == cf.coeff_polys("y")[0].power(3)
+        assert p.resultant(cf, "y").mode == "float"
+
+    def test_huge_float_constant_resultant_is_exact(self):
+        # E = Res_x(Phi, Phi_x) with Phi_x the constant c is c itself: no
+        # 1x1 LAPACK determinant, no overflow warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = analyze(parse("(1e308+1e308i)*x + y"))
+        assert report.E.coeffs == (1e308 + 1e308j,)
+
     def test_float_matches_exact(self):
         rng = random.Random(3)
         for _ in range(20):
@@ -228,9 +247,21 @@ class TestResultant:
             return BiPoly.make({(i, j): scalar() for i in range(dx + 1)
                                 for j in range(dy + 1) if rng.random() < 0.6})
 
-        checked = 0
-        for _ in range(30):
+        def with_lead(p, lead):
+            return p + lead * BiPoly.make({(0, p.deg_y + 1): gr(1)})
+
+        pairs = [(rand_bipoly(), rand_bipoly()) for _ in range(30)]
+        # Leading coefficients in y that vanish at x = 0, 1, 2 (and 3): the
+        # exact resultant must not sample there, or its interpolant is wrong
+        # at the points checked below.
+        x_012 = parse("x*(x-1)*(x-2)")
+        x_3 = parse("x-3")
+        for k in range(10):
             p, q = rand_bipoly(), rand_bipoly()
+            pairs.append((with_lead(p, x_012), with_lead(q, x_3) if k % 2 else q))
+
+        checked = 0
+        for p, q in pairs:
             if p.deg_y < 1 or q.deg_y < 1:
                 continue
             res = p.resultant(q, "y")
@@ -238,9 +269,9 @@ class TestResultant:
                 pu, qu = p.eval_partial(x0, "x"), q.eval_partial(x0, "x")
                 if pu.degree < p.deg_y or qu.degree < q.deg_y:
                     continue
-                assert res.eval(x0) == det(sylvester(pu, qu))
+                assert res.eval(x0) == det(sylvester(pu, qu)), (p, q, x0)
                 checked += 1
-        assert checked >= 50
+        assert checked >= 110  # 91 on the random pairs, 30 on the vanishing leads
 
     def test_zero_iff_positive_degree_gcd(self):
         rng = random.Random(5)
@@ -256,6 +287,20 @@ class TestResultant:
             res = p.resultant(q, "y")
             gcd_pos = (a * g).gcd(b * g).degree > 0
             assert res.is_zero == gcd_pos
+
+
+class TestPower:
+    def test_unipoly_power_squares_only_while_bits_remain(self):
+        assert UniPoly.constant(1e200).power(1) == UniPoly.constant(1e200)
+        p = UniPoly.make([gr(1), gr(2, 1)])
+        assert p.power(5) == p * p * p * p * p
+        assert p.power(0) == UniPoly.one()
+
+    def test_bipoly_power_squares_only_while_bits_remain(self):
+        assert BiPoly.constant(1e200).power(1) == BiPoly.constant(1e200)
+        p = parse("x*y - i*y + 2")
+        assert p.power(5) == p * p * p * p * p
+        assert p.power(0) == BiPoly.constant(gr(1))
 
 
 class TestSquarefree:

@@ -15,7 +15,7 @@ import pytest
 from polygraph import GaussRat, UniPoly
 from polygraph.errors import DomainError
 from polygraph.scalars import GR_ONE, GR_ZERO
-from polygraph.unipoly import _gz_clear, _gz_gcd, _gz_unipoly
+from polygraph.unipoly import _gz_clear, _gz_gcd, _gz_resultant, _gz_unipoly
 
 
 def _trimmed(coeffs: list) -> tuple:
@@ -219,6 +219,25 @@ def test_prs_ends_in_the_subresultant():
         assert last in (want, -want), (p, q)
         checked += 1
     assert checked >= 10
+
+
+def test_prs_resultant_is_the_0th_subresultant():
+    # The 0-th subresultant is the resultant, in either argument order and
+    # for constant operands too.  It vanishes iff the gcd is not constant,
+    # which is the cheaper reference for the pairs with a common factor.
+    nonzero = 0
+    for p, q in PAIRS:
+        if p.is_zero or q.is_zero:
+            continue
+        (a, b), _ = _gz_clear([p, q])
+        got = _gz_resultant(a, b)
+        if ref_gcd(p, q).degree > 0:
+            assert got == (0, 0), (p, q)
+            continue
+        want = ref_subresultant(_gz_unipoly(a, (1, 0), "x"), _gz_unipoly(b, (1, 0), "x"), 0)
+        assert _gz_unipoly([got], (1, 0), "x") == want, (p, q)
+        nonzero += 1
+    assert nonzero >= 150
 
 
 def test_gcd_with_zero_operands():
