@@ -196,7 +196,8 @@ def analyze(phi: BiPoly) -> StandardReport:
     dphi_x = phi.derivative("x")
     D = phi.resultant(dphi_y, "y") if not dphi_y.is_zero else UniPoly.zero("x")
     E = phi.resultant(dphi_x, "x") if not dphi_x.is_zero else UniPoly.zero("y")
-    log_s = math.log(phi.coeff_scale())
+    # Exact zero tests need no scale; float(Phi's coefficients) may overflow.
+    log_s = 0.0 if exact_mode else math.log(phi.coeff_scale())
     if unc.is_zero(D, _sylvester_log_ref(log_s, phi.deg_y)):
         failures.append(Failure.NON_RADICAL_Y)
         D = UniPoly.zero("x")

@@ -77,6 +77,15 @@ class TestAnalyze:
         assert report2.is_standard and not report2.numerically_uncertain
 
 
+    def test_exact_huge_integers(self):
+        # Exact reports never take float(coefficient), which overflows here.
+        a = 10**400
+        report = analyze(parse("10^400*x^2 + x*y + y^2"))
+        assert report.is_standard
+        assert report.D.coeffs == (GaussRat.of(0), GaussRat.of(0), GaussRat.of(4 * a - 1))
+        assert report.L.coeffs == (GaussRat.of(0), GaussRat.of(0), GaussRat.of(a + 2))
+
+
 class TestFloatScale:
     """Float verdicts do not change when every coefficient is scaled by c."""
 

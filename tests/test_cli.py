@@ -141,6 +141,14 @@ def test_huge_float_scale_exit_2(capsys, text):
     assert json.loads(err)["error"]["type"] == "EvaluationOverflow"
 
 
+def test_exact_huge_integers_analyze(capsys):
+    code, out, _ = run_cli(capsys, "analyze", "10^400*x^2 + x*y + y^2")
+    assert code == EXIT_OK
+    data = json.loads(out)
+    assert data["is_standard"] is True
+    assert data["D"] == f"{4 * 10**400 - 1}*x^2"
+
+
 def test_cancelled_exact_term_beside_float(capsys):
     code, out, _ = run_cli(capsys, "analyze", "(x - x) + 0.5*y")
     assert code == EXIT_OK
