@@ -398,34 +398,31 @@ def _resultant_exact(p: BiPoly, q: BiPoly, var: str, bound: int) -> UniPoly:
 
 
 def _resultant_float(p: BiPoly, q: BiPoly, var: str, bound: int) -> UniPoly:
-    """Evaluation-interpolation resultant on a root-of-unity circle."""
+    """Evaluation at roots of unity, Sylvester determinants and an FFT.
+
+    The Sylvester matrix is built at the degrees of p and q in var, so a
+    sample where a leading coefficient vanishes still gives the resultant.
+    """
     other = "y" if var == "x" else "x"
-    dv_p, dv_q = p.degree(var), q.degree(var)
+    dp, dq = p.degree(var), q.degree(var)
     n_samples = bound + 1
     vals = np.empty(n_samples, dtype=complex)
+    mat = np.zeros((dp + dq, dp + dq), dtype=complex)
     for t in range(n_samples):
         u = cmath.exp(1j * (2 * cmath.pi * t / n_samples + _INTERP_ANGLE))
-        pu = p.eval_partial(u, other)
-        qu = q.eval_partial(u, other)
-        vals[t] = _scalar_resultant(pu, qu, dv_p, dv_q)
+        pu, qu = p.eval_partial(u, other), q.eval_partial(u, other)
+        p_desc = [complex(pu.coeff(k)) for k in range(dp, -1, -1)]
+        q_desc = [complex(qu.coeff(k)) for k in range(dq, -1, -1)]
+        for r in range(dq):
+            mat[r, r : r + dp + 1] = p_desc
+        for r in range(dp):
+            mat[dq + r, r : r + dq + 1] = q_desc
+        vals[t] = np.linalg.det(mat)
     # vals[t] = sum_j (c_j e^{ij*angle}) e^{+2 pi i j t / N} = N * ifft(c~)[t]
     coeffs = np.fft.fft(vals) / n_samples
     twist = np.exp(1j * _INTERP_ANGLE * np.arange(n_samples))
     coeffs = coeffs / twist
     return UniPoly.make(list(coeffs), other)
-
-
-def _scalar_resultant(pu: UniPoly, qu: UniPoly, dp: int, dq: int) -> complex:
-    """det of the Sylvester matrix built at fixed degrees dp, dq >= 1."""
-    size = dp + dq
-    mat = np.zeros((size, size), dtype=complex)
-    p_desc = [complex(pu.coeff(k)) for k in range(dp, -1, -1)]
-    q_desc = [complex(qu.coeff(k)) for k in range(dq, -1, -1)]
-    for r in range(dq):
-        mat[r, r : r + dp + 1] = p_desc
-    for r in range(dp):
-        mat[dq + r, r : r + dq + 1] = q_desc
-    return complex(np.linalg.det(mat))
 
 
 def _pseudo_rem_y(p: BiPoly, q: BiPoly) -> BiPoly:

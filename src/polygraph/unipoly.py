@@ -330,19 +330,22 @@ def _gz_eval(p: list, t: int) -> tuple:
 
 
 def _gz_prs(a: list, b: list) -> tuple[list, list, tuple, int]:
-    """Run the subresultant PRS of a and b over Z[i] (Collins 1967; Brown and
-    Traub 1971; Cohen, Alg. 3.3.7) for len(a) >= len(b).
+    """The subresultant PRS of a and b over Z[i] (Collins 1967; Brown and
+    Traub 1971; Cohen, Alg. 3.3.7), run up to its first element of degree <= 0.
 
-    Stops at the first element b of degree <= 0 and returns (a, b, h, s): a is
-    the element before it and an associate of gcd(a, b) when b is [], h is the
-    recurrence's h at that point and s the sign the resultant collects.
+    Returns (a, b, h, sign): b is that element, a the one before it (an
+    associate of gcd(a, b) when b is []), h the recurrence's h after the last
+    step and sign the sign of Res(a, b) collected on the way.
     """
-    g = h = (1, 0)
     sign = 1
+    if len(a) < len(b):
+        a, b = b, a
+        sign = -1 if len(a) % 2 == 0 and len(b) % 2 == 0 else 1  # both degrees odd
+    g = h = (1, 0)
     while len(b) > 1:
         delta = len(a) - len(b)
         _, r, _ = _gz_pseudo_divmod(a, b)
-        if len(a) % 2 == 0 and len(b) % 2 == 0:  # both degrees odd
+        if len(a) % 2 == 0 and len(b) % 2 == 0:
             sign = -sign
         s = _gi_mul(g, _gi_pow(h, delta))
         a, b = b, [_gi_divexact(c, s) for c in r]
@@ -353,58 +356,43 @@ def _gz_prs(a: list, b: list) -> tuple[list, list, tuple, int]:
 
 def _gz_gcd(a: list, b: list) -> list:
     """An associate of gcd(a, b) over Q(i), by the subresultant PRS; [] iff both are []."""
-    if len(a) < len(b):
-        a, b = b, a
     a, b, _, _ = _gz_prs(a, b)
     return a if not b else [(1, 0)]
 
 
 def _gz_resultant(a: list, b: list) -> tuple:
     """Res(a, b) of nonzero a and b over Z[i], by the subresultant PRS."""
-    sign = 1
-    if len(a) < len(b):
-        a, b = b, a
-        if len(a) % 2 == 0 and len(b) % 2 == 0:
-            sign = -1
-    a, b, h, s = _gz_prs(a, b)
+    a, b, h, sign = _gz_prs(a, b)
     if not b:
         return (0, 0)
-    k = len(a) - 1
-    if not k:  # both operands were constants
-        return (1, 0)
+    k = len(a) - 1  # k = 0 only for two constants, and then h = 1
     res = _gi_divexact(_gi_pow(b[0], k), _gi_pow(h, k - 1))
-    return res if sign * s > 0 else (-res[0], -res[1])
-
-
-def _int_interpolate(values: list, t0: int) -> list:
-    """n! * f for the f of degree <= n with f(t0 + k) = values[k], k = 0..n.
-
-    Forward differences give the Newton form over the nodes t0..t0+n, whose
-    coefficients are the k-th differences over k!; scaled by n! they are
-    integers, and Horner on the Newton form stays in the integers.
-    """
-    n = len(values) - 1
-    diffs = []
-    for _ in range(n + 1):
-        diffs.append(values[0])
-        values = [b - a for a, b in zip(values, values[1:])]
-    out = [diffs[n]]
-    scale = 1  # n! / k!
-    for k in range(n - 1, -1, -1):
-        scale *= k + 1
-        node = t0 + k
-        out = [0] + out  # out * (t - node)
-        for i in range(len(out) - 1):
-            out[i] -= node * out[i + 1]
-        out[0] += scale * diffs[k]
-    return out
+    return res if sign > 0 else (-res[0], -res[1])
 
 
 def _gz_interpolate(values: list, t0: int) -> list:
-    """n! * f over Z[i] for f(t0 + k) = values[k]; see `_int_interpolate`."""
-    re = _int_interpolate([v[0] for v in values], t0)
-    im = _int_interpolate([v[1] for v in values], t0)
-    out = list(zip(re, im))
+    """n! * f for the f of degree <= n with f(t0 + k) = values[k], k = 0..n.
+
+    Newton's forward-difference form scaled by n! has integer coefficients,
+    so Horner on it stays in the integers; real and imaginary parts in turn.
+    """
+    n = len(values) - 1
+    parts = []
+    for vals in zip(*values):
+        diffs = []
+        for _ in range(n + 1):
+            diffs.append(vals[0])
+            vals = [b - a for a, b in zip(vals, vals[1:])]
+        out = [diffs[n]]
+        scale = 1  # n! / k!
+        for k in range(n - 1, -1, -1):
+            scale *= k + 1
+            out = [0] + out  # out * (t - t0 - k)
+            for i in range(len(out) - 1):
+                out[i] -= (t0 + k) * out[i + 1]
+            out[0] += scale * diffs[k]
+        parts.append(out)
+    out = list(zip(*parts))
     while out and out[-1] == (0, 0):
         out.pop()
     return out
