@@ -365,7 +365,7 @@ def _gz_resultant(a: list, b: list) -> tuple:
     a, b, h, sign = _gz_prs(a, b)
     if not b:
         return (0, 0)
-    k = len(a) - 1  # k = 0 only for two constants, and then h = 1
+    k = len(a) - 1  # k = 0 only for two constants: h = 1, _gi_pow(h, -1) = 1
     res = _gi_divexact(_gi_pow(b[0], k), _gi_pow(h, k - 1))
     return res if sign > 0 else (-res[0], -res[1])
 
