@@ -76,7 +76,6 @@ class TestAnalyze:
         report2 = analyze(phi2)
         assert report2.is_standard and not report2.numerically_uncertain
 
-
     def test_exact_huge_integers(self):
         # Exact reports never take float(coefficient), which overflows here.
         a = 10**400
