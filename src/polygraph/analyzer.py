@@ -224,15 +224,20 @@ def analyze(phi: BiPoly) -> StandardReport:
     )
 
 
+def require_standard(report: StandardReport) -> StandardReport:
+    """The report itself when it is standard; the one not-standard gate."""
+    if not report.is_standard:
+        raise NotStandardError(
+            "requires a standard polynomial", reasons=report.failure_reasons
+        )
+    return report
+
+
 def singular_inventory(
     phi: BiPoly, report: StandardReport, tol: float = VERTEX_TOL
 ) -> SingularInventory:
     """Classified singular vertices of a standard polynomial."""
-    if not report.is_standard:
-        raise NotStandardError(
-            "singular inventory needs a standard polynomial",
-            reasons=report.failure_reasons,
-        )
+    require_standard(report)
     pf = phi.to_float()
     uncertain = report.numerically_uncertain
 
@@ -289,16 +294,21 @@ def singular_inventory(
 
 
 def singular_vertex_values(phi: BiPoly, report: StandardReport | None = None) -> list[complex]:
-    """Distinct roots of S = L*D*E, the singular vertices (float values)."""
-    report = report if report is not None else analyze(phi)
-    if not report.is_standard:
-        raise NotStandardError("not standard", reasons=report.failure_reasons)
-    if report.S.degree <= 0:
-        return []
+    """Distinct roots of S = L*D*E, the singular vertices (float values).
+
+    The roots are taken factor by factor: one root call on the product
+    would face degree deg L + deg D + deg E and every multiple root at once.
+    """
+    report = require_standard(report if report is not None else analyze(phi))
     vals: list[complex] = []
-    for r in find_roots(report.S).roots:
-        if all(abs(r.value - v) > 1e-6 * (1 + abs(v)) for v in vals):
-            vals.append(r.value)
+    for p in (report.L, report.D, report.E):
+        if p.degree <= 0:
+            continue
+        if p.mode == "exact":
+            p = p.divexact(p.gcd(p.derivative()))
+        for r in find_roots(p).roots:
+            if all(abs(r.value - v) > 1e-6 * (1 + abs(v)) for v in vals):
+                vals.append(r.value)
     return sorted(vals, key=lambda z: (z.real, z.imag))
 
 
@@ -344,10 +354,5 @@ def standardize(phi: BiPoly) -> tuple[BiPoly, list[AppliedStep]]:
 
     if steps:
         work = work.normalized()
-    final = analyze(work)
-    if not final.is_standard:
-        raise NotStandardError(
-            "standardization left a non-standard polynomial",
-            reasons=final.failure_reasons,
-        )
+    require_standard(analyze(work))
     return work, steps

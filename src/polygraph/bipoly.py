@@ -30,7 +30,7 @@ from .errors import (
     UniversalVertexError,
     ZeroPolynomialError,
 )
-from .scalars import GR_ONE, GR_ZERO, is_exact, require_finite
+from .scalars import GR_ONE, GR_ZERO, is_exact, require_finite, square_and_multiply
 from .unipoly import (
     TRIM_REL,
     UniPoly,
@@ -172,15 +172,7 @@ class BiPoly:
     def power(self, k: int) -> "BiPoly":
         if k < 0:
             raise DomainError("negative polynomial power")
-        out = BiPoly.constant(GR_ONE)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return square_and_multiply(self, k, BiPoly.constant(GR_ONE))
 
     # -- coefficient views ---------------------------------------------------
 

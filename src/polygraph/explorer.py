@@ -24,12 +24,11 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .analyzer import analyze
+from .analyzer import analyze, require_standard
 from .bipoly import BiPoly, in_poly, out_poly
 from .errors import (
     DomainError,
     ExplorationError,
-    NotStandardError,
     RootFindingError,
     SizeLimitError,
     UniversalVertexError,
@@ -315,19 +314,14 @@ def _reach(seed_id: int, arcs) -> set[int]:
     return seen
 
 
-def _require_standard(phi: BiPoly):
-    report = analyze(phi)
-    if not report.is_standard:
-        raise NotStandardError(
-            "exploration requires a standard polynomial",
-            reasons=report.failure_reasons,
-        )
-    return report
-
-
 def explore_component(phi: BiPoly, seed: complex, budget: Budget = Budget()) -> ExploredDigraph:
     """Weak component of the seed: BFS over out- and in-neighbors."""
-    _require_standard(phi)
+    require_standard(analyze(phi))
+    return _weak_component(phi, seed, budget)
+
+
+def _weak_component(phi: BiPoly, seed: complex, budget: Budget) -> ExploredDigraph:
+    """explore_component's BFS, for callers that have checked that phi is standard."""
     table = _VertexTable(budget.dedup_eps)
     seed_id = table.add(complex(seed))
     sweep = _Sweep(phi, budget, table)
@@ -341,7 +335,7 @@ def explore_component(phi: BiPoly, seed: complex, budget: Budget = Budget()) -> 
 
 def explore_strong_component(phi: BiPoly, seed: complex, budget: Budget = Budget()) -> ExploredDigraph:
     """Strong component of the seed, exact when a directed sweep closes."""
-    _require_standard(phi)
+    require_standard(analyze(phi))
     table = _VertexTable(budget.dedup_eps)
     seed_id = table.add(complex(seed))
     fwd = sweep = _Sweep(phi, budget, table)

@@ -12,16 +12,16 @@ import math
 import random
 from dataclasses import dataclass
 
-from .analyzer import analyze, singular_vertex_values
+from .analyzer import analyze, require_standard, singular_vertex_values
 from .bipoly import BiPoly
-from .errors import DomainError, NotStandardError, SizeLimitError
+from .errors import DomainError, SizeLimitError
 from .explorer import (
     Budget,
     ExploredDigraph,
     Shape,
     ShapeLabel,
+    _weak_component,
     classify,
-    explore_component,
     is_isomorphic,
 )
 
@@ -75,11 +75,7 @@ def probe_conjecture(
     margin: float = SEED_MARGIN,
 ) -> ProbeResult:
     """Explore n_seeds random non-singular seeds and compare the components."""
-    report = analyze(phi)
-    if not report.is_standard:
-        raise NotStandardError(
-            "probe requires a standard polynomial", reasons=report.failure_reasons
-        )
+    report = require_standard(analyze(phi))
     singular = singular_vertex_values(phi, report)
     r_max = sample_radius(phi)
     rng = random.Random(rng_seed)
@@ -95,7 +91,7 @@ def probe_conjecture(
         if all(abs(u - s) > margin for s in singular):
             seeds.append(u)
 
-    graphs = [explore_component(phi, u, budget) for u in seeds]
+    graphs = [_weak_component(phi, u, budget) for u in seeds]
 
     labels = [classify(g) for g in graphs]
     truncated_count = sum(1 for g in graphs if g.truncated)

@@ -16,9 +16,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analyzer import analyze
+from .analyzer import analyze, require_standard
 from .bipoly import BiPoly
-from .errors import DomainError, NotStandardError
+from .errors import DomainError
 from .moebius import DEFAULT_NMAX, continued_fraction_candidates
 from .scalars import GR_ONE, GaussRat, is_exact
 
@@ -80,12 +80,7 @@ class QuadSym:
     c: object
 
     def __post_init__(self):
-        report = analyze(self.as_bipoly())
-        if not report.is_standard:
-            raise NotStandardError(
-                "x^2 + y^2 + a*x*y + b*(x+y) + c is not standard for these values",
-                reasons=report.failure_reasons,
-            )
+        require_standard(analyze(self.as_bipoly()))
 
     def as_bipoly(self) -> BiPoly:
         return BiPoly.make(

@@ -92,20 +92,16 @@ class GaussRat:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise DomainError("GaussRat powers must be nonnegative integers")
-        out = GR_ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return square_and_multiply(self, k, GR_ONE)
 
     def __bool__(self):
         return self.re != 0 or self.im != 0
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        try:
+            return complex(float(self.re), float(self.im))
+        except OverflowError:
+            raise EvaluationOverflow("exact scalar beyond the float range") from None
 
     def conjugate(self) -> "GaussRat":
         return GaussRat(self.re, -self.im)
@@ -139,6 +135,18 @@ def _as_gauss(v):
 
 def is_exact(v) -> bool:
     return isinstance(v, GaussRat)
+
+
+def square_and_multiply(base, k: int, one):
+    """base**k for an int k >= 0 by square-and-multiply; one is the unit."""
+    out = one
+    while k:
+        if k & 1:
+            out = out * base
+        k >>= 1
+        if k:
+            base = base * base
+    return out
 
 
 def require_finite(z: complex, context: str) -> complex:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DomainError, ExactArithmeticRequired, SynthesisError
-from .scalars import GR_ONE, GR_ZERO, GaussRat, is_exact, require_finite
+from .scalars import GR_ONE, GR_ZERO, GaussRat, is_exact, require_finite, square_and_multiply
 
 # Float coefficients below this fraction of the largest one are treated as
 # arithmetic debris and trimmed from the leading end.
@@ -151,15 +151,7 @@ class UniPoly:
     def power(self, k: int) -> "UniPoly":
         if k < 0:
             raise DomainError("negative polynomial power")
-        out = UniPoly.one(self.var)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return square_and_multiply(self, k, UniPoly.one(self.var))
 
     def derivative(self) -> "UniPoly":
         return UniPoly.make(

@@ -9,9 +9,13 @@ from polygraph import (
     BiPoly,
     Failure,
     GaussRat,
+    QuadSym,
     StepKind,
     analyze,
+    explore_component,
+    explore_strong_component,
     parse,
+    probe_conjecture,
     singular_inventory,
     singular_vertex_values,
     standardize,
@@ -151,6 +155,28 @@ class TestSingularInventory:
         report = analyze(phi)
         inv = singular_inventory(phi, report)
         assert any(abs(v) < 1e-7 for v in inv.out_defective)
+
+
+# x^2 + y^2 - 2xy = (y - x)^2: a square, and a loop at every vertex.
+_SQUARE = parse("x^2 + y^2 - 2*x*y")
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda phi: explore_component(phi, 1), id="explore_component"),
+    pytest.param(lambda phi: explore_strong_component(phi, 1), id="explore_strong_component"),
+    pytest.param(lambda phi: probe_conjecture(phi, n_seeds=2), id="probe_conjecture"),
+    pytest.param(singular_vertex_values, id="singular_vertex_values"),
+    pytest.param(lambda phi: singular_inventory(phi, analyze(phi)), id="singular_inventory"),
+    pytest.param(
+        lambda phi: QuadSym(phi.coeff(1, 1), phi.coeff(1, 0), phi.coeff(0, 0)),
+        id="QuadSym",
+    ),
+])
+def test_one_standardness_gate(call):
+    with pytest.raises(NotStandardError) as exc:
+        call(_SQUARE)
+    assert exc.value.reasons == analyze(_SQUARE).failure_reasons
+    assert str(exc.value) == "requires a standard polynomial"
 
 
 class TestStandardize:

@@ -149,6 +149,18 @@ def test_exact_huge_integers_analyze(capsys):
     assert data["D"] == f"{4 * 10**400 - 1}*x^2"
 
 
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--singular"),
+    ("explore", "--seed", "1"),
+    ("probe",),
+], ids=["analyze", "explore", "probe"])
+def test_exact_huge_integers_beyond_float_exit_2(capsys, argv):
+    command, *flags = argv
+    code, out, err = run_cli(capsys, command, "10^400*x^2 + x*y + y^2", *flags)
+    assert code == EXIT_DOMAIN and out == ""
+    assert json.loads(err)["error"]["type"] == "EvaluationOverflow"
+
+
 def test_cancelled_exact_term_beside_float(capsys):
     code, out, _ = run_cli(capsys, "analyze", "(x - x) + 0.5*y")
     assert code == EXIT_OK

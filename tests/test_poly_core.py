@@ -302,6 +302,13 @@ class TestPower:
         assert p.power(5) == p * p * p * p * p
         assert p.power(0) == BiPoly.constant(gr(1))
 
+    def test_gaussrat_power(self):
+        z = gr(Fraction(2, 3), -1)
+        product = gr(1)
+        for k in range(9):
+            assert z**k == product
+            product = product * z
+
 
 class TestSquarefree:
     def test_two_factor_example(self):
