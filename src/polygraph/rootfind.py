@@ -74,7 +74,9 @@ def roots(p: UniPoly, tol: float = DEFAULT_TOL) -> RootSet:
 def roots_batch(polys: Sequence[UniPoly], tol: float = DEFAULT_TOL) -> list[RootSet]:
     """Roots of every polynomial in one pass; entry k belongs to polys[k].
 
-    Roots come sorted by (real, imag).  A constant row gets a RootSet with
+    Roots come sorted by real part rounded to 1e-9 * (1 + max |root|) of the
+    row, then by imaginary part, so rounding noise in equal real parts
+    cannot reorder them.  A constant row gets a RootSet with
     no roots.  Raises ZeroPolynomialError for a zero row, and
     RootFindingError with payload ``row=k`` for the first row k (in input
     order) whose iteration does not converge.
@@ -371,7 +373,10 @@ def _finish(
         found = list(zip(vals[i].tolist(), mult.tolist(), residuals[i].tolist()))
         if n_zero:
             found.append((0j, n_zero, 0.0))
-        found.sort(key=lambda r: (r[0].real, r[0].imag))
+        # Real parts equal up to rounding noise must compare equal, so the
+        # imaginary part, not the last bits, orders such roots.
+        grid = 1e-9 * (1.0 + max((abs(v) for v, _, _ in found), default=0.0))
+        found.sort(key=lambda r: (round(r[0].real / grid), r[0].imag))
         out.append(
             RootSet(
                 roots=tuple(Root(v, m, r) for v, m, r in found),

@@ -1,5 +1,7 @@
 """Root finding with multiplicities and the reconstruction oracle."""
 
+import cmath
+import math
 import random
 
 import pytest
@@ -131,3 +133,19 @@ def test_batch_matches_each_row_alone():
     assert mults[special[1]] == [3]
     assert mults[special[2]] == [1, 2]
     assert mults[special[3]] == [1, 3]
+
+
+def test_root_order_ignores_rounding_noise():
+    # The roots u-1, u-i, u+i, u+1 of (y-x)^4-1 at x = u: the middle pair has
+    # equal real parts, so a sort on the raw real part orders it by the last bits.
+    rng = random.Random(73)
+    us = [
+        rng.uniform(0.5, 8.0) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        for _ in range(2000)
+    ]
+    phi = parse("(y-x)^4-1")
+    batch = roots_batch([phi.eval_partial(u, "x") for u in us])
+    for u, rs in zip(us, batch):
+        want = [u - 1, u - 1j, u + 1j, u + 1]
+        got = rs.values()
+        assert all(abs(g - w) < 1e-9 * (1 + abs(u)) for g, w in zip(got, want)), (u, got)
