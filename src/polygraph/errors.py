@@ -47,7 +47,7 @@ class ZeroPolynomialError(PolygraphError):
 
 
 class RootFindingError(PolygraphError):
-    """Simultaneous iteration failed to converge; carries the best iterate."""
+    """A row's roots failed the residual check; carries its root estimates."""
 
     def __init__(self, message: str, best=None, **payload):
         super().__init__(message, **payload)

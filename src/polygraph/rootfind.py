@@ -1,23 +1,27 @@
 """All complex roots of univariate polynomials, with multiplicities.
 
 Root finding is batched: `roots_batch` deflates exact zeros at the origin,
-buckets the rows by the degree that remains, and runs Aberth-Ehrlich
-simultaneous iteration on each bucket as one (rows, deg+1) array, from a
-deterministic perturbed-circle start.  Every row keeps its own stopping
-rule, so a row's result does not depend on the other rows of the call;
-`roots` is a batch of one.
+buckets the rows by the degree that remains, and takes the eigenvalues of
+the stacked companion matrices of each bucket in one `eigvals` call
+(LAPACK zgeev, which balances each matrix first; degree 1 has its closed
+form).  Balanced companion eigenvalues are backward stable (Edelman &
+Murakami 1995, Math. Comp. 64), the method of `np.roots`.  Every row is
+checked on its own: it is accepted only if every eigenvalue has residual
+|p| within 64 times the evaluation-noise bound, so a row's result does not
+depend on the other rows of the call; `roots` is a batch of one.
 
-A cluster of m iterates around a multiplicity-m root is only determined to
-accuracy eps**(1/m), so rows whose iterates come close are clustered by
-scoring candidate clusterings on how well the reconstructed product matches
-the input coefficients, and multiple roots are re-polished on the (m-1)-th
-derivative where they are simple again.  Rows whose iterates are all well
-separated skip that search: their clusters are their iterates.  Every root
-then gets multiplicity-corrected Newton steps on the input polynomial.
+A cluster of m eigenvalues around a multiplicity-m root is only determined
+to accuracy eps**(1/m), so rows whose eigenvalues come close are clustered
+by scoring candidate clusterings on how well the reconstructed product
+matches the input coefficients, and multiple roots are re-polished on the
+(m-1)-th derivative where they are simple again.  Rows whose eigenvalues
+are all well separated skip that search: their clusters are their
+eigenvalues.  Every root then gets multiplicity-corrected Newton steps on
+the input polynomial.
 
 Residuals |p(root)| are reported against an evaluation-noise bound derived
-from the standard Horner error estimate, so callers can tell a converged
-root from a stalled iterate.
+from the standard Horner error estimate, so callers can tell an accurate
+root from an inaccurate one.
 """
 
 from __future__ import annotations
@@ -26,14 +30,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.linalg import LinAlgError, eigvals
 
 from .errors import DomainError, RootFindingError, ZeroPolynomialError
 from .unipoly import UniPoly, from_roots as _expand_roots
 
-MAX_ITERS = 200
 DEFAULT_TOL = 1e-12
 POLISH_STEPS = 3
-_START_ANGLE = 0.4
 _EPS = np.finfo(float).eps
 
 
@@ -79,7 +82,8 @@ def roots_batch(polys: Sequence[UniPoly], tol: float = DEFAULT_TOL) -> list[Root
     cannot reorder them.  A constant row gets a RootSet with
     no roots.  Raises ZeroPolynomialError for a zero row, and
     RootFindingError with payload ``row=k`` for the first row k (in input
-    order) whose iteration does not converge.
+    order) that fails the residual check; its ``best`` holds that row's
+    eigenvalues (NaN where LAPACK raised for the row).
     """
     results: list[RootSet | None] = [None] * len(polys)
     buckets: dict[tuple[int, int], list[int]] = {}
@@ -96,15 +100,14 @@ def roots_batch(polys: Sequence[UniPoly], tol: float = DEFAULT_TOL) -> list[Root
     failed: list[tuple[int, np.ndarray]] = []
     for (_, n_zero), ks in buckets.items():
         full = np.array([rows[k] for k in ks])
-        z, bad = _aberth(full[:, n_zero:], tol)
+        z, bad = _eigen_roots(full[:, n_zero:])
         failed += [(ks[i], z[i]) for i in np.flatnonzero(bad)]
         solved.append((ks, full, n_zero, z))
     if failed:
         k, best = min(failed, key=lambda kb: kb[0])
         raise RootFindingError(
-            "simultaneous iteration did not converge",
+            "companion eigenvalues failed the residual check",
             best=[complex(v) for v in best],
-            max_iters=MAX_ITERS,
             row=k,
         )
 
@@ -113,7 +116,7 @@ def roots_batch(polys: Sequence[UniPoly], tol: float = DEFAULT_TOL) -> list[Root
         done = np.flatnonzero(fast)
         var = [polys[ks[i]].var for i in done]
         ones = np.ones(z.shape[1], dtype=int)
-        # + 0.0 turns a -0.0 part into +0.0, as the cluster mean of one iterate does.
+        # + 0.0 turns a -0.0 part into +0.0, as the cluster mean of one eigenvalue does.
         for i, rs in zip(done, _finish(full[fast], z[fast] + 0.0, ones, n_zero, var)):
             results[ks[i]] = rs
         for i in np.flatnonzero(~fast):
@@ -177,63 +180,38 @@ def _reconstruction_error(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.max(np.abs(prod - c), axis=1) / np.max(np.abs(c), axis=1)
 
 
-# -- Aberth-Ehrlich core ------------------------------------------------------
+# -- companion-matrix eigenvalues ----------------------------------------------
 
 
-def _aberth(c: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Iterates (rows, n) and a per-row failure mask for the rows of c.
+def _eigen_roots(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots (rows, n) and a per-row failure mask for the rows of c.
 
-    A row leaves the iteration once every root has |corr| < tol*(1+|z|) or
-    |p| <= 4*noise; a row still running after MAX_ITERS is accepted only if
-    every residual is within 64*noise.
+    A row fails unless every root has |p| within 64*noise; a row whose
+    coefficients overflow the companion matrix gets NaN roots and fails.
     """
     rows, n = c.shape[0], c.shape[1] - 1
-    failed = np.zeros(rows, dtype=bool)
-    if n == 0:
-        return np.empty((rows, 0), dtype=complex), failed
-    if n == 1:
-        return -c[:, :1] / c[:, 1:], failed
-    radius = 1.0 + np.max(np.abs(c[:, :-1]), axis=1) / np.abs(c[:, -1])  # Cauchy bound
-    angles = 2.0 * np.pi * np.arange(n) / n + _START_ANGLE
-    z = radius[:, None] * np.exp(1j * angles)
-    diag = np.arange(n)
-    live = np.arange(rows)
-    zl, cl, dcl = z, c, _derivative(c)
-    settled = np.zeros((rows, n), dtype=bool)
-    for _ in range(MAX_ITERS):
-        pv = _horner(cl, zl)
-        dv = _horner(dcl, zl)
-        dead = dv == 0
-        if np.any(dead):
-            zl = np.where(dead, zl * (1 + 1e-8) + 1e-8, zl)
-            pv = _horner(cl, zl)
-            dv = _horner(dcl, zl)
-        w = pv / dv
-        diff = zl[:, :, None] - zl[:, None, :]
-        diff[:, diag, diag] = 1.0
-        inv = 1.0 / diff
-        inv[:, diag, diag] = 0.0
-        s = inv.sum(axis=2)
-        denom = 1.0 - w * s
-        small = np.abs(denom) < 1e-12
-        corr = np.where(small, w, w / np.where(small, 1.0, denom))
-        corr = np.where(settled, 0.0, corr)
-        zl = zl - corr
-        settled = (np.abs(corr) < tol * (1.0 + np.abs(zl))) | (
-            np.abs(pv) <= 4.0 * _noise(cl, np.abs(zl))
-        )
-        done = settled.all(axis=1)
-        if done.any():
-            z[live[done]] = zl[done]
-            keep = ~done
-            live, zl, cl, dcl, settled = live[keep], zl[keep], cl[keep], dcl[keep], settled[keep]
-            if live.size == 0:
-                return z, failed
-    # Accept a stalled row only if every residual sits at noise level.
-    z[live] = zl
-    stalled = np.abs(_horner(cl, zl)) <= 64.0 * _noise(cl, np.abs(zl))
-    failed[live] = ~stalled.all(axis=1)
-    return z, failed
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n == 0:
+            z = np.empty((rows, 0), dtype=complex)
+        elif n == 1:
+            z = -c[:, :1] / c[:, 1:]
+        else:
+            comp = np.zeros((rows, n, n), dtype=complex)
+            comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+            comp[:, 0, :] = -c[:, -2::-1] / c[:, -1:]
+            z = _eigvals(comp)
+        ok = np.abs(_horner(c, z)) <= 64.0 * _noise(c, np.abs(z))
+    return z, ~ok.all(axis=1)
+
+
+def _eigvals(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of each matrix of the stack m; NaN for one LAPACK rejects."""
+    try:
+        return eigvals(m)
+    except LinAlgError:
+        if len(m) == 1:
+            return np.full(m.shape[:2], np.nan, dtype=complex)
+        return np.concatenate([_eigvals(m[i : i + 1]) for i in range(len(m))])
 
 
 # -- multiplicity clustering and polishing -------------------------------------
@@ -244,9 +222,9 @@ def _cluster_base(tol: float) -> float:
 
 
 def _separated(z: np.ndarray, tol: float) -> np.ndarray:
-    """Rows whose iterates are farther apart than any cluster radius.
+    """Rows whose eigenvalues are farther apart than any cluster radius.
 
-    For such a row `_best_clustering` returns the iterates as singletons,
+    For such a row `_best_clustering` returns the eigenvalues as singletons,
     because no candidate radius base**(1/m) * (1 + max|z|) joins two of them.
     """
     n = z.shape[1]

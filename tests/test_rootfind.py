@@ -4,10 +4,11 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
-from polygraph import parse, poly_from_roots, roots, roots_batch
-from polygraph.errors import DomainError, ZeroPolynomialError
+from polygraph import analyze, parse, poly_from_roots, rootfind, roots, roots_batch
+from polygraph.errors import DomainError, RootFindingError, ZeroPolynomialError
 from polygraph.synthesis import FiniteDigraph, digraph_to_poly
 from polygraph.unipoly import UniPoly, from_roots
 
@@ -149,3 +150,56 @@ def test_root_order_ignores_rounding_noise():
         want = [u - 1, u - 1j, u + 1j, u + 1]
         got = rs.values()
         assert all(abs(g - w) < 1e-9 * (1 + abs(u)) for g, w in zip(got, want)), (u, got)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_synthesized_circulant_singular_polynomials(n):
+    # E, S = L*D*E and S's squarefree part of the 2-regular circulant with
+    # steps 1 and 2 (degrees 10 to 38, close and multiple roots).
+    arcs = [(i, (i + s) % n) for i in range(n) for s in (1, 2)]
+    report = analyze(digraph_to_poly(FiniteDigraph.on_integers(n, arcs)))
+    S = report.S
+    for p in (report.E, S, S.divexact(S.gcd(S.derivative()))):
+        rs = roots(p)
+        assert rs.total_multiplicity() == p.degree
+        assert max(r.residual for r in rs.roots) <= 64 * rs.residual_bound
+
+
+def _four_quartics():
+    rng = random.Random(5)
+    return [
+        from_roots([complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(4)], 1.0, "y")
+        for _ in range(4)
+    ]
+
+
+def test_first_row_failing_the_residual_check_is_reported(monkeypatch):
+    def corrupt_row_2(m):
+        z = np.linalg.eigvals(m)
+        if len(m) == 4:
+            z[2] += 0.1
+        return z
+
+    monkeypatch.setattr(rootfind, "eigvals", corrupt_row_2)
+    with pytest.raises(RootFindingError) as info:
+        roots_batch(_four_quartics())
+    assert info.value.payload["row"] == 2
+    assert info.value.best is not None and len(info.value.best) == 4
+
+
+def test_linalg_error_maps_to_root_finding_error(monkeypatch):
+    rows = _four_quartics()
+    # Row 1 is monic, so the first row of its companion matrix is -c[n-1..0].
+    rejected = -np.array(rows[1].coeffs[-2::-1], dtype=complex)
+
+    def reject_row_1(m):
+        if any(np.array_equal(a[0], rejected) for a in m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return np.linalg.eigvals(m)
+
+    monkeypatch.setattr(rootfind, "eigvals", reject_row_1)
+    with pytest.raises(RootFindingError) as info:
+        roots_batch(rows)
+    # The stack is retried row by row, so row 0 passes and row 1 is reported.
+    assert info.value.payload["row"] == 1
+    assert info.value.best is not None
