@@ -19,7 +19,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -34,6 +33,7 @@ from .scalars import GR_ONE, GR_ZERO, is_exact, require_finite, square_and_multi
 from .unipoly import (
     TRIM_REL,
     UniPoly,
+    cached,
     _gz_clear,
     _gz_eval,
     _gz_interpolate,
@@ -101,7 +101,7 @@ class BiPoly:
     def total_degree(self) -> int:
         return max((i + j for i, j in self.coeffs), default=-1)
 
-    @cached_property
+    @cached
     def mode(self) -> str:
         return "exact" if all(is_exact(v) for v in self.coeffs.values()) else "float"
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -29,6 +28,26 @@ from .scalars import GR_ONE, GR_ZERO, GaussRat, is_exact, require_finite, square
 # Float coefficients below this fraction of the largest one are treated as
 # arithmetic debris and trimmed from the leading end.
 TRIM_REL = 1e-12
+
+
+class cached:
+    """A lock-free cached property for frozen dataclasses.
+
+    A non-data descriptor: the first read stores the value in the instance
+    __dict__, which later reads find before the descriptor.  Unlike
+    functools.cached_property it takes no lock (Python 3.10 and 3.11 take
+    an RLock on every first read).
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 def _trim(coeffs: list, exact_mode: bool) -> tuple:
@@ -83,7 +102,7 @@ class UniPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @cached_property
+    @cached
     def mode(self) -> str:
         return "exact" if all(is_exact(c) for c in self.coeffs) else "float"
 

@@ -44,6 +44,15 @@ class TestParse:
     def test_decimal_switches_to_float(self):
         assert parse("0.5*x*y - 1").mode == "float"
 
+    def test_mode_is_stored_on_first_read_and_kept_out_of_equality(self):
+        for p, q in [
+            (parse("x*y + 1"), parse("x*y + 1")),
+            (UniPoly.make([gr(1), gr(2)], "y"), UniPoly.make([gr(1), gr(2)], "y")),
+        ]:
+            assert "mode" not in vars(p)
+            assert p.mode == "exact" and vars(p)["mode"] == "exact"
+            assert p == q and "mode" not in vars(q)
+
     def test_syntax_error_position(self):
         with pytest.raises(ParseError) as err:
             parse("x^2 + @")
