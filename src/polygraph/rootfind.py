@@ -1,27 +1,19 @@
 """All complex roots of univariate polynomials, with multiplicities.
 
-Root finding is batched: `roots_batch` deflates exact zeros at the origin,
-buckets the rows by the degree that remains, and takes the eigenvalues of
-the stacked companion matrices of each bucket in one `eigvals` call
-(LAPACK zgeev, which balances each matrix first; degree 1 has its closed
-form).  Balanced companion eigenvalues are backward stable (Edelman &
-Murakami 1995, Math. Comp. 64), the method of `np.roots`.  Every row is
-checked on its own: it is accepted only if every eigenvalue has residual
-|p| within 64 times the evaluation-noise bound, so a row's result does not
-depend on the other rows of the call; `roots` is a batch of one.
+`roots_batch` deflates exact zeros at the origin, buckets the rows by the
+degree that remains and takes the eigenvalues of each bucket's stacked
+companion matrices in one `eigvals` call (LAPACK zgeev balances them first;
+the method of `np.roots`, backward stable by Edelman & Murakami 1995).  A
+row is accepted only if every eigenvalue's residual is within 64 times the
+evaluation-noise bound, so a row's result does not depend on the other
+rows of the call; `roots` is a batch of one.
 
-A cluster of m eigenvalues around a multiplicity-m root is only determined
-to accuracy eps**(1/m), so rows whose eigenvalues come close are clustered
-by scoring candidate clusterings on how well the reconstructed product
-matches the input coefficients, and multiple roots are re-polished on the
-(m-1)-th derivative where they are simple again.  Rows whose eigenvalues
-are all well separated skip that search: their clusters are their
-eigenvalues.  Every root then gets multiplicity-corrected Newton steps on
-the input polynomial.
-
-Residuals |p(root)| are reported against an evaluation-noise bound derived
-from the standard Horner error estimate, so callers can tell an accurate
-root from an inaccurate one.
+A multiplicity-m root comes out as a cluster of eigenvalues of radius about
+eps**(1/m).  Rows with close eigenvalues are clustered by how well the
+reconstructed product matches the input coefficients, and each multiple
+root is re-polished on the (m-1)-th derivative, where it is simple.  Every
+root then gets multiplicity-corrected Newton steps, and residuals |p(root)|
+are reported against a Horner evaluation-noise bound.
 """
 
 from __future__ import annotations
@@ -79,11 +71,11 @@ def roots_batch(polys: Sequence[UniPoly], tol: float = DEFAULT_TOL) -> list[Root
 
     Roots come sorted by real part rounded to 1e-9 * (1 + max |root|) of the
     row, then by imaginary part, so rounding noise in equal real parts
-    cannot reorder them.  A constant row gets a RootSet with
-    no roots.  Raises ZeroPolynomialError for a zero row, and
-    RootFindingError with payload ``row=k`` for the first row k (in input
-    order) that fails the residual check; its ``best`` holds that row's
-    eigenvalues (NaN where LAPACK raised for the row).
+    cannot reorder them.  A constant row gets a RootSet with no roots.
+    Raises ZeroPolynomialError for a zero row, and RootFindingError with
+    payload ``row=k`` for the first row k (in input order) that fails the
+    residual check; its ``best`` holds that row's eigenvalues (NaN where
+    LAPACK rejected the row).
     """
     results: list[RootSet | None] = [None] * len(polys)
     buckets: dict[tuple[int, int], list[int]] = {}
@@ -186,15 +178,14 @@ def _reconstruction_error(c: np.ndarray, z: np.ndarray) -> np.ndarray:
 def _eigen_roots(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Roots (rows, n) and a per-row failure mask for the rows of c.
 
-    A row fails unless every root has |p| within 64*noise; a row whose
-    coefficients overflow the companion matrix gets NaN roots and fails.
+    A row fails unless every root has |p| within 64*noise; a row LAPACK
+    rejects (say, one whose coefficients overflow the companion matrix)
+    gets NaN roots and fails.
     """
     rows, n = c.shape[0], c.shape[1] - 1
     with np.errstate(over="ignore", invalid="ignore"):
-        if n == 0:
-            z = np.empty((rows, 0), dtype=complex)
-        elif n == 1:
-            z = -c[:, :1] / c[:, 1:]
+        if n <= 1:  # no roots, or the closed form of degree 1
+            z = -c[:, :n] / c[:, n:]
         else:
             comp = np.zeros((rows, n, n), dtype=complex)
             comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0

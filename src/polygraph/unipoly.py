@@ -31,13 +31,9 @@ TRIM_REL = 1e-12
 
 
 class cached:
-    """A lock-free cached property for frozen dataclasses.
-
-    A non-data descriptor: the first read stores the value in the instance
-    __dict__, which later reads find before the descriptor.  Unlike
-    functools.cached_property it takes no lock (Python 3.10 and 3.11 take
-    an RLock on every first read).
-    """
+    """Lock-free cached property: the first read stores the value in the
+    instance __dict__, where later reads find it before this non-data
+    descriptor (functools.cached_property locks on Python 3.10 and 3.11)."""
 
     def __init__(self, func):
         self.func = func

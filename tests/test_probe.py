@@ -24,7 +24,7 @@ def test_probe_analyzes_once(monkeypatch):
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_probe_synthesized_circulant(n):
     # The 2-regular circulant with steps 1 and 2: S = L*D*E has degree 22 to
-    # 38 and many multiple roots, too much for one simultaneous iteration.
+    # 38 and many multiple roots.
     arcs = [(i, (i + s) % n) for i in range(n) for s in (1, 2)]
     phi = digraph_to_poly(FiniteDigraph.on_integers(n, arcs))
     S = analyzer.analyze(phi).S
