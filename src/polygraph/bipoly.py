@@ -89,11 +89,11 @@ class BiPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
+    @cached
     def deg_x(self) -> int:
         return max((i for i, _ in self.coeffs), default=-1)
 
-    @property
+    @cached
     def deg_y(self) -> int:
         return max((j for _, j in self.coeffs), default=-1)
 

@@ -166,10 +166,11 @@ def _expand(lead: np.ndarray, z: np.ndarray) -> np.ndarray:
     return prod
 
 
-def _reconstruction_error(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Relative coefficient mismatch of c[:, -1] * prod (x - z) against c."""
+def _reconstruction_error(c: np.ndarray, z: np.ndarray, n_zero: int = 0) -> np.ndarray:
+    """Relative coefficient mismatch of c[:, -1] * x**n_zero * prod (x - z)
+    against c, whose n_zero low coefficients are exactly 0."""
     prod = _expand(c[:, -1], z)
-    return np.max(np.abs(prod - c), axis=1) / np.max(np.abs(c), axis=1)
+    return np.max(np.abs(prod - c[:, n_zero:]), axis=1) / np.max(np.abs(c), axis=1)
 
 
 # -- companion-matrix eigenvalues ----------------------------------------------
@@ -322,6 +323,8 @@ def _polish(c: np.ndarray, z: np.ndarray, mult: np.ndarray) -> tuple[np.ndarray,
             best = np.where(going, cur, best)
             best_val = np.where(going, val, best_val)
             pv = np.where(going, pv_cur, pv)
+            if not going.any():
+                break
     return best, best_val
 
 
@@ -335,26 +338,27 @@ def _finish(
     """
     vals, residuals = _polish(full, z, mult)
     bounds = np.max(_noise(full, np.abs(vals)), axis=1, initial=1e-300)
-    flat = np.repeat(vals, mult, axis=1)
-    recon = _reconstruction_error(full, np.pad(flat, ((0, 0), (0, n_zero))))
-    out = []
-    for i in range(len(full)):
-        found = list(zip(vals[i].tolist(), mult.tolist(), residuals[i].tolist()))
-        if n_zero:
-            found.append((0j, n_zero, 0.0))
-        # Real parts equal up to rounding noise must compare equal, so the
-        # imaginary part, not the last bits, orders such roots.
-        grid = 1e-9 * (1.0 + max((abs(v) for v, _, _ in found), default=0.0))
-        found.sort(key=lambda r: (round(r[0].real / grid), r[0].imag))
-        out.append(
-            RootSet(
-                roots=tuple(Root(v, m, r) for v, m, r in found),
-                residual_bound=float(bounds[i]),
-                reconstruction_error=float(recon[i]),
-                degree=full.shape[1] - 1,
-                lead=complex(full[i, -1]),
-                var=var[i],
-            )
+    recon = _reconstruction_error(full, np.repeat(vals, mult, axis=1), n_zero)
+    if n_zero:
+        vals = np.pad(vals, ((0, 0), (0, 1)))
+        residuals = np.pad(residuals, ((0, 0), (0, 1)))
+        mult = np.append(mult, n_zero)
+    # Real parts equal up to rounding noise must compare equal, so the
+    # imaginary part, not the last bits, orders such roots.
+    grid = 1e-9 * (1.0 + np.max(np.abs(vals), axis=1, initial=0.0))
+    order = np.lexsort((vals.imag, np.rint(vals.real / grid[:, None])))
+    vals = np.take_along_axis(vals, order, axis=1).tolist()
+    residuals = np.take_along_axis(residuals, order, axis=1).tolist()
+    mults = mult[order].tolist()
+    degree = full.shape[1] - 1
+    return [
+        RootSet(
+            roots=tuple(map(Root, vals[i], mults[i], residuals[i])),
+            residual_bound=float(bounds[i]),
+            reconstruction_error=float(recon[i]),
+            degree=degree,
+            lead=complex(full[i, -1]),
+            var=var[i],
         )
-    return out
-
+        for i in range(len(full))
+    ]
