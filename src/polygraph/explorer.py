@@ -8,7 +8,11 @@ inputs give identical graphs.
 The BFS is level-synchronous: the rows Phi(u, y) and/or Phi(x, u) of every
 vertex of a level go to one batched root-finding call, and the neighbors
 are then materialized in the order a vertex-at-a-time BFS would meet them,
-so ids, dedup and budget cut-offs are those of that BFS.
+so ids, dedup and budget cut-offs are those of that BFS.  A probe's seeds
+are explored in lockstep: each level batches the rows of every seed's
+sweep into that one call.  A row's roots do not depend on the other rows
+of the call, so each graph, and each error, is what exploring its seed
+alone gives.
 
 Weak components alternate out- and in-neighbors; strong components run a
 forward sweep and, only if that sweep hits the budget, a backward one.  The
@@ -187,28 +191,26 @@ _AXES = {"weak": ("x", "y"), "fwd": ("x",), "bwd": ("y",)}
 
 
 class _Sweep:
-    """Shared level-synchronous BFS machinery for weak/forward/backward exploration."""
+    """One level-synchronous BFS from a seed over weak, forward or backward arcs.
 
-    def __init__(self, phi: BiPoly, budget: Budget, table: _VertexTable):
-        self.phi = phi.to_float()
+    `_explore` advances it one level at a time: `level_rows` builds the rows
+    of the current level and `materialize_rows` records their roots as
+    vertices and arcs.  phi is a float BiPoly.
+    """
+
+    def __init__(self, phi: BiPoly, budget: Budget, table: _VertexTable, seed_id: int,
+                 direction: str):
+        self.phi = phi
         self.budget = budget
         self.table = table
+        self.seed_id = seed_id
+        self.axes = _AXES[direction]
+        self.level = [seed_id]
+        self.enqueued = {seed_id}
         self.out_arcs: dict[int, list[tuple[int, int]]] = {}
         self.in_arcs_seen: dict[tuple[int, int], int] = {}
         self.expanded: set[int] = set()
         self.truncated = False
-
-    def run(self, seed_id: int, direction: str):
-        axes = _AXES[direction]
-        level = [seed_id]
-        enqueued = {seed_id}
-        for _depth in range(self.budget.max_depth):
-            targets = self._expand_level(seed_id, level, axes)
-            level = [wid for wid in dict.fromkeys(targets) if wid not in enqueued]
-            enqueued.update(level)
-            if not level:
-                return
-        self.truncated = True
 
     def arcs(self) -> list[tuple[int, int, int]]:
         """Recorded arcs (from, to, mult).  Out-arcs are authoritative; a
@@ -219,41 +221,34 @@ class _Sweep:
         ]
         return arcs
 
-    def _expand_level(self, seed_id: int, level: list[int], axes) -> list[int]:
-        """Expand every vertex of level; returns their targets in BFS order."""
+    def graph(self, truncated: bool) -> ExploredDigraph:
+        """Every vertex of the table with the recorded arcs."""
+        n = len(self.table.values)
+        return _graph(
+            self.table.values, self.arcs(), range(n), self.seed_id, truncated,
+            frontier=set(range(n)) - self.expanded,
+        )
+
+    def level_rows(self):
+        """Rows of the current level in BFS order, their (vid, axis) owners,
+        and the UniversalVertexError of the first vertex with a vanishing row.
+
+        The rows stop at that vertex; the error is raised once the vertices
+        before it are expanded, as a vertex-at-a-time BFS would.
+        """
         rows, owners = [], []
-        deferred = None
-        for vid in level:
+        for vid in self.level:
             u = self.table.values[vid]
             try:
-                for axis in axes:
+                for axis in self.axes:
                     rows.append(_row(self.phi, u, axis))
                     owners.append((vid, axis))
             except UniversalVertexError as exc:
-                # Raised once the vertices before this one are expanded, as a
-                # vertex-at-a-time BFS would.
-                deferred = exc
-                break
-        try:
-            root_sets = roots_batch(rows)
-        except RootFindingError as exc:
-            k = exc.payload["row"]
-            self._materialize_rows(owners[:k], roots_batch(rows[:k]), axes)
-            values = self.table.values
-            raise ExplorationError(
-                "root finding failed during exploration",
-                partial=_graph(
-                    values, self.arcs(), range(len(values)), seed_id, True,
-                    frontier=set(range(len(values))) - self.expanded,
-                ),
-                vertex=str(values[owners[k][0]]),
-            ) from exc
-        targets = self._materialize_rows(owners, root_sets, axes)
-        if deferred is not None:
-            raise deferred
-        return targets
+                return rows, owners, exc
+        return rows, owners, None
 
-    def _materialize_rows(self, owners, root_sets, axes) -> list[int]:
+    def materialize_rows(self, owners, root_sets) -> list[int]:
+        """Record the roots of the rows of owners; returns their targets in BFS order."""
         targets: list[int] = []
         for (vid, axis), rs in zip(owners, root_sets):
             ids = []
@@ -270,7 +265,7 @@ class _Sweep:
                     # Provisional: arc multiplicity is authoritative from the
                     # out side; replaced when/if wid itself is expanded.
                     self.in_arcs_seen[(wid, vid)] = mult
-            if axis == axes[-1]:
+            if axis == self.axes[-1]:
                 self.expanded.add(vid)
         return targets
 
@@ -282,6 +277,62 @@ class _Sweep:
             self.truncated = True
             return None
         return self.table.add(val)
+
+
+def _explore(sweeps: list[_Sweep], max_depth: int) -> None:
+    """Run the sweeps, one roots_batch call per level for all of them.
+
+    Each level batches the rows of every live sweep in list order.  A row's
+    roots do not depend on the other rows of the call, so every sweep ends
+    as it would alone.  Errors are those of running the sweeps one after
+    another: the first sweep in list order that fails decides the
+    exception, the sweeps after it stop, and the ones before it run on,
+    because one of them may still fail at a later level.
+    """
+    failure: tuple[int, Exception] | None = None
+    live = list(range(len(sweeps)))
+    for _depth in range(max_depth):
+        rows, parts = [], []
+        for i in live:
+            try:
+                own_rows, owners, deferred = sweeps[i].level_rows()
+            except Exception as exc:
+                failure = (i, exc)
+                break
+            parts.append((i, owners, deferred, len(rows)))
+            rows += own_rows
+        try:
+            root_sets, bad = roots_batch(rows), None
+        except RootFindingError as exc:
+            # The rows before the failing one are good: solve them alone.
+            root_sets, bad = roots_batch(rows[: exc.payload["row"]]), exc
+        for i, owners, deferred, start in parts:
+            sweep = sweeps[i]
+            done = root_sets[start : start + len(owners)]
+            targets = sweep.materialize_rows(owners, done)
+            if len(done) < len(owners):
+                error = ExplorationError(
+                    "root finding failed during exploration",
+                    partial=sweep.graph(truncated=True),
+                    vertex=str(sweep.table.values[owners[len(done)][0]]),
+                )
+                error.__cause__ = bad
+            elif deferred is not None:
+                error = deferred
+            else:
+                sweep.level = [w for w in dict.fromkeys(targets) if w not in sweep.enqueued]
+                sweep.enqueued.update(sweep.level)
+                continue
+            failure = (i, error)
+            break
+        live = [i for i in live if sweeps[i].level and (failure is None or i < failure[0])]
+        if not live:
+            break
+    else:
+        for i in live:
+            sweeps[i].truncated = True
+    if failure is not None:
+        raise failure[1]
 
 
 def _graph(values, arcs, keep, seed_id: int, truncated: bool, frontier=()) -> ExploredDigraph:
@@ -322,28 +373,35 @@ def explore_component(phi: BiPoly, seed: complex, budget: Budget = Budget()) -> 
 
 def _weak_component(phi: BiPoly, seed: complex, budget: Budget) -> ExploredDigraph:
     """explore_component's BFS, for callers that have checked that phi is standard."""
-    table = _VertexTable(budget.dedup_eps)
-    seed_id = table.add(complex(seed))
-    sweep = _Sweep(phi, budget, table)
-    sweep.run(seed_id, "weak")
-    n = len(table.values)
-    return _graph(
-        table.values, sweep.arcs(), range(n), seed_id, sweep.truncated,
-        frontier=set(range(n)) - sweep.expanded,
-    )
+    return _weak_components(phi, [seed], budget)[0]
+
+
+def _weak_components(phi: BiPoly, seeds, budget: Budget) -> list[ExploredDigraph]:
+    """Weak components of the seeds, explored in lockstep; phi must be standard.
+
+    Graphs and errors are those of [_weak_component(phi, u, budget) for u in seeds].
+    """
+    phi = phi.to_float()
+    sweeps = []
+    for u in seeds:
+        table = _VertexTable(budget.dedup_eps)
+        sweeps.append(_Sweep(phi, budget, table, table.add(complex(u)), "weak"))
+    _explore(sweeps, budget.max_depth)
+    return [s.graph(s.truncated) for s in sweeps]
 
 
 def explore_strong_component(phi: BiPoly, seed: complex, budget: Budget = Budget()) -> ExploredDigraph:
     """Strong component of the seed, exact when a directed sweep closes."""
     require_standard(analyze(phi))
+    phi = phi.to_float()
     table = _VertexTable(budget.dedup_eps)
     seed_id = table.add(complex(seed))
-    fwd = sweep = _Sweep(phi, budget, table)
-    fwd.run(seed_id, "fwd")
+    fwd = sweep = _Sweep(phi, budget, table, seed_id, "fwd")
+    _explore([fwd], budget.max_depth)
     if fwd.truncated:
-        sweep = _Sweep(phi, budget, table)
+        sweep = _Sweep(phi, budget, table, seed_id, "bwd")
         sweep.out_arcs = fwd.out_arcs  # share definitively recorded out-arcs
-        sweep.run(seed_id, "bwd")
+        _explore([sweep], budget.max_depth)
     arcs = sweep.arcs()
     comp = _reach(seed_id, arcs) & _reach(seed_id, [(t, f, m) for f, t, m in arcs])
     return _graph(table.values, arcs, comp, seed_id, truncated=fwd.truncated)

@@ -1,7 +1,8 @@
 """Empirical probe of the all-components-isomorphic conjecture.
 
 Samples seeds from an annulus, rejects those near singular vertices,
-explores each weak component, classifies it, and compares the closed ones
+explores the seeds' weak components in lockstep (one root-finding call per
+BFS level for all seeds), classifies them, and compares the closed ones
 pairwise.  This gathers evidence only; a probe can refute the conjecture
 (all_isomorphic = False with reproduction data) but never prove it.
 """
@@ -20,7 +21,7 @@ from .explorer import (
     ExploredDigraph,
     Shape,
     ShapeLabel,
-    _weak_component,
+    _weak_components,
     classify,
     is_isomorphic,
 )
@@ -91,7 +92,7 @@ def probe_conjecture(
         if all(abs(u - s) > margin for s in singular):
             seeds.append(u)
 
-    graphs = [_weak_component(phi, u, budget) for u in seeds]
+    graphs = _weak_components(phi, seeds, budget)
 
     labels = [classify(g) for g in graphs]
     truncated_count = sum(1 for g in graphs if g.truncated)

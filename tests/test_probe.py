@@ -1,10 +1,20 @@
-"""Conjecture probes: one analysis per probe, synthesized inputs."""
+"""Conjecture probes: one analysis per probe, synthesized inputs, lockstep seeds."""
+
+import math
+from collections import deque
 
 import pytest
 
-from polygraph import Budget, FiniteDigraph, digraph_to_poly, parse, probe_conjecture
+from polygraph import Budget, FiniteDigraph, QuadSym, digraph_to_poly, parse, probe_conjecture
 from polygraph import analyzer, explorer, singular_vertex_values
 from polygraph import probe as probe_module
+from polygraph.bipoly import in_poly
+from polygraph.errors import (
+    EvaluationOverflow,
+    ExplorationError,
+    RootFindingError,
+    UniversalVertexError,
+)
 
 
 def test_probe_analyzes_once(monkeypatch):
@@ -32,3 +42,110 @@ def test_probe_synthesized_circulant(n):
     assert len(singular_vertex_values(phi)) == squarefree.degree
     result = probe_conjecture(phi, n_seeds=2, budget=Budget(30, 5))
     assert len(result.graphs) == 2
+
+
+# -- lockstep exploration of a probe's seeds ------------------------------------
+
+GRID = parse("(y-x)^4-1")
+GRID_BUDGET = Budget(max_vertices=60, max_depth=6)
+# Vertex 7 of a grid sweep sits mid-way through level 2 (ids 5..12) and
+# vertex 2 in level 1, so seed 3 fails a level before seed 1 does.
+FAILING = {1: 7, 3: 2}
+
+
+def _grid_probe():
+    return probe_conjecture(GRID, n_seeds=4, budget=GRID_BUDGET, rng_seed=3)
+
+
+@pytest.fixture(scope="module")
+def grid_seeds():
+    """The probe's seeds and the value of the FAILING vertex of each seed, unpatched."""
+    result = _grid_probe()
+    return result.seeds, {s: result.graphs[s].value(vid) for s, vid in FAILING.items()}
+
+
+def test_root_failure_is_the_first_failing_seeds(monkeypatch, grid_seeds):
+    seeds, values = grid_seeds
+    phi = GRID.to_float()
+    bad_rows = {in_poly(phi, v): s for s, v in values.items()}
+    real = explorer.roots_batch
+    hit = []
+
+    def failing(rows):
+        # Decided by each row's coefficients alone, as roots_batch is row-independent.
+        for k, row in enumerate(rows):
+            if row in bad_rows:
+                hit.append(bad_rows[row])
+                raise RootFindingError("injected", row=k)
+        return real(rows)
+
+    monkeypatch.setattr(explorer, "roots_batch", failing)
+    with pytest.raises(ExplorationError) as lockstep:
+        _grid_probe()
+    # Seed 3 failed a level earlier; seeds 0 to 2 ran on and seed 1 failed.
+    assert hit == [3, 1]
+    with pytest.raises(ExplorationError) as alone:
+        explorer._weak_component(GRID, seeds[1], GRID_BUDGET)
+    assert str(lockstep.value) == str(alone.value)
+    assert lockstep.value.payload == alone.value.payload == {"vertex": str(values[1])}
+    assert lockstep.value.partial == alone.value.partial
+    assert lockstep.value.partial.order > 5
+
+
+@pytest.mark.parametrize("error", [UniversalVertexError, EvaluationOverflow])
+def test_row_error_is_the_first_failing_seeds(monkeypatch, grid_seeds, error):
+    # UniversalVertexError is raised once the vertices before it are
+    # expanded; any other error stops its sweep at once.
+    seeds, values = grid_seeds
+    failing_at = {v: s for s, v in values.items()}
+    real = explorer.in_poly
+    hit = []
+
+    def in_poly_failing(phi, v):
+        if v in failing_at:
+            hit.append(failing_at[v])
+            raise error("injected", vertex=str(v))
+        return real(phi, v)
+
+    monkeypatch.setattr(explorer, "in_poly", in_poly_failing)
+    with pytest.raises(error) as lockstep:
+        _grid_probe()
+    assert hit == [3, 1]
+    with pytest.raises(error) as alone:
+        explorer._weak_component(GRID, seeds[1], GRID_BUDGET)
+    assert str(lockstep.value) == str(alone.value)
+    assert lockstep.value.payload == alone.value.payload == {"vertex": str(values[1])}
+
+
+def _levels(g) -> int:
+    """BFS levels of a weak sweep that closed: 1 + the seed's eccentricity."""
+    nb = {}
+    for f, t, _ in g.arcs:
+        nb.setdefault(f, set()).add(t)
+        nb.setdefault(t, set()).add(f)
+    dist = {g.seed_id: 0}
+    queue = deque([g.seed_id])
+    while queue:
+        v = queue.popleft()
+        for w in nb.get(v, ()):
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return 1 + max(dist.values())
+
+
+def test_probe_makes_one_root_call_per_level(monkeypatch):
+    # The symmetric quadratic with cosine witness (5, 1): every component is a 10-cycle.
+    phi = QuadSym(2 * math.cos(2 * math.pi / 5), 0.0, 1.0).as_bipoly()
+    real = explorer.roots_batch
+    calls = []
+
+    def counting(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(explorer, "roots_batch", counting)
+    result = probe_conjecture(phi, n_seeds=5, budget=Budget(200, 40), rng_seed=19)
+    assert result.truncated_count == 0
+    assert all(g.order == 10 for g in result.graphs)
+    assert len(calls) == max(_levels(g) for g in result.graphs) == 6
