@@ -142,16 +142,16 @@ def _common_root_poly(polys: list[UniPoly], unc: _Uncertainty) -> UniPoly:
     if probe.degree == 0:
         return UniPoly.make([1.0], probe.var)
     common = []
-    for r in find_roots(probe).roots:
+    for v in find_roots(probe).values():
         vals = []
         for q in polys:
-            scale = q.coeff_scale() * (1.0 + abs(r.value)) ** max(q.degree, 0)
-            vals.append(abs(complex(q.eval(r.value))) / max(scale, 1e-300))
+            scale = q.coeff_scale() * (1.0 + abs(v)) ** max(q.degree, 0)
+            vals.append(abs(complex(q.eval(v))) / max(scale, 1e-300))
         worst = max(vals)
         if _ZERO_REL / _UNCERTAIN_BAND < worst <= _ZERO_REL * _UNCERTAIN_BAND:
             unc.flagged = True
         if worst <= _ZERO_REL:
-            common.append(r.value)
+            common.append(v)
     if not common:
         return UniPoly.make([1.0], probe.var)
     return from_roots(common, 1.0, probe.var)
@@ -249,14 +249,13 @@ def singular_inventory(
 
     loops: list[tuple[complex, int]] = []
     if report.L.degree > 0:
-        for r in find_roots(report.L).roots:
-            u = r.value
+        for u in find_roots(report.L).values():
             mult = 0
             row = pf.eval_partial(u, "x")
             if not row.is_zero and row.degree >= 1:
-                for rr in find_roots(row).roots:
-                    if abs(rr.value - u) <= tol * (1.0 + abs(u)):
-                        mult += rr.multiplicity
+                for v, m in find_roots(row).with_multiplicity():
+                    if abs(v - u) <= tol * (1.0 + abs(u)):
+                        mult += m
             loops.append((u, max(mult, 1)))
 
     a_d = pf.coeff_polys("y")[pf.deg_y]
@@ -267,8 +266,7 @@ def singular_inventory(
         multi: list[complex] = []
         if res_poly.degree <= 0:
             return defective, multi
-        for r in find_roots(res_poly).roots:
-            u = r.value
+        for u in find_roots(res_poly).values():
             lead_scale = max(lead.coeff_scale(), 1e-300) * (1.0 + abs(u)) ** max(
                 lead.degree, 0
             )
@@ -276,7 +274,7 @@ def singular_inventory(
                 defective.append(u)
             row = pf.eval_partial(u, axis)
             if not row.is_zero and row.degree >= 1:
-                if any(rr.multiplicity >= 2 for rr in find_roots(row).roots):
+                if max(find_roots(row).multiplicities) >= 2:
                     multi.append(u)
         return defective, multi
 
@@ -306,9 +304,9 @@ def singular_vertex_values(phi: BiPoly, report: StandardReport | None = None) ->
             continue
         if p.mode == "exact":
             p = p.divexact(p.gcd(p.derivative()))
-        for r in find_roots(p).roots:
-            if all(abs(r.value - v) > 1e-6 * (1 + abs(v)) for v in vals):
-                vals.append(r.value)
+        for u in find_roots(p).values():
+            if all(abs(u - v) > 1e-6 * (1 + abs(v)) for v in vals):
+                vals.append(u)
     return sorted(vals, key=lambda z: (z.real, z.imag))
 
 

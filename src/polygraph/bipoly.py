@@ -4,7 +4,9 @@ Coefficients live in a sparse map (x_power, y_power) -> scalar, all exact
 (GaussRat) or all complex doubles; mixing the two follows the scalar rule of
 :mod:`polygraph.scalars`.  Highlights:
 
-* partial evaluation Phi(u, y) / Phi(x, u) into a UniPoly,
+* partial evaluation Phi(u, y) / Phi(x, u): `eval_rows` evaluates a whole
+  vector of values in floats at once, by Horner over a cached dense
+  coefficient table, and `eval_partial` is its one-row case (or exact),
 * resultants by evaluation and interpolation in both modes: in exact mode
   at a run of integers, with the scalar resultant from the subresultant PRS
   over Z[i] and Newton interpolation in integers (the `_gz_*` helpers of
@@ -26,7 +28,6 @@ import numpy as np
 from .errors import (
     DomainError,
     ExactArithmeticRequired,
-    UniversalVertexError,
     ZeroPolynomialError,
 )
 from .scalars import GR_ONE, GR_ZERO, is_exact, require_finite, square_and_multiply
@@ -42,6 +43,7 @@ from .unipoly import (
 )
 
 _INTERP_ANGLE = 0.3  # fixed angular offset for float resultant sample points
+_CROSS_SIGN = np.array([-1.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -203,27 +205,63 @@ class BiPoly:
     # -- evaluation ------------------------------------------------------------
 
     def eval_partial(self, u, axis: str) -> UniPoly:
-        """Phi(u, y) for axis='x', Phi(x, u) for axis='y'."""
+        """Phi(u, y) for axis='x', Phi(x, u) for axis='y'.
+
+        Exact when both Phi and u are; otherwise the one-row case of
+        `eval_rows`, trimmed by `UniPoly.make`.
+        """
         if axis not in ("x", "y"):
             raise DomainError(f"axis must be x or y, got {axis!r}")
         other = "y" if axis == "x" else "x"
         d = self.degree(other)
         if d < 0:
             return UniPoly.zero(other)
-        if self.mode == "exact" and is_exact(u):
-            acc: list = [GR_ZERO] * (d + 1)
-            powers = [GR_ONE]
-        else:
-            # float rows are the explorer's hot path: keep complex seeds
-            acc = [0j] * (d + 1)
-            powers = [1.0 + 0j]
-            u = complex(u)
+        if not (self.mode == "exact" and is_exact(u)):
+            return UniPoly.make(self.eval_rows([complex(u)], axis)[0].tolist(), other)
+        acc: list = [GR_ZERO] * (d + 1)
+        powers = [GR_ONE]
         for _ in range(self.degree(axis)):
             powers.append(powers[-1] * u)
         for (i, j), c in self.coeffs.items():
             k_sub, k_keep = (i, j) if axis == "x" else (j, i)
             acc[k_keep] = acc[k_keep] + c * powers[k_sub]
         return UniPoly.make(acc, other)
+
+    @cached
+    def _float_table(self) -> np.ndarray:
+        """Dense (deg_x+1, deg_y+1, 2) table, (1, 1, 2) for the zero
+        polynomial: [i, j] holds the real and imaginary parts of the
+        coefficient of x**i y**j."""
+        table = np.zeros((max(self.deg_x, 0) + 1, max(self.deg_y, 0) + 1, 2))
+        for (i, j), c in self.coeffs.items():
+            z = complex(c)
+            table[i, j] = z.real, z.imag
+        return table
+
+    def eval_rows(self, us, axis: str) -> np.ndarray:
+        """Float rows Phi(u, y) (axis 'x') or Phi(x, u) (axis 'y'), one per u.
+
+        Returns a (len(us), d+1) complex array, coefficients ascending and
+        untrimmed, d the degree in the kept variable (one zero column for
+        the zero polynomial); non-finite entries are left for the caller to
+        reject.  Horner in the substituted variable
+        runs elementwise over the coefficient table in real arithmetic, one
+        multiply or add per step and part, so a row's bits do not depend on
+        which other rows share the call.
+        """
+        if axis not in ("x", "y"):
+            raise DomainError(f"axis must be x or y, got {axis!r}")
+        table = self._float_table if axis == "x" else self._float_table.transpose(1, 0, 2)
+        u = np.asarray(us, dtype=complex).reshape(-1, 1, 1)
+        re = u.real
+        im = u.imag * _CROSS_SIGN  # (-Im u, +Im u): the cross terms of (a + bi)(re + i im)
+        acc = np.empty((len(u),) + table.shape[1:])
+        acc[:] = table[-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(len(table) - 2, -1, -1):
+                acc = acc * re + acc[..., ::-1] * im
+                acc += table[k]
+        return acc.view(complex)[..., 0]
 
     def eval(self, u, v):
         return self.eval_partial(u, "x").eval(v)
@@ -445,19 +483,3 @@ def _gcd_bivar_y(p: BiPoly, q: BiPoly) -> BiPoly:
         r = _strip_content_y(_pseudo_rem_y(p, q))
         p, q = q, r
     return _strip_content_y(p)
-
-
-def out_poly(phi: BiPoly, u) -> UniPoly:
-    """Phi(u, y); raises UniversalVertexError if it vanishes identically."""
-    q = phi.eval_partial(u, "x")
-    if q.is_zero:
-        raise UniversalVertexError("universal source vertex", vertex=str(u))
-    return q
-
-
-def in_poly(phi: BiPoly, v) -> UniPoly:
-    """Phi(x, v); raises UniversalVertexError if it vanishes identically."""
-    q = phi.eval_partial(v, "y")
-    if q.is_zero:
-        raise UniversalVertexError("universal sink vertex", vertex=str(v))
-    return q

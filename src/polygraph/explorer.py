@@ -5,14 +5,19 @@ side dedup_eps; the first value discovered in a cell neighborhood is the
 canonical representative, and ids follow BFS discovery order, so identical
 inputs give identical graphs.
 
-The BFS is level-synchronous: the rows Phi(u, y) and/or Phi(x, u) of every
-vertex of a level go to one batched root-finding call, and the neighbors
-are then materialized in the order a vertex-at-a-time BFS would meet them,
-so ids, dedup and budget cut-offs are those of that BFS.  A probe's seeds
-are explored in lockstep: each level batches the rows of every seed's
-sweep into that one call.  A row's roots do not depend on the other rows
-of the call, so each graph, and each error, is what exploring its seed
-alone gives.
+The BFS is level-synchronous, and a level is one complex array from row
+evaluation to roots: `BiPoly.eval_rows` evaluates the rows Phi(u, y)
+and/or Phi(x, u) of every vertex of the level at once, they are
+interleaved in BFS order (padded with zeros if deg_x != deg_y), and one
+`roots_of_rows` call solves them all.  No per-row polynomial or root
+object is built on the way.  The neighbors are then materialized in the
+order a vertex-at-a-time BFS would meet them, so ids, dedup and budget
+cut-offs are those of that BFS.  A probe's seeds are explored in
+lockstep: each level stacks the rows of every seed's sweep into that one
+array.  A row's coefficients and roots do not depend on the other rows of
+the array, so each graph, and each error, is what exploring its seed
+alone gives.  `neighbors`, `out_neighbors` and `in_neighbors` take the
+same path.
 
 Weak components alternate out- and in-neighbors; strong components run a
 forward sweep and, only if that sweep hits the budget, a backward one.  The
@@ -25,19 +30,23 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from .analyzer import analyze, require_standard
-from .bipoly import BiPoly, in_poly, out_poly
+from .bipoly import BiPoly
 from .errors import (
     DomainError,
+    EvaluationOverflow,
     ExplorationError,
     RootFindingError,
     SizeLimitError,
     UniversalVertexError,
 )
-from .rootfind import roots_batch
+from .rootfind import roots_of_rows
 
 DEFAULT_MAX_VERTICES = 5000
 DEFAULT_MAX_DEPTH = 50
@@ -133,46 +142,87 @@ class ExploredDigraph:
 
 
 class _VertexTable:
+    """Vertex values hashed to square cells of side eps.
+
+    A vertex is listed in the 3x3 block of cells around its own, tagged with
+    its position in that block, so a lookup reads the one list of the
+    query's cell.  find returns the nearest vertex closer than eps; among
+    equally near ones, the first in block position, then id, order.
+    """
+
+    # (dx, dy) of the vertex's cell relative to the listing cell, and its position.
+    _BLOCK = [((dx, dy), 3 * dx + dy + 4) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
+
     def __init__(self, eps: float):
         self.eps = eps
         self.values: list[complex] = []
-        self.cells: dict[tuple[int, int], list[int]] = {}
+        self.near: dict[tuple[int, int], list[tuple[int, int]]] = {}
 
     def _cell(self, z: complex) -> tuple[int, int]:
         return (math.floor(z.real / self.eps), math.floor(z.imag / self.eps))
 
     def find(self, z: complex) -> int | None:
-        cx, cy = self._cell(z)
-        best = None
-        best_d = self.eps
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for vid in self.cells.get((cx + dx, cy + dy), ()):
-                    d = abs(self.values[vid] - z)
-                    if d < best_d:
-                        best, best_d = vid, d
+        best, best_key = None, (self.eps, -1)
+        values = self.values
+        for pos, vid in self.near.get(self._cell(z), ()):
+            key = (abs(values[vid] - z), pos)
+            if key < best_key:
+                best, best_key = vid, key
         return best
 
     def add(self, z: complex) -> int:
         vid = len(self.values)
         self.values.append(z)
-        self.cells.setdefault(self._cell(z), []).append(vid)
+        cx, cy = self._cell(z)
+        for (dx, dy), pos in self._BLOCK:
+            self.near.setdefault((cx - dx, cy - dy), []).append((pos, vid))
         return vid
 
 
 # -- neighbor enumeration ---------------------------------------------------------
 
 
-def _row(phi: BiPoly, u: complex, axis: str):
-    """Phi(u, y) for axis "x" (out-neighbors), Phi(x, u) for axis "y" (in-neighbors)."""
-    return out_poly(phi, u) if axis == "x" else in_poly(phi, u)
+def _rows(phi: BiPoly, values: list[complex], axes) -> np.ndarray:
+    """The rows of values along axes in BFS order: (u0, axes[0]), (u0, axes[1]),
+    (u1, axes[0]), ...; axis "x" gives Phi(u, y), axis "y" gives Phi(x, u).
+
+    One `eval_rows` call per axis.  Rows of the narrower axis are padded
+    with exact zeros, which root finding trims.
+    """
+    parts = [phi.eval_rows(values, axis) for axis in axes]
+    rows = np.zeros((len(values) * len(parts), max(p.shape[1] for p in parts)), dtype=complex)
+    for a, part in enumerate(parts):
+        rows[a :: len(parts), : part.shape[1]] = part
+    return rows
+
+
+def _bad_rows(rows: np.ndarray) -> list[int]:
+    """Indices of the rows that vanish identically or hold a non-finite entry."""
+    return np.flatnonzero(~rows.any(axis=1) | ~np.isfinite(rows).all(axis=1)).tolist()
+
+
+def _row_error(row: np.ndarray, u: complex, axis: str) -> Exception:
+    """EvaluationOverflow for a non-finite row, else UniversalVertexError:
+    u is a universal source (axis "x") or sink (axis "y")."""
+    if not np.isfinite(row).all():
+        return EvaluationOverflow("non-finite value during row evaluation", vertex=str(u))
+    kind = "source" if axis == "x" else "sink"
+    return UniversalVertexError(f"universal {kind} vertex", vertex=str(u))
 
 
 def neighbors(phi: BiPoly, values, axis: str) -> list[list[tuple[complex, int]]]:
     """Roots with multiplicity of each row Phi(u, y) (axis "x") or Phi(x, u)
-    (axis "y") for u in values, sorted; [] where the degree drops to 0."""
-    rows = [_row(phi, u, axis) for u in values]
-    return [rs.with_multiplicity() for rs in roots_batch(rows)]
+    (axis "y") for u in values, sorted; [] where the degree drops to 0.
+
+    The first row in order that vanishes identically raises
+    UniversalVertexError, or EvaluationOverflow if it is not finite.
+    """
+    values = list(values)
+    rows = _rows(phi, values, (axis,))
+    bad = _bad_rows(rows)
+    if bad:
+        raise _row_error(rows[bad[0]], values[bad[0]], axis)
+    return [list(zip(vals, mults)) for vals, mults in roots_of_rows(rows)]
 
 
 def out_neighbors(phi: BiPoly, u: complex) -> list[tuple[complex, int]]:
@@ -193,14 +243,12 @@ _AXES = {"weak": ("x", "y"), "fwd": ("x",), "bwd": ("y",)}
 class _Sweep:
     """One level-synchronous BFS from a seed over weak, forward or backward arcs.
 
-    `_explore` advances it one level at a time: `level_rows` builds the rows
-    of the current level and `materialize_rows` records their roots as
-    vertices and arcs.  phi is a float BiPoly.
+    `_explore` advances it one level at a time: the rows of the current
+    level are `_rows(phi, self.values(), self.axes)`, and `materialize`
+    records their roots as vertices and arcs.
     """
 
-    def __init__(self, phi: BiPoly, budget: Budget, table: _VertexTable, seed_id: int,
-                 direction: str):
-        self.phi = phi
+    def __init__(self, budget: Budget, table: _VertexTable, seed_id: int, direction: str):
         self.budget = budget
         self.table = table
         self.seed_id = seed_id
@@ -229,30 +277,22 @@ class _Sweep:
             frontier=set(range(n)) - self.expanded,
         )
 
-    def level_rows(self):
-        """Rows of the current level in BFS order, their (vid, axis) owners,
-        and the UniversalVertexError of the first vertex with a vanishing row.
+    def values(self) -> list[complex]:
+        return [self.table.values[vid] for vid in self.level]
 
-        The rows stop at that vertex; the error is raised once the vertices
-        before it are expanded, as a vertex-at-a-time BFS would.
-        """
-        rows, owners = [], []
-        for vid in self.level:
-            u = self.table.values[vid]
-            try:
-                for axis in self.axes:
-                    rows.append(_row(self.phi, u, axis))
-                    owners.append((vid, axis))
-            except UniversalVertexError as exc:
-                return rows, owners, exc
-        return rows, owners, None
+    def owner(self, r: int) -> tuple[int, str]:
+        """The (vid, axis) of row r of the current level."""
+        vid, a = divmod(r, len(self.axes))
+        return self.level[vid], self.axes[a]
 
-    def materialize_rows(self, owners, root_sets) -> list[int]:
-        """Record the roots of the rows of owners; returns their targets in BFS order."""
+    def materialize(self, found) -> list[int]:
+        """Record the roots (values, multiplicities) of the first len(found)
+        rows of the level; returns their targets in BFS order."""
         targets: list[int] = []
-        for (vid, axis), rs in zip(owners, root_sets):
+        for r, (vals, mults) in enumerate(found):
+            vid, axis = self.owner(r)
             ids = []
-            for val, mult in rs.with_multiplicity():
+            for val, mult in zip(vals, mults):
                 wid = self._materialize(val)
                 if wid is None:
                     continue
@@ -279,44 +319,61 @@ class _Sweep:
         return self.table.add(val)
 
 
-def _explore(sweeps: list[_Sweep], max_depth: int) -> None:
-    """Run the sweeps, one roots_batch call per level for all of them.
+def _explore(phi: BiPoly, sweeps: list[_Sweep], max_depth: int) -> None:
+    """Run the sweeps, which share one direction, with one `eval_rows` call
+    per axis and one `roots_of_rows` call per level for all of them.
 
-    Each level batches the rows of every live sweep in list order.  A row's
-    roots do not depend on the other rows of the call, so every sweep ends
-    as it would alone.  Errors are those of running the sweeps one after
-    another: the first sweep in list order that fails decides the
-    exception, the sweeps after it stop, and the ones before it run on,
-    because one of them may still fail at a later level.
+    Each level stacks the rows of every live sweep in list order.  A row's
+    coefficients and roots do not depend on the other rows of the call, so
+    every sweep ends as it would alone.  Errors are those of running the
+    sweeps one after another.  Within a sweep the first bad row in BFS
+    order decides: a vanishing row raises UniversalVertexError once the
+    rows before it are solved and recorded, a non-finite row raises
+    EvaluationOverflow before its level is recorded.  Across sweeps the
+    first one in list order that fails decides the exception, the sweeps
+    after it stop, and the ones before it run on, because one of them may
+    still fail at a later level.
     """
     failure: tuple[int, Exception] | None = None
     live = list(range(len(sweeps)))
+    axes = sweeps[0].axes
     for _depth in range(max_depth):
-        rows, parts = [], []
+        values = [u for i in live for u in sweeps[i].values()]
+        rows = _rows(phi, values, axes)
+        bad = _bad_rows(rows)
+        parts, kept, start = [], [], 0
         for i in live:
-            try:
-                own_rows, owners, deferred = sweeps[i].level_rows()
-            except Exception as exc:
-                failure = (i, exc)
-                break
-            parts.append((i, owners, deferred, len(rows)))
-            rows += own_rows
+            stop = start + len(sweeps[i].level) * len(axes)
+            k = bisect_left(bad, start)
+            end = bad[k] if k < len(bad) and bad[k] < stop else stop
+            deferred = None
+            if end < stop:
+                deferred = _row_error(rows[end], values[end // len(axes)], axes[end % len(axes)])
+                if not isinstance(deferred, UniversalVertexError):
+                    failure = (i, deferred)
+                    break
+            parts.append((i, end - start, deferred))
+            kept.append(rows[start:end])
+            start = stop
+        rows = np.concatenate(kept or [rows[:0]])
         try:
-            root_sets, bad = roots_batch(rows), None
+            found, bad_root = roots_of_rows(rows), None
         except RootFindingError as exc:
             # The rows before the failing one are good: solve them alone.
-            root_sets, bad = roots_batch(rows[: exc.payload["row"]]), exc
-        for i, owners, deferred, start in parts:
+            found, bad_root = roots_of_rows(rows[: exc.payload["row"]]), exc
+        first = 0
+        for i, n_rows, deferred in parts:
             sweep = sweeps[i]
-            done = root_sets[start : start + len(owners)]
-            targets = sweep.materialize_rows(owners, done)
-            if len(done) < len(owners):
+            done = found[first : first + n_rows]
+            first += n_rows
+            targets = sweep.materialize(done)
+            if len(done) < n_rows:
                 error = ExplorationError(
                     "root finding failed during exploration",
                     partial=sweep.graph(truncated=True),
-                    vertex=str(sweep.table.values[owners[len(done)][0]]),
+                    vertex=str(sweep.table.values[sweep.owner(len(done))[0]]),
                 )
-                error.__cause__ = bad
+                error.__cause__ = bad_root
             elif deferred is not None:
                 error = deferred
             else:
@@ -381,27 +438,25 @@ def _weak_components(phi: BiPoly, seeds, budget: Budget) -> list[ExploredDigraph
 
     Graphs and errors are those of [_weak_component(phi, u, budget) for u in seeds].
     """
-    phi = phi.to_float()
     sweeps = []
     for u in seeds:
         table = _VertexTable(budget.dedup_eps)
-        sweeps.append(_Sweep(phi, budget, table, table.add(complex(u)), "weak"))
-    _explore(sweeps, budget.max_depth)
+        sweeps.append(_Sweep(budget, table, table.add(complex(u)), "weak"))
+    _explore(phi, sweeps, budget.max_depth)
     return [s.graph(s.truncated) for s in sweeps]
 
 
 def explore_strong_component(phi: BiPoly, seed: complex, budget: Budget = Budget()) -> ExploredDigraph:
     """Strong component of the seed, exact when a directed sweep closes."""
     require_standard(analyze(phi))
-    phi = phi.to_float()
     table = _VertexTable(budget.dedup_eps)
     seed_id = table.add(complex(seed))
-    fwd = sweep = _Sweep(phi, budget, table, seed_id, "fwd")
-    _explore([fwd], budget.max_depth)
+    fwd = sweep = _Sweep(budget, table, seed_id, "fwd")
+    _explore(phi, [fwd], budget.max_depth)
     if fwd.truncated:
-        sweep = _Sweep(phi, budget, table, seed_id, "bwd")
+        sweep = _Sweep(budget, table, seed_id, "bwd")
         sweep.out_arcs = fwd.out_arcs  # share definitively recorded out-arcs
-        _explore([sweep], budget.max_depth)
+        _explore(phi, [sweep], budget.max_depth)
     arcs = sweep.arcs()
     comp = _reach(seed_id, arcs) & _reach(seed_id, [(t, f, m) for f, t, m in arcs])
     return _graph(table.values, arcs, comp, seed_id, truncated=fwd.truncated)

@@ -1,31 +1,37 @@
 """All complex roots of univariate polynomials, with multiplicities.
 
-`roots_batch` deflates exact zeros at the origin, buckets the rows by the
-degree that remains and takes the eigenvalues of each bucket's stacked
-companion matrices in one `eigvals` call (LAPACK zgeev balances them first;
-the method of `np.roots`, backward stable by Edelman & Murakami 1995).  A
-row is accepted only if every eigenvalue's residual is within 64 times the
-evaluation-noise bound, so a row's result does not depend on the other
-rows of the call; `roots` is a batch of one.
+`roots_of_rows` is the one root-finding kernel.  It takes a stacked
+(rows, width) complex array of coefficients, low to high, trims each row
+at the top by the `TRIM_REL` rule of `UniPoly.make` (so exact zero padding
+drops out), deflates exact zeros at the origin, buckets the rows by the
+degree that remains and the number of those zeros, and takes the
+eigenvalues of each bucket's stacked companion matrices in one `eigvals`
+call (LAPACK zgeev balances them first; the method of `np.roots`, backward
+stable by Edelman & Murakami 1995).  A row is accepted only if every
+eigenvalue's residual is within 64 times the evaluation-noise bound, so a
+row's result does not depend on the other rows of the call.  It returns
+each row's root values and multiplicities.  `roots_batch` stacks UniPolys
+for it and wraps its output in `RootSet`s; `roots` is a batch of one.
 
 A multiplicity-m root comes out as a cluster of eigenvalues of radius about
 eps**(1/m).  Rows with close eigenvalues are clustered by how well the
 reconstructed product matches the input coefficients, and each multiple
 root is re-polished on the (m-1)-th derivative, where it is simple.  Every
-root then gets multiplicity-corrected Newton steps, and residuals |p(root)|
-are reported against a Horner evaluation-noise bound.
+root then gets multiplicity-corrected Newton steps.  A `RootSet` builds its
+diagnostics on first read: each root's residual |p(root)|, a Horner
+evaluation-noise bound and the coefficient reconstruction error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 from numpy.linalg import LinAlgError, eigvals
 
 from .errors import DomainError, RootFindingError, ZeroPolynomialError
-from .unipoly import UniPoly, from_roots as _expand_roots
+from .unipoly import TRIM_REL, UniPoly, cached, from_roots as _expand_roots
 
 DEFAULT_TOL = 1e-12
 POLISH_STEPS = 3
@@ -41,21 +47,45 @@ class Root:
 
 @dataclass(frozen=True)
 class RootSet:
-    roots: tuple[Root, ...]
-    residual_bound: float
-    reconstruction_error: float
+    """The roots of one row; diagnostics are computed from coeffs on first read."""
+
+    root_values: tuple[complex, ...]
+    multiplicities: tuple[int, ...]
     degree: int
     lead: complex
     var: str = "x"
+    coeffs: tuple[complex, ...] = field(default=(), compare=False, repr=False)
 
     def values(self) -> list[complex]:
-        return [r.value for r in self.roots]
+        return list(self.root_values)
 
     def with_multiplicity(self) -> list[tuple[complex, int]]:
-        return [(r.value, r.multiplicity) for r in self.roots]
+        return list(zip(self.root_values, self.multiplicities))
 
     def total_multiplicity(self) -> int:
-        return sum(r.multiplicity for r in self.roots)
+        return sum(self.multiplicities)
+
+    @cached
+    def roots(self) -> tuple[Root, ...]:
+        residuals = np.abs(_horner(self._row, self._values))[0].tolist()
+        return tuple(map(Root, self.root_values, self.multiplicities, residuals))
+
+    @cached
+    def residual_bound(self) -> float:
+        return float(np.max(_noise(self._row, np.abs(self._values)), initial=1e-300))
+
+    @cached
+    def reconstruction_error(self) -> float:
+        flat = np.repeat(self._values, self.multiplicities, axis=1)
+        return float(_reconstruction_error(self._row, flat)[0])
+
+    @property
+    def _row(self) -> np.ndarray:
+        return np.array([self.coeffs], dtype=complex)
+
+    @property
+    def _values(self) -> np.ndarray:
+        return np.array([self.root_values], dtype=complex).reshape(1, -1)
 
 
 def roots(p: UniPoly, tol: float = DEFAULT_TOL) -> RootSet:
@@ -67,34 +97,66 @@ def roots(p: UniPoly, tol: float = DEFAULT_TOL) -> RootSet:
 
 
 def roots_batch(polys: Sequence[UniPoly], tol: float = DEFAULT_TOL) -> list[RootSet]:
-    """Roots of every polynomial in one pass; entry k belongs to polys[k].
+    """Roots of every polynomial in one `roots_of_rows` call; entry k belongs
+    to polys[k].  Each row is the polynomial's own coefficients, untrimmed
+    (`to_float` keeps every coefficient of an exact polynomial).  A
+    constant row gets a RootSet with no roots; errors are those of
+    `roots_of_rows`."""
+    rows = [p.to_float().coeffs for p in polys]
+    by_len: dict[int, list[int]] = {}
+    for k, c in enumerate(rows):
+        by_len.setdefault(len(c), []).append(k)
+    stacked = np.zeros((len(rows), max(by_len, default=0)), dtype=complex)
+    for n, ks in by_len.items():
+        if n:
+            stacked[ks, :n] = np.array([rows[k] for k in ks], dtype=complex)
+    found = roots_of_rows(stacked, list(map(len, rows)), tol)
+    return [
+        RootSet(tuple(vals), tuple(mults), len(c) - 1, c[-1], p.var, c)
+        for p, c, (vals, mults) in zip(polys, rows, found)
+    ]
 
-    Roots come sorted by real part rounded to 1e-9 * (1 + max |root|) of the
-    row, then by imaginary part, so rounding noise in equal real parts
-    cannot reorder them.  A constant row gets a RootSet with no roots.
-    Raises ZeroPolynomialError for a zero row, and RootFindingError with
-    payload ``row=k`` for the first row k (in input order) that fails the
-    residual check; its ``best`` holds that row's eigenvalues (NaN where
-    LAPACK rejected the row).
+
+def roots_of_rows(
+    c: np.ndarray, lengths=None, tol: float = DEFAULT_TOL
+) -> list[tuple[list[complex], list[int]]]:
+    """Root values and multiplicities of every row of c; entry k belongs to c[k].
+
+    c is a (rows, width) complex array of coefficients, low to high.  Row k
+    is c[k, :lengths[k]].  Without lengths each row is trimmed at the top
+    as `UniPoly.make` trims: coefficients at most TRIM_REL times the row's
+    largest are dropped from the leading end, so exact zero padding drops
+    out.  Roots come sorted by real part rounded to 1e-9 * (1 + max |root|)
+    of the row, then by imaginary part, so rounding noise in equal real
+    parts cannot reorder them.  A constant row has no roots.  Raises
+    ZeroPolynomialError if a row is zero, and RootFindingError with payload
+    ``row=k`` for the first row k that fails the residual check; its
+    ``best`` holds that row's eigenvalues (NaN where LAPACK rejected the row).
     """
-    results: list[RootSet | None] = [None] * len(polys)
-    buckets: dict[tuple[int, int], list[int]] = {}
-    rows: list[np.ndarray] = []
-    for k, p in enumerate(polys):
-        if p.is_zero:
-            raise ZeroPolynomialError("cannot take roots of the zero polynomial")
-        c = np.array(p.to_float().coeffs, dtype=complex)
-        rows.append(c)
-        n_zero = int(np.argmax(c != 0))
-        buckets.setdefault((len(c) - 1 - n_zero, n_zero), []).append(k)
+    c = np.asarray(c, dtype=complex)
+    if not len(c):
+        return []
+    width = c.shape[1]
+    if lengths is None:
+        mag = np.abs(c)
+        kept = mag > TRIM_REL * np.max(mag, axis=1, keepdims=True)
+        length = np.where(kept.any(axis=1), width - np.argmax(kept[:, ::-1], axis=1), 0)
+    else:
+        length = np.asarray(lengths)
+    if not length.all():
+        raise ZeroPolynomialError("cannot take roots of the zero polynomial")
+    n_zeros = np.argmax(c != 0, axis=1)
+    keys = length * (width + 1) + n_zeros
 
     solved = []
     failed: list[tuple[int, np.ndarray]] = []
-    for (_, n_zero), ks in buckets.items():
-        full = np.array([rows[k] for k in ks])
+    for key in np.unique(keys).tolist():
+        n, n_zero = divmod(key, width + 1)
+        ks = np.flatnonzero(keys == key)
+        full = c[ks, :n]
         z, bad = _eigen_roots(full[:, n_zero:])
-        failed += [(ks[i], z[i]) for i in np.flatnonzero(bad)]
-        solved.append((ks, full, n_zero, z))
+        failed += [(int(ks[i]), z[i]) for i in np.flatnonzero(bad)]
+        solved.append((ks.tolist(), full, n_zero, z))
     if failed:
         k, best = min(failed, key=lambda kb: kb[0])
         raise RootFindingError(
@@ -103,20 +165,20 @@ def roots_batch(polys: Sequence[UniPoly], tol: float = DEFAULT_TOL) -> list[Root
             row=k,
         )
 
+    results: list = [None] * len(c)
     for ks, full, n_zero, z in solved:
         fast = _separated(z, tol)
         done = np.flatnonzero(fast)
-        var = [polys[ks[i]].var for i in done]
         ones = np.ones(z.shape[1], dtype=int)
         # + 0.0 turns a -0.0 part into +0.0, as the cluster mean of one eigenvalue does.
-        for i, rs in zip(done, _finish(full[fast], z[fast] + 0.0, ones, n_zero, var)):
-            results[ks[i]] = rs
+        for i, found in zip(done, _finish(full[fast], z[fast] + 0.0, ones, n_zero)):
+            results[ks[i]] = found
         for i in np.flatnonzero(~fast):
-            c = full[i, n_zero:]
-            clusters = [_refine_cluster(v, m, c) for v, m in _best_clustering(z[i], c, tol)]
+            row = full[i, n_zero:]
+            clusters = [_refine_cluster(v, m, row) for v, m in _best_clustering(z[i], row, tol)]
             vals = np.array([[v for v, _ in clusters]])
             mult = np.array([m for _, m in clusters])
-            (results[ks[i]],) = _finish(full[i : i + 1], vals, mult, n_zero, [polys[ks[i]].var])
+            (results[ks[i]],) = _finish(full[i : i + 1], vals, mult, n_zero)
     return results
 
 
@@ -144,6 +206,16 @@ def _horner(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _horner_pd(c: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p and p' at z in one Horner pass (c has two or more columns, or z none)."""
+    d = np.broadcast_to(c[:, -1:], z.shape)
+    p = d * z + c[:, -2:-1]
+    for k in range(c.shape[1] - 3, -1, -1):
+        d = d * z + p
+        p = p * z + c[:, k : k + 1]
+    return p, d
+
+
 def _derivative(c: np.ndarray) -> np.ndarray:
     return c[:, 1:] * np.arange(1, c.shape[1])
 
@@ -166,11 +238,10 @@ def _expand(lead: np.ndarray, z: np.ndarray) -> np.ndarray:
     return prod
 
 
-def _reconstruction_error(c: np.ndarray, z: np.ndarray, n_zero: int = 0) -> np.ndarray:
-    """Relative coefficient mismatch of c[:, -1] * x**n_zero * prod (x - z)
-    against c, whose n_zero low coefficients are exactly 0."""
+def _reconstruction_error(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Relative coefficient mismatch of c[:, -1] * prod (x - z) against c."""
     prod = _expand(c[:, -1], z)
-    return np.max(np.abs(prod - c[:, n_zero:]), axis=1) / np.max(np.abs(c), axis=1)
+    return np.max(np.abs(prod - c), axis=1) / np.max(np.abs(c), axis=1)
 
 
 # -- companion-matrix eigenvalues ----------------------------------------------
@@ -297,68 +368,54 @@ def _refine_cluster(v: complex, m: int, c: np.ndarray) -> tuple[complex, int]:
     return complex(best), m
 
 
-def _polish(c: np.ndarray, z: np.ndarray, mult: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _polish(c: np.ndarray, z: np.ndarray, mult: np.ndarray) -> np.ndarray:
     """Multiplicity-corrected Newton steps on c, as one masked pass.
 
-    Each root keeps the best |p| seen and stops at the first step that does
-    not improve it (or meets p' = 0).  Returns the roots and their |p|.
+    Each step takes p and p' from one Horner pass, and p' of an accepted
+    point serves the next step.  Each root keeps the best |p| seen and
+    stops at the first step that does not improve it, or once its step is
+    at most 4 * eps * |root|, below which it would only chase rounding
+    noise.
     """
-    dc = _derivative(c)
     best = z
-    pv = _horner(c, z)
+    pv, dv = _horner_pd(c, z)
     best_val = np.abs(pv)
     going = np.ones(z.shape, dtype=bool)
-    # A diverging step shows up as an inf or nan |p| and is never kept.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # A step from p' = 0, or one that diverges, gives an inf or nan |p|,
+    # which never improves on best_val.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(POLISH_STEPS):
-            fd = _horner(dc, best)
-            going &= fd != 0
+            step = mult * pv / dv
+            going &= np.abs(step) > 4.0 * _EPS * np.abs(best)
             if not going.any():
                 break
-            step = np.where(going, mult * pv / np.where(going, fd, 1.0), 0.0)
             cur = best - step
-            pv_cur = _horner(c, cur)
+            pv_cur, dv_cur = _horner_pd(c, cur)
             val = np.abs(pv_cur)
             going &= val < best_val
             best = np.where(going, cur, best)
             best_val = np.where(going, val, best_val)
             pv = np.where(going, pv_cur, pv)
-            if not going.any():
-                break
-    return best, best_val
+            dv = np.where(going, dv_cur, dv)
+    return best
 
 
 def _finish(
-    full: np.ndarray, z: np.ndarray, mult: np.ndarray, n_zero: int, var: list[str]
-) -> list[RootSet]:
-    """RootSets for the rows of full: nonzero roots z, n_zero roots at 0.
+    full: np.ndarray, z: np.ndarray, mult: np.ndarray, n_zero: int
+) -> list[tuple[list[complex], list[int]]]:
+    """Sorted root values and multiplicities of the rows of full: nonzero
+    roots z, polished, and n_zero roots at 0.
 
     Column j of z has multiplicity mult[j] in every row (all ones on the
     separated path; the cluster path passes one row at a time).
     """
-    vals, residuals = _polish(full, z, mult)
-    bounds = np.max(_noise(full, np.abs(vals)), axis=1, initial=1e-300)
-    recon = _reconstruction_error(full, np.repeat(vals, mult, axis=1), n_zero)
+    vals = _polish(full, z, mult)
     if n_zero:
         vals = np.pad(vals, ((0, 0), (0, 1)))
-        residuals = np.pad(residuals, ((0, 0), (0, 1)))
         mult = np.append(mult, n_zero)
     # Real parts equal up to rounding noise must compare equal, so the
     # imaginary part, not the last bits, orders such roots.
     grid = 1e-9 * (1.0 + np.max(np.abs(vals), axis=1, initial=0.0))
     order = np.lexsort((vals.imag, np.rint(vals.real / grid[:, None])))
     vals = np.take_along_axis(vals, order, axis=1).tolist()
-    residuals = np.take_along_axis(residuals, order, axis=1).tolist()
-    mults = mult[order].tolist()
-    degree = full.shape[1] - 1
-    return [
-        RootSet(
-            roots=tuple(map(Root, vals[i], mults[i], residuals[i])),
-            residual_bound=float(bounds[i]),
-            reconstruction_error=float(recon[i]),
-            degree=degree,
-            lead=complex(full[i, -1]),
-            var=var[i],
-        )
-        for i in range(len(full))
-    ]
+    return list(zip(vals, mult[order].tolist()))

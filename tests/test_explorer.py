@@ -3,6 +3,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from polygraph import (
@@ -23,7 +24,7 @@ from polygraph import (
     parse,
 )
 from polygraph import explorer
-from polygraph.bipoly import in_poly
+from polygraph.bipoly import BiPoly
 from polygraph.errors import (
     EvaluationOverflow,
     ExplorationError,
@@ -87,6 +88,35 @@ class TestNeighbors:
     def test_overflowing_row_raises(self):
         with pytest.raises(EvaluationOverflow):
             out_neighbors(parse("x^2*y - 1.0"), 1e200)
+
+    def test_first_bad_row_decides_the_error(self):
+        # Phi(1, y) vanishes and Phi(1e200, y) overflows.
+        phi = parse("(x-1)*(x^2*y - 1.0)")
+        with pytest.raises(EvaluationOverflow) as info:
+            neighbors(phi, [2.0, 1e200, 1.0], "x")
+        assert info.value.payload["vertex"] == "1e+200"
+        with pytest.raises(UniversalVertexError) as info:
+            neighbors(phi, [2.0, 1.0, 1e200], "x")
+        assert str(info.value) == "universal source vertex"
+        assert info.value.payload["vertex"] == "1.0"
+        with pytest.raises(UniversalVertexError) as info:
+            in_neighbors(parse("(y-1)*x + y - 1"), 1.0)
+        assert str(info.value) == "universal sink vertex"
+        with pytest.raises(UniversalVertexError):
+            out_neighbors(BiPoly.zero(), 1.0)
+
+    def test_rows_of_a_mixed_degree_level_are_padded(self):
+        # deg_x = 1 and deg_y = 3: each vertex has 3 out-neighbors and 1 in-neighbor.
+        phi = parse("y^3 - 2*x*y + x - 1")
+        rows = explorer._rows(phi, [0.5 + 0.25j, 2j], ("x", "y"))
+        assert rows.shape == (4, 4) and not rows[1::2, 2:].any()
+        g = explore_component(phi, 0.5 + 0.25j, Budget(max_depth=2, max_vertices=200))
+        for vid, u in g.vertices:
+            if vid in g.frontier_ids:
+                continue
+            outs = [g.value(t) for f, t, _ in g.arcs if f == vid]
+            want = [v for v, _ in out_neighbors(phi, u)]
+            assert len(outs) == 3 and all(min(abs(a - b) for a in outs) < 1e-9 for b in want)
 
 
 class TestExplore:
@@ -156,16 +186,18 @@ class TestFailureContract:
 
     def test_root_failure_mid_level_keeps_bfs_prefix(self, monkeypatch):
         want = _bfs_prefix(GRID, 0j, (self.FAIL_VID, "y"))
-        bad_row = in_poly(GRID.to_float(), want[self.FAIL_VID])
-        real = explorer.roots_batch
+        (bad_row,) = GRID.eval_rows([want[self.FAIL_VID]], "y")
+        real = explorer.roots_of_rows
 
         def failing(rows):
-            for k, row in enumerate(rows):
-                if row == bad_row:
+            # A weak level's rows alternate (v, "x"), (v, "y"); the grid's out-
+            # and in-rows at v are equal, so only odd rows are in-rows.
+            for k in range(1, len(rows), 2):
+                if np.array_equal(rows[k], bad_row):
                     raise RootFindingError("injected", row=k)
             return real(rows)
 
-        monkeypatch.setattr(explorer, "roots_batch", failing)
+        monkeypatch.setattr(explorer, "roots_of_rows", failing)
         with pytest.raises(ExplorationError) as info:
             explore_component(GRID, 0j, Budget(max_depth=4))
         partial = info.value.partial
@@ -179,14 +211,16 @@ class TestFailureContract:
 
     def test_universal_vertex_error_comes_from_its_vertex(self, monkeypatch):
         want = _bfs_prefix(GRID, 0j, (self.FAIL_VID, "y"))
-        real = explorer.in_poly
+        real = BiPoly.eval_rows
 
-        def universal_at_fail_vid(phi, v):
-            if v == want[self.FAIL_VID]:
-                raise UniversalVertexError("universal sink vertex", vertex=str(v))
-            return real(phi, v)
+        def universal_at_fail_vid(phi, us, axis):
+            rows = real(phi, us, axis)
+            for k, v in enumerate(us):
+                if axis == "y" and v == want[self.FAIL_VID]:
+                    rows[k] = 0  # Phi(x, v) vanishes: v is a universal sink
+            return rows
 
-        monkeypatch.setattr(explorer, "in_poly", universal_at_fail_vid)
+        monkeypatch.setattr(BiPoly, "eval_rows", universal_at_fail_vid)
         with pytest.raises(UniversalVertexError) as info:
             explore_component(GRID, 0j, Budget(max_depth=4))
         assert info.value.payload["vertex"] == str(want[self.FAIL_VID])

@@ -4,6 +4,7 @@ import random
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from polygraph import BiPoly, GaussRat, UniPoly, analyze, parse
@@ -114,6 +115,56 @@ class TestEvalPartial:
     def test_universal_vertex_gives_zero_polynomial(self):
         phi = parse("(x-1)*y + x - 1")
         assert phi.eval_partial(gr(1), "x").is_zero
+
+
+def _random_bipoly(rng: random.Random, exact: bool) -> BiPoly:
+    dx, dy = rng.randint(0, 4), rng.randint(0, 4)
+    entries = {}
+    for i in range(dx + 1):
+        for j in range(dy + 1):
+            if rng.random() < 0.7:
+                re, im = rng.randint(-5, 5), rng.randint(-2, 2)
+                entries[(i, j)] = gr(re, im) if exact else complex(re, im) * rng.uniform(0.5, 2)
+    entries[(dx, dy)] = gr(1) if exact else 1.0 + 0.5j  # never the zero polynomial
+    return BiPoly.make(entries)
+
+
+class TestEvalRows:
+    def test_rows_are_bitwise_those_of_one_row_and_of_eval_partial(self):
+        rng = random.Random(11)
+        for trial in range(60):
+            phi = _random_bipoly(rng, exact=trial % 2 == 0)
+            us = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(rng.randint(1, 9))]
+            us[rng.randrange(len(us))] = 0j
+            for axis in ("x", "y"):
+                other = "y" if axis == "x" else "x"
+                batch = phi.eval_rows(us, axis)
+                assert batch.shape == (len(us), phi.degree(other) + 1)
+                for k, u in enumerate(us):
+                    alone = phi.eval_rows([u], axis)[0]
+                    assert np.array_equal(batch[k], alone)
+                    # Bit for bit, signed zeros included.
+                    assert batch[k].tobytes() == alone.tobytes()
+                    assert UniPoly.make(batch[k].tolist(), other) == phi.eval_partial(u, axis)
+
+    def test_degree_drop_row(self):
+        phi = parse("x*y + 1")
+        (row,) = phi.eval_rows([0j], "x")
+        assert row.tolist() == [1, 0]
+        assert phi.eval_partial(0j, "x") == UniPoly.make([1 + 0j], "y")
+        assert phi.eval_partial(0j, "x").degree == 0
+
+    def test_exact_phi_rows_equal_those_of_its_float_copy(self):
+        phi = parse("(y-x)^4-1 + 3i*x^2*y")
+        us = [0.5 - 2j, 3 + 0j]
+        for axis in ("x", "y"):
+            assert phi.eval_rows(us, axis).tobytes() == phi.to_float().eval_rows(us, axis).tobytes()
+
+    def test_overflow_is_left_non_finite(self):
+        (row,) = parse("x^2*y - 1.0").eval_rows([1e200], "x")
+        assert not np.isfinite(row).all()
+        with pytest.raises(EvaluationOverflow):
+            parse("x^2*y - 1.0").eval_partial(1e200, "x")
 
 
 class TestGcd:

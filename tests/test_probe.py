@@ -3,12 +3,13 @@
 import math
 from collections import deque
 
+import numpy as np
 import pytest
 
 from polygraph import Budget, FiniteDigraph, QuadSym, digraph_to_poly, parse, probe_conjecture
 from polygraph import analyzer, explorer, singular_vertex_values
 from polygraph import probe as probe_module
-from polygraph.bipoly import in_poly
+from polygraph.bipoly import BiPoly
 from polygraph.errors import (
     EvaluationOverflow,
     ExplorationError,
@@ -66,20 +67,22 @@ def grid_seeds():
 
 def test_root_failure_is_the_first_failing_seeds(monkeypatch, grid_seeds):
     seeds, values = grid_seeds
-    phi = GRID.to_float()
-    bad_rows = {in_poly(phi, v): s for s, v in values.items()}
-    real = explorer.roots_batch
+    bad_rows = [(GRID.eval_rows([v], "y")[0], s) for s, v in values.items()]
+    real = explorer.roots_of_rows
     hit = []
 
     def failing(rows):
-        # Decided by each row's coefficients alone, as roots_batch is row-independent.
-        for k, row in enumerate(rows):
-            if row in bad_rows:
-                hit.append(bad_rows[row])
-                raise RootFindingError("injected", row=k)
+        # Decided by each row's coefficients alone, as roots_of_rows is row-independent.
+        # A weak level's rows alternate (v, "x"), (v, "y"); the grid's out- and
+        # in-rows at v are equal, so only odd rows are in-rows.
+        for k in range(1, len(rows), 2):
+            for bad_row, s in bad_rows:
+                if np.array_equal(rows[k], bad_row):
+                    hit.append(s)
+                    raise RootFindingError("injected", row=k)
         return real(rows)
 
-    monkeypatch.setattr(explorer, "roots_batch", failing)
+    monkeypatch.setattr(explorer, "roots_of_rows", failing)
     with pytest.raises(ExplorationError) as lockstep:
         _grid_probe()
     # Seed 3 failed a level earlier; seeds 0 to 2 ran on and seed 1 failed.
@@ -94,20 +97,22 @@ def test_root_failure_is_the_first_failing_seeds(monkeypatch, grid_seeds):
 
 @pytest.mark.parametrize("error", [UniversalVertexError, EvaluationOverflow])
 def test_row_error_is_the_first_failing_seeds(monkeypatch, grid_seeds, error):
-    # UniversalVertexError is raised once the vertices before it are
-    # expanded; any other error stops its sweep at once.
+    # A vanishing row raises UniversalVertexError once the vertices before it
+    # are expanded; a non-finite row raises EvaluationOverflow at once.
     seeds, values = grid_seeds
     failing_at = {v: s for s, v in values.items()}
-    real = explorer.in_poly
+    real = BiPoly.eval_rows
     hit = []
 
-    def in_poly_failing(phi, v):
-        if v in failing_at:
-            hit.append(failing_at[v])
-            raise error("injected", vertex=str(v))
-        return real(phi, v)
+    def rows_failing(phi, us, axis):
+        rows = real(phi, us, axis)
+        for k, v in enumerate(us):
+            if axis == "y" and v in failing_at:
+                hit.append(failing_at[v])
+                rows[k] = 0 if error is UniversalVertexError else complex("nan")
+        return rows
 
-    monkeypatch.setattr(explorer, "in_poly", in_poly_failing)
+    monkeypatch.setattr(BiPoly, "eval_rows", rows_failing)
     with pytest.raises(error) as lockstep:
         _grid_probe()
     assert hit == [3, 1]
@@ -137,14 +142,14 @@ def _levels(g) -> int:
 def test_probe_makes_one_root_call_per_level(monkeypatch):
     # The symmetric quadratic with cosine witness (5, 1): every component is a 10-cycle.
     phi = QuadSym(2 * math.cos(2 * math.pi / 5), 0.0, 1.0).as_bipoly()
-    real = explorer.roots_batch
+    real = explorer.roots_of_rows
     calls = []
 
     def counting(rows):
         calls.append(len(rows))
         return real(rows)
 
-    monkeypatch.setattr(explorer, "roots_batch", counting)
+    monkeypatch.setattr(explorer, "roots_of_rows", counting)
     result = probe_conjecture(phi, n_seeds=5, budget=Budget(200, 40), rng_seed=19)
     assert result.truncated_count == 0
     assert all(g.order == 10 for g in result.graphs)

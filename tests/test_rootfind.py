@@ -203,3 +203,79 @@ def test_linalg_error_maps_to_root_finding_error(monkeypatch):
     # The stack is retried row by row, so row 0 passes and row 1 is reported.
     assert info.value.payload["row"] == 1
     assert info.value.best is not None
+
+
+def _padded(rows: list[UniPoly], width: int) -> np.ndarray:
+    c = np.zeros((len(rows), width), dtype=complex)
+    for k, p in enumerate(rows):
+        c[k, : len(p.coeffs)] = p.coeffs
+    return c
+
+
+def test_kernel_matches_roots_batch_on_random_batches():
+    rng = random.Random(91)
+
+    def draw() -> complex:
+        return complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+
+    for _ in range(20):
+        rows = []
+        for _ in range(rng.randint(1, 12)):
+            kind = rng.randrange(4)
+            if kind == 0:  # exact zeros at the origin
+                p = UniPoly.make([0.0] * rng.randint(1, 3) + [draw() for _ in range(3)], "y")
+            elif kind == 1:  # a multiple root
+                a, b = draw(), draw()
+                p = from_roots([a] * rng.randint(2, 3) + [b], 1.0, "y")
+            elif kind == 2:  # constant
+                p = UniPoly.make([draw()], "y")
+            else:
+                p = UniPoly.make([draw() for _ in range(rng.randint(2, 6))], "y")
+            rows.append(p)
+        batch = roots_batch(rows)
+        # Zero padding to a common width is trimmed away.
+        found = rootfind.roots_of_rows(_padded(rows, 9))
+        assert [(rs.values(), list(rs.multiplicities)) for rs in batch] == [
+            (vals, mults) for vals, mults in found
+        ]
+        for p, (vals, mults), rs in zip(rows, found, batch):
+            alone = rootfind.roots_of_rows(_padded([p], len(p.coeffs)))[0]
+            assert alone[1] == mults and sum(mults) == rs.degree == p.degree
+            assert all(abs(a - b) <= 1e-9 * (1 + abs(b)) for a, b in zip(alone[0], vals))
+
+
+def test_kernel_on_a_mixed_width_level():
+    # deg_x = 1, deg_y = 3: the in-rows are padded with two exact zeros.
+    phi = parse("y^3 - 2*x*y + x - 1")
+    us = [0.5 + 0.25j, -1.5 + 0j, 2j]
+    rows = np.zeros((2 * len(us), 4), dtype=complex)
+    rows[0::2] = phi.eval_rows(us, "x")
+    rows[1::2, :2] = phi.eval_rows(us, "y")
+    want = roots_batch([phi.eval_partial(u, axis) for u in us for axis in ("x", "y")])
+    found = rootfind.roots_of_rows(rows)
+    assert [len(v) for v, _ in found] == [3, 1] * len(us)
+    assert found == [(rs.values(), list(rs.multiplicities)) for rs in want]
+
+
+def test_kernel_errors():
+    rows = np.array([[1, 2, 1], [0, 0, 0]], dtype=complex)
+    with pytest.raises(ZeroPolynomialError):
+        rootfind.roots_of_rows(rows)
+    # A row that trims to a constant has no roots; one with zeros at 0 keeps them.
+    assert rootfind.roots_of_rows(np.array([[3, 1e-15, 0], [0, 0, 2]], dtype=complex)) == [
+        ([], []),
+        ([0j], [2]),
+    ]
+
+
+def test_root_set_diagnostics_are_built_on_first_read():
+    p = from_roots([1.5, -2j, -2j], 2.0, "y")
+    (rs,) = roots_batch([p])
+    assert not {"roots", "residual_bound", "reconstruction_error"} & set(vars(rs))
+    assert [r.multiplicity for r in rs.roots] == list(rs.multiplicities)
+    assert [r.value for r in rs.roots] == rs.values()
+    assert all(r.residual <= 64 * rs.residual_bound for r in rs.roots)
+    assert rs.reconstruction_error < 1e-9
+    assert {"roots", "residual_bound", "reconstruction_error"} <= set(vars(rs))
+    # The coefficients stay out of equality.
+    assert rs == rootfind.RootSet(rs.root_values, rs.multiplicities, rs.degree, rs.lead, "y")
