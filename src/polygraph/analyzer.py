@@ -116,6 +116,12 @@ class _Uncertainty:
     def __init__(self):
         self.flagged = False
 
+    def below(self, q: float, thr: float) -> bool:
+        """Is q <= thr?  Flags q within a factor _UNCERTAIN_BAND of thr."""
+        if thr / _UNCERTAIN_BAND < q <= thr * _UNCERTAIN_BAND:
+            self.flagged = True
+        return q <= thr
+
     def is_zero(self, p: UniPoly, log_ref: float) -> bool:
         """Is p below _ZERO_REL * exp(log_ref)?  In logarithms, so the
         verdict does not change with the scale of Phi and cannot overflow."""
@@ -147,10 +153,7 @@ def _common_root_poly(polys: list[UniPoly], unc: _Uncertainty) -> UniPoly:
         for q in polys:
             scale = q.coeff_scale() * (1.0 + abs(v)) ** max(q.degree, 0)
             vals.append(abs(complex(q.eval(v))) / max(scale, 1e-300))
-        worst = max(vals)
-        if _ZERO_REL / _UNCERTAIN_BAND < worst <= _ZERO_REL * _UNCERTAIN_BAND:
-            unc.flagged = True
-        if worst <= _ZERO_REL:
+        if unc.below(max(vals), _ZERO_REL):
             common.append(v)
     if not common:
         return UniPoly.make([1.0], probe.var)
@@ -239,13 +242,7 @@ def singular_inventory(
     """Classified singular vertices of a standard polynomial."""
     require_standard(report)
     pf = phi.to_float()
-    uncertain = report.numerically_uncertain
-
-    def classify_band(q: float, thr: float) -> bool:
-        nonlocal uncertain
-        if thr / _UNCERTAIN_BAND < q <= thr * _UNCERTAIN_BAND:
-            uncertain = True
-        return q <= thr
+    unc = _Uncertainty()
 
     loops: list[tuple[complex, int]] = []
     if report.L.degree > 0:
@@ -270,7 +267,7 @@ def singular_inventory(
             lead_scale = max(lead.coeff_scale(), 1e-300) * (1.0 + abs(u)) ** max(
                 lead.degree, 0
             )
-            if classify_band(abs(complex(lead.eval(u))) / lead_scale, tol):
+            if unc.below(abs(complex(lead.eval(u))) / lead_scale, tol):
                 defective.append(u)
             row = pf.eval_partial(u, axis)
             if not row.is_zero and row.degree >= 1:
@@ -287,7 +284,7 @@ def singular_inventory(
         multi_arc_ends=tuple(multi_end),
         out_defective=tuple(out_def),
         in_defective=tuple(in_def),
-        numerically_uncertain=uncertain,
+        numerically_uncertain=report.numerically_uncertain or unc.flagged,
     )
 
 

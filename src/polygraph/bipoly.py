@@ -11,7 +11,8 @@ Coefficients live in a sparse map (x_power, y_power) -> scalar, all exact
   at a run of integers, with the scalar resultant from the subresultant PRS
   over Z[i] and Newton interpolation in integers (the `_gz_*` helpers of
   `unipoly`; GaussRat only on entry and exit), in float mode at roots of
-  unity, with Sylvester determinants and an FFT,
+  unity, with one `eval_rows` call per operand, one stacked Sylvester
+  determinant call and an FFT,
 * squarefree part (exact), exact division, affine reparametrization.  The
   bivariate ring operations behind these still run on GaussRat.
 """
@@ -27,6 +28,7 @@ import numpy as np
 
 from .errors import (
     DomainError,
+    EvaluationOverflow,
     ExactArithmeticRequired,
     ZeroPolynomialError,
 )
@@ -213,19 +215,9 @@ class BiPoly:
         if axis not in ("x", "y"):
             raise DomainError(f"axis must be x or y, got {axis!r}")
         other = "y" if axis == "x" else "x"
-        d = self.degree(other)
-        if d < 0:
-            return UniPoly.zero(other)
         if not (self.mode == "exact" and is_exact(u)):
             return UniPoly.make(self.eval_rows([complex(u)], axis)[0].tolist(), other)
-        acc: list = [GR_ZERO] * (d + 1)
-        powers = [GR_ONE]
-        for _ in range(self.degree(axis)):
-            powers.append(powers[-1] * u)
-        for (i, j), c in self.coeffs.items():
-            k_sub, k_keep = (i, j) if axis == "x" else (j, i)
-            acc[k_keep] = acc[k_keep] + c * powers[k_sub]
-        return UniPoly.make(acc, other)
+        return UniPoly.make([c.eval(u) for c in self.coeff_polys(other)], other)
 
     @cached
     def _float_table(self) -> np.ndarray:
@@ -430,24 +422,25 @@ def _resultant_exact(p: BiPoly, q: BiPoly, var: str, bound: int) -> UniPoly:
 def _resultant_float(p: BiPoly, q: BiPoly, var: str, bound: int) -> UniPoly:
     """Evaluation at roots of unity, Sylvester determinants and an FFT.
 
-    The Sylvester matrix is built at the degrees of p and q in var, so a
-    sample where a leading coefficient vanishes still gives the resultant.
+    One `eval_rows` call per operand gives every sample row, and one stacked
+    `det` call every sample.  The Sylvester matrix is built at the degrees
+    of p and q in var, so a sample where a leading coefficient vanishes
+    still gives the resultant.
     """
     other = "y" if var == "x" else "x"
     dp, dq = p.degree(var), q.degree(var)
     n_samples = bound + 1
-    vals = np.empty(n_samples, dtype=complex)
-    mat = np.zeros((dp + dq, dp + dq), dtype=complex)
-    for t in range(n_samples):
-        u = cmath.exp(1j * (2 * cmath.pi * t / n_samples + _INTERP_ANGLE))
-        pu, qu = p.eval_partial(u, other), q.eval_partial(u, other)
-        p_desc = [complex(pu.coeff(k)) for k in range(dp, -1, -1)]
-        q_desc = [complex(qu.coeff(k)) for k in range(dq, -1, -1)]
-        for r in range(dq):
-            mat[r, r : r + dp + 1] = p_desc
-        for r in range(dp):
-            mat[dq + r, r : r + dq + 1] = q_desc
-        vals[t] = np.linalg.det(mat)
+    us = [cmath.exp(1j * (2 * cmath.pi * t / n_samples + _INTERP_ANGLE)) for t in range(n_samples)]
+    p_desc = p.eval_rows(us, other)[:, ::-1]
+    q_desc = q.eval_rows(us, other)[:, ::-1]
+    if not (np.isfinite(p_desc).all() and np.isfinite(q_desc).all()):
+        raise EvaluationOverflow("non-finite value during polynomial construction")
+    mat = np.zeros((n_samples, dp + dq, dp + dq), dtype=complex)
+    for r in range(dq):
+        mat[:, r, r : r + dp + 1] = p_desc
+    for r in range(dp):
+        mat[:, dq + r, r : r + dq + 1] = q_desc
+    vals = np.linalg.det(mat)
     # vals[t] = sum_j (c_j e^{ij*angle}) e^{+2 pi i j t / N} = N * ifft(c~)[t]
     coeffs = np.fft.fft(vals) / n_samples
     twist = np.exp(1j * _INTERP_ANGLE * np.arange(n_samples))

@@ -140,14 +140,14 @@ def _cmd_synth(args) -> None:
         with open(args.digraph) as fh:
             d = FiniteDigraph.from_json(json.load(fh))
         phi = digraph_to_poly(d)
-    elif args.complete:
+    elif args.complete is not None:
         phi = named_constructor("complete", n=args.complete)
-    elif args.bipartite:
+    elif args.bipartite is not None:
         phi = named_constructor("bipartite", d=args.bipartite)
-    elif args.circulant:
+    elif args.circulant is not None:
         gens = tuple(int(s) for s in args.gens.split(","))
         phi = named_constructor("circulant", n=args.circulant, gens=gens)
-    elif args.prism:
+    elif args.prism is not None:
         phi = named_constructor("prism", n=args.prism)
     else:
         phi = named_constructor("dihedral", n=args.dihedral)

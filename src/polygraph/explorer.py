@@ -52,6 +52,7 @@ DEFAULT_MAX_VERTICES = 5000
 DEFAULT_MAX_DEPTH = 50
 DEFAULT_DEDUP_EPS = 1e-6
 ISO_LIMIT = 12
+_GRID_EPS = 1e-6  # relative tolerance on the arc steps of a grid prefix
 
 
 @dataclass(frozen=True)
@@ -425,18 +426,13 @@ def _reach(seed_id: int, arcs) -> set[int]:
 def explore_component(phi: BiPoly, seed: complex, budget: Budget = Budget()) -> ExploredDigraph:
     """Weak component of the seed: BFS over out- and in-neighbors."""
     require_standard(analyze(phi))
-    return _weak_component(phi, seed, budget)
-
-
-def _weak_component(phi: BiPoly, seed: complex, budget: Budget) -> ExploredDigraph:
-    """explore_component's BFS, for callers that have checked that phi is standard."""
     return _weak_components(phi, [seed], budget)[0]
 
 
 def _weak_components(phi: BiPoly, seeds, budget: Budget) -> list[ExploredDigraph]:
     """Weak components of the seeds, explored in lockstep; phi must be standard.
 
-    Graphs and errors are those of [_weak_component(phi, u, budget) for u in seeds].
+    Graphs and errors are those of exploring each seed alone, in order.
     """
     sweeps = []
     for u in seeds:
@@ -590,11 +586,11 @@ def _is_directed_chain(g: ExploredDigraph, out, inn) -> bool:
     return len(g.arcs) >= g.order - 1 >= 0 and len(g.arcs) <= g.order
 
 
-def _looks_like_grid(g: ExploredDigraph, eps: float = 1e-6) -> bool:
+def _looks_like_grid(g: ExploredDigraph) -> bool:
     diffs: list[complex] = []
     for f, t, _ in g.arcs:
         d = g.value(t) - g.value(f)
-        if all(abs(d - e) > eps * (1 + abs(e)) for e in diffs):
+        if all(abs(d - e) > _GRID_EPS * (1 + abs(e)) for e in diffs):
             diffs.append(d)
         if len(diffs) > 4:
             return False
@@ -607,7 +603,7 @@ def _looks_like_grid(g: ExploredDigraph, eps: float = 1e-6) -> bool:
             continue
         mate = None
         for j in range(i + 1, 4):
-            if not used[j] and abs(diffs[i] + diffs[j]) <= eps * (1 + abs(diffs[i])):
+            if not used[j] and abs(diffs[i] + diffs[j]) <= _GRID_EPS * (1 + abs(diffs[i])):
                 mate = j
                 break
         if mate is None:
@@ -616,7 +612,7 @@ def _looks_like_grid(g: ExploredDigraph, eps: float = 1e-6) -> bool:
         pairs.append(diffs[i])
     s, t = pairs
     cross = (s * t.conjugate()).imag
-    return abs(cross) > eps * (abs(s) * abs(t) + 1)
+    return abs(cross) > _GRID_EPS * (abs(s) * abs(t) + 1)
 
 
 # -- isomorphism -----------------------------------------------------------------

@@ -15,15 +15,16 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .analyzer import singular_vertex_values
 from .bipoly import BiPoly
 from .errors import AmbiguousOrderError, DomainError, NotStandardError
+from .probe import _sample_seeds
 from .scalars import GR_ONE, GaussRat, is_exact
 from .sympoly import SymPoly
+from .textio import _monomial
 
 ORDER_TOL = 1e-9
 PARABOLIC_BAND = 1e-8
@@ -148,13 +149,13 @@ def _is_scalar_matrix(m, tol: float) -> bool:
     )
 
 
-def continued_fraction_candidates(theta: float, max_den: int, depth: int = _CF_DEPTH):
+def continued_fraction_candidates(theta: float, max_den: int):
     """Convergents p/q of theta with q <= max_den, in rising-q order."""
     out = []
     h0, h1 = 0, 1
     k0, k1 = 1, 0
     x = theta
-    for _ in range(depth):
+    for _ in range(_CF_DEPTH):
         a = math.floor(x)
         h0, h1 = h1, a * h1 + h0
         k0, k1 = k1, a * k1 + k0
@@ -350,13 +351,7 @@ def reference_table_diff(n: int) -> dict:
 
 
 def _mono_str(e: tuple[int, ...]) -> str:
-    parts = []
-    for name, k in zip(ABCD, e):
-        if k == 1:
-            parts.append(name)
-        elif k > 1:
-            parts.append(f"{name}^{k}")
-    return "*".join(parts) if parts else "1"
+    return "*".join(m for m in map(_monomial, ABCD, e) if m) or "1"
 
 
 # -- symbolic matrix powers (for the consistency identities) -----------------------
@@ -383,13 +378,12 @@ def symbolic_power_entries(n: int) -> tuple[SymPoly, SymPoly, SymPoly, SymPoly]:
 # -- Cayley digraphs from Mobius generators ----------------------------------------
 
 
-def cayley_mobius(
-    generators: list[Mobius], rng_seed: int = 20250808, margin: float = 1e-3
-) -> tuple[BiPoly, complex]:
+def cayley_mobius(generators: list[Mobius], rng_seed: int = 20250808) -> tuple[BiPoly, complex]:
     """Product polynomial of the generators plus a non-singular sample seed.
 
-    The seed is drawn from a fixed-seed generator and rejected while it lies
-    within ``margin`` of a singular vertex of any factor.
+    The seed is drawn from a fixed-seed generator on the annulus
+    1 <= |u| <= 2 and rejected while it lies within ``probe.SEED_MARGIN``
+    of a singular vertex of any factor.
     """
     if not generators:
         raise DomainError("need at least one generator")
@@ -405,14 +399,8 @@ def cayley_mobius(
         factor = to_poly(g)
         phi = phi * factor
         bad.extend(singular_vertex_values(factor))
-    rng = random.Random(rng_seed)
-    for _ in range(10_000):
-        r = math.sqrt(rng.uniform(1.0, 4.0))
-        theta = rng.uniform(0.0, 2 * math.pi)
-        u = complex(r * math.cos(theta), r * math.sin(theta))
-        if all(abs(u - s) > margin for s in bad):
-            return phi, u
-    raise DomainError("could not sample a seed away from singular vertices")
+    (seed,) = _sample_seeds(bad, 1, 1.0, 2.0, rng_seed)
+    return phi, seed
 
 
 def mobius_rotation(n: int) -> Mobius:

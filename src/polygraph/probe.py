@@ -68,30 +68,36 @@ def sample_radius(phi: BiPoly) -> float:
     return max(2.0, 2.0 * ratio ** (1.0 / deg))
 
 
+def _sample_seeds(singular, n: int, r_min: float, r_max: float, rng_seed: int) -> list[complex]:
+    """n seeds uniform by area on the annulus r_min <= |u| <= r_max, each
+    farther than SEED_MARGIN from every value in singular; at most 1000
+    draws per seed."""
+    rng = random.Random(rng_seed)
+    seeds: list[complex] = []
+    for _ in range(1000 * n):
+        r = math.sqrt(rng.uniform(r_min**2, r_max**2))
+        theta = rng.uniform(0.0, 2 * math.pi)
+        u = complex(r * math.cos(theta), r * math.sin(theta))
+        if all(abs(u - s) > SEED_MARGIN for s in singular):
+            seeds.append(u)
+            if len(seeds) == n:
+                return seeds
+    raise DomainError("could not sample seeds away from singular vertices")
+
+
 def probe_conjecture(
     phi: BiPoly,
     n_seeds: int = 10,
     budget: Budget = Budget(),
     rng_seed: int = 0,
-    margin: float = SEED_MARGIN,
 ) -> ProbeResult:
     """Explore n_seeds random non-singular seeds and compare the components."""
+    if n_seeds < 1:
+        raise DomainError("a probe needs at least one seed", n_seeds=n_seeds)
     report = require_standard(analyze(phi))
-    singular = singular_vertex_values(phi, report)
-    r_max = sample_radius(phi)
-    rng = random.Random(rng_seed)
-    seeds: list[complex] = []
-    attempts = 0
-    while len(seeds) < n_seeds:
-        attempts += 1
-        if attempts > 1000 * n_seeds:
-            raise DomainError("could not sample seeds away from singular vertices")
-        r = math.sqrt(rng.uniform(_MIN_RADIUS**2, r_max**2))
-        theta = rng.uniform(0.0, 2 * math.pi)
-        u = complex(r * math.cos(theta), r * math.sin(theta))
-        if all(abs(u - s) > margin for s in singular):
-            seeds.append(u)
-
+    seeds = _sample_seeds(
+        singular_vertex_values(phi, report), n_seeds, _MIN_RADIUS, sample_radius(phi), rng_seed
+    )
     graphs = _weak_components(phi, seeds, budget)
 
     labels = [classify(g) for g in graphs]

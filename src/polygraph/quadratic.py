@@ -23,6 +23,7 @@ from .moebius import DEFAULT_NMAX, continued_fraction_candidates
 from .scalars import GR_ONE, GaussRat, is_exact
 
 COS_TOL = 1e-9
+_CASE_TOL = 1e-12  # float a within this of -2 or 2 takes that case
 _AMBIG_BAND = 10.0
 
 
@@ -99,7 +100,7 @@ class QuadSym:
         return "exact" if all(is_exact(v) for v in (self.a, self.b, self.c)) else "float"
 
 
-def _case_of(a, tol: float = 1e-12) -> QuadCase:
+def _case_of(a) -> QuadCase:
     if is_exact(a):
         if a == GaussRat.of(-2):
             return QuadCase.A_MINUS_2
@@ -107,9 +108,9 @@ def _case_of(a, tol: float = 1e-12) -> QuadCase:
             return QuadCase.A_PLUS_2
         return QuadCase.GENERIC
     ca = complex(a)
-    if abs(ca + 2) <= tol:
+    if abs(ca + 2) <= _CASE_TOL:
         return QuadCase.A_MINUS_2
-    if abs(ca - 2) <= tol:
+    if abs(ca - 2) <= _CASE_TOL:
         return QuadCase.A_PLUS_2
     return QuadCase.GENERIC
 
@@ -145,52 +146,44 @@ def recurrence_orbit(q: QuadSym, v0: complex, v1: complex, steps: int) -> list[c
     return orbit[: steps + 1]
 
 
-def cosine_recognize(a, n_max: int = DEFAULT_NMAX, tol: float = COS_TOL):
+def cosine_recognize(a, n_max: int = DEFAULT_NMAX):
     """Least (n, k) with a = 2 cos(2 pi k / n), gcd(k, n) = 1, or None.
 
     Exact rational a only matches for a in {0, 1, -1} (plus the excluded
     +-2); float a goes through arccos and continued-fraction recognition,
     with a mandatory numeric re-check of every candidate.
     """
+    return _cosine_scan(a, n_max)[0]
+
+
+def _cosine_scan(a, n_max: int) -> tuple[tuple[int, int] | None, bool]:
+    """(cosine_recognize(a, n_max), near miss): the near miss is True when a
+    float a is not recognized but some candidate misses only by the
+    uncertainty band _AMBIG_BAND."""
     if is_exact(a):
         if not a.is_real():
-            return None
+            return None, False
         table = {
             Fraction(0): (4, 1),
             Fraction(1): (6, 1),
             Fraction(-1): (3, 1),
         }
-        return table.get(a.re)
+        return table.get(a.re), False
     ca = complex(a)
-    if abs(ca.imag) > tol:
-        return None
-    x = ca.real / 2.0
-    if not -1.0 < x < 1.0:
-        return None
-    theta = math.acos(x) / (2 * math.pi)  # in (0, 1/2)
-    for k, n in continued_fraction_candidates(theta, n_max):
-        if n < 3 or k <= 0 or math.gcd(k, n) != 1:
-            continue
-        if abs(2 * math.cos(2 * math.pi * k / n) - ca.real) <= tol * (1 + abs(ca)):
-            return (n, k)
-    return None
-
-
-def _near_miss(a, n_max: int, tol: float) -> bool:
-    """True when recognition failed but only by the uncertainty band."""
-    if is_exact(a):
-        return False
-    ca = complex(a)
-    if abs(ca.imag) > tol * _AMBIG_BAND or not -1.0 < ca.real / 2.0 < 1.0:
-        return False
-    theta = math.acos(ca.real / 2.0) / (2 * math.pi)
+    if abs(ca.imag) > COS_TOL * _AMBIG_BAND or not -1.0 < ca.real / 2.0 < 1.0:
+        return None, False
+    theta = math.acos(ca.real / 2.0) / (2 * math.pi)  # in (0, 1/2)
+    near = False
     for k, n in continued_fraction_candidates(theta, n_max):
         if n < 3 or k <= 0 or math.gcd(k, n) != 1:
             continue
         err = abs(2 * math.cos(2 * math.pi * k / n) - ca.real)
-        if tol * (1 + abs(ca)) < err <= tol * _AMBIG_BAND * (1 + abs(ca)):
-            return True
-    return False
+        if err <= COS_TOL * (1 + abs(ca)):
+            if abs(ca.imag) <= COS_TOL:
+                return (n, k), False
+        elif err <= COS_TOL * _AMBIG_BAND * (1 + abs(ca)):
+            near = True
+    return None, near
 
 
 def singular_inventory_quad(q: QuadSym) -> QuadReport:
@@ -242,8 +235,7 @@ def classify_deg2(q: QuadSym, n_max: int = DEFAULT_NMAX) -> QuadReport:
             inventory.singular_components_finite,
             verdict=QuadShape.DOUBLE_RAY,
         )
-    witness = cosine_recognize(q.a, n_max)
-    ambiguous = witness is None and _near_miss(q.a, n_max, COS_TOL)
+    witness, ambiguous = _cosine_scan(q.a, n_max)
     verdict = QuadShape.CYCLE if witness else QuadShape.DOUBLE_RAY
     no_singulars = not inventory.loops and not inventory.double_arc_origins
     return QuadReport(

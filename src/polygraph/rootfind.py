@@ -8,8 +8,9 @@ degree that remains and the number of those zeros, and takes the
 eigenvalues of each bucket's stacked companion matrices in one `eigvals`
 call (LAPACK zgeev balances them first; the method of `np.roots`, backward
 stable by Edelman & Murakami 1995).  A row is accepted only if every
-eigenvalue's residual is within 64 times the evaluation-noise bound, so a
-row's result does not depend on the other rows of the call.  It returns
+eigenvalue's residual is within 64 times the evaluation-noise bound plus
+what the rounding of the eigenvalue itself can cause, so a row's result
+does not depend on the other rows of the call.  It returns
 each row's root values and multiplicities.  `roots_batch` stacks UniPolys
 for it and wraps its output in `RootSet`s; `roots` is a batch of one.
 
@@ -33,7 +34,8 @@ from numpy.linalg import LinAlgError, eigvals
 from .errors import DomainError, RootFindingError, ZeroPolynomialError
 from .unipoly import TRIM_REL, UniPoly, cached, from_roots as _expand_roots
 
-DEFAULT_TOL = 1e-12
+# Cluster radii are CLUSTER_BASE**(1/m) * (1 + max|z|) for tentative multiplicity m.
+CLUSTER_BASE = 1e-12
 POLISH_STEPS = 3
 _EPS = np.finfo(float).eps
 
@@ -88,15 +90,15 @@ class RootSet:
         return np.array([self.root_values], dtype=complex).reshape(1, -1)
 
 
-def roots(p: UniPoly, tol: float = DEFAULT_TOL) -> RootSet:
+def roots(p: UniPoly) -> RootSet:
     """Find all roots of p with multiplicities (exact inputs are converted)."""
-    (rs,) = roots_batch([p], tol)
+    (rs,) = roots_batch([p])
     if rs.degree < 1:
         raise DomainError("root finding needs degree >= 1", degree=rs.degree)
     return rs
 
 
-def roots_batch(polys: Sequence[UniPoly], tol: float = DEFAULT_TOL) -> list[RootSet]:
+def roots_batch(polys: Sequence[UniPoly]) -> list[RootSet]:
     """Roots of every polynomial in one `roots_of_rows` call; entry k belongs
     to polys[k].  Each row is the polynomial's own coefficients, untrimmed
     (`to_float` keeps every coefficient of an exact polynomial).  A
@@ -110,16 +112,14 @@ def roots_batch(polys: Sequence[UniPoly], tol: float = DEFAULT_TOL) -> list[Root
     for n, ks in by_len.items():
         if n:
             stacked[ks, :n] = np.array([rows[k] for k in ks], dtype=complex)
-    found = roots_of_rows(stacked, list(map(len, rows)), tol)
+    found = roots_of_rows(stacked, list(map(len, rows)))
     return [
         RootSet(tuple(vals), tuple(mults), len(c) - 1, c[-1], p.var, c)
         for p, c, (vals, mults) in zip(polys, rows, found)
     ]
 
 
-def roots_of_rows(
-    c: np.ndarray, lengths=None, tol: float = DEFAULT_TOL
-) -> list[tuple[list[complex], list[int]]]:
+def roots_of_rows(c: np.ndarray, lengths=None) -> list[tuple[list[complex], list[int]]]:
     """Root values and multiplicities of every row of c; entry k belongs to c[k].
 
     c is a (rows, width) complex array of coefficients, low to high.  Row k
@@ -167,7 +167,7 @@ def roots_of_rows(
 
     results: list = [None] * len(c)
     for ks, full, n_zero, z in solved:
-        fast = _separated(z, tol)
+        fast = _separated(z)
         done = np.flatnonzero(fast)
         ones = np.ones(z.shape[1], dtype=int)
         # + 0.0 turns a -0.0 part into +0.0, as the cluster mean of one eigenvalue does.
@@ -175,7 +175,7 @@ def roots_of_rows(
             results[ks[i]] = found
         for i in np.flatnonzero(~fast):
             row = full[i, n_zero:]
-            clusters = [_refine_cluster(v, m, row) for v, m in _best_clustering(z[i], row, tol)]
+            clusters = [_refine_cluster(v, m, row) for v, m in _best_clustering(z[i], row)]
             vals = np.array([[v for v, _ in clusters]])
             mult = np.array([m for _, m in clusters])
             (results[ks[i]],) = _finish(full[i : i + 1], vals, mult, n_zero)
@@ -250,9 +250,11 @@ def _reconstruction_error(c: np.ndarray, z: np.ndarray) -> np.ndarray:
 def _eigen_roots(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Roots (rows, n) and a per-row failure mask for the rows of c.
 
-    A row fails unless every root has |p| within 64*noise; a row LAPACK
-    rejects (say, one whose coefficients overflow the companion matrix)
-    gets NaN roots and fails.
+    A row fails unless every root z has |p(z)| within 64*noise plus
+    eps*|p'(z)|*(1 + |z|), the residual that the rounding of z alone can
+    cause: the noise bound is relative to the coefficients and vanishes
+    with c0 at z = 0.  A row LAPACK rejects (say, one whose coefficients
+    overflow the companion matrix) gets NaN roots and fails.
     """
     rows, n = c.shape[0], c.shape[1] - 1
     with np.errstate(over="ignore", invalid="ignore"):
@@ -263,7 +265,9 @@ def _eigen_roots(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
             comp[:, 0, :] = -c[:, -2::-1] / c[:, -1:]
             z = _eigvals(comp)
-        ok = np.abs(_horner(c, z)) <= 64.0 * _noise(c, np.abs(z))
+        p, d = _horner_pd(c, z)
+        r = np.abs(z)
+        ok = np.abs(p) <= 64.0 * _noise(c, r) + _EPS * np.abs(d) * (1.0 + r)
     return z, ~ok.all(axis=1)
 
 
@@ -280,22 +284,18 @@ def _eigvals(m: np.ndarray) -> np.ndarray:
 # -- multiplicity clustering and polishing -------------------------------------
 
 
-def _cluster_base(tol: float) -> float:
-    return max(tol, 64.0 * _EPS)
-
-
-def _separated(z: np.ndarray, tol: float) -> np.ndarray:
+def _separated(z: np.ndarray) -> np.ndarray:
     """Rows whose eigenvalues are farther apart than any cluster radius.
 
     For such a row `_best_clustering` returns the eigenvalues as singletons,
-    because no candidate radius base**(1/m) * (1 + max|z|) joins two of them.
+    because no candidate radius CLUSTER_BASE**(1/m) * (1 + max|z|) joins two of them.
     """
     n = z.shape[1]
     if n <= 1:
         return np.ones(len(z), dtype=bool)
     dist = np.abs(z[:, :, None] - z[:, None, :])
     dist[:, np.arange(n), np.arange(n)] = np.inf
-    reach = _cluster_base(tol) ** (1.0 / n) * (1.0 + np.max(np.abs(z), axis=1))
+    reach = CLUSTER_BASE ** (1.0 / n) * (1.0 + np.max(np.abs(z), axis=1))
     return dist.min(axis=(1, 2)) > reach
 
 
@@ -322,8 +322,8 @@ def _single_linkage(z: np.ndarray, threshold_rel: float) -> list[list[int]]:
     return [groups[k] for k in sorted(groups)]
 
 
-def _best_clustering(z: np.ndarray, c: np.ndarray, tol: float) -> list[tuple[complex, int]]:
-    """Try cluster radii tol**(1/m) for rising tentative multiplicity m.
+def _best_clustering(z: np.ndarray, c: np.ndarray) -> list[tuple[complex, int]]:
+    """Try cluster radii CLUSTER_BASE**(1/m) for rising tentative multiplicity m.
 
     More merging is preferred whenever it reconstructs the coefficients
     essentially as well as no merging, because a merged cluster is only
@@ -331,10 +331,9 @@ def _best_clustering(z: np.ndarray, c: np.ndarray, tol: float) -> list[tuple[com
     as a reconstruction mismatch.
     """
     n = len(z)
-    base = _cluster_base(tol)
     seen: list[tuple[float, list[tuple[complex, int]]]] = []
     for m_try in range(1, n + 1):
-        groups = _single_linkage(z, base ** (1.0 / m_try))
+        groups = _single_linkage(z, CLUSTER_BASE ** (1.0 / m_try))
         clusters = [(complex(np.mean(z[g])), len(g)) for g in groups]
         flat = np.array([[v for v, m in clusters for _ in range(m)]])
         seen.append((float(_reconstruction_error(c[None, :], flat)[0]), clusters))

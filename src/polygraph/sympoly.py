@@ -150,19 +150,12 @@ class SymPoly:
         return dict(self.terms)
 
     def __str__(self):
-        if self.is_zero:
-            return "0"
-        keys = sorted(self.terms, key=self._key, reverse=True)
+        from .textio import _join_terms, _monomial
+
         parts = []
-        for e in keys:
+        for e in sorted(self.terms, key=self._key, reverse=True):
             c = self.terms[e]
-            factors = []
-            for name, k in zip(self.vars, e):
-                if k == 1:
-                    factors.append(name)
-                elif k > 1:
-                    factors.append(f"{name}^{k}")
-            body = "*".join(factors)
+            body = "*".join(m for m in map(_monomial, self.vars, e) if m)
             if not body:
                 txt = str(c)
             elif c == 1:
@@ -172,10 +165,7 @@ class SymPoly:
             else:
                 txt = f"{c}*{body}"
             parts.append(txt)
-        out = parts[0]
-        for t in parts[1:]:
-            out += " - " + t[1:] if t.startswith("-") else " + " + t
-        return out
+        return _join_terms(parts)
 
     __repr__ = __str__
 

@@ -19,10 +19,12 @@ from dataclasses import dataclass
 
 from .bipoly import BiPoly
 from .errors import DomainError, RegularityError, SynthesisError
+from .explorer import _reach
 from .scalars import GR_ONE, GaussRat, is_exact
 from .unipoly import UniPoly, lagrange_interpolate
 
 _DUP_TOL = 1e-12
+_FORM_TOL = 1e-9  # relative size of an x-term of the shear that counts as zero
 
 
 @dataclass(frozen=True)
@@ -91,26 +93,9 @@ class FiniteDigraph:
         return d
 
     def is_strongly_connected(self) -> bool:
-        if self.n == 0:
-            return False
-        adj: dict[int, list[int]] = {v: [] for v in range(self.n)}
-        radj: dict[int, list[int]] = {v: [] for v in range(self.n)}
-        for a, b in self.arcs:
-            adj[a].append(b)
-            radj[b].append(a)
-
-        def reach(start, graph):
-            seen = {start}
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for w in graph[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            return seen
-
-        return len(reach(0, adj)) == self.n and len(reach(0, radj)) == self.n
+        fwd = [(a, b, 1) for a, b in self.arcs]
+        bwd = [(b, a, 1) for a, b in self.arcs]
+        return self.n > 0 and len(_reach(0, fwd)) == len(_reach(0, bwd)) == self.n
 
 
 @dataclass(frozen=True)
@@ -334,7 +319,7 @@ class FormVerdict:
     profile: UniPoly | None = None  # the f with Phi(x,y) = f(y-x), if any
 
 
-def recognize_form(phi: BiPoly, tol: float = 1e-9) -> FormVerdict:
+def recognize_form(phi: BiPoly) -> FormVerdict:
     """Detect Phi = f(y-x) (via the shear y -> y+x) or homogeneity."""
     if phi.is_zero:
         return FormVerdict(Form.NEITHER)
@@ -344,7 +329,7 @@ def recognize_form(phi: BiPoly, tol: float = 1e-9) -> FormVerdict:
     else:
         scale = sheared.coeff_scale()
         x_free = all(
-            abs(c) <= tol * scale for (i, _), c in sheared.coeffs.items() if i > 0
+            abs(c) <= _FORM_TOL * scale for (i, _), c in sheared.coeffs.items() if i > 0
         )
     if x_free:
         d = sheared.deg_y

@@ -414,14 +414,16 @@ def from_roots(roots: Sequence, lead=1.0, var: str = "x") -> UniPoly:
 
 
 def lagrange_interpolate(points: Sequence[tuple], var: str = "x") -> UniPoly:
-    """Exact Lagrange interpolation through (node, value) GaussRat pairs.
+    """Exact interpolation through (node, value) GaussRat pairs.
 
     Nodes must be pairwise distinct; the result is the unique polynomial of
-    degree < len(points) matching every pair.
+    degree < len(points) matching every pair.  Newton's divided differences
+    give its Newton form, which Horner expands (von zur Gathen and Gerhard,
+    Modern Computer Algebra, Ch. 5).
     """
     nodes = [p[0] for p in points]
-    vals = [p[1] for p in points]
-    if not all(is_exact(u) for u in nodes) or not all(is_exact(v) for v in vals):
+    coef = [p[1] for p in points]
+    if not all(is_exact(u) for u in nodes) or not all(is_exact(v) for v in coef):
         raise ExactArithmeticRequired("interpolation nodes and values must be exact")
     for i in range(len(nodes)):
         for j in range(i + 1, len(nodes)):
@@ -429,16 +431,14 @@ def lagrange_interpolate(points: Sequence[tuple], var: str = "x") -> UniPoly:
                 raise SynthesisError(
                     "repeated interpolation node", node=str(nodes[i])
                 )
-    total = UniPoly.zero(var)
-    for i, (u, v) in enumerate(zip(nodes, vals)):
-        if not v:
-            continue
-        basis = UniPoly.one(var)
-        denom = GR_ONE
-        for j, w in enumerate(nodes):
-            if j == i:
-                continue
-            basis = basis * UniPoly((-w, GR_ONE), var)
-            denom = denom * (u - w)
-        total = total + basis.scale(v / denom)
-    return total
+    n = len(nodes)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (nodes[i] - nodes[i - j])
+    acc: list = []
+    for k in range(n - 1, -1, -1):  # acc = acc * (x - nodes[k]) + coef[k]
+        acc = [GR_ZERO] + acc
+        for i in range(len(acc) - 1):
+            acc[i] = acc[i] - nodes[k] * acc[i + 1]
+        acc[0] = acc[0] + coef[k]
+    return UniPoly.make(acc, var)

@@ -108,6 +108,20 @@ def test_probe_workers_flag_is_usage_error(capsys):
     assert captured.out == "" and "--workers" in captured.err
 
 
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_probe_without_seeds_exit_2(capsys, seeds):
+    code, out, err = run_cli(capsys, "probe", "x^2+y^2", "--seeds", seeds)
+    assert code == EXIT_DOMAIN and out == ""
+    assert json.loads(err)["error"]["type"] == "DomainError"
+
+
+@pytest.mark.parametrize("flag", ["--complete", "--bipartite", "--circulant", "--prism", "--dihedral"])
+def test_synth_family_of_size_zero_exit_2(capsys, flag):
+    code, out, err = run_cli(capsys, "synth", flag, "0")
+    assert code == EXIT_DOMAIN and out == ""
+    assert json.loads(err)["error"]["type"] == "DomainError"
+
+
 def test_domain_error_exit_2(capsys):
     code, out, err = run_cli(capsys, "explore", "(y-x)^2", "--seed", "0")
     assert code == EXIT_DOMAIN and out == ""

@@ -252,6 +252,12 @@ class TestResultant:
             report = analyze(parse("(1e308+1e308i)*x + y"))
         assert report.E.coeffs == (1e308 + 1e308j,)
 
+    def test_overflowing_float_sample_raises(self):
+        # The row of the first sample, (1e308*u + 1e308)*y + 1 at u = exp(0.3i),
+        # overflows although every coefficient is finite.
+        with pytest.raises(EvaluationOverflow):
+            parse("1e308*x*y + 1e308*y + 1").resultant(parse("y - 1.0"), "y")
+
     def test_float_matches_exact(self):
         rng = random.Random(3)
         for _ in range(20):

@@ -11,6 +11,7 @@ from polygraph import analyzer, explorer, singular_vertex_values
 from polygraph import probe as probe_module
 from polygraph.bipoly import BiPoly
 from polygraph.errors import (
+    DomainError,
     EvaluationOverflow,
     ExplorationError,
     RootFindingError,
@@ -88,7 +89,7 @@ def test_root_failure_is_the_first_failing_seeds(monkeypatch, grid_seeds):
     # Seed 3 failed a level earlier; seeds 0 to 2 ran on and seed 1 failed.
     assert hit == [3, 1]
     with pytest.raises(ExplorationError) as alone:
-        explorer._weak_component(GRID, seeds[1], GRID_BUDGET)
+        explorer._weak_components(GRID, [seeds[1]], GRID_BUDGET)
     assert str(lockstep.value) == str(alone.value)
     assert lockstep.value.payload == alone.value.payload == {"vertex": str(values[1])}
     assert lockstep.value.partial == alone.value.partial
@@ -117,7 +118,7 @@ def test_row_error_is_the_first_failing_seeds(monkeypatch, grid_seeds, error):
         _grid_probe()
     assert hit == [3, 1]
     with pytest.raises(error) as alone:
-        explorer._weak_component(GRID, seeds[1], GRID_BUDGET)
+        explorer._weak_components(GRID, [seeds[1]], GRID_BUDGET)
     assert str(lockstep.value) == str(alone.value)
     assert lockstep.value.payload == alone.value.payload == {"vertex": str(values[1])}
 
@@ -154,3 +155,9 @@ def test_probe_makes_one_root_call_per_level(monkeypatch):
     assert result.truncated_count == 0
     assert all(g.order == 10 for g in result.graphs)
     assert len(calls) == max(_levels(g) for g in result.graphs) == 6
+
+
+@pytest.mark.parametrize("n_seeds", [0, -1])
+def test_probe_needs_a_seed(n_seeds):
+    with pytest.raises(DomainError):
+        probe_conjecture(parse("x^2+y^2"), n_seeds=n_seeds)

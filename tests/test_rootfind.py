@@ -279,3 +279,40 @@ def test_root_set_diagnostics_are_built_on_first_read():
     assert {"roots", "residual_bound", "reconstruction_error"} <= set(vars(rs))
     # The coefficients stay out of equality.
     assert rs == rootfind.RootSet(rs.root_values, rs.multiplicities, rs.degree, rs.lead, "y")
+
+
+def test_eigenvalue_zero_beside_a_tiny_constant_term():
+    # The row's constant term is about -1.2e-30j and its smallest root is
+    # u + 1 = 2.96e-31j, but the companion eigenvalue comes out as exactly 0.
+    # |p(0)| = |c0| exceeds any noise bound proportional to |c0|, so the
+    # check must also allow for the rounding of the eigenvalue itself.
+    u = complex(-1, 2.9582283945787943e-31)
+    (rs,) = roots_batch([parse("(y-x)^4-1").eval_partial(u, "x")])
+    assert rs.multiplicities == (1, 1, 1, 1)
+    want = sorted([u - 1, u - 1j, u + 1j, u + 1], key=lambda z: (round(z.real, 9), z.imag))
+    assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(rs.values(), want))
+
+
+def test_multiple_roots_are_refined_on_a_derivative():
+    # The mean of a cluster of m eigenvalues is off by about eps**(1/m);
+    # `_refine_cluster` polishes it on the (m-1)-th derivative, where the root
+    # is simple.  Without that step the worst error here is ~6e-12.
+    rng = random.Random(11)
+
+    def point():
+        return complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+
+    cases = []
+    for _ in range(400):
+        r, m = point(), rng.choice((2, 3, 4))
+        simple = [point() for _ in range(rng.randint(0, 3))]
+        cases.append((r, m, from_roots([r] * m + simple, 1.0, "y")))
+    errors, missed = [], 0
+    for (r, m, _), rs in zip(cases, roots_batch([p for _, _, p in cases])):
+        found = [v for v, k in rs.with_multiplicity() if k == m]
+        if not found:
+            missed += 1  # the cluster search split the root: not a refinement error
+            continue
+        errors.append(min(abs(v - r) for v in found) / abs(r))
+    assert missed <= 3
+    assert max(errors) < 1e-13
