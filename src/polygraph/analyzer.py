@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .bipoly import BiPoly
 from .errors import DomainError, ExactArithmeticRequired, NotStandardError
-from .rootfind import roots as find_roots
+from .rootfind import roots as find_roots, roots_batch
 from .scalars import GR_ONE
 from .unipoly import UniPoly, from_roots
 
@@ -121,6 +121,11 @@ class _Uncertainty:
         if thr / _UNCERTAIN_BAND < q <= thr * _UNCERTAIN_BAND:
             self.flagged = True
         return q <= thr
+
+    def vanishes(self, p: UniPoly, u: complex, tol: float) -> bool:
+        """Is |p(u)| at most tol relative to p's coefficients at radius |u|?"""
+        scale = max(p.coeff_scale(), 1e-300) * (1.0 + abs(u)) ** max(p.degree, 0)
+        return self.below(abs(complex(p.eval(u))) / scale, tol)
 
     def is_zero(self, p: UniPoly, log_ref: float) -> bool:
         """Is p below _ZERO_REL * exp(log_ref)?  In logarithms, so the
@@ -236,47 +241,48 @@ def require_standard(report: StandardReport) -> StandardReport:
     return report
 
 
+def _singular_roots(report: StandardReport) -> list[list[complex]]:
+    """Distinct roots of L, D and E, one list per factor, from one
+    `roots_batch` call.  An exact factor is made squarefree first, so its
+    roots are simple; a constant factor has none."""
+    polys = []
+    for p in (report.L, report.D, report.E):
+        if p.mode == "exact" and p.degree > 0:
+            p = p.divexact(p.gcd(p.derivative()))
+        polys.append(p)
+    return [rs.values() for rs in roots_batch(polys)]
+
+
 def singular_inventory(
     phi: BiPoly, report: StandardReport, tol: float = VERTEX_TOL
 ) -> SingularInventory:
-    """Classified singular vertices of a standard polynomial."""
+    """Classified singular vertices of a standard polynomial.
+
+    Each factor's rows come from one `explorer.neighbors` call: the out-rows
+    Phi(u, y) at the roots of L and D, the in-rows Phi(x, u) at those of E.
+    """
+    from .explorer import neighbors
+
     require_standard(report)
     pf = phi.to_float()
     unc = _Uncertainty()
+    l_roots, d_roots, e_roots = _singular_roots(report)
 
     loops: list[tuple[complex, int]] = []
-    if report.L.degree > 0:
-        for u in find_roots(report.L).values():
-            mult = 0
-            row = pf.eval_partial(u, "x")
-            if not row.is_zero and row.degree >= 1:
-                for v, m in find_roots(row).with_multiplicity():
-                    if abs(v - u) <= tol * (1.0 + abs(u)):
-                        mult += m
-            loops.append((u, max(mult, 1)))
+    for u, row in zip(l_roots, neighbors(pf, l_roots, "x")):
+        mult = sum(m for v, m in row if abs(v - u) <= tol * (1.0 + abs(u)))
+        loops.append((u, max(mult, 1)))
 
+    # A root of D (E) is defective where the leading coefficient in y (x)
+    # vanishes, and a multi-arc origin (end) where its row has a multiple root.
     a_d = pf.coeff_polys("y")[pf.deg_y]
     b_e = pf.coeff_polys("x")[pf.deg_x]
-
-    def split_defective(res_poly: UniPoly, lead: UniPoly, axis: str):
-        defective: list[complex] = []
-        multi: list[complex] = []
-        if res_poly.degree <= 0:
-            return defective, multi
-        for u in find_roots(res_poly).values():
-            lead_scale = max(lead.coeff_scale(), 1e-300) * (1.0 + abs(u)) ** max(
-                lead.degree, 0
-            )
-            if unc.below(abs(complex(lead.eval(u))) / lead_scale, tol):
-                defective.append(u)
-            row = pf.eval_partial(u, axis)
-            if not row.is_zero and row.degree >= 1:
-                if max(find_roots(row).multiplicities) >= 2:
-                    multi.append(u)
-        return defective, multi
-
-    out_def, multi_orig = split_defective(report.D, a_d, "x")
-    in_def, multi_end = split_defective(report.E, b_e, "y")
+    out_def = [u for u in d_roots if unc.vanishes(a_d, u, tol)]
+    in_def = [u for u in e_roots if unc.vanishes(b_e, u, tol)]
+    out_rows = neighbors(pf, d_roots, "x")
+    in_rows = neighbors(pf, e_roots, "y")
+    multi_orig = [u for u, row in zip(d_roots, out_rows) if any(m >= 2 for _, m in row)]
+    multi_end = [u for u, row in zip(e_roots, in_rows) if any(m >= 2 for _, m in row)]
 
     return SingularInventory(
         loops=tuple(loops),
@@ -291,17 +297,14 @@ def singular_inventory(
 def singular_vertex_values(phi: BiPoly, report: StandardReport | None = None) -> list[complex]:
     """Distinct roots of S = L*D*E, the singular vertices (float values).
 
-    The roots are taken factor by factor: one root call on the product
-    would face degree deg L + deg D + deg E and every multiple root at once.
+    L, D and E are solved as separate rows of one batch: one root call on
+    the product would face degree deg L + deg D + deg E and every multiple
+    root at once.
     """
     report = require_standard(report if report is not None else analyze(phi))
     vals: list[complex] = []
-    for p in (report.L, report.D, report.E):
-        if p.degree <= 0:
-            continue
-        if p.mode == "exact":
-            p = p.divexact(p.gcd(p.derivative()))
-        for u in find_roots(p).values():
+    for us in _singular_roots(report):
+        for u in us:
             if all(abs(u - v) > 1e-6 * (1 + abs(v)) for v in vals):
                 vals.append(u)
     return sorted(vals, key=lambda z: (z.real, z.imag))

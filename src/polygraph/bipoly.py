@@ -8,11 +8,11 @@ Coefficients live in a sparse map (x_power, y_power) -> scalar, all exact
   vector of values in floats at once, by Horner over a cached dense
   coefficient table, and `eval_partial` is its one-row case (or exact),
 * resultants by evaluation and interpolation in both modes: in exact mode
-  at a run of integers, with the scalar resultant from the subresultant PRS
-  over Z[i] and Newton interpolation in integers (the `_gz_*` helpers of
-  `unipoly`; GaussRat only on entry and exit), in float mode at roots of
-  unity, with one `eval_rows` call per operand, one stacked Sylvester
-  determinant call and an FFT,
+  `unipoly.resultant_by_evaluation` takes the coefficient polynomials in
+  the eliminated variable (it evaluates them at a run of integers over
+  Z[i]), in float mode the samples are at roots of unity, with one
+  `eval_rows` call per operand, one stacked Sylvester determinant call and
+  an FFT,
 * squarefree part (exact), exact division, affine reparametrization.  The
   bivariate ring operations behind these still run on GaussRat.
 """
@@ -20,7 +20,6 @@ Coefficients live in a sparse map (x_power, y_power) -> scalar, all exact
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -33,16 +32,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .scalars import GR_ONE, GR_ZERO, is_exact, require_finite, square_and_multiply
-from .unipoly import (
-    TRIM_REL,
-    UniPoly,
-    cached,
-    _gz_clear,
-    _gz_eval,
-    _gz_interpolate,
-    _gz_resultant,
-    _gz_unipoly,
-)
+from .unipoly import TRIM_REL, UniPoly, cached, resultant_by_evaluation
 
 _INTERP_ANGLE = 0.3  # fixed angular offset for float resultant sample points
 _CROSS_SIGN = np.array([-1.0, 1.0])
@@ -316,7 +306,9 @@ class BiPoly:
             self.total_degree * other.total_degree,
         )
         if exact:
-            return _resultant_exact(self, other, var, bound)
+            return resultant_by_evaluation(
+                self.coeff_polys(var), other.coeff_polys(var), bound, other_var
+            )
         return _resultant_float(self, other, var, bound)
 
     # -- squarefree part ---------------------------------------------------------
@@ -393,30 +385,6 @@ def _bipoly_powers(p: BiPoly, n: int) -> list[BiPoly]:
     for _ in range(max(0, n)):
         out.append(out[-1] * p)
     return out
-
-
-def _resultant_exact(p: BiPoly, q: BiPoly, var: str, bound: int) -> UniPoly:
-    """Evaluation at integers, the subresultant PRS and integer interpolation.
-
-    The rows of p and q are cleared of denominators once.  The points are the
-    first run t0..t0+bound of integers where neither leading coefficient in
-    var vanishes: only there does specialisation commute with the resultant.
-    """
-    other = "y" if var == "x" else "x"
-    pc, den_p = _gz_clear(p.coeff_polys(var))
-    qc, den_q = _gz_clear(q.coeff_polys(var))
-    t0 = t = 0
-    while t <= t0 + bound:
-        if _gz_eval(pc[-1], t) == (0, 0) or _gz_eval(qc[-1], t) == (0, 0):
-            t0 = t + 1
-        t += 1
-    vals = [
-        _gz_resultant([_gz_eval(c, t) for c in pc], [_gz_eval(c, t) for c in qc])
-        for t in range(t0, t0 + bound + 1)
-    ]
-    # Res(pc, qc) = den_p**deg_q * den_q**deg_p * Res(p, q)
-    den = math.factorial(bound) * den_p ** q.degree(var) * den_q ** p.degree(var)
-    return _gz_unipoly(_gz_interpolate(vals, t0), (den, 0), other)
 
 
 def _resultant_float(p: BiPoly, q: BiPoly, var: str, bound: int) -> UniPoly:

@@ -12,9 +12,19 @@ import argparse
 import json
 import sys
 
-from .analyzer import analyze, singular_inventory
+from .analyzer import VERTEX_TOL, analyze, singular_inventory
 from .errors import PolygraphError
-from .explorer import Budget, classify, explore_component, explore_strong_component, export
+from .explorer import (
+    DEFAULT_DEDUP_EPS,
+    DEFAULT_MAX_DEPTH,
+    DEFAULT_MAX_VERTICES,
+    Budget,
+    ExploredDigraph,
+    classify,
+    explore_component,
+    explore_strong_component,
+    export,
+)
 from .moebius import DEFAULT_NMAX, classify_deg1, cycle_condition, reference_table_diff
 from .probe import probe_conjecture
 from .quadratic import QuadSym, classify_deg2
@@ -46,9 +56,9 @@ def _budget(args) -> Budget:
 
 
 def _add_budget_flags(p: argparse.ArgumentParser):
-    p.add_argument("--max-vertices", type=int, default=5000)
-    p.add_argument("--depth", type=int, default=50)
-    p.add_argument("--dedup-eps", type=float, default=1e-6)
+    p.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
+    p.add_argument("--depth", type=int, default=DEFAULT_MAX_DEPTH)
+    p.add_argument("--dedup-eps", type=float, default=DEFAULT_DEDUP_EPS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="standardness report for a polynomial")
     p.add_argument("poly")
     p.add_argument("--singular", action="store_true", help="include the vertex inventory")
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--tol", type=float, default=VERTEX_TOL)
+    p.set_defaults(run=_cmd_analyze)
 
     for name in ("explore", "strong"):
         p = sub.add_parser(name, help=f"{name} component exploration")
@@ -67,6 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_budget_flags(p)
         p.add_argument("--format", choices=("json", "dot"), default="json")
         p.add_argument("--classify", action="store_true")
+        p.set_defaults(run=_cmd_explore)
 
     p = sub.add_parser("synth", help="polynomial from a digraph or named family")
     g = p.add_mutually_exclusive_group(required=True)
@@ -77,30 +89,36 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--prism", type=int, metavar="N")
     g.add_argument("--dihedral", type=int, metavar="N")
     p.add_argument("--gens", default="1", help="circulant steps, comma separated")
+    p.set_defaults(run=_cmd_synth)
 
     p = sub.add_parser("classify-deg1", help="degree-one component verdict")
     p.add_argument("poly")
     p.add_argument("--nmax", type=int, default=DEFAULT_NMAX)
+    p.set_defaults(run=_cmd_classify_deg1)
 
     p = sub.add_parser("classify-deg2", help="symmetric degree-two verdict")
     p.add_argument("--a", required=True)
     p.add_argument("--b", default="0")
     p.add_argument("--c", default="0")
     p.add_argument("--nmax", type=int, default=DEFAULT_NMAX)
+    p.set_defaults(run=_cmd_classify_deg2)
 
     p = sub.add_parser("cycle-condition", help="symbolic n-cycle condition")
     p.add_argument("n", type=int)
     p.add_argument("--diff", action="store_true", help="diff against the published table")
+    p.set_defaults(run=_cmd_cycle_condition)
 
     p = sub.add_parser("probe", help="probe the isomorphic-components conjecture")
     p.add_argument("poly")
     p.add_argument("--seeds", type=int, default=10)
     p.add_argument("--rng-seed", type=int, default=0)
     _add_budget_flags(p)
+    p.set_defaults(run=_cmd_probe)
 
     p = sub.add_parser("export", help="re-encode an exploration JSON file")
     p.add_argument("graph", help="JSON file produced by explore/strong")
     p.add_argument("--format", choices=("json", "dot"), default="dot")
+    p.set_defaults(run=_cmd_export)
     return top
 
 
@@ -121,10 +139,10 @@ def _cmd_analyze(args) -> None:
     _emit(out)
 
 
-def _cmd_explore(args, strong: bool) -> None:
+def _cmd_explore(args) -> None:
     phi = parse(args.poly)
     seed = complex(parse_scalar(args.seed))
-    fn = explore_strong_component if strong else explore_component
+    fn = explore_strong_component if args.command == "strong" else explore_component
     g = fn(phi, seed, _budget(args))
     if args.format == "dot":
         sys.stdout.write(export(g, "dot").decode())
@@ -182,8 +200,6 @@ def _cmd_probe(args) -> None:
 
 
 def _cmd_export(args) -> None:
-    from .explorer import ExploredDigraph
-
     with open(args.graph) as fh:
         obj = json.load(fh)
     g = ExploredDigraph(
@@ -198,24 +214,7 @@ def _cmd_export(args) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "analyze":
-            _cmd_analyze(args)
-        elif args.command == "explore":
-            _cmd_explore(args, strong=False)
-        elif args.command == "strong":
-            _cmd_explore(args, strong=True)
-        elif args.command == "synth":
-            _cmd_synth(args)
-        elif args.command == "classify-deg1":
-            _cmd_classify_deg1(args)
-        elif args.command == "classify-deg2":
-            _cmd_classify_deg2(args)
-        elif args.command == "cycle-condition":
-            _cmd_cycle_condition(args)
-        elif args.command == "probe":
-            _cmd_probe(args)
-        elif args.command == "export":
-            _cmd_export(args)
+        args.run(args)
         return EXIT_OK
     except PolygraphError as exc:
         sys.stderr.write(json.dumps({"error": exc.as_json()}, sort_keys=True) + "\n")

@@ -1,16 +1,21 @@
 """Sparse multivariate polynomials with integer coefficients.
 
-Small engine for the symbolic cycle-condition work: supports + - *, exact
-division by graded-lex leading terms, substitution of polynomials for
-variables, evaluation at scalars, and deterministic graded-lex printing.
+Small engine for the symbolic cycle-condition work: supports + - * and
+powers, exact division by graded-lex leading terms, substitution of
+polynomials for variables, evaluation at scalars, and deterministic
+graded-lex printing.  `parse_sympoly` reads the polynomial text grammar of
+:mod:`polygraph.textio`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping
 
-from .errors import DomainError
+from .errors import DomainError, ParseError
+from .scalars import square_and_multiply
+from .textio import _Parser, _join_terms, _monomial
 
 
 @dataclass(frozen=True)
@@ -68,6 +73,11 @@ class SymPoly:
 
     def scale(self, k: int) -> "SymPoly":
         return SymPoly.make(self.vars, {e: c * k for e, c in self.terms.items()})
+
+    def power(self, k: int) -> "SymPoly":
+        if k < 0:
+            raise DomainError("negative polynomial power")
+        return square_and_multiply(self, k, SymPoly.const(self.vars, 1))
 
     # graded lex: total degree first, then exponent tuple lexicographically
     @staticmethod
@@ -150,8 +160,6 @@ class SymPoly:
         return dict(self.terms)
 
     def __str__(self):
-        from .textio import _join_terms, _monomial
-
         parts = []
         for e in sorted(self.terms, key=self._key, reverse=True):
             c = self.terms[e]
@@ -171,68 +179,18 @@ class SymPoly:
 
 
 def parse_sympoly(text: str, vars: tuple[str, ...]) -> SymPoly:
-    """Tiny parser for reference transcriptions: ints, vars, * ^ + -."""
-    pos = 0
-    n = len(text)
+    """Parse text in the grammar of `textio.parse` with integer literals
+    only and the names in vars as the variables; ParseError otherwise."""
+    vars = tuple(vars)
 
-    def skip():
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
+    def literal(kind: str, val, at: int) -> SymPoly:
+        if kind != "num" or not isinstance(val, Fraction) or val.denominator != 1:
+            raise ParseError("expected an integer literal", at)
+        return SymPoly.const(vars, int(val))
 
-    def parse_term() -> SymPoly:
-        nonlocal pos
-        coeff = 1
-        exps = [0] * len(vars)
-        saw_factor = False
-        while True:
-            skip()
-            if pos < n and text[pos].isdigit():
-                start = pos
-                while pos < n and text[pos].isdigit():
-                    pos += 1
-                coeff *= int(text[start:pos])
-                saw_factor = True
-            elif pos < n and text[pos].isalpha():
-                name = text[pos]
-                pos += 1
-                if name not in vars:
-                    raise DomainError(f"unknown variable {name!r}")
-                k = 1
-                skip()
-                if pos < n and text[pos] == "^":
-                    pos += 1
-                    skip()
-                    start = pos
-                    while pos < n and text[pos].isdigit():
-                        pos += 1
-                    k = int(text[start:pos])
-                exps[vars.index(name)] += k
-                saw_factor = True
-            else:
-                break
-            skip()
-            if pos < n and text[pos] == "*":
-                pos += 1
-                continue
-            break
-        if not saw_factor:
-            raise DomainError("empty term in SymPoly text")
-        return SymPoly.make(tuple(vars), {tuple(exps): coeff})
+    def name(val: str, at: int) -> SymPoly:
+        if val not in vars:
+            raise ParseError(f"unknown variable {val!r}", at)
+        return SymPoly.var(vars, val)
 
-    skip()
-    sign = 1
-    if pos < n and text[pos] in "+-":
-        sign = -1 if text[pos] == "-" else 1
-        pos += 1
-    total = parse_term().scale(sign)
-    while True:
-        skip()
-        if pos >= n:
-            return total
-        op = text[pos]
-        if op not in "+-":
-            raise DomainError(f"unexpected character {op!r} in SymPoly text")
-        pos += 1
-        term = parse_term()
-        total = total + term if op == "+" else total - term
+    return _Parser(text, literal, name).parse()

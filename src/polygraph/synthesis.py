@@ -162,9 +162,11 @@ def digraph_to_poly(d_graph: FiniteDigraph) -> BiPoly:
                 raise SynthesisError(
                     "vertex values must be pairwise distinct", index=[i, j]
                 )
+    # One-factorization validates the arcs (regular_degree) before the
+    # connectivity test walks them.
+    factorization = one_factorization(d_graph)
     if not d_graph.is_strongly_connected():
         raise SynthesisError("digraph must be strongly connected")
-    factorization = one_factorization(d_graph)
     phi = BiPoly.constant(GR_ONE)
     y = BiPoly.variable("y")
     for perm in factorization.factors:

@@ -10,7 +10,10 @@ Grammar accepted by :func:`parse`:
 
 Integer and p/q literals produce exact Gaussian rationals; any decimal
 literal (with '.' or an exponent) switches the whole polynomial to float
-mode.  "2i" and "3/2i" are single imaginary literals.
+mode.  "2i" and "3/2i" are single imaginary literals.  The parser builds
+literals and names through two functions it is given, so
+`sympoly.parse_sympoly` reads the same grammar with integer literals and
+its own variable names.
 """
 
 from __future__ import annotations
@@ -87,9 +90,16 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 
 
 class _Parser:
-    def __init__(self, text: str):
+    """Recursive descent over the grammar above.  The polynomial type is
+    the builders': literal(kind, value, position) turns a "num" or "imag"
+    token and name(text, position) a name token into a polynomial with
+    + - *, negation and power(k), or raises ParseError."""
+
+    def __init__(self, text: str, literal, name):
         self.toks = _tokenize(text)
         self.pos = 0
+        self.literal = literal
+        self.name = name
 
     def peek(self):
         return self.toks[self.pos]
@@ -104,14 +114,14 @@ class _Parser:
         if kind != "op" or val != op:
             raise ParseError(f"expected {op!r}", at)
 
-    def parse(self) -> BiPoly:
+    def parse(self):
         p = self.expr()
         kind, _, at = self.peek()
         if kind != "end":
             raise ParseError("unexpected trailing input", at)
         return p
 
-    def expr(self) -> BiPoly:
+    def expr(self):
         p = self.term()
         while True:
             kind, val, _ = self.peek()
@@ -122,7 +132,7 @@ class _Parser:
             else:
                 return p
 
-    def term(self) -> BiPoly:
+    def term(self):
         p = self.factor()
         while True:
             kind, val, _ = self.peek()
@@ -132,7 +142,7 @@ class _Parser:
             else:
                 return p
 
-    def factor(self) -> BiPoly:
+    def factor(self):
         kind, val, at = self.peek()
         if kind == "op" and val == "-":
             self.take()
@@ -147,22 +157,12 @@ class _Parser:
             p = p.power(int(exp))
         return p
 
-    def atom(self) -> BiPoly:
+    def atom(self):
         kind, val, at = self.take()
-        if kind == "num":
-            if isinstance(val, Fraction):
-                return BiPoly.make({(0, 0): GaussRat(val)})
-            return BiPoly.make({(0, 0): complex(val)})
-        if kind == "imag":
-            if isinstance(val, Fraction):
-                return BiPoly.make({(0, 0): GaussRat(Fraction(0), val)})
-            return BiPoly.make({(0, 0): complex(0.0, val)})
+        if kind in ("num", "imag"):
+            return self.literal(kind, val, at)
         if kind == "name":
-            if val == "i":
-                return BiPoly.make({(0, 0): GR_I})
-            if val in ("x", "y"):
-                return BiPoly.variable(val)
-            raise ParseError(f"unsupported variable name {val!r}", at)
+            return self.name(val, at)
         if kind == "op" and val == "(":
             p = self.expr()
             self.expect_op(")")
@@ -170,9 +170,25 @@ class _Parser:
         raise ParseError("expected a number, variable or parenthesis", at)
 
 
+def _bipoly_literal(kind: str, val, at: int) -> BiPoly:
+    if isinstance(val, Fraction):
+        c = GaussRat(val) if kind == "num" else GaussRat(Fraction(0), val)
+    else:
+        c = complex(val) if kind == "num" else complex(0.0, val)
+    return BiPoly.make({(0, 0): c})
+
+
+def _bipoly_name(val: str, at: int) -> BiPoly:
+    if val == "i":
+        return BiPoly.make({(0, 0): GR_I})
+    if val in ("x", "y"):
+        return BiPoly.variable(val)
+    raise ParseError(f"unsupported variable name {val!r}", at)
+
+
 def parse(text: str) -> BiPoly:
     """Parse polynomial text into a BiPoly (exact when all literals are)."""
-    return _Parser(text).parse()
+    return _Parser(text, _bipoly_literal, _bipoly_name).parse()
 
 
 def parse_scalar(text: str):
@@ -201,23 +217,17 @@ def _fmt_float(v: float) -> str:
 def format_scalar(s) -> str:
     """Round-trippable scalar text: '3/2', '2i', '1+2i', '0.5-1.5i'."""
     if is_exact(s):
-        re, im = s.re, s.im
-        if im == 0:
-            return _fmt_fraction(re)
-        imtxt = "i" if im == 1 else ("-i" if im == -1 else _fmt_fraction(im) + "i")
-        if re == 0:
-            return imtxt
-        sign = "+" if im > 0 else ""
-        return _fmt_fraction(re) + sign + imtxt
-    z = complex(s)
-    re, im = z.real, z.imag
+        re, im, fmt = s.re, s.im, _fmt_fraction
+    else:
+        z = complex(s)
+        re, im, fmt = z.real, z.imag, _fmt_float
     if im == 0:
-        return _fmt_float(re)
-    imtxt = "i" if im == 1 else ("-i" if im == -1 else _fmt_float(im) + "i")
+        return fmt(re)
+    imtxt = "i" if im == 1 else ("-i" if im == -1 else fmt(im) + "i")
     if re == 0:
         return imtxt
-    sign = "+" if im > 0 and not imtxt.startswith("-") else ""
-    return _fmt_float(re) + sign + imtxt
+    sign = "+" if im > 0 else ""
+    return fmt(re) + sign + imtxt
 
 
 def _fmt_term(coeff, monomial: str) -> str:

@@ -10,9 +10,10 @@ division and gcd clear the common denominator of their operands on entry,
 run on polynomials over Z[i] (ascending lists of (re, im) int pairs, the
 `_gz_*` helpers below) and convert back once on exit: integer convolution,
 pseudo-division followed by one division by lc**e and the denominators, and
-the subresultant PRS (Collins 1967; Brown and Traub 1971).  The exact
-resultant of `bipoly` evaluates, takes scalar resultants by the same PRS
-and interpolates on the same helpers.
+the subresultant PRS (Collins 1967; Brown and Traub 1971).
+`resultant_by_evaluation`, the exact resultant of `bipoly`, evaluates at
+integers, takes scalar resultants by the same PRS and interpolates on the
+same helpers; the Z[i] format does not leave this module.
 """
 
 from __future__ import annotations
@@ -403,6 +404,34 @@ def _gz_interpolate(values: list, t0: int) -> list:
     while out and out[-1] == (0, 0):
         out.pop()
     return out
+
+
+def resultant_by_evaluation(
+    pc: Sequence[UniPoly], qc: Sequence[UniPoly], bound: int, var: str
+) -> UniPoly:
+    """Res_t(P, Q) in var for P = sum_k pc[k] t**k and Q = sum_k qc[k] t**k.
+
+    pc and qc are exact UniPolys in var with nonzero last entries, and
+    bound bounds the degree of the resultant.  The coefficients are cleared
+    of denominators once.  The resultant is evaluated at the first run
+    t0..t0+bound of integers where neither leading coefficient vanishes
+    (only there does specialisation commute with the resultant), by the
+    subresultant PRS, and interpolated in the integers.
+    """
+    a, den_p = _gz_clear(pc)
+    b, den_q = _gz_clear(qc)
+    t0 = t = 0
+    while t <= t0 + bound:
+        if _gz_eval(a[-1], t) == (0, 0) or _gz_eval(b[-1], t) == (0, 0):
+            t0 = t + 1
+        t += 1
+    vals = [
+        _gz_resultant([_gz_eval(c, t) for c in a], [_gz_eval(c, t) for c in b])
+        for t in range(t0, t0 + bound + 1)
+    ]
+    # Res(a, b) = den_p**deg Q * den_q**deg P * Res(P, Q)
+    den = math.factorial(bound) * den_p ** (len(qc) - 1) * den_q ** (len(pc) - 1)
+    return _gz_unipoly(_gz_interpolate(vals, t0), (den, 0), var)
 
 
 def from_roots(roots: Sequence, lead=1.0, var: str = "x") -> UniPoly:

@@ -156,6 +156,48 @@ class TestSingularInventory:
         inv = singular_inventory(phi, report)
         assert any(abs(v) < 1e-7 for v in inv.out_defective)
 
+    @pytest.mark.parametrize("text", ["y^3-x^2*y+2*x+i", "y^3-0.3*x^2*y+2.0*x+i"])
+    def test_one_root_call_for_l_d_e_and_one_row_call_per_factor(self, text, monkeypatch):
+        import polygraph.analyzer as analyzer_mod
+        import polygraph.explorer as explorer_mod
+
+        calls = {"roots_batch": 0, "neighbors": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            analyzer_mod, "roots_batch", counting("roots_batch", analyzer_mod.roots_batch)
+        )
+        monkeypatch.setattr(
+            explorer_mod, "neighbors", counting("neighbors", explorer_mod.neighbors)
+        )
+        phi = parse(text)
+        report = analyze(phi)
+        assert min(report.L.degree, report.D.degree, report.E.degree) > 0
+        singular_vertex_values(phi, report)
+        assert calls == {"roots_batch": 1, "neighbors": 0}
+        singular_inventory(phi, report)
+        assert calls == {"roots_batch": 2, "neighbors": 3}
+
+    @pytest.mark.parametrize("text", ["(-1+i)*x^2*y^2 + 2*y + 1", "y^2-x^3-1"])
+    def test_repeated_factor_in_d_or_e_lists_each_vertex_once(self, text):
+        phi = parse(text)
+        report = analyze(phi)
+        assert any(p.gcd(p.derivative()).degree > 0 for p in (report.D, report.E))
+        values = singular_vertex_values(phi, report)
+        inv = singular_inventory(phi, report)
+        for group in (
+            [v for v, _ in inv.loops], inv.multi_arc_origins, inv.multi_arc_ends,
+            inv.out_defective, inv.in_defective,
+        ):
+            for k, v in enumerate(group):
+                assert all(abs(v - w) > 1e-9 for w in group[k + 1:]), group
+                assert min(abs(v - w) for w in values) <= 1e-9, (v, values)
+
 
 # x^2 + y^2 - 2xy = (y - x)^2: a square, and a loop at every vertex.
 _SQUARE = parse("x^2 + y^2 - 2*x*y")

@@ -79,6 +79,16 @@ def test_strong_triangle(capsys, tmp_path):
     assert data["truncated"] is False
 
 
+def test_synth_arc_out_of_range_exit_2(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(
+        {"vertices": ["1", "2", "3"], "arcs": [[0, 1], [1, 2], [2, 0], [0, 5]]}
+    ))
+    code, out, err = run_cli(capsys, "synth", "--digraph", str(path))
+    assert code == EXIT_DOMAIN and not out
+    assert json.loads(err)["error"]["message"] == "arc endpoint out of range"
+
+
 def test_classify_deg2(capsys):
     code, out, _ = run_cli(capsys, "classify-deg2", "--a", "-1", "--c", "1")
     data = json.loads(out)

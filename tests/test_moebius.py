@@ -28,7 +28,7 @@ from polygraph import (
     reference_table_diff,
     to_poly,
 )
-from polygraph.errors import AmbiguousOrderError, DomainError, NotStandardError
+from polygraph.errors import AmbiguousOrderError, DomainError, NotStandardError, ParseError
 from polygraph.moebius import ABCD, _u_te, cycle_condition_te, symbolic_power_entries
 from polygraph.sympoly import SymPoly, parse_sympoly
 
@@ -177,6 +177,27 @@ class TestCycleConditions:
         assert cycle_condition(6).monomials() == parse_sympoly(
             "3*b*c + a^2 - a*d + d^2", ABCD
         ).monomials()
+
+    @pytest.mark.parametrize("text, position", [
+        ("a + ", 4),
+        ("2.5*a", 0),
+        ("1/2*a", 0),
+        ("3i*b", 0),
+        ("a*e", 2),
+        ("a^b", 2),
+        ("(a + b", 6),
+        ("a b", 2),
+        ("a % b", 2),
+    ])
+    def test_malformed_sympoly_text(self, text, position):
+        with pytest.raises(ParseError) as exc:
+            parse_sympoly(text, ABCD)
+        assert exc.value.position == position
+
+    def test_sympoly_text_takes_the_polynomial_grammar(self):
+        got = parse_sympoly("-(a - d)^2 * b + 2*(b*c)^2", ABCD)
+        want = parse_sympoly("-a^2*b + 2*a*b*d - b*d^2 + 2*b^2*c^2", ABCD)
+        assert got == want
 
     def test_published_table_diff(self):
         for n in range(2, 11):

@@ -146,6 +146,11 @@ class TestDigraphToPoly:
             assert is_isomorphic(explored, reference), (arcs, explored.arcs)
             done += 1
 
+    def test_arc_endpoint_checked_before_connectivity(self):
+        d = FiniteDigraph.on_integers(3, [(0, 1), (1, 2), (2, 0), (0, 5)])
+        with pytest.raises(SynthesisError, match="arc endpoint out of range"):
+            digraph_to_poly(d)
+
     def test_json_round_trip(self):
         d = k3()
         back = FiniteDigraph.from_json(json.loads(d.dumps()))
