@@ -19,6 +19,10 @@ the array, so each graph, and each error, is what exploring its seed
 alone gives.  `neighbors`, `out_neighbors` and `in_neighbors` take the
 same path.
 
+`roots_of_rows` alone judges whether a row can be solved.  The first row
+in BFS order that it rejects decides the error, whatever its cause, as in
+a vertex-at-a-time BFS; the rows before it are solved and recorded first.
+
 Weak components alternate out- and in-neighbors; strong components run a
 forward sweep and, only if that sweep hits the budget, a backward one.  The
 strong component is the set of vertices both reachable from and reaching
@@ -30,7 +34,6 @@ from __future__ import annotations
 
 import enum
 import math
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 
@@ -45,6 +48,7 @@ from .errors import (
     RootFindingError,
     SizeLimitError,
     UniversalVertexError,
+    ZeroPolynomialError,
 )
 from .rootfind import roots_of_rows
 
@@ -197,33 +201,32 @@ def _rows(phi: BiPoly, values: list[complex], axes) -> np.ndarray:
     return rows
 
 
-def _bad_rows(rows: np.ndarray) -> list[int]:
-    """Indices of the rows that vanish identically or hold a non-finite entry."""
-    return np.flatnonzero(~rows.any(axis=1) | ~np.isfinite(rows).all(axis=1)).tolist()
-
-
-def _row_error(row: np.ndarray, u: complex, axis: str) -> Exception:
-    """EvaluationOverflow for a non-finite row, else UniversalVertexError:
-    u is a universal source (axis "x") or sink (axis "y")."""
-    if not np.isfinite(row).all():
+def _row_error(exc: Exception, u: complex, axis: str) -> Exception:
+    """The error for u's row along axis, which `roots_of_rows` rejected with
+    exc; a zero row makes u a universal source (axis "x") or sink ("y")."""
+    if isinstance(exc, EvaluationOverflow):
         return EvaluationOverflow("non-finite value during row evaluation", vertex=str(u))
-    kind = "source" if axis == "x" else "sink"
-    return UniversalVertexError(f"universal {kind} vertex", vertex=str(u))
+    if isinstance(exc, ZeroPolynomialError):
+        kind = "source" if axis == "x" else "sink"
+        return UniversalVertexError(f"universal {kind} vertex", vertex=str(u))
+    return exc
 
 
 def neighbors(phi: BiPoly, values, axis: str) -> list[list[tuple[complex, int]]]:
     """Roots with multiplicity of each row Phi(u, y) (axis "x") or Phi(x, u)
     (axis "y") for u in values, sorted; [] where the degree drops to 0.
 
-    The first row in order that vanishes identically raises
-    UniversalVertexError, or EvaluationOverflow if it is not finite.
+    The first row in order that cannot be solved raises EvaluationOverflow
+    if it is not finite, UniversalVertexError if it vanishes identically,
+    and RootFindingError if its roots fail the residual check.
     """
     values = list(values)
     rows = _rows(phi, values, (axis,))
-    bad = _bad_rows(rows)
-    if bad:
-        raise _row_error(rows[bad[0]], values[bad[0]], axis)
-    return [list(zip(vals, mults)) for vals, mults in roots_of_rows(rows)]
+    try:
+        found = roots_of_rows(rows)
+    except (EvaluationOverflow, ZeroPolynomialError, RootFindingError) as exc:
+        raise _row_error(exc, values[exc.payload["row"]], axis) from None
+    return [list(zip(vals, mults)) for vals, mults in found]
 
 
 def out_neighbors(phi: BiPoly, u: complex) -> list[tuple[complex, int]]:
@@ -327,60 +330,43 @@ def _explore(phi: BiPoly, sweeps: list[_Sweep], max_depth: int) -> None:
     Each level stacks the rows of every live sweep in list order.  A row's
     coefficients and roots do not depend on the other rows of the call, so
     every sweep ends as it would alone.  Errors are those of running the
-    sweeps one after another.  Within a sweep the first bad row in BFS
-    order decides: a vanishing row raises UniversalVertexError once the
-    rows before it are solved and recorded, a non-finite row raises
-    EvaluationOverflow before its level is recorded.  Across sweeps the
-    first one in list order that fails decides the exception, the sweeps
-    after it stop, and the ones before it run on, because one of them may
-    still fail at a later level.
+    sweeps one after another: within a sweep the first rejected row
+    decides, and a root failure raises ExplorationError with the graph
+    recorded so far.  Across sweeps the first one in list order that fails
+    decides, the sweeps after it stop, and the ones before it run on,
+    because one of them may still fail at a later level.
     """
     failure: tuple[int, Exception] | None = None
     live = list(range(len(sweeps)))
     axes = sweeps[0].axes
     for _depth in range(max_depth):
-        values = [u for i in live for u in sweeps[i].values()]
-        rows = _rows(phi, values, axes)
-        bad = _bad_rows(rows)
-        parts, kept, start = [], [], 0
-        for i in live:
-            stop = start + len(sweeps[i].level) * len(axes)
-            k = bisect_left(bad, start)
-            end = bad[k] if k < len(bad) and bad[k] < stop else stop
-            deferred = None
-            if end < stop:
-                deferred = _row_error(rows[end], values[end // len(axes)], axes[end % len(axes)])
-                if not isinstance(deferred, UniversalVertexError):
-                    failure = (i, deferred)
-                    break
-            parts.append((i, end - start, deferred))
-            kept.append(rows[start:end])
-            start = stop
-        rows = np.concatenate(kept or [rows[:0]])
+        rows = _rows(phi, [u for i in live for u in sweeps[i].values()], axes)
         try:
-            found, bad_root = roots_of_rows(rows), None
-        except RootFindingError as exc:
-            # The rows before the failing one are good: solve them alone.
-            found, bad_root = roots_of_rows(rows[: exc.payload["row"]]), exc
+            found, rejected = roots_of_rows(rows), None
+        except (EvaluationOverflow, ZeroPolynomialError, RootFindingError) as exc:
+            # The rows before the rejected one are good: solve them alone.
+            found, rejected = roots_of_rows(rows[: exc.payload["row"]]), exc
         first = 0
-        for i, n_rows, deferred in parts:
+        for i in live:
             sweep = sweeps[i]
+            n_rows = len(sweep.level) * len(axes)
             done = found[first : first + n_rows]
             first += n_rows
             targets = sweep.materialize(done)
-            if len(done) < n_rows:
-                error = ExplorationError(
-                    "root finding failed during exploration",
-                    partial=sweep.graph(truncated=True),
-                    vertex=str(sweep.table.values[sweep.owner(len(done))[0]]),
-                )
-                error.__cause__ = bad_root
-            elif deferred is not None:
-                error = deferred
-            else:
+            if len(done) == n_rows:
                 sweep.level = [w for w in dict.fromkeys(targets) if w not in sweep.enqueued]
                 sweep.enqueued.update(sweep.level)
                 continue
+            vid, axis = sweep.owner(len(done))
+            u = sweep.table.values[vid]
+            error = _row_error(rejected, u, axis)
+            if error is rejected:
+                error = ExplorationError(
+                    "root finding failed during exploration",
+                    partial=sweep.graph(truncated=True),
+                    vertex=str(u),
+                )
+                error.__cause__ = rejected
             failure = (i, error)
             break
         live = [i for i in live if sweeps[i].level and (failure is None or i < failure[0])]

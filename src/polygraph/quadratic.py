@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .analyzer import analyze, require_standard
@@ -188,6 +188,12 @@ def _cosine_scan(a, n_max: int) -> tuple[tuple[int, int] | None, bool]:
 
 def singular_inventory_quad(q: QuadSym) -> QuadReport:
     """Loops and double-arc origins by case, via the closed-form locations."""
+    return _inventory(q, cosine_recognize(q.a))
+
+
+def _inventory(q: QuadSym, witness: tuple[int, int] | None) -> QuadReport:
+    """The singular inventory of q, where witness is the cosine witness of q.a
+    (read in the generic case only)."""
     case = _case_of(q.a)
     finite = True
     if case is QuadCase.A_MINUS_2:
@@ -213,7 +219,6 @@ def singular_inventory_quad(q: QuadSym) -> QuadReport:
         return QuadReport(case, (-shift,), (), singular_components_finite=True)
     loop_root = cmath.sqrt(-c / (a + 2))
     double_root = 2 * cmath.sqrt(c / (a * a - 4))
-    witness = cosine_recognize(q.a)
     return QuadReport(
         case,
         (loop_root - shift, -loop_root - shift),
@@ -225,26 +230,13 @@ def singular_inventory_quad(q: QuadSym) -> QuadReport:
 
 def classify_deg2(q: QuadSym, n_max: int = DEFAULT_NMAX) -> QuadReport:
     """Full verdict: Cycle(n) on a cosine witness, DoubleRay otherwise."""
-    inventory = singular_inventory_quad(q)
-    case = inventory.case
-    if case in (QuadCase.A_MINUS_2, QuadCase.A_PLUS_2):
-        return QuadReport(
-            case,
-            inventory.loops,
-            inventory.double_arc_origins,
-            inventory.singular_components_finite,
-            verdict=QuadShape.DOUBLE_RAY,
-        )
     witness, ambiguous = _cosine_scan(q.a, n_max)
-    verdict = QuadShape.CYCLE if witness else QuadShape.DOUBLE_RAY
-    no_singulars = not inventory.loops and not inventory.double_arc_origins
-    return QuadReport(
-        case,
-        inventory.loops,
-        inventory.double_arc_origins,
-        singular_components_finite=witness is not None or no_singulars
-        or inventory.singular_components_finite,
-        verdict=verdict,
+    inventory = _inventory(q, witness)
+    if inventory.case is not QuadCase.GENERIC:
+        return replace(inventory, verdict=QuadShape.DOUBLE_RAY)
+    return replace(
+        inventory,
+        verdict=QuadShape.CYCLE if witness else QuadShape.DOUBLE_RAY,
         cosine_witness=witness,
         numerically_ambiguous=ambiguous,
         component_cycle_length=component_cycle_length(*witness) if witness else None,

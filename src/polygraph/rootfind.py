@@ -10,12 +10,15 @@ call (LAPACK zgeev balances them first; the method of `np.roots`, backward
 stable by Edelman & Murakami 1995).  A row is accepted only if every
 eigenvalue's residual is within 64 times the evaluation-noise bound plus
 what the rounding of the eigenvalue itself can cause, so a row's result
-does not depend on the other rows of the call.  It returns
-each row's root values and multiplicities.  `roots_batch` stacks UniPolys
+does not depend on the other rows of the call.  It returns each row's
+root values and multiplicities, and it alone judges whether a row can be
+solved: the first row, in order, that is non-finite, zero or fails the
+residual check raises, naming its index.  `roots_batch` stacks UniPolys
 for it and wraps its output in `RootSet`s; `roots` is a batch of one.
 
 A multiplicity-m root comes out as a cluster of eigenvalues of radius about
-eps**(1/m).  Rows with close eigenvalues are clustered by how well the
+eps**(1/m).  Rows with close eigenvalues are clustered by single linkage at
+nested radii, each distinct clustering scored once by how well the
 reconstructed product matches the input coefficients, and each multiple
 root is re-polished on the (m-1)-th derivative, where it is simple.  Every
 root then gets multiplicity-corrected Newton steps.  A `RootSet` builds its
@@ -31,7 +34,7 @@ from typing import Sequence
 import numpy as np
 from numpy.linalg import LinAlgError, eigvals
 
-from .errors import DomainError, RootFindingError, ZeroPolynomialError
+from .errors import DomainError, EvaluationOverflow, RootFindingError, ZeroPolynomialError
 from .unipoly import TRIM_REL, UniPoly, cached, from_roots as _expand_roots
 
 # Cluster radii are CLUSTER_BASE**(1/m) * (1 + max|z|) for tentative multiplicity m.
@@ -128,25 +131,28 @@ def roots_of_rows(c: np.ndarray, lengths=None) -> list[tuple[list[complex], list
     largest are dropped from the leading end, so exact zero padding drops
     out.  Roots come sorted by real part rounded to 1e-9 * (1 + max |root|)
     of the row, then by imaginary part, so rounding noise in equal real
-    parts cannot reorder them.  A constant row has no roots.  Raises
-    ZeroPolynomialError if a row is zero, and RootFindingError with payload
-    ``row=k`` for the first row k that fails the residual check; its
-    ``best`` holds that row's eigenvalues (NaN where LAPACK rejected the row).
+    parts cannot reorder them.  A constant row has no roots.  The first row
+    k that cannot be solved raises with payload ``row=k``: EvaluationOverflow
+    if it holds a NaN or inf, ZeroPolynomialError if it is zero, and
+    RootFindingError if it fails the residual check; its ``best`` holds that
+    row's eigenvalues (NaN where LAPACK rejected the row).
     """
     c = np.asarray(c, dtype=complex)
     if not len(c):
         return []
     width = c.shape[1]
+    finite = np.isfinite(c).all(axis=1)
     if lengths is None:
-        mag = np.abs(c)
+        # A non-finite row is rejected below; keep its NaN out of max and >.
+        mag = np.where(finite[:, None], np.abs(c), 0.0)
         kept = mag > TRIM_REL * np.max(mag, axis=1, keepdims=True)
         length = np.where(kept.any(axis=1), width - np.argmax(kept[:, ::-1], axis=1), 0)
     else:
         length = np.asarray(lengths)
-    if not length.all():
-        raise ZeroPolynomialError("cannot take roots of the zero polynomial")
-    n_zeros = np.argmax(c != 0, axis=1)
-    keys = length * (width + 1) + n_zeros
+    unsolvable = np.flatnonzero(~finite | (length == 0))
+    stop = unsolvable[0] if len(unsolvable) else len(c)
+    n_zeros = np.argmax(c[:stop] != 0, axis=1) if stop else 0  # c may have no columns
+    keys = length[:stop] * (width + 1) + n_zeros
 
     solved = []
     failed: list[tuple[int, np.ndarray]] = []
@@ -164,8 +170,12 @@ def roots_of_rows(c: np.ndarray, lengths=None) -> list[tuple[list[complex], list
             best=[complex(v) for v in best],
             row=k,
         )
+    if stop < len(c):
+        if not finite[stop]:
+            raise EvaluationOverflow("non-finite coefficient in a row", row=int(stop))
+        raise ZeroPolynomialError("cannot take roots of the zero polynomial", row=int(stop))
 
-    results: list = [None] * len(c)
+    results: list = [None] * stop
     for ks, full, n_zero, z in solved:
         fast = _separated(z)
         done = np.flatnonzero(fast)
@@ -299,42 +309,33 @@ def _separated(z: np.ndarray) -> np.ndarray:
     return dist.min(axis=(1, 2)) > reach
 
 
-def _single_linkage(z: np.ndarray, threshold_rel: float) -> list[list[int]]:
-    n = len(z)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            scale = 1.0 + max(abs(z[i]), abs(z[j]))
-            if abs(z[i] - z[j]) <= threshold_rel * scale:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return [groups[k] for k in sorted(groups)]
-
-
 def _best_clustering(z: np.ndarray, c: np.ndarray) -> list[tuple[complex, int]]:
     """Try cluster radii CLUSTER_BASE**(1/m) for rising tentative multiplicity m.
 
-    More merging is preferred whenever it reconstructs the coefficients
-    essentially as well as no merging, because a merged cluster is only
-    wrong if two genuinely distinct roots were joined, and that shows up
-    as a reconstruction mismatch.
+    Eigenvalues i and j are near at radius r if |z_i - z_j| <= r * (1 +
+    max(|z_i|, |z_j|)); clusters are the components of that relation, by
+    boolean transitive closure.  The radii rise, so the clusterings are
+    nested and each distinct one is scored once.  More merging is preferred
+    whenever it reconstructs the coefficients essentially as well as no
+    merging, because a merged cluster is only wrong if two genuinely
+    distinct roots were joined, and that shows up as a reconstruction
+    mismatch.
     """
     n = len(z)
+    r = np.abs(z)[:, None]
+    dist, scale = np.abs(z[:, None] - z), 1.0 + np.maximum(r, r.T)
     seen: list[tuple[float, list[tuple[complex, int]]]] = []
+    linked = None
     for m_try in range(1, n + 1):
-        groups = _single_linkage(z, CLUSTER_BASE ** (1.0 / m_try))
-        clusters = [(complex(np.mean(z[g])), len(g)) for g in groups]
+        near = dist <= CLUSTER_BASE ** (1.0 / m_try) * scale
+        for _ in range(n.bit_length()):
+            near = near @ near
+        if linked is not None and np.array_equal(near, linked):
+            continue
+        linked = near
+        # Row i of the closure is i's cluster; a cluster is listed at its least member.
+        firsts = np.flatnonzero(np.argmax(near, axis=1) == np.arange(n))
+        clusters = [(complex(np.mean(z[near[i]])), int(near[i].sum())) for i in firsts]
         flat = np.array([[v for v, m in clusters for _ in range(m)]])
         seen.append((float(_reconstruction_error(c[None, :], flat)[0]), clusters))
     best_err = min(e for e, _ in seen)

@@ -21,10 +21,6 @@ from fractions import Fraction
 
 from .errors import DomainError, EvaluationOverflow
 
-# Relative tolerance for float-mode predicates; quantities within 10x of the
-# threshold are reported as numerically uncertain.
-FLOAT_PREDICATE_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class GaussRat:

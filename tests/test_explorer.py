@@ -23,7 +23,7 @@ from polygraph import (
     out_neighbors,
     parse,
 )
-from polygraph import explorer
+from polygraph import explorer, rootfind
 from polygraph.bipoly import BiPoly
 from polygraph.errors import (
     EvaluationOverflow,
@@ -224,6 +224,47 @@ class TestFailureContract:
         with pytest.raises(UniversalVertexError) as info:
             explore_component(GRID, 0j, Budget(max_depth=4))
         assert info.value.payload["vertex"] == str(want[self.FAIL_VID])
+
+    @staticmethod
+    def _inject(monkeypatch, fail_at: complex, bad_at: complex, bad_value: complex):
+        """Fail the residual check of the grid's rows at fail_at, and fill its
+        rows at bad_at with bad_value (0 vanishes, NaN is not finite)."""
+        (row,) = GRID.eval_rows([fail_at], "x")  # equal to its in-row
+        corrupted = -row[-2::-1] / row[-1]
+
+        def corrupt(m):
+            z = np.linalg.eigvals(m)
+            for i, a in enumerate(m):
+                if np.array_equal(a[0], corrupted):
+                    z[i, 0] += 0.1
+            return z
+
+        real = BiPoly.eval_rows
+
+        def rows_bad_at(phi, us, axis):
+            rows = real(phi, us, axis)
+            rows[[k for k, v in enumerate(us) if v == bad_at]] = bad_value
+            return rows
+
+        monkeypatch.setattr(rootfind, "eigvals", corrupt)
+        monkeypatch.setattr(BiPoly, "eval_rows", rows_bad_at)
+
+    @pytest.mark.parametrize("bad_value", [0, complex("nan")], ids=["zero", "nan"])
+    def test_root_failure_before_a_bad_row_decides(self, monkeypatch, bad_value):
+        # The first row in BFS order that cannot be solved decides, whatever
+        # the cause of a later one in the same call or level.
+        want = _bfs_prefix(GRID, 0j, (self.FAIL_VID, "x"))
+        u_fail, u_bad = want[self.FAIL_VID], want[self.FAIL_VID + 2]
+        self._inject(monkeypatch, u_fail, u_bad, bad_value)
+        with pytest.raises(RootFindingError) as info:
+            neighbors(GRID, [0.5, u_fail, u_bad], "x")
+        assert info.value.payload["row"] == 1
+        with pytest.raises(ExplorationError) as info:
+            explore_component(GRID, 0j, Budget(max_depth=4))
+        partial = info.value.partial
+        assert [v for _, v in partial.vertices] == want
+        assert info.value.payload["vertex"] == str(u_fail)
+        assert isinstance(info.value.__cause__, RootFindingError)
 
 
 class TestStrong:

@@ -22,6 +22,7 @@ from polygraph import (
     recurrence_orbit,
     singular_inventory_quad,
 )
+from polygraph import quadratic
 from polygraph.errors import DomainError, NotStandardError
 from polygraph.quadratic import characteristic_roots
 from polygraph.rootfind import roots
@@ -177,6 +178,21 @@ class TestClassify:
             r = classify_deg2(QuadSym(a, 0.0, 1.0))
             assert r.verdict is QuadShape.DOUBLE_RAY
             assert r.cosine_witness is None
+
+    def test_n_max_bounds_the_finiteness_verdict(self, monkeypatch):
+        # The witness of a = 2 cos(2 pi / 7) is (7, 1), which n_max = 5 excludes.
+        q = QuadSym(2 * math.cos(2 * math.pi / 7), 0.0, 1.0)
+        scans = []
+        real = quadratic._cosine_scan
+        monkeypatch.setattr(
+            quadratic, "_cosine_scan", lambda a, n_max: scans.append(n_max) or real(a, n_max)
+        )
+        r = classify_deg2(q, n_max=5)
+        assert r.verdict is QuadShape.DOUBLE_RAY and r.cosine_witness is None
+        assert r.singular_components_finite is False
+        assert scans == [5]
+        r = classify_deg2(q)
+        assert r.verdict is QuadShape.CYCLE and r.singular_components_finite is True
 
     def test_a_two_cases_are_double_ray(self):
         r = classify_deg2(exact_quad(2, 0, -4))

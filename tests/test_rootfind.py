@@ -1,6 +1,7 @@
 """Root finding with multiplicities and the reconstruction oracle."""
 
 import cmath
+import itertools
 import math
 import random
 
@@ -8,7 +9,12 @@ import numpy as np
 import pytest
 
 from polygraph import analyze, parse, poly_from_roots, rootfind, roots, roots_batch
-from polygraph.errors import DomainError, RootFindingError, ZeroPolynomialError
+from polygraph.errors import (
+    DomainError,
+    EvaluationOverflow,
+    RootFindingError,
+    ZeroPolynomialError,
+)
 from polygraph.synthesis import FiniteDigraph, digraph_to_poly
 from polygraph.unipoly import UniPoly, from_roots
 
@@ -266,6 +272,110 @@ def test_kernel_errors():
         ([], []),
         ([0j], [2]),
     ]
+
+
+_CAUSES = {
+    "zero": ZeroPolynomialError,
+    "nan": EvaluationOverflow,
+    "residual": RootFindingError,
+}
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(_CAUSES)), ids="-".join)
+def test_first_unsolvable_row_decides_whatever_its_cause(monkeypatch, order):
+    good = _four_quartics()
+    failing = good.pop()
+    # Monic rows: the first row of the companion matrix is -c[n-1..0].
+    corrupted = -np.array(failing.coeffs[-2::-1], dtype=complex)
+
+    def corrupt(m):
+        z = np.linalg.eigvals(m)
+        for i, a in enumerate(m):
+            if np.array_equal(a[0], corrupted):
+                z[i, 0] += 0.1
+        return z
+
+    monkeypatch.setattr(rootfind, "eigvals", corrupt)
+    bad = {
+        "zero": [0, 0, 0, 0, 0],
+        "nan": [1, complex("nan"), 0, 0, 1],
+        "residual": failing.coeffs,
+    }
+    # Drop the winner each time, so every cause is reported at every place.
+    for start in range(len(order)):
+        rows = []
+        for g, cause in zip(good, order[start:]):
+            rows += [g.coeffs, bad[cause]]
+        with pytest.raises(tuple(_CAUSES.values())) as info:
+            rootfind.roots_of_rows(np.array(rows, dtype=complex))
+        assert type(info.value) is _CAUSES[order[start]]
+        assert info.value.payload["row"] == 1
+
+
+def test_each_distinct_clustering_is_scored_once(monkeypatch):
+    # Eigenvalues of a triple root at 2 spread 1.7e-5 apart, and simple roots
+    # -1 and 3i: radii m = 1, 2 give five singletons and m = 3, 4, 5 join
+    # the triple, so five radii give two distinct clusterings.
+    spread = [1e-5 * cmath.exp(2j * math.pi * k / 3) for k in range(3)]
+    z = np.array([2 + d for d in spread] + [-1, 3j])
+    c = np.array(from_roots([2, 2, 2, -1, 3j], 1.0, "y").coeffs, dtype=complex)
+    scored = []
+    real = rootfind._reconstruction_error
+
+    def counting(c, z):
+        scored.append(z.shape[1])
+        return real(c, z)
+
+    monkeypatch.setattr(rootfind, "_reconstruction_error", counting)
+    clusters = rootfind._best_clustering(z, c)
+    assert len(scored) == 2
+    assert [m for _, m in clusters] == [3, 1, 1]
+    assert all(abs(v - w) < 1e-12 for (v, _), w in zip(clusters, [2, -1, 3j]))
+
+
+def _clustering_by_union_find(z, c):
+    """The loop `_best_clustering` replaced: union-find single linkage and
+    one reconstruction per radius."""
+    n, seen = len(z), []
+    for m_try in range(1, n + 1):
+        parent = list(range(n))
+
+        def find(i):
+            while parent[i] != i:
+                i = parent[i]
+            return i
+
+        for i in range(n):
+            for j in range(i + 1, n):
+                scale = 1.0 + max(abs(z[i]), abs(z[j]))
+                if abs(z[i] - z[j]) <= rootfind.CLUSTER_BASE ** (1.0 / m_try) * scale:
+                    ri, rj = find(i), find(j)
+                    parent[max(ri, rj)] = min(ri, rj)
+        groups = {}
+        for i in range(n):
+            groups.setdefault(find(i), []).append(i)
+        clusters = [(complex(np.mean(z[groups[k]])), len(groups[k])) for k in sorted(groups)]
+        flat = np.array([[v for v, m in clusters for _ in range(m)]])
+        seen.append((float(rootfind._reconstruction_error(c[None, :], flat)[0]), clusters))
+    floor = max(4.0 * min(e for e, _ in seen), 1e-11)
+    return min((cl for e, cl in seen if e <= floor), key=len)
+
+
+def test_clustering_matches_the_union_find_loop():
+    rng = random.Random(23)
+
+    def point():
+        return complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+
+    for _ in range(300):
+        vals = [v for _ in range(rng.randint(1, 3)) for v in [point()] * rng.randint(1, 4)]
+        p = from_roots(vals + [point() for _ in range(rng.randint(0, 3))], 1.0, "y")
+        c = np.array(p.coeffs, dtype=complex)
+        comp = np.zeros((p.degree, p.degree), dtype=complex)
+        comp[np.arange(1, p.degree), np.arange(p.degree - 1)] = 1.0
+        comp[0] = -c[-2::-1]
+        z = np.linalg.eigvals(comp)
+        assert rootfind._best_clustering(z, c) == _clustering_by_union_find(z, c)
 
 
 def test_root_set_diagnostics_are_built_on_first_read():
