@@ -79,7 +79,6 @@ from .synthesis import (
     digraph_to_poly,
     dihedral_poly,
     interpolate_factor,
-    named_constructor,
     one_factorization,
     prism_poly,
     recognize_form,

@@ -182,18 +182,11 @@ def analyze(phi: BiPoly) -> StandardReport:
             is_standard=False, failure_reasons=(Failure.CONSTANT,),
         )
 
-    a_polys = phi.coeff_polys("y")
-    b_polys = phi.coeff_polys("x")
     if exact_mode:
-        A = UniPoly.zero("x")
-        for a in a_polys:
-            A = A.gcd(a)
-        B = UniPoly.zero("y")
-        for b in b_polys:
-            B = B.gcd(b)
+        A, B = phi.content("y"), phi.content("x")
     else:
-        A = _common_root_poly(a_polys, unc)
-        B = _common_root_poly(b_polys, unc).rename("y")
+        A = _common_root_poly(phi.coeff_polys("y"), unc)
+        B = _common_root_poly(phi.coeff_polys("x"), unc).rename("y")
 
     if A.degree > 0:
         failures.append(Failure.UNIVERSAL_SOURCE)

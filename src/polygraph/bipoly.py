@@ -313,10 +313,10 @@ class BiPoly:
 
     # -- squarefree part ---------------------------------------------------------
 
-    def content_y(self) -> UniPoly:
-        """gcd in x of the y-coefficient polynomials (exact mode)."""
-        g = UniPoly.zero("x")
-        for a in self.coeff_polys("y"):
+    def content(self, var: str) -> UniPoly:
+        """gcd of `coeff_polys(var)`, a polynomial in the other variable (exact mode)."""
+        g = UniPoly.zero("y" if var == "x" else "x")
+        for a in self.coeff_polys(var):
             g = g.gcd(a)
         return g
 
@@ -353,7 +353,7 @@ class BiPoly:
             u = self.coeff_polys("y")[0]
             rad = u.divexact(u.gcd(u.derivative()))
             return BiPoly.from_unipoly(rad).normalized()
-        cont = self.content_y()
+        cont = self.content("y")
         prim = self if cont.degree <= 0 else self.divexact_y(BiPoly.from_unipoly(cont))
         g = _gcd_bivar_y(prim, prim.derivative("y"))
         rad_prim = prim.divexact_y(g) if g.deg_y > 0 or not _is_one(g) else prim
@@ -430,7 +430,7 @@ def _pseudo_rem_y(p: BiPoly, q: BiPoly) -> BiPoly:
 def _strip_content_y(p: BiPoly) -> BiPoly:
     if p.is_zero:
         return p
-    cont = p.content_y()
+    cont = p.content("y")
     if cont.degree > 0:
         p = p.divexact_y(BiPoly.from_unipoly(cont))
     return p.normalized()

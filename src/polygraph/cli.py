@@ -28,7 +28,15 @@ from .explorer import (
 from .moebius import DEFAULT_NMAX, classify_deg1, cycle_condition, reference_table_diff
 from .probe import probe_conjecture
 from .quadratic import QuadSym, classify_deg2
-from .synthesis import FiniteDigraph, digraph_to_poly, named_constructor
+from .synthesis import (
+    FiniteDigraph,
+    bipartite_poly,
+    circulant_poly,
+    complete_graph_poly,
+    digraph_to_poly,
+    dihedral_poly,
+    prism_poly,
+)
 from .textio import bipoly_to_json, format_bipoly, parse, parse_scalar
 
 EXIT_OK = 0
@@ -159,16 +167,16 @@ def _cmd_synth(args) -> None:
             d = FiniteDigraph.from_json(json.load(fh))
         phi = digraph_to_poly(d)
     elif args.complete is not None:
-        phi = named_constructor("complete", n=args.complete)
+        phi = complete_graph_poly(args.complete)
     elif args.bipartite is not None:
-        phi = named_constructor("bipartite", d=args.bipartite)
+        phi = bipartite_poly(args.bipartite)
     elif args.circulant is not None:
         gens = tuple(int(s) for s in args.gens.split(","))
-        phi = named_constructor("circulant", n=args.circulant, gens=gens)
+        phi = circulant_poly(args.circulant, gens)
     elif args.prism is not None:
-        phi = named_constructor("prism", n=args.prism)
+        phi = prism_poly(args.prism)
     else:
-        phi = named_constructor("dihedral", n=args.dihedral)
+        phi = dihedral_poly(args.dihedral)
     _emit({"polynomial": bipoly_to_json(phi), "text": format_bipoly(phi)})
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -448,128 +448,51 @@ def explore_strong_component(phi: BiPoly, seed: complex, budget: Budget = Budget
 
 
 def classify(g: ExploredDigraph) -> ShapeLabel:
-    """Recognize the component shapes that actually occur, else Unknown."""
+    """Recognize the component shapes that actually occur, else Unknown.
+
+    Every named shape is connected and has no loop and no multiple arc, so
+    any other graph, a disconnected one included, is Unknown.  On the rest
+    the shape follows from degree and arc counts.
+    """
+    unknown = ShapeLabel(Shape.UNKNOWN)
     n = g.order
-    if n == 0:
-        return ShapeLabel(Shape.UNKNOWN)
-    out = g.out_arcs()
-    inn = g.in_arcs()
-    has_loop = any(f == t for f, t, _ in g.arcs)
-    has_multi = any(m > 1 for _, _, m in g.arcs)
+    if n == 0 or any(f == t or m > 1 for f, t, m in g.arcs):
+        return unknown
+    first = g.vertices[0][0]
+    if len(_reach(first, [*g.arcs, *((t, f, m) for f, t, m in g.arcs)])) < n:
+        return unknown
     arc_set = {(f, t) for f, t, _ in g.arcs}
     symmetric = all((t, f) in arc_set for f, t in arc_set)
+    outdeg = Counter(f for f, _, _ in g.arcs)
+    indeg = Counter(t for _, t, _ in g.arcs)
+    degree = Counter(f for f, _ in arc_set)  # the undirected degree when symmetric
 
     if not g.truncated:
-        if has_loop or has_multi:
-            return ShapeLabel(Shape.UNKNOWN)
-        outdeg = {v: sum(m for _, m in lst) for v, lst in out.items()}
-        indeg = {v: sum(m for _, m in lst) for v, lst in inn.items()}
-        if n >= 2 and all(outdeg[v] == 1 and indeg[v] == 1 for v in outdeg):
-            if _is_single_cycle(g, out):
-                return ShapeLabel(Shape.DIRECTED_CYCLE, n)
-        if symmetric and len(arc_set) == n * (n - 1) and n >= 2:
+        if all(outdeg[v] == indeg[v] == 1 for v, _ in g.vertices):
+            return ShapeLabel(Shape.DIRECTED_CYCLE, n)
+        if not symmetric:
+            return unknown
+        if n >= 2 and len(arc_set) == n * (n - 1):
             return ShapeLabel(Shape.COMPLETE, n)
-        if symmetric and n % 2 == 0:
-            d = n // 2
-            sides = _bipartition(g, arc_set)
-            if (
-                sides is not None
-                and len(sides[0]) == d
-                and len(arc_set) == 2 * d * d
-            ):
-                return ShapeLabel(Shape.COMPLETE_BIPARTITE, d)
-        if symmetric and n >= 3 and _is_undirected_cycle(g, arc_set):
+        side = {t for f, t in arc_set if f == first}
+        d = len(side)
+        if n == 2 * d and len(arc_set) == 2 * d * d and all(
+            (f in side) != (t in side) for f, t in arc_set
+        ):
+            return ShapeLabel(Shape.COMPLETE_BIPARTITE, d)
+        if set(degree.values()) == {2}:
             return ShapeLabel(Shape.CYCLE, n)
-        return ShapeLabel(Shape.UNKNOWN)
+        return unknown
 
     # Truncated graphs: prefix recognizers.
-    if not has_loop and not has_multi:
-        if not symmetric and _is_directed_chain(g, out, inn):
-            return ShapeLabel(Shape.DIRECTED_PATH_PREFIX)
-        if symmetric and _is_path_graph(g, arc_set):
-            return ShapeLabel(Shape.DOUBLE_RAY_PREFIX)
-        if _looks_like_grid(g):
-            return ShapeLabel(Shape.GRID_PREFIX)
-    return ShapeLabel(Shape.UNKNOWN)
-
-
-def _is_single_cycle(g: ExploredDigraph, out) -> bool:
-    succ = {v: lst[0][0] for v, lst in out.items() if lst}
-    if len(succ) != g.order:
-        return False
-    start = g.vertices[0][0]
-    seen = set()
-    cur = start
-    for _ in range(g.order):
-        if cur in seen:
-            return False
-        seen.add(cur)
-        cur = succ[cur]
-    return cur == start and len(seen) == g.order
-
-
-def _neighbors(arc_set: set[tuple[int, int]]) -> dict[int, set[int]]:
-    nb: dict[int, set[int]] = {}
-    for f, t in arc_set:
-        if f != t:
-            nb.setdefault(f, set()).add(t)
-            nb.setdefault(t, set()).add(f)
-    return nb
-
-
-def _bipartition(g: ExploredDigraph, arc_set) -> tuple[set[int], set[int]] | None:
-    nb = _neighbors(arc_set)
-    color: dict[int, int] = {}
-    for start, _ in g.vertices:
-        if start in color:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in nb.get(v, ()):
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return None
-    side0 = {v for v, c in color.items() if c == 0}
-    side1 = {v for v, c in color.items() if c == 1}
-    return side0, side1
-
-
-def _is_undirected_cycle(g: ExploredDigraph, arc_set) -> bool:
-    nb = _neighbors(arc_set)
-    if len(nb) != g.order or any(len(s) != 2 for s in nb.values()):
-        return False
-    start = g.vertices[0][0]
-    prev, cur = None, start
-    for _ in range(g.order):
-        nxt = [w for w in nb[cur] if w != prev]
-        if not nxt:
-            return False
-        prev, cur = cur, nxt[0]
-    return cur == start
-
-
-def _is_path_graph(g: ExploredDigraph, arc_set) -> bool:
-    nb = _neighbors(arc_set)
-    if len(nb) != g.order:
-        return g.order == 1 and not arc_set
-    degs = sorted(len(s) for s in nb.values())
-    if g.order == 1:
-        return True
-    if degs.count(1) != 2 or any(d > 2 for d in degs):
-        return False
-    return len(arc_set) == 2 * (g.order - 1)
-
-
-def _is_directed_chain(g: ExploredDigraph, out, inn) -> bool:
-    outdeg = {v: len(lst) for v, lst in out.items()}
-    indeg = {v: len(lst) for v, lst in inn.items()}
-    if any(d > 1 for d in outdeg.values()) or any(d > 1 for d in indeg.values()):
-        return False
-    return len(g.arcs) >= g.order - 1 >= 0 and len(g.arcs) <= g.order
+    if not symmetric and max([*outdeg.values(), *indeg.values()]) <= 1:
+        return ShapeLabel(Shape.DIRECTED_PATH_PREFIX)
+    # A tree of maximum degree 2 is a path.
+    if symmetric and len(arc_set) == 2 * (n - 1) and max(degree.values(), default=0) <= 2:
+        return ShapeLabel(Shape.DOUBLE_RAY_PREFIX)
+    if _looks_like_grid(g):
+        return ShapeLabel(Shape.GRID_PREFIX)
+    return unknown
 
 
 def _looks_like_grid(g: ExploredDigraph) -> bool:

@@ -223,14 +223,6 @@ def cayley_multiplicative(gens) -> BiPoly:
     return phi
 
 
-class NamedFamily(enum.Enum):
-    COMPLETE = "complete"
-    BIPARTITE = "bipartite"
-    CIRCULANT = "circulant"
-    PRISM = "prism"
-    DIHEDRAL = "dihedral"
-
-
 # 2*cos(2*pi/n) is rational exactly for these n.
 _RATIONAL_COS = {1: 2, 2: -2, 3: -1, 4: 0, 6: 1}
 
@@ -289,21 +281,6 @@ def dihedral_poly(n: int) -> BiPoly:
     w: object = GaussRat.of(0, 1) if n == 4 else cmath.exp(2j * cmath.pi / n)
     rot = BiPoly.make({(0, 1): GR_ONE, (1, 0): -w})
     return rot * _SWAP
-
-
-def named_constructor(kind: NamedFamily | str, **params) -> BiPoly:
-    kind = NamedFamily(kind) if isinstance(kind, str) else kind
-    if kind is NamedFamily.COMPLETE:
-        return complete_graph_poly(int(params["n"]))
-    if kind is NamedFamily.BIPARTITE:
-        return bipartite_poly(int(params["d"]))
-    if kind is NamedFamily.CIRCULANT:
-        return circulant_poly(int(params["n"]), tuple(params["gens"]))
-    if kind is NamedFamily.PRISM:
-        return prism_poly(int(params["n"]))
-    if kind is NamedFamily.DIHEDRAL:
-        return dihedral_poly(int(params["n"]))
-    raise DomainError(f"unknown family {kind!r}")
 
 
 # -- form recognition -----------------------------------------------------------

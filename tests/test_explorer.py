@@ -1,7 +1,9 @@
 """BFS exploration, dedup, shape classification, isomorphism, export."""
 
+import itertools
 import json
 import random
+from collections import deque
 
 import numpy as np
 import pytest
@@ -431,3 +433,217 @@ def _cycle_graph(n: int, directed: bool, base: float = 0.0) -> ExploredDigraph:
     return ExploredDigraph(
         vertices=vertices, arcs=tuple(sorted(arcs)), truncated=False, seed_id=0
     )
+
+
+def _digraph(n: int, arcs, truncated: bool) -> ExploredDigraph:
+    """Vertices 0..n-1 on the lattice Z[i], arcs (from, to) of multiplicity 1."""
+    return ExploredDigraph(
+        vertices=tuple((k, complex(k % 3, k // 3)) for k in range(n)),
+        arcs=tuple(sorted((f, t, 1) for f, t in arcs)),
+        truncated=truncated,
+        seed_id=0,
+    )
+
+
+def _both_ways(pairs):
+    return [a for f, t in pairs for a in ((f, t), (t, f))]
+
+
+class TestClassifyDisconnected:
+    """Every named shape is connected: a disjoint union is Unknown."""
+
+    def test_two_triangles(self):
+        g = _digraph(6, _both_ways([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]), False)
+        assert classify(g) == ShapeLabel(Shape.UNKNOWN)
+
+    def test_path_beside_triangle(self):
+        g = _digraph(6, _both_ways([(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)]), True)
+        assert classify(g) == ShapeLabel(Shape.UNKNOWN)
+
+    def test_directed_path_beside_two_cycle(self):
+        g = _digraph(5, [(0, 1), (1, 2), (3, 4), (4, 3)], True)
+        assert classify(g) == ShapeLabel(Shape.UNKNOWN)
+
+    def test_directed_triangle_beside_arc(self):
+        g = _digraph(5, [(0, 1), (1, 2), (2, 0), (3, 4)], True)
+        assert classify(g) == ShapeLabel(Shape.UNKNOWN)
+
+
+# The classifier `classify` replaced, kept as the reference on connected graphs.
+
+_looks_like_grid = explorer._looks_like_grid
+
+
+def _classify_by_walkers(g: ExploredDigraph) -> ShapeLabel:
+    """Recognize the component shapes that actually occur, else Unknown."""
+    n = g.order
+    if n == 0:
+        return ShapeLabel(Shape.UNKNOWN)
+    out = g.out_arcs()
+    inn = g.in_arcs()
+    has_loop = any(f == t for f, t, _ in g.arcs)
+    has_multi = any(m > 1 for _, _, m in g.arcs)
+    arc_set = {(f, t) for f, t, _ in g.arcs}
+    symmetric = all((t, f) in arc_set for f, t in arc_set)
+
+    if not g.truncated:
+        if has_loop or has_multi:
+            return ShapeLabel(Shape.UNKNOWN)
+        outdeg = {v: sum(m for _, m in lst) for v, lst in out.items()}
+        indeg = {v: sum(m for _, m in lst) for v, lst in inn.items()}
+        if n >= 2 and all(outdeg[v] == 1 and indeg[v] == 1 for v in outdeg):
+            if _is_single_cycle(g, out):
+                return ShapeLabel(Shape.DIRECTED_CYCLE, n)
+        if symmetric and len(arc_set) == n * (n - 1) and n >= 2:
+            return ShapeLabel(Shape.COMPLETE, n)
+        if symmetric and n % 2 == 0:
+            d = n // 2
+            sides = _bipartition(g, arc_set)
+            if (
+                sides is not None
+                and len(sides[0]) == d
+                and len(arc_set) == 2 * d * d
+            ):
+                return ShapeLabel(Shape.COMPLETE_BIPARTITE, d)
+        if symmetric and n >= 3 and _is_undirected_cycle(g, arc_set):
+            return ShapeLabel(Shape.CYCLE, n)
+        return ShapeLabel(Shape.UNKNOWN)
+
+    # Truncated graphs: prefix recognizers.
+    if not has_loop and not has_multi:
+        if not symmetric and _is_directed_chain(g, out, inn):
+            return ShapeLabel(Shape.DIRECTED_PATH_PREFIX)
+        if symmetric and _is_path_graph(g, arc_set):
+            return ShapeLabel(Shape.DOUBLE_RAY_PREFIX)
+        if _looks_like_grid(g):
+            return ShapeLabel(Shape.GRID_PREFIX)
+    return ShapeLabel(Shape.UNKNOWN)
+
+
+def _is_single_cycle(g: ExploredDigraph, out) -> bool:
+    succ = {v: lst[0][0] for v, lst in out.items() if lst}
+    if len(succ) != g.order:
+        return False
+    start = g.vertices[0][0]
+    seen = set()
+    cur = start
+    for _ in range(g.order):
+        if cur in seen:
+            return False
+        seen.add(cur)
+        cur = succ[cur]
+    return cur == start and len(seen) == g.order
+
+
+def _neighbors(arc_set: set[tuple[int, int]]) -> dict[int, set[int]]:
+    nb: dict[int, set[int]] = {}
+    for f, t in arc_set:
+        if f != t:
+            nb.setdefault(f, set()).add(t)
+            nb.setdefault(t, set()).add(f)
+    return nb
+
+
+def _bipartition(g: ExploredDigraph, arc_set) -> tuple[set[int], set[int]] | None:
+    nb = _neighbors(arc_set)
+    color: dict[int, int] = {}
+    for start, _ in g.vertices:
+        if start in color:
+            continue
+        color[start] = 0
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for w in nb.get(v, ()):
+                if w not in color:
+                    color[w] = 1 - color[v]
+                    queue.append(w)
+                elif color[w] == color[v]:
+                    return None
+    side0 = {v for v, c in color.items() if c == 0}
+    side1 = {v for v, c in color.items() if c == 1}
+    return side0, side1
+
+
+def _is_undirected_cycle(g: ExploredDigraph, arc_set) -> bool:
+    nb = _neighbors(arc_set)
+    if len(nb) != g.order or any(len(s) != 2 for s in nb.values()):
+        return False
+    start = g.vertices[0][0]
+    prev, cur = None, start
+    for _ in range(g.order):
+        nxt = [w for w in nb[cur] if w != prev]
+        if not nxt:
+            return False
+        prev, cur = cur, nxt[0]
+    return cur == start
+
+
+def _is_path_graph(g: ExploredDigraph, arc_set) -> bool:
+    nb = _neighbors(arc_set)
+    if len(nb) != g.order:
+        return g.order == 1 and not arc_set
+    degs = sorted(len(s) for s in nb.values())
+    if g.order == 1:
+        return True
+    if degs.count(1) != 2 or any(d > 2 for d in degs):
+        return False
+    return len(arc_set) == 2 * (g.order - 1)
+
+
+def _is_directed_chain(g: ExploredDigraph, out, inn) -> bool:
+    outdeg = {v: len(lst) for v, lst in out.items()}
+    indeg = {v: len(lst) for v, lst in inn.items()}
+    if any(d > 1 for d in outdeg.values()) or any(d > 1 for d in indeg.values()):
+        return False
+    return len(g.arcs) >= g.order - 1 >= 0 and len(g.arcs) <= g.order
+
+
+def _connected(n: int, arcs) -> bool:
+    reached = {0}
+    while True:
+        more = {v for f, t in arcs for u, v in ((f, t), (t, f)) if u in reached} - reached
+        if not more:
+            return len(reached) == n
+        reached |= more
+
+
+def _every_digraph():
+    """(n, arcs) for every digraph on at most 4 vertices without loops and
+    on at most 3 vertices with loops."""
+    for n, loops in [(1, False), (2, False), (3, False), (4, False), (1, True), (2, True), (3, True)]:
+        pairs = [(f, t) for f in range(n) for t in range(n) if loops or f != t]
+        for mask in range(1 << len(pairs)):
+            yield n, [p for k, p in enumerate(pairs) if mask >> k & 1]
+
+
+def _families_and_unions():
+    """(n, arcs) for directed and undirected cycles and paths, K_n and
+    K_{d,d} up to 11 vertices, and each disjoint union of two of them
+    with at most 11 vertices."""
+    shapes = []
+    for n in range(1, 12):
+        path = [(k, k + 1) for k in range(n - 1)]
+        shapes += [(n, path), (n, _both_ways(path))]
+        shapes.append((n, [(f, t) for f in range(n) for t in range(n) if f != t]))
+        if n >= 2:
+            cycle = path + [(n - 1, 0)]
+            shapes += [(n, cycle), (n, _both_ways(cycle))]
+        if n % 2 == 0:
+            d = n // 2
+            shapes.append((n, _both_ways([(i, d + j) for i in range(d) for j in range(d)])))
+    yield from shapes
+    for (n1, a1), (n2, a2) in itertools.product(shapes, repeat=2):
+        if n1 + n2 <= 11:
+            yield n1 + n2, a1 + [(f + n1, t + n1) for f, t in a2]
+
+
+def test_classify_matches_the_walkers_on_connected_graphs():
+    graphs = itertools.chain(_every_digraph(), _families_and_unions())
+    for n, arcs in graphs:
+        for truncated in (False, True):
+            g = _digraph(n, set(arcs), truncated)
+            if _connected(n, arcs):
+                assert classify(g) == _classify_by_walkers(g), g
+            else:
+                assert classify(g) == ShapeLabel(Shape.UNKNOWN), g
