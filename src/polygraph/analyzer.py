@@ -327,11 +327,11 @@ def standardize(phi: BiPoly) -> tuple[BiPoly, list[AppliedStep]]:
     steps: list[AppliedStep] = []
     work = phi
     rad = work.squarefree_part()
-    if rad.coeffs is not work.coeffs and rad.normalized().coeffs != work.normalized().coeffs:
+    if rad is not work and rad.normalized() != work.normalized():
         work = rad
         steps.append(AppliedStep(StepKind.TOOK_RADICAL))
 
-    y_minus_x = BiPoly({(0, 1): GR_ONE, (1, 0): -GR_ONE})
+    y_minus_x = BiPoly.make({(0, 1): GR_ONE, (1, 0): -GR_ONE})
     removed = 0
     while work.diagonal().is_zero:
         work = work.divexact_y(y_minus_x)

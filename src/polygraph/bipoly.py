@@ -13,14 +13,20 @@ Coefficients live in a sparse map (x_power, y_power) -> scalar, all exact
   Z[i]), in float mode the samples are at roots of unity, with one
   `eval_rows` call per operand, one stacked Sylvester determinant call and
   an FFT,
-* squarefree part (exact), exact division, affine reparametrization.  The
-  bivariate ring operations behind these still run on GaussRat.
+* squarefree part (exact), exact division, affine reparametrization.
+
+An exact BiPoly stores its coefficients as `unipoly` does: (re, im) int
+pairs over one positive int `den`, in lowest terms, so the ring operations,
+coefficient views, evaluation at an exact point and everything built on
+them run on integers; `coeffs` and `coeff(i, j)` give GaussRat values.  A
+float BiPoly stores complex doubles and `den` = 0.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -31,8 +37,9 @@ from .errors import (
     ExactArithmeticRequired,
     ZeroPolynomialError,
 )
-from .scalars import GR_ONE, GR_ZERO, is_exact, require_finite, square_and_multiply
+from .scalars import GR_ONE, GR_ZERO, _as_gauss, is_exact, require_finite, square_and_multiply
 from .unipoly import TRIM_REL, UniPoly, cached, resultant_by_evaluation
+from .unipoly import _complex, _from_gauss, _gauss, _gz_horner, _gz_over, _gz_poly, _lowest
 
 _INTERP_ANGLE = 0.3  # fixed angular offset for float resultant sample points
 _CROSS_SIGN = np.array([-1.0, 1.0])
@@ -40,24 +47,26 @@ _CROSS_SIGN = np.array([-1.0, 1.0])
 
 @dataclass(frozen=True)
 class BiPoly:
-    coeffs: Mapping[tuple[int, int], object] = field(default_factory=dict)
+    terms: Mapping[tuple[int, int], object]  # (i, j) -> (re, im) int pair, or complex
+    den: int  # exact: the positive common denominator; float: 0
 
     @staticmethod
     def make(entries: Mapping[tuple[int, int], object]) -> "BiPoly":
-        items = {k: v for k, v in entries.items()}
-        exact_mode = all(is_exact(v) for v in items.values())
-        if exact_mode:
-            return BiPoly({k: v for k, v in items.items() if v})
+        items = dict(entries)
+        if all(is_exact(v) for v in items.values()):
+            p, den = _from_gauss(list(items.values()))
+            return _gz_bipoly(dict(zip(items, p)), den)
         out = {
             k: require_finite(complex(v), "polynomial construction") for k, v in items.items()
         }
         scale = max((abs(v) for v in out.values()), default=0.0)
         floor = TRIM_REL * scale
-        return BiPoly({k: v for k, v in out.items() if abs(v) > floor})
+        out = {k: v for k, v in out.items() if abs(v) > floor}
+        return BiPoly(out, 0 if out else 1)
 
     @staticmethod
     def zero() -> "BiPoly":
-        return BiPoly({})
+        return BiPoly({}, 1)
 
     @staticmethod
     def constant(c) -> "BiPoly":
@@ -66,42 +75,46 @@ class BiPoly:
     @staticmethod
     def variable(var: str) -> "BiPoly":
         if var == "x":
-            return BiPoly({(1, 0): GR_ONE})
+            return BiPoly({(1, 0): (1, 0)}, 1)
         if var == "y":
-            return BiPoly({(0, 1): GR_ONE})
+            return BiPoly({(0, 1): (1, 0)}, 1)
         raise DomainError(f"unsupported variable {var!r}")
 
     @staticmethod
     def from_unipoly(p: UniPoly) -> "BiPoly":
-        if p.var == "x":
-            return BiPoly.make({(k, 0): c for k, c in enumerate(p.coeffs)})
-        return BiPoly.make({(0, k): c for k, c in enumerate(p.coeffs)})
+        keys = [(k, 0) if p.var == "x" else (0, k) for k in range(len(p.terms))]
+        if p.den:
+            return BiPoly({k: t for k, t in zip(keys, p.terms) if t != (0, 0)}, p.den)
+        return BiPoly.make(dict(zip(keys, p.terms)))
 
     # -- structure ---------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
     @cached
     def deg_x(self) -> int:
-        return max((i for i, _ in self.coeffs), default=-1)
+        return max((i for i, _ in self.terms), default=-1)
 
     @cached
     def deg_y(self) -> int:
-        return max((j for _, j in self.coeffs), default=-1)
+        return max((j for _, j in self.terms), default=-1)
 
     @property
     def total_degree(self) -> int:
-        return max((i + j for i, j in self.coeffs), default=-1)
+        return max((i + j for i, j in self.terms), default=-1)
 
     @cached
     def mode(self) -> str:
-        return "exact" if all(is_exact(v) for v in self.coeffs.values()) else "float"
+        return "exact" if self.den else "float"
 
-    @property
-    def _zero(self):
-        return GR_ZERO if self.mode == "exact" else 0j
+    @cached
+    def coeffs(self) -> dict:
+        """(i, j) -> the coefficient of x**i y**j: GaussRat or complex."""
+        if self.den:
+            return {k: _gauss(re, im, self.den) for k, (re, im) in self.terms.items()}
+        return self.terms
 
     def degree(self, var: str) -> int:
         return self.deg_x if var == "x" else self.deg_y
@@ -110,63 +123,93 @@ class BiPoly:
         return self.deg_x <= 0 and self.deg_y <= 0
 
     def coeff(self, i: int, j: int):
-        return self.coeffs.get((i, j), self._zero)
+        if not self.den:
+            return self.terms.get((i, j), 0j)
+        t = self.terms.get((i, j))
+        return GR_ZERO if t is None else _gauss(*t, self.den)
 
     def coeff_scale(self) -> float:
-        return max((abs(complex(v)) for v in self.coeffs.values()), default=0.0)
+        return max((abs(v) for v in self.to_float().terms.values()), default=0.0)
 
     def to_float(self) -> "BiPoly":
-        if self.mode == "float":
+        if self.mode == "float" or self.is_zero:
             return self
-        return BiPoly({k: complex(v) for k, v in self.coeffs.items()})
+        return BiPoly({k: _complex(re, im, self.den) for k, (re, im) in self.terms.items()}, 0)
 
     def lead_gl(self):
         """Coefficient of the graded-lex (total degree, then x) top monomial."""
         if self.is_zero:
             raise DomainError("zero polynomial has no leading term")
-        key = max(self.coeffs, key=lambda ij: (ij[0] + ij[1], ij[0]))
-        return self.coeffs[key]
+        return self.coeff(*max(self.terms, key=lambda ij: (ij[0] + ij[1], ij[0])))
 
     def normalized(self) -> "BiPoly":
         """Scale so the graded-lex leading coefficient is 1."""
         if self.is_zero:
             return self
-        lead = self.lead_gl()
-        return BiPoly({k: v / lead for k, v in self.coeffs.items()})
+        if not self.den:
+            lead = self.lead_gl()
+            return BiPoly({k: v / lead for k, v in self.terms.items()}, 0)
+        lc = self.terms[max(self.terms, key=lambda ij: (ij[0] + ij[1], ij[0]))]
+        p, den = _gz_over(self.terms.values(), lc)  # (p / den) / (lc / den) = p / lc
+        return _gz_bipoly(dict(zip(self.terms, p)), den)
 
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other: "BiPoly") -> "BiPoly":
-        out = dict(self.coeffs)
-        zero = self._zero
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, zero) + v
+        if self.den and other.den:
+            den = math.lcm(self.den, other.den)
+            s, t = den // self.den, den // other.den
+            out = {k: (re * s, im * s) for k, (re, im) in self.terms.items()}
+            for k, (re, im) in other.terms.items():
+                a, b = out.get(k, (0, 0))
+                out[k] = (a + re * t, b + im * t)
+            return _gz_bipoly(out, den)
+        out = dict(self.to_float().terms)
+        for k, v in other.to_float().terms.items():
+            out[k] = out.get(k, 0j) + v
         return BiPoly.make(out)
 
     def __sub__(self, other: "BiPoly") -> "BiPoly":
         return self + (-other)
 
     def __neg__(self) -> "BiPoly":
-        return BiPoly({k: -v for k, v in self.coeffs.items()})
+        if self.den:
+            return BiPoly({k: (-re, -im) for k, (re, im) in self.terms.items()}, self.den)
+        return BiPoly({k: -v for k, v in self.terms.items()}, 0)
 
     def __mul__(self, other: "BiPoly") -> "BiPoly":
         if self.is_zero or other.is_zero:
             return BiPoly.zero()
-        zero = self._zero
+        if self.den and other.den:
+            re: dict = {}
+            im: dict = {}
+            for (i1, j1), (a, b) in self.terms.items():
+                for (i2, j2), (c, d) in other.terms.items():
+                    k = (i1 + i2, j1 + j2)
+                    re[k] = re.get(k, 0) + a * c - b * d
+                    im[k] = im.get(k, 0) + a * d + b * c
+            return _gz_bipoly({k: (v, im[k]) for k, v in re.items()}, self.den * other.den)
         out: dict = {}
-        for (i1, j1), a in self.coeffs.items():
-            for (i2, j2), b in other.coeffs.items():
+        for (i1, j1), a in self.to_float().terms.items():
+            for (i2, j2), b in other.to_float().terms.items():
                 k = (i1 + i2, j1 + j2)
-                out[k] = out.get(k, zero) + a * b
+                out[k] = out.get(k, 0j) + a * b
         return BiPoly.make(out)
 
     def scale(self, s) -> "BiPoly":
-        return BiPoly.make({k: v * s for k, v in self.coeffs.items()})
+        g = _as_gauss(s) if self.den else None
+        if g is None:
+            return BiPoly.make({k: v * s for k, v in self.to_float().terms.items()})
+        ((c, d),), e = _from_gauss([g])
+        return _gz_bipoly(
+            {k: (re * c - im * d, re * d + im * c) for k, (re, im) in self.terms.items()},
+            self.den * e,
+        )
 
     def power(self, k: int) -> "BiPoly":
         if k < 0:
             raise DomainError("negative polynomial power")
-        return square_and_multiply(self, k, BiPoly.constant(GR_ONE))
+        return square_and_multiply(self, k, BiPoly({(0, 0): (1, 0)}, 1))
 
     # -- coefficient views ---------------------------------------------------
 
@@ -175,24 +218,26 @@ class BiPoly:
         d = self.degree(var)
         other = "y" if var == "x" else "x"
         rows: list[dict[int, object]] = [dict() for _ in range(d + 1)]
-        for (i, j), c in self.coeffs.items():
+        for (i, j), c in self.terms.items():
             k, m = (i, j) if var == "x" else (j, i)
             rows[k][m] = c
-        zero = self._zero
         out = []
         for row in rows:
             n = max(row, default=-1)
-            out.append(UniPoly.make([row.get(t, zero) for t in range(n + 1)], other))
+            if self.den:
+                out.append(_gz_poly([row.get(t, (0, 0)) for t in range(n + 1)], self.den, other))
+            else:
+                out.append(UniPoly.make([row.get(t, 0j) for t in range(n + 1)], other))
         return out
 
     def derivative(self, var: str) -> "BiPoly":
         out: dict = {}
-        for (i, j), c in self.coeffs.items():
-            if var == "x" and i > 0:
-                out[(i - 1, j)] = c * i
-            elif var == "y" and j > 0:
-                out[(i, j - 1)] = c * j
-        return BiPoly.make(out)
+        for (i, j), c in self.terms.items():
+            k = i if var == "x" else j
+            if k > 0:
+                key = (i - 1, j) if var == "x" else (i, j - 1)
+                out[key] = (c[0] * k, c[1] * k) if self.den else c * k
+        return _gz_bipoly(out, self.den) if self.den else BiPoly.make(out)
 
     # -- evaluation ------------------------------------------------------------
 
@@ -207,7 +252,15 @@ class BiPoly:
         other = "y" if axis == "x" else "x"
         if not (self.mode == "exact" and is_exact(u)):
             return UniPoly.make(self.eval_rows([complex(u)], axis)[0].tolist(), other)
-        return UniPoly.make([c.eval(u) for c in self.coeff_polys(other)], other)
+        if self.is_zero:
+            return UniPoly.zero(other)
+        (t,), d = _from_gauss([u])
+        n = self.degree(axis)
+        cols = [[(0, 0)] * (n + 1) for _ in range(self.degree(other) + 1)]
+        for (i, j), c in self.terms.items():
+            k, m = (i, j) if axis == "x" else (j, i)
+            cols[m][k] = c
+        return _gz_poly([_gz_horner(col, t, d) for col in cols], self.den * d**n, other)
 
     @cached
     def _float_table(self) -> np.ndarray:
@@ -215,8 +268,7 @@ class BiPoly:
         polynomial: [i, j] holds the real and imaginary parts of the
         coefficient of x**i y**j."""
         table = np.zeros((max(self.deg_x, 0) + 1, max(self.deg_y, 0) + 1, 2))
-        for (i, j), c in self.coeffs.items():
-            z = complex(c)
+        for (i, j), z in self.to_float().terms.items():
             table[i, j] = z.real, z.imag
         return table
 
@@ -250,23 +302,31 @@ class BiPoly:
 
     def diagonal(self) -> UniPoly:
         """Phi(x, x) as a UniPoly in x (the loop polynomial)."""
-        d = max((i + j for i, j in self.coeffs), default=-1)
-        acc = [self._zero] * (d + 1)
-        for (i, j), c in self.coeffs.items():
-            acc[i + j] = acc[i + j] + c
-        return UniPoly.make(acc, "x")
+        if self.den:
+            acc = [[0, 0] for _ in range(self.total_degree + 1)]
+            for (i, j), (re, im) in self.terms.items():
+                acc[i + j][0] += re
+                acc[i + j][1] += im
+            return _gz_poly([(re, im) for re, im in acc], self.den, "x")
+        out = [0j] * (self.total_degree + 1)
+        for (i, j), c in self.terms.items():
+            out[i + j] = out[i + j] + c
+        return UniPoly.make(out, "x")
 
     def shear_y(self) -> "BiPoly":
         """Substitute y -> y + x; kills x-dependence exactly for f(y-x) forms."""
-        zero = self._zero
         out: dict = {}
-        for (i, j), c in self.coeffs.items():
+        for (i, j), c in self.terms.items():
             binom = 1
             for k in range(j + 1):
                 key = (i + j - k, k)
-                out[key] = out.get(key, zero) + c * binom
+                if self.den:
+                    re, im = out.get(key, (0, 0))
+                    out[key] = (re + c[0] * binom, im + c[1] * binom)
+                else:
+                    out[key] = out.get(key, 0j) + c * binom
                 binom = binom * (j - k) // (k + 1)
-        return BiPoly.make(out)
+        return _gz_bipoly(out, self.den) if self.den else BiPoly.make(out)
 
     def affine_transform(self, a, b, c) -> "BiPoly":
         """c * Phi(a x + b, a y + b); requires a != 0 and c != 0."""
@@ -334,7 +394,7 @@ class BiPoly:
             r_coeffs = rem.coeff_polys("y")
             r_lead = r_coeffs[rem.deg_y]
             q_coeff = r_lead.divexact(g_lead)
-            term = BiPoly.from_unipoly(q_coeff) * BiPoly({(0, rem.deg_y - gy): GR_ONE})
+            term = BiPoly.from_unipoly(q_coeff) * BiPoly({(0, rem.deg_y - gy): (1, 0)}, 1)
             quo = quo + term
             rem = rem - term * g
         if not rem.is_zero:
@@ -361,7 +421,7 @@ class BiPoly:
             rad_cont = cont.divexact(cont.gcd(cont.derivative()))
             rad_prim = rad_prim * BiPoly.from_unipoly(rad_cont)
         rad = rad_prim.normalized()
-        if rad.coeffs == self.normalized().coeffs:
+        if rad == self.normalized():
             return self  # already radical: hand back the input untouched
         return rad
 
@@ -374,6 +434,15 @@ class BiPoly:
 
 
 # -- helpers ---------------------------------------------------------------
+
+
+def _gz_bipoly(terms: dict, den: int) -> BiPoly:
+    """The exact BiPoly terms / den for a nonzero int den; zero terms dropped."""
+    terms = {k: t for k, t in terms.items() if t != (0, 0)}
+    g = _lowest(terms.values(), den)
+    if g != 1:
+        terms = {k: (re // g, im // g) for k, (re, im) in terms.items()}
+    return BiPoly(terms, den // g)
 
 
 def _is_one(p: BiPoly) -> bool:
@@ -422,7 +491,7 @@ def _pseudo_rem_y(p: BiPoly, q: BiPoly) -> BiPoly:
     r = p
     while not r.is_zero and r.deg_y >= q.deg_y:
         lead_r = BiPoly.from_unipoly(r.coeff_polys("y")[r.deg_y])
-        shift = BiPoly({(0, r.deg_y - q.deg_y): GR_ONE})
+        shift = BiPoly({(0, r.deg_y - q.deg_y): (1, 0)}, 1)
         r = r * lead_q - q * lead_r * shift
     return r
 

@@ -99,9 +99,6 @@ class GaussRat:
         except OverflowError:
             raise EvaluationOverflow("exact scalar beyond the float range") from None
 
-    def conjugate(self) -> "GaussRat":
-        return GaussRat(self.re, -self.im)
-
     def is_real(self) -> bool:
         return self.im == 0
 

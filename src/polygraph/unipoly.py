@@ -1,19 +1,22 @@
 """Dense univariate polynomials over exact Gaussian rationals or complex doubles.
 
-Coefficients are stored ascending.  A polynomial is exact when every
-coefficient is a :class:`~polygraph.scalars.GaussRat`; arithmetic mixing
-the two modes follows the scalar rule of :mod:`polygraph.scalars`.  The zero
-polynomial has an empty coefficient tuple and degree -1.
+Coefficients are stored ascending in `terms`.  An exact polynomial stores
+them as (re, im) int pairs, the numerators over one positive int `den`, in
+lowest terms (no integer > 1 divides `den` and every part), so equal
+polynomials have equal fields however they were built.  A float polynomial
+stores complex doubles and `den` = 0.  The zero polynomial has no terms and
+`den` = 1: it is exact.  Arithmetic mixing the two modes follows the scalar
+rule of :mod:`polygraph.scalars`.
 
-`GaussRat` is only the stored and public scalar.  Exact multiplication,
-division and gcd clear the common denominator of their operands on entry,
-run on polynomials over Z[i] (ascending lists of (re, im) int pairs, the
-`_gz_*` helpers below) and convert back once on exit: integer convolution,
-pseudo-division followed by one division by lc**e and the denominators, and
-the subresultant PRS (Collins 1967; Brown and Traub 1971).
-`resultant_by_evaluation`, the exact resultant of `bipoly`, evaluates at
-integers, takes scalar resultants by the same PRS and interpolates on the
-same helpers; the Z[i] format does not leave this module.
+Exact arithmetic, evaluation, division and the gcd run on these integers
+(polynomials over Z[i] as lists of (re, im) pairs, the `_gz_*` helpers
+below): integer convolution, pseudo-division followed by one division by
+lc**e and the denominators, and the subresultant PRS (Collins 1967; Brown
+and Traub 1971).  `resultant_by_evaluation`, the exact resultant of
+`bipoly`, evaluates at integers, takes scalar resultants by the same PRS
+and interpolates on the same helpers.  `GaussRat` is the public scalar
+only: `make` and scalar arguments take it, `coeffs`, `coeff(k)`, `lead`
+and exact `eval` return it.
 """
 
 from __future__ import annotations
@@ -21,10 +24,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence
 
-from .errors import DomainError, ExactArithmeticRequired, SynthesisError
-from .scalars import GR_ONE, GR_ZERO, GaussRat, is_exact, require_finite, square_and_multiply
+from .errors import DomainError, EvaluationOverflow, ExactArithmeticRequired, SynthesisError
+from .scalars import GR_ONE, GR_ZERO, GaussRat, _as_gauss, is_exact, require_finite, square_and_multiply
 
 # Float coefficients below this fraction of the largest one are treated as
 # arithmetic debris and trimmed from the leading end.
@@ -47,43 +51,35 @@ class cached:
         return value
 
 
-def _trim(coeffs: list, exact_mode: bool) -> tuple:
-    if exact_mode:
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-    else:
-        scale = max((abs(c) for c in coeffs), default=0.0)
-        floor = TRIM_REL * scale
-        while coeffs and abs(coeffs[-1]) <= floor:
-            coeffs.pop()
-    return tuple(coeffs)
-
-
 @dataclass(frozen=True)
 class UniPoly:
-    coeffs: tuple  # ascending powers, trimmed
+    terms: tuple  # ascending powers, trimmed: (re, im) int pairs, or complex
+    den: int  # exact: the positive common denominator; float: 0
     var: str = "x"
 
     @staticmethod
     def make(coeffs: Iterable, var: str = "x") -> "UniPoly":
         cs = list(coeffs)
-        exact_mode = all(is_exact(c) for c in cs)
-        if exact_mode:
-            return UniPoly(_trim(cs, True), var)
+        if all(is_exact(c) for c in cs):
+            p, den = _from_gauss(cs)
+            return _gz_poly(p, den, var)
         cs = [require_finite(complex(c), "polynomial construction") for c in cs]
-        return UniPoly(_trim(cs, False), var)
+        floor = TRIM_REL * max((abs(c) for c in cs), default=0.0)
+        while cs and abs(cs[-1]) <= floor:
+            cs.pop()
+        return UniPoly(tuple(cs), 0 if cs else 1, var)
 
     @staticmethod
     def zero(var: str = "x") -> "UniPoly":
-        return UniPoly((), var)
+        return UniPoly((), 1, var)
 
     @staticmethod
     def one(var: str = "x") -> "UniPoly":
-        return UniPoly((GR_ONE,), var)
+        return UniPoly(((1, 0),), 1, var)
 
     @staticmethod
     def variable(var: str = "x") -> "UniPoly":
-        return UniPoly((GR_ZERO, GR_ONE), var)
+        return UniPoly(((0, 0), (1, 0)), 1, var)
 
     @staticmethod
     def constant(c, var: str = "x") -> "UniPoly":
@@ -93,76 +89,87 @@ class UniPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.terms) - 1
 
     @cached
     def mode(self) -> str:
-        return "exact" if all(is_exact(c) for c in self.coeffs) else "float"
+        return "exact" if self.den else "float"
 
-    @property
-    def _zero(self):
-        return GR_ZERO if self.mode == "exact" else 0j
+    @cached
+    def coeffs(self) -> tuple:
+        """The coefficients, ascending: GaussRat values or complex doubles."""
+        if self.den:
+            return tuple(_gauss(re, im, self.den) for re, im in self.terms)
+        return self.terms
 
     @property
     def lead(self):
         if self.is_zero:
             raise DomainError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.coeff(self.degree)
 
     def coeff(self, k: int):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return self._zero
+        if 0 <= k < len(self.terms):
+            return _gauss(*self.terms[k], self.den) if self.den else self.terms[k]
+        return GR_ZERO if self.den else 0j
 
     def is_constant(self) -> bool:
         return self.degree <= 0
 
     def to_float(self) -> "UniPoly":
-        if self.mode == "float":
+        if self.mode == "float" or self.is_zero:
             return self
-        return UniPoly(tuple(complex(c) for c in self.coeffs), self.var)
+        return UniPoly(tuple(_complex(re, im, self.den) for re, im in self.terms), 0, self.var)
 
     def rename(self, var: str) -> "UniPoly":
-        return UniPoly(self.coeffs, var)
+        return UniPoly(self.terms, self.den, var)
 
     def coeff_scale(self) -> float:
-        return max((abs(complex(c)) for c in self.coeffs), default=0.0)
+        return max((abs(c) for c in self.to_float().terms), default=0.0)
 
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly.make(
-            [self.coeff(k) + other.coeff(k) for k in range(n)], self.var
-        )
+        if self.den and other.den:
+            den = math.lcm(self.den, other.den)
+            p = _gz_lincomb(self.terms, den // self.den, other.terms, den // other.den)
+            return _gz_poly(p, den, self.var)
+        a, b = self.to_float(), other.to_float()
+        n = max(len(a.terms), len(b.terms))
+        return UniPoly.make([a.coeff(k) + b.coeff(k) for k in range(n)], self.var)
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         return self + (-other)
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly(tuple(-c for c in self.coeffs), self.var)
+        if self.den:
+            return UniPoly(tuple((-re, -im) for re, im in self.terms), self.den, self.var)
+        return UniPoly(tuple(-c for c in self.terms), 0, self.var)
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         if self.is_zero or other.is_zero:
             return UniPoly.zero(self.var)
-        if self.mode == "exact" and other.mode == "exact":
-            (a,), da = _gz_clear([self])
-            (b,), db = _gz_clear([other])
-            return _gz_unipoly(_gz_mul(a, b), (da * db, 0), self.var)
-        out = [0j] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
+        if self.den and other.den:
+            return _gz_poly(_gz_mul(self.terms, other.terms), self.den * other.den, self.var)
+        a, b = self.to_float().terms, other.to_float().terms
+        out = [0j] * (len(a) + len(b) - 1)
+        for i, s in enumerate(a):
+            if not s:
                 continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
+            for j, t in enumerate(b):
+                out[i + j] = out[i + j] + s * t
         return UniPoly.make(out, self.var)
 
     def scale(self, s) -> "UniPoly":
-        return UniPoly.make([c * s for c in self.coeffs], self.var)
+        g = _as_gauss(s) if self.den else None
+        if g is None:
+            return UniPoly.make([c * s for c in self.to_float().terms], self.var)
+        (t,), d = _from_gauss([g])
+        return _gz_poly(_gz_mul(self.terms, [t]), self.den * d, self.var)
 
     def power(self, k: int) -> "UniPoly":
         if k < 0:
@@ -170,44 +177,50 @@ class UniPoly:
         return square_and_multiply(self, k, UniPoly.one(self.var))
 
     def derivative(self) -> "UniPoly":
-        return UniPoly.make(
-            [self.coeffs[k] * k for k in range(1, len(self.coeffs))], self.var
-        )
+        if self.den:
+            p = [(re * k, im * k) for k, (re, im) in enumerate(self.terms)]
+            return _gz_poly(p[1:], self.den, self.var)
+        return UniPoly.make([self.terms[k] * k for k in range(1, len(self.terms))], self.var)
 
     def __call__(self, u):
         return self.eval(u)
 
     def eval(self, u):
-        """Horner evaluation; float paths raise on overflow."""
-        if self.mode == "exact" and is_exact(u):
-            acc = GR_ZERO
-        else:
-            acc, u = 0j, complex(u)
-        for c in reversed(self.coeffs):
+        """Horner evaluation: exact (a GaussRat) when self and u are; float
+        paths raise on overflow."""
+        if self.den and is_exact(u):
+            if self.is_zero:
+                return GR_ZERO
+            (t,), d = _from_gauss([u])
+            re, im = _gz_horner(self.terms, t, d)
+            return _gauss(re, im, self.den * d**self.degree)
+        acc, u = 0j, complex(u)
+        for c in reversed(self.to_float().terms):
             acc = acc * u + c
-        return acc if is_exact(acc) else require_finite(acc, "polynomial evaluation")
+        return require_finite(acc, "polynomial evaluation")
 
     # -- exact division and gcd ------------------------------------------
 
     def monic(self) -> "UniPoly":
         if self.is_zero:
             return self
+        if self.den:
+            return _gz_poly(*_gz_over(self.terms, self.terms[-1]), self.var)
         lead = self.lead
-        return UniPoly(tuple(c / lead for c in self.coeffs), self.var)
+        return UniPoly(tuple(c / lead for c in self.terms), 0, self.var)
 
     def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         if self.mode != "exact" or other.mode != "exact":
             raise ExactArithmeticRequired("polynomial division requires exact scalars")
         if other.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        # lc**e * a = Q*b + R over Z[i] for the cleared a = A/da, b = B/db,
+        # lc**e * a = Q*b + R over Z[i] for the numerators a = A*da, b = B*db,
         # so the quotient is Q*db / (lc**e*da) and the remainder R / (lc**e*da).
-        (a,), da = _gz_clear([self])
-        (b,), db = _gz_clear([other])
-        quo, rem, lc_e = _gz_pseudo_divmod(a, b)
+        da, db = self.den, other.den
+        quo, rem, lc_e = _gz_pseudo_divmod(list(self.terms), other.terms)
         den = (lc_e[0] * da, lc_e[1] * da)
         quo = [(re * db, im * db) for re, im in quo]
-        return _gz_unipoly(quo, den, self.var), _gz_unipoly(rem, den, self.var)
+        return _gz_poly(*_gz_over(quo, den), self.var), _gz_poly(*_gz_over(rem, den), self.var)
 
     def divexact(self, other: "UniPoly") -> "UniPoly":
         q, r = self.divmod(other)
@@ -220,9 +233,8 @@ class UniPoly:
         if self.mode != "exact" or other.mode != "exact":
             raise ExactArithmeticRequired("gcd is only defined in exact mode")
         var = other.var if self.is_zero and not other.is_zero else self.var
-        (a, b), _ = _gz_clear([self, other])
-        g = _gz_gcd(a, b)
-        return _gz_unipoly(g, g[-1], var) if g else UniPoly.zero(var)
+        g = _gz_gcd(list(self.terms), list(other.terms))
+        return _gz_poly(*_gz_over(g, g[-1]), var) if g else UniPoly.zero(var)
 
     def divides(self, other: "UniPoly") -> bool:
         if self.is_zero:
@@ -239,37 +251,82 @@ class UniPoly:
     __repr__ = __str__
 
 
-# -- polynomials over Z[i] ----------------------------------------------------
-#
-# Ascending lists of (re, im) int pairs with a nonzero last entry; [] is the
-# zero polynomial.  Gaussian integer scalars are (re, im) pairs too.
+# -- exact scalars -------------------------------------------------------------
 
 
-def _gz_clear(polys: Sequence[UniPoly]) -> tuple[list, int]:
-    """Exact polys as Z[i] polynomials over their common denominator den."""
-    den = 1
-    for p in polys:
-        for c in p.coeffs:
-            den = math.lcm(den, c.re.denominator, c.im.denominator)
+def _gauss(re: int, im: int, den: int) -> GaussRat:
+    return GaussRat(Fraction(re, den), Fraction(im, den))
+
+
+def _complex(re: int, im: int, den: int) -> complex:
+    """complex((re + im*i) / den), each part rounded once, as complex(GaussRat) does."""
+    try:
+        return complex(re / den, im / den)
+    except OverflowError:
+        raise EvaluationOverflow("exact scalar beyond the float range") from None
+
+
+def _from_gauss(values: Sequence[GaussRat]) -> tuple[list, int]:
+    """GaussRat values as Gaussian integers over their least common
+    denominator den, which leaves them in lowest terms."""
+    den = math.lcm(*(c.re.denominator for c in values), *(c.im.denominator for c in values))
     return [
-        [(c.re.numerator * (den // c.re.denominator),
-          c.im.numerator * (den // c.im.denominator)) for c in p.coeffs]
-        for p in polys
+        (c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator))
+        for c in values
     ], den
 
 
-def _gz_unipoly(p: list, den: tuple, var: str) -> UniPoly:
-    """The exact UniPoly p / den, for a nonzero Gaussian integer den."""
+def _lowest(parts: Iterable[tuple], den: int) -> int:
+    """The int g, of den's sign, with den / g > 0 and the gcd of den / g
+    and every part / g equal to 1."""
+    if den == 1:
+        return 1
+    g = math.gcd(den, *chain.from_iterable(parts))
+    return -g if den < 0 else g
+
+
+# -- polynomials over Z[i] ----------------------------------------------------
+#
+# Ascending sequences of (re, im) int pairs with a nonzero last entry; [] is
+# the zero polynomial.  Gaussian integer scalars are (re, im) pairs too.
+
+
+def _gz_poly(p: list, den: int, var: str) -> UniPoly:
+    """The exact UniPoly p / den for a nonzero int den; trims p in place."""
+    while p and p[-1] == (0, 0):
+        p.pop()
+    g = _lowest(p, den)
+    if g != 1:
+        p = [(re // g, im // g) for re, im in p]
+    return UniPoly(tuple(p), den // g, var)
+
+
+def _gz_over(p: Iterable, den: tuple) -> tuple[list, int]:
+    """(q, n) with q / n = p / den, for a nonzero Gaussian integer den and an int n."""
     c, d = den
     if not d:
-        coeffs = (GaussRat(Fraction(re, c), Fraction(im, c)) for re, im in p)
-    else:
-        n = c * c + d * d
-        coeffs = (
-            GaussRat(Fraction(re * c + im * d, n), Fraction(im * c - re * d, n))
-            for re, im in p
-        )
-    return UniPoly(tuple(coeffs), var)
+        return list(p), c
+    return [(re * c + im * d, im * c - re * d) for re, im in p], c * c + d * d
+
+
+def _gz_lincomb(p: Sequence, s: int, q: Sequence, t: int) -> list:
+    """s*p + t*q for ints s and t, untrimmed."""
+    if len(p) < len(q):
+        p, s, q, t = q, t, p, s
+    out = [(a * s + c * t, b * s + d * t) for (a, b), (c, d) in zip(p, q)]
+    out += [(a * s, b * s) for a, b in p[len(q):]]
+    return out
+
+
+def _gz_horner(p: Sequence, u: tuple, d: int) -> tuple:
+    """d**n * p(u / d) for a Gaussian integer u, an int d and n = len(p) - 1,
+    by Horner over Z[i]; the coefficient of t**k is scaled by d**(n - k)."""
+    re = im = 0
+    w = 1
+    for a, b in reversed(p):
+        re, im = re * u[0] - im * u[1] + a * w, re * u[1] + im * u[0] + b * w
+        w *= d
+    return re, im
 
 
 def _gi_mul(s: tuple, t: tuple) -> tuple:
@@ -290,7 +347,7 @@ def _gi_divexact(s: tuple, t: tuple) -> tuple:
     return ((s[0] * c + s[1] * d) // n, (s[1] * c - s[0] * d) // n)
 
 
-def _gz_mul(p: list, q: list) -> list:
+def _gz_mul(p: Sequence, q: Sequence) -> list:
     if not p or not q:
         return []
     re = [0] * (len(p) + len(q) - 1)
@@ -304,7 +361,7 @@ def _gz_mul(p: list, q: list) -> list:
     return list(zip(re, im))  # Z[i] has no zero divisors: the lead is nonzero
 
 
-def _gz_pseudo_divmod(a: list, b: list) -> tuple[list, list, tuple]:
+def _gz_pseudo_divmod(a: list, b: Sequence) -> tuple[list, list, tuple]:
     """(Q, R, lc**e) with lc**e * a = Q*b + R and deg R < deg b.
 
     lc is the leading coefficient of b != [] and e = max(deg a - deg b + 1, 0).
@@ -400,10 +457,16 @@ def _gz_interpolate(values: list, t0: int) -> list:
                 out[i] -= (t0 + k) * out[i + 1]
             out[0] += scale * diffs[k]
         parts.append(out)
-    out = list(zip(*parts))
-    while out and out[-1] == (0, 0):
-        out.pop()
-    return out
+    return list(zip(*parts))
+
+
+def _gz_common(polys: Sequence[UniPoly]) -> tuple[list, int]:
+    """Exact polys as Z[i] polynomials over their least common denominator."""
+    den = math.lcm(*(p.den for p in polys))
+    return [
+        list(p.terms) if p.den == den else [(re * (den // p.den), im * (den // p.den)) for re, im in p.terms]
+        for p in polys
+    ], den
 
 
 def resultant_by_evaluation(
@@ -412,14 +475,14 @@ def resultant_by_evaluation(
     """Res_t(P, Q) in var for P = sum_k pc[k] t**k and Q = sum_k qc[k] t**k.
 
     pc and qc are exact UniPolys in var with nonzero last entries, and
-    bound bounds the degree of the resultant.  The coefficients are cleared
-    of denominators once.  The resultant is evaluated at the first run
+    bound bounds the degree of the resultant.  Each side is taken over its
+    common denominator.  The resultant is evaluated at the first run
     t0..t0+bound of integers where neither leading coefficient vanishes
     (only there does specialisation commute with the resultant), by the
     subresultant PRS, and interpolated in the integers.
     """
-    a, den_p = _gz_clear(pc)
-    b, den_q = _gz_clear(qc)
+    a, den_p = _gz_common(pc)
+    b, den_q = _gz_common(qc)
     t0 = t = 0
     while t <= t0 + bound:
         if _gz_eval(a[-1], t) == (0, 0) or _gz_eval(b[-1], t) == (0, 0):
@@ -431,7 +494,7 @@ def resultant_by_evaluation(
     ]
     # Res(a, b) = den_p**deg Q * den_q**deg P * Res(P, Q)
     den = math.factorial(bound) * den_p ** (len(qc) - 1) * den_q ** (len(pc) - 1)
-    return _gz_unipoly(_gz_interpolate(vals, t0), (den, 0), var)
+    return _gz_poly(_gz_interpolate(vals, t0), den, var)
 
 
 def from_roots(roots: Sequence, lead=1.0, var: str = "x") -> UniPoly:
@@ -446,28 +509,32 @@ def lagrange_interpolate(points: Sequence[tuple], var: str = "x") -> UniPoly:
     """Exact interpolation through (node, value) GaussRat pairs.
 
     Nodes must be pairwise distinct; the result is the unique polynomial of
-    degree < len(points) matching every pair.  Newton's divided differences
-    give its Newton form, which Horner expands (von zur Gathen and Gerhard,
-    Modern Computer Algebra, Ch. 5).
+    degree < len(points) matching every pair.  With nodes u_k = U_k / s and
+    values v_k = V_k / t over Gaussian integers, the g with g(U_k) = V_k is
+    sum_k V_k P(X) / ((X - U_k) P'(U_k)) for P = prod_k (X - U_k), taken
+    over the lcm of the norms of the P'(U_k) (von zur Gathen and Gerhard,
+    Modern Computer Algebra, Ch. 5), and the result is g(s x) / t.
     """
     nodes = [p[0] for p in points]
-    coef = [p[1] for p in points]
-    if not all(is_exact(u) for u in nodes) or not all(is_exact(v) for v in coef):
+    values = [p[1] for p in points]
+    if not all(is_exact(u) for u in nodes) or not all(is_exact(v) for v in values):
         raise ExactArithmeticRequired("interpolation nodes and values must be exact")
-    for i in range(len(nodes)):
-        for j in range(i + 1, len(nodes)):
-            if nodes[i] == nodes[j]:
-                raise SynthesisError(
-                    "repeated interpolation node", node=str(nodes[i])
-                )
-    n = len(nodes)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (nodes[i] - nodes[i - j])
+    us, s = _from_gauss(nodes)
+    vs, t = _from_gauss(values)
+    for i in range(len(us)):
+        for j in range(i + 1, len(us)):
+            if us[i] == us[j]:
+                raise SynthesisError("repeated interpolation node", node=str(nodes[i]))
+    prod = [(1, 0)]
+    for u in us:
+        prod = _gz_mul(prod, [(-u[0], -u[1]), (1, 0)])
+    parts = []
+    for u, v in zip(us, vs):
+        q = _gz_pseudo_divmod(prod, [(-u[0], -u[1]), (1, 0)])[0]  # P / (X - U_k)
+        c, d = _gz_horner(q, u, 1)  # P'(U_k)
+        parts.append((q, _gi_mul(v, (c, -d)), c * c + d * d))  # V_k / P'(U_k) = f / n
+    norm = math.lcm(*(n for _, _, n in parts))
     acc: list = []
-    for k in range(n - 1, -1, -1):  # acc = acc * (x - nodes[k]) + coef[k]
-        acc = [GR_ZERO] + acc
-        for i in range(len(acc) - 1):
-            acc[i] = acc[i] - nodes[k] * acc[i + 1]
-        acc[0] = acc[0] + coef[k]
-    return UniPoly.make(acc, var)
+    for q, f, n in parts:
+        acc = _gz_lincomb(acc, 1, _gz_mul(q, [f]), norm // n)
+    return _gz_poly([(re * s**k, im * s**k) for k, (re, im) in enumerate(acc)], norm * t, var)

@@ -87,6 +87,56 @@ class TestParse:
             assert q.coeffs == p.coeffs and q.mode == p.mode
 
 
+class TestCanonicalForm:
+    """Exact polynomials are stored as Gaussian integers over one positive
+    denominator in lowest terms, so equal ones compare equal however they
+    were built, and the public reads still give GaussRat values."""
+
+    def test_equal_fractions_give_equal_polynomials(self):
+        half, two_quarters = GaussRat(Fraction(1, 2)), GaussRat(Fraction(2, 4), Fraction(0, 3))
+        assert UniPoly.make([two_quarters, gr(1)]) == UniPoly.make([half, gr(1)])
+        assert BiPoly.make({(1, 0): two_quarters, (0, 1): gr(1)}) == parse("1/2*x + y")
+
+    def test_a_third_times_three_is_x(self):
+        third = UniPoly.make([gr(0), gr(Fraction(1, 3))])
+        assert third * UniPoly.constant(gr(3)) == UniPoly.variable() == third.scale(3)
+        x_third = parse("x") * BiPoly.constant(gr(Fraction(1, 3)))
+        assert x_third * BiPoly.constant(gr(3)) == parse("x") == x_third.scale(gr(3))
+        assert (x_third + x_third + x_third).den == 1
+
+    def test_negative_denominators_are_moved_to_the_numerators(self):
+        p = UniPoly.make([gr(1), gr(-2)])
+        monic = p.monic()  # divides by the lead -2
+        assert monic == UniPoly.make([GaussRat(Fraction(1, -2)), gr(1)])
+        assert monic.den == 2 and monic.terms == ((-1, 0), (2, 0))
+        assert p.divexact(UniPoly.constant(gr(-3))) == UniPoly.make(
+            [gr(Fraction(-1, 3)), gr(Fraction(2, 3))]
+        )
+        phi = parse("-2*x*y + y - 1/3")
+        assert phi.normalized() == parse("x*y - 1/2*y + 1/6")
+        assert phi.normalized().den == 6
+
+    def test_bipoly_built_from_parts_equals_the_parsed_one(self):
+        phi = parse("(y - x)*(2*y + 4/6*x)")
+        built = (BiPoly.variable("y") - BiPoly.variable("x")) * BiPoly.make(
+            {(0, 1): gr(2), (1, 0): gr(Fraction(2, 3))}
+        )
+        assert phi == built
+        assert built.coeff_polys("y")[1] == UniPoly.make([gr(0), gr(Fraction(-4, 3))])
+
+    def test_public_reads_are_gaussrat_with_fraction_parts(self):
+        p = UniPoly.make([gr(Fraction(3, 6), 2), gr(0), gr(-4)])
+        phi = parse("3/6*x^2 + 2i*y - 4")
+        reads = list(p.coeffs) + [p.coeff(k) for k in range(-1, 4)] + [p.lead]
+        reads += list(phi.coeffs.values()) + [phi.coeff(2, 0), phi.coeff(5, 5), phi.lead_gl()]
+        for c in reads:
+            assert type(c) is GaussRat
+            assert type(c.re) is Fraction and type(c.im) is Fraction
+        assert p.coeffs == (gr(Fraction(1, 2), 2), gr(0), gr(-4))
+        assert p.coeff(7) == gr(0) and phi.coeff(2, 0) == gr(Fraction(1, 2))
+        assert phi.coeffs == {(2, 0): gr(Fraction(1, 2)), (0, 1): gr(0, 2), (0, 0): gr(-4)}
+
+
 class TestEvalPartial:
     def test_grid_at_zero(self):
         q = parse("(y-x)^4-1").eval_partial(gr(0), "x")

@@ -1,10 +1,10 @@
 """Exact UniPoly arithmetic against a schoolbook Q(i) reference.
 
-`UniPoly` multiplies, divides and takes gcds over Z[i] after clearing
-denominators.  The reference below works coefficient by coefficient on
-GaussRat (pairs of Fractions), the way the arithmetic was first written;
-products, quotients, remainders and monic gcds are unique over Q(i), so the
-two must agree exactly.
+`UniPoly` stores Gaussian integers over one denominator and multiplies,
+divides and takes gcds over Z[i].  The reference below works coefficient by
+coefficient on GaussRat (pairs of Fractions), the way the arithmetic was
+first written; products, quotients, remainders and monic gcds are unique
+over Q(i), so the two must agree exactly.
 """
 
 import random
@@ -15,13 +15,18 @@ import pytest
 from polygraph import GaussRat, UniPoly
 from polygraph.errors import DomainError
 from polygraph.scalars import GR_ONE, GR_ZERO
-from polygraph.unipoly import _gz_clear, _gz_gcd, _gz_resultant, _gz_unipoly
+from polygraph.unipoly import _gz_common, _gz_gcd, _gz_resultant
 
 
 def _trimmed(coeffs: list) -> tuple:
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     return tuple(coeffs)
+
+
+def _z(p: list) -> UniPoly:
+    """The exact UniPoly with Gaussian integer coefficients p, ascending."""
+    return UniPoly.make([GaussRat.of(re, im) for re, im in p])
 
 
 def ref_mul(p: UniPoly, q: UniPoly) -> UniPoly:
@@ -31,7 +36,7 @@ def ref_mul(p: UniPoly, q: UniPoly) -> UniPoly:
     for i, a in enumerate(p.coeffs):
         for j, b in enumerate(q.coeffs):
             out[i + j] = out[i + j] + a * b
-    return UniPoly(_trimmed(out), p.var)
+    return UniPoly.make(_trimmed(out), p.var)
 
 
 def ref_divmod(p: UniPoly, q: UniPoly) -> tuple:
@@ -45,7 +50,7 @@ def ref_divmod(p: UniPoly, q: UniPoly) -> tuple:
         for j, b in enumerate(q.coeffs):
             rem[k + j] = rem[k + j] - t * b
         _trimmed(rem)
-    return UniPoly(_trimmed(quo), p.var), UniPoly(tuple(rem), p.var)
+    return UniPoly.make(_trimmed(quo), p.var), UniPoly.make(rem, p.var)
 
 
 def ref_remainders(p: UniPoly, q: UniPoly) -> list:
@@ -62,7 +67,7 @@ def ref_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
         return UniPoly.zero(p.var)
     g = seq[-1]
     inv = GR_ONE / g.lead
-    return UniPoly(tuple(c * inv for c in g.coeffs), p.var)
+    return UniPoly.make([c * inv for c in g.coeffs], p.var)
 
 
 def ref_det(rows: list) -> GaussRat:
@@ -94,7 +99,7 @@ def ref_subresultant(a: UniPoly, b: UniPoly, j: int) -> UniPoly:
     mat = shifts(a, n - j) + shifts(b, m - j)
     lead = width - j - 1  # the columns of x**(width-1) .. x**(j+1)
     coeffs = [ref_det([row[:lead] + [row[width - 1 - i]] for row in mat]) for i in range(j + 1)]
-    return UniPoly(_trimmed(coeffs), a.var)
+    return UniPoly.make(_trimmed(coeffs), a.var)
 
 
 def _scalar(rng: random.Random, kind: str) -> GaussRat:
@@ -112,7 +117,7 @@ def _poly(rng: random.Random, degree: int, kind: str) -> UniPoly:
     coeffs = [_scalar(rng, kind) for _ in range(degree + 1)]
     while degree >= 0 and not coeffs[-1]:
         coeffs[-1] = _scalar(rng, kind)
-    return UniPoly(tuple(coeffs))
+    return UniPoly.make(coeffs)
 
 
 def _chain(rng: random.Random, degrees: list, kind: str) -> tuple:
@@ -212,10 +217,9 @@ def test_prs_ends_in_the_subresultant():
         seq = ref_remainders(p, q)
         if len(seq) < 3 or seq[-1].degree < 1:
             continue
-        (a, b), _ = _gz_clear([p, q])
-        last = _gz_unipoly(_gz_gcd(a, b), (1, 0), "x")
-        a, b = _gz_unipoly(a, (1, 0), "x"), _gz_unipoly(b, (1, 0), "x")
-        want = ref_subresultant(a, b, seq[-2].degree - 1)
+        (a, b), _ = _gz_common([p, q])
+        last = _z(_gz_gcd(a, b))
+        want = ref_subresultant(_z(a), _z(b), seq[-2].degree - 1)
         assert last in (want, -want), (p, q)
         checked += 1
     assert checked >= 10
@@ -229,19 +233,19 @@ def test_prs_resultant_is_the_0th_subresultant():
     for p, q in PAIRS:
         if p.is_zero or q.is_zero:
             continue
-        (a, b), _ = _gz_clear([p, q])
+        (a, b), _ = _gz_common([p, q])
         got = _gz_resultant(a, b)
         if ref_gcd(p, q).degree > 0:
             assert got == (0, 0), (p, q)
             continue
-        want = ref_subresultant(_gz_unipoly(a, (1, 0), "x"), _gz_unipoly(b, (1, 0), "x"), 0)
-        assert _gz_unipoly([got], (1, 0), "x") == want, (p, q)
+        want = ref_subresultant(_z(a), _z(b), 0)
+        assert _z([got]) == want, (p, q)
         nonzero += 1
     assert nonzero >= 150
 
 
 def test_gcd_with_zero_operands():
-    p = UniPoly((GaussRat.of(Fraction(1, 2), 3), GaussRat.of(2), GaussRat.of(0, 4)))
+    p = UniPoly.make([GaussRat.of(Fraction(1, 2), 3), GaussRat.of(2), GaussRat.of(0, 4)])
     zero = UniPoly.zero()
     assert zero.gcd(zero) == zero
     assert p.gcd(zero) == p.monic() == zero.gcd(p)
@@ -261,5 +265,5 @@ def test_divexact_and_divides():
 
 
 def test_scale_by_exact_zero_is_the_zero_polynomial():
-    p = UniPoly((GR_ONE, GR_ONE)).scale(GR_ZERO)
+    p = UniPoly.make([GR_ONE, GR_ONE]).scale(GR_ZERO)
     assert p.coeffs == () and p.degree == -1 and p.is_zero
