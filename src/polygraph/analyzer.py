@@ -327,7 +327,7 @@ def standardize(phi: BiPoly) -> tuple[BiPoly, list[AppliedStep]]:
     steps: list[AppliedStep] = []
     work = phi
     rad = work.squarefree_part()
-    if rad is not work and rad.normalized() != work.normalized():
+    if rad is not work:  # squarefree_part returns a radical input itself
         work = rad
         steps.append(AppliedStep(StepKind.TOOK_RADICAL))
 

@@ -7,12 +7,12 @@ Coefficients live in a sparse map (x_power, y_power) -> scalar, all exact
 * partial evaluation Phi(u, y) / Phi(x, u): `eval_rows` evaluates a whole
   vector of values in floats at once, by Horner over a cached dense
   coefficient table, and `eval_partial` is its one-row case (or exact),
-* resultants by evaluation and interpolation in both modes: in exact mode
+* resultants by evaluation in both modes: in exact mode
   `unipoly.resultant_by_evaluation` takes the coefficient polynomials in
-  the eliminated variable (it evaluates them at a run of integers over
-  Z[i]), in float mode the samples are at roots of unity, with one
-  `eval_rows` call per operand, one stacked Sylvester determinant call and
-  an FFT,
+  the eliminated variable (it evaluates them over Z[i] at one Kronecker
+  point, or at a run of integers and interpolates), in float mode the
+  samples are at roots of unity, with one `eval_rows` call per operand,
+  one stacked Sylvester determinant call and an FFT,
 * squarefree part (exact), exact division, affine reparametrization.
 
 An exact BiPoly stores its coefficients as `unipoly` does: (re, im) int
@@ -346,9 +346,13 @@ class BiPoly:
     def resultant(self, other: "BiPoly", var: str) -> UniPoly:
         """Sylvester resultant in var, as a UniPoly in the other variable.
 
-        Both modes evaluate at bound + 1 points, take scalar resultants and
-        interpolate.  bound is the smaller of the Sylvester row bound and the
-        Bezout bound (Cox, Little and O'Shea, Ch. 8 Sec. 7).
+        bound, the smaller of the Sylvester row bound and the Bezout bound
+        (Cox, Little and O'Shea, Ch. 8 Sec. 7), bounds its degree.  Float
+        mode takes scalar resultants at bound + 1 roots of unity and
+        interpolates.  Exact mode takes one scalar resultant at the Kronecker
+        point x = 2**s and reads the coefficients off its digits, or, above
+        the size rule of `unipoly.resultant_by_evaluation`, takes bound + 1
+        at integers and interpolates.
         """
         other_var = "y" if var == "x" else "x"
         if self.is_zero and other.is_zero:
@@ -402,28 +406,23 @@ class BiPoly:
         return quo
 
     def squarefree_part(self) -> "BiPoly":
-        """Radical: distinct irreducible factors to the first power (exact)."""
+        """Radical: distinct irreducible factors to the first power (exact).
+
+        An input that is already radical, a nonzero constant included, comes
+        back as itself; any other input comes back as its normalized radical.
+        """
         if self.mode != "exact":
             raise ExactArithmeticRequired("squarefree part requires exact mode")
         if self.is_zero:
             return self
-        if self.is_constant():
-            return BiPoly.constant(GR_ONE)
-        if self.deg_y == 0:
-            u = self.coeff_polys("y")[0]
-            rad = u.divexact(u.gcd(u.derivative()))
-            return BiPoly.from_unipoly(rad).normalized()
         cont = self.content("y")
         prim = self if cont.degree <= 0 else self.divexact_y(BiPoly.from_unipoly(cont))
         g = _gcd_bivar_y(prim, prim.derivative("y"))
-        rad_prim = prim.divexact_y(g) if g.deg_y > 0 or not _is_one(g) else prim
+        rad = prim.divexact_y(g) if g.deg_y > 0 or not _is_one(g) else prim
         if cont.degree > 0:
-            rad_cont = cont.divexact(cont.gcd(cont.derivative()))
-            rad_prim = rad_prim * BiPoly.from_unipoly(rad_cont)
-        rad = rad_prim.normalized()
-        if rad == self.normalized():
-            return self  # already radical: hand back the input untouched
-        return rad
+            rad = rad * BiPoly.from_unipoly(cont.divexact(cont.gcd(cont.derivative())))
+        rad = rad.normalized()
+        return self if rad == self.normalized() else rad
 
     def __str__(self):
         from .textio import format_bipoly

@@ -2,7 +2,10 @@
 
 The inputs have Gaussian rational coefficients with denominators 2 to 7,
 so they exercise the stored common denominator, which the integral inputs
-of the benchmark do not.  sympy is an optional test dependency.
+of the benchmark do not.  Exact resultants take one of two reconstructions
+(`unipoly.resultant_by_evaluation`): the small random pairs all take the
+Kronecker point, and the Gaussian integer cases of `PATH_CASES` pin both
+sides of the size rule.  sympy is an optional test dependency.
 """
 
 import random
@@ -10,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from polygraph import BiPoly, GaussRat, UniPoly
+from polygraph import BiPoly, GaussRat, UniPoly, bipoly, parse, unipoly
 
 sp = pytest.importorskip("sympy")
 X, Y = sp.symbols("x y")
@@ -70,21 +73,100 @@ def test_inputs_carry_denominators_two_to_seven():
     assert all(d > 1 for d in dens) and any(d % 7 == 0 for d in dens)
 
 
+def _sympy_resultant(a: BiPoly, b: BiPoly, var: str, domain: str = "QQ_I") -> UniPoly:
+    other = "x" if var == "y" else "y"
+    gens = (Y, X) if var == "y" else (X, Y)
+    want = sp.Poly(_to_sympy(a), *gens, domain=domain).resultant(
+        sp.Poly(_to_sympy(b), *gens, domain=domain)
+    )
+    return _unipoly_from_sympy(sp.Poly(want.as_expr(), gens[1], domain="QQ_I"), other)
+
+
 def test_resultant_matches_sympy():
     checked = 0
     for rng, p in _cases(11, 20):
         q = _bipoly(rng, rng.randint(1, 2), rng.randint(1, 2))
         pairs = [(p, q, "y"), (p, q, "x"), (p, p.derivative("y"), "y"), (p, p.derivative("x"), "x")]
         for a, b, var in pairs:
-            other = "x" if var == "y" else "y"
-            gens = (Y, X) if var == "y" else (X, Y)
-            want = sp.Poly(_to_sympy(a), *gens, domain="QQ_I").resultant(
-                sp.Poly(_to_sympy(b), *gens, domain="QQ_I")
-            )
-            want = sp.Poly(want.as_expr(), gens[1], domain="QQ_I")
-            assert a.resultant(b, var) == _unipoly_from_sympy(want, other), (a, b, var)
+            assert a.resultant(b, var) == _sympy_resultant(a, b, var), (a, b, var)
             checked += 1
     assert checked == 80
+
+
+def _dense(seed: int, dx: int, dy: int, cmax: int, offset: int = 0) -> BiPoly:
+    """Every coefficient of degree <= (dx, dy) set to offset + re + im*i,
+    |re|, |im| <= cmax, with nonzero corners (dx, 0) and (0, dy)."""
+    rng = random.Random(seed)
+    entries = {
+        (i, j): GaussRat.of(offset + rng.randint(-cmax, cmax), rng.randint(-cmax, cmax))
+        for i in range(dx + 1)
+        for j in range(dy + 1)
+    }
+    entries[(dx, 0)] = entries[(0, dy)] = GaussRat.of(offset + cmax, 1)
+    return BiPoly.make(entries)
+
+
+def _common_factor(seed: int, d: int, cmax: int) -> tuple:
+    """(f*g, f*h) in y with a common factor f of degree 1 in y."""
+    f = _dense(seed, 1, 1, cmax)
+    return f * _dense(seed + 1, 2, d - 1, cmax), f * _dense(seed + 2, 1, d - 1, cmax)
+
+
+# Large coefficients put low degrees on the interpolation side, where
+# sympy is fast.
+_LEAD_012 = parse("x*(x-1)*(x-2)*y^3") + _dense(7, 3, 2, 10**45)
+_COMMON_SMALL = _common_factor(21, 2, 5)
+_COMMON_LARGE = _common_factor(31, 3, 10**30)
+
+# (name, P, Q or None for dP/dvar, eliminated variable, reconstruction,
+# whether the work figure lies within 2 % of the threshold)
+PATH_CASES = [
+    ("eliminated degree 8", _dense(3, 2, 8, 9), None, "y", "interpolated", False),
+    ("numerators near 1e30", _dense(4, 2, 2, 10**6, offset=10**30), None, "y", "kronecker", False),
+    ("lead vanishing at t = 0, 1, 2", _LEAD_012, None, "y", "interpolated", False),
+    ("common factor, Kronecker side", *_COMMON_SMALL, "y", "kronecker", False),
+    ("common factor, interpolation side", *_COMMON_LARGE, "y", "interpolated", False),
+    ("just under the threshold", _dense(0, 3, 3, 5 * 10**39), None, "y", "kronecker", True),
+    ("just over the threshold", _dense(0, 3, 3, 7 * 10**39), None, "y", "interpolated", True),
+]
+
+
+@pytest.fixture
+def paths(monkeypatch):
+    """Records [reconstruction, work] for each exact resultant: work is
+    max(deg P, deg Q) * (bound + 1) * s, the figure the size rule compares
+    with `unipoly.KRONECKER_WORK`."""
+    seen = []
+    real = bipoly.resultant_by_evaluation
+
+    def spy(pc, qc, bound, var):
+        (a, _), (b, _) = unipoly._gz_common(pc), unipoly._gz_common(qc)
+        work = (max(len(a), len(b)) - 1) * (bound + 1) * unipoly._kronecker_bits(a, b)
+        seen.append([None, work])
+        return real(pc, qc, bound, var)
+
+    monkeypatch.setattr(bipoly, "resultant_by_evaluation", spy)
+    for name in ("kronecker", "interpolated"):
+        def recorded(*args, name=name, f=getattr(unipoly, f"_res_{name}")):
+            seen[-1][0] = name
+            return f(*args)
+
+        monkeypatch.setattr(unipoly, f"_res_{name}", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("case", PATH_CASES, ids=[c[0] for c in PATH_CASES])
+def test_resultant_paths_match_sympy(case, paths):
+    # Gaussian integer inputs: sympy is several times faster over Z[i], and
+    # the random pairs above already cover the denominators.
+    name, p, q, var, path, near = case
+    q = p.derivative(var) if q is None else q
+    got = p.resultant(q, var)
+    [(taken, work)] = paths
+    assert taken == path and (work <= unipoly.KRONECKER_WORK) == (path == "kronecker"), paths
+    assert not near or abs(work - unipoly.KRONECKER_WORK) <= unipoly.KRONECKER_WORK // 50, work
+    assert got == _sympy_resultant(p, q, var, "ZZ_I")
+    assert got.is_zero == name.startswith("common factor")
 
 
 def test_content_matches_sympy():

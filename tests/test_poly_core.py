@@ -436,6 +436,15 @@ class TestSquarefree:
         p = parse("y-x-1")
         assert p.squarefree_part().coeffs == p.coeffs
 
+    def test_radical_input_is_returned_itself_in_every_branch(self):
+        # One rule whatever deg_y is: a radical input comes back as the same
+        # object, unnormalized; a non-radical one as its normalized radical.
+        for text in ("(1/5-3*i)*x", "(1/5-3*i)*x*y", "(2+i)*x^2 - 3", "7/3"):
+            p = parse(text)
+            assert p.squarefree_part() is p, text
+        assert parse("(1/5-3*i)*x^2").squarefree_part() == parse("x")
+        assert parse("(1/5-3*i)*x^2*y").squarefree_part() == parse("x*y")
+
     def test_cubed_irreducible(self):
         phi = parse("(y^2-x)^3")
         rad = phi.squarefree_part()
