@@ -110,6 +110,12 @@ class AppliedStep:
 # -- zero tests --------------------------------------------------------------
 
 
+def _relative_residual(p: UniPoly, u: complex) -> float:
+    """|p(u)| / (scale * (1 + |u|)**deg p), scale the largest |coefficient|."""
+    scale = max(p.coeff_scale(), 1e-300) * (1.0 + abs(u)) ** max(p.degree, 0)
+    return abs(complex(p.eval(u))) / scale
+
+
 class _Uncertainty:
     """Accumulates near-tolerance zero decisions for the float path."""
 
@@ -124,8 +130,7 @@ class _Uncertainty:
 
     def vanishes(self, p: UniPoly, u: complex, tol: float) -> bool:
         """Is |p(u)| at most tol relative to p's coefficients at radius |u|?"""
-        scale = max(p.coeff_scale(), 1e-300) * (1.0 + abs(u)) ** max(p.degree, 0)
-        return self.below(abs(complex(p.eval(u))) / scale, tol)
+        return self.below(_relative_residual(p, u), tol)
 
     def is_zero(self, p: UniPoly, log_ref: float) -> bool:
         """Is p below _ZERO_REL * exp(log_ref)?  In logarithms, so the
@@ -154,11 +159,7 @@ def _common_root_poly(polys: list[UniPoly], unc: _Uncertainty) -> UniPoly:
         return UniPoly.make([1.0], probe.var)
     common = []
     for v in find_roots(probe).values():
-        vals = []
-        for q in polys:
-            scale = q.coeff_scale() * (1.0 + abs(v)) ** max(q.degree, 0)
-            vals.append(abs(complex(q.eval(v))) / max(scale, 1e-300))
-        if unc.below(max(vals), _ZERO_REL):
+        if unc.below(max(_relative_residual(q, v) for q in polys), _ZERO_REL):
             common.append(v)
     if not common:
         return UniPoly.make([1.0], probe.var)

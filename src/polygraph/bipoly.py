@@ -1,8 +1,14 @@
 """Bivariate polynomials Phi(x, y) and the algebra the digraph machinery needs.
 
-Coefficients live in a sparse map (x_power, y_power) -> scalar, all exact
-(GaussRat) or all complex doubles; mixing the two follows the scalar rule of
-:mod:`polygraph.scalars`.  Highlights:
+Phi is stored as a polynomial in y over polynomials in x, Phi = sum_j
+a_j(x) y**j: `rows[j]` is a_j as a `UniPoly` in x and the last row is
+nonzero.  The rows share one mode, exact (GaussRat) or complex doubles, and
+a zero row is the exact zero `UniPoly`; mixing modes follows the scalar
+rule of :mod:`polygraph.scalars`.  Every ring operation, coefficient view
+and exact algorithm is written with `UniPoly` operations on the rows, so
+only `unipoly` knows how exact coefficients are stored.  A float
+polynomial drops every coefficient at or below TRIM_REL times its largest
+one, one floor over all rows.  Highlights:
 
 * partial evaluation Phi(u, y) / Phi(x, u): `eval_rows` evaluates a whole
   vector of values in floats at once, by Horner over a cached dense
@@ -14,12 +20,6 @@ Coefficients live in a sparse map (x_power, y_power) -> scalar, all exact
   samples are at roots of unity, with one `eval_rows` call per operand,
   one stacked Sylvester determinant call and an FFT,
 * squarefree part (exact), exact division, affine reparametrization.
-
-An exact BiPoly stores its coefficients as `unipoly` does: (re, im) int
-pairs over one positive int `den`, in lowest terms, so the ring operations,
-coefficient views, evaluation at an exact point and everything built on
-them run on integers; `coeffs` and `coeff(i, j)` give GaussRat values.  A
-float BiPoly stores complex doubles and `den` = 0.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -37,9 +37,8 @@ from .errors import (
     ExactArithmeticRequired,
     ZeroPolynomialError,
 )
-from .scalars import GR_ONE, GR_ZERO, _as_gauss, is_exact, require_finite, square_and_multiply
-from .unipoly import TRIM_REL, UniPoly, cached, resultant_by_evaluation
-from .unipoly import _complex, _from_gauss, _gauss, _gz_horner, _gz_over, _gz_poly, _lowest
+from .scalars import GR_ZERO, is_exact, square_and_multiply
+from .unipoly import TRIM_REL, UniPoly, cached, resultant_by_evaluation, transpose
 
 _INTERP_ANGLE = 0.3  # fixed angular offset for float resultant sample points
 _CROSS_SIGN = np.array([-1.0, 1.0])
@@ -47,63 +46,60 @@ _CROSS_SIGN = np.array([-1.0, 1.0])
 
 @dataclass(frozen=True)
 class BiPoly:
-    terms: Mapping[tuple[int, int], object]  # (i, j) -> (re, im) int pair, or complex
-    den: int  # exact: the positive common denominator; float: 0
+    rows: tuple  # rows[j]: the coefficient of y**j, a UniPoly in x; the last is nonzero
 
     @staticmethod
     def make(entries: Mapping[tuple[int, int], object]) -> "BiPoly":
-        items = dict(entries)
-        if all(is_exact(v) for v in items.values()):
-            p, den = _from_gauss(list(items.values()))
-            return _gz_bipoly(dict(zip(items, p)), den)
-        out = {
-            k: require_finite(complex(v), "polynomial construction") for k, v in items.items()
-        }
-        scale = max((abs(v) for v in out.values()), default=0.0)
-        floor = TRIM_REL * scale
-        out = {k: v for k, v in out.items() if abs(v) > floor}
-        return BiPoly(out, 0 if out else 1)
+        rows: dict[int, dict[int, object]] = {}
+        for (i, j), c in entries.items():
+            rows.setdefault(j, {})[i] = c
+        return _bipoly(
+            UniPoly.make([r.get(i, GR_ZERO) for i in range(max(r, default=-1) + 1)])
+            for r in (rows.get(j, {}) for j in range(max(rows, default=-1) + 1))
+        )
 
     @staticmethod
     def zero() -> "BiPoly":
-        return BiPoly({}, 1)
+        return BiPoly(())
 
     @staticmethod
     def constant(c) -> "BiPoly":
-        return BiPoly.make({(0, 0): c})
+        return _bipoly([UniPoly.constant(c)])
 
     @staticmethod
     def variable(var: str) -> "BiPoly":
         if var == "x":
-            return BiPoly({(1, 0): (1, 0)}, 1)
+            return BiPoly((UniPoly.variable("x"),))
         if var == "y":
-            return BiPoly({(0, 1): (1, 0)}, 1)
+            return BiPoly((UniPoly.zero(), UniPoly.one()))
         raise DomainError(f"unsupported variable {var!r}")
 
     @staticmethod
     def from_unipoly(p: UniPoly) -> "BiPoly":
-        keys = [(k, 0) if p.var == "x" else (0, k) for k in range(len(p.terms))]
-        if p.den:
-            return BiPoly({k: t for k, t in zip(keys, p.terms) if t != (0, 0)}, p.den)
-        return BiPoly.make(dict(zip(keys, p.terms)))
+        return _bipoly([p] if p.var == "x" else transpose([p], "x"))
 
     # -- structure ---------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.rows
 
     @cached
     def deg_x(self) -> int:
-        return max((i for i, _ in self.terms), default=-1)
+        return max((r.degree for r in self.rows), default=-1)
 
-    @cached
+    @property
     def deg_y(self) -> int:
-        return max((j for _, j in self.terms), default=-1)
+        return len(self.rows) - 1
 
     @property
     def total_degree(self) -> int:
-        return max((i + j for i, j in self.terms), default=-1)
+        return max((r.degree + j for j, r in enumerate(self.rows)), default=-1)
+
+    @cached
+    def den(self) -> int:
+        """Exact: the lcm of the rows' denominators; float: 0."""
+        return math.lcm(*(r.den for r in self.rows))
 
     @cached
     def mode(self) -> str:
@@ -111,10 +107,8 @@ class BiPoly:
 
     @cached
     def coeffs(self) -> dict:
-        """(i, j) -> the coefficient of x**i y**j: GaussRat or complex."""
-        if self.den:
-            return {k: _gauss(re, im, self.den) for k, (re, im) in self.terms.items()}
-        return self.terms
+        """(i, j) -> the nonzero coefficient of x**i y**j: GaussRat or complex."""
+        return {(i, j): c for j, r in enumerate(self.rows) for i, c in enumerate(r.coeffs) if c}
 
     def degree(self, var: str) -> int:
         return self.deg_x if var == "x" else self.deg_y
@@ -123,121 +117,68 @@ class BiPoly:
         return self.deg_x <= 0 and self.deg_y <= 0
 
     def coeff(self, i: int, j: int):
-        if not self.den:
-            return self.terms.get((i, j), 0j)
-        t = self.terms.get((i, j))
-        return GR_ZERO if t is None else _gauss(*t, self.den)
+        c = self.rows[j].coeff(i) if 0 <= j < len(self.rows) else GR_ZERO
+        return c if self.den else complex(c)
 
     def coeff_scale(self) -> float:
-        return max((abs(v) for v in self.to_float().terms.values()), default=0.0)
+        return max((r.coeff_scale() for r in self.rows), default=0.0)
 
     def to_float(self) -> "BiPoly":
-        if self.mode == "float" or self.is_zero:
+        if self.mode == "float":
             return self
-        return BiPoly({k: _complex(re, im, self.den) for k, (re, im) in self.terms.items()}, 0)
+        return BiPoly(tuple(r.to_float() for r in self.rows))
 
     def lead_gl(self):
         """Coefficient of the graded-lex (total degree, then x) top monomial."""
         if self.is_zero:
             raise DomainError("zero polynomial has no leading term")
-        return self.coeff(*max(self.terms, key=lambda ij: (ij[0] + ij[1], ij[0])))
+        return self.coeff(*max(self.coeffs, key=lambda ij: (ij[0] + ij[1], ij[0])))
 
     def normalized(self) -> "BiPoly":
         """Scale so the graded-lex leading coefficient is 1."""
-        if self.is_zero:
-            return self
-        if not self.den:
-            lead = self.lead_gl()
-            return BiPoly({k: v / lead for k, v in self.terms.items()}, 0)
-        lc = self.terms[max(self.terms, key=lambda ij: (ij[0] + ij[1], ij[0]))]
-        p, den = _gz_over(self.terms.values(), lc)  # (p / den) / (lc / den) = p / lc
-        return _gz_bipoly(dict(zip(self.terms, p)), den)
+        return self if self.is_zero else self.scale(1 / self.lead_gl())
 
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other: "BiPoly") -> "BiPoly":
-        if self.den and other.den:
-            den = math.lcm(self.den, other.den)
-            s, t = den // self.den, den // other.den
-            out = {k: (re * s, im * s) for k, (re, im) in self.terms.items()}
-            for k, (re, im) in other.terms.items():
-                a, b = out.get(k, (0, 0))
-                out[k] = (a + re * t, b + im * t)
-            return _gz_bipoly(out, den)
-        out = dict(self.to_float().terms)
-        for k, v in other.to_float().terms.items():
-            out[k] = out.get(k, 0j) + v
-        return BiPoly.make(out)
+        a, b = self.rows, other.rows
+        if len(a) < len(b):
+            a, b = b, a
+        return _bipoly([r + s for r, s in zip(a, b)] + list(a[len(b):]))
 
     def __sub__(self, other: "BiPoly") -> "BiPoly":
         return self + (-other)
 
     def __neg__(self) -> "BiPoly":
-        if self.den:
-            return BiPoly({k: (-re, -im) for k, (re, im) in self.terms.items()}, self.den)
-        return BiPoly({k: -v for k, v in self.terms.items()}, 0)
+        return BiPoly(tuple(-r for r in self.rows))
 
     def __mul__(self, other: "BiPoly") -> "BiPoly":
         if self.is_zero or other.is_zero:
             return BiPoly.zero()
-        if self.den and other.den:
-            re: dict = {}
-            im: dict = {}
-            for (i1, j1), (a, b) in self.terms.items():
-                for (i2, j2), (c, d) in other.terms.items():
-                    k = (i1 + i2, j1 + j2)
-                    re[k] = re.get(k, 0) + a * c - b * d
-                    im[k] = im.get(k, 0) + a * d + b * c
-            return _gz_bipoly({k: (v, im[k]) for k, v in re.items()}, self.den * other.den)
-        out: dict = {}
-        for (i1, j1), a in self.to_float().terms.items():
-            for (i2, j2), b in other.to_float().terms.items():
-                k = (i1 + i2, j1 + j2)
-                out[k] = out.get(k, 0j) + a * b
-        return BiPoly.make(out)
+        out = [UniPoly.zero()] * (len(self.rows) + len(other.rows) - 1)
+        for j, r in enumerate(self.rows):
+            for k, s in enumerate(other.rows):
+                out[j + k] = out[j + k] + r * s
+        return _bipoly(out)
 
     def scale(self, s) -> "BiPoly":
-        g = _as_gauss(s) if self.den else None
-        if g is None:
-            return BiPoly.make({k: v * s for k, v in self.to_float().terms.items()})
-        ((c, d),), e = _from_gauss([g])
-        return _gz_bipoly(
-            {k: (re * c - im * d, re * d + im * c) for k, (re, im) in self.terms.items()},
-            self.den * e,
-        )
+        return _bipoly(r.scale(s) for r in self.rows)
 
     def power(self, k: int) -> "BiPoly":
         if k < 0:
             raise DomainError("negative polynomial power")
-        return square_and_multiply(self, k, BiPoly({(0, 0): (1, 0)}, 1))
+        return square_and_multiply(self, k, BiPoly((UniPoly.one(),)))
 
     # -- coefficient views ---------------------------------------------------
 
     def coeff_polys(self, var: str) -> list[UniPoly]:
         """Coefficients of var**k as UniPolys in the other variable, k=0..deg."""
-        d = self.degree(var)
-        other = "y" if var == "x" else "x"
-        rows: list[dict[int, object]] = [dict() for _ in range(d + 1)]
-        for (i, j), c in self.terms.items():
-            k, m = (i, j) if var == "x" else (j, i)
-            rows[k][m] = c
-        out = []
-        for row in rows:
-            n = max(row, default=-1)
-            if self.den:
-                out.append(_gz_poly([row.get(t, (0, 0)) for t in range(n + 1)], self.den, other))
-            else:
-                out.append(UniPoly.make([row.get(t, 0j) for t in range(n + 1)], other))
-        return out
+        return transpose(self.rows, "y") if var == "x" else list(self.rows)
 
     def derivative(self, var: str) -> "BiPoly":
-        out: dict = {}
-        for (i, j), c in self.terms.items():
-            k = i if var == "x" else j
-            if k > 0:
-                key = (i - 1, j) if var == "x" else (i, j - 1)
-                out[key] = (c[0] * k, c[1] * k) if self.den else c * k
-        return _gz_bipoly(out, self.den) if self.den else BiPoly.make(out)
+        if var == "x":
+            return _bipoly(r.derivative() for r in self.rows)
+        return _bipoly(r.scale(j) for j, r in enumerate(self.rows) if j)
 
     # -- evaluation ------------------------------------------------------------
 
@@ -252,15 +193,7 @@ class BiPoly:
         other = "y" if axis == "x" else "x"
         if not (self.mode == "exact" and is_exact(u)):
             return UniPoly.make(self.eval_rows([complex(u)], axis)[0].tolist(), other)
-        if self.is_zero:
-            return UniPoly.zero(other)
-        (t,), d = _from_gauss([u])
-        n = self.degree(axis)
-        cols = [[(0, 0)] * (n + 1) for _ in range(self.degree(other) + 1)]
-        for (i, j), c in self.terms.items():
-            k, m = (i, j) if axis == "x" else (j, i)
-            cols[m][k] = c
-        return _gz_poly([_gz_horner(col, t, d) for col in cols], self.den * d**n, other)
+        return UniPoly.make([p.eval(u) for p in self.coeff_polys(other)], other)
 
     @cached
     def _float_table(self) -> np.ndarray:
@@ -268,8 +201,9 @@ class BiPoly:
         polynomial: [i, j] holds the real and imaginary parts of the
         coefficient of x**i y**j."""
         table = np.zeros((max(self.deg_x, 0) + 1, max(self.deg_y, 0) + 1, 2))
-        for (i, j), z in self.to_float().terms.items():
-            table[i, j] = z.real, z.imag
+        for j, r in enumerate(self.to_float().rows):
+            for i, z in enumerate(r.coeffs):
+                table[i, j] = z.real, z.imag
         return table
 
     def eval_rows(self, us, axis: str) -> np.ndarray:
@@ -301,32 +235,25 @@ class BiPoly:
         return self.eval_partial(u, "x").eval(v)
 
     def diagonal(self) -> UniPoly:
-        """Phi(x, x) as a UniPoly in x (the loop polynomial)."""
-        if self.den:
-            acc = [[0, 0] for _ in range(self.total_degree + 1)]
-            for (i, j), (re, im) in self.terms.items():
-                acc[i + j][0] += re
-                acc[i + j][1] += im
-            return _gz_poly([(re, im) for re, im in acc], self.den, "x")
-        out = [0j] * (self.total_degree + 1)
-        for (i, j), c in self.terms.items():
-            out[i + j] = out[i + j] + c
-        return UniPoly.make(out, "x")
+        """Phi(x, x) as a UniPoly in x (the loop polynomial), by Horner in y."""
+        acc = UniPoly.zero()
+        for r in reversed(self.rows):
+            acc = acc.shift(1) + r
+        return acc
 
     def shear_y(self) -> "BiPoly":
-        """Substitute y -> y + x; kills x-dependence exactly for f(y-x) forms."""
-        out: dict = {}
-        for (i, j), c in self.terms.items():
-            binom = 1
-            for k in range(j + 1):
-                key = (i + j - k, k)
-                if self.den:
-                    re, im = out.get(key, (0, 0))
-                    out[key] = (re + c[0] * binom, im + c[1] * binom)
-                else:
-                    out[key] = out.get(key, 0j) + c * binom
-                binom = binom * (j - k) // (k + 1)
-        return _gz_bipoly(out, self.den) if self.den else BiPoly.make(out)
+        """Substitute y -> y + x; kills x-dependence exactly for f(y-x) forms.
+
+        Row k of the result is sum_j binom(j, k) x**(j-k) a_j(x).
+        """
+        rows = self.rows
+        return _bipoly(
+            sum(
+                (rows[j].scale(math.comb(j, k)).shift(j - k) for j in range(k, len(rows))),
+                UniPoly.zero(),
+            )
+            for k in range(len(rows))
+        )
 
     def affine_transform(self, a, b, c) -> "BiPoly":
         """c * Phi(a x + b, a y + b); requires a != 0 and c != 0."""
@@ -334,11 +261,12 @@ class BiPoly:
             raise DomainError("affine transform requires a != 0 and c != 0")
         lin_x = BiPoly.make({(1, 0): a, (0, 0): b})
         lin_y = BiPoly.make({(0, 1): a, (0, 0): b})
-        px = _bipoly_powers(lin_x, self.deg_x)
-        py = _bipoly_powers(lin_y, self.deg_y)
         total = BiPoly.zero()
-        for (i, j), cf in self.coeffs.items():
-            total = total + (px[i] * py[j]).scale(cf)
+        for row in reversed(self.rows):  # Horner in y over Horner in x
+            acc = BiPoly.zero()
+            for cf in reversed(row.coeffs):
+                acc = acc * lin_x + BiPoly.constant(cf)
+            total = total * lin_y + acc
         return total.scale(c)
 
     # -- resultants -------------------------------------------------------------
@@ -390,20 +318,15 @@ class BiPoly:
             raise ExactArithmeticRequired("exact division requires exact scalars")
         if g.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        rem = self
-        gy = g.deg_y
-        g_lead = g.coeff_polys("y")[gy]
-        quo = BiPoly.zero()
-        while not rem.is_zero and rem.deg_y >= gy:
-            r_coeffs = rem.coeff_polys("y")
-            r_lead = r_coeffs[rem.deg_y]
-            q_coeff = r_lead.divexact(g_lead)
-            term = BiPoly.from_unipoly(q_coeff) * BiPoly({(0, rem.deg_y - gy): (1, 0)}, 1)
-            quo = quo + term
-            rem = rem - term * g
-        if not rem.is_zero:
+        rem = list(self.rows)
+        quo = [UniPoly.zero()] * max(len(rem) - g.deg_y, 0)
+        for k in range(len(quo) - 1, -1, -1):
+            quo[k] = t = rem.pop().divexact(g.rows[-1])
+            for i, r in enumerate(g.rows[:-1]):
+                rem[k + i] = rem[k + i] - t * r
+        if any(not r.is_zero for r in rem):
             raise DomainError("inexact bivariate division")
-        return quo
+        return _bipoly(quo)
 
     def squarefree_part(self) -> "BiPoly":
         """Radical: distinct irreducible factors to the first power (exact).
@@ -416,9 +339,9 @@ class BiPoly:
         if self.is_zero:
             return self
         cont = self.content("y")
-        prim = self if cont.degree <= 0 else self.divexact_y(BiPoly.from_unipoly(cont))
+        prim = self if cont.degree <= 0 else _bipoly(r.divexact(cont) for r in self.rows)
         g = _gcd_bivar_y(prim, prim.derivative("y"))
-        rad = prim.divexact_y(g) if g.deg_y > 0 or not _is_one(g) else prim
+        rad = prim if g.is_constant() else prim.divexact_y(g)
         if cont.degree > 0:
             rad = rad * BiPoly.from_unipoly(cont.divexact(cont.gcd(cont.derivative())))
         rad = rad.normalized()
@@ -435,24 +358,25 @@ class BiPoly:
 # -- helpers ---------------------------------------------------------------
 
 
-def _gz_bipoly(terms: dict, den: int) -> BiPoly:
-    """The exact BiPoly terms / den for a nonzero int den; zero terms dropped."""
-    terms = {k: t for k, t in terms.items() if t != (0, 0)}
-    g = _lowest(terms.values(), den)
-    if g != 1:
-        terms = {k: (re // g, im // g) for k, (re, im) in terms.items()}
-    return BiPoly(terms, den // g)
+def _bipoly(rows: Iterable[UniPoly]) -> BiPoly:
+    """The BiPoly with these rows, UniPolys in x, less its trailing zero rows.
 
-
-def _is_one(p: BiPoly) -> bool:
-    return p.deg_x == 0 and p.deg_y == 0 and not p.is_zero
-
-
-def _bipoly_powers(p: BiPoly, n: int) -> list[BiPoly]:
-    out = [BiPoly.constant(GR_ONE)]
-    for _ in range(max(0, n)):
-        out.append(out[-1] * p)
-    return out
+    If any row is float, every row is taken in float and every coefficient
+    at or below TRIM_REL times the largest one is dropped: one floor over
+    all rows, where `UniPoly.make` trims each row against its own largest.
+    """
+    rows = list(rows)
+    if any(r.mode == "float" for r in rows):
+        floor = TRIM_REL * max(r.coeff_scale() for r in rows)
+        rows = [r.to_float() for r in rows]
+        rows = [
+            UniPoly.make([c if abs(c) > floor else 0j for c in r.coeffs])
+            if any(abs(c) <= floor for c in r.coeffs) else r
+            for r in rows
+        ]
+    while rows and rows[-1].is_zero:
+        rows.pop()
+    return BiPoly(tuple(rows))
 
 
 def _resultant_float(p: BiPoly, q: BiPoly, var: str, bound: int) -> UniPoly:
@@ -484,31 +408,27 @@ def _resultant_float(p: BiPoly, q: BiPoly, var: str, bound: int) -> UniPoly:
     return UniPoly.make(list(coeffs), other)
 
 
-def _pseudo_rem_y(p: BiPoly, q: BiPoly) -> BiPoly:
-    """Fraction-free remainder of p by q viewed in y (content not stripped)."""
-    lead_q = BiPoly.from_unipoly(q.coeff_polys("y")[q.deg_y])
-    r = p
-    while not r.is_zero and r.deg_y >= q.deg_y:
-        lead_r = BiPoly.from_unipoly(r.coeff_polys("y")[r.deg_y])
-        shift = BiPoly({(0, r.deg_y - q.deg_y): (1, 0)}, 1)
-        r = r * lead_q - q * lead_r * shift
-    return r
-
-
-def _strip_content_y(p: BiPoly) -> BiPoly:
-    if p.is_zero:
-        return p
+def _primitive_y(p: BiPoly) -> BiPoly:
+    """The normalized primitive part of p in y (exact)."""
     cont = p.content("y")
-    if cont.degree > 0:
-        p = p.divexact_y(BiPoly.from_unipoly(cont))
-    return p.normalized()
+    return _bipoly(r.divexact(cont) for r in p.rows).normalized()
 
 
 def _gcd_bivar_y(p: BiPoly, q: BiPoly) -> BiPoly:
-    """gcd of exact bivariate polynomials in y over the x-polynomial ring."""
+    """gcd of exact bivariate polynomials in y over the x-polynomial ring,
+    by the primitive PRS: fraction-free pseudo-remainders in y, each made
+    primitive before the next step."""
     if p.deg_y < q.deg_y:
         p, q = q, p
     while not q.is_zero:
-        r = _strip_content_y(_pseudo_rem_y(p, q))
-        p, q = q, r
-    return _strip_content_y(p)
+        a, b = list(p.rows), q.rows
+        while len(a) >= len(b):  # a <- lc(b) a - lc(a) y**k b
+            t = a.pop()
+            k = len(a) + 1 - len(b)
+            a = [r * b[-1] for r in a]
+            for i, r in enumerate(b[:-1]):
+                a[k + i] = a[k + i] - t * r
+            while a and a[-1].is_zero:
+                a.pop()
+        p, q = q, _primitive_y(BiPoly(tuple(a)))
+    return _primitive_y(p)

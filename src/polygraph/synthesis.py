@@ -308,12 +308,12 @@ def recognize_form(phi: BiPoly) -> FormVerdict:
     else:
         scale = sheared.coeff_scale()
         x_free = all(
-            abs(c) <= _FORM_TOL * scale for (i, _), c in sheared.terms.items() if i > 0
+            abs(c) <= _FORM_TOL * scale for (i, _), c in sheared.coeffs.items() if i > 0
         )
     if x_free:
         profile = sheared.coeff_polys("x")[0].rename("s")
         return FormVerdict(Form.ADDITIVE_DIFFERENCE, profile)
-    degrees = {i + j for i, j in phi.terms}
+    degrees = {i + j for i, j in phi.coeffs}
     if len(degrees) == 1:
         return FormVerdict(Form.HOMOGENEOUS)
     return FormVerdict(Form.NEITHER)

@@ -20,6 +20,12 @@ back as balanced base-2**s digits; above it, it takes one at each of
 bound + 1 integers and interpolates.  `GaussRat` is the public scalar
 only: `make` and scalar arguments take it, `coeffs`, `coeff(k)`, `lead`
 and exact `eval` return it.
+
+This module is the only one that knows the format.  A `BiPoly` is a tuple
+of UniPoly rows, the coefficients of y**j as polynomials in x, and works on
+them through the public operations; `shift` (times x**k), `scale` by an int
+and `transpose` (the coefficients by powers of x instead of y) are there
+for it.
 """
 
 from __future__ import annotations
@@ -138,12 +144,15 @@ class UniPoly:
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
         if self.den and other.den:
+            if not (self.terms and other.terms):
+                return (self if other.is_zero else other).rename(self.var)
             den = math.lcm(self.den, other.den)
             p = _gz_lincomb(self.terms, den // self.den, other.terms, den // other.den)
             return _gz_poly(p, den, self.var)
-        a, b = self.to_float(), other.to_float()
-        n = max(len(a.terms), len(b.terms))
-        return UniPoly.make([a.coeff(k) + b.coeff(k) for k in range(n)], self.var)
+        a, b = self.to_float().terms, other.to_float().terms
+        if len(a) < len(b):
+            a, b = b, a
+        return UniPoly.make([s + t for s, t in zip(a, b + (0j,) * (len(a) - len(b)))], self.var)
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         return self + (-other)
@@ -168,11 +177,19 @@ class UniPoly:
         return UniPoly.make(out, self.var)
 
     def scale(self, s) -> "UniPoly":
+        if self.den and isinstance(s, int):
+            return _gz_poly([(re * s, im * s) for re, im in self.terms], self.den, self.var)
         g = _as_gauss(s) if self.den else None
         if g is None:
             return UniPoly.make([c * s for c in self.to_float().terms], self.var)
         (t,), d = _from_gauss([g])
         return _gz_poly(_gz_mul(self.terms, [t]), self.den * d, self.var)
+
+    def shift(self, k: int) -> "UniPoly":
+        """self * var**k for k >= 0."""
+        if self.is_zero or not k:
+            return self
+        return UniPoly(((0, 0) if self.den else 0j,) * k + self.terms, self.den, self.var)
 
     def power(self, k: int) -> "UniPoly":
         if k < 0:
@@ -401,14 +418,6 @@ def _gz_pseudo_divmod(a: list, b: Sequence) -> tuple[list, list, tuple]:
     return quo, rem, pows[e]
 
 
-def _gz_eval(p: list, t: int) -> tuple:
-    """p(t) for an integer t, by Horner."""
-    re = im = 0
-    for a, b in reversed(p):
-        re, im = re * t + a, im * t + b
-    return re, im
-
-
 def _gz_prs(a: list, b: list) -> tuple[list, list, tuple, int]:
     """The subresultant PRS of a and b over Z[i] (Collins 1967; Brown and
     Traub 1971; Cohen, Alg. 3.3.7), run up to its first element of degree <= 0.
@@ -516,8 +525,9 @@ def _res_kronecker(a: list, b: list, s: int) -> list:
     s is `_kronecker_bits(a, b)`."""
     base = 1 << s
     half = base >> 1
+    at = (base, 0)
     parts = []
-    for v in _gz_resultant([_gz_eval(c, base) for c in a], [_gz_eval(c, base) for c in b]):
+    for v in _gz_resultant([_gz_horner(c, at, 1) for c in a], [_gz_horner(c, at, 1) for c in b]):
         digits = []
         while v:
             d = v & (base - 1)
@@ -537,11 +547,11 @@ def _res_interpolated(a: list, b: list, bound: int) -> list:
     vanishes (only there does specialisation commute with the resultant)."""
     t0 = t = 0
     while t <= t0 + bound:
-        if _gz_eval(a[-1], t) == (0, 0) or _gz_eval(b[-1], t) == (0, 0):
+        if (0, 0) in (_gz_horner(a[-1], (t, 0), 1), _gz_horner(b[-1], (t, 0), 1)):
             t0 = t + 1
         t += 1
     vals = [
-        _gz_resultant([_gz_eval(c, t) for c in a], [_gz_eval(c, t) for c in b])
+        _gz_resultant([_gz_horner(c, (t, 0), 1) for c in a], [_gz_horner(c, (t, 0), 1) for c in b])
         for t in range(t0, t0 + bound + 1)
     ]
     f = math.factorial(bound)
@@ -570,6 +580,17 @@ def resultant_by_evaluation(
         res = _res_interpolated(a, b, bound)
     # Res(a, b) = den_p**deg Q * den_q**deg P * Res(P, Q)
     return _gz_poly(res, den_p ** (len(qc) - 1) * den_q ** (len(pc) - 1), var)
+
+
+def transpose(polys: Sequence[UniPoly], var: str) -> list[UniPoly]:
+    """The coefficients of F = sum_j polys[j] t**j by powers of the polys'
+    variable: out[i] is the coefficient of its i-th power, a UniPoly in t
+    named var.  The polys share one mode; zero ones may be among them."""
+    n = max((len(p.terms) for p in polys), default=0)
+    if any(not p.den for p in polys):
+        return [UniPoly.make([p.coeff(i) for p in polys], var) for i in range(n)]
+    rows, den = _gz_common(polys)
+    return [_gz_poly([r[i] if i < len(r) else (0, 0) for r in rows], den, var) for i in range(n)]
 
 
 def from_roots(roots: Sequence, lead=1.0, var: str = "x") -> UniPoly:

@@ -1,8 +1,10 @@
 """Parsing, evaluation, gcd, resultants, squarefree part, affine maps."""
 
+import ast
 import random
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -543,3 +545,19 @@ class TestInvariants:
             for (i, j), cc in p.coeffs.items():
                 b += complex(cc) * u**i * v**j
             assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
+
+
+def test_only_unipoly_knows_its_private_names():
+    # The exact coefficient format, Gaussian integers over one denominator,
+    # lives in unipoly's private helpers; other modules go through UniPoly.
+    src = Path(__file__).resolve().parent.parent / "src" / "polygraph"
+    modules = sorted(src.glob("*.py"))
+    assert len(modules) > 10
+    offenders = []
+    for path in modules:
+        if path.stem == "unipoly":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module in ("unipoly", "polygraph.unipoly"):
+                offenders += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert not offenders, offenders

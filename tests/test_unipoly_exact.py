@@ -4,7 +4,10 @@
 divides and takes gcds over Z[i].  The reference below works coefficient by
 coefficient on GaussRat (pairs of Fractions), the way the arithmetic was
 first written; products, quotients, remainders and monic gcds are unique
-over Q(i), so the two must agree exactly.
+over Q(i), so the two must agree exactly.  The subresultant reference takes
+determinants of Sylvester minors by Bareiss fraction-free elimination over
+Gaussian integers, (re, im) int pairs, and checks that every division in it
+is exact.
 """
 
 import random
@@ -78,36 +81,63 @@ def ref_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     return UniPoly.make([c * inv for c in g.coeffs], p.var)
 
 
-def ref_det(rows: list) -> GaussRat:
+def _gi_cross(p: tuple, a: tuple, f: tuple, b: tuple) -> tuple:
+    """p*a - f*b over Gaussian integers."""
+    return (
+        p[0] * a[0] - p[1] * a[1] - f[0] * b[0] + f[1] * b[1],
+        p[0] * a[1] + p[1] * a[0] - f[0] * b[1] - f[1] * b[0],
+    )
+
+
+def _gi_exact_div(s: tuple, t: tuple) -> tuple:
+    n = t[0] * t[0] + t[1] * t[1]
+    re, im = s[0] * t[0] + s[1] * t[1], s[1] * t[0] - s[0] * t[1]  # s * conj(t)
+    assert re % n == 0 and im % n == 0, "inexact Bareiss division"
+    return re // n, im // n
+
+
+def ref_det(rows: list) -> tuple:
+    """The determinant of a square matrix of Gaussian integers, (re, im) int
+    pairs, by Bareiss fraction-free elimination with row swaps: after step k
+    entry (r, c) is (a_kk a_rc - a_rk a_kc) / (the pivot of step k - 1)."""
     rows = [r[:] for r in rows]
-    out = GR_ONE
-    for k in range(len(rows)):
-        piv = next((r for r in range(k, len(rows)) if rows[r][k]), None)
+    n = len(rows)
+    sign, prev = 1, (1, 0)
+    for k in range(n):
+        piv = next((r for r in range(k, n) if rows[r][k] != (0, 0)), None)
         if piv is None:
-            return GR_ZERO
+            return (0, 0)
         if piv != k:
             rows[k], rows[piv] = rows[piv], rows[k]
-            out = -out
-        out = out * rows[k][k]
-        for r in range(k + 1, len(rows)):
-            f = rows[r][k] / rows[k][k]
-            rows[r] = [a - f * b for a, b in zip(rows[r], rows[k])]
-    return out
+            sign = -sign
+        p = rows[k][k]
+        for r in range(k + 1, n):
+            f = rows[r][k]
+            rows[r][k + 1:] = [
+                _gi_exact_div(_gi_cross(p, a, f, b), prev) for a, b in zip(rows[r][k + 1:], rows[k][k + 1:])
+            ]
+        prev = p
+    return (sign * prev[0], sign * prev[1])
 
 
 def ref_subresultant(a: UniPoly, b: UniPoly, j: int) -> UniPoly:
-    """The j-th subresultant of a and b, from determinants of Sylvester minors."""
+    """The j-th subresultant of Gaussian integer polynomials a and b, from
+    determinants of Sylvester minors."""
     m, n = a.degree, b.degree
     width = m + n - j
 
     def shifts(p: UniPoly, count: int) -> list:
-        desc = [p.coeff(k) for k in range(p.degree, -1, -1)]
-        return [[GR_ZERO] * r + desc + [GR_ZERO] * (width - len(desc) - r) for r in range(count)]
+        desc = []
+        for k in range(p.degree, -1, -1):
+            c = p.coeff(k)
+            assert c.re.denominator == c.im.denominator == 1
+            desc.append((c.re.numerator, c.im.numerator))
+        return [[(0, 0)] * r + desc + [(0, 0)] * (width - len(desc) - r) for r in range(count)]
 
     mat = shifts(a, n - j) + shifts(b, m - j)
     lead = width - j - 1  # the columns of x**(width-1) .. x**(j+1)
     coeffs = [ref_det([row[:lead] + [row[width - 1 - i]] for row in mat]) for i in range(j + 1)]
-    return UniPoly.make(_trimmed(coeffs), a.var)
+    return UniPoly.make(_trimmed([GaussRat.of(re, im) for re, im in coeffs]), a.var)
 
 
 def _scalar(rng: random.Random, kind: str) -> GaussRat:
