@@ -38,7 +38,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .scalars import GR_ZERO, is_exact, square_and_multiply
-from .unipoly import TRIM_REL, UniPoly, cached, resultant_by_evaluation, transpose
+from .unipoly import TRIM_REL, UniPoly, cached, convolve, resultant_by_evaluation, transpose
 
 _INTERP_ANGLE = 0.3  # fixed angular offset for float resultant sample points
 _CROSS_SIGN = np.array([-1.0, 1.0])
@@ -155,6 +155,8 @@ class BiPoly:
     def __mul__(self, other: "BiPoly") -> "BiPoly":
         if self.is_zero or other.is_zero:
             return BiPoly.zero()
+        if self.den and other.den:
+            return _bipoly(convolve(self.rows, other.rows))
         out = [UniPoly.zero()] * (len(self.rows) + len(other.rows) - 1)
         for j, r in enumerate(self.rows):
             for k, s in enumerate(other.rows):

@@ -7,23 +7,28 @@ drops out), deflates exact zeros at the origin, buckets the rows by the
 degree that remains and the number of those zeros, and takes the
 eigenvalues of each bucket's stacked companion matrices in one `eigvals`
 call (LAPACK zgeev balances them first; the method of `np.roots`, backward
-stable by Edelman & Murakami 1995).  A row is accepted only if every
-eigenvalue's residual is within 64 times the evaluation-noise bound plus
-what the rounding of the eigenvalue itself can cause, so a row's result
-does not depend on the other rows of the call.  It returns each row's
-root values and multiplicities, and it alone judges whether a row can be
-solved: the first row, in order, that is non-finite, zero or fails the
-residual check raises, naming its index.  `roots_batch` stacks UniPolys
-for it and wraps its output in `RootSet`s; `roots` is a batch of one.
+stable by Edelman & Murakami 1995).  The rows are sorted by bucket once,
+so each bucket is a slice, and one np.errstate covers the whole call.  A
+row is accepted only if every eigenvalue's residual is within 64 times the
+evaluation-noise bound plus what the rounding of the eigenvalue itself can
+cause, so a row's result does not depend on the other rows of the call.
+It returns each row's root values and multiplicities, and it alone judges
+whether a row can be solved: the first row, in order, that is non-finite,
+zero or fails the residual check raises, naming its index.  `roots_batch`
+stacks UniPolys for it and wraps its output in `RootSet`s; `roots` is a
+batch of one.
 
-A multiplicity-m root comes out as a cluster of eigenvalues of radius about
-eps**(1/m).  Rows with close eigenvalues are clustered by single linkage at
+Every root of a bucket then gets multiplicity-corrected Newton steps.  The
+residual check's p and p' are the first step's, unless the row has zeros
+at the origin, whose polish runs on the undeflated row.  A
+multiplicity-m root comes out as a cluster of eigenvalues of radius about
+eps**(1/m).  A row with close eigenvalues is clustered by single linkage at
 nested radii, each distinct clustering scored once by how well the
-reconstructed product matches the input coefficients, and each multiple
-root is re-polished on the (m-1)-th derivative, where it is simple.  Every
-root then gets multiplicity-corrected Newton steps.  A `RootSet` builds its
-diagnostics on first read: each root's residual |p(root)|, a Horner
-evaluation-noise bound and the coefficient reconstruction error.
+reconstructed product matches the input coefficients; each multiple root
+is re-polished on the (m-1)-th derivative, where it is simple, and the
+clusters, Newton-polished in turn, replace that row's result.  A `RootSet`
+builds its diagnostics on first read: each root's residual |p(root)|, a
+Horner evaluation-noise bound and the coefficient reconstruction error.
 """
 
 from __future__ import annotations
@@ -145,24 +150,46 @@ def roots_of_rows(c: np.ndarray, lengths=None) -> list[tuple[list[complex], list
     if lengths is None:
         # A non-finite row is rejected below; keep its NaN out of max and >.
         mag = np.where(finite[:, None], np.abs(c), 0.0)
-        kept = mag > TRIM_REL * np.max(mag, axis=1, keepdims=True)
-        length = np.where(kept.any(axis=1), width - np.argmax(kept[:, ::-1], axis=1), 0)
+        kept = mag > TRIM_REL * mag.max(axis=1, keepdims=True)
+        length = np.where(kept.any(axis=1), width - kept[:, ::-1].argmax(axis=1), 0)
     else:
         length = np.asarray(lengths)
     unsolvable = np.flatnonzero(~finite | (length == 0))
     stop = unsolvable[0] if len(unsolvable) else len(c)
-    n_zeros = np.argmax(c[:stop] != 0, axis=1) if stop else 0  # c may have no columns
+    n_zeros = (c[:stop] != 0).argmax(axis=1) if stop else 0  # c may have no columns
     keys = length[:stop] * (width + 1) + n_zeros
+    # Rows sorted by bucket key, stably, so that each bucket is a slice.
+    order = keys.argsort(kind="stable")
+    keys, order, sorted_rows = keys[order].tolist(), order.tolist(), c[order]
+    cuts = [i for i in range(stop) if not i or keys[i] != keys[i - 1]] + [stop]
 
-    solved = []
+    results: list = [None] * stop
     failed: list[tuple[int, np.ndarray]] = []
-    for key in np.unique(keys).tolist():
-        n, n_zero = divmod(key, width + 1)
-        ks = np.flatnonzero(keys == key)
-        full = c[ks, :n]
-        z, bad = _eigen_roots(full[:, n_zero:])
-        failed += [(int(ks[i]), z[i]) for i in np.flatnonzero(bad)]
-        solved.append((ks.tolist(), full, n_zero, z))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for a, b in zip(cuts, cuts[1:]):
+            n, n_zero = divmod(keys[a], width + 1)
+            full = sorted_rows[a:b, :n]
+            eig, z, p, d, ok = _eigen_roots(full[:, n_zero:])
+            if not ok.all():
+                i = int(np.argmin(ok))  # the bucket's first failing row
+                failed.append((order[a + i], eig[i]))
+                continue
+            if n_zero:
+                p, d = _horner_pd(full, z)
+            n_roots = z.shape[1]
+            found = _sorted_roots(_polish(full, z, 1, p, d), np.ones(n_roots, dtype=int), n_zero)
+            # A row whose eigenvalues are all farther apart than the widest
+            # cluster radius, CLUSTER_BASE**(1/n) * (1 + max|z|), keeps them
+            # as simple roots: `_best_clustering` would return them as
+            # singletons.  Any other row is solved again from its clusters.
+            if n_roots > 1:
+                dist = np.abs(z[:, :, None] - z[:, None, :])
+                dist.reshape(b - a, -1)[:, :: n_roots + 1] = np.inf  # the diagonal
+                reach = CLUSTER_BASE ** (1.0 / n_roots) * (1.0 + np.abs(z).max(axis=1))
+                for i in np.flatnonzero(dist.min(axis=(1, 2)) <= reach).tolist():
+                    found[i] = _clustered(full[i : i + 1], eig[i], n_zero)
+            for k, item in zip(order[a:b], found):
+                results[k] = item
     if failed:
         k, best = min(failed, key=lambda kb: kb[0])
         raise RootFindingError(
@@ -174,21 +201,6 @@ def roots_of_rows(c: np.ndarray, lengths=None) -> list[tuple[list[complex], list
         if not finite[stop]:
             raise EvaluationOverflow("non-finite coefficient in a row", row=int(stop))
         raise ZeroPolynomialError("cannot take roots of the zero polynomial", row=int(stop))
-
-    results: list = [None] * stop
-    for ks, full, n_zero, z in solved:
-        fast = _separated(z)
-        done = np.flatnonzero(fast)
-        ones = np.ones(z.shape[1], dtype=int)
-        # + 0.0 turns a -0.0 part into +0.0, as the cluster mean of one eigenvalue does.
-        for i, found in zip(done, _finish(full[fast], z[fast] + 0.0, ones, n_zero)):
-            results[ks[i]] = found
-        for i in np.flatnonzero(~fast):
-            row = full[i, n_zero:]
-            clusters = [_refine_cluster(v, m, row) for v, m in _best_clustering(z[i], row)]
-            vals = np.array([[v for v, _ in clusters]])
-            mult = np.array([m for _, m in clusters])
-            (results[ks[i]],) = _finish(full[i : i + 1], vals, mult, n_zero)
     return results
 
 
@@ -217,8 +229,11 @@ def _horner(c: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _horner_pd(c: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """p and p' at z in one Horner pass (c has two or more columns, or z none)."""
-    d = np.broadcast_to(c[:, -1:], z.shape)
+    """p and p' at z in one Horner pass (c has two or more columns, or z none).
+
+    For a row of degree 1, p' is the lead column, shape (rows, 1).
+    """
+    d = c[:, -1:]
     p = d * z + c[:, -2:-1]
     for k in range(c.shape[1] - 3, -1, -1):
         d = d * z + p
@@ -257,28 +272,34 @@ def _reconstruction_error(c: np.ndarray, z: np.ndarray) -> np.ndarray:
 # -- companion-matrix eigenvalues ----------------------------------------------
 
 
-def _eigen_roots(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Roots (rows, n) and a per-row failure mask for the rows of c.
+def _eigen_roots(c: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Companion eigenvalues of the rows of c and their residual check.
 
-    A row fails unless every root z has |p(z)| within 64*noise plus
+    Returns the eigenvalues as LAPACK gave them (rows, n), the same with
+    every -0.0 part made +0.0, p and p' at the latter, and a per-row pass
+    mask.  A row passes if every root z has |p(z)| within 64*noise plus
     eps*|p'(z)|*(1 + |z|), the residual that the rounding of z alone can
     cause: the noise bound is relative to the coefficients and vanishes
-    with c0 at z = 0.  A row LAPACK rejects (say, one whose coefficients
-    overflow the companion matrix) gets NaN roots and fails.
+    with c0 at z = 0.  The sign of a zero part changes no magnitude, so
+    the check is that of the raw eigenvalues, and for a row with no zeros
+    at the origin p and p' are the first Newton step's.  A row LAPACK
+    rejects (say, one whose coefficients overflow the companion matrix)
+    gets NaN roots and fails.  Call it under the kernel's np.errstate.
     """
     rows, n = c.shape[0], c.shape[1] - 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        if n <= 1:  # no roots, or the closed form of degree 1
-            z = -c[:, :n] / c[:, n:]
-        else:
-            comp = np.zeros((rows, n, n), dtype=complex)
-            comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
-            comp[:, 0, :] = -c[:, -2::-1] / c[:, -1:]
-            z = _eigvals(comp)
-        p, d = _horner_pd(c, z)
-        r = np.abs(z)
-        ok = np.abs(p) <= 64.0 * _noise(c, r) + _EPS * np.abs(d) * (1.0 + r)
-    return z, ~ok.all(axis=1)
+    if n <= 1:  # no roots, or the closed form of degree 1
+        eig = -c[:, :n] / c[:, n:]
+    else:
+        comp = np.zeros((rows, n, n), dtype=complex)
+        comp.reshape(rows, n * n)[:, n :: n + 1] = 1.0  # the subdiagonal
+        comp[:, 0, :] = -c[:, -2::-1] / c[:, -1:]
+        eig = _eigvals(comp)
+    # + 0.0 turns a -0.0 part into +0.0, as the cluster mean of one eigenvalue does.
+    z = eig + 0.0
+    p, d = _horner_pd(c, z)
+    r = np.abs(z)
+    ok = (np.abs(p) <= 64.0 * _noise(c, r) + _EPS * np.abs(d) * (1.0 + r)).all(axis=1)
+    return eig, z, p, d, ok
 
 
 def _eigvals(m: np.ndarray) -> np.ndarray:
@@ -292,21 +313,6 @@ def _eigvals(m: np.ndarray) -> np.ndarray:
 
 
 # -- multiplicity clustering and polishing -------------------------------------
-
-
-def _separated(z: np.ndarray) -> np.ndarray:
-    """Rows whose eigenvalues are farther apart than any cluster radius.
-
-    For such a row `_best_clustering` returns the eigenvalues as singletons,
-    because no candidate radius CLUSTER_BASE**(1/m) * (1 + max|z|) joins two of them.
-    """
-    n = z.shape[1]
-    if n <= 1:
-        return np.ones(len(z), dtype=bool)
-    dist = np.abs(z[:, :, None] - z[:, None, :])
-    dist[:, np.arange(n), np.arange(n)] = np.inf
-    reach = CLUSTER_BASE ** (1.0 / n) * (1.0 + np.max(np.abs(z), axis=1))
-    return dist.min(axis=(1, 2)) > reach
 
 
 def _best_clustering(z: np.ndarray, c: np.ndarray) -> list[tuple[complex, int]]:
@@ -368,54 +374,61 @@ def _refine_cluster(v: complex, m: int, c: np.ndarray) -> tuple[complex, int]:
     return complex(best), m
 
 
-def _polish(c: np.ndarray, z: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    """Multiplicity-corrected Newton steps on c, as one masked pass.
+def _clustered(full: np.ndarray, eig: np.ndarray, n_zero: int) -> tuple[list[complex], list[int]]:
+    """Values and multiplicities of the one row of full, (1, n), from the
+    clusters of its nonzero roots' eigenvalues eig, each refined and then
+    Newton-polished as a root of its multiplicity."""
+    row = full[0, n_zero:]
+    clusters = [_refine_cluster(v, m, row) for v, m in _best_clustering(eig, row)]
+    vals = np.array([[v for v, _ in clusters]])
+    mult = np.array([m for _, m in clusters])
+    (found,) = _sorted_roots(_polish(full, vals, mult, *_horner_pd(full, vals)), mult, n_zero)
+    return found
 
-    Each step takes p and p' from one Horner pass, and p' of an accepted
-    point serves the next step.  Each root keeps the best |p| seen and
-    stops at the first step that does not improve it, or once its step is
-    at most 4 * eps * |root|, below which it would only chase rounding
-    noise.
+
+def _polish(
+    c: np.ndarray, z: np.ndarray, mult, pv: np.ndarray, dv: np.ndarray
+) -> np.ndarray:
+    """Multiplicity-corrected Newton steps on c from z, as one masked pass.
+
+    mult is 1 or one multiplicity per column of z.  pv and dv are p and p'
+    at z; for a row with no zeros at the origin they are the residual
+    check's, so the first step costs no Horner pass.  Each step takes p and p' at its new point from
+    one Horner pass, and p' of an accepted point serves the next step.
+    Each root keeps the best |p| seen and stops at the first step that does
+    not improve it, or once its step is at most 4 * eps * |root|, below
+    which it would only chase rounding noise.  A step from p' = 0, or one
+    that diverges, gives an inf or nan |p|, which never improves on the
+    best; call it under the kernel's np.errstate.
     """
-    best = z
-    pv, dv = _horner_pd(c, z)
-    best_val = np.abs(pv)
-    going = np.ones(z.shape, dtype=bool)
-    # A step from p' = 0, or one that diverges, gives an inf or nan |p|,
-    # which never improves on best_val.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for _ in range(POLISH_STEPS):
-            step = mult * pv / dv
-            going &= np.abs(step) > 4.0 * _EPS * np.abs(best)
-            if not going.any():
-                break
-            cur = best - step
-            pv_cur, dv_cur = _horner_pd(c, cur)
-            val = np.abs(pv_cur)
-            going &= val < best_val
-            best = np.where(going, cur, best)
-            best_val = np.where(going, val, best_val)
-            pv = np.where(going, pv_cur, pv)
-            dv = np.where(going, dv_cur, dv)
+    best, best_val, going = z, np.abs(pv), True
+    for _ in range(POLISH_STEPS):
+        step = mult * pv / dv
+        going = going & (np.abs(step) > 4.0 * _EPS * np.abs(best))
+        if not going.any():
+            break
+        cur = best - step
+        pv, dv = _horner_pd(c, cur)
+        val = np.abs(pv)
+        going &= val < best_val
+        best = np.where(going, cur, best)
+        # A root that stops never goes again, so its best_val, pv and dv
+        # need not be kept: only best is read for it.
+        best_val = val
     return best
 
 
-def _finish(
-    full: np.ndarray, z: np.ndarray, mult: np.ndarray, n_zero: int
+def _sorted_roots(
+    vals: np.ndarray, mult: np.ndarray, n_zero: int
 ) -> list[tuple[list[complex], list[int]]]:
-    """Sorted root values and multiplicities of the rows of full: nonzero
-    roots z, polished, and n_zero roots at 0.
-
-    Column j of z has multiplicity mult[j] in every row (all ones on the
-    separated path; the cluster path passes one row at a time).
-    """
-    vals = _polish(full, z, mult)
+    """Each row's values, with n_zero roots at 0 appended, and multiplicities,
+    sorted; column j of vals has multiplicity mult[j] in every row."""
     if n_zero:
-        vals = np.pad(vals, ((0, 0), (0, 1)))
+        vals = np.concatenate([vals, np.zeros((len(vals), 1), dtype=complex)], axis=1)
         mult = np.append(mult, n_zero)
     # Real parts equal up to rounding noise must compare equal, so the
     # imaginary part, not the last bits, orders such roots.
-    grid = 1e-9 * (1.0 + np.max(np.abs(vals), axis=1, initial=0.0))
+    grid = 1e-9 * (1.0 + np.abs(vals).max(axis=1, initial=0.0))
     order = np.lexsort((vals.imag, np.rint(vals.real / grid[:, None])))
-    vals = np.take_along_axis(vals, order, axis=1).tolist()
-    return list(zip(vals, mult[order].tolist()))
+    vals = vals[np.arange(len(vals))[:, None], order]
+    return list(zip(vals.tolist(), mult[order].tolist()))

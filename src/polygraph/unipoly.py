@@ -23,9 +23,10 @@ and exact `eval` return it.
 
 This module is the only one that knows the format.  A `BiPoly` is a tuple
 of UniPoly rows, the coefficients of y**j as polynomials in x, and works on
-them through the public operations; `shift` (times x**k), `scale` by an int
-and `transpose` (the coefficients by powers of x instead of y) are there
-for it.
+them through the public operations; `shift` (times x**k), `scale` by an int,
+`transpose` (the coefficients by powers of x instead of y) and `convolve`
+(the rows of an exact product, one normalization per row) are there for
+it.
 """
 
 from __future__ import annotations
@@ -591,6 +592,29 @@ def transpose(polys: Sequence[UniPoly], var: str) -> list[UniPoly]:
         return [UniPoly.make([p.coeff(i) for p in polys], var) for i in range(n)]
     rows, den = _gz_common(polys)
     return [_gz_poly([r[i] if i < len(r) else (0, 0) for r in rows], den, var) for i in range(n)]
+
+
+def convolve(a: Sequence[UniPoly], b: Sequence[UniPoly]) -> list[UniPoly]:
+    """The coefficients of (sum_j a[j] t**j) * (sum_k b[k] t**k) by powers
+    of t, for exact UniPolys in one variable (zero ones may be among them):
+    out[i] = sum over j + k = i of a[j] * b[k].  Each output is one sum of
+    products over Z[i], on the operands' common denominators, brought to
+    lowest terms once."""
+    (pa, da), (pb, db) = _gz_common(a), _gz_common(b)
+    width = max(map(len, pa)) + max(map(len, pb)) - 1
+    re = [[0] * width for _ in range(len(a) + len(b) - 1)]
+    im = [[0] * width for _ in re]
+    # _gz_mul's loop with one more index: output row j + k gathers a[j] * b[k].
+    for j, p in enumerate(pa):
+        for i, (s, t) in enumerate(p):
+            if not s and not t:
+                continue
+            for k, q in enumerate(pb):
+                out_re, out_im = re[j + k], im[j + k]
+                for m, (u, v) in enumerate(q):
+                    out_re[i + m] += s * u - t * v
+                    out_im[i + m] += s * v + t * u
+    return [_gz_poly(list(zip(r, m)), da * db, a[0].var) for r, m in zip(re, im)]
 
 
 def from_roots(roots: Sequence, lead=1.0, var: str = "x") -> UniPoly:

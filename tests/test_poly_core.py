@@ -126,6 +126,35 @@ class TestCanonicalForm:
         assert phi == built
         assert built.coeff_polys("y")[1] == UniPoly.make([gr(0), gr(Fraction(-4, 3))])
 
+    def test_exact_product_matches_a_coefficient_by_coefficient_reference(self):
+        rng = random.Random(29)
+
+        def draw() -> GaussRat:
+            return GaussRat(
+                Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+                Fraction(rng.randint(-9, 9), rng.randint(1, 4)) * rng.randint(0, 1),
+            )
+
+        def entries() -> dict:
+            dx, dy, gaps = rng.randint(0, 4), rng.randint(0, 4), rng.randint(1, 3)
+            return {
+                (i, j): draw()
+                for i in range(dx + 1)
+                for j in range(0, dy + 1, gaps)  # some rows are zero
+                if rng.random() < 0.6
+            }
+
+        for _ in range(150):
+            a, b = entries(), entries()
+            want: dict = {}
+            for (i, j), s in a.items():
+                for (k, m), t in b.items():
+                    want[i + k, j + m] = want.get((i + k, j + m), gr(0)) + s * t
+            got = BiPoly.make(a) * BiPoly.make(b)
+            assert got.coeffs == {ij: c for ij, c in want.items() if c != gr(0)}
+            # Lowest terms: the same fields as the polynomial built from the reference.
+            assert got == BiPoly.make(want)
+
     def test_public_reads_are_gaussrat_with_fraction_parts(self):
         p = UniPoly.make([gr(Fraction(3, 6), 2), gr(0), gr(-4)])
         phi = parse("3/6*x^2 + 2i*y - 4")

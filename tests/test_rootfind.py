@@ -218,16 +218,25 @@ def _padded(rows: list[UniPoly], width: int) -> np.ndarray:
     return c
 
 
+def _bits(vals: list[complex]) -> list[tuple[str, str]]:
+    """Root values as exact bit patterns: -0.0 and +0.0 differ."""
+    return [(v.real.hex(), v.imag.hex()) for v in vals]
+
+
 def test_kernel_matches_roots_batch_on_random_batches():
     rng = random.Random(91)
 
     def draw() -> complex:
         return complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
 
-    for _ in range(20):
+    def on_an_axis() -> complex:
+        x = rng.uniform(-3, 3)
+        return rng.choice([complex(x, 0.0), complex(0.0, x), complex(x, -0.0), complex(-0.0, x)])
+
+    for _ in range(60):
         rows = []
         for _ in range(rng.randint(1, 12)):
-            kind = rng.randrange(4)
+            kind = rng.randrange(7)
             if kind == 0:  # exact zeros at the origin
                 p = UniPoly.make([0.0] * rng.randint(1, 3) + [draw() for _ in range(3)], "y")
             elif kind == 1:  # a multiple root
@@ -235,19 +244,27 @@ def test_kernel_matches_roots_batch_on_random_batches():
                 p = from_roots([a] * rng.randint(2, 3) + [b], 1.0, "y")
             elif kind == 2:  # constant
                 p = UniPoly.make([draw()], "y")
+            elif kind == 3:  # degree 1, the closed form
+                p = UniPoly.make(rng.choice([[draw(), draw()], [on_an_axis(), on_an_axis()]]), "y")
+            elif kind == 4:  # roots with a zero real or imaginary part
+                p = from_roots([on_an_axis() for _ in range(rng.randint(1, 4))], 1.0, "y")
+            elif kind == 5:  # real coefficients, so real roots with a signed zero part
+                real = [rng.uniform(-3, 3) for _ in range(rng.randint(2, 4))]
+                p = UniPoly.make(real + [1.0], "y")
             else:
                 p = UniPoly.make([draw() for _ in range(rng.randint(2, 6))], "y")
             rows.append(p)
         batch = roots_batch(rows)
         # Zero padding to a common width is trimmed away.
         found = rootfind.roots_of_rows(_padded(rows, 9))
-        assert [(rs.values(), list(rs.multiplicities)) for rs in batch] == [
-            (vals, mults) for vals, mults in found
+        assert [(_bits(rs.values()), list(rs.multiplicities)) for rs in batch] == [
+            (_bits(vals), mults) for vals, mults in found
         ]
+        # Each row alone gives the same bits as in the batch.
         for p, (vals, mults), rs in zip(rows, found, batch):
             alone = rootfind.roots_of_rows(_padded([p], len(p.coeffs)))[0]
-            assert alone[1] == mults and sum(mults) == rs.degree == p.degree
-            assert all(abs(a - b) <= 1e-9 * (1 + abs(b)) for a, b in zip(alone[0], vals))
+            assert (_bits(alone[0]), alone[1]) == (_bits(vals), mults)
+            assert sum(mults) == rs.degree == p.degree
 
 
 def test_kernel_on_a_mixed_width_level():

@@ -108,7 +108,8 @@ def _record_batches() -> dict:
 
         def wrapped(c, lengths=None):
             if len(calls) < MAX_LEVELS:
-                calls.append((np.array(c, dtype=complex), None if lengths is None else list(lengths)))
+                kept = None if lengths is None else list(lengths)
+                calls.append((np.array(c, dtype=complex), kept))
             return real(c, lengths)
 
         explorer.roots_of_rows = rootfind.roots_of_rows = wrapped
@@ -144,9 +145,7 @@ def test_golden_covers_the_recorded_shapes(golden):
     assert any(b["lengths"] is not None for b in batches)
 
 
-@pytest.mark.parametrize(
-    "name", sorted(list(_cases()) + ["hand_built"])
-)
+@pytest.mark.parametrize("name", sorted([*_cases(), "hand_built"]))
 def test_kernel_reproduces_the_golden_bits(golden, name):
     for k, batch in enumerate(golden[name]):
         c = np.array([[_unhex(s) for s in row] for row in batch["rows"]], dtype=complex)
