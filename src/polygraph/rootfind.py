@@ -393,13 +393,13 @@ def _polish(
 
     mult is 1 or one multiplicity per column of z.  pv and dv are p and p'
     at z; for a row with no zeros at the origin they are the residual
-    check's, so the first step costs no Horner pass.  Each step takes p and p' at its new point from
-    one Horner pass, and p' of an accepted point serves the next step.
-    Each root keeps the best |p| seen and stops at the first step that does
-    not improve it, or once its step is at most 4 * eps * |root|, below
-    which it would only chase rounding noise.  A step from p' = 0, or one
-    that diverges, gives an inf or nan |p|, which never improves on the
-    best; call it under the kernel's np.errstate.
+    check's, so the first step costs no Horner pass.  Each step takes p and
+    p' at its new point from one Horner pass, and p' of an accepted point
+    serves the next step.  Each root keeps the best |p| seen and stops at
+    the first step that does not improve it, or once its step is at most
+    4 * eps * |root|, below which it would only chase rounding noise.  A
+    step from p' = 0, or one that diverges, gives an inf or nan |p|, which
+    never improves on the best; call it under the kernel's np.errstate.
     """
     best, best_val, going = z, np.abs(pv), True
     for _ in range(POLISH_STEPS):
