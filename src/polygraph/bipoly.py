@@ -155,13 +155,7 @@ class BiPoly:
     def __mul__(self, other: "BiPoly") -> "BiPoly":
         if self.is_zero or other.is_zero:
             return BiPoly.zero()
-        if self.den and other.den:
-            return _bipoly(convolve(self.rows, other.rows))
-        out = [UniPoly.zero()] * (len(self.rows) + len(other.rows) - 1)
-        for j, r in enumerate(self.rows):
-            for k, s in enumerate(other.rows):
-                out[j + k] = out[j + k] + r * s
-        return _bipoly(out)
+        return _bipoly(convolve(self.rows, other.rows))
 
     def scale(self, s) -> "BiPoly":
         return _bipoly(r.scale(s) for r in self.rows)

@@ -25,9 +25,9 @@ from .explorer import (
     explore_strong_component,
     export,
 )
-from .moebius import DEFAULT_NMAX, classify_deg1, cycle_condition, reference_table_diff
+from .moebius import classify_deg1, cycle_condition, reference_table_diff
 from .probe import probe_conjecture
-from .quadratic import QuadSym, classify_deg2
+from .quadratic import DEFAULT_NMAX, QuadSym, classify_deg2
 from .synthesis import (
     FiniteDigraph,
     bipartite_poly,

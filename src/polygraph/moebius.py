@@ -2,7 +2,11 @@
 
 A standard Phi(x,y) = (cx+d)y - (ax+b) iterates z -> (az+b)/(cz+d), so its
 non-singular components are directed n-cycles exactly when the matrix
-[[a,b],[c,d]] has finite projective order n.  The symbolic cycle conditions
+[[a,b],[c,d]] has finite projective order n.  That order is read off
+v = trace^2/det - 2, which is rho + 1/rho for the ratio rho of the
+eigenvalues, by the same cosine witness as the quadratic verdict
+(quadratic._cosine_scan): rho is a primitive n-th root of unity exactly when
+v = 2 cos(2 pi k / n) with gcd(k, n) = 1.  The symbolic cycle conditions
 come from the two-term recurrence U_1 = 1, U_2 = t, U_k = t U_{k-1} - e U_{k-2}
 (t = a+d, e = ad-bc), valid because A^2 = tA - eI: the entries of A^n are
 a_n = U_n a - e U_{n-1}, b_n = U_n b, c_n = U_n c, d_n = U_n d - e U_{n-1},
@@ -14,7 +18,6 @@ from __future__ import annotations
 
 import cmath
 import enum
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,14 +25,13 @@ from .analyzer import singular_vertex_values
 from .bipoly import BiPoly
 from .errors import AmbiguousOrderError, DomainError, NotStandardError
 from .probe import _sample_seeds
+from .quadratic import DEFAULT_NMAX, _cosine_scan
 from .scalars import GR_ONE, GaussRat, is_exact
 from .sympoly import SymPoly
 from .textio import _monomial
 
 ORDER_TOL = 1e-9
 PARABOLIC_BAND = 1e-8
-DEFAULT_NMAX = 512
-_CF_DEPTH = 20
 
 ABCD = ("a", "b", "c", "d")
 TE = ("t", "e")
@@ -65,12 +67,6 @@ class Mobius:
         if den == 0:
             raise DomainError("pole of the transformation", z=str(z))
         return (complex(self.a) * z + complex(self.b)) / den
-
-    def matrix(self) -> list[list[complex]]:
-        return [
-            [complex(self.a), complex(self.b)],
-            [complex(self.c), complex(self.d)],
-        ]
 
 
 def to_poly(m: Mobius) -> BiPoly:
@@ -122,101 +118,41 @@ def _deg1_standard_failure(a, b, c, d) -> str | None:
 # -- projective order -------------------------------------------------------------
 
 
-def _mat_mul(p, q):
-    return [
-        [p[0][0] * q[0][0] + p[0][1] * q[1][0], p[0][0] * q[0][1] + p[0][1] * q[1][1]],
-        [p[1][0] * q[0][0] + p[1][1] * q[1][0], p[1][0] * q[0][1] + p[1][1] * q[1][1]],
-    ]
-
-
-def _mat_pow(m, k: int):
-    out = [[1, 0], [0, 1]]
-    base = [row[:] for row in m]
-    while k:
-        if k & 1:
-            out = _mat_mul(out, base)
-        base = _mat_mul(base, base)
-        k >>= 1
-    return out
-
-
-def _is_scalar_matrix(m, tol: float) -> bool:
-    norm = max(abs(m[0][0]), abs(m[0][1]), abs(m[1][0]), abs(m[1][1]), 1e-300)
-    return (
-        abs(m[0][1]) <= tol * norm
-        and abs(m[1][0]) <= tol * norm
-        and abs(m[0][0] - m[1][1]) <= tol * norm
-    )
-
-
-def continued_fraction_candidates(theta: float, max_den: int):
-    """Convergents p/q of theta with q <= max_den, in rising-q order."""
-    out = []
-    h0, h1 = 0, 1
-    k0, k1 = 1, 0
-    x = theta
-    for _ in range(_CF_DEPTH):
-        a = math.floor(x)
-        h0, h1 = h1, a * h1 + h0
-        k0, k1 = k1, a * k1 + k0
-        if k1 > max_den:
-            break
-        out.append((h1, k1))
-        frac = x - a
-        if frac < 1e-15:
-            break
-        x = 1.0 / frac
-    return out
-
-
 def projective_order(m: Mobius, n_max: int = DEFAULT_NMAX) -> int | None:
     """Least n <= n_max with m^n the identity map, or None.
 
-    The eigenvalue ratio of the det-normalized matrix must be a primitive
-    n-th root of unity; the candidate n from continued-fraction recognition
-    of its angle is always cross-checked by explicit matrix powering.
+    The ratio rho of the matrix's eigenvalues has rho + 1/rho = v with
+    v = trace^2/det - 2, taken in the map's own arithmetic.  A scalar
+    matrix has order 1 and a zero trace (v = -2) order 2.  Otherwise
+    v = 2 is parabolic, of infinite order, and the order is n >= 3 exactly
+    when v = 2 cos(2 pi k / n) with gcd(k, n) = 1: the cosine witness of
+    the quadratic verdict.  Exact input is never ambiguous; a float v
+    within PARABOLIC_BAND of 2 but not equal to it raises.
     """
-    mat = m.matrix()
-    det = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-    s = cmath.sqrt(det)
-    a, b, c, d = mat[0][0] / s, mat[0][1] / s, mat[1][0] / s, mat[1][1] / s
-    norm = max(abs(a), abs(b), abs(c), abs(d), 1e-300)
-    if abs(b) <= ORDER_TOL * norm and abs(c) <= ORDER_TOL * norm and abs(a - d) <= ORDER_TOL * norm:
+    exact = m.mode == "exact"
+    a, b, c, d = (m.a, m.b, m.c, m.d) if exact else map(complex, (m.a, m.b, m.c, m.d))
+    t, det = a + d, a * d - b * c
+    if exact:
+        scalar, traceless = not b and not c and a == d, not t
+    else:
+        skew = max(abs(b), abs(c), abs(a - d))
+        scalar = skew <= ORDER_TOL * max(abs(a), abs(d), skew)
+        # m^2 = t m - det I, scalar within ORDER_TOL
+        traceless = abs(t) * skew <= ORDER_TOL * abs(det)
+    if scalar:
         return 1
-    t = a + d
-    disc = t * t - 4.0
-    if abs(disc) < PARABOLIC_BAND:
-        if disc == 0:
-            return None  # exactly parabolic: infinite order
+    if traceless:
+        return 2 if n_max >= 2 else None
+    v = t**2 / det - 2
+    if not v - 2:
+        return None  # parabolic: infinite order
+    if not exact and abs(v - 2) < PARABOLIC_BAND:
         raise AmbiguousOrderError(
             "near-parabolic matrix; order is numerically ambiguous",
-            disc=abs(disc),
+            disc=abs(v - 2),
         )
-    r = cmath.sqrt(disc)
-    lam1 = (t + r) / 2.0
-    lam2 = (t - r) / 2.0
-    rho = lam1 / lam2
-    if abs(abs(rho) - 1.0) > 1e-6:
-        return None  # off the unit circle: loxodromic, infinite order
-    theta = (cmath.phase(rho) / (2 * math.pi)) % 1.0
-    nm = [[a, b], [c, d]]
-    seen: set[int] = set()
-    for _p, q in continued_fraction_candidates(theta, n_max):
-        for n in (q, 2 * q):
-            # the projective order divides 2q when the angle is p/q of a turn
-            if n < 1 or n > n_max or n in seen:
-                continue
-            seen.add(n)
-            if _is_scalar_matrix(_mat_pow(nm, n), ORDER_TOL):
-                if m.mode == "exact" and not _exact_order_check(m, n):
-                    continue
-                return n
-    return None
-
-
-def _exact_order_check(m: Mobius, n: int) -> bool:
-    out = _mat_pow([[m.a, m.b], [m.c, m.d]], n)
-    return (not out[0][1]) and (not out[1][0]) and out[0][0] == out[1][1]
+    witness = _cosine_scan(v, n_max)[0]
+    return witness[0] if witness else None
 
 
 # -- verdicts -----------------------------------------------------------------------

@@ -6,6 +6,11 @@ multiply to 1, so components close into n-cycles exactly when w is a
 primitive n-th root of unity, i.e. a = 2 cos(2 pi k / n) with gcd(k, n) = 1;
 otherwise every non-singular component is a double ray.  The b shift is
 removed by the affine move x -> x - b/(a+2) whenever a != -2.
+
+The same cosine witness gives a Mobius map's projective order
+(moebius.projective_order): the ratio rho of its matrix's eigenvalues has
+rho + 1/rho = v = trace^2/det - 2, and rho is a primitive n-th root of unity
+exactly when v = 2 cos(2 pi k / n) with gcd(k, n) = 1.
 """
 
 from __future__ import annotations
@@ -19,10 +24,11 @@ from fractions import Fraction
 from .analyzer import analyze, require_standard
 from .bipoly import BiPoly
 from .errors import DomainError
-from .moebius import DEFAULT_NMAX, continued_fraction_candidates
 from .scalars import GR_ONE, GaussRat, is_exact
 
 COS_TOL = 1e-9
+DEFAULT_NMAX = 512
+_CF_DEPTH = 20
 _CASE_TOL = 1e-12  # float a within this of -2 or 2 takes that case
 _AMBIG_BAND = 10.0
 
@@ -168,7 +174,8 @@ def _cosine_scan(a, n_max: int) -> tuple[tuple[int, int] | None, bool]:
             Fraction(1): (6, 1),
             Fraction(-1): (3, 1),
         }
-        return table.get(a.re), False
+        witness = table.get(a.re)
+        return (witness if witness and witness[0] <= n_max else None), False
     ca = complex(a)
     if abs(ca.imag) > COS_TOL * _AMBIG_BAND or not -1.0 < ca.real / 2.0 < 1.0:
         return None, False
@@ -184,6 +191,26 @@ def _cosine_scan(a, n_max: int) -> tuple[tuple[int, int] | None, bool]:
         elif err <= COS_TOL * _AMBIG_BAND * (1 + abs(ca)):
             near = True
     return None, near
+
+
+def continued_fraction_candidates(theta: float, max_den: int):
+    """Convergents p/q of theta with q <= max_den, in rising-q order."""
+    out = []
+    h0, h1 = 0, 1
+    k0, k1 = 1, 0
+    x = theta
+    for _ in range(_CF_DEPTH):
+        a = math.floor(x)
+        h0, h1 = h1, a * h1 + h0
+        k0, k1 = k1, a * k1 + k0
+        if k1 > max_den:
+            break
+        out.append((h1, k1))
+        frac = x - a
+        if frac < 1e-15:
+            break
+        x = 1.0 / frac
+    return out
 
 
 def singular_inventory_quad(q: QuadSym) -> QuadReport:

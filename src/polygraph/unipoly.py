@@ -25,8 +25,7 @@ This module is the only one that knows the format.  A `BiPoly` is a tuple
 of UniPoly rows, the coefficients of y**j as polynomials in x, and works on
 them through the public operations; `shift` (times x**k), `scale` by an int,
 `transpose` (the coefficients by powers of x instead of y) and `convolve`
-(the rows of an exact product, one normalization per row) are there for
-it.
+(the rows of a product, one normalization per row) are there for it.
 """
 
 from __future__ import annotations
@@ -168,14 +167,7 @@ class UniPoly:
             return UniPoly.zero(self.var)
         if self.den and other.den:
             return _gz_poly(_gz_mul(self.terms, other.terms), self.den * other.den, self.var)
-        a, b = self.to_float().terms, other.to_float().terms
-        out = [0j] * (len(a) + len(b) - 1)
-        for i, s in enumerate(a):
-            if not s:
-                continue
-            for j, t in enumerate(b):
-                out[i + j] = out[i + j] + s * t
-        return UniPoly.make(out, self.var)
+        return convolve([self], [other])[0]
 
     def scale(self, s) -> "UniPoly":
         if self.den and isinstance(s, int):
@@ -596,10 +588,27 @@ def transpose(polys: Sequence[UniPoly], var: str) -> list[UniPoly]:
 
 def convolve(a: Sequence[UniPoly], b: Sequence[UniPoly]) -> list[UniPoly]:
     """The coefficients of (sum_j a[j] t**j) * (sum_k b[k] t**k) by powers
-    of t, for exact UniPolys in one variable (zero ones may be among them):
+    of t, for UniPolys in one variable (zero ones may be among them):
     out[i] = sum over j + k = i of a[j] * b[k].  Each output is one sum of
-    products over Z[i], on the operands' common denominators, brought to
-    lowest terms once."""
+    products per coefficient: over Z[i] on the operands' common
+    denominators, brought to lowest terms once, when every operand is exact;
+    in complex doubles, then one `UniPoly.make` per output, otherwise."""
+    var = a[0].var
+    if not all(p.den for p in chain(a, b)):
+        fa = [p.to_float().terms for p in a]
+        fb = [q.to_float().terms for q in b]
+        width = max(map(len, fa)) + max(map(len, fb)) - 1
+        out = [[0j] * width for _ in range(len(a) + len(b) - 1)]
+        # Output row j + k gathers a[j] * b[k], as in the exact loop below.
+        for j, p in enumerate(fa):
+            for i, s in enumerate(p):
+                if not s:
+                    continue
+                for k, q in enumerate(fb):
+                    row = out[j + k]
+                    for m, t in enumerate(q):
+                        row[i + m] += s * t
+        return [UniPoly.make(r, var) for r in out]
     (pa, da), (pb, db) = _gz_common(a), _gz_common(b)
     width = max(map(len, pa)) + max(map(len, pb)) - 1
     re = [[0] * width for _ in range(len(a) + len(b) - 1)]
@@ -614,7 +623,7 @@ def convolve(a: Sequence[UniPoly], b: Sequence[UniPoly]) -> list[UniPoly]:
                 for m, (u, v) in enumerate(q):
                     out_re[i + m] += s * u - t * v
                     out_im[i + m] += s * v + t * u
-    return [_gz_poly(list(zip(r, m)), da * db, a[0].var) for r, m in zip(re, im)]
+    return [_gz_poly(list(zip(r, m)), da * db, var) for r, m in zip(re, im)]
 
 
 def from_roots(roots: Sequence, lead=1.0, var: str = "x") -> UniPoly:

@@ -89,6 +89,17 @@ def test_synth_arc_out_of_range_exit_2(capsys, tmp_path):
     assert json.loads(err)["error"]["message"] == "arc endpoint out of range"
 
 
+@pytest.mark.parametrize("poly, verdict", [
+    # exactly parabolic: trace^2 = 4 det in exact arithmetic
+    ("(-7*x - 11/7)*y - (-x + 4/343)", "InfinitePaths"),
+    # the worked six-cycle example, a = c = 1, b = -2+sqrt3, d = -1+sqrt3
+    ("(x + 0.7320508075688772)*y - (x - 0.2679491924311228)", "DirectedCycles(6)"),
+])
+def test_classify_deg1(capsys, poly, verdict):
+    code, out, _ = run_cli(capsys, "classify-deg1", poly)
+    assert code == EXIT_OK and json.loads(out) == {"verdict": verdict}
+
+
 def test_classify_deg2(capsys):
     code, out, _ = run_cli(capsys, "classify-deg2", "--a", "-1", "--c", "1")
     data = json.loads(out)

@@ -1,6 +1,8 @@
 """Mobius transformations, projective orders, symbolic cycle conditions."""
 
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -81,6 +83,13 @@ class TestProjectiveOrder:
 
     def test_parabolic_is_none(self):
         assert projective_order(from_poly(parse("y-x-1"))) is None
+        # (-7x - 11/7) y - (-x + 4/343): trace^2 = 4 det exactly; in floats
+        # trace^2/det - 4 rounds to ~1e-15
+        m = Mobius(
+            GaussRat.of(-1), GaussRat.of(Fraction(4, 343)),
+            GaussRat.of(-7), GaussRat.of(Fraction(-11, 7)),
+        )
+        assert projective_order(m) is None
 
     def test_inversion_order_two(self):
         assert projective_order(mobius_inversion(2)) == 2
@@ -89,14 +98,35 @@ class TestProjectiveOrder:
         for n in (3, 4, 5, 7, 12):
             assert projective_order(mobius_rotation(n)) == n
 
+    def test_n_max_bounds_the_order(self):
+        # z -> (z + 1)/(2 - z): trace^2 = 3 det, order 6
+        m = Mobius(GaussRat.of(1), GaussRat.of(1), GaussRat.of(-1), GaussRat.of(2))
+        assert projective_order(m, n_max=6) == 6
+        assert projective_order(m, n_max=5) is None
+        assert projective_order(mobius_inversion(2), n_max=1) is None
+        assert projective_order(mobius_rotation(7), n_max=6) is None
+
     def test_loxodromic_none(self):
         assert projective_order(Mobius(2.0, 0.0, 0.0, 1.0)) is None
 
     def test_exact_rational_order_three(self):
         # z -> -1/(z-1) has trace -1, det 1: eigenvalues are primitive cube
-        # roots of unity; the exact matrix-power cross-check must fire
+        # roots of unity, and trace^2/det - 2 = -1 exactly
         m = Mobius(GaussRat.of(0), GaussRat.of(-1), GaussRat.of(1), GaussRat.of(-1))
         assert projective_order(m) == 3
+
+    def test_exact_parabolic_family_is_never_ambiguous(self):
+        # d = a - 2s and b = -s^2/c give det = (a - s)^2 and trace^2 = 4 det;
+        # c != 0 keeps the matrix from being scalar
+        rng = random.Random(41)
+        values = [Fraction(p, q) for p in range(-9, 10) for q in (1, 2, 3, 7, 9)]
+        for _ in range(400):
+            a, s = rng.choice(values), rng.choice(values)
+            c = rng.choice([v for v in values if v])
+            if a == s:
+                continue
+            m = Mobius(*(GaussRat.of(v) for v in (a, -s * s / c, c, a - 2 * s)))
+            assert projective_order(m) is None
 
     def test_near_parabolic_ambiguous(self):
         # after det-normalization: trace^2 - 4 ~ 1e-10, inside the band but
@@ -105,6 +135,12 @@ class TestProjectiveOrder:
             projective_order(Mobius(1.0 + 1e-5, 1.0, 0.0, 1.0))
 
     def test_order_matrix_power_soundness(self):
+        def times(p, q):
+            return [
+                [p[0][0] * q[0][0] + p[0][1] * q[1][0], p[0][0] * q[0][1] + p[0][1] * q[1][1]],
+                [p[1][0] * q[0][0] + p[1][1] * q[1][0], p[1][0] * q[0][1] + p[1][1] * q[1][1]],
+            ]
+
         for n in (3, 4, 6, 8):
             m = mobius_rotation(n)
             order = projective_order(m)
@@ -112,22 +148,54 @@ class TestProjectiveOrder:
             mat = [[complex(m.a), complex(m.b)], [complex(m.c), complex(m.d)]]
             power = [[1 + 0j, 0j], [0j, 1 + 0j]]
             for k in range(1, n + 1):
-                power = [
-                    [
-                        power[0][0] * mat[0][0] + power[0][1] * mat[1][0],
-                        power[0][0] * mat[0][1] + power[0][1] * mat[1][1],
-                    ],
-                    [
-                        power[1][0] * mat[0][0] + power[1][1] * mat[1][0],
-                        power[1][0] * mat[0][1] + power[1][1] * mat[1][1],
-                    ],
-                ]
+                power = times(power, mat)
                 scalar = (
                     abs(power[0][1]) < 1e-9
                     and abs(power[1][0]) < 1e-9
                     and abs(power[0][0] - power[1][1]) < 1e-9
                 )
                 assert scalar == (k % n == 0)
+
+        # Exact Gaussian-rational maps, by exact powering: 2 cos(2 pi k / n)
+        # is rational only for n in 1, 2, 3, 4, 6, so no other order occurs.
+        # Random maps, plus maps planted with trace^2 = r det for r in
+        # 0, 1, 2, 3 (orders 2, 3, 4, 6).
+        rng = random.Random(43)
+
+        def draw() -> GaussRat:
+            return GaussRat.of(
+                Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                Fraction(rng.randint(-5, 5), rng.randint(1, 4)) * rng.randint(0, 1),
+            )
+
+        orders = {}
+        for i in range(600):
+            a, b, d = draw(), draw(), draw()
+            if i % 2 and b:
+                r = (0, 1, 2, 3)[i // 2 % 4]
+                d = -a if r == 0 else d
+                # choose c so that (a + d)^2 = r (a d - b c)
+                c = (a * d - (a + d) ** 2 / r) / b if r else draw()
+            else:
+                c = draw()
+            if not a * d - b * c:
+                continue
+            m = Mobius(a, b, c, d)
+            got = projective_order(m)
+            mat = [[a, b], [c, d]]
+            power = mat
+            scalar_at = []
+            for k in range(1, 13):
+                if not power[0][1] and not power[1][0] and power[0][0] == power[1][1]:
+                    scalar_at.append(k)
+                power = times(power, mat)
+            assert got in (None, 1, 2, 3, 4, 6)
+            if got is None:
+                assert scalar_at == []
+            else:
+                assert scalar_at and scalar_at[0] == got
+            orders[got] = orders.get(got, 0) + 1
+        assert set(orders) >= {None, 2, 3, 4, 6}
 
 
 class TestClassifyDeg1:

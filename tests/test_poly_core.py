@@ -144,16 +144,36 @@ class TestCanonicalForm:
                 if rng.random() < 0.6
             }
 
-        for _ in range(150):
-            a, b = entries(), entries()
+        def reference(a: dict, b: dict) -> dict:
             want: dict = {}
             for (i, j), s in a.items():
                 for (k, m), t in b.items():
                     want[i + k, j + m] = want.get((i + k, j + m), gr(0)) + s * t
+            return want
+
+        for _ in range(150):
+            a, b = entries(), entries()
+            want = reference(a, b)
             got = BiPoly.make(a) * BiPoly.make(b)
             assert got.coeffs == {ij: c for ij, c in want.items() if c != gr(0)}
             # Lowest terms: the same fields as the polynomial built from the reference.
             assert got == BiPoly.make(want)
+
+        # Float and mixed operands: the same products in complex doubles,
+        # equal to the exact reference within rounding.
+        def as_float(e: dict) -> dict:
+            return {ij: complex(c) for ij, c in e.items()}
+
+        for n in range(150):
+            a, b = entries(), entries()
+            want = reference(a, b)
+            left = BiPoly.make(as_float(a))
+            right = BiPoly.make(b if n % 2 else as_float(b))
+            got = left * right
+            assert got.is_zero or got.mode == "float"
+            scale = max((abs(complex(c)) for c in want.values()), default=0.0)
+            for ij in set(want) | set(got.coeffs):
+                assert abs(got.coeff(*ij) - complex(want.get(ij, gr(0)))) <= 1e-12 * scale
 
     def test_public_reads_are_gaussrat_with_fraction_parts(self):
         p = UniPoly.make([gr(Fraction(3, 6), 2), gr(0), gr(-4)])

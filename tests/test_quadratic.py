@@ -153,6 +153,11 @@ class TestCosineRecognize:
         assert cosine_recognize(GaussRat.of(-1)) == (3, 1)
         assert cosine_recognize(GaussRat.of(1, 2)) is None
 
+    def test_n_max_bounds_exact_and_float_witnesses_alike(self):
+        for a in (GaussRat.of(1), 1.0):
+            assert cosine_recognize(a, n_max=5) is None
+            assert cosine_recognize(a, n_max=6) == (6, 1)
+
     def test_float_recognition(self):
         assert cosine_recognize(2 * math.cos(4 * math.pi / 7)) == (7, 2)
         assert cosine_recognize(2 * math.cos(2 * math.pi / 5)) == (5, 1)
