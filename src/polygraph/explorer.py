@@ -5,19 +5,20 @@ side dedup_eps; the first value discovered in a cell neighborhood is the
 canonical representative, and ids follow BFS discovery order, so identical
 inputs give identical graphs.
 
-The BFS is level-synchronous, and a level is one complex array from row
-evaluation to roots: `BiPoly.eval_rows` evaluates the rows Phi(u, y)
-and/or Phi(x, u) of every vertex of the level at once, they are
+The BFS is level-synchronous and repeats two steps, each one function.
+`_solve` solves a level's rows: `BiPoly.eval_rows` evaluates the rows
+Phi(u, y) and/or Phi(x, u) of every vertex of the level at once, they are
 interleaved in BFS order (padded with zeros if deg_x != deg_y), and one
 `roots_of_rows` call solves them all.  No per-row polynomial or root
-object is built on the way.  The neighbors are then materialized in the
-order a vertex-at-a-time BFS would meet them, so ids, dedup and budget
-cut-offs are those of that BFS.  A probe's seeds are explored in
-lockstep: each level stacks the rows of every seed's sweep into that one
-array.  A row's coefficients and roots do not depend on the other rows of
-the array, so each graph, and each error, is what exploring its seed
-alone gives.  `neighbors`, `out_neighbors` and `in_neighbors` take the
-same path.
+object is built on the way.  `_VertexTable.intern` then identifies each
+root with a vertex, or makes it a new one while the vertex budget has
+room, in the order a vertex-at-a-time BFS would meet the roots, so ids,
+dedup and budget cut-offs are those of that BFS.  A probe's seeds are
+explored in lockstep: each level stacks the rows of every seed's sweep
+into that one array.  A row's coefficients and roots do not depend on the
+other rows of the array, so each graph, and each error, is what
+exploring its seed alone gives.  `neighbors`, `out_neighbors` and
+`in_neighbors` take the same `_solve`.
 
 `roots_of_rows` alone judges whether a row can be solved.  The first row
 in BFS order that it rejects decides the error, whatever its cause, as in
@@ -151,8 +152,7 @@ class _VertexTable:
 
     A vertex is listed in the 3x3 block of cells around its own, tagged with
     its position in that block, so a lookup reads the one list of the
-    query's cell.  find returns the nearest vertex closer than eps; among
-    equally near ones, the first in block position, then id, order.
+    query's cell.
     """
 
     # (dx, dy) of the vertex's cell relative to the listing cell, and its position.
@@ -163,25 +163,23 @@ class _VertexTable:
         self.values: list[complex] = []
         self.near: dict[tuple[int, int], list[tuple[int, int]]] = {}
 
-    def _cell(self, z: complex) -> tuple[int, int]:
-        return (math.floor(z.real / self.eps), math.floor(z.imag / self.eps))
-
-    def find(self, z: complex) -> int | None:
+    def intern(self, z: complex, room: bool) -> int | None:
+        """The vertex nearest z and closer than eps, the first in block
+        position, then id, order among equally near ones.  On a miss, z
+        becomes a new vertex if room is true; otherwise None."""
+        cx, cy = cell = (math.floor(z.real / self.eps), math.floor(z.imag / self.eps))
         best, best_key = None, (self.eps, -1)
         values = self.values
-        for pos, vid in self.near.get(self._cell(z), ()):
+        for pos, vid in self.near.get(cell, ()):
             key = (abs(values[vid] - z), pos)
             if key < best_key:
                 best, best_key = vid, key
+        if best is None and room:
+            best = len(values)
+            values.append(z)
+            for (dx, dy), pos in self._BLOCK:
+                self.near.setdefault((cx - dx, cy - dy), []).append((pos, best))
         return best
-
-    def add(self, z: complex) -> int:
-        vid = len(self.values)
-        self.values.append(z)
-        cx, cy = self._cell(z)
-        for (dx, dy), pos in self._BLOCK:
-            self.near.setdefault((cx - dx, cy - dy), []).append((pos, vid))
-        return vid
 
 
 # -- neighbor enumeration ---------------------------------------------------------
@@ -201,15 +199,26 @@ def _rows(phi: BiPoly, values: list[complex], axes) -> np.ndarray:
     return rows
 
 
-def _row_error(exc: Exception, u: complex, axis: str) -> Exception:
-    """The error for u's row along axis, which `roots_of_rows` rejected with
-    exc; a zero row makes u a universal source (axis "x") or sink ("y")."""
-    if isinstance(exc, EvaluationOverflow):
-        return EvaluationOverflow("non-finite value during row evaluation", vertex=str(u))
-    if isinstance(exc, ZeroPolynomialError):
+def _solve(phi: BiPoly, values: list[complex], axes):
+    """(found, error): the roots of the rows `_rows(phi, values, axes)` up
+    to the first row that `roots_of_rows` rejects, and that row's error, or
+    None.  A non-finite row gives EvaluationOverflow, a zero row
+    UniversalVertexError (its vertex is a universal source on axis "x", a
+    sink on "y"), and a RootFindingError passes through."""
+    rows = _rows(phi, values, axes)
+    try:
+        return roots_of_rows(rows), None
+    except (EvaluationOverflow, ZeroPolynomialError, RootFindingError) as exc:
+        error = exc
+    k = error.payload["row"]
+    u, axis = values[k // len(axes)], axes[k % len(axes)]
+    if isinstance(error, EvaluationOverflow):
+        error = EvaluationOverflow("non-finite value during row evaluation", vertex=str(u))
+    elif isinstance(error, ZeroPolynomialError):
         kind = "source" if axis == "x" else "sink"
-        return UniversalVertexError(f"universal {kind} vertex", vertex=str(u))
-    return exc
+        error = UniversalVertexError(f"universal {kind} vertex", vertex=str(u))
+    # The rows before the rejected one are good: solve them alone.
+    return roots_of_rows(rows[:k]), error
 
 
 def neighbors(phi: BiPoly, values, axis: str) -> list[list[tuple[complex, int]]]:
@@ -220,12 +229,9 @@ def neighbors(phi: BiPoly, values, axis: str) -> list[list[tuple[complex, int]]]
     if it is not finite, UniversalVertexError if it vanishes identically,
     and RootFindingError if its roots fail the residual check.
     """
-    values = list(values)
-    rows = _rows(phi, values, (axis,))
-    try:
-        found = roots_of_rows(rows)
-    except (EvaluationOverflow, ZeroPolynomialError, RootFindingError) as exc:
-        raise _row_error(exc, values[exc.payload["row"]], axis) from None
+    found, error = _solve(phi, list(values), (axis,))
+    if error is not None:
+        raise error
     return [list(zip(vals, mults)) for vals, mults in found]
 
 
@@ -247,9 +253,9 @@ _AXES = {"weak": ("x", "y"), "fwd": ("x",), "bwd": ("y",)}
 class _Sweep:
     """One level-synchronous BFS from a seed over weak, forward or backward arcs.
 
-    `_explore` advances it one level at a time: the rows of the current
-    level are `_rows(phi, self.values(), self.axes)`, and `materialize`
-    records their roots as vertices and arcs.
+    `_explore` advances it one level at a time: `_solve` finds the roots of
+    the rows of `self.values()` along `self.axes`, and `materialize` records
+    them as vertices and arcs.
     """
 
     def __init__(self, budget: Budget, table: _VertexTable, seed_id: int, direction: str):
@@ -293,12 +299,14 @@ class _Sweep:
         """Record the roots (values, multiplicities) of the first len(found)
         rows of the level; returns their targets in BFS order."""
         targets: list[int] = []
+        table, max_vertices = self.table, self.budget.max_vertices
         for r, (vals, mults) in enumerate(found):
             vid, axis = self.owner(r)
             ids = []
             for val, mult in zip(vals, mults):
-                wid = self._materialize(val)
+                wid = table.intern(val, len(table.values) < max_vertices)
                 if wid is None:
+                    self.truncated = True
                     continue
                 ids.append((wid, mult))
                 targets.append(wid)
@@ -312,15 +320,6 @@ class _Sweep:
             if axis == self.axes[-1]:
                 self.expanded.add(vid)
         return targets
-
-    def _materialize(self, val: complex) -> int | None:
-        wid = self.table.find(val)
-        if wid is not None:
-            return wid
-        if len(self.table.values) >= self.budget.max_vertices:
-            self.truncated = True
-            return None
-        return self.table.add(val)
 
 
 def _explore(phi: BiPoly, sweeps: list[_Sweep], max_depth: int) -> None:
@@ -340,12 +339,7 @@ def _explore(phi: BiPoly, sweeps: list[_Sweep], max_depth: int) -> None:
     live = list(range(len(sweeps)))
     axes = sweeps[0].axes
     for _depth in range(max_depth):
-        rows = _rows(phi, [u for i in live for u in sweeps[i].values()], axes)
-        try:
-            found, rejected = roots_of_rows(rows), None
-        except (EvaluationOverflow, ZeroPolynomialError, RootFindingError) as exc:
-            # The rows before the rejected one are good: solve them alone.
-            found, rejected = roots_of_rows(rows[: exc.payload["row"]]), exc
+        found, rejected = _solve(phi, [u for i in live for u in sweeps[i].values()], axes)
         first = 0
         for i in live:
             sweep = sweeps[i]
@@ -357,14 +351,13 @@ def _explore(phi: BiPoly, sweeps: list[_Sweep], max_depth: int) -> None:
                 sweep.level = [w for w in dict.fromkeys(targets) if w not in sweep.enqueued]
                 sweep.enqueued.update(sweep.level)
                 continue
-            vid, axis = sweep.owner(len(done))
-            u = sweep.table.values[vid]
-            error = _row_error(rejected, u, axis)
-            if error is rejected:
+            error = rejected
+            if isinstance(rejected, RootFindingError):
+                vid, _axis = sweep.owner(len(done))
                 error = ExplorationError(
                     "root finding failed during exploration",
                     partial=sweep.graph(truncated=True),
-                    vertex=str(u),
+                    vertex=str(sweep.table.values[vid]),
                 )
                 error.__cause__ = rejected
             failure = (i, error)
@@ -423,7 +416,7 @@ def _weak_components(phi: BiPoly, seeds, budget: Budget) -> list[ExploredDigraph
     sweeps = []
     for u in seeds:
         table = _VertexTable(budget.dedup_eps)
-        sweeps.append(_Sweep(budget, table, table.add(complex(u)), "weak"))
+        sweeps.append(_Sweep(budget, table, table.intern(complex(u), True), "weak"))
     _explore(phi, sweeps, budget.max_depth)
     return [s.graph(s.truncated) for s in sweeps]
 
@@ -432,7 +425,7 @@ def explore_strong_component(phi: BiPoly, seed: complex, budget: Budget = Budget
     """Strong component of the seed, exact when a directed sweep closes."""
     require_standard(analyze(phi))
     table = _VertexTable(budget.dedup_eps)
-    seed_id = table.add(complex(seed))
+    seed_id = table.intern(complex(seed), True)
     fwd = sweep = _Sweep(budget, table, seed_id, "fwd")
     _explore(phi, [fwd], budget.max_depth)
     if fwd.truncated:
@@ -546,8 +539,6 @@ def is_isomorphic(g: ExploredDigraph, h: ExploredDigraph) -> bool:
         return a
 
     ag, ah = adj(g), adj(h)
-    if sorted(ag.values()) != sorted(ah.values()):
-        return False
 
     def signature(a, n):
         sig = {}
@@ -568,14 +559,10 @@ def is_isomorphic(g: ExploredDigraph, h: ExploredDigraph) -> bool:
     used: set[int] = set()
 
     def compatible(v, w):
-        if sg[v] != sh[w]:
-            return False
-        for u, img in mapping.items():
-            if ag.get((v, u), 0) != ah.get((w, img), 0):
-                return False
-            if ag.get((u, v), 0) != ah.get((img, w), 0):
-                return False
-        return ag.get((v, v), 0) == ah.get((w, w), 0)
+        return sg[v] == sh[w] and all(
+            ag.get((v, u), 0) == ah.get((w, img), 0) and ag.get((u, v), 0) == ah.get((img, w), 0)
+            for u, img in mapping.items()
+        )
 
     def backtrack(k: int) -> bool:
         if k == n:

@@ -2,13 +2,20 @@
 
 Samples seeds from an annulus, rejects those near singular vertices,
 explores the seeds' weak components in lockstep (one root-finding call per
-BFS level for all seeds), classifies them, and compares the closed ones
+BFS level for all seeds), classifies them, and compares the components
 pairwise.  This gathers evidence only; a probe can refute the conjecture
 (all_isomorphic = False with reproduction data) but never prove it.
+
+The verdict: a truncated component makes it None.  Otherwise the pairs
+(i, j), i < j, are compared in order; the first pair that differs gives
+False and is the counterexample.  With no differing pair, a pair that
+cannot be decided (two Unknown components too large for an exact match)
+gives None, and otherwise the verdict is True.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -103,23 +110,17 @@ def probe_conjecture(
     labels = [classify(g) for g in graphs]
     truncated_count = sum(1 for g in graphs if g.truncated)
 
-    all_iso: bool | None
+    all_iso: bool | None = None
     counterexample = None
-    if truncated_count > 0:
-        all_iso = None
-    else:
+    if truncated_count == 0:
         all_iso = True
-        for i in range(len(graphs)):
-            if all_iso is not True:
+        for i, j in itertools.combinations(range(len(graphs)), 2):
+            same = _components_isomorphic(graphs[i], graphs[j], labels[i], labels[j])
+            if same is False:
+                all_iso, counterexample = False, (i, j)
                 break
-            for j in range(i + 1, len(graphs)):
-                same = _components_isomorphic(graphs[i], graphs[j], labels[i], labels[j])
-                if same is False:
-                    all_iso = False
-                    counterexample = (i, j)
-                    break
-                if same is None:
-                    all_iso = None
+            if same is None:
+                all_iso = None
     return ProbeResult(
         polynomial=phi,
         seeds=tuple(seeds),

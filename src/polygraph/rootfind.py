@@ -113,13 +113,9 @@ def roots_batch(polys: Sequence[UniPoly]) -> list[RootSet]:
     constant row gets a RootSet with no roots; errors are those of
     `roots_of_rows`."""
     rows = [p.to_float().coeffs for p in polys]
-    by_len: dict[int, list[int]] = {}
+    stacked = np.zeros((len(rows), max(map(len, rows), default=0)), dtype=complex)
     for k, c in enumerate(rows):
-        by_len.setdefault(len(c), []).append(k)
-    stacked = np.zeros((len(rows), max(by_len, default=0)), dtype=complex)
-    for n, ks in by_len.items():
-        if n:
-            stacked[ks, :n] = np.array([rows[k] for k in ks], dtype=complex)
+        stacked[k, : len(c)] = c
     found = roots_of_rows(stacked, list(map(len, rows)))
     return [
         RootSet(tuple(vals), tuple(mults), len(c) - 1, c[-1], p.var, c)

@@ -14,8 +14,8 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import DomainError, ParseError
-from .scalars import square_and_multiply
-from .textio import _Parser, _join_terms, _monomial
+from .scalars import GaussRat, square_and_multiply
+from .textio import _Parser, _fmt_term, _join_terms, _monomial
 
 
 @dataclass(frozen=True)
@@ -70,9 +70,6 @@ class SymPoly:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
         return SymPoly.make(self.vars, out)
-
-    def scale(self, k: int) -> "SymPoly":
-        return SymPoly.make(self.vars, {e: c * k for e, c in self.terms.items()})
 
     def power(self, k: int) -> "SymPoly":
         if k < 0:
@@ -160,20 +157,11 @@ class SymPoly:
         return dict(self.terms)
 
     def __str__(self):
-        parts = []
+        terms = []
         for e in sorted(self.terms, key=self._key, reverse=True):
-            c = self.terms[e]
             body = "*".join(m for m in map(_monomial, self.vars, e) if m)
-            if not body:
-                txt = str(c)
-            elif c == 1:
-                txt = body
-            elif c == -1:
-                txt = "-" + body
-            else:
-                txt = f"{c}*{body}"
-            parts.append(txt)
-        return _join_terms(parts)
+            terms.append(_fmt_term(GaussRat.of(self.terms[e]), body))
+        return _join_terms(terms)
 
     __repr__ = __str__
 

@@ -31,8 +31,14 @@ def test_analyze_with_inventory(capsys):
 
 
 def test_cycle_condition_output(capsys):
-    code, out, _ = run_cli(capsys, "cycle-condition", "2")
-    assert code == EXIT_OK and out.strip() == "a + d"
+    for n, text in [
+        (2, "a + d"),
+        (3, "a^2 + a*d + b*c + d^2"),
+        (4, "a^2 + 2*b*c + d^2"),
+        (6, "a^2 - a*d + 3*b*c + d^2"),
+    ]:
+        code, out, _ = run_cli(capsys, "cycle-condition", str(n))
+        assert code == EXIT_OK and out.strip() == text
 
 
 def test_cycle_condition_diff(capsys):

@@ -163,6 +163,20 @@ class TestExplore:
         assert len(near_one) == 2
 
 
+def test_intern_takes_block_position_before_id():
+    table = explorer._VertexTable(1.0)
+    assert table.intern(1 + 0j, True) == 0
+    assert table.intern(0j, True) == 1
+    # 0.5 is equally near both; the vertex in its own cell comes first.
+    assert table.intern(0.5 + 0j, False) == 1
+    # Exactly eps from the vertex at 1 is a miss; without room nothing is added.
+    assert table.intern(2 + 0j, False) is None
+    assert table.values == [1 + 0j, 0j]
+    # A value within eps of a vertex still finds it without room.
+    assert table.intern(1.25 + 0.5j, False) == 0
+    assert table.intern(2 + 0j, True) == 2
+
+
 def _bfs_prefix(phi, seed, stop):
     """Values a vertex-at-a-time weak BFS has discovered just before row stop.
 

@@ -227,6 +227,11 @@ class TestCycleConditions:
     def test_row_2(self):
         assert str(cycle_condition(2)) == "a + d"
 
+    def test_str_signs_and_constants(self):
+        # Negative, -1 and constant coefficients, in graded-lex order.
+        p = parse_sympoly("-(a - d)^2 * b + 2*(b*c)^2 - 7 - a", ABCD)
+        assert str(p) == "2*b^2*c^2 - a^2*b + 2*a*b*d - b*d^2 - a - 7"
+
     def test_row_4(self):
         assert cycle_condition(4).monomials() == parse_sympoly(
             "a^2 + 2*b*c + d^2", ABCD

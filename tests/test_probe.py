@@ -6,7 +6,15 @@ from collections import deque
 import numpy as np
 import pytest
 
-from polygraph import Budget, FiniteDigraph, QuadSym, digraph_to_poly, parse, probe_conjecture
+from polygraph import (
+    Budget,
+    FiniteDigraph,
+    QuadSym,
+    complete_graph_poly,
+    digraph_to_poly,
+    parse,
+    probe_conjecture,
+)
 from polygraph import analyzer, explorer, singular_vertex_values
 from polygraph import probe as probe_module
 from polygraph.bipoly import BiPoly
@@ -15,8 +23,10 @@ from polygraph.errors import (
     EvaluationOverflow,
     ExplorationError,
     RootFindingError,
+    SizeLimitError,
     UniversalVertexError,
 )
+from polygraph.explorer import Shape, ShapeLabel
 
 
 def test_probe_analyzes_once(monkeypatch):
@@ -161,3 +171,22 @@ def test_probe_makes_one_root_call_per_level(monkeypatch):
 def test_probe_needs_a_seed(n_seeds):
     with pytest.raises(DomainError):
         probe_conjecture(parse("x^2+y^2"), n_seeds=n_seeds)
+
+
+def test_undecided_pair_does_not_hide_a_later_counterexample(monkeypatch):
+    # Pair (0, 1) cannot be decided, (0, 2) matches and (1, 2) differs: the
+    # differing pair decides the verdict, whatever row it lies in.
+    answers = iter([SizeLimitError("too large"), True, False])
+
+    def scripted(g, h):
+        answer = next(answers)
+        if isinstance(answer, Exception):
+            raise answer
+        return answer
+
+    monkeypatch.setattr(probe_module, "classify", lambda g: ShapeLabel(Shape.UNKNOWN))
+    monkeypatch.setattr(probe_module, "is_isomorphic", scripted)
+    result = probe_conjecture(complete_graph_poly(3), n_seeds=3)
+    assert result.truncated_count == 0
+    assert result.all_isomorphic is False
+    assert result.counterexample == (1, 2)
