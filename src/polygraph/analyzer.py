@@ -8,7 +8,8 @@ For Phi(x,y) = sum a_i(x) y^i = sum b_j(y) x^j the report carries:
   repeated factor in that variable; their roots locate defective vertices
   and multiple-arc endpoints,
 * L(x) = Phi(x,x): roots are the loop vertices,
-* S = L*D*E: the singular vertices are its roots.
+* S = L*D*E: the singular vertices are its roots.  The verdict does not
+  read it, so S is computed on first read.
 
 Exact scalars give exact verdicts; float polynomials get the same report
 with a numerically_uncertain flag whenever a zero test lands near its
@@ -25,7 +26,7 @@ from .bipoly import BiPoly
 from .errors import DomainError, ExactArithmeticRequired, NotStandardError
 from .rootfind import roots as find_roots, roots_batch
 from .scalars import GR_ONE
-from .unipoly import UniPoly, from_roots
+from .unipoly import UniPoly, cached, from_roots
 
 VERTEX_TOL = 1e-7  # default classification tolerance for singular vertices
 _ZERO_REL = 1e-9  # relative zero test for float-mode polynomials
@@ -47,17 +48,31 @@ class Failure(enum.Enum):
 
 @dataclass(frozen=True)
 class StandardReport:
+    """The polynomials A, B, D, E and L and the verdict they give.
+
+    S is not a field: it is computed on first read, so equal reports stay
+    equal whether or not S was read.
+    """
+
     A: UniPoly
     B: UniPoly
     D: UniPoly
     E: UniPoly
     L: UniPoly
-    S: UniPoly
     deg_y: int
     deg_x: int
     is_standard: bool
     failure_reasons: tuple[Failure, ...]
     numerically_uncertain: bool = False
+
+    @cached
+    def S(self) -> UniPoly:
+        """L*D*E, whose roots are the singular vertices, when the report is
+        standard; the zero polynomial otherwise.  A float product beyond the
+        float range raises EvaluationOverflow."""
+        if not self.is_standard:
+            return UniPoly.zero("x")
+        return self.L * self.D * self.E.rename("x")
 
     def as_json(self) -> dict:
         from .textio import format_unipoly
@@ -179,7 +194,7 @@ def analyze(phi: BiPoly) -> StandardReport:
         zero = UniPoly.zero("x")
         return StandardReport(
             A=zero, B=zero.rename("y"), D=zero, E=zero.rename("y"), L=zero,
-            S=zero, deg_y=max(phi.deg_y, 0), deg_x=max(phi.deg_x, 0),
+            deg_y=max(phi.deg_y, 0), deg_x=max(phi.deg_x, 0),
             is_standard=False, failure_reasons=(Failure.CONSTANT,),
         )
 
@@ -212,15 +227,10 @@ def analyze(phi: BiPoly) -> StandardReport:
         failures.append(Failure.LOOP_EVERYWHERE)
         L = UniPoly.zero("x")
 
-    is_standard = not failures
-    if is_standard:
-        S = L * D * E.rename("x")
-    else:
-        S = UniPoly.zero("x")
     return StandardReport(
-        A=A, B=B, D=D, E=E, L=L, S=S,
+        A=A, B=B, D=D, E=E, L=L,
         deg_y=phi.deg_y, deg_x=phi.deg_x,
-        is_standard=is_standard,
+        is_standard=not failures,
         failure_reasons=tuple(failures),
         numerically_uncertain=unc.flagged,
     )

@@ -38,7 +38,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .scalars import GR_ZERO, is_exact, square_and_multiply
-from .unipoly import TRIM_REL, UniPoly, cached, convolve, resultant_by_evaluation, transpose
+from .unipoly import TRIM_REL, UniPoly, cached, convolve, gcd_all, resultant_by_evaluation, transpose
 
 _INTERP_ANGLE = 0.3  # fixed angular offset for float resultant sample points
 _CROSS_SIGN = np.array([-1.0, 1.0])
@@ -302,11 +302,8 @@ class BiPoly:
     # -- squarefree part ---------------------------------------------------------
 
     def content(self, var: str) -> UniPoly:
-        """gcd of `coeff_polys(var)`, a polynomial in the other variable (exact mode)."""
-        g = UniPoly.zero("y" if var == "x" else "x")
-        for a in self.coeff_polys(var):
-            g = g.gcd(a)
-        return g
+        """Monic gcd of `coeff_polys(var)`, a polynomial in the other variable (exact mode)."""
+        return gcd_all(self.coeff_polys(var), "y" if var == "x" else "x")
 
     def divexact_y(self, g: "BiPoly") -> "BiPoly":
         """Exact division viewing both as polynomials in y over exact x-polys."""
@@ -396,11 +393,16 @@ def _resultant_float(p: BiPoly, q: BiPoly, var: str, bound: int) -> UniPoly:
         mat[:, r, r : r + dp + 1] = p_desc
     for r in range(dp):
         mat[:, dq + r, r : r + dq + 1] = q_desc
-    vals = np.linalg.det(mat)
-    # vals[t] = sum_j (c_j e^{ij*angle}) e^{+2 pi i j t / N} = N * ifft(c~)[t]
-    coeffs = np.fft.fft(vals) / n_samples
-    twist = np.exp(1j * _INTERP_ANGLE * np.arange(n_samples))
-    coeffs = coeffs / twist
+    # A determinant beyond the float range raises here; a coefficient that
+    # overflows in the FFT raises in `UniPoly.make`, in both cases without
+    # a numpy warning.
+    with np.errstate(all="ignore"):
+        vals = np.linalg.det(mat)
+        if not np.isfinite(vals).all():
+            raise EvaluationOverflow("non-finite value during polynomial construction")
+        # vals[t] = sum_j (c_j e^{ij*angle}) e^{+2 pi i j t / N} = N * ifft(c~)[t]
+        coeffs = np.fft.fft(vals) / n_samples
+        coeffs = coeffs / np.exp(1j * _INTERP_ANGLE * np.arange(n_samples))
     return UniPoly.make(list(coeffs), other)
 
 

@@ -12,14 +12,16 @@ Exact arithmetic, evaluation, division and the gcd run on these integers
 (polynomials over Z[i] as lists of (re, im) pairs, the `_gz_*` helpers
 below): integer convolution, pseudo-division followed by one division by
 lc**e and the denominators, and the subresultant PRS (Collins 1967; Brown
-and Traub 1971).  `resultant_by_evaluation`, the exact resultant of
-`bipoly`, takes scalar resultants by the same PRS.  Below a size rule
-(`KRONECKER_WORK`) it takes one, at the Kronecker point x = 2**s chosen
-above a proven bound on the coefficients of the resultant, and reads them
-back as balanced base-2**s digits; above it, it takes one at each of
-bound + 1 integers and interpolates.  `GaussRat` is the public scalar
-only: `make` and scalar arguments take it, `coeffs`, `coeff(k)`, `lead`
-and exact `eval` return it.
+and Traub 1971).  `gcd_all`, the one gcd path, folds the PRS gcd over any
+number of polynomials and makes the result monic once.
+`resultant_by_evaluation`, the exact resultant of `bipoly`, takes scalar
+resultants by the same PRS.  Below a size rule (`KRONECKER_WORK`) it
+takes one, at the Kronecker point x = 2**s chosen above a proven bound on
+the coefficients of the resultant, and reads them back as balanced
+base-2**s digits; above it, it takes one at each of bound + 1 integers and
+interpolates.  `GaussRat` is the public scalar only: `make` and scalar
+arguments take it, `coeffs`, `coeff(k)`, `lead` and exact `eval` return
+it.
 
 This module is the only one that knows the format.  A `BiPoly` is a tuple
 of UniPoly rows, the coefficients of y**j as polynomials in x, and works on
@@ -243,11 +245,8 @@ class UniPoly:
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
         """Monic gcd over exact scalars; gcd(0, 0) = 0."""
-        if self.mode != "exact" or other.mode != "exact":
-            raise ExactArithmeticRequired("gcd is only defined in exact mode")
         var = other.var if self.is_zero and not other.is_zero else self.var
-        g = _gz_gcd(list(self.terms), list(other.terms))
-        return _gz_poly(*_gz_over(g, g[-1]), var) if g else UniPoly.zero(var)
+        return gcd_all([self, other], var)
 
     def divides(self, other: "UniPoly") -> bool:
         if self.is_zero:
@@ -440,6 +439,23 @@ def _gz_gcd(a: list, b: list) -> list:
     """An associate of gcd(a, b) over Q(i), by the subresultant PRS; [] iff both are []."""
     a, b, _, _ = _gz_prs(a, b)
     return a if not b else [(1, 0)]
+
+
+def gcd_all(polys: Sequence[UniPoly], var: str) -> UniPoly:
+    """Monic gcd of exact polys, a UniPoly named var; 0 when every poly is 0.
+
+    Folds the subresultant PRS gcd over the polys' Z[i] numerators (von zur
+    Gathen and Gerhard, Modern Computer Algebra, Ch. 6), stops at the first
+    constant fold and makes the result monic once.
+    """
+    if any(not p.den for p in polys):
+        raise ExactArithmeticRequired("gcd is only defined in exact mode")
+    g: list = []
+    for p in polys:
+        g = _gz_gcd(g, list(p.terms))
+        if len(g) == 1:
+            return UniPoly.one(var)
+    return _gz_poly(*_gz_over(g, g[-1]), var) if g else UniPoly.zero(var)
 
 
 def _gz_resultant(a: list, b: list) -> tuple:

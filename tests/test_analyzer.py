@@ -7,11 +7,14 @@ import pytest
 
 from polygraph import (
     BiPoly,
+    Budget,
     Failure,
     GaussRat,
     QuadSym,
     StepKind,
+    UniPoly,
     analyze,
+    classify,
     explore_component,
     explore_strong_component,
     parse,
@@ -50,6 +53,18 @@ class TestAnalyze:
         report = analyze(parse("(x+1)*y - (x+2)"))
         assert report.is_standard
         assert report.deg_y == 1 and report.deg_x == 1
+
+    def test_s_is_built_on_first_read(self):
+        report = analyze(parse("(y-x)^2*(y+x) - 1"))
+        assert report.is_standard and "S" not in vars(report)
+        assert report == analyze(parse("(y-x)^2*(y+x) - 1"))
+        assert report.S == report.L * report.D * report.E.rename("x")
+        assert "S" in vars(report)
+        # S is not a field: reading it leaves the report equal to an unread one
+        assert report == analyze(parse("(y-x)^2*(y+x) - 1"))
+        for text in ("(y-x)^2", "x^2 + y^2 - 2*x*y", "3", "0"):
+            other = analyze(parse(text))
+            assert not other.is_standard and other.S == UniPoly.zero("x")
 
     def test_constant_and_zero(self):
         assert analyze(parse("5")).failure_reasons == (Failure.CONSTANT,)
@@ -108,14 +123,48 @@ class TestFloatScale:
         assert got.failure_reasons == want.failure_reasons
         assert got.is_standard == want.is_standard
 
-    @pytest.mark.parametrize("text", [
-        "1e100*(x^2 + x*y + y^2)",
-        "1e60*(x^3 + x*y + y^3 - 1)",
-    ])
+    # Scaled by c, D and E are near the top of the float range and the
+    # product S = L*D*E is beyond it.
+    HUGE = {
+        "1e100*(x^2 + x*y + y^2)": "x^2 + x*y + y^2",
+        "1e60*(x^3 + x*y + y^3 - 1)": "x^3 + x*y + y^3 - 1",
+    }
+
+    @pytest.mark.parametrize("text", list(HUGE))
     def test_huge_scale_overflows_cleanly(self, text):
-        # the Sylvester reference s^(2d) used to overflow a Python float
+        # The verdict does not read S: it is the unscaled one.  S itself,
+        # and the JSON that shows it, raise EvaluationOverflow.
+        report = analyze(parse(text))
+        want = analyze(parse(self.HUGE[text]).to_float())
+        assert report.is_standard and want.is_standard
+        assert report.failure_reasons == want.failure_reasons == ()
+        assert not report.numerically_uncertain and not want.numerically_uncertain
+        with pytest.raises(EvaluationOverflow):
+            report.S
+        with pytest.raises(EvaluationOverflow):
+            report.as_json()
+
+    @pytest.mark.parametrize("text", ["1e50*((y-x)^4-1)", "1e200*(x^2 + x*y + y^2)"])
+    def test_resultant_beyond_float_range_raises_without_warning(self, text):
+        # The Sylvester determinants of D are beyond the float range.  The
+        # tests run with RuntimeWarning as an error, so a numpy warning from
+        # det or the FFT would surface here instead of EvaluationOverflow.
         with pytest.raises(EvaluationOverflow):
             analyze(parse(text))
+
+    @pytest.mark.parametrize("text", list(HUGE))
+    def test_huge_scale_explores_as_unscaled(self, text):
+        phi, base = parse(text), parse(self.HUGE[text]).to_float()
+        budget = Budget(max_vertices=40, max_depth=4)
+        for seed in (1.0, 0.5 + 2j):
+            got, want = explore_component(phi, seed, budget), explore_component(base, seed, budget)
+            assert (got.order, got.arcs, got.truncated) == (want.order, want.arcs, want.truncated)
+            assert classify(got) == classify(want)
+        got, want = probe_conjecture(phi, 3, budget), probe_conjecture(base, 3, budget)
+        assert got.seeds == want.seeds and got.labels == want.labels
+        assert got.truncated_count == want.truncated_count
+        for g, h in zip(got.graphs, want.graphs):
+            assert (g.order, g.arcs, g.truncated) == (h.order, h.arcs, h.truncated)
 
 
 class TestSingularInventory:

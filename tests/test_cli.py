@@ -1,6 +1,7 @@
 """Command line behavior: JSON output, exit codes, determinism."""
 
 import json
+import warnings
 
 import pytest
 
@@ -179,6 +180,18 @@ def test_overflowing_float_coefficient_exit_2(capsys, text, error):
 def test_huge_float_scale_exit_2(capsys, text):
     code, out, err = run_cli(capsys, "analyze", text)
     assert code == EXIT_DOMAIN and out == ""
+    assert json.loads(err)["error"]["type"] == "EvaluationOverflow"
+
+
+def test_float_resultant_overflow_exit_2(capsys):
+    # Determinants beyond the float range give the one JSON error on stderr
+    # and no numpy warning.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "analyze", "1e50*((y-x)^4-1)")
+    assert [str(w.message) for w in caught] == []
+    assert code == EXIT_DOMAIN and out == ""
+    assert err.count("\n") == 1
     assert json.loads(err)["error"]["type"] == "EvaluationOverflow"
 
 

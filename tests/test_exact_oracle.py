@@ -169,20 +169,57 @@ def test_resultant_paths_match_sympy(case, paths):
     assert got.is_zero == name.startswith("common factor")
 
 
-def test_content_matches_sympy():
+def _sympy_content(phi: BiPoly, var: str) -> UniPoly:
+    other, gen, other_gen = ("x", Y, X) if var == "y" else ("y", X, Y)
+    want = sp.Poly(0, other_gen, domain="QQ_I")
+    for k in sp.Poly(_to_sympy(phi), gen).all_coeffs():
+        want = want.gcd(sp.Poly(k, other_gen, domain="QQ_I"))
+    return _unipoly_from_sympy(want.monic(), other)
+
+
+# (text, var, gcd folds taken) for `BiPoly.content`; its fold stops at the
+# first constant gcd.
+CONTENT_CASES = [
+    # a zero coefficient polynomial (of y) between nonzero ones
+    ("(x^2 + 1/3)*(y^2 + x - 2/5)", "y", 3),
+    # gcd 1 after the first pair; the later coefficients share x or x + 1
+    # with the first two, and y with the first
+    ("x + (x+1)*y + x*(x+1)*y^2 + x*(x+1)*y^3", "y", 2),
+    ("x + (x+1)*y + x*(x+1)*y^2 + x*(x+1)*y^3", "x", 2),
+    # a single coefficient polynomial
+    ("(3/4+1i)*(x^2 - 1/2)", "y", 1),
+    ("(3/4+1i)*(y^2 + 1i*y)", "x", 1),
+    # a planted Gaussian content x - c with c not in Z[i]
+    ("(x - 2/3 - 1/5i)*(y^2 + x*y + 1)", "y", 3),
+    ("(y - 2/3 - 1/5i)*(x^2 + x*y + 1)", "x", 3),
+]
+
+
+def test_content_matches_sympy(monkeypatch):
     nontrivial = 0
     for rng, g in _cases(12, 20):
         var = rng.choice("xy")
-        other, gen, other_gen = ("x", Y, X) if var == "y" else ("y", X, Y)
+        other = "x" if var == "y" else "y"
         c = UniPoly.make([_scalar(rng) for _ in range(rng.randint(1, 3))], other)
         phi = g * BiPoly.from_unipoly(c)
-        want = sp.Poly(0, other_gen, domain="QQ_I")
-        for k in sp.Poly(_to_sympy(phi), gen).all_coeffs():
-            want = want.gcd(sp.Poly(k, other_gen, domain="QQ_I"))
         got = phi.content(var)
-        assert got == _unipoly_from_sympy(want.monic(), other), (phi, var)
+        assert got == _sympy_content(phi, var), (phi, var)
         nontrivial += got.degree > 0
     assert nontrivial >= 10
+
+    folds = []
+    gz_gcd = unipoly._gz_gcd
+
+    def counted(a, b):
+        folds.append((a, b))
+        return gz_gcd(a, b)
+
+    monkeypatch.setattr(unipoly, "_gz_gcd", counted)
+    for text, var, count in CONTENT_CASES:
+        phi = parse(text)
+        folds.clear()
+        assert phi.content(var) == _sympy_content(phi, var), (text, var)
+        assert len(folds) == count, (text, var, len(folds))
 
 
 def test_squarefree_part_matches_sympy():
