@@ -3,7 +3,9 @@
 Vertices are complex numbers deduplicated through a spatial hash with cell
 side dedup_eps; the first value discovered in a cell neighborhood is the
 canonical representative, and ids follow BFS discovery order, so identical
-inputs give identical graphs.
+inputs give identical graphs.  Roots of one row that land on one vertex
+add their multiplicities, so each arc (from, to) is listed once and a
+vertex's out-multiplicities add up to deg_y Phi.
 
 The BFS is level-synchronous and repeats two steps, each one function.
 `_solve` solves a level's rows: `BiPoly.eval_rows` evaluates the rows
@@ -52,6 +54,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .rootfind import roots_of_rows
+from .unipoly import cached
 
 DEFAULT_MAX_VERTICES = 5000
 DEFAULT_MAX_DEPTH = 50
@@ -117,6 +120,14 @@ class ExploredDigraph:
 
     def value(self, vid: int) -> complex:
         return self.vertices[vid][1]
+
+    @cached
+    def multiplicity(self) -> dict[tuple[int, int], int]:
+        """(from, to) -> arc multiplicity, with repeated entries added up."""
+        mult: dict[tuple[int, int], int] = {}
+        for f, t, m in self.arcs:
+            mult[f, t] = mult.get((f, t), 0) + m
+        return mult
 
     def out_arcs(self) -> dict[int, list[tuple[int, int]]]:
         out: dict[int, list[tuple[int, int]]] = {v: [] for v, _ in self.vertices}
@@ -265,7 +276,7 @@ class _Sweep:
         self.axes = _AXES[direction]
         self.level = [seed_id]
         self.enqueued = {seed_id}
-        self.out_arcs: dict[int, list[tuple[int, int]]] = {}
+        self.out_arcs: dict[int, dict[int, int]] = {}
         self.in_arcs_seen: dict[tuple[int, int], int] = {}
         self.expanded: set[int] = set()
         self.truncated = False
@@ -273,7 +284,7 @@ class _Sweep:
     def arcs(self) -> list[tuple[int, int, int]]:
         """Recorded arcs (from, to, mult).  Out-arcs are authoritative; a
         provisional in-arc stands in only for a vertex with no recorded out side."""
-        arcs = [(f, t, m) for f, lst in self.out_arcs.items() for t, m in lst]
+        arcs = [(f, t, m) for f, outs in self.out_arcs.items() for t, m in outs.items()]
         arcs += [
             (f, t, m) for (f, t), m in self.in_arcs_seen.items() if f not in self.out_arcs
         ]
@@ -297,23 +308,24 @@ class _Sweep:
 
     def materialize(self, found) -> list[int]:
         """Record the roots (values, multiplicities) of the first len(found)
-        rows of the level; returns their targets in BFS order."""
+        rows of the level; returns their targets in BFS order.  Roots of a
+        row that intern to one vertex add their multiplicities."""
         targets: list[int] = []
         table, max_vertices = self.table, self.budget.max_vertices
         for r, (vals, mults) in enumerate(found):
             vid, axis = self.owner(r)
-            ids = []
+            ids: dict[int, int] = {}
             for val, mult in zip(vals, mults):
                 wid = table.intern(val, len(table.values) < max_vertices)
                 if wid is None:
                     self.truncated = True
                     continue
-                ids.append((wid, mult))
-                targets.append(wid)
+                ids[wid] = ids.get(wid, 0) + mult
+            targets += ids
             if axis == "x":
                 self.out_arcs[vid] = ids
             else:
-                for wid, mult in ids:
+                for wid, mult in ids.items():
                     # Provisional: arc multiplicity is authoritative from the
                     # out side; replaced when/if wid itself is expanded.
                     self.in_arcs_seen[(wid, vid)] = mult
@@ -387,10 +399,10 @@ def _graph(values, arcs, keep, seed_id: int, truncated: bool, frontier=()) -> Ex
     )
 
 
-def _reach(seed_id: int, arcs) -> set[int]:
-    """Ids reachable from seed_id along arcs (from, to, mult)."""
+def _reach(seed_id: int, pairs) -> set[int]:
+    """Ids reachable from seed_id along arcs (from, to)."""
     succ: dict[int, list[int]] = {}
-    for f, t, _m in arcs:
+    for f, t in pairs:
         succ.setdefault(f, []).append(t)
     seen = {seed_id}
     stack = [seed_id]
@@ -433,7 +445,8 @@ def explore_strong_component(phi: BiPoly, seed: complex, budget: Budget = Budget
         sweep.out_arcs = fwd.out_arcs  # share definitively recorded out-arcs
         _explore(phi, [sweep], budget.max_depth)
     arcs = sweep.arcs()
-    comp = _reach(seed_id, arcs) & _reach(seed_id, [(t, f, m) for f, t, m in arcs])
+    pairs = [(f, t) for f, t, _m in arcs]
+    comp = _reach(seed_id, pairs) & _reach(seed_id, [(t, f) for f, t in pairs])
     return _graph(table.values, arcs, comp, seed_id, truncated=fwd.truncated)
 
 
@@ -449,31 +462,30 @@ def classify(g: ExploredDigraph) -> ShapeLabel:
     """
     unknown = ShapeLabel(Shape.UNKNOWN)
     n = g.order
-    if n == 0 or any(f == t or m > 1 for f, t, m in g.arcs):
+    mult = g.multiplicity
+    if n == 0 or any(f == t or m > 1 for (f, t), m in mult.items()):
         return unknown
     first = g.vertices[0][0]
-    if len(_reach(first, [*g.arcs, *((t, f, m) for f, t, m in g.arcs)])) < n:
+    if len(_reach(first, [*mult, *((t, f) for f, t in mult)])) < n:
         return unknown
-    arc_set = {(f, t) for f, t, _ in g.arcs}
-    symmetric = all((t, f) in arc_set for f, t in arc_set)
-    outdeg = Counter(f for f, _, _ in g.arcs)
-    indeg = Counter(t for _, t, _ in g.arcs)
-    degree = Counter(f for f, _ in arc_set)  # the undirected degree when symmetric
+    symmetric = all((t, f) in mult for f, t in mult)
+    outdeg = Counter(f for f, _ in mult)  # the undirected degree when symmetric
+    indeg = Counter(t for _, t in mult)
 
     if not g.truncated:
         if all(outdeg[v] == indeg[v] == 1 for v, _ in g.vertices):
             return ShapeLabel(Shape.DIRECTED_CYCLE, n)
         if not symmetric:
             return unknown
-        if n >= 2 and len(arc_set) == n * (n - 1):
+        if n >= 2 and len(mult) == n * (n - 1):
             return ShapeLabel(Shape.COMPLETE, n)
-        side = {t for f, t in arc_set if f == first}
+        side = {t for f, t in mult if f == first}
         d = len(side)
-        if n == 2 * d and len(arc_set) == 2 * d * d and all(
-            (f in side) != (t in side) for f, t in arc_set
+        if n == 2 * d and len(mult) == 2 * d * d and all(
+            (f in side) != (t in side) for f, t in mult
         ):
             return ShapeLabel(Shape.COMPLETE_BIPARTITE, d)
-        if set(degree.values()) == {2}:
+        if set(outdeg.values()) == {2}:
             return ShapeLabel(Shape.CYCLE, n)
         return unknown
 
@@ -481,7 +493,7 @@ def classify(g: ExploredDigraph) -> ShapeLabel:
     if not symmetric and max([*outdeg.values(), *indeg.values()]) <= 1:
         return ShapeLabel(Shape.DIRECTED_PATH_PREFIX)
     # A tree of maximum degree 2 is a path.
-    if symmetric and len(arc_set) == 2 * (n - 1) and max(degree.values(), default=0) <= 2:
+    if symmetric and len(mult) == 2 * (n - 1) and max(outdeg.values(), default=0) <= 2:
         return ShapeLabel(Shape.DOUBLE_RAY_PREFIX)
     if _looks_like_grid(g):
         return ShapeLabel(Shape.GRID_PREFIX)
@@ -489,6 +501,9 @@ def classify(g: ExploredDigraph) -> ShapeLabel:
 
 
 def _looks_like_grid(g: ExploredDigraph) -> bool:
+    """The arc steps are +-s, +-t with s, t not collinear: exactly four
+    distinct steps, each with its negation among them, where s is the first
+    step and t the first after it that is not s's negation."""
     diffs: list[complex] = []
     for f, t, _ in g.arcs:
         d = g.value(t) - g.value(f)
@@ -498,78 +513,58 @@ def _looks_like_grid(g: ExploredDigraph) -> bool:
             return False
     if len(diffs) != 4:
         return False
-    used = [False] * 4
-    pairs = []
-    for i in range(4):
-        if used[i]:
-            continue
-        mate = None
-        for j in range(i + 1, 4):
-            if not used[j] and abs(diffs[i] + diffs[j]) <= _GRID_EPS * (1 + abs(diffs[i])):
-                mate = j
-                break
-        if mate is None:
-            return False
-        used[i] = used[mate] = True
-        pairs.append(diffs[i])
-    s, t = pairs
-    cross = (s * t.conjugate()).imag
-    return abs(cross) > _GRID_EPS * (abs(s) * abs(t) + 1)
+    s = diffs[0]
+    t = next((d for d in diffs[1:] if abs(d + s) > _GRID_EPS * (1 + abs(s))), s)
+    return all(
+        any(abs(d + e) <= _GRID_EPS * (1 + abs(d)) for e in diffs) for d in diffs
+    ) and abs((s * t.conjugate()).imag) > _GRID_EPS * (abs(s) * abs(t) + 1)
 
 
 # -- isomorphism -----------------------------------------------------------------
+
+
+def _signatures(mult: dict[tuple[int, int], int], n: int) -> list[tuple]:
+    """Per vertex 0..n-1, from one pass over the arcs: its sorted
+    out-multiplicities, its sorted in-multiplicities and its loop's."""
+    outs: list[list[int]] = [[] for _ in range(n)]
+    ins: list[list[int]] = [[] for _ in range(n)]
+    for (f, t), m in mult.items():
+        outs[f].append(m)
+        ins[t].append(m)
+    return [(sorted(outs[v]), sorted(ins[v]), mult.get((v, v), 0)) for v in range(n)]
 
 
 def is_isomorphic(g: ExploredDigraph, h: ExploredDigraph) -> bool:
     """Arc-multiplicity-preserving bijection search for closed small graphs."""
     if g.truncated or h.truncated:
         raise SizeLimitError("isomorphism testing needs closed graphs")
-    if g.order > ISO_LIMIT or h.order > ISO_LIMIT:
+    ag, ah = g.multiplicity, h.multiplicity
+    n = g.order
+    if n != h.order or len(ag) != len(ah):
+        return False
+    if n > ISO_LIMIT:
         raise SizeLimitError(
             "graphs too large for exact matching; compare classify labels",
             limit=ISO_LIMIT,
         )
-    if g.order != h.order or len(g.arcs) != len(h.arcs):
+    sg, sh = _signatures(ag, n), _signatures(ah, n)
+    if sorted(sg) != sorted(sh):
         return False
 
-    def adj(gr: ExploredDigraph):
-        a: dict[tuple[int, int], int] = {}
-        for f, t, m in gr.arcs:
-            a[(f, t)] = a.get((f, t), 0) + m
-        return a
-
-    ag, ah = adj(g), adj(h)
-
-    def signature(a, n):
-        sig = {}
-        for v in range(n):
-            outs = sorted(m for (f, _), m in a.items() if f == v)
-            ins = sorted(m for (_, t), m in a.items() if t == v)
-            loop = a.get((v, v), 0)
-            sig[v] = (tuple(outs), tuple(ins), loop)
-        return sig
-
-    n = g.order
-    sg, sh = signature(ag, n), signature(ah, n)
-    if sorted(sg.values()) != sorted(sh.values()):
-        return False
-
+    # w can be v's image when the signatures and the arcs to the mapped vertices agree.
     order = sorted(range(n), key=lambda v: (sg[v], v))
     mapping: dict[int, int] = {}
     used: set[int] = set()
-
-    def compatible(v, w):
-        return sg[v] == sh[w] and all(
-            ag.get((v, u), 0) == ah.get((w, img), 0) and ag.get((u, v), 0) == ah.get((img, w), 0)
-            for u, img in mapping.items()
-        )
 
     def backtrack(k: int) -> bool:
         if k == n:
             return True
         v = order[k]
         for w in range(n):
-            if w in used or not compatible(v, w):
+            if w in used or sg[v] != sh[w] or any(
+                ag.get((v, u), 0) != ah.get((w, x), 0) or ag.get((u, v), 0) != ah.get((x, w), 0)
+                for u, x in mapping.items()
+            ):
                 continue
             mapping[v] = w
             used.add(w)

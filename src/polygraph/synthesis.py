@@ -93,9 +93,8 @@ class FiniteDigraph:
         return d
 
     def is_strongly_connected(self) -> bool:
-        fwd = [(a, b, 1) for a, b in self.arcs]
-        bwd = [(b, a, 1) for a, b in self.arcs]
-        return self.n > 0 and len(_reach(0, fwd)) == len(_reach(0, bwd)) == self.n
+        bwd = [(b, a) for a, b in self.arcs]
+        return self.n > 0 and len(_reach(0, self.arcs)) == len(_reach(0, bwd)) == self.n
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,10 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
                         i += 1
             lit = text[start:i]
             if "." in lit or "e" in lit or "E" in lit:
-                value: object = float(lit)  # any decimal literal -> float mode
+                try:
+                    value: object = float(lit)  # any decimal literal -> float mode
+                except ValueError:
+                    raise ParseError("malformed decimal literal", start) from None
                 if not math.isfinite(value):
                     raise ParseError(f"decimal literal {lit} is not finite", start)
             elif i < n and text[i] == "/" and i + 1 < n and text[i + 1].isdigit():
@@ -69,7 +72,10 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
                 dstart = i
                 while i < n and text[i].isdigit():
                     i += 1
-                value = Fraction(int(lit), int(text[dstart:i]))
+                den = int(text[dstart:i])
+                if den == 0:
+                    raise ParseError("zero denominator", start)
+                value = Fraction(int(lit), den)
             else:
                 value = Fraction(int(lit))
             if i < n and text[i] == "i":

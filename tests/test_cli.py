@@ -157,9 +157,26 @@ def test_domain_error_exit_2(capsys):
     assert payload["type"] == "NotStandardError"
 
 
-def test_parse_error_exit_2(capsys):
-    code, _, err = run_cli(capsys, "analyze", "x^2 + @")
-    assert code == EXIT_DOMAIN
+@pytest.mark.parametrize("argv", [
+    ("analyze", "x^2 + @"),
+    ("analyze", "3/0"),
+    ("analyze", "1.2.3"),
+    ("analyze", "."),
+    ("analyze", "..5*x + y"),
+    ("explore", "y-x-1", "--seed", "1/0"),
+    ("synth", "--digraph", "1/0"),
+], ids=[
+    "bad_character", "zero_denominator", "two_points", "lone_point", "double_point",
+    "seed_zero_denominator", "vertex_zero_denominator",
+])
+def test_parse_error_exit_2(capsys, tmp_path, argv):
+    if argv[0] == "synth":
+        # argv[2] is a vertex value of the digraph file.
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"vertices": ["1", argv[2]], "arcs": [[0, 1], [1, 0]]}))
+        argv = (*argv[:2], str(path))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_DOMAIN and out == ""
     assert json.loads(err)["error"]["type"] == "ParseError"
 
 

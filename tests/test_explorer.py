@@ -163,6 +163,21 @@ class TestExplore:
         assert len(near_one) == 2
 
 
+def test_merged_roots_add_their_multiplicities():
+    # The two roots u + 1 and u + 1.001 of every row fall on one vertex.
+    phi = parse("(y - x - 1)*(y - x - 1001/1000)")
+    g = explore_component(phi, 0, Budget(max_depth=3, dedup_eps=0.01))
+    pairs = [(f, t) for f, t, _ in g.arcs]
+    assert len(pairs) == len(set(pairs)) == g.order - 1
+    assert all(m == 2 for _, _, m in g.arcs)
+    # A frontier vertex's arc comes from the in-row of the vertex it points to.
+    assert any(f in g.frontier_ids for f, _ in pairs)
+    outs = g.out_arcs()
+    for vid, _ in g.vertices:
+        if vid not in g.frontier_ids:
+            assert sum(m for _, m in outs[vid]) == phi.deg_y
+
+
 def test_intern_takes_block_position_before_id():
     table = explorer._VertexTable(1.0)
     assert table.intern(1 + 0j, True) == 0
@@ -365,6 +380,40 @@ class TestIsomorphic:
         with pytest.raises(SizeLimitError):
             is_isomorphic(_cycle_graph(13, True), _cycle_graph(13, True))
 
+    def test_repeated_entries_add_up(self):
+        # K3 with the arc (0, 1) listed twice has a double arc (0, 1): it is
+        # not K3, and it is K3 with (0, 1) of multiplicity 2.
+        k3 = _cycle_graph(3, directed=False)
+        repeated = ExploredDigraph(
+            vertices=k3.vertices, arcs=(*k3.arcs, (0, 1, 1)), truncated=False, seed_id=0
+        )
+        doubled = ExploredDigraph(
+            vertices=k3.vertices,
+            arcs=tuple((f, t, 2 if (f, t) == (0, 1) else m) for f, t, m in k3.arcs),
+            truncated=False,
+            seed_id=0,
+        )
+        assert classify(k3) == ShapeLabel(Shape.COMPLETE, 3)
+        assert classify(repeated) == classify(doubled) == ShapeLabel(Shape.UNKNOWN)
+        assert not is_isomorphic(repeated, k3)
+        assert is_isomorphic(repeated, doubled)
+        assert repeated.multiplicity == doubled.multiplicity
+
+    def test_matches_brute_force_on_random_multigraphs(self):
+        rng = random.Random(5)
+        verdicts = []
+        for _ in range(300):
+            g = _random_multigraph(rng, rng.randint(1, 6))
+            h = _relabelled(rng, g)
+            if rng.random() < 0.5:
+                f, t, m = rng.choice(h.arcs or ((0, 0, 1),))
+                arcs = [*h.arcs, (rng.choice([f, t]), rng.randrange(g.order), m)]
+                h = ExploredDigraph(h.vertices, tuple(arcs), False, 0)
+            verdict = is_isomorphic(g, h)
+            assert verdict == _isomorphic_by_permutations(g, h), (g.arcs, h.arcs)
+            verdicts.append(verdict)
+        assert 50 < sum(verdicts) < len(verdicts) - 50
+
     def test_multiplicity_preserved(self):
         double = ExploredDigraph(
             vertices=((0, 0j), (1, 1 + 0j)),
@@ -439,6 +488,48 @@ class TestDegreeLaw:
             assert sum(m for _, m in in_neighbors(phi, u)) == phi.deg_x
 
 
+def _split(rng: random.Random, arcs) -> list:
+    """The arcs with some entries of multiplicity m > 1 listed as 1 and m - 1."""
+    return [
+        a for f, t, m in arcs
+        for a in ([(f, t, 1), (f, t, m - 1)] if m > 1 and rng.random() < 0.3 else [(f, t, m)])
+    ]
+
+
+def _random_multigraph(rng: random.Random, n: int) -> ExploredDigraph:
+    """Arcs with loops and multiplicities 1 to 3, some listed in two entries."""
+    arcs = [
+        (rng.randrange(n), rng.randrange(n), rng.randint(1, 3)) for _ in range(rng.randint(0, 2 * n))
+    ]
+    vertices = tuple((k, complex(k)) for k in range(n))
+    return ExploredDigraph(vertices, tuple(_split(rng, arcs)), truncated=False, seed_id=0)
+
+
+def _relabelled(rng: random.Random, g: ExploredDigraph) -> ExploredDigraph:
+    """g with its vertices permuted and its arc entries shuffled and split anew."""
+    perm = list(range(g.order))
+    rng.shuffle(perm)
+    arcs = _split(rng, [(f, t, m) for (f, t), m in _summed(g.arcs, perm).items()])
+    rng.shuffle(arcs)
+    return ExploredDigraph(g.vertices, tuple(arcs), truncated=False, seed_id=0)
+
+
+def _summed(arcs, perm) -> dict[tuple[int, int], int]:
+    """(perm[from], perm[to]) -> the added multiplicities of the arcs."""
+    total: dict[tuple[int, int], int] = {}
+    for f, t, m in arcs:
+        total[perm[f], perm[t]] = total.get((perm[f], perm[t]), 0) + m
+    return total
+
+
+def _isomorphic_by_permutations(g: ExploredDigraph, h: ExploredDigraph) -> bool:
+    identity = range(h.order)
+    target = _summed(h.arcs, identity)
+    return g.order == h.order and any(
+        _summed(g.arcs, perm) == target for perm in itertools.permutations(identity)
+    )
+
+
 def _cycle_graph(n: int, directed: bool, base: float = 0.0) -> ExploredDigraph:
     vertices = tuple((k, complex(base + k, 0)) for k in range(n))
     arcs = [(k, (k + 1) % n, 1) for k in range(n)]
@@ -483,9 +574,38 @@ class TestClassifyDisconnected:
         assert classify(g) == ShapeLabel(Shape.UNKNOWN)
 
 
-# The classifier `classify` replaced, kept as the reference on connected graphs.
+# The classifier `classify` replaced, kept as the reference on connected
+# graphs, with the grid test `explorer._looks_like_grid` replaced: it pairs
+# each step greedily with the first later step that negates it.
 
-_looks_like_grid = explorer._looks_like_grid
+
+def _looks_like_grid(g: ExploredDigraph) -> bool:
+    diffs: list[complex] = []
+    for f, t, _ in g.arcs:
+        d = g.value(t) - g.value(f)
+        if all(abs(d - e) > explorer._GRID_EPS * (1 + abs(e)) for e in diffs):
+            diffs.append(d)
+        if len(diffs) > 4:
+            return False
+    if len(diffs) != 4:
+        return False
+    used = [False] * 4
+    pairs = []
+    for i in range(4):
+        if used[i]:
+            continue
+        mate = None
+        for j in range(i + 1, 4):
+            if not used[j] and abs(diffs[i] + diffs[j]) <= explorer._GRID_EPS * (1 + abs(diffs[i])):
+                mate = j
+                break
+        if mate is None:
+            return False
+        used[i] = used[mate] = True
+        pairs.append(diffs[i])
+    s, t = pairs
+    cross = (s * t.conjugate()).imag
+    return abs(cross) > explorer._GRID_EPS * (abs(s) * abs(t) + 1)
 
 
 def _classify_by_walkers(g: ExploredDigraph) -> ShapeLabel:
@@ -661,3 +781,79 @@ def test_classify_matches_the_walkers_on_connected_graphs():
                 assert classify(g) == _classify_by_walkers(g), g
             else:
                 assert classify(g) == ShapeLabel(Shape.UNKNOWN), g
+
+
+# -- the grid test against the pairing reference ---------------------------------
+
+
+def _steps_graph(steps) -> ExploredDigraph:
+    """Arcs from vertex 0 at the origin to one vertex per step, so that the
+    arc steps are exactly the given ones, in order."""
+    return ExploredDigraph(
+        vertices=((0, 0j), *((k + 1, complex(d)) for k, d in enumerate(steps))),
+        arcs=tuple((0, k + 1, 1) for k in range(len(steps))),
+        truncated=True,
+        seed_id=0,
+    )
+
+
+def _step_sets(rng: random.Random):
+    """Seeded 4-step sets: grids, collinear sets, sets missing a negation,
+    negations and collinearity missed by about the tolerance, and extra
+    steps about the tolerance away from one of the four."""
+    eps = explorer._GRID_EPS
+
+    def z(scale=None):
+        r = scale if scale is not None else 10 ** rng.uniform(-3, 3)
+        return r * complex(np.exp(1j * rng.uniform(0, 2 * np.pi)))
+
+    def near(d):
+        # A step about the negation or duplicate tolerance of d away from d.
+        return d + z(rng.uniform(0, 3) * eps * (1 + abs(d)))
+
+    for _ in range(400):
+        s, t = z(), z()
+        k = rng.choice([-3.0, -2.0, -0.5, 0.5, 2.0, 3.0, rng.uniform(-4, 4)])
+        collinear = k * s
+        # Nearly collinear with s: the cross product with s is about the tolerance.
+        cross = rng.uniform(0, 3) * eps * (abs(s) * abs(k * s) + 1)
+        tilted = k * s + 1j * s * cross / abs(s) ** 2
+        for a, b in [(s, t), (s, collinear), (s, tilted)]:
+            yield [a, -a, b, -b]
+            yield [a, near(-a), b, near(-b)]
+            yield [a, b, near(-a), -b]
+            yield [a, -a, b, 2 * b]
+            yield [a, -a, b, -b, near(b)]
+            yield [a, -a, b]
+        yield [s, -s, t, -t, z()]
+        # Collinear steps whose negation misses by just under the tolerance,
+        # across the step, at magnitudes where that moves the cross product most.
+        u = z(rng.uniform(1, 5))
+        v = rng.choice([-3.0, -2.0, 2.0, 3.0]) * u
+        yield [u, -u, v, -v * (1 + 1j * rng.uniform(0.8, 1) * eps * (1 + abs(v)) / abs(v))]
+
+
+def _truncated_explorations():
+    """The truncated explorations of this file, and two more grids."""
+    for phi, seed, budget in [
+        (GRID, 0j, Budget(max_depth=2)),
+        (GRID, 0j, Budget(max_depth=3)),
+        (GRID, 0j, Budget(max_vertices=80, max_depth=4)),
+        (GRID, 2.5 - 1j, Budget(max_vertices=60)),
+        (parse("x^2+y^2+3*x*y+1").to_float(), 0.4 + 0.2j, Budget(max_depth=12, max_vertices=100)),
+        (parse("(x+y)^2 + 1"), 0.7 + 0.3j, Budget(max_depth=10, max_vertices=100)),
+        (parse("y-x-1"), 0j, Budget(max_depth=6, max_vertices=40)),
+        (triangle_poly(), 1.0 + 0j, Budget(max_depth=1, max_vertices=50)),
+        (cayley_additive([1, 2]), 0.3j, Budget(max_vertices=50)),
+    ]:
+        for explore in (explore_component, explore_strong_component):
+            g = explore(phi, seed, budget)
+            if g.truncated:
+                yield g
+
+
+def test_grid_test_matches_the_pairing_reference():
+    graphs = [*_truncated_explorations(), *map(_steps_graph, _step_sets(random.Random(11)))]
+    verdicts = [explorer._looks_like_grid(g) for g in graphs]
+    assert verdicts == [_looks_like_grid(g) for g in graphs]
+    assert 100 < sum(verdicts) < len(verdicts) - 100

@@ -61,6 +61,21 @@ class TestParse:
             parse("x^2 + @")
         assert err.value.position == 6
 
+    @pytest.mark.parametrize("text, position, message", [
+        ("y + 3/0*x", 4, "zero denominator"),
+        ("y - 2/000", 4, "zero denominator"),
+        ("x + 1.2.3", 4, "malformed decimal literal"),
+        (".", 0, "malformed decimal literal"),
+        ("y*..5", 2, "malformed decimal literal"),
+    ])
+    def test_malformed_literal_position(self, text, position, message):
+        # A literal that int, float or Fraction rejects is a syntax error at
+        # the literal's first character.
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.position == position
+        assert str(err.value).startswith(message)
+
     def test_non_finite_decimal_literal_rejected(self):
         with pytest.raises(ParseError) as err:
             parse("y + 1e400*x")

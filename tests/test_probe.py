@@ -190,3 +190,18 @@ def test_undecided_pair_does_not_hide_a_later_counterexample(monkeypatch):
     assert result.truncated_count == 0
     assert result.all_isomorphic is False
     assert result.counterexample == (1, 2)
+
+
+def test_closed_components_of_different_sizes_above_the_limit_differ():
+    # Two Unknown closed components too large for an exact match, but of
+    # different orders: the probe still tells them apart.
+    def cycle(n):
+        return explorer.ExploredDigraph(
+            vertices=tuple((k, complex(k)) for k in range(n)),
+            arcs=tuple((k, (k + 1) % n, 1) for k in range(n)),
+            truncated=False,
+            seed_id=0,
+        )
+
+    unknown = ShapeLabel(Shape.UNKNOWN)
+    assert probe_module._components_isomorphic(cycle(13), cycle(14), unknown, unknown) is False
