@@ -169,7 +169,12 @@ class BiPoly:
 
     def coeff_polys(self, var: str) -> list[UniPoly]:
         """Coefficients of var**k as UniPolys in the other variable, k=0..deg."""
-        return transpose(self.rows, "y") if var == "x" else list(self.rows)
+        return list(self._columns if var == "x" else self.rows)
+
+    @cached
+    def _columns(self) -> tuple:
+        """The coefficients of x**i as UniPolys in y, transposed once."""
+        return tuple(transpose(self.rows, "y"))
 
     def derivative(self, var: str) -> "BiPoly":
         if var == "x":
@@ -237,19 +242,20 @@ class BiPoly:
             acc = acc.shift(1) + r
         return acc
 
-    def shear_y(self) -> "BiPoly":
-        """Substitute y -> y + x; kills x-dependence exactly for f(y-x) forms.
+    def _substitute(self, sx: "BiPoly", sy: "BiPoly") -> "BiPoly":
+        """Phi(sx, sy), by Horner in y over Horner in x."""
+        total = BiPoly.zero()
+        for row in reversed(self.rows):
+            acc = BiPoly.zero()
+            for cf in reversed(row.coeffs):
+                acc = acc * sx + BiPoly.constant(cf)
+            total = total * sy + acc
+        return total
 
-        Row k of the result is sum_j binom(j, k) x**(j-k) a_j(x).
-        """
-        rows = self.rows
-        return _bipoly(
-            sum(
-                (rows[j].scale(math.comb(j, k)).shift(j - k) for j in range(k, len(rows))),
-                UniPoly.zero(),
-            )
-            for k in range(len(rows))
-        )
+    def shear_y(self) -> "BiPoly":
+        """Substitute y -> y + x; kills x-dependence exactly for f(y-x) forms."""
+        x = BiPoly.variable("x")
+        return self._substitute(x, x + BiPoly.variable("y"))
 
     def affine_transform(self, a, b, c) -> "BiPoly":
         """c * Phi(a x + b, a y + b); requires a != 0 and c != 0."""
@@ -257,13 +263,7 @@ class BiPoly:
             raise DomainError("affine transform requires a != 0 and c != 0")
         lin_x = BiPoly.make({(1, 0): a, (0, 0): b})
         lin_y = BiPoly.make({(0, 1): a, (0, 0): b})
-        total = BiPoly.zero()
-        for row in reversed(self.rows):  # Horner in y over Horner in x
-            acc = BiPoly.zero()
-            for cf in reversed(row.coeffs):
-                acc = acc * lin_x + BiPoly.constant(cf)
-            total = total * lin_y + acc
-        return total.scale(c)
+        return self._substitute(lin_x, lin_y).scale(c)
 
     # -- resultants -------------------------------------------------------------
 

@@ -129,18 +129,6 @@ class ExploredDigraph:
             mult[f, t] = mult.get((f, t), 0) + m
         return mult
 
-    def out_arcs(self) -> dict[int, list[tuple[int, int]]]:
-        out: dict[int, list[tuple[int, int]]] = {v: [] for v, _ in self.vertices}
-        for f, t, m in self.arcs:
-            out[f].append((t, m))
-        return out
-
-    def in_arcs(self) -> dict[int, list[tuple[int, int]]]:
-        out: dict[int, list[tuple[int, int]]] = {v: [] for v, _ in self.vertices}
-        for f, t, m in self.arcs:
-            out[t].append((f, m))
-        return out
-
     def as_json(self) -> dict:
         return {
             "seed": self.seed_id,
@@ -505,7 +493,7 @@ def _looks_like_grid(g: ExploredDigraph) -> bool:
     distinct steps, each with its negation among them, where s is the first
     step and t the first after it that is not s's negation."""
     diffs: list[complex] = []
-    for f, t, _ in g.arcs:
+    for f, t in g.multiplicity:
         d = g.value(t) - g.value(f)
         if all(abs(d - e) > _GRID_EPS * (1 + abs(e)) for e in diffs):
             diffs.append(d)

@@ -5,8 +5,8 @@ non-singular components are directed n-cycles exactly when the matrix
 [[a,b],[c,d]] has finite projective order n.  That order is read off
 v = trace^2/det - 2, which is rho + 1/rho for the ratio rho of the
 eigenvalues, by the same cosine witness as the quadratic verdict
-(quadratic._cosine_scan): rho is a primitive n-th root of unity exactly when
-v = 2 cos(2 pi k / n) with gcd(k, n) = 1.  The symbolic cycle conditions
+(quadratic.cosine_recognize): rho is a primitive n-th root of unity exactly
+when v = 2 cos(2 pi k / n) with gcd(k, n) = 1.  The symbolic cycle conditions
 come from the two-term recurrence U_1 = 1, U_2 = t, U_k = t U_{k-1} - e U_{k-2}
 (t = a+d, e = ad-bc), valid because A^2 = tA - eI: the entries of A^n are
 a_n = U_n a - e U_{n-1}, b_n = U_n b, c_n = U_n c, d_n = U_n d - e U_{n-1},
@@ -25,10 +25,10 @@ from .analyzer import singular_vertex_values
 from .bipoly import BiPoly
 from .errors import AmbiguousOrderError, DomainError, NotStandardError
 from .probe import _sample_seeds
-from .quadratic import DEFAULT_NMAX, _cosine_scan
+from .quadratic import DEFAULT_NMAX, cosine_recognize
 from .scalars import GR_ONE, GaussRat, is_exact
 from .sympoly import SymPoly
-from .textio import _monomial
+from .textio import format_terms
 
 ORDER_TOL = 1e-9
 PARABOLIC_BAND = 1e-8
@@ -48,9 +48,6 @@ class Mobius:
 
     def det(self):
         return self.a * self.d - self.b * self.c
-
-    def trace(self):
-        return self.a + self.d
 
     @property
     def mode(self) -> str:
@@ -151,7 +148,7 @@ def projective_order(m: Mobius, n_max: int = DEFAULT_NMAX) -> int | None:
             "near-parabolic matrix; order is numerically ambiguous",
             disc=abs(v - 2),
         )
-    witness = _cosine_scan(v, n_max)[0]
+    witness = cosine_recognize(v, n_max)
     return witness[0] if witness else None
 
 
@@ -287,7 +284,7 @@ def reference_table_diff(n: int) -> dict:
 
 
 def _mono_str(e: tuple[int, ...]) -> str:
-    return "*".join(m for m in map(_monomial, ABCD, e) if m) or "1"
+    return format_terms({e: GR_ONE}, ABCD)
 
 
 # -- symbolic matrix powers (for the consistency identities) -----------------------
@@ -319,16 +316,12 @@ def cayley_mobius(generators: list[Mobius], rng_seed: int = 20250808) -> tuple[B
 
     The seed is drawn from a fixed-seed generator on the annulus
     1 <= |u| <= 2 and rejected while it lies within ``probe.SEED_MARGIN``
-    of a singular vertex of any factor.
+    of a singular vertex of any factor.  Reading a factor's singular
+    vertices analyzes it, so a generator whose polynomial is not standard
+    raises NotStandardError there.
     """
     if not generators:
         raise DomainError("need at least one generator")
-    for i, g in enumerate(generators):
-        why = _deg1_standard_failure(g.a, g.b, g.c, g.d)
-        if why is not None:
-            raise NotStandardError(
-                f"generator {i} yields a non-standard polynomial", reasons=(why,)
-            )
     phi = BiPoly.constant(GR_ONE)
     bad: list[complex] = []
     for g in generators:

@@ -126,10 +126,17 @@ def normalize(q: QuadSym) -> QuadSym:
     if _case_of(q.a) is QuadCase.A_MINUS_2:
         raise DomainError("a = -2 has no normalizing shift; handled directly")
     if q.mode == "exact":
-        two = GaussRat.of(2)
-        return QuadSym(q.a, GaussRat.of(0), q.c - q.b * q.b / (q.a + two))
+        return QuadSym(q.a, GaussRat.of(0), _shifted_c(q))
+    return QuadSym(complex(q.a), 0.0, _shifted_c(q))
+
+
+def _shifted_c(q: QuadSym):
+    """c - b^2/(a+2), the constant term after the normalizing shift, in q's
+    own arithmetic (exact or complex doubles)."""
+    if q.mode == "exact":
+        return q.c - q.b * q.b / (q.a + GaussRat.of(2))
     a, b, c = complex(q.a), complex(q.b), complex(q.c)
-    return QuadSym(a, 0.0, c - b * b / (a + 2))
+    return c - b * b / (a + 2)
 
 
 def shift_amount(q: QuadSym) -> complex:
@@ -235,8 +242,7 @@ def _inventory(q: QuadSym, witness: tuple[int, int] | None) -> QuadReport:
         return QuadReport(case, loops, doubles, singular_components_finite=finite)
 
     shift = shift_amount(q)
-    norm = normalize(q)
-    a, c = complex(norm.a), complex(norm.c)
+    a, c = complex(q.a), complex(_shifted_c(q))
     if case is QuadCase.A_PLUS_2:
         root = cmath.sqrt(-c) / 2.0
         loops = (root - shift, -root - shift)

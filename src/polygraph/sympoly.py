@@ -15,7 +15,7 @@ from typing import Mapping
 
 from .errors import DomainError, ParseError
 from .scalars import GaussRat, square_and_multiply
-from .textio import _Parser, _fmt_term, _join_terms, _monomial
+from .textio import _Parser, format_terms
 
 
 @dataclass(frozen=True)
@@ -157,11 +157,7 @@ class SymPoly:
         return dict(self.terms)
 
     def __str__(self):
-        terms = []
-        for e in sorted(self.terms, key=self._key, reverse=True):
-            body = "*".join(m for m in map(_monomial, self.vars, e) if m)
-            terms.append(_fmt_term(GaussRat.of(self.terms[e]), body))
-        return _join_terms(terms)
+        return format_terms({e: GaussRat.of(c) for e, c in self.terms.items()}, self.vars)
 
     __repr__ = __str__
 

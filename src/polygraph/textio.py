@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Mapping, Sequence
 
 from .bipoly import BiPoly
 from .errors import ParseError
@@ -236,54 +237,33 @@ def format_scalar(s) -> str:
     return fmt(re) + sign + imtxt
 
 
-def _fmt_term(coeff, monomial: str) -> str:
-    txt = format_scalar(coeff)
-    if not monomial:
-        return txt
-    if txt == "1":
-        return monomial
-    if txt == "-1":
-        return "-" + monomial
-    if "+" in txt[1:] or "-" in txt[1:]:
-        txt = "(" + txt + ")"
-    return txt + "*" + monomial
-
-
-def _monomial(var: str, k: int) -> str:
-    if k == 0:
-        return ""
-    if k == 1:
-        return var
-    return f"{var}^{k}"
-
-
-def _join_terms(terms: list[str]) -> str:
-    if not terms:
-        return "0"
-    out = terms[0]
-    for t in terms[1:]:
-        out += " - " + t[1:] if t.startswith("-") else " + " + t
-    return out
+def format_terms(coeffs: Mapping[tuple[int, ...], object], names: Sequence[str]) -> str:
+    """Text of the polynomial {exponent tuple: coefficient} in the variables
+    names, in the grammar `parse` reads: the nonzero terms by total degree,
+    then by exponent tuple, highest first; "0" when there are none."""
+    out = ""
+    for e in sorted(coeffs, key=lambda e: (sum(e), e), reverse=True):
+        if not coeffs[e]:
+            continue
+        txt = format_scalar(coeffs[e])
+        mono = "*".join(v if k == 1 else f"{v}^{k}" for v, k in zip(names, e) if k)
+        if mono and txt in ("1", "-1"):
+            txt = txt[:-1] + mono  # x for 1*x, -x for -1*x
+        elif mono:
+            txt = (f"({txt})" if "+" in txt[1:] or "-" in txt[1:] else txt) + "*" + mono
+        if not out:
+            out = txt
+        else:
+            out += " - " + txt[1:] if txt.startswith("-") else " + " + txt
+    return out or "0"
 
 
 def format_unipoly(p: UniPoly) -> str:
-    terms = []
-    for k in range(p.degree, -1, -1):
-        c = p.coeff(k)
-        if not c:
-            continue
-        mono = _monomial(p.var, k)
-        terms.append(_fmt_term(c, mono))
-    return _join_terms(terms)
+    return format_terms({(k,): c for k, c in enumerate(p.coeffs)}, (p.var,))
 
 
 def format_bipoly(p: BiPoly) -> str:
-    keys = sorted(p.coeffs, key=lambda ij: (ij[0] + ij[1], ij[0]), reverse=True)
-    terms = []
-    for i, j in keys:
-        mono_parts = [m for m in (_monomial("x", i), _monomial("y", j)) if m]
-        terms.append(_fmt_term(p.coeffs[(i, j)], "*".join(mono_parts)))
-    return _join_terms(terms)
+    return format_terms(p.coeffs, ("x", "y"))
 
 
 # -- JSON ---------------------------------------------------------------------

@@ -128,9 +128,6 @@ class UniPoly:
             return _gauss(*self.terms[k], self.den) if self.den else self.terms[k]
         return GR_ZERO if self.den else 0j
 
-    def is_constant(self) -> bool:
-        return self.degree <= 0
-
     def to_float(self) -> "UniPoly":
         if self.mode == "float" or self.is_zero:
             return self
@@ -165,10 +162,6 @@ class UniPoly:
         return UniPoly(tuple(-c for c in self.terms), 0, self.var)
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
-        if self.is_zero or other.is_zero:
-            return UniPoly.zero(self.var)
-        if self.den and other.den:
-            return _gz_poly(_gz_mul(self.terms, other.terms), self.den * other.den, self.var)
         return convolve([self], [other])[0]
 
     def scale(self, s) -> "UniPoly":
@@ -178,7 +171,7 @@ class UniPoly:
         if g is None:
             return UniPoly.make([c * s for c in self.to_float().terms], self.var)
         (t,), d = _from_gauss([g])
-        return _gz_poly(_gz_mul(self.terms, [t]), self.den * d, self.var)
+        return _gz_poly([_gi_mul(c, t) for c in self.terms], self.den * d, self.var)
 
     def shift(self, k: int) -> "UniPoly":
         """self * var**k for k >= 0."""
@@ -196,9 +189,6 @@ class UniPoly:
             p = [(re * k, im * k) for k, (re, im) in enumerate(self.terms)]
             return _gz_poly(p[1:], self.den, self.var)
         return UniPoly.make([self.terms[k] * k for k in range(1, len(self.terms))], self.var)
-
-    def __call__(self, u):
-        return self.eval(u)
 
     def eval(self, u):
         """Horner evaluation: exact (a GaussRat) when self and u are; float
@@ -364,20 +354,6 @@ def _gi_divexact(s: tuple, t: tuple) -> tuple:
         return s[0] // c, s[1] // c
     n = c * c + d * d
     return ((s[0] * c + s[1] * d) // n, (s[1] * c - s[0] * d) // n)
-
-
-def _gz_mul(p: Sequence, q: Sequence) -> list:
-    if not p or not q:
-        return []
-    re = [0] * (len(p) + len(q) - 1)
-    im = re[:]
-    for i, (a, b) in enumerate(p):
-        if not a and not b:
-            continue
-        for j, (c, d) in enumerate(q):
-            re[i + j] += a * c - b * d
-            im[i + j] += a * d + b * c
-    return list(zip(re, im))  # Z[i] has no zero divisors: the lead is nonzero
 
 
 def _gz_pseudo_divmod(a: list, b: Sequence) -> tuple[list, list, tuple]:
@@ -629,7 +605,7 @@ def convolve(a: Sequence[UniPoly], b: Sequence[UniPoly]) -> list[UniPoly]:
     width = max(map(len, pa)) + max(map(len, pb)) - 1
     re = [[0] * width for _ in range(len(a) + len(b) - 1)]
     im = [[0] * width for _ in re]
-    # _gz_mul's loop with one more index: output row j + k gathers a[j] * b[k].
+    # Output row j + k gathers a[j] * b[k].
     for j, p in enumerate(pa):
         for i, (s, t) in enumerate(p):
             if not s and not t:
@@ -671,8 +647,8 @@ def lagrange_interpolate(points: Sequence[tuple], var: str = "x") -> UniPoly:
             if us[i] == us[j]:
                 raise SynthesisError("repeated interpolation node", node=str(nodes[i]))
     prod = [(1, 0)]
-    for u in us:
-        prod = _gz_mul(prod, [(-u[0], -u[1]), (1, 0)])
+    for u in us:  # prod * (X - U_k) = X * prod - U_k * prod
+        prod = _gz_lincomb([(0, 0)] + prod, 1, [_gi_mul(u, c) for c in prod], -1)
     parts = []
     for u, v in zip(us, vs):
         q = _gz_pseudo_divmod(prod, [(-u[0], -u[1]), (1, 0)])[0]  # P / (X - U_k)
@@ -681,5 +657,5 @@ def lagrange_interpolate(points: Sequence[tuple], var: str = "x") -> UniPoly:
     norm = math.lcm(*(n for _, _, n in parts))
     acc: list = []
     for q, f, n in parts:
-        acc = _gz_lincomb(acc, 1, _gz_mul(q, [f]), norm // n)
+        acc = _gz_lincomb(acc, 1, [_gi_mul(c, f) for c in q], norm // n)
     return _gz_poly([(re * s**k, im * s**k) for k, (re, im) in enumerate(acc)], norm * t, var)

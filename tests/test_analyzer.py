@@ -23,6 +23,7 @@ from polygraph import (
     singular_vertex_values,
     standardize,
 )
+from polygraph import bipoly
 from polygraph.errors import (
     DomainError,
     EvaluationOverflow,
@@ -250,6 +251,19 @@ class TestSingularInventory:
 
 # x^2 + y^2 - 2xy = (y - x)^2: a square, and a loop at every vertex.
 _SQUARE = parse("x^2 + y^2 - 2*x*y")
+
+
+def test_analyze_transposes_each_polynomial_once(monkeypatch):
+    # Phi's columns (its coefficients by powers of x) feed both B and E:
+    # they are transposed once, on first read, as are those of dPhi/dx.
+    calls = []
+    real = bipoly.transpose
+    monkeypatch.setattr(bipoly, "transpose", lambda polys, var: calls.append(var) or real(polys, var))
+    phi = parse("x^3*y^2 + (1+2i)*x*y - 3/4*y + x^2 - 2")
+    first = analyze(phi)
+    assert len(calls) == 2  # Phi and dPhi/dx
+    assert analyze(phi) == first
+    assert len(calls) == 3  # only the new dPhi/dx
 
 
 @pytest.mark.parametrize("call", [

@@ -233,3 +233,23 @@ def test_squarefree_part_matches_sympy():
         want = sp.sqf_part(sp.Poly(_to_sympy(phi.scale(phi.den)), X, Y, domain="ZZ_I"))
         got = phi.squarefree_part()
         assert got.normalized() == _from_sympy(want).normalized(), phi
+
+
+def test_lagrange_interpolate_matches_sympy():
+    # Nodes and values with denominators 2 to 7; the other tests interpolate
+    # at Gaussian integer nodes only.
+    def gauss(c):
+        return _rational(c.re) + sp.I * _rational(c.im)
+
+    rng = random.Random(31)
+    for n in range(1, 8):
+        nodes: list = []
+        while len(nodes) < n:
+            u = _scalar(rng)
+            if u not in nodes:
+                nodes.append(u)
+        points = [(u, _scalar(rng)) for u in nodes]
+        got = unipoly.lagrange_interpolate(points)
+        want = sp.interpolate([(gauss(u), gauss(v)) for u, v in points], X)
+        assert got == _unipoly_from_sympy(sp.Poly(sp.expand(want), X, domain="QQ_I"), "x"), points
+        assert all(got.eval(u) == v for u, v in points)

@@ -367,3 +367,10 @@ class TestCayleyMobius:
         ident = Mobius(GaussRat.of(1), GaussRat.of(0), GaussRat.of(0), GaussRat.of(1))
         with pytest.raises(NotStandardError):
             cayley_mobius([ident])
+
+    def test_generator_the_closed_form_passes_is_still_rejected(self):
+        # z -> 1e10 z is standard, yet analyze reports NonRadicalY for
+        # 1e-10*y - x (ROADMAP item 4); cayley_mobius analyzes each factor
+        # when it reads the factor's singular vertices.
+        with pytest.raises(NotStandardError):
+            cayley_mobius([Mobius(1.0, 0.0, 0.0, 1e-10)])

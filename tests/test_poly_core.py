@@ -16,7 +16,8 @@ from polygraph.errors import (
     ParseError,
     ZeroPolynomialError,
 )
-from polygraph.textio import bipoly_from_json, bipoly_to_json, format_bipoly
+from polygraph.sympoly import SymPoly
+from polygraph.textio import bipoly_from_json, bipoly_to_json, format_bipoly, format_scalar, format_unipoly
 
 
 def gr(re, im=0):
@@ -102,6 +103,115 @@ class TestParse:
             p = parse(text)
             q = bipoly_from_json(bipoly_to_json(p))
             assert q.coeffs == p.coeffs and q.mode == p.mode
+
+
+# The three printers `textio.format_terms` replaced, kept as the reference:
+# format_unipoly, format_bipoly and SymPoly.__str__ each had their own loop.
+
+
+def _ref_fmt_term(coeff, monomial: str) -> str:
+    txt = format_scalar(coeff)
+    if not monomial:
+        return txt
+    if txt == "1":
+        return monomial
+    if txt == "-1":
+        return "-" + monomial
+    if "+" in txt[1:] or "-" in txt[1:]:
+        txt = "(" + txt + ")"
+    return txt + "*" + monomial
+
+
+def _ref_monomial(var: str, k: int) -> str:
+    if k == 0:
+        return ""
+    if k == 1:
+        return var
+    return f"{var}^{k}"
+
+
+def _ref_join_terms(terms: list[str]) -> str:
+    if not terms:
+        return "0"
+    out = terms[0]
+    for t in terms[1:]:
+        out += " - " + t[1:] if t.startswith("-") else " + " + t
+    return out
+
+
+def _ref_format_unipoly(p: UniPoly) -> str:
+    terms = []
+    for k in range(p.degree, -1, -1):
+        c = p.coeff(k)
+        if not c:
+            continue
+        mono = _ref_monomial(p.var, k)
+        terms.append(_ref_fmt_term(c, mono))
+    return _ref_join_terms(terms)
+
+
+def _ref_format_bipoly(p: BiPoly) -> str:
+    keys = sorted(p.coeffs, key=lambda ij: (ij[0] + ij[1], ij[0]), reverse=True)
+    terms = []
+    for i, j in keys:
+        mono_parts = [m for m in (_ref_monomial("x", i), _ref_monomial("y", j)) if m]
+        terms.append(_ref_fmt_term(p.coeffs[(i, j)], "*".join(mono_parts)))
+    return _ref_join_terms(terms)
+
+
+def _ref_format_sympoly(p: SymPoly) -> str:
+    terms = []
+    for e in sorted(p.terms, key=p._key, reverse=True):
+        body = "*".join(m for m in map(_ref_monomial, p.vars, e) if m)
+        terms.append(_ref_fmt_term(GaussRat.of(p.terms[e]), body))
+    return _ref_join_terms(terms)
+
+
+class TestPrinter:
+    """One term printer, `textio.format_terms`, writes every polynomial's text."""
+
+    # zero, ones, pure imaginary and negative coefficients
+    SPECIAL = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (0, 3), (-2, 0)]
+
+    def _scalar(self, rng: random.Random, exact: bool):
+        if rng.random() < 0.4:
+            re, im = rng.choice(self.SPECIAL)
+        else:
+            re, im = rng.randint(-9, 9), rng.randint(-9, 9)
+        if exact:
+            return gr(Fraction(re, rng.choice([1, 1, 2, 7])), Fraction(im, rng.choice([1, 3])))
+        return complex(re, im) * rng.choice([1.0, 1.0, 0.5, 1e-3, 12345.678, 1e20])
+
+    def test_bipoly_and_unipoly_text_is_the_reference_text(self):
+        rng = random.Random(23)
+        polys = [BiPoly.zero(), BiPoly.constant(gr(0, -1)), BiPoly.constant(-2.5 + 0j), parse("-x*y + 3/2i")]
+        for _ in range(60):
+            exact = rng.random() < 0.5
+            dx, dy = rng.randint(0, 3), rng.randint(0, 3)
+            polys.append(BiPoly.make({
+                (i, j): self._scalar(rng, exact)
+                for i in range(dx + 1) for j in range(dy + 1) if rng.random() < 0.6
+            }))
+        checked = 0
+        for p in polys:
+            assert format_bipoly(p) == str(p) == _ref_format_bipoly(p)
+            for q in [*p.coeff_polys("y"), *p.coeff_polys("x")]:  # UniPolys in x and in y
+                assert format_unipoly(q) == str(q) == _ref_format_unipoly(q)
+                checked += 1
+        assert checked > 200
+        assert _ref_format_unipoly(UniPoly.zero("y")) == str(UniPoly.zero("y")) == "0"
+
+    def test_sympoly_text_is_the_reference_text(self):
+        rng = random.Random(29)
+        names = ("a", "b", "c")
+        for _ in range(60):
+            terms = {
+                tuple(rng.randint(0, 3) for _ in names): rng.choice([0, 1, -1, rng.randint(-10**20, 10**20)])
+                for _ in range(rng.randint(0, 6))
+            }
+            p = SymPoly.make(names, terms)
+            assert str(p) == _ref_format_sympoly(p)
+        assert str(SymPoly.zero(names)) == "0" and str(SymPoly.const(names, -1)) == "-1"
 
 
 class TestCanonicalForm:

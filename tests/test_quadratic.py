@@ -184,6 +184,17 @@ class TestClassify:
             assert r.verdict is QuadShape.DOUBLE_RAY
             assert r.cosine_witness is None
 
+    def test_verdict_and_inventory_analyze_nothing(self, monkeypatch):
+        # QuadSym analyzes q once when it is built; an affine shift keeps
+        # standardness, so the shifted polynomial is not analyzed again.
+        qs = [exact_quad(1, 3, 2), QuadSym(0.5 + 0.25j, 1.0, 2.0), exact_quad(2, 1, 3), QuadSym(-2.0, 1.0, 2.0)]
+        calls = []
+        real = quadratic.analyze
+        monkeypatch.setattr(quadratic, "analyze", lambda phi: calls.append(phi) or real(phi))
+        for q in qs:
+            assert classify_deg2(q).case is singular_inventory_quad(q).case
+        assert calls == []
+
     def test_n_max_bounds_the_finiteness_verdict(self, monkeypatch):
         # The witness of a = 2 cos(2 pi / 7) is (7, 1), which n_max = 5 excludes.
         q = QuadSym(2 * math.cos(2 * math.pi / 7), 0.0, 1.0)

@@ -3,6 +3,7 @@
 import cmath
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -31,6 +32,7 @@ from polygraph import (
 from polygraph.errors import RegularityError, SynthesisError
 from polygraph.explorer import ExploredDigraph
 from polygraph.textio import format_unipoly
+from polygraph.unipoly import from_roots
 
 
 def k3() -> FiniteDigraph:
@@ -235,8 +237,10 @@ class TestNamedFamilies:
         # the 4-prism is the 3-dimensional cube: 8 vertices, 3-regular
         g = explore_component(prism_poly(4), 1.2 + 0.4j, Budget(max_vertices=60, max_depth=20))
         assert not g.truncated and g.order == 8
-        outs = g.out_arcs()
-        assert all(sum(m for _, m in outs[v]) == 3 for v, _ in g.vertices)
+        outdeg = {v: 0 for v, _ in g.vertices}
+        for (f, _), m in g.multiplicity.items():
+            outdeg[f] += m
+        assert set(outdeg.values()) == {3}
 
     def test_circulant_closes(self):
         phi = circulant_poly(5, (1, 2))
@@ -265,6 +269,16 @@ class TestRecognizeForm:
         assert verdict.profile is not None
         assert verdict.profile.degree == 4
         assert verdict.profile.coeff(0) == GaussRat.of(-1)
+
+    def test_float_difference_form(self):
+        # A float Phi through the shear y -> y + x: its profile is the
+        # exact product of the s - c_k within rounding.
+        offsets = [0.3 + 0.1j, 2.5, -1.7j]
+        verdict = recognize_form(cayley_additive(offsets))
+        assert verdict.form is Form.ADDITIVE_DIFFERENCE
+        exact = from_roots([GaussRat.of(Fraction(c.real), Fraction(c.imag)) for c in offsets], GaussRat.of(1), "s")
+        assert verdict.profile.degree == exact.degree == 3
+        assert all(abs(verdict.profile.coeff(k) - complex(exact.coeff(k))) <= 1e-12 for k in range(4))
 
     def test_homogeneous(self):
         assert recognize_form(parse("y^2+x*y+x^2")).form is Form.HOMOGENEOUS
