@@ -7,8 +7,9 @@ a zero row is the exact zero `UniPoly`; mixing modes follows the scalar
 rule of :mod:`polygraph.scalars`.  Every ring operation, coefficient view
 and exact algorithm is written with `UniPoly` operations on the rows, so
 only `unipoly` knows how exact coefficients are stored.  A float
-polynomial drops every coefficient at or below TRIM_REL times its largest
-one, one floor over all rows.  Highlights:
+polynomial keeps every nonzero coefficient that construction and
+arithmetic give; only a row evaluated or interpolated here is trimmed, by
+`rootfind.trimmed_lengths`, before its degree is read.  Highlights:
 
 * partial evaluation Phi(u, y) / Phi(x, u): `eval_rows` evaluates a whole
   vector of values in floats at once, by Horner over a cached dense
@@ -38,7 +39,8 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .scalars import GR_ZERO, is_exact, square_and_multiply
-from .unipoly import TRIM_REL, UniPoly, cached, convolve, gcd_all, resultant_by_evaluation, transpose
+from .rootfind import trimmed_lengths
+from .unipoly import UniPoly, cached, convolve, gcd_all, resultant_by_evaluation, transpose
 
 _INTERP_ANGLE = 0.3  # fixed angular offset for float resultant sample points
 _CROSS_SIGN = np.array([-1.0, 1.0])
@@ -187,13 +189,14 @@ class BiPoly:
         """Phi(u, y) for axis='x', Phi(x, u) for axis='y'.
 
         Exact when both Phi and u are; otherwise the one-row case of
-        `eval_rows`, trimmed by `UniPoly.make`.
+        `eval_rows`, its leading end trimmed by `rootfind.trimmed_lengths`.
         """
         if axis not in ("x", "y"):
             raise DomainError(f"axis must be x or y, got {axis!r}")
         other = "y" if axis == "x" else "x"
         if not (self.mode == "exact" and is_exact(u)):
-            return UniPoly.make(self.eval_rows([complex(u)], axis)[0].tolist(), other)
+            row = self.eval_rows([complex(u)], axis)
+            return UniPoly.make(row[0, : trimmed_lengths(row)[0]].tolist(), other)
         return UniPoly.make([p.eval(u) for p in self.coeff_polys(other)], other)
 
     @cached
@@ -352,21 +355,11 @@ class BiPoly:
 
 
 def _bipoly(rows: Iterable[UniPoly]) -> BiPoly:
-    """The BiPoly with these rows, UniPolys in x, less its trailing zero rows.
-
-    If any row is float, every row is taken in float and every coefficient
-    at or below TRIM_REL times the largest one is dropped: one floor over
-    all rows, where `UniPoly.make` trims each row against its own largest.
-    """
+    """The BiPoly with these rows, UniPolys in x, less its trailing zero
+    rows; if any row is float, every row is taken in float."""
     rows = list(rows)
     if any(r.mode == "float" for r in rows):
-        floor = TRIM_REL * max(r.coeff_scale() for r in rows)
         rows = [r.to_float() for r in rows]
-        rows = [
-            UniPoly.make([c if abs(c) > floor else 0j for c in r.coeffs])
-            if any(abs(c) <= floor for c in r.coeffs) else r
-            for r in rows
-        ]
     while rows and rows[-1].is_zero:
         rows.pop()
     return BiPoly(tuple(rows))
@@ -403,7 +396,7 @@ def _resultant_float(p: BiPoly, q: BiPoly, var: str, bound: int) -> UniPoly:
         # vals[t] = sum_j (c_j e^{ij*angle}) e^{+2 pi i j t / N} = N * ifft(c~)[t]
         coeffs = np.fft.fft(vals) / n_samples
         coeffs = coeffs / np.exp(1j * _INTERP_ANGLE * np.arange(n_samples))
-    return UniPoly.make(list(coeffs), other)
+    return UniPoly.make(list(coeffs[: trimmed_lengths(coeffs[None])[0]]), other)
 
 
 def _primitive_y(p: BiPoly) -> BiPoly:

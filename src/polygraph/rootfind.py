@@ -40,8 +40,11 @@ import numpy as np
 from numpy.linalg import LinAlgError, eigvals
 
 from .errors import DomainError, EvaluationOverflow, RootFindingError, ZeroPolynomialError
-from .unipoly import TRIM_REL, UniPoly, cached, from_roots as _expand_roots
+from .unipoly import UniPoly, cached, from_roots as _expand_roots
 
+# Coefficients at the leading end of an evaluated or interpolated float row
+# that are at most this fraction of the row's largest are rounding debris.
+TRIM_REL = 1e-12
 # Cluster radii are CLUSTER_BASE**(1/m) * (1 + max|z|) for tentative multiplicity m.
 CLUSTER_BASE = 1e-12
 POLISH_STEPS = 3
@@ -143,13 +146,7 @@ def roots_of_rows(c: np.ndarray, lengths=None) -> list[tuple[list[complex], list
         return []
     width = c.shape[1]
     finite = np.isfinite(c).all(axis=1)
-    if lengths is None:
-        # A non-finite row is rejected below; keep its NaN out of max and >.
-        mag = np.where(finite[:, None], np.abs(c), 0.0)
-        kept = mag > TRIM_REL * mag.max(axis=1, keepdims=True)
-        length = np.where(kept.any(axis=1), width - kept[:, ::-1].argmax(axis=1), 0)
-    else:
-        length = np.asarray(lengths)
+    length = trimmed_lengths(c) if lengths is None else np.asarray(lengths)
     unsolvable = np.flatnonzero(~finite | (length == 0))
     stop = unsolvable[0] if len(unsolvable) else len(c)
     n_zeros = (c[:stop] != 0).argmax(axis=1) if stop else 0  # c may have no columns
@@ -198,6 +195,21 @@ def roots_of_rows(c: np.ndarray, lengths=None) -> list[tuple[list[complex], list
             raise EvaluationOverflow("non-finite coefficient in a row", row=int(stop))
         raise ZeroPolynomialError("cannot take roots of the zero polynomial", row=int(stop))
     return results
+
+
+def trimmed_lengths(c: np.ndarray) -> np.ndarray:
+    """The length of each row of c, a (rows, width) complex array of
+    coefficients low to high, once its leading end is trimmed: coefficients
+    at most TRIM_REL times the row's largest are dropped from the top, so a
+    zero row has length 0 and exact zero padding drops out.  A non-finite
+    row keeps its full width, so whoever reads it rejects it.
+    """
+    c = np.asarray(c, dtype=complex)
+    finite = np.isfinite(c).all(axis=1)
+    mag = np.where(finite[:, None], np.abs(c), 0.0)  # keep NaN out of max and >
+    kept = mag > TRIM_REL * mag.max(axis=1, keepdims=True)
+    trimmed = np.where(kept.any(axis=1), c.shape[1] - kept[:, ::-1].argmax(axis=1), 0)
+    return np.where(finite, trimmed, c.shape[1])
 
 
 def poly_from_roots(root_set, lead=None, var: str | None = None) -> UniPoly:

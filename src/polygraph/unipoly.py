@@ -41,10 +41,6 @@ from typing import Iterable, Sequence
 from .errors import DomainError, EvaluationOverflow, ExactArithmeticRequired, SynthesisError
 from .scalars import GR_ONE, GR_ZERO, GaussRat, _as_gauss, is_exact, require_finite, square_and_multiply
 
-# Float coefficients below this fraction of the largest one are treated as
-# arithmetic debris and trimmed from the leading end.
-TRIM_REL = 1e-12
-
 
 class cached:
     """Lock-free cached property: the first read stores the value in the
@@ -64,7 +60,7 @@ class cached:
 
 @dataclass(frozen=True)
 class UniPoly:
-    terms: tuple  # ascending powers, trimmed: (re, im) int pairs, or complex
+    terms: tuple  # ascending powers, the last nonzero: (re, im) int pairs, or complex
     den: int  # exact: the positive common denominator; float: 0
     var: str = "x"
 
@@ -75,8 +71,7 @@ class UniPoly:
             p, den = _from_gauss(cs)
             return _gz_poly(p, den, var)
         cs = [require_finite(complex(c), "polynomial construction") for c in cs]
-        floor = TRIM_REL * max((abs(c) for c in cs), default=0.0)
-        while cs and abs(cs[-1]) <= floor:
+        while cs and not cs[-1]:
             cs.pop()
         return UniPoly(tuple(cs), 0 if cs else 1, var)
 
