@@ -26,6 +26,7 @@ from .bipoly import BiPoly
 from .errors import DomainError, ExactArithmeticRequired, NotStandardError
 from .rootfind import roots as find_roots, roots_batch
 from .scalars import GR_ONE
+from .textio import format_unipoly
 from .unipoly import UniPoly, cached, from_roots
 
 VERTEX_TOL = 1e-7  # default classification tolerance for singular vertices
@@ -75,8 +76,6 @@ class StandardReport:
         return self.L * self.D * self.E.rename("x")
 
     def as_json(self) -> dict:
-        from .textio import format_unipoly
-
         return {
             "is_standard": self.is_standard,
             "failure_reasons": [str(f) for f in self.failure_reasons],

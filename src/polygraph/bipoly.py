@@ -38,8 +38,8 @@ from .errors import (
     ExactArithmeticRequired,
     ZeroPolynomialError,
 )
-from .scalars import GR_ZERO, is_exact, square_and_multiply
 from .rootfind import trimmed_lengths
+from .scalars import GR_ZERO, is_exact, square_and_multiply
 from .unipoly import UniPoly, cached, convolve, gcd_all, resultant_by_evaluation, transpose
 
 _INTERP_ANGLE = 0.3  # fixed angular offset for float resultant sample points

@@ -209,13 +209,7 @@ def _cmd_probe(args) -> None:
 
 def _cmd_export(args) -> None:
     with open(args.graph) as fh:
-        obj = json.load(fh)
-    g = ExploredDigraph(
-        vertices=tuple((v["id"], complex(v["re"], v["im"])) for v in obj["vertices"]),
-        arcs=tuple((a["from"], a["to"], a["mult"]) for a in obj["arcs"]),
-        truncated=obj["truncated"],
-        seed_id=obj["seed"],
-    )
+        g = ExploredDigraph.from_json(json.load(fh))
     sys.stdout.write(export(g, args.format).decode())
 
 

@@ -36,6 +36,7 @@ certificate: every directed cycle through the seed lies inside it.
 from __future__ import annotations
 
 import enum
+import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -141,6 +142,17 @@ class ExploredDigraph:
                 {"from": f, "to": t, "mult": m} for f, t, m in self.arcs
             ],
         }
+
+    @staticmethod
+    def from_json(obj: dict) -> "ExploredDigraph":
+        """The graph of an `as_json` object, with an empty frontier: the
+        format does not store it."""
+        return ExploredDigraph(
+            vertices=tuple((v["id"], complex(v["re"], v["im"])) for v in obj["vertices"]),
+            arcs=tuple((a["from"], a["to"], a["mult"]) for a in obj["arcs"]),
+            truncated=obj["truncated"],
+            seed_id=obj["seed"],
+        )
 
 
 # -- vertex dedup table ---------------------------------------------------------
@@ -582,8 +594,6 @@ def _label(z: complex) -> str:
 def export(g: ExploredDigraph, fmt: str = "json") -> bytes:
     """Serialize the graph as DOT or canonical JSON bytes."""
     if fmt == "json":
-        import json
-
         return (json.dumps(g.as_json(), sort_keys=True) + "\n").encode()
     if fmt == "dot":
         lines = ["digraph polygraph {"]

@@ -27,7 +27,7 @@ from .errors import AmbiguousOrderError, DomainError, NotStandardError
 from .probe import _sample_seeds
 from .quadratic import DEFAULT_NMAX, cosine_recognize
 from .scalars import GR_ONE, GaussRat, is_exact
-from .sympoly import SymPoly
+from .sympoly import SymPoly, parse_sympoly
 from .textio import format_terms
 
 ORDER_TOL = 1e-9
@@ -262,8 +262,6 @@ PUBLISHED_TABLE = {
 
 
 def published_condition(n: int) -> SymPoly:
-    from .sympoly import parse_sympoly
-
     if n not in PUBLISHED_TABLE:
         raise DomainError(f"no published row for n = {n}")
     return parse_sympoly(PUBLISHED_TABLE[n], ABCD)

@@ -32,6 +32,7 @@ from .explorer import (
     classify,
     is_isomorphic,
 )
+from .textio import bipoly_to_json
 
 SEED_MARGIN = 1e-3
 _MIN_RADIUS = 0.5
@@ -48,8 +49,6 @@ class ProbeResult:
     graphs: tuple[ExploredDigraph, ...] = ()
 
     def as_json(self) -> dict:
-        from .textio import bipoly_to_json
-
         out = {
             "polynomial": bipoly_to_json(self.polynomial),
             "seeds": [[s.real, s.imag] for s in self.seeds],

@@ -2,8 +2,8 @@
 
 `roots_of_rows` is the one root-finding kernel.  It takes a stacked
 (rows, width) complex array of coefficients, low to high, trims each row
-at the top by the `TRIM_REL` rule of `UniPoly.make` (so exact zero padding
-drops out), deflates exact zeros at the origin, buckets the rows by the
+at the top by `trimmed_lengths` unless it is given each row's length,
+deflates exact zeros at the origin, buckets the rows by the
 degree that remains and the number of those zeros, and takes the
 eigenvalues of each bucket's stacked companion matrices in one `eigvals`
 call (LAPACK zgeev balances them first; the method of `np.roots`, backward
@@ -15,8 +15,13 @@ cause, so a row's result does not depend on the other rows of the call.
 It returns each row's root values and multiplicities, and it alone judges
 whether a row can be solved: the first row, in order, that is non-finite,
 zero or fails the residual check raises, naming its index.  `roots_batch`
-stacks UniPolys for it and wraps its output in `RootSet`s; `roots` is a
-batch of one.
+stacks UniPolys for it, each at its own length, and wraps its output in
+`RootSet`s; `roots` is a batch of one.
+
+`trimmed_lengths` is the one rule for rounding debris.  It trims only rows
+evaluated or interpolated in floats: the kernel's own rows (every explorer
+and `neighbors` row), `BiPoly.eval_partial`'s float row and the float
+resultant's coefficients; a UniPoly or BiPoly keeps every nonzero one.
 
 Every root of a bucket then gets multiplicity-corrected Newton steps.  The
 residual check's p and p' are the first step's, unless the row has zeros
@@ -42,8 +47,7 @@ from numpy.linalg import LinAlgError, eigvals
 from .errors import DomainError, EvaluationOverflow, RootFindingError, ZeroPolynomialError
 from .unipoly import UniPoly, cached, from_roots as _expand_roots
 
-# Coefficients at the leading end of an evaluated or interpolated float row
-# that are at most this fraction of the row's largest are rounding debris.
+# A row's leading coefficients at most this fraction of its largest are debris.
 TRIM_REL = 1e-12
 # Cluster radii are CLUSTER_BASE**(1/m) * (1 + max|z|) for tentative multiplicity m.
 CLUSTER_BASE = 1e-12
@@ -111,10 +115,10 @@ def roots(p: UniPoly) -> RootSet:
 
 def roots_batch(polys: Sequence[UniPoly]) -> list[RootSet]:
     """Roots of every polynomial in one `roots_of_rows` call; entry k belongs
-    to polys[k].  Each row is the polynomial's own coefficients, untrimmed
-    (`to_float` keeps every coefficient of an exact polynomial).  A
-    constant row gets a RootSet with no roots; errors are those of
-    `roots_of_rows`."""
+    to polys[k].  Each row is the polynomial's own coefficients, untrimmed:
+    a UniPoly keeps every nonzero coefficient, and `to_float` keeps every
+    coefficient of an exact one.  A constant row gets a RootSet with no
+    roots; errors are those of `roots_of_rows`."""
     rows = [p.to_float().coeffs for p in polys]
     stacked = np.zeros((len(rows), max(map(len, rows), default=0)), dtype=complex)
     for k, c in enumerate(rows):
@@ -130,16 +134,15 @@ def roots_of_rows(c: np.ndarray, lengths=None) -> list[tuple[list[complex], list
     """Root values and multiplicities of every row of c; entry k belongs to c[k].
 
     c is a (rows, width) complex array of coefficients, low to high.  Row k
-    is c[k, :lengths[k]].  Without lengths each row is trimmed at the top
-    as `UniPoly.make` trims: coefficients at most TRIM_REL times the row's
-    largest are dropped from the leading end, so exact zero padding drops
-    out.  Roots come sorted by real part rounded to 1e-9 * (1 + max |root|)
-    of the row, then by imaginary part, so rounding noise in equal real
-    parts cannot reorder them.  A constant row has no roots.  The first row
-    k that cannot be solved raises with payload ``row=k``: EvaluationOverflow
-    if it holds a NaN or inf, ZeroPolynomialError if it is zero, and
-    RootFindingError if it fails the residual check; its ``best`` holds that
-    row's eigenvalues (NaN where LAPACK rejected the row).
+    is c[k, :lengths[k]], or c[k, :trimmed_lengths(c)[k]] without lengths,
+    so rounding debris and exact zero padding at the top drop out.  Roots
+    come sorted by real part rounded to 1e-9 * (1 + max |root|) of the row,
+    then by imaginary part, so rounding noise in equal real parts cannot
+    reorder them.  A constant row has no roots.  The first row k that
+    cannot be solved raises with payload ``row=k``: EvaluationOverflow if
+    it holds a NaN or inf, ZeroPolynomialError if it is zero, and
+    RootFindingError if it fails the residual check; its ``best`` holds
+    that row's eigenvalues (NaN where LAPACK rejected the row).
     """
     c = np.asarray(c, dtype=complex)
     if not len(c):
@@ -198,12 +201,10 @@ def roots_of_rows(c: np.ndarray, lengths=None) -> list[tuple[list[complex], list
 
 
 def trimmed_lengths(c: np.ndarray) -> np.ndarray:
-    """The length of each row of c, a (rows, width) complex array of
-    coefficients low to high, once its leading end is trimmed: coefficients
-    at most TRIM_REL times the row's largest are dropped from the top, so a
-    zero row has length 0 and exact zero padding drops out.  A non-finite
-    row keeps its full width, so whoever reads it rejects it.
-    """
+    """Each row's length, c being (rows, width) coefficients low to high,
+    once its top coefficients at most TRIM_REL times its largest are
+    dropped: 0 for a zero row, the width for a non-finite one (its reader
+    rejects it)."""
     c = np.asarray(c, dtype=complex)
     finite = np.isfinite(c).all(axis=1)
     mag = np.where(finite[:, None], np.abs(c), 0.0)  # keep NaN out of max and >

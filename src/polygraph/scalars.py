@@ -16,6 +16,7 @@ mixes the two backends without branching on their modes.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -130,15 +131,16 @@ def is_exact(v) -> bool:
     return isinstance(v, GaussRat)
 
 
-def square_and_multiply(base, k: int, one):
-    """base**k for an int k >= 0 by square-and-multiply; one is the unit."""
+def square_and_multiply(base, k: int, one, mul=operator.mul):
+    """base**k for an int k >= 0 by square-and-multiply under the product
+    mul; one is its unit."""
     out = one
     while k:
         if k & 1:
-            out = out * base
+            out = mul(out, base)
         k >>= 1
         if k:
-            base = base * base
+            base = mul(base, base)
     return out
 
 

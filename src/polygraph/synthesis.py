@@ -16,11 +16,13 @@ import cmath
 import enum
 import json
 from dataclasses import dataclass
+from math import gcd
 
 from .bipoly import BiPoly
 from .errors import DomainError, RegularityError, SynthesisError
 from .explorer import _reach
 from .scalars import GR_ONE, GaussRat, is_exact
+from .textio import format_scalar, parse_scalar
 from .unipoly import UniPoly, lagrange_interpolate
 
 _DUP_TOL = 1e-12
@@ -48,8 +50,6 @@ class FiniteDigraph:
 
     @staticmethod
     def from_json(obj: dict) -> "FiniteDigraph":
-        from .textio import parse_scalar
-
         values = []
         for txt in obj["vertices"]:
             v = parse_scalar(str(txt))
@@ -61,8 +61,6 @@ class FiniteDigraph:
         )
 
     def as_json(self) -> dict:
-        from .textio import format_scalar
-
         return {
             "vertices": [format_scalar(v) for v in self.values],
             "arcs": [[a, b] for a, b in self.arcs],
@@ -250,8 +248,6 @@ def circulant_poly(n: int, gens: tuple[int, ...]) -> BiPoly:
     steps = sorted({s % n for s in gens})
     if not steps or 0 in steps:
         raise DomainError("generators must be nonzero mod n", gens=list(gens))
-    from math import gcd
-
     g = n
     for s in steps:
         g = gcd(g, s)

@@ -331,15 +331,8 @@ def _gi_mul(s: tuple, t: tuple) -> tuple:
 
 
 def _gi_pow(s: tuple, k: int) -> tuple:
-    """s**k for k >= 0, by binary powering."""
-    out = (1, 0)
-    while k:
-        if k & 1:
-            out = _gi_mul(out, s)
-        k >>= 1
-        if k:
-            s = _gi_mul(s, s)
-    return out
+    """s**k for k >= 0."""
+    return square_and_multiply(s, k, (1, 0), _gi_mul)
 
 
 def _gi_divexact(s: tuple, t: tuple) -> tuple:
@@ -430,11 +423,12 @@ def gcd_all(polys: Sequence[UniPoly], var: str) -> UniPoly:
 
 
 def _gz_resultant(a: list, b: list) -> tuple:
-    """Res(a, b) of nonzero a and b over Z[i], by the subresultant PRS."""
+    """Res(a, b) of nonzero a and b over Z[i], not both constant, by the
+    subresultant PRS."""
     a, b, h, sign = _gz_prs(a, b)
     if not b:
         return (0, 0)
-    k = len(a) - 1  # k = 0 only for two constants: h = 1, _gi_pow(h, -1) = 1
+    k = len(a) - 1  # >= 1: a is the PRS element before its first constant
     res = _gi_divexact(_gi_pow(b[0], k), _gi_pow(h, k - 1))
     return res if sign > 0 else (-res[0], -res[1])
 

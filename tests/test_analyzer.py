@@ -105,6 +105,18 @@ class TestAnalyze:
         assert report.L.coeffs == (GaussRat.of(0), GaussRat.of(0), GaussRat.of(a + 2))
 
 
+class TestFloatCoefficientsAreKept:
+    def test_tiny_constant_term_is_standard(self):
+        # x*y = 1e-13: every vertex u != 0 has the one out-neighbour 1e-13/u.
+        report = analyze(parse("x*y - 1e-13"))
+        assert report.is_standard and report.failure_reasons == ()
+
+    def test_huge_coefficient_leaves_no_universal_source(self):
+        report = analyze(parse("y - 1e13*x"))
+        assert report.deg_y == 1
+        assert Failure.UNIVERSAL_SOURCE not in report.failure_reasons
+
+
 class TestFloatScale:
     """Float verdicts do not change when every coefficient is scaled by c."""
 

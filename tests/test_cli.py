@@ -107,6 +107,12 @@ def test_classify_deg1(capsys, poly, verdict):
     assert code == EXIT_OK and json.loads(out) == {"verdict": verdict}
 
 
+def test_classify_deg1_float_multiple_of_y_minus_x(capsys):
+    code, out, _ = run_cli(capsys, "classify-deg1", "1.0*y - 1.0*x")
+    assert code == EXIT_OK
+    assert json.loads(out) == {"verdict": "NotStandard(DivisibleByYMinusX)"}
+
+
 def test_classify_deg2(capsys):
     code, out, _ = run_cli(capsys, "classify-deg2", "--a", "-1", "--c", "1")
     data = json.loads(out)
@@ -250,3 +256,17 @@ def test_export_roundtrip(capsys, tmp_path):
     graph_file.write_text(out)
     code, dot, _ = run_cli(capsys, "export", str(graph_file), "--format", "dot")
     assert code == EXIT_OK and dot.count("->") == 6
+
+
+def test_export_json_round_trips_byte_for_byte(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "strong", "y^2+x*y+x^2", "--seed", "1")
+    graph_file = tmp_path / "g.json"
+    graph_file.write_text(out)
+    code, again, _ = run_cli(capsys, "export", str(graph_file), "--format", "json")
+    assert code == EXIT_OK and again == out
+
+
+def test_export_of_a_missing_file_exit_2(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "export", str(tmp_path / "missing.json"))
+    assert code == EXIT_DOMAIN and out == ""
+    assert json.loads(err)["error"]["type"] == "FileNotFoundError"

@@ -454,6 +454,23 @@ class TestExport:
         assert set(data["arcs"][0]) == {"from", "to", "mult"}
         assert data["truncated"] is False
 
+    def test_closed_graphs_round_trip_through_json(self):
+        graphs = [
+            explore_strong_component(triangle_poly(), 1.0 + 0j),
+            explore_component(parse("x^2+x*y+y^2"), 0j),  # a double loop
+            explore_component(parse("0.5*x*y - 1.5"), 0.3),
+        ]
+        for g in graphs:
+            assert not g.truncated and not g.frontier_ids
+            assert ExploredDigraph.from_json(json.loads(export(g, "json"))) == g
+
+    def test_truncated_graph_json_round_trips(self):
+        # The format does not store the frontier, so only the JSON comes back.
+        g = explore_component(parse("(y-x)^2-1"), 0j, Budget(max_depth=3))
+        assert g.truncated and g.frontier_ids
+        h = ExploredDigraph.from_json(json.loads(export(g, "json")))
+        assert h.as_json() == g.as_json() and h.frontier_ids == ()
+
     def test_dot_multiplicity_label(self):
         g = ExploredDigraph(
             vertices=((0, 0j), (1, 1 + 0j)),

@@ -93,6 +93,25 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("x + z")
 
+    def test_unicode_minus(self):
+        assert parse("y \u2212 x") == parse("y - x")
+
+    @pytest.mark.parametrize("text, coeffs", [
+        ("y - 1e13*x", {(0, 1): 1.0, (1, 0): -1e13}),
+        ("x*y - 1e-13", {(1, 1): 1.0, (0, 0): -1e-13}),
+        ("1e-13*y^2 + y - x", {(0, 2): 1e-13, (0, 1): 1.0, (1, 0): -1.0}),
+        ("1e-13*x^2 + x - y", {(2, 0): 1e-13, (1, 0): 1.0, (0, 1): -1.0}),
+    ])
+    def test_float_coefficients_are_all_kept(self, text, coeffs):
+        # However small one coefficient is beside the others, it is part of
+        # Phi and so of the digraph.
+        p = parse(text)
+        assert p.mode == "float"
+        for (i, j), c in coeffs.items():
+            assert p.coeff(i, j) == c
+        assert p.deg_x == max(i for i, _ in coeffs)
+        assert p.deg_y == max(j for _, j in coeffs)
+
     def test_roundtrip_through_text(self):
         for text in ("(y-x)^4-1", "x^2+y^2+x*y", "(1+2i)*x*y - 3/4"):
             p = parse(text)
@@ -341,6 +360,14 @@ class TestEvalPartial:
     def test_universal_vertex_gives_zero_polynomial(self):
         phi = parse("(x-1)*y + x - 1")
         assert phi.eval_partial(gr(1), "x").is_zero
+
+    def test_float_row_drops_rounding_debris_at_its_top(self):
+        # 0.1*3.0 - 0.3 is 5.6e-17, not 0: the y^2 coefficient of the row is
+        # rounding debris, so the row has degree 1.
+        phi = parse("(0.1*x - 0.3)*y^2 + y + 1")
+        assert phi.eval_rows([3.0], "x")[0, 2] != 0
+        row = phi.eval_partial(3.0, "x")
+        assert row.degree == 1 and row.coeff(1) == 1 and row.coeff(0) == 1
 
 
 def _random_bipoly(rng: random.Random, exact: bool) -> BiPoly:
@@ -719,6 +746,26 @@ class TestInvariants:
             for (i, j), cc in p.coeffs.items():
                 b += complex(cc) * u**i * v**j
             assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
+
+
+def test_only_rootfind_names_the_trim_rule():
+    # Construction and arithmetic keep every float coefficient; debris is
+    # trimmed only by rootfind.trimmed_lengths, where a degree is read off
+    # an evaluated or interpolated row.
+    src = Path(__file__).resolve().parent.parent / "src" / "polygraph"
+    modules = sorted(src.glob("*.py"))
+    assert len(modules) > 10
+    offenders = []
+    for path in modules:
+        if path.stem == "rootfind":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = [getattr(node, "id", None), getattr(node, "attr", None)]
+            if isinstance(node, ast.ImportFrom):
+                names += [a.name for a in node.names]
+            if "TRIM_REL" in names:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, offenders
 
 
 def test_only_unipoly_knows_its_private_names():

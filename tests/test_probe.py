@@ -1,5 +1,6 @@
 """Conjecture probes: one analysis per probe, synthesized inputs, lockstep seeds."""
 
+import json
 import math
 from collections import deque
 
@@ -190,6 +191,19 @@ def test_undecided_pair_does_not_hide_a_later_counterexample(monkeypatch):
     assert result.truncated_count == 0
     assert result.all_isomorphic is False
     assert result.counterexample == (1, 2)
+
+
+def test_counterexample_json_names_its_pair(monkeypatch):
+    monkeypatch.setattr(probe_module, "classify", lambda g: ShapeLabel(Shape.UNKNOWN))
+    monkeypatch.setattr(probe_module, "is_isomorphic", lambda g, h: False)
+    result = probe_conjecture(complete_graph_poly(3), n_seeds=3)
+    assert result.counterexample == (0, 1)
+    data = json.loads(json.dumps(result.as_json()))
+    assert data["all_isomorphic"] is False
+    assert data["counterexample"] == {
+        "seed_indices": [0, 1],
+        "graphs": [result.graphs[0].as_json(), result.graphs[1].as_json()],
+    }
 
 
 def test_closed_components_of_different_sizes_above_the_limit_differ():

@@ -1,5 +1,6 @@
 """Symmetric degree-2 classification, orbits and singular inventories."""
 
+import json
 import math
 import random
 
@@ -321,6 +322,31 @@ class TestCharacteristicRoots:
         q = QuadSym(a, 0.0, 1.0)
         w1, w2 = characteristic_roots(q)
         assert abs(w1 * w2 - 1) < 1e-12 and abs(w1 + w2 + a) < 1e-12
+
+
+def test_float_cosine_keeps_its_xy_coefficient():
+    # 2cos(pi/2) rounds to 1.2e-16, not 0; Phi keeps it as its xy coefficient.
+    a = 2 * math.cos(math.pi / 2)
+    phi = QuadSym(a, 0.0, 1.0).as_bipoly()
+    assert a != 0 and phi.coeff(1, 1) == a
+    assert phi.coeff(2, 0) == phi.coeff(0, 2) == phi.coeff(0, 0) == 1
+
+
+class TestReportJson:
+    def test_double_ray_verdict(self):
+        data = classify_deg2(exact_quad(2, 0, -4)).as_json()
+        assert json.loads(json.dumps(data)) == data
+        assert data["verdict"] == "DoubleRay" and data["case"] == QuadCase.A_PLUS_2.value
+        assert data["cosine_witness"] is None and data["component_cycle_length"] is None
+        assert sorted(re for re, _ in data["loops"]) == pytest.approx([-1.0, 1.0])
+
+    def test_inventory_has_no_verdict(self):
+        data = singular_inventory_quad(exact_quad(-2, 1, 0)).as_json()
+        assert json.loads(json.dumps(data)) == data
+        assert data["verdict"] is None and data["cosine_witness"] is None
+        assert data["singular_components_finite"] is False
+        (origin,) = data["double_arc_origins"]
+        assert origin == pytest.approx([0.125, 0.0], abs=1e-12)
 
 
 class TestStandardnessGuard:

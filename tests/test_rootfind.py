@@ -291,6 +291,24 @@ def test_kernel_errors():
     ]
 
 
+class TestTrimmedLengths:
+    def test_zero_row_has_length_zero(self):
+        assert rootfind.trimmed_lengths(np.zeros((1, 3), dtype=complex)).tolist() == [0]
+
+    def test_non_finite_row_keeps_its_width(self):
+        rows = np.array([[1, np.nan, 0], [np.inf, 0, 0]], dtype=complex)
+        assert rootfind.trimmed_lengths(rows).tolist() == [3, 3]
+
+    def test_zero_padding_is_dropped(self):
+        rows = np.array([[1, 2, 0, 0], [0, 0, 0, 5]], dtype=complex)
+        assert rootfind.trimmed_lengths(rows).tolist() == [2, 4]
+
+    def test_debris_is_measured_against_its_own_row(self):
+        # 1e-15 beside a 3 is dropped; alone in its row it is the row.
+        rows = np.array([[1, 3, 1e-15], [0, 0, 1e-15]], dtype=complex)
+        assert rootfind.trimmed_lengths(rows).tolist() == [2, 3]
+
+
 _CAUSES = {
     "zero": ZeroPolynomialError,
     "nan": EvaluationOverflow,
