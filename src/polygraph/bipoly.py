@@ -7,9 +7,9 @@ a zero row is the exact zero `UniPoly`; mixing modes follows the scalar
 rule of :mod:`polygraph.scalars`.  Every ring operation, coefficient view
 and exact algorithm is written with `UniPoly` operations on the rows, so
 only `unipoly` knows how exact coefficients are stored.  A float
-polynomial keeps every nonzero coefficient that construction and
-arithmetic give; only a row evaluated or interpolated here is trimmed, by
-`rootfind.trimmed_lengths`, before its degree is read.  Highlights:
+polynomial keeps every nonzero coefficient; `rootfind.trimmed_lengths`
+trims only the rows evaluated, interpolated or summed here before their
+degree is read (`eval_partial`, the float resultant, `diagonal`).  Highlights:
 
 * partial evaluation Phi(u, y) / Phi(x, u): `eval_rows` evaluates a whole
   vector of values in floats at once, by Horner over a cached dense
@@ -195,8 +195,7 @@ class BiPoly:
             raise DomainError(f"axis must be x or y, got {axis!r}")
         other = "y" if axis == "x" else "x"
         if not (self.mode == "exact" and is_exact(u)):
-            row = self.eval_rows([complex(u)], axis)
-            return UniPoly.make(row[0, : trimmed_lengths(row)[0]].tolist(), other)
+            return _trimmed(self.eval_rows([complex(u)], axis)[0], other)
         return UniPoly.make([p.eval(u) for p in self.coeff_polys(other)], other)
 
     @cached
@@ -239,11 +238,12 @@ class BiPoly:
         return self.eval_partial(u, "x").eval(v)
 
     def diagonal(self) -> UniPoly:
-        """Phi(x, x) as a UniPoly in x (the loop polynomial), by Horner in y."""
+        """Phi(x, x) as a UniPoly in x (the loop polynomial), by Horner in y;
+        a float one is trimmed, as its top coefficients may cancel to debris."""
         acc = UniPoly.zero()
         for r in reversed(self.rows):
             acc = acc.shift(1) + r
-        return acc
+        return acc if acc.mode == "exact" else _trimmed(acc.coeffs, "x")
 
     def _substitute(self, sx: "BiPoly", sy: "BiPoly") -> "BiPoly":
         """Phi(sx, sy), by Horner in y over Horner in x."""
@@ -396,7 +396,13 @@ def _resultant_float(p: BiPoly, q: BiPoly, var: str, bound: int) -> UniPoly:
         # vals[t] = sum_j (c_j e^{ij*angle}) e^{+2 pi i j t / N} = N * ifft(c~)[t]
         coeffs = np.fft.fft(vals) / n_samples
         coeffs = coeffs / np.exp(1j * _INTERP_ANGLE * np.arange(n_samples))
-    return UniPoly.make(list(coeffs[: trimmed_lengths(coeffs[None])[0]]), other)
+    return _trimmed(coeffs, other)
+
+
+def _trimmed(c, var: str) -> UniPoly:
+    """The float UniPoly of coefficients c, low to high, less the rounding
+    debris at its leading end that `rootfind.trimmed_lengths` finds."""
+    return UniPoly.make(c[: trimmed_lengths(np.array([c]))[0]], var)
 
 
 def _primitive_y(p: BiPoly) -> BiPoly:

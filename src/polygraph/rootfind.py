@@ -19,9 +19,9 @@ stacks UniPolys for it, each at its own length, and wraps its output in
 `RootSet`s; `roots` is a batch of one.
 
 `trimmed_lengths` is the one rule for rounding debris.  It trims only rows
-evaluated or interpolated in floats: the kernel's own rows (every explorer
-and `neighbors` row), `BiPoly.eval_partial`'s float row and the float
-resultant's coefficients; a UniPoly or BiPoly keeps every nonzero one.
+evaluated, interpolated or summed in floats: the kernel's own rows (every
+explorer and `neighbors` row) and the float rows `bipoly` builds (see its
+docstring); any other UniPoly or BiPoly keeps every nonzero coefficient.
 
 Every root of a bucket then gets multiplicity-corrected Newton steps.  The
 residual check's p and p' are the first step's, unless the row has zeros

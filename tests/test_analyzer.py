@@ -116,6 +116,27 @@ class TestFloatCoefficientsAreKept:
         assert report.deg_y == 1
         assert Failure.UNIVERSAL_SOURCE not in report.failure_reasons
 
+    def test_diagonal_drops_rounding_debris_at_its_top(self):
+        # On the diagonal the x^2 terms cancel, but (-0.3 + 0.1) + 0.2 is
+        # 2.8e-17 in floats: L is x + 1, and the one loop is at -1.
+        phi = parse("0.1*x*y + 0.2*x^2 - 0.3*y^2 + x + 1")
+        report = analyze(phi)
+        assert report.is_standard and report.L.degree == 1
+        (loop,) = singular_inventory(phi, report).loops
+        assert abs(loop[0] + 1) < 1e-12 and loop[1] == 1
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the root kernel's clustering merges the simple roots "
+        "+-3.2e-7 of L = x^2 - 1e-13 into a double root at 0",
+    )
+    def test_tiny_constant_term_has_its_two_loops(self):
+        phi = parse("x*y - 1e-13")
+        loops = sorted(singular_inventory(phi, analyze(phi)).loops, key=lambda l: l[0].real)
+        r = 1e-13 ** 0.5
+        assert [m for _, m in loops] == [1, 1]
+        assert all(abs(u - s * r) <= 1e-9 * r for (u, _), s in zip(loops, (-1, 1)))
+
 
 class TestFloatScale:
     """Float verdicts do not change when every coefficient is scaled by c."""

@@ -751,7 +751,7 @@ class TestInvariants:
 def test_only_rootfind_names_the_trim_rule():
     # Construction and arithmetic keep every float coefficient; debris is
     # trimmed only by rootfind.trimmed_lengths, where a degree is read off
-    # an evaluated or interpolated row.
+    # an evaluated, interpolated or summed row.
     src = Path(__file__).resolve().parent.parent / "src" / "polygraph"
     modules = sorted(src.glob("*.py"))
     assert len(modules) > 10
