@@ -535,21 +535,23 @@ def _signatures(mult: dict[tuple[int, int], int], n: int) -> list[tuple]:
 
 
 def is_isomorphic(g: ExploredDigraph, h: ExploredDigraph) -> bool:
-    """Arc-multiplicity-preserving bijection search for closed small graphs."""
+    """Arc-multiplicity-preserving bijection search for closed small graphs.
+    Graphs whose orders, arc counts or sorted vertex signatures differ are
+    told apart at any size; a search above ISO_LIMIT vertices raises."""
     if g.truncated or h.truncated:
         raise SizeLimitError("isomorphism testing needs closed graphs")
     ag, ah = g.multiplicity, h.multiplicity
     n = g.order
     if n != h.order or len(ag) != len(ah):
         return False
+    sg, sh = _signatures(ag, n), _signatures(ah, n)
+    if sorted(sg) != sorted(sh):
+        return False
     if n > ISO_LIMIT:
         raise SizeLimitError(
             "graphs too large for exact matching; compare classify labels",
             limit=ISO_LIMIT,
         )
-    sg, sh = _signatures(ag, n), _signatures(ah, n)
-    if sorted(sg) != sorted(sh):
-        return False
 
     # w can be v's image when the signatures and the arcs to the mapped vertices agree.
     order = sorted(range(n), key=lambda v: (sg[v], v))

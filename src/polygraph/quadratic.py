@@ -28,7 +28,6 @@ from .scalars import GR_ONE, GaussRat, is_exact
 
 COS_TOL = 1e-9
 DEFAULT_NMAX = 512
-_CF_DEPTH = 20
 _CASE_TOL = 1e-12  # float a within this of -2 or 2 takes that case
 _AMBIG_BAND = 10.0
 
@@ -163,15 +162,18 @@ def cosine_recognize(a, n_max: int = DEFAULT_NMAX):
     """Least (n, k) with a = 2 cos(2 pi k / n), gcd(k, n) = 1, or None.
 
     Exact rational a only matches for a in {0, 1, -1} (plus the excluded
-    +-2); float a goes through arccos and continued-fraction recognition,
-    with a mandatory numeric re-check of every candidate.
+    +-2).  For float a, theta = arccos(a/2) / (2 pi) has one candidate: its
+    best rational approximation k/n with n <= n_max, which is re-checked
+    numerically.  One is enough: a witness within COS_TOL puts theta within
+    1/(2 n^2) of k/n, and by Legendre's theorem such a k/n is a convergent
+    of theta and its best approximation.
     """
     return _cosine_scan(a, n_max)[0]
 
 
 def _cosine_scan(a, n_max: int) -> tuple[tuple[int, int] | None, bool]:
     """(cosine_recognize(a, n_max), near miss): the near miss is True when a
-    float a is not recognized but some candidate misses only by the
+    float a is not recognized but its candidate misses only by the
     uncertainty band _AMBIG_BAND."""
     if is_exact(a):
         if not a.is_real():
@@ -184,40 +186,17 @@ def _cosine_scan(a, n_max: int) -> tuple[tuple[int, int] | None, bool]:
         witness = table.get(a.re)
         return (witness if witness and witness[0] <= n_max else None), False
     ca = complex(a)
-    if abs(ca.imag) > COS_TOL * _AMBIG_BAND or not -1.0 < ca.real / 2.0 < 1.0:
+    if n_max < 3 or abs(ca.imag) > COS_TOL * _AMBIG_BAND or not -1.0 < ca.real / 2.0 < 1.0:
         return None, False
     theta = math.acos(ca.real / 2.0) / (2 * math.pi)  # in (0, 1/2)
-    near = False
-    for k, n in continued_fraction_candidates(theta, n_max):
-        if n < 3 or k <= 0 or math.gcd(k, n) != 1:
-            continue
-        err = abs(2 * math.cos(2 * math.pi * k / n) - ca.real)
-        if err <= COS_TOL * (1 + abs(ca)):
-            if abs(ca.imag) <= COS_TOL:
-                return (n, k), False
-        elif err <= COS_TOL * _AMBIG_BAND * (1 + abs(ca)):
-            near = True
-    return None, near
-
-
-def continued_fraction_candidates(theta: float, max_den: int):
-    """Convergents p/q of theta with q <= max_den, in rising-q order."""
-    out = []
-    h0, h1 = 0, 1
-    k0, k1 = 1, 0
-    x = theta
-    for _ in range(_CF_DEPTH):
-        a = math.floor(x)
-        h0, h1 = h1, a * h1 + h0
-        k0, k1 = k1, a * k1 + k0
-        if k1 > max_den:
-            break
-        out.append((h1, k1))
-        frac = x - a
-        if frac < 1e-15:
-            break
-        x = 1.0 / frac
-    return out
+    best = Fraction(theta).limit_denominator(n_max)  # lowest terms
+    k, n = best.numerator, best.denominator
+    if n < 3:
+        return None, False
+    err = abs(2 * math.cos(2 * math.pi * k / n) - ca.real)
+    if err <= COS_TOL * (1 + abs(ca)):
+        return ((n, k) if abs(ca.imag) <= COS_TOL else None), False
+    return None, err <= COS_TOL * _AMBIG_BAND * (1 + abs(ca))
 
 
 def singular_inventory_quad(q: QuadSym) -> QuadReport:

@@ -248,10 +248,7 @@ def circulant_poly(n: int, gens: tuple[int, ...]) -> BiPoly:
     steps = sorted({s % n for s in gens})
     if not steps or 0 in steps:
         raise DomainError("generators must be nonzero mod n", gens=list(gens))
-    g = n
-    for s in steps:
-        g = gcd(g, s)
-    if g != 1:
+    if gcd(n, *steps) != 1:
         raise DomainError("generators do not generate Z_n", gens=list(gens))
     roots = [cmath.exp(2j * cmath.pi * s / n) for s in steps]
     return cayley_multiplicative(roots)

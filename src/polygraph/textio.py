@@ -19,6 +19,7 @@ its own variable names.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -29,70 +30,53 @@ from .unipoly import UniPoly
 
 # -- tokenizer ----------------------------------------------------------------
 
-_OPS = set("+-*^()")
+# One token at each position: whitespace; a number, p/q or a run of decimal
+# digits and points with an optional exponent, then an optional "i"; a name,
+# a letter or non-decimal numeral ("½") then letters and digits; or an
+# operator, U+2212 being a minus.
+_TOKEN = re.compile(
+    r"\s+"
+    r"|(?P<num>\d+/\d+|[\d.]+(?:[eE][+-]?\d+)?)(?P<imag>i?)"
+    r"|(?P<name>[^\W\d_][^\W_]*)"
+    r"|(?P<op>[-+*^()\u2212])"
+)
+
+
+def _number(lit: str, at: int):
+    """The value of the numeric literal lit found at position at: a Fraction
+    for an integer or p/q, a float for a decimal (which switches the whole
+    polynomial to float mode)."""
+    num, _, den = lit.partition("/")
+    if den:
+        if int(den) == 0:
+            raise ParseError("zero denominator", at)
+        return Fraction(int(num), int(den))
+    if lit.isdecimal():
+        return Fraction(int(lit))
+    try:
+        value = float(lit)
+    except ValueError:
+        raise ParseError("malformed decimal literal", at) from None
+    if not math.isfinite(value):
+        raise ParseError(f"decimal literal {lit} is not finite", at)
+    return value
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
     toks: list[tuple[str, object, int]] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "−":  # unicode minus
-            toks.append(("op", "-", i))
-            i += 1
-            continue
-        if ch in _OPS:
-            toks.append(("op", ch, i))
-            i += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            start = i
-            while i < n and (text[i].isdigit() or text[i] == "."):
-                i += 1
-            if i < n and text[i] in "eE":
-                j = i + 1
-                if j < n and text[j] in "+-":
-                    j += 1
-                if j < n and text[j].isdigit():
-                    i = j
-                    while i < n and text[i].isdigit():
-                        i += 1
-            lit = text[start:i]
-            if "." in lit or "e" in lit or "E" in lit:
-                try:
-                    value: object = float(lit)  # any decimal literal -> float mode
-                except ValueError:
-                    raise ParseError("malformed decimal literal", start) from None
-                if not math.isfinite(value):
-                    raise ParseError(f"decimal literal {lit} is not finite", start)
-            elif i < n and text[i] == "/" and i + 1 < n and text[i + 1].isdigit():
-                i += 1
-                dstart = i
-                while i < n and text[i].isdigit():
-                    i += 1
-                den = int(text[dstart:i])
-                if den == 0:
-                    raise ParseError("zero denominator", start)
-                value = Fraction(int(lit), den)
-            else:
-                value = Fraction(int(lit))
-            if i < n and text[i] == "i":
-                i += 1
-                toks.append(("imag", value, start))
-            else:
-                toks.append(("num", value, start))
-            continue
-        if ch.isalpha():
-            start = i
-            while i < n and text[i].isalnum():
-                i += 1
-            toks.append(("name", text[start:i], start))
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    toks.append(("end", None, n))
+    i = 0
+    while i < len(text):
+        m = _TOKEN.match(text, i)
+        if m is None:
+            raise ParseError(f"unexpected character {text[i]!r}", i)
+        if m["num"]:
+            toks.append(("imag" if m["imag"] else "num", _number(m["num"], i), i))
+        elif m["name"]:
+            toks.append(("name", m["name"], i))
+        elif m["op"]:
+            toks.append(("op", "-" if m["op"] == "\u2212" else m["op"], i))
+        i = m.end()
+    toks.append(("end", None, len(text)))
     return toks
 
 
@@ -211,10 +195,6 @@ def parse_scalar(text: str):
 # -- formatting -----------------------------------------------------------------
 
 
-def _fmt_fraction(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def _fmt_float(v: float) -> str:
     if v == int(v) and abs(v) < 1e15:
         return str(int(v))
@@ -224,17 +204,17 @@ def _fmt_float(v: float) -> str:
 def format_scalar(s) -> str:
     """Round-trippable scalar text: '3/2', '2i', '1+2i', '0.5-1.5i'."""
     if is_exact(s):
-        re, im, fmt = s.re, s.im, _fmt_fraction
+        real, imag, fmt = s.re, s.im, str
     else:
         z = complex(s)
-        re, im, fmt = z.real, z.imag, _fmt_float
-    if im == 0:
-        return fmt(re)
-    imtxt = "i" if im == 1 else ("-i" if im == -1 else fmt(im) + "i")
-    if re == 0:
+        real, imag, fmt = z.real, z.imag, _fmt_float
+    if imag == 0:
+        return fmt(real)
+    imtxt = "i" if imag == 1 else ("-i" if imag == -1 else fmt(imag) + "i")
+    if real == 0:
         return imtxt
-    sign = "+" if im > 0 else ""
-    return fmt(re) + sign + imtxt
+    sign = "+" if imag > 0 else ""
+    return fmt(real) + sign + imtxt
 
 
 def format_terms(coeffs: Mapping[tuple[int, ...], object], names: Sequence[str]) -> str:
@@ -275,7 +255,7 @@ def bipoly_to_json(p: BiPoly) -> dict:
     for (i, j) in sorted(p.coeffs):
         c = p.coeffs[(i, j)]
         if is_exact(c):
-            entries.append([i, j, _fmt_fraction(c.re), _fmt_fraction(c.im)])
+            entries.append([i, j, str(c.re), str(c.im)])
         else:
             entries.append([i, j, c.real, c.imag])
     return {"mode": p.mode, "coeffs": entries}
@@ -284,9 +264,9 @@ def bipoly_to_json(p: BiPoly) -> dict:
 def bipoly_from_json(obj: dict) -> BiPoly:
     mode = obj.get("mode")
     out = {}
-    for i, j, re, im in obj["coeffs"]:
+    for i, j, real, imag in obj["coeffs"]:
         if mode == "exact":
-            out[(int(i), int(j))] = GaussRat(Fraction(str(re)), Fraction(str(im)))
+            out[(int(i), int(j))] = GaussRat(Fraction(str(real)), Fraction(str(imag)))
         else:
-            out[(int(i), int(j))] = complex(float(re), float(im))
+            out[(int(i), int(j))] = complex(float(real), float(imag))
     return BiPoly.make(out)

@@ -171,9 +171,10 @@ def test_domain_error_exit_2(capsys):
     ("analyze", "..5*x + y"),
     ("explore", "y-x-1", "--seed", "1/0"),
     ("synth", "--digraph", "1/0"),
+    ("analyze", "2²"),
 ], ids=[
     "bad_character", "zero_denominator", "two_points", "lone_point", "double_point",
-    "seed_zero_denominator", "vertex_zero_denominator",
+    "seed_zero_denominator", "vertex_zero_denominator", "superscript_digit",
 ])
 def test_parse_error_exit_2(capsys, tmp_path, argv):
     if argv[0] == "synth":

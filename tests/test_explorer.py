@@ -382,6 +382,12 @@ class TestIsomorphic:
         with pytest.raises(SizeLimitError):
             is_isomorphic(_cycle_graph(13, True), _cycle_graph(13, True))
 
+    def test_signatures_tell_large_graphs_apart(self):
+        # Both have 13 vertices and 13 arcs, but vertex 12 of the second has
+        # no arc in: unequal signatures decide it before the size limit.
+        tail = _digraph(13, [(k, (k + 1) % 12) for k in range(12)] + [(12, 0)], False)
+        assert not is_isomorphic(_cycle_graph(13, True), tail)
+
     def test_repeated_entries_add_up(self):
         # K3 with the arc (0, 1) listed twice has a double arc (0, 1): it is
         # not K3, and it is K3 with (0, 1) of multiplicity 2.

@@ -171,6 +171,36 @@ class TestCosineRecognize:
         # irrational angle: must not be matched within tolerance
         assert cosine_recognize(0.5) is None
 
+    def test_n_max_below_three_admits_no_witness(self):
+        for n_max in (-1, 0, 1, 2):
+            assert quadratic._cosine_scan(1.0, n_max) == (None, False)
+            assert quadratic._cosine_scan(1.0 + 2e-9, n_max) == (None, False)
+
+    def test_every_angle_up_to_64_and_its_tolerance_band(self):
+        # a = 2 cos(2 pi k / n) for every reduced k/n in (0, 1/2) with
+        # 3 <= n <= 64.  Shifts inside COS_TOL keep the witness; past it the
+        # verdict is DoubleRay, flagged ambiguous up to _AMBIG_BAND times the
+        # tolerance and not beyond.
+        band = quadratic._AMBIG_BAND
+        for n in range(3, 65):
+            for k in range(1, (n + 1) // 2):
+                if math.gcd(k, n) != 1:
+                    continue
+                a = 2 * math.cos(2 * math.pi * k / n)
+                tol = quadratic.COS_TOL * (1 + abs(a))
+                assert cosine_recognize(a) == (n, k)
+                assert cosine_recognize(a, n_max=n - 1) is None
+                for sign in (1, -1):
+                    assert cosine_recognize(a + sign * 0.99 * tol) == (n, k)
+                    assert cosine_recognize(a + sign * 1.01 * tol) is None
+                # Each angle checks one side and one edge of the band.
+                sign = 1 if k % 2 else -1
+                inside = 1.01 if n % 2 else 0.99 * band
+                for factor, ambiguous in ((inside, True), (1.01 * band, False)):
+                    r = classify_deg2(QuadSym(a + sign * factor * tol, 0.0, 1.0))
+                    assert r.verdict is QuadShape.DOUBLE_RAY and r.cosine_witness is None
+                    assert r.numerically_ambiguous is ambiguous, (n, k, factor)
+
 
 class TestClassify:
     def test_verdict_labels(self):
