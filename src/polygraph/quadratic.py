@@ -162,18 +162,19 @@ def cosine_recognize(a, n_max: int = DEFAULT_NMAX):
     """Least (n, k) with a = 2 cos(2 pi k / n), gcd(k, n) = 1, or None.
 
     Exact rational a only matches for a in {0, 1, -1} (plus the excluded
-    +-2).  For float a, theta = arccos(a/2) / (2 pi) has one candidate: its
-    best rational approximation k/n with n <= n_max, which is re-checked
-    numerically.  One is enough: a witness within COS_TOL puts theta within
-    1/(2 n^2) of k/n, and by Legendre's theorem such a k/n is a convergent
-    of theta and its best approximation.
+    +-2).  For float a, the candidates are the convergents k/n of
+    theta = arccos(a/2) / (2 pi) with n <= n_max, in rising n, and the first
+    that re-checks within COS_TOL is the witness.  Each witness is a
+    convergent (Legendre's theorem), but the best approximation of theta
+    with denominator <= n_max can be a later convergent that is also within
+    tolerance, so the scan starts from the least n rather than the best.
     """
     return _cosine_scan(a, n_max)[0]
 
 
 def _cosine_scan(a, n_max: int) -> tuple[tuple[int, int] | None, bool]:
     """(cosine_recognize(a, n_max), near miss): the near miss is True when a
-    float a is not recognized but its candidate misses only by the
+    float a is not recognized but some candidate misses only by the
     uncertainty band _AMBIG_BAND."""
     if is_exact(a):
         if not a.is_real():
@@ -186,17 +187,28 @@ def _cosine_scan(a, n_max: int) -> tuple[tuple[int, int] | None, bool]:
         witness = table.get(a.re)
         return (witness if witness and witness[0] <= n_max else None), False
     ca = complex(a)
-    if n_max < 3 or abs(ca.imag) > COS_TOL * _AMBIG_BAND or not -1.0 < ca.real / 2.0 < 1.0:
+    if abs(ca.imag) > COS_TOL * _AMBIG_BAND or not -1.0 < ca.real / 2.0 < 1.0:
         return None, False
     theta = math.acos(ca.real / 2.0) / (2 * math.pi)  # in (0, 1/2)
-    best = Fraction(theta).limit_denominator(n_max)  # lowest terms
-    k, n = best.numerator, best.denominator
-    if n < 3:
-        return None, False
-    err = abs(2 * math.cos(2 * math.pi * k / n) - ca.real)
-    if err <= COS_TOL * (1 + abs(ca)):
-        return ((n, k) if abs(ca.imag) <= COS_TOL else None), False
-    return None, err <= COS_TOL * _AMBIG_BAND * (1 + abs(ca))
+    # Euclid's algorithm on the double's exact ratio yields the partial
+    # quotients q; the convergents k/n come out in lowest terms.
+    num, den = theta.as_integer_ratio()
+    k_prev, n_prev, k, n = 0, 1, 1, 0
+    near = False
+    while den:
+        q, rem = divmod(num, den)
+        k_prev, n_prev, k, n = k, n, q * k + k_prev, q * n + n_prev
+        if n > n_max:
+            break
+        if n >= 3:
+            err = abs(2 * math.cos(2 * math.pi * k / n) - ca.real)
+            if err <= COS_TOL * (1 + abs(ca)):
+                if abs(ca.imag) <= COS_TOL:
+                    return (n, k), False
+            elif err <= COS_TOL * _AMBIG_BAND * (1 + abs(ca)):
+                near = True
+        num, den = den, rem
+    return None, near
 
 
 def singular_inventory_quad(q: QuadSym) -> QuadReport:

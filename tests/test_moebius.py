@@ -32,6 +32,7 @@ from polygraph import (
 )
 from polygraph.errors import AmbiguousOrderError, DomainError, NotStandardError, ParseError
 from polygraph.moebius import ABCD, _u_te, cycle_condition_te, symbolic_power_entries
+from polygraph.quadratic import COS_TOL
 from polygraph.sympoly import SymPoly, parse_sympoly
 
 SQRT3 = math.sqrt(3.0)
@@ -105,6 +106,14 @@ class TestProjectiveOrder:
         assert projective_order(m, n_max=5) is None
         assert projective_order(mobius_inversion(2), n_max=1) is None
         assert projective_order(mobius_rotation(7), n_max=6) is None
+
+    def test_least_order_when_a_later_convergent_is_closer(self):
+        # v = trace^2/det - 2 lies 0.9 tolerance above 2 cos(2 pi / 2003);
+        # 4/8013 approximates its angle better, but the order is 2003.
+        v = 2 * math.cos(2 * math.pi / 2003)
+        v += 0.9 * COS_TOL * (1 + abs(v))
+        m = Mobius(math.sqrt(v + 2), -1.0, 1.0, 0.0)
+        assert projective_order(m, n_max=10000) == 2003
 
     def test_loxodromic_none(self):
         assert projective_order(Mobius(2.0, 0.0, 0.0, 1.0)) is None

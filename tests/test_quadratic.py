@@ -171,6 +171,17 @@ class TestCosineRecognize:
         # irrational angle: must not be matched within tolerance
         assert cosine_recognize(0.5) is None
 
+    def test_least_witness_when_a_later_convergent_is_closer(self):
+        # theta lies 6.85e-8 below 1/2003.  The next convergent but one,
+        # 4/8013, is closer to theta and also within tolerance; the least
+        # witness is still (2003, 1).
+        a = 2 * math.cos(2 * math.pi / 2003)
+        a += 0.9 * quadratic.COS_TOL * (1 + abs(a))
+        assert cosine_recognize(a, n_max=10000) == (2003, 1)
+        r = classify_deg2(QuadSym(a, 0.0, 1.0), n_max=10000)
+        assert r.cosine_witness == (2003, 1)
+        assert r.component_cycle_length == component_cycle_length(2003, 1)
+
     def test_n_max_below_three_admits_no_witness(self):
         for n_max in (-1, 0, 1, 2):
             assert quadratic._cosine_scan(1.0, n_max) == (None, False)
