@@ -11,28 +11,31 @@ For Phi(x,y) = sum a_i(x) y^i = sum b_j(y) x^j the report carries:
 * S = L*D*E: the singular vertices are its roots.  The verdict does not
   read it, so S is computed on first read.
 
-Exact scalars give exact verdicts; float polynomials get the same report
-with a numerically_uncertain flag whenever a zero test lands near its
-tolerance.
+A float Phi is analyzed on its exact binary value (`BiPoly.to_exact`): the
+verdict is the exact one, so scaling Phi by c changes it only through the
+rounding of the scaled coefficients (not at all for c a power of two), and
+its A, B, D, E and L are the float images of the exact polynomials.
+Its report is flagged numerically_uncertain when D, E or L lies within
+what moving each coefficient of Phi by one rounding unit can change it by,
+so that a neighbouring float Phi could get a different verdict.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .bipoly import BiPoly
 from .errors import DomainError, ExactArithmeticRequired, NotStandardError
-from .rootfind import roots as find_roots, roots_batch
+from .rootfind import roots_batch
 from .scalars import GR_ONE
 from .textio import format_unipoly
-from .unipoly import UniPoly, cached, from_roots
+from .unipoly import UniPoly, cached
 
 VERTEX_TOL = 1e-7  # default classification tolerance for singular vertices
-_ZERO_REL = 1e-9  # relative zero test for float-mode polynomials
-_UNCERTAIN_BAND = 10.0
-_LOG_BAND = math.log(_UNCERTAIN_BAND)
+_VANISH_BAND = 10.0  # a residual within this factor of tol flags an inventory
+_ROUNDING_UNIT = Fraction(1, 2**53)  # of a double, relative
 
 
 class Failure(enum.Enum):
@@ -130,66 +133,38 @@ def _relative_residual(p: UniPoly, u: complex) -> float:
     return abs(complex(p.eval(u))) / scale
 
 
-class _Uncertainty:
-    """Accumulates near-tolerance zero decisions for the float path."""
-
-    def __init__(self):
-        self.flagged = False
-
-    def below(self, q: float, thr: float) -> bool:
-        """Is q <= thr?  Flags q within a factor _UNCERTAIN_BAND of thr."""
-        if thr / _UNCERTAIN_BAND < q <= thr * _UNCERTAIN_BAND:
-            self.flagged = True
-        return q <= thr
-
-    def vanishes(self, p: UniPoly, u: complex, tol: float) -> bool:
-        """Is |p(u)| at most tol relative to p's coefficients at radius |u|?"""
-        return self.below(_relative_residual(p, u), tol)
-
-    def is_zero(self, p: UniPoly, log_ref: float) -> bool:
-        """Is p below _ZERO_REL * exp(log_ref)?  In logarithms, so the
-        verdict does not change with the scale of Phi and cannot overflow."""
-        if p.mode == "exact" or p.is_zero:
-            return p.is_zero
-        rel = math.log(p.coeff_scale()) - log_ref - math.log(_ZERO_REL)
-        if -_LOG_BAND < rel <= _LOG_BAND:
-            self.flagged = True
-        return rel <= 0
+def _norm1(phi: BiPoly) -> Fraction:
+    """The sum of |re| + |im| over the coefficients of an exact phi."""
+    return sum((r.norm1() for r in phi.rows), Fraction(0))
 
 
-def _sylvester_log_ref(log_s: float, d: int) -> float:
-    """log(s^(2d-1) * 2d): D and E are (2d-1)-square Sylvester determinants
-    of Phi and a derivative, so they scale as s^(2d-1)."""
-    return (2 * d - 1) * log_s + math.log(max(2 * d, 1))
+def _resultant_bound(phi: BiPoly, dphi: BiPoly, d: int) -> Fraction:
+    """How far moving each coefficient of an exact phi by one rounding unit
+    can move each coefficient of Res(phi, dphi), to first order, in the
+    variable where phi has degree d >= 1.
 
-
-def _common_root_poly(polys: list[UniPoly], unc: _Uncertainty) -> UniPoly:
-    """Monic polynomial of values common to all float polys (A/B substitute)."""
-    nonzero = [p for p in polys if not p.is_zero]
-    if not nonzero:
-        return UniPoly.zero("x")
-    probe = min(nonzero, key=lambda p: p.degree)
-    if probe.degree == 0:
-        return UniPoly.make([1.0], probe.var)
-    common = []
-    for v in find_roots(probe).values():
-        if unc.below(max(_relative_residual(q, v) for q in polys), _ZERO_REL):
-            common.append(v)
-    if not common:
-        return UniPoly.make([1.0], probe.var)
-    return from_roots(common, 1.0, probe.var)
+    The Sylvester matrix has d - 1 rows of phi and d rows of dphi, 2d - 1 in
+    all, and its determinant is linear in each row; the 1-norm is
+    submultiplicative, so the product of the rows' 1-norms bounds every
+    coefficient of the determinant (a Hadamard-type bound), and a rounding
+    unit on one row moves it by that product times the unit.  Like the
+    resultant, the bound is homogeneous of degree 2d - 1 in phi.
+    """
+    return (2 * d - 1) * _ROUNDING_UNIT * _norm1(phi) ** (d - 1) * _norm1(dphi) ** d
 
 
 # -- analysis -----------------------------------------------------------------
 
 
 def analyze(phi: BiPoly) -> StandardReport:
-    """Full standardness diagnosis; never raises on bad polynomials."""
-    unc = _Uncertainty()
-    exact_mode = phi.mode == "exact"
-    failures: list[Failure] = []
+    """Full standardness diagnosis; never raises on bad polynomials.
 
-    if phi.is_constant():
+    A float phi is decided on its exact binary value, and the report holds
+    the float images of A, B, D, E and L: an image beyond the float range
+    raises EvaluationOverflow.
+    """
+    exact = phi.to_exact()
+    if exact.is_constant():
         zero = UniPoly.zero("x")
         return StandardReport(
             A=zero, B=zero.rename("y"), D=zero, E=zero.rename("y"), L=zero,
@@ -197,41 +172,38 @@ def analyze(phi: BiPoly) -> StandardReport:
             is_standard=False, failure_reasons=(Failure.CONSTANT,),
         )
 
-    if exact_mode:
-        A, B = phi.content("y"), phi.content("x")
-    else:
-        A = _common_root_poly(phi.coeff_polys("y"), unc)
-        B = _common_root_poly(phi.coeff_polys("x"), unc).rename("y")
-
-    if A.degree > 0:
-        failures.append(Failure.UNIVERSAL_SOURCE)
-    if B.degree > 0:
-        failures.append(Failure.UNIVERSAL_SINK)
-
-    dphi_y = phi.derivative("y")
-    dphi_x = phi.derivative("x")
-    D = phi.resultant(dphi_y, "y") if not dphi_y.is_zero else UniPoly.zero("x")
-    E = phi.resultant(dphi_x, "x") if not dphi_x.is_zero else UniPoly.zero("y")
-    # Exact zero tests need no scale; float(Phi's coefficients) may overflow.
-    log_s = 0.0 if exact_mode else math.log(phi.coeff_scale())
-    if unc.is_zero(D, _sylvester_log_ref(log_s, phi.deg_y)):
-        failures.append(Failure.NON_RADICAL_Y)
-        D = UniPoly.zero("x")
-    if unc.is_zero(E, _sylvester_log_ref(log_s, phi.deg_x)):
-        failures.append(Failure.NON_RADICAL_X)
-        E = UniPoly.zero("y")
-
-    L = phi.diagonal()
-    if unc.is_zero(L, log_s):
-        failures.append(Failure.LOOP_EVERYWHERE)
-        L = UniPoly.zero("x")
+    A, B = exact.content("y"), exact.content("x")
+    dphi_y, dphi_x = exact.derivative("y"), exact.derivative("x")
+    D = exact.resultant(dphi_y, "y") if not dphi_y.is_zero else UniPoly.zero("x")
+    E = exact.resultant(dphi_x, "x") if not dphi_x.is_zero else UniPoly.zero("y")
+    L = exact.diagonal()
+    checks = (
+        (A.degree > 0, Failure.UNIVERSAL_SOURCE),
+        (B.degree > 0, Failure.UNIVERSAL_SINK),
+        (D.is_zero, Failure.NON_RADICAL_Y),
+        (E.is_zero, Failure.NON_RADICAL_X),
+        (L.is_zero, Failure.LOOP_EVERYWHERE),
+    )
+    failures = tuple(f for failed, f in checks if failed)
+    uncertain = False
+    if phi.mode == "float":
+        # Is D, E or L within what a rounding unit on each coefficient can
+        # move it by?  Each coefficient's max(|re|, |im|), at most its
+        # modulus, is read, so the flag errs towards set; a zero D, E or L
+        # is within any bound.
+        uncertain = (
+            (exact.deg_y > 0 and D.max_part() <= _resultant_bound(exact, dphi_y, exact.deg_y))
+            or (exact.deg_x > 0 and E.max_part() <= _resultant_bound(exact, dphi_x, exact.deg_x))
+            or L.max_part() <= _ROUNDING_UNIT * _norm1(exact)
+        )
+        A, B, D, E, L = (p.to_float() for p in (A, B, D, E, L))
 
     return StandardReport(
         A=A, B=B, D=D, E=E, L=L,
         deg_y=phi.deg_y, deg_x=phi.deg_x,
         is_standard=not failures,
-        failure_reasons=tuple(failures),
-        numerically_uncertain=unc.flagged,
+        failure_reasons=failures,
+        numerically_uncertain=uncertain,
     )
 
 
@@ -268,7 +240,6 @@ def singular_inventory(
 
     require_standard(report)
     pf = phi.to_float()
-    unc = _Uncertainty()
     l_roots, d_roots, e_roots = _singular_roots(report)
 
     loops: list[tuple[complex, int]] = []
@@ -278,10 +249,15 @@ def singular_inventory(
 
     # A root of D (E) is defective where the leading coefficient in y (x)
     # vanishes, and a multi-arc origin (end) where its row has a multiple root.
+    # Either test flags the inventory when a residual is within a factor
+    # _VANISH_BAND of tol.
     a_d = pf.coeff_polys("y")[pf.deg_y]
     b_e = pf.coeff_polys("x")[pf.deg_x]
-    out_def = [u for u in d_roots if unc.vanishes(a_d, u, tol)]
-    in_def = [u for u in e_roots if unc.vanishes(b_e, u, tol)]
+    out_res = [_relative_residual(a_d, u) for u in d_roots]
+    in_res = [_relative_residual(b_e, u) for u in e_roots]
+    out_def = [u for u, q in zip(d_roots, out_res) if q <= tol]
+    in_def = [u for u, q in zip(e_roots, in_res) if q <= tol]
+    near = any(tol / _VANISH_BAND < q <= tol * _VANISH_BAND for q in out_res + in_res)
     out_rows = neighbors(pf, d_roots, "x")
     in_rows = neighbors(pf, e_roots, "y")
     multi_orig = [u for u, row in zip(d_roots, out_rows) if any(m >= 2 for _, m in row)]
@@ -293,7 +269,7 @@ def singular_inventory(
         multi_arc_ends=tuple(multi_end),
         out_defective=tuple(out_def),
         in_defective=tuple(in_def),
-        numerically_uncertain=report.numerically_uncertain or unc.flagged,
+        numerically_uncertain=report.numerically_uncertain or near,
     )
 
 

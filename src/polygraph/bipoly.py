@@ -8,24 +8,22 @@ rule of :mod:`polygraph.scalars`.  Every ring operation, coefficient view
 and exact algorithm is written with `UniPoly` operations on the rows, so
 only `unipoly` knows how exact coefficients are stored.  A float
 polynomial keeps every nonzero coefficient; `rootfind.trimmed_lengths`
-trims only the rows evaluated, interpolated or summed here before their
-degree is read (`eval_partial`, the float resultant, `diagonal`).  Highlights:
+trims only the rows `eval_partial` evaluates in floats before their degree
+is read.  Highlights:
 
 * partial evaluation Phi(u, y) / Phi(x, u): `eval_rows` evaluates a whole
   vector of values in floats at once, by Horner over a cached dense
   coefficient table, and `eval_partial` is its one-row case (or exact),
-* resultants by evaluation in both modes: in exact mode
-  `unipoly.resultant_by_evaluation` takes the coefficient polynomials in
-  the eliminated variable (it evaluates them over Z[i] at one Kronecker
-  point, or at a run of integers and interpolates), in float mode the
-  samples are at roots of unity, with one `eval_rows` call per operand,
-  one stacked Sylvester determinant call and an FFT,
+* exact resultants by evaluation: `unipoly.resultant_by_evaluation` takes
+  the coefficient polynomials in the eliminated variable (it evaluates
+  them over Z[i] at one Kronecker point, or at a run of integers and
+  interpolates); a float operand is lifted to its exact binary value
+  (`to_exact`) and the result is the float image of the exact resultant,
 * squarefree part (exact), exact division, affine reparametrization.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -34,15 +32,13 @@ import numpy as np
 
 from .errors import (
     DomainError,
-    EvaluationOverflow,
     ExactArithmeticRequired,
     ZeroPolynomialError,
 )
 from .rootfind import trimmed_lengths
-from .scalars import GR_ZERO, is_exact, square_and_multiply
+from .scalars import GR_ZERO, GaussRat, is_exact, square_and_multiply
 from .unipoly import UniPoly, cached, convolve, gcd_all, resultant_by_evaluation, transpose
 
-_INTERP_ANGLE = 0.3  # fixed angular offset for float resultant sample points
 _CROSS_SIGN = np.array([-1.0, 1.0])
 
 
@@ -130,6 +126,12 @@ class BiPoly:
             return self
         return BiPoly(tuple(r.to_float() for r in self.rows))
 
+    def to_exact(self) -> "BiPoly":
+        """The exact value of every coefficient: each double is a dyadic rational."""
+        if self.den:
+            return self
+        return BiPoly.make({ij: GaussRat.of(z.real, z.imag) for ij, z in self.coeffs.items()})
+
     def lead_gl(self):
         """Coefficient of the graded-lex (total degree, then x) top monomial."""
         if self.is_zero:
@@ -195,7 +197,8 @@ class BiPoly:
             raise DomainError(f"axis must be x or y, got {axis!r}")
         other = "y" if axis == "x" else "x"
         if not (self.mode == "exact" and is_exact(u)):
-            return _trimmed(self.eval_rows([complex(u)], axis)[0], other)
+            row = self.eval_rows([complex(u)], axis)
+            return UniPoly.make(row[0, : trimmed_lengths(row)[0]], other)
         return UniPoly.make([p.eval(u) for p in self.coeff_polys(other)], other)
 
     @cached
@@ -238,12 +241,11 @@ class BiPoly:
         return self.eval_partial(u, "x").eval(v)
 
     def diagonal(self) -> UniPoly:
-        """Phi(x, x) as a UniPoly in x (the loop polynomial), by Horner in y;
-        a float one is trimmed, as its top coefficients may cancel to debris."""
+        """Phi(x, x) as a UniPoly in x (the loop polynomial), by Horner in y."""
         acc = UniPoly.zero()
         for r in reversed(self.rows):
             acc = acc.shift(1) + r
-        return acc if acc.mode == "exact" else _trimmed(acc.coeffs, "x")
+        return acc
 
     def _substitute(self, sx: "BiPoly", sy: "BiPoly") -> "BiPoly":
         """Phi(sx, sy), by Horner in y over Horner in x."""
@@ -274,33 +276,34 @@ class BiPoly:
         """Sylvester resultant in var, as a UniPoly in the other variable.
 
         bound, the smaller of the Sylvester row bound and the Bezout bound
-        (Cox, Little and O'Shea, Ch. 8 Sec. 7), bounds its degree.  Float
-        mode takes scalar resultants at bound + 1 roots of unity and
-        interpolates.  Exact mode takes one scalar resultant at the Kronecker
-        point x = 2**s and reads the coefficients off its digits, or, above
-        the size rule of `unipoly.resultant_by_evaluation`, takes bound + 1
-        at integers and interpolates.
+        (Cox, Little and O'Shea, Ch. 8 Sec. 7), bounds its degree.  It takes
+        one scalar resultant at the Kronecker point x = 2**s and reads the
+        coefficients off its digits, or, above the size rule of
+        `unipoly.resultant_by_evaluation`, takes bound + 1 at integers and
+        interpolates.  With a float operand both are taken in floats, by the
+        scalar rule, and lifted to their exact binary values; the result is
+        the float image of their exact resultant, and raises
+        EvaluationOverflow beyond the float range.
         """
+        if self.mode == "float" or other.mode == "float":
+            p, q = self.to_float().to_exact(), other.to_float().to_exact()
+            return p.resultant(q, var).to_float()
         other_var = "y" if var == "x" else "x"
         if self.is_zero and other.is_zero:
             raise ZeroPolynomialError("resultant of two zero polynomials")
         if self.is_zero or other.is_zero:
             return UniPoly.zero(other_var)
-        exact = self.mode == "exact" and other.mode == "exact"
         dv_p, dv_q = self.degree(var), other.degree(var)
         if dv_p == 0 or dv_q == 0:  # Res(c, q) = c**deg q and Res(p, c) = c**deg p
             c, k = (self, dv_q) if dv_p == 0 else (other, dv_p)
-            base = c.coeff_polys(var)[0]
-            return (base if exact else base.to_float()).power(k)
+            return c.coeff_polys(var)[0].power(k)
         bound = min(
             self.degree(other_var) * dv_q + other.degree(other_var) * dv_p,
             self.total_degree * other.total_degree,
         )
-        if exact:
-            return resultant_by_evaluation(
-                self.coeff_polys(var), other.coeff_polys(var), bound, other_var
-            )
-        return _resultant_float(self, other, var, bound)
+        return resultant_by_evaluation(
+            self.coeff_polys(var), other.coeff_polys(var), bound, other_var
+        )
 
     # -- squarefree part ---------------------------------------------------------
 
@@ -363,46 +366,6 @@ def _bipoly(rows: Iterable[UniPoly]) -> BiPoly:
     while rows and rows[-1].is_zero:
         rows.pop()
     return BiPoly(tuple(rows))
-
-
-def _resultant_float(p: BiPoly, q: BiPoly, var: str, bound: int) -> UniPoly:
-    """Evaluation at roots of unity, Sylvester determinants and an FFT.
-
-    One `eval_rows` call per operand gives every sample row, and one stacked
-    `det` call every sample.  The Sylvester matrix is built at the degrees
-    of p and q in var, so a sample where a leading coefficient vanishes
-    still gives the resultant.
-    """
-    other = "y" if var == "x" else "x"
-    dp, dq = p.degree(var), q.degree(var)
-    n_samples = bound + 1
-    us = [cmath.exp(1j * (2 * cmath.pi * t / n_samples + _INTERP_ANGLE)) for t in range(n_samples)]
-    p_desc = p.eval_rows(us, other)[:, ::-1]
-    q_desc = q.eval_rows(us, other)[:, ::-1]
-    if not (np.isfinite(p_desc).all() and np.isfinite(q_desc).all()):
-        raise EvaluationOverflow("non-finite value during polynomial construction")
-    mat = np.zeros((n_samples, dp + dq, dp + dq), dtype=complex)
-    for r in range(dq):
-        mat[:, r, r : r + dp + 1] = p_desc
-    for r in range(dp):
-        mat[:, dq + r, r : r + dq + 1] = q_desc
-    # A determinant beyond the float range raises here; a coefficient that
-    # overflows in the FFT raises in `UniPoly.make`, in both cases without
-    # a numpy warning.
-    with np.errstate(all="ignore"):
-        vals = np.linalg.det(mat)
-        if not np.isfinite(vals).all():
-            raise EvaluationOverflow("non-finite value during polynomial construction")
-        # vals[t] = sum_j (c_j e^{ij*angle}) e^{+2 pi i j t / N} = N * ifft(c~)[t]
-        coeffs = np.fft.fft(vals) / n_samples
-        coeffs = coeffs / np.exp(1j * _INTERP_ANGLE * np.arange(n_samples))
-    return _trimmed(coeffs, other)
-
-
-def _trimmed(c, var: str) -> UniPoly:
-    """The float UniPoly of coefficients c, low to high, less the rounding
-    debris at its leading end that `rootfind.trimmed_lengths` finds."""
-    return UniPoly.make(c[: trimmed_lengths(np.array([c]))[0]], var)
 
 
 def _primitive_y(p: BiPoly) -> BiPoly:

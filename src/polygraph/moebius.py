@@ -21,7 +21,7 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .analyzer import singular_vertex_values
+from .analyzer import analyze, require_standard, singular_vertex_values
 from .bipoly import BiPoly
 from .errors import AmbiguousOrderError, DomainError, NotStandardError
 from .probe import _sample_seeds
@@ -80,36 +80,8 @@ def from_poly(phi: BiPoly) -> Mobius:
             "expected partial degree one in y and at most one in x",
             deg_x=phi.deg_x, deg_y=phi.deg_y,
         )
-    c = phi.coeff(1, 1)
-    d = phi.coeff(0, 1)
-    a = -phi.coeff(1, 0)
-    b = -phi.coeff(0, 0)
-    m = _deg1_standard_failure(a, b, c, d)
-    if m is not None:
-        raise NotStandardError("polynomial of degree one is not standard", reasons=(m,))
-    return Mobius(a, b, c, d)
-
-
-def _deg1_standard_failure(a, b, c, d) -> str | None:
-    """Closed-form standardness test: ad-bc != 0 and not divisible by y-x."""
-    det = a * d - b * c
-    exact_mode = all(is_exact(v) for v in (a, b, c, d))
-    if exact_mode:
-        if not det:
-            return "DeterminantZero"
-        if not b and not c and a == d:
-            return "DivisibleByYMinusX"
-        return None
-    scale = max(abs(complex(v)) for v in (a, b, c, d))
-    if abs(complex(det)) <= 1e-12 * max(scale * scale, 1e-300):
-        return "DeterminantZero"
-    if (
-        abs(complex(b)) <= 1e-12 * scale
-        and abs(complex(c)) <= 1e-12 * scale
-        and abs(complex(a) - complex(d)) <= 1e-12 * scale
-    ):
-        return "DivisibleByYMinusX"
-    return None
+    require_standard(analyze(phi))
+    return Mobius(-phi.coeff(1, 0), -phi.coeff(0, 0), phi.coeff(1, 1), phi.coeff(0, 1))
 
 
 # -- projective order -------------------------------------------------------------
@@ -123,8 +95,10 @@ def projective_order(m: Mobius, n_max: int = DEFAULT_NMAX) -> int | None:
     matrix has order 1 and a zero trace (v = -2) order 2.  Otherwise
     v = 2 is parabolic, of infinite order, and the order is n >= 3 exactly
     when v = 2 cos(2 pi k / n) with gcd(k, n) = 1: the cosine witness of
-    the quadratic verdict.  Exact input is never ambiguous; a float v
-    within PARABOLIC_BAND of 2 but not equal to it raises.
+    the quadratic verdict, whose scan raises DomainError for a float v
+    when n_max is above quadratic.NMAX_SEPARATED.  Exact input is never
+    ambiguous; a float v within PARABOLIC_BAND of 2 but not equal to it
+    raises.
     """
     exact = m.mode == "exact"
     a, b, c, d = (m.a, m.b, m.c, m.d) if exact else map(complex, (m.a, m.b, m.c, m.d))

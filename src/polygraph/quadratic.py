@@ -28,6 +28,13 @@ from .scalars import GR_ONE, GaussRat, is_exact
 
 COS_TOL = 1e-9
 DEFAULT_NMAX = 512
+# Two candidate angles k/n != k'/n' with n, n' <= n_max are at least
+# 1/n_max**2 apart.  Above COS_TOL**-0.5 that gap is below the tolerance,
+# which then no longer tells neighbouring candidates apart; and as every
+# angle lies within 1/(n * n_max) of some k/n with n <= n_max (Dirichlet),
+# ever more irrational angles find a witness as n_max grows.  A float scan
+# takes n_max up to this bound only.
+NMAX_SEPARATED = math.isqrt(round(1 / COS_TOL))
 _CASE_TOL = 1e-12  # float a within this of -2 or 2 takes that case
 _AMBIG_BAND = 10.0
 
@@ -168,6 +175,7 @@ def cosine_recognize(a, n_max: int = DEFAULT_NMAX):
     convergent (Legendre's theorem), but the best approximation of theta
     with denominator <= n_max can be a later convergent that is also within
     tolerance, so the scan starts from the least n rather than the best.
+    A float a with n_max above NMAX_SEPARATED raises DomainError.
     """
     return _cosine_scan(a, n_max)[0]
 
@@ -186,6 +194,10 @@ def _cosine_scan(a, n_max: int) -> tuple[tuple[int, int] | None, bool]:
         }
         witness = table.get(a.re)
         return (witness if witness and witness[0] <= n_max else None), False
+    if n_max > NMAX_SEPARATED:
+        raise DomainError(
+            "n_max is beyond the cosine tolerance's reach", n_max=n_max, limit=NMAX_SEPARATED
+        )
     ca = complex(a)
     if abs(ca.imag) > COS_TOL * _AMBIG_BAND or not -1.0 < ca.real / 2.0 < 1.0:
         return None, False

@@ -124,15 +124,26 @@ class UniPoly:
         return GR_ZERO if self.den else 0j
 
     def to_float(self) -> "UniPoly":
+        """The float image; a coefficient below the float range rounds to 0,
+        one beyond it raises EvaluationOverflow."""
         if self.mode == "float" or self.is_zero:
             return self
-        return UniPoly(tuple(_complex(re, im, self.den) for re, im in self.terms), 0, self.var)
+        return UniPoly.make([_complex(re, im, self.den) for re, im in self.terms], self.var)
 
     def rename(self, var: str) -> "UniPoly":
         return UniPoly(self.terms, self.den, var)
 
     def coeff_scale(self) -> float:
         return max((abs(c) for c in self.to_float().terms), default=0.0)
+
+    def norm1(self) -> Fraction:
+        """The sum of |re| + |im| over the coefficients (exact mode)."""
+        return Fraction(sum(abs(re) + abs(im) for re, im in self.terms), self.den)
+
+    def max_part(self) -> Fraction:
+        """The largest |re| or |im| of a coefficient, 0 for the zero
+        polynomial (exact mode)."""
+        return Fraction(max((max(abs(re), abs(im)) for re, im in self.terms), default=0), self.den)
 
     # -- arithmetic ------------------------------------------------------
 

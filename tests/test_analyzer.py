@@ -1,6 +1,7 @@
 """Standardness reports, singular inventories and standardization."""
 
 import cmath
+import math
 import random
 
 import pytest
@@ -9,12 +10,16 @@ from polygraph import (
     BiPoly,
     Budget,
     Failure,
+    FiniteDigraph,
     GaussRat,
+    Mobius,
     QuadSym,
     StepKind,
     UniPoly,
     analyze,
+    circulant_poly,
     classify,
+    digraph_to_poly,
     explore_component,
     explore_strong_component,
     parse,
@@ -22,6 +27,7 @@ from polygraph import (
     singular_inventory,
     singular_vertex_values,
     standardize,
+    to_poly,
 )
 from polygraph import bipoly
 from polygraph.errors import (
@@ -85,16 +91,20 @@ class TestAnalyze:
         assert Failure.NON_RADICAL_Y in report.failure_reasons
 
     def test_float_uncertainty_band(self):
-        # factors 1e-4 apart: |D| lands inside the 10x band around the
-        # relative zero threshold -> decided non-radical but flagged uncertain
-        phi = (parse("y-x-1") * parse("y-x-1-0.0001")).to_float()
-        report = analyze(phi)
-        assert Failure.NON_RADICAL_Y in report.failure_reasons
-        assert report.numerically_uncertain
-        # comfortably separated factors: standard and confident
-        phi2 = (parse("y-x-1") * parse("y-x-1-0.01")).to_float()
-        report2 = analyze(phi2)
-        assert report2.is_standard and not report2.numerically_uncertain
+        # A float Phi is decided on its exact value, so factors 1e-4 or 1e-8
+        # apart are standard.  |D| is about 1e-8 and 1e-16, and one rounding
+        # unit per coefficient moves D by at most 3 * 2**-53 * 9 * 6**2 =
+        # 1.1e-13: only the closer pair is flagged.
+        for gap, uncertain in (("0.0001", False), ("0.00000001", True)):
+            phi = (parse("y-x-1") * parse(f"y-x-1-{gap}")).to_float()
+            report = analyze(phi)
+            assert report.is_standard and report.failure_reasons == ()
+            assert report.numerically_uncertain is uncertain, gap
+        # A zero D is within any rounding bound: a float square is flagged,
+        # an exact one is not.
+        square = parse("(y-x)^2")
+        assert analyze(square.to_float()).numerically_uncertain
+        assert not analyze(square).numerically_uncertain
 
     def test_exact_huge_integers(self):
         # Exact reports never take float(coefficient), which overflows here.
@@ -116,14 +126,21 @@ class TestFloatCoefficientsAreKept:
         assert report.deg_y == 1
         assert Failure.UNIVERSAL_SOURCE not in report.failure_reasons
 
-    def test_diagonal_drops_rounding_debris_at_its_top(self):
-        # On the diagonal the x^2 terms cancel, but (-0.3 + 0.1) + 0.2 is
-        # 2.8e-17 in floats: L is x + 1, and the one loop is at -1.
+    def test_diagonal_keeps_its_exact_top_coefficient(self):
+        # On the diagonal the x^2 terms of the decimals cancel, but the
+        # doubles 0.1 + 0.2 - 0.3 are exactly 2**-55 (2.78e-17): L has
+        # degree 2, and its second loop is near -1 / 2**-55 = -3.6e16.  That
+        # coefficient is within one rounding unit of 0, but it does not
+        # decide the verdict, so neither report is flagged.
         phi = parse("0.1*x*y + 0.2*x^2 - 0.3*y^2 + x + 1")
         report = analyze(phi)
-        assert report.is_standard and report.L.degree == 1
-        (loop,) = singular_inventory(phi, report).loops
-        assert abs(loop[0] + 1) < 1e-12 and loop[1] == 1
+        assert report.is_standard and not report.numerically_uncertain
+        assert report.L.coeffs == (1, 1, 2.0**-55)
+        inv = singular_inventory(phi, report)
+        far, near = sorted(inv.loops, key=lambda loop: loop[0].real)
+        assert abs(near[0] + 1) < 1e-12 and near[1] == 1
+        assert abs(far[0] / -(2.0**55) - 1) < 1e-9 and far[1] == 1
+        assert not inv.numerically_uncertain
 
     @pytest.mark.xfail(
         strict=True,
@@ -138,6 +155,12 @@ class TestFloatCoefficientsAreKept:
         assert all(abs(u - s * r) <= 1e-9 * r for (u, _), s in zip(loops, (-1, 1)))
 
 
+def _round_trip_6() -> BiPoly:
+    """The float copy of Phi synthesized from i -> i + 1, i + 2, i + 3 mod 6."""
+    arcs = [(i, (i + s) % 6) for i in range(6) for s in (1, 2, 3)]
+    return digraph_to_poly(FiniteDigraph.on_integers(6, arcs)).to_float()
+
+
 class TestFloatScale:
     """Float verdicts do not change when every coefficient is scaled by c."""
 
@@ -149,13 +172,51 @@ class TestFloatScale:
         "(y-x)^2*(y+x) - 1",
     ]
 
+    # Down to the bottom of the float range, and up to where D and E of the
+    # quartic, of degree 7 in c, still fit in it (above, analyze raises
+    # EvaluationOverflow: see HUGE below).
     @pytest.mark.parametrize("base", BASES)
-    @pytest.mark.parametrize("c", [1e-10, 1e5, 1e10])
+    @pytest.mark.parametrize(
+        "c",
+        [1e-10, 1e5, 1e10, 1e-300, 1e-150, 1e30]
+        + [2.0**-1000, 2.0**-200, 2.0**100],
+    )
     def test_verdict_does_not_depend_on_scale(self, base, c):
         want = analyze(parse(base).to_float())
         got = analyze(parse(base).scale(c))
         assert got.failure_reasons == want.failure_reasons
         assert got.is_standard == want.is_standard
+        if math.frexp(c)[0] == 0.5:
+            # A power of two scales every double exactly, and D, E, L and
+            # their rounding bounds by the same powers of c.
+            assert got.numerically_uncertain == want.numerically_uncertain
+
+    @pytest.mark.parametrize(
+        "make, uncertain",
+        [
+            (lambda: parse("1e-80*((y-x)^4-1)"), False),
+            (lambda: parse("y - 1e13*x"), False),
+            (lambda: parse("1e-13*y^2 + y - x"), False),
+            (lambda: to_poly(Mobius(1, 0, 0, 1e-10)), False),
+            (lambda: to_poly(Mobius(1, 2, 1, 2 + 1e-10)), False),
+            # The float copy of a d = 3 round trip: its E, about 6e5, is
+            # small against the rounding bound of its 29 Sylvester rows.
+            (_round_trip_6, True),
+        ],
+        ids=["quartic_1e-80", "y_1e13_x", "tiny_square", "mobius_1e-10", "mobius_det_1e-10", "round_trip_6"],
+    )
+    def test_standard_float_input_is_standard(self, make, uncertain):
+        phi = make()
+        report = analyze(phi)
+        assert phi.mode == "float"
+        assert report.is_standard and report.failure_reasons == ()
+        assert report.numerically_uncertain is uncertain
+
+    def test_float_report_holds_no_rounding_debris(self):
+        # D of the exact values is c * x^2 exactly: its lower terms cancel.
+        D = analyze(circulant_poly(5, (1, 2))).D
+        assert D.mode == "float"
+        assert [k for k, c in enumerate(D.coeffs) if c] == [2]
 
     # Scaled by c, D and E are near the top of the float range and the
     # product S = L*D*E is beyond it.

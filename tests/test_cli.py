@@ -6,6 +6,7 @@ import warnings
 import pytest
 
 from polygraph.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
+from polygraph.quadratic import NMAX_SEPARATED
 
 
 def run_cli(capsys, *argv):
@@ -110,13 +111,30 @@ def test_classify_deg1(capsys, poly, verdict):
 def test_classify_deg1_float_multiple_of_y_minus_x(capsys):
     code, out, _ = run_cli(capsys, "classify-deg1", "1.0*y - 1.0*x")
     assert code == EXIT_OK
-    assert json.loads(out) == {"verdict": "NotStandard(DivisibleByYMinusX)"}
+    assert json.loads(out) == {"verdict": "NotStandard(LoopEverywhere)"}
 
 
 def test_classify_deg2(capsys):
     code, out, _ = run_cli(capsys, "classify-deg2", "--a", "-1", "--c", "1")
     data = json.loads(out)
     assert data["verdict"] == "Cycle(3)" and data["cosine_witness"] == [3, 1]
+
+
+def test_classify_deg2_n_max_beyond_the_tolerance_exit_2(capsys):
+    # At n_max = 10**5 the scan found (32929, 6908) for a = 0.5, whose
+    # angle is irrational; n_max stops where COS_TOL separates candidates.
+    code, out, err = run_cli(capsys, "classify-deg2", "--a", "0.5", "--nmax", "100000")
+    assert code == EXIT_DOMAIN and out == ""
+    assert json.loads(err)["error"]["type"] == "DomainError"
+    code, out, _ = run_cli(capsys, "classify-deg2", "--a", "0.5", "--nmax", str(NMAX_SEPARATED))
+    assert code == EXIT_OK and json.loads(out)["verdict"] == "DoubleRay"
+
+
+def test_analyze_tiny_float_scale_is_standard(capsys):
+    code, out, _ = run_cli(capsys, "analyze", "1e-80*((y-x)^4-1)")
+    data = json.loads(out)
+    assert code == EXIT_OK and data["is_standard"] is True
+    assert data["failure_reasons"] == [] and data["numerically_uncertain"] is False
 
 
 def test_probe_deterministic(capsys):

@@ -9,11 +9,13 @@ import pytest
 from polygraph import (
     Budget,
     Deg1Kind,
+    Deg1Verdict,
     ExploredDigraph,
     GaussRat,
     Mobius,
     Shape,
     ShapeLabel,
+    analyze,
     cayley_mobius,
     check_condition,
     classify,
@@ -114,6 +116,12 @@ class TestProjectiveOrder:
         v += 0.9 * COS_TOL * (1 + abs(v))
         m = Mobius(math.sqrt(v + 2), -1.0, 1.0, 0.0)
         assert projective_order(m, n_max=10000) == 2003
+
+    def test_float_n_max_is_bounded_by_the_cosine_scan(self):
+        m = mobius_rotation(7)
+        with pytest.raises(DomainError):
+            projective_order(m, n_max=100000)
+        assert projective_order(m, n_max=10000) == 7
 
     def test_loxodromic_none(self):
         assert projective_order(Mobius(2.0, 0.0, 0.0, 1.0)) is None
@@ -218,6 +226,14 @@ class TestClassifyDeg1:
     def test_not_standard(self):
         verdict = classify_deg1(parse("(x+1)*y-(2*x+2)"))
         assert verdict.kind is Deg1Kind.NOT_STANDARD
+
+    def test_float_standardness_is_the_analyzer_verdict(self):
+        # Each of these float maps is standard, whatever the size of its
+        # determinant, and the analyzer names what the others lack.
+        for m in (Mobius(1.0, 0.0, 0.0, 1e-13), Mobius(1.0, 2.0, 1.0, 2 + 1e-10)):
+            assert classify_deg1(to_poly(m)) == Deg1Verdict(Deg1Kind.INFINITE_PATHS)
+        assert str(classify_deg1(parse("1.0*y - 1.0*x"))) == "NotStandard(LoopEverywhere)"
+        assert str(classify_deg1(parse("(x+1.0)*y - (x+1.0)"))) == "NotStandard(UniversalSource)"
 
     def test_verdict_matches_exploration(self):
         import random
@@ -377,9 +393,10 @@ class TestCayleyMobius:
         with pytest.raises(NotStandardError):
             cayley_mobius([ident])
 
-    def test_generator_the_closed_form_passes_is_still_rejected(self):
-        # z -> 1e10 z is standard, yet analyze reports NonRadicalY for
-        # 1e-10*y - x (ROADMAP item 4); cayley_mobius analyzes each factor
-        # when it reads the factor's singular vertices.
-        with pytest.raises(NotStandardError):
-            cayley_mobius([Mobius(1.0, 0.0, 0.0, 1e-10)])
+    def test_generator_standard_at_any_scale_is_accepted(self):
+        # z -> 1e10 z is standard: 1e-10*y - x is decided on its exact value,
+        # so cayley_mobius accepts it, and its one singular vertex, the loop
+        # at 0, keeps the seed away.
+        phi, seed = cayley_mobius([Mobius(1.0, 0.0, 0.0, 1e-10)])
+        assert phi.mode == "float" and analyze(phi).is_standard
+        assert 1.0 <= abs(seed) <= 2.0

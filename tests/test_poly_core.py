@@ -505,11 +505,15 @@ class TestResultant:
             report = analyze(parse("(1e308+1e308i)*x + y"))
         assert report.E.coeffs == (1e308 + 1e308j,)
 
-    def test_overflowing_float_sample_raises(self):
-        # The row of the first sample, (1e308*u + 1e308)*y + 1 at u = exp(0.3i),
-        # overflows although every coefficient is finite.
-        with pytest.raises(EvaluationOverflow):
-            parse("1e308*x*y + 1e308*y + 1").resultant(parse("y - 1.0"), "y")
+    def test_float_resultant_is_the_image_of_the_lifted_one(self):
+        # Each operand is lifted to its exact binary value, so a resultant
+        # with 1e308 coefficients, whose values at complex points overflow,
+        # is the float image of the exact one: (-1e308 - 1e308*x) - 1 rounds
+        # to -1e308 - 1e308*x.
+        p, q = parse("1e308*x*y + 1e308*y + 1"), parse("y - 1.0")
+        res = p.resultant(q, "y")
+        assert res == p.to_exact().resultant(q.to_exact(), "y").to_float()
+        assert res.coeffs == (-1e308, -1e308)
 
     def test_float_matches_exact(self):
         rng = random.Random(3)

@@ -182,6 +182,20 @@ class TestCosineRecognize:
         assert r.cosine_witness == (2003, 1)
         assert r.component_cycle_length == component_cycle_length(2003, 1)
 
+    def test_float_n_max_stops_where_candidates_are_no_longer_separated(self):
+        # Above NMAX_SEPARATED, COS_TOL is wider than the gap between
+        # candidate angles: at n_max = 10**5 the irrational angle of
+        # 0.123456789 found the witness (33772, 8111).
+        assert quadratic.NMAX_SEPARATED == 31622
+        assert cosine_recognize(0.123456789, quadratic.NMAX_SEPARATED) is None
+        for a in (0.123456789, 0.5):
+            with pytest.raises(DomainError):
+                cosine_recognize(a, 100000)
+            with pytest.raises(DomainError):
+                classify_deg2(QuadSym(a, 0.0, 1.0), n_max=quadratic.NMAX_SEPARATED + 1)
+        # An exact a reads a table, with no tolerance to outgrow.
+        assert cosine_recognize(GaussRat.of(1), 100000) == (6, 1)
+
     def test_n_max_below_three_admits_no_witness(self):
         for n_max in (-1, 0, 1, 2):
             assert quadratic._cosine_scan(1.0, n_max) == (None, False)
