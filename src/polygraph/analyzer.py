@@ -11,19 +11,27 @@ For Phi(x,y) = sum a_i(x) y^i = sum b_j(y) x^j the report carries:
 * S = L*D*E: the singular vertices are its roots.  The verdict does not
   read it, so S is computed on first read.
 
+A symmetric Phi(x, y) = Phi(y, x) (`BiPoly.is_symmetric`) has its columns
+for rows, so its B and E are A and D renamed, computed once, and D is
+solved once for both.
+
 A float Phi is analyzed on its exact binary value (`BiPoly.to_exact`): the
 verdict is the exact one, so scaling Phi by c changes it only through the
 rounding of the scaled coefficients (not at all for c a power of two), and
 its A, B, D, E and L are the float images of the exact polynomials.
 Its report is flagged numerically_uncertain when D, E or L lies within
 what moving each coefficient of Phi by one rounding unit can change it by,
-so that a neighbouring float Phi could get a different verdict.
+so that a neighbouring float Phi could get a different verdict.  The
+report keeps the exact L, D and E too, and the singular vertices are
+solved on them, each scaled by the power of two that brings its largest
+coefficient part into [1, 2): an image that underflows to 0 still has the
+roots of its exact polynomial.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bipoly import BiPoly
@@ -55,7 +63,9 @@ class StandardReport:
     """The polynomials A, B, D, E and L and the verdict they give.
 
     S is not a field: it is computed on first read, so equal reports stay
-    equal whether or not S was read.
+    equal whether or not S was read.  `exact` holds the exact L, D and E,
+    which the float images of a float Phi's report may have lost to
+    underflow; it takes no part in comparison.
     """
 
     A: UniPoly
@@ -67,6 +77,7 @@ class StandardReport:
     deg_x: int
     is_standard: bool
     failure_reasons: tuple[Failure, ...]
+    exact: tuple[UniPoly, UniPoly, UniPoly] = field(compare=False, repr=False)
     numerically_uncertain: bool = False
 
     @cached
@@ -165,18 +176,23 @@ def analyze(phi: BiPoly) -> StandardReport:
     """
     exact = phi.to_exact()
     if exact.is_constant():
-        zero = UniPoly.zero("x")
+        zero, zero_y = UniPoly.zero("x"), UniPoly.zero("y")
         return StandardReport(
-            A=zero, B=zero.rename("y"), D=zero, E=zero.rename("y"), L=zero,
+            A=zero, B=zero_y, D=zero, E=zero_y, L=zero,
             deg_y=max(phi.deg_y, 0), deg_x=max(phi.deg_x, 0),
-            is_standard=False, failure_reasons=(Failure.CONSTANT,),
+            is_standard=False, failure_reasons=(Failure.CONSTANT,), exact=(zero, zero, zero_y),
         )
 
-    A, B = exact.content("y"), exact.content("x")
     dphi_y, dphi_x = exact.derivative("y"), exact.derivative("x")
+    A = exact.content("y")
     D = exact.resultant(dphi_y, "y") if not dphi_y.is_zero else UniPoly.zero("x")
-    E = exact.resultant(dphi_x, "x") if not dphi_x.is_zero else UniPoly.zero("y")
+    if exact.is_symmetric:  # Phi's columns are its rows
+        B, E = A.rename("y"), D.rename("y")
+    else:
+        B = exact.content("x")
+        E = exact.resultant(dphi_x, "x") if not dphi_x.is_zero else UniPoly.zero("y")
     L = exact.diagonal()
+    exact_lde = L, D, E
     checks = (
         (A.degree > 0, Failure.UNIVERSAL_SOURCE),
         (B.degree > 0, Failure.UNIVERSAL_SINK),
@@ -203,6 +219,7 @@ def analyze(phi: BiPoly) -> StandardReport:
         deg_y=phi.deg_y, deg_x=phi.deg_x,
         is_standard=not failures,
         failure_reasons=failures,
+        exact=exact_lde,
         numerically_uncertain=uncertain,
     )
 
@@ -216,16 +233,32 @@ def require_standard(report: StandardReport) -> StandardReport:
     return report
 
 
+def _unit_image(p: UniPoly) -> UniPoly:
+    """The float image of the exact p scaled by the power of two that
+    brings its largest coefficient part into [1, 2).  The scale leaves the
+    roots alone, and where p's own image neither underflows nor overflows
+    it is that image scaled exactly."""
+    if p.is_zero:
+        return p
+    top = p.max_part()
+    e = top.numerator.bit_length() - top.denominator.bit_length()
+    if Fraction(2) ** e > top:
+        e -= 1
+    return p.scale(Fraction(2) ** -e).to_float()
+
+
 def _singular_roots(report: StandardReport) -> list[list[complex]]:
     """Distinct roots of L, D and E, one list per factor, from one
-    `roots_batch` call.  An exact factor is made squarefree first, so its
-    roots are simple; a constant factor has none."""
-    polys = []
-    for p in (report.L, report.D, report.E):
-        if p.mode == "exact" and p.degree > 0:
-            p = p.divexact(p.gcd(p.derivative()))
-        polys.append(p)
-    return [rs.values() for rs in roots_batch(polys)]
+    `roots_batch` call on the unit images of the exact factors.  The factors
+    of an exact Phi are made squarefree first, so their roots are simple;
+    those of a float Phi are its report's images up to the scale.  E equal
+    to D (a symmetric Phi) is solved once.  A constant factor has no roots."""
+    L, D, E = report.exact
+    factors = [L, D] if E.rename("x") == D else [L, D, E]
+    if report.L.mode == "exact":
+        factors = [p.divexact(p.gcd(p.derivative())) if p.degree > 0 else p for p in factors]
+    found = [rs.values() for rs in roots_batch([_unit_image(p) for p in factors])]
+    return found if len(found) == 3 else found + found[1:]
 
 
 def singular_inventory(

@@ -176,6 +176,18 @@ class BiPoly:
         return list(self._columns if var == "x" else self.rows)
 
     @cached
+    def is_symmetric(self) -> bool:
+        """Phi(x, y) == Phi(y, x) with no tolerance: the coefficients of
+        x**i y**j and x**j y**i are equal, float ones bit for bit, so a
+        symmetric float Phi gives bit-identical rows Phi(u, y) and Phi(x, u)."""
+        if self.deg_x != self.deg_y:
+            return False
+        if self.den:
+            return self.rows == tuple(c.rename("x") for c in self._columns)
+        bits = self._float_table.view(np.int64)
+        return np.array_equal(bits, bits.transpose(1, 0, 2))
+
+    @cached
     def _columns(self) -> tuple:
         """The coefficients of x**i as UniPolys in y, transposed once."""
         return tuple(transpose(self.rows, "y"))

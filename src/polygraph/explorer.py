@@ -26,11 +26,18 @@ exploring its seed alone gives.  `neighbors`, `out_neighbors` and
 in BFS order that it rejects decides the error, whatever its cause, as in
 a vertex-at-a-time BFS; the rows before it are solved and recorded first.
 
-Weak components alternate out- and in-neighbors; strong components run a
-forward sweep and, only if that sweep hits the budget, a backward one.  The
-strong component is the set of vertices both reachable from and reaching
-the seed over the recorded arcs.  A forward sweep that closes is a complete
-certificate: every directed cycle through the seed lies inside it.
+Weak components alternate out- and in-neighbors.  A symmetric Phi
+(`BiPoly.is_symmetric`) has the in-row Phi(x, u) of each vertex equal to
+its out-row Phi(u, y) bit for bit, so a weak sweep evaluates and solves
+only the out-rows and hands each result to both; `_Sweep.materialize`
+reuses the out-row's vertex ids for the in-row unless interning the
+out-row added a vertex.
+
+Strong components run a forward sweep and, only if that sweep hits the
+budget, a backward one.  The strong component is the set of vertices both
+reachable from and reaching the seed over the recorded arcs.  A forward
+sweep that closes is a complete certificate: every directed cycle through
+the seed lies inside it.
 """
 
 from __future__ import annotations
@@ -215,7 +222,14 @@ def _solve(phi: BiPoly, values: list[complex], axes):
     to the first row that `roots_of_rows` rejects, and that row's error, or
     None.  A non-finite row gives EvaluationOverflow, a zero row
     UniversalVertexError (its vertex is a universal source on axis "x", a
-    sink on "y"), and a RootFindingError passes through."""
+    sink on "y"), and a RootFindingError passes through.
+
+    A weak sweep of a symmetric phi solves each vertex's row once: its
+    in-row Phi(x, u) is its out-row Phi(u, y) bit for bit, so each result
+    serves both, and a rejected out-row is the first rejected row."""
+    if len(axes) == 2 and phi.is_symmetric:
+        found, error = _solve(phi, values, ("x",))
+        return [f for f in found for _axis in axes], error
     rows = _rows(phi, values, axes)
     try:
         return roots_of_rows(rows), None
@@ -314,13 +328,17 @@ class _Sweep:
         table, max_vertices = self.table, self.budget.max_vertices
         for r, (vals, mults) in enumerate(found):
             vid, axis = self.owner(r)
-            ids: dict[int, int] = {}
-            for val, mult in zip(vals, mults):
-                wid = table.intern(val, len(table.values) < max_vertices)
-                if wid is None:
-                    self.truncated = True
-                    continue
-                ids[wid] = ids.get(wid, 0) + mult
+            # A row solved once for both axes (a symmetric phi) keeps its ids
+            # when interning it added no vertex: the same queries on the same table.
+            if not (r and found[r] is found[r - 1] and len(table.values) == size):
+                size = len(table.values)
+                ids: dict[int, int] = {}
+                for val, mult in zip(vals, mults):
+                    wid = table.intern(val, len(table.values) < max_vertices)
+                    if wid is None:
+                        self.truncated = True
+                        continue
+                    ids[wid] = ids.get(wid, 0) + mult
             targets += ids
             if axis == "x":
                 self.out_arcs[vid] = ids

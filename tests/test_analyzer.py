@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,11 +15,13 @@ from polygraph import (
     GaussRat,
     Mobius,
     QuadSym,
+    Shape,
     StepKind,
     UniPoly,
     analyze,
     circulant_poly,
     classify,
+    complete_graph_poly,
     digraph_to_poly,
     explore_component,
     explore_strong_component,
@@ -260,6 +263,60 @@ class TestFloatScale:
         assert got.truncated_count == want.truncated_count
         for g, h in zip(got.graphs, want.graphs):
             assert (g.order, g.arcs, g.truncated) == (h.order, h.arcs, h.truncated)
+
+
+    def test_underflowed_images_keep_their_singular_vertices(self):
+        # D and E of the exact value, about 1e-560, have float images 0.
+        phi = parse("1e-80*((y-x)^4-1)")
+        report = analyze(phi)
+        assert report.is_standard and report.D.is_zero and report.E.is_zero
+        L, D, E = report.exact
+        assert D.degree == E.degree == 12 and L.degree == 4
+        assert report.exact[0].to_float() == report.L
+        values = singular_vertex_values(phi, report)
+        inv = singular_inventory(phi, report)
+        assert len(values) == 4 and {v for v, _ in inv.loops} == set(values)
+        result = probe_conjecture(phi, n_seeds=3, budget=Budget(40, 4))
+        assert all(label.shape is Shape.GRID_PREFIX for label in result.labels)
+
+    def test_report_comparison_ignores_the_exact_polynomials(self):
+        phi = parse("1e-80*((y-x)^4-1)")
+        a, b = analyze(phi), analyze(phi)
+        assert a == b and hash(a) == hash(b) and a.exact is not b.exact
+        assert "exact" not in repr(a)
+
+    def test_quartic_below_the_float_range_has_the_unscaled_singular_vertices(self):
+        base = parse("(y-x)^4-1").to_float()
+        phi = base.scale(2.0**-200)
+        assert analyze(phi).D.is_zero
+        assert singular_vertex_values(phi) == singular_vertex_values(base) == []
+
+    # c * Phi for c = 2**j: every double scales exactly, so does every
+    # exact polynomial of the report, and the singular vertices, solved on
+    # the exact factors scaled into [1, 2), are the same bits.
+    SCALED = {
+        "quartic": lambda: parse("(y-x)^4-1"),
+        "complete_3": lambda: complete_graph_poly(3),
+        "quadratic_golden": lambda: parse("x^2+y^2+0.6180339887498949*x*y+1"),
+    }
+
+    @pytest.mark.parametrize("name", list(SCALED))
+    @pytest.mark.parametrize("j", range(-200, 61, 10))
+    def test_singular_vertices_and_probe_labels_do_not_depend_on_scale(self, name, j):
+        budget = Budget(max_vertices=40, max_depth=5)
+        exact = self.SCALED[name]()
+        for base, c in ((exact, GaussRat.of(Fraction(2) ** j)), (exact.to_float(), 2.0**j)):
+            phi = base.scale(c)
+            assert phi.mode == base.mode
+            want, got = analyze(base), analyze(phi)
+            assert got.is_standard == want.is_standard
+            assert got.failure_reasons == want.failure_reasons
+            assert got.numerically_uncertain == want.numerically_uncertain
+            got_values = singular_vertex_values(phi, got)
+            assert list(map(repr, got_values)) == list(map(repr, singular_vertex_values(base)))
+            got_probe, want_probe = probe_conjecture(phi, 3, budget), probe_conjecture(base, 3, budget)
+            assert got_probe.seeds == want_probe.seeds
+            assert got_probe.labels == want_probe.labels
 
 
 class TestSingularInventory:

@@ -137,6 +137,16 @@ def test_analyze_tiny_float_scale_is_standard(capsys):
     assert data["failure_reasons"] == [] and data["numerically_uncertain"] is False
 
 
+def test_analyze_tiny_float_scale_singular_exit_0(capsys):
+    # D and E print as "0", their float images, but the inventory is taken
+    # on their exact values.
+    code, out, _ = run_cli(capsys, "analyze", "1e-80*((y-x)^4-1)", "--singular")
+    data = json.loads(out)
+    assert code == EXIT_OK and data["is_standard"] is True
+    assert data["D"] == data["E"] == "0"
+    assert len(data["singular"]["loops"]) == 4
+
+
 def test_probe_deterministic(capsys):
     args = (
         "probe", "y^2+x*y+x^2", "--seeds", "4", "--rng-seed", "7",

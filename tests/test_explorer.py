@@ -194,6 +194,23 @@ def test_intern_takes_block_position_before_id():
     assert table.intern(2 + 0j, True) == 2
 
 
+def _bfs_levels(phi, seed, depth):
+    """The ids of the first depth levels of a vertex-at-a-time weak BFS."""
+    eps = Budget().dedup_eps
+    values, levels = [seed], [[0]]
+    while len(levels) < depth:
+        new = []
+        for vid in levels[-1]:
+            for axis in ("x", "y"):
+                (found,) = neighbors(phi, [values[vid]], axis)
+                for val, _ in found:
+                    if all(abs(val - w) >= eps for w in values):
+                        new.append(len(values))
+                        values.append(val)
+        levels.append(new)
+    return levels
+
+
 def _bfs_prefix(phi, seed, stop):
     """Values a vertex-at-a-time weak BFS has discovered just before row stop.
 
@@ -213,20 +230,58 @@ def _bfs_prefix(phi, seed, stop):
     raise AssertionError("stop row not reached")
 
 
+# A square grid like GRID whose in-rows are not its out-rows: u has the
+# out-neighbors u + 1 and u + i and the in-neighbors u - 1 and u - i.
+SKEW_GRID = parse("(y-x-1)*(y-x-i)")
+
+
 class TestFailureContract:
-    # Vertex 7 of the grid BFS from 0 sits mid-way through level 2 (ids 5..12).
-    FAIL_VID = 7
+    @staticmethod
+    def _fail_vid(phi) -> int:
+        """A vertex mid-way through level 2 of the weak BFS from 0, with the
+        vertex before it in the same level."""
+        levels = _bfs_levels(phi, 0j, 3)
+        fail_vid = levels[2][2]
+        assert fail_vid - 1 in levels[2]
+        return fail_vid
 
     def test_root_failure_mid_level_keeps_bfs_prefix(self, monkeypatch):
-        want = _bfs_prefix(GRID, 0j, (self.FAIL_VID, "y"))
-        (bad_row,) = GRID.eval_rows([want[self.FAIL_VID]], "y")
+        # The in-row of a vertex fails; its out-row, solved first, is kept.
+        fail_vid = self._fail_vid(SKEW_GRID)
+        want = _bfs_prefix(SKEW_GRID, 0j, (fail_vid, "y"))
+        (bad_row,) = SKEW_GRID.eval_rows([want[fail_vid]], "y")
         real = explorer.roots_of_rows
 
         def failing(rows):
-            # A weak level's rows alternate (v, "x"), (v, "y"); the grid's out-
-            # and in-rows at v are equal, so only odd rows are in-rows.
+            # A weak level's rows alternate (v, "x"), (v, "y").
             for k in range(1, len(rows), 2):
                 if np.array_equal(rows[k], bad_row):
+                    raise RootFindingError("injected", row=k)
+            return real(rows)
+
+        monkeypatch.setattr(explorer, "roots_of_rows", failing)
+        with pytest.raises(ExplorationError) as info:
+            explore_component(SKEW_GRID, 0j, Budget(max_depth=4))
+        partial = info.value.partial
+        assert partial.truncated and partial.order == len(want)
+        assert [v for _, v in partial.vertices] == want
+        assert info.value.payload["vertex"] == str(want[fail_vid])
+        # The failing vertex's out-row was materialized; the vertex itself is unexpanded.
+        assert len([a for a in partial.arcs if a[0] == fail_vid]) == SKEW_GRID.deg_y
+        assert fail_vid in partial.frontier_ids
+        assert fail_vid - 1 not in partial.frontier_ids
+
+    def test_root_failure_in_a_shared_row_keeps_bfs_prefix(self, monkeypatch):
+        # GRID is symmetric: a vertex's one solved row is its out- and in-row,
+        # so a failure there is its out-row's, the first of the two.
+        fail_vid = self._fail_vid(GRID)
+        want = _bfs_prefix(GRID, 0j, (fail_vid, "x"))
+        (bad_row,) = GRID.eval_rows([want[fail_vid]], "x")
+        real = explorer.roots_of_rows
+
+        def failing(rows):
+            for k, row in enumerate(rows):
+                if np.array_equal(row, bad_row):
                     raise RootFindingError("injected", row=k)
             return real(rows)
 
@@ -236,27 +291,49 @@ class TestFailureContract:
         partial = info.value.partial
         assert partial.truncated and partial.order == len(want)
         assert [v for _, v in partial.vertices] == want
-        assert info.value.payload["vertex"] == str(want[self.FAIL_VID])
-        # The failing vertex's out-row was materialized; the vertex itself is unexpanded.
-        assert len([a for a in partial.arcs if a[0] == self.FAIL_VID]) == GRID.deg_y
-        assert self.FAIL_VID in partial.frontier_ids
-        assert 6 not in partial.frontier_ids
+        assert info.value.payload["vertex"] == str(want[fail_vid])
+        # Neither of its rows was materialized: its only arcs are the in-arcs
+        # of the vertices expanded before it.
+        assert all(t < fail_vid for f, t, _ in partial.arcs if f == fail_vid)
+        assert fail_vid in partial.frontier_ids
+        assert fail_vid - 1 not in partial.frontier_ids
 
     def test_universal_vertex_error_comes_from_its_vertex(self, monkeypatch):
-        want = _bfs_prefix(GRID, 0j, (self.FAIL_VID, "y"))
+        fail_vid = self._fail_vid(SKEW_GRID)
+        want = _bfs_prefix(SKEW_GRID, 0j, (fail_vid, "y"))
         real = BiPoly.eval_rows
 
         def universal_at_fail_vid(phi, us, axis):
             rows = real(phi, us, axis)
             for k, v in enumerate(us):
-                if axis == "y" and v == want[self.FAIL_VID]:
+                if axis == "y" and v == want[fail_vid]:
                     rows[k] = 0  # Phi(x, v) vanishes: v is a universal sink
             return rows
 
         monkeypatch.setattr(BiPoly, "eval_rows", universal_at_fail_vid)
         with pytest.raises(UniversalVertexError) as info:
+            explore_component(SKEW_GRID, 0j, Budget(max_depth=4))
+        assert info.value.payload["vertex"] == str(want[fail_vid])
+        assert str(info.value) == "universal sink vertex"
+
+    def test_universal_vertex_error_in_a_shared_row(self, monkeypatch):
+        # A symmetric Phi's shared row vanishes: the vertex is a universal source.
+        fail_vid = self._fail_vid(GRID)
+        want = _bfs_prefix(GRID, 0j, (fail_vid, "x"))
+        real = BiPoly.eval_rows
+
+        def universal_at_fail_vid(phi, us, axis):
+            rows = real(phi, us, axis)
+            for k, v in enumerate(us):
+                if v == want[fail_vid]:
+                    rows[k] = 0
+            return rows
+
+        monkeypatch.setattr(BiPoly, "eval_rows", universal_at_fail_vid)
+        with pytest.raises(UniversalVertexError) as info:
             explore_component(GRID, 0j, Budget(max_depth=4))
-        assert info.value.payload["vertex"] == str(want[self.FAIL_VID])
+        assert info.value.payload["vertex"] == str(want[fail_vid])
+        assert str(info.value) == "universal source vertex"
 
     @staticmethod
     def _inject(monkeypatch, fail_at: complex, bad_at: complex, bad_value: complex):
@@ -286,8 +363,9 @@ class TestFailureContract:
     def test_root_failure_before_a_bad_row_decides(self, monkeypatch, bad_value):
         # The first row in BFS order that cannot be solved decides, whatever
         # the cause of a later one in the same call or level.
-        want = _bfs_prefix(GRID, 0j, (self.FAIL_VID, "x"))
-        u_fail, u_bad = want[self.FAIL_VID], want[self.FAIL_VID + 2]
+        fail_vid = self._fail_vid(GRID)
+        want = _bfs_prefix(GRID, 0j, (fail_vid, "x"))
+        u_fail, u_bad = want[fail_vid], want[fail_vid + 2]
         self._inject(monkeypatch, u_fail, u_bad, bad_value)
         with pytest.raises(RootFindingError) as info:
             neighbors(GRID, [0.5, u_fail, u_bad], "x")

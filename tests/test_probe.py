@@ -60,34 +60,47 @@ def test_probe_synthesized_circulant(n):
 # -- lockstep exploration of a probe's seeds ------------------------------------
 
 GRID = parse("(y-x)^4-1")
+# A square grid like GRID whose in-rows are not its out-rows (GRID is
+# symmetric, so each of its vertices has one solved row, its out-row).
+SKEW_GRID = parse("(y-x-1)*(y-x-i)")
 GRID_BUDGET = Budget(max_vertices=60, max_depth=6)
-# Vertex 7 of a grid sweep sits mid-way through level 2 (ids 5..12) and
-# vertex 2 in level 1, so seed 3 fails a level before seed 1 does.
-FAILING = {1: 7, 3: 2}
+# seed -> (level, index): seed 1 fails at a vertex mid-way through level 2 of
+# its sweep and seed 3 at one of level 1, so seed 3 fails a level before seed 1.
+FAILING = {1: (2, 2), 3: (1, 1)}
 
 
-def _grid_probe():
-    return probe_conjecture(GRID, n_seeds=4, budget=GRID_BUDGET, rng_seed=3)
+def _grid_probe(phi):
+    return probe_conjecture(phi, n_seeds=4, budget=GRID_BUDGET, rng_seed=3)
 
 
 @pytest.fixture(scope="module")
 def grid_seeds():
-    """The probe's seeds and the value of the FAILING vertex of each seed, unpatched."""
-    result = _grid_probe()
-    return result.seeds, {s: result.graphs[s].value(vid) for s, vid in FAILING.items()}
+    """Per grid, unpatched: the probe's seeds and the value of each seed's
+    FAILING vertex, read off the BFS levels of its component."""
+    out = {}
+    for phi in (GRID, SKEW_GRID):
+        result = _grid_probe(phi)
+        values = {}
+        for s, (level, index) in FAILING.items():
+            g = result.graphs[s]
+            dist = _distances(g)
+            values[s] = g.value(sorted(v for v, d in dist.items() if d == level)[index])
+        out[phi] = result.seeds, values
+    return out
 
 
-def test_root_failure_is_the_first_failing_seeds(monkeypatch, grid_seeds):
-    seeds, values = grid_seeds
-    bad_rows = [(GRID.eval_rows([v], "y")[0], s) for s, v in values.items()]
+def _root_failure_in_rows(monkeypatch, grid_seeds, phi, axis):
+    seeds, values = grid_seeds[phi]
+    bad_rows = [(phi.eval_rows([v], axis)[0], s) for s, v in values.items()]
     real = explorer.roots_of_rows
     hit = []
 
     def failing(rows):
         # Decided by each row's coefficients alone, as roots_of_rows is row-independent.
-        # A weak level's rows alternate (v, "x"), (v, "y"); the grid's out- and
-        # in-rows at v are equal, so only odd rows are in-rows.
-        for k in range(1, len(rows), 2):
+        # A weak level's rows alternate (v, "x"), (v, "y"), but a symmetric
+        # Phi's level has only out-rows.
+        step = 2 if axis == "y" else 1
+        for k in range(step - 1, len(rows), step):
             for bad_row, s in bad_rows:
                 if np.array_equal(rows[k], bad_row):
                     hit.append(s)
@@ -96,46 +109,68 @@ def test_root_failure_is_the_first_failing_seeds(monkeypatch, grid_seeds):
 
     monkeypatch.setattr(explorer, "roots_of_rows", failing)
     with pytest.raises(ExplorationError) as lockstep:
-        _grid_probe()
+        _grid_probe(phi)
     # Seed 3 failed a level earlier; seeds 0 to 2 ran on and seed 1 failed.
     assert hit == [3, 1]
     with pytest.raises(ExplorationError) as alone:
-        explorer._weak_components(GRID, [seeds[1]], GRID_BUDGET)
+        explorer._weak_components(phi, [seeds[1]], GRID_BUDGET)
     assert str(lockstep.value) == str(alone.value)
     assert lockstep.value.payload == alone.value.payload == {"vertex": str(values[1])}
     assert lockstep.value.partial == alone.value.partial
     assert lockstep.value.partial.order > 5
 
 
-@pytest.mark.parametrize("error", [UniversalVertexError, EvaluationOverflow])
-def test_row_error_is_the_first_failing_seeds(monkeypatch, grid_seeds, error):
+def test_root_failure_is_the_first_failing_seeds(monkeypatch, grid_seeds):
+    _root_failure_in_rows(monkeypatch, grid_seeds, SKEW_GRID, "y")
+
+
+def test_root_failure_in_shared_rows_is_the_first_failing_seeds(monkeypatch, grid_seeds):
+    _root_failure_in_rows(monkeypatch, grid_seeds, GRID, "x")
+
+
+def _row_error_in_rows(monkeypatch, grid_seeds, error, phi, axis):
     # A vanishing row raises UniversalVertexError once the vertices before it
     # are expanded; a non-finite row raises EvaluationOverflow at once.
-    seeds, values = grid_seeds
+    seeds, values = grid_seeds[phi]
     failing_at = {v: s for s, v in values.items()}
     real = BiPoly.eval_rows
     hit = []
 
-    def rows_failing(phi, us, axis):
-        rows = real(phi, us, axis)
+    def rows_failing(phi, us, row_axis):
+        rows = real(phi, us, row_axis)
         for k, v in enumerate(us):
-            if axis == "y" and v in failing_at:
+            if row_axis == axis and v in failing_at:
                 hit.append(failing_at[v])
                 rows[k] = 0 if error is UniversalVertexError else complex("nan")
         return rows
 
     monkeypatch.setattr(BiPoly, "eval_rows", rows_failing)
     with pytest.raises(error) as lockstep:
-        _grid_probe()
+        _grid_probe(phi)
     assert hit == [3, 1]
     with pytest.raises(error) as alone:
-        explorer._weak_components(GRID, [seeds[1]], GRID_BUDGET)
+        explorer._weak_components(phi, [seeds[1]], GRID_BUDGET)
     assert str(lockstep.value) == str(alone.value)
     assert lockstep.value.payload == alone.value.payload == {"vertex": str(values[1])}
+    return lockstep.value
 
 
-def _levels(g) -> int:
-    """BFS levels of a weak sweep that closed: 1 + the seed's eccentricity."""
+@pytest.mark.parametrize("error", [UniversalVertexError, EvaluationOverflow])
+def test_row_error_is_the_first_failing_seeds(monkeypatch, grid_seeds, error):
+    raised = _row_error_in_rows(monkeypatch, grid_seeds, error, SKEW_GRID, "y")
+    if error is UniversalVertexError:
+        assert str(raised) == "universal sink vertex"
+
+
+@pytest.mark.parametrize("error", [UniversalVertexError, EvaluationOverflow])
+def test_row_error_in_shared_rows_is_the_first_failing_seeds(monkeypatch, grid_seeds, error):
+    raised = _row_error_in_rows(monkeypatch, grid_seeds, error, GRID, "x")
+    if error is UniversalVertexError:
+        assert str(raised) == "universal source vertex"
+
+
+def _distances(g) -> dict[int, int]:
+    """Each vertex's BFS level in a weak sweep: its undirected distance from the seed."""
     nb = {}
     for f, t, _ in g.arcs:
         nb.setdefault(f, set()).add(t)
@@ -148,7 +183,12 @@ def _levels(g) -> int:
             if w not in dist:
                 dist[w] = dist[v] + 1
                 queue.append(w)
-    return 1 + max(dist.values())
+    return dist
+
+
+def _levels(g) -> int:
+    """BFS levels of a weak sweep that closed: 1 + the seed's eccentricity."""
+    return 1 + max(_distances(g).values())
 
 
 def test_probe_makes_one_root_call_per_level(monkeypatch):
