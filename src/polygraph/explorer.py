@@ -29,9 +29,9 @@ a vertex-at-a-time BFS; the rows before it are solved and recorded first.
 Weak components alternate out- and in-neighbors.  A symmetric Phi
 (`BiPoly.is_symmetric`) has the in-row Phi(x, u) of each vertex equal to
 its out-row Phi(u, y) bit for bit, so a weak sweep evaluates and solves
-only the out-rows and hands each result to both; `_Sweep.materialize`
-reuses the out-row's vertex ids for the in-row unless interning the
-out-row added a vertex.
+only the out-rows and hands each result to both.  `_Sweep.materialize`
+interns the in-row's roots on the table as the out-row left it, as it
+would the roots of a row solved on its own.
 
 Strong components run a forward sweep and, only if that sweep hits the
 budget, a backward one.  The strong component is the set of vertices both
@@ -328,17 +328,13 @@ class _Sweep:
         table, max_vertices = self.table, self.budget.max_vertices
         for r, (vals, mults) in enumerate(found):
             vid, axis = self.owner(r)
-            # A row solved once for both axes (a symmetric phi) keeps its ids
-            # when interning it added no vertex: the same queries on the same table.
-            if not (r and found[r] is found[r - 1] and len(table.values) == size):
-                size = len(table.values)
-                ids: dict[int, int] = {}
-                for val, mult in zip(vals, mults):
-                    wid = table.intern(val, len(table.values) < max_vertices)
-                    if wid is None:
-                        self.truncated = True
-                        continue
-                    ids[wid] = ids.get(wid, 0) + mult
+            ids: dict[int, int] = {}
+            for val, mult in zip(vals, mults):
+                wid = table.intern(val, len(table.values) < max_vertices)
+                if wid is None:
+                    self.truncated = True
+                    continue
+                ids[wid] = ids.get(wid, 0) + mult
             targets += ids
             if axis == "x":
                 self.out_arcs[vid] = ids

@@ -285,12 +285,6 @@ class TestFloatScale:
         assert a == b and hash(a) == hash(b) and a.exact is not b.exact
         assert "exact" not in repr(a)
 
-    def test_quartic_below_the_float_range_has_the_unscaled_singular_vertices(self):
-        base = parse("(y-x)^4-1").to_float()
-        phi = base.scale(2.0**-200)
-        assert analyze(phi).D.is_zero
-        assert singular_vertex_values(phi) == singular_vertex_values(base) == []
-
     # c * Phi for c = 2**j: every double scales exactly, so does every
     # exact polynomial of the report, and the singular vertices, solved on
     # the exact factors scaled into [1, 2), are the same bits.
@@ -301,7 +295,7 @@ class TestFloatScale:
     }
 
     @pytest.mark.parametrize("name", list(SCALED))
-    @pytest.mark.parametrize("j", range(-200, 61, 10))
+    @pytest.mark.parametrize("j", range(-200, 61, 20))
     def test_singular_vertices_and_probe_labels_do_not_depend_on_scale(self, name, j):
         budget = Budget(max_vertices=40, max_depth=5)
         exact = self.SCALED[name]()
