@@ -72,6 +72,9 @@ def _cases():
             parse("(y-x-1)*(y-x-i)"), 0.5 + 0.25j, Budget(max_depth=6)),
         "strong_scaling_pair": lambda: explore_strong_component(
             parse("(y-2*x)*(2*y-x)"), 1 + 0j, Budget(max_depth=8)),
+        # deg_x = 3 != deg_y = 2: out- and in-rows of a weak level differ in width.
+        "weak_non_square_cubic": lambda: explore_component(
+            parse("y^2 - x^3 - x - 1"), 1 + 0.5j, Budget(max_vertices=300, max_depth=6)),
     }
 
 

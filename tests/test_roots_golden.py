@@ -1,8 +1,8 @@
 """The root kernel's output pinned bit for bit against a stored golden file.
 
 `tests/data/roots_golden.json` holds recorded `roots_of_rows` batches: the
-BFS levels of a quartic grid, two additive grids, the double ray and a
-d = 2 round trip, the `roots_batch` call of a singular-vertex search, and
+BFS levels of a quartic grid, two additive grids, the double ray, a
+d = 2 round trip and a weak sweep of a Phi with deg_x != deg_y, the `roots_batch` call of a singular-vertex search, and
 hand-built rows with exact zeros at the origin and multiple roots.  Each
 batch stores its input rows, its `lengths` (None unless the caller passed
 them) and the root values and multiplicities the kernel returned, every
@@ -91,6 +91,9 @@ def _cases():
         "double_ray": lambda: explore_component(
             cayley_multiplicative([GaussRat.of(2)]), 1 + 0j, Budget(max_depth=MAX_LEVELS)),
         "round_trip_d2_n5": _round_trip_d2,
+        # deg_x = 3 != deg_y = 2: a weak level's in-rows are wider than its out-rows.
+        "weak_non_square_cubic": lambda: explore_component(
+            parse("y^2 - x^3 - x - 1"), 1 + 0.5j, Budget(max_vertices=300, max_depth=6)),
         "singular_values_circulant": lambda: singular_vertex_values(
             digraph_to_poly(FiniteDigraph.on_integers(
                 4, [(i, (i + s) % 4) for i in range(4) for s in (1, 2)]))),
