@@ -268,6 +268,7 @@ def singular_inventory(
 
     Each factor's rows come from one `explorer.neighbors` call: the out-rows
     Phi(u, y) at the roots of L and D, the in-rows Phi(x, u) at those of E.
+    A symmetric Phi whose E has D's roots reads its in-rows off its out-rows.
     """
     from .explorer import neighbors
 
@@ -292,7 +293,9 @@ def singular_inventory(
     in_def = [u for u, q in zip(e_roots, in_res) if q <= tol]
     near = any(tol / _VANISH_BAND < q <= tol * _VANISH_BAND for q in out_res + in_res)
     out_rows = neighbors(pf, d_roots, "x")
-    in_rows = neighbors(pf, e_roots, "y")
+    # A symmetric Phi's in-row Phi(x, u) is its out-row Phi(u, y) bit for bit.
+    same = pf.is_symmetric and e_roots == d_roots
+    in_rows = out_rows if same else neighbors(pf, e_roots, "y")
     multi_orig = [u for u, row in zip(d_roots, out_rows) if any(m >= 2 for _, m in row)]
     multi_end = [u for u, row in zip(e_roots, in_rows) if any(m >= 2 for _, m in row)]
 

@@ -13,7 +13,9 @@ is read.  Highlights:
 
 * partial evaluation Phi(u, y) / Phi(x, u): `eval_rows` evaluates a whole
   vector of values in floats at once, by Horner over a cached dense
-  coefficient table, and `eval_partial` is its one-row case (or exact),
+  coefficient table, and `eval_partial` is its one-row case (or exact);
+  `eval_row_pairs` gives both rows of each value, interleaved, from one
+  Horner pass over that table stacked with its transpose (also cached),
 * exact resultants by evaluation: `unipoly.resultant_by_evaluation` takes
   the coefficient polynomials in the eliminated variable (it evaluates
   them over Z[i] at one Kronecker point, or at a run of integers and
@@ -239,15 +241,49 @@ class BiPoly:
             raise DomainError(f"axis must be x or y, got {axis!r}")
         table = self._float_table if axis == "x" else self._float_table.transpose(1, 0, 2)
         u = np.asarray(us, dtype=complex).reshape(-1, 1, 1)
-        re = u.real
-        im = u.imag * _CROSS_SIGN  # (-Im u, +Im u): the cross terms of (a + bi)(re + i im)
         acc = np.empty((len(u),) + table.shape[1:])
         acc[:] = table[-1]
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(len(table) - 2, -1, -1):
-                acc = acc * re + acc[..., ::-1] * im
-                acc += table[k]
+            acc = _horner(acc, table[-2::-1], u)
         return acc.view(complex)[..., 0]
+
+    def eval_row_pairs(self, us) -> np.ndarray:
+        """The rows Phi(u, y) and Phi(x, u) of each u, interleaved.
+
+        Row 2k is ``eval_rows(us, "x")[k]`` and row 2k+1 is ``eval_rows(us,
+        "y")[k]``, bit for bit, each padded with +0.0 to the width
+        max(deg_x, deg_y) + 1.  One Horner pass runs over `_pair_table`: the
+        direction with more steps runs its extra leading steps alone, and
+        the other one starts at its own top coefficient, so each row takes
+        the steps of its `eval_rows` pass and no other.
+        """
+        table = self._pair_table
+        deg_x, deg_y = max(self.deg_x, 0), max(self.deg_y, 0)
+        low = min(deg_x, deg_y)
+        u = np.asarray(us, dtype=complex).reshape(-1, 1, 1, 1)
+        acc = np.empty((len(u),) + table.shape[1:])
+        acc[:] = table[-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            if deg_x != deg_y:
+                a = int(deg_y > deg_x)  # the direction with more steps
+                acc[:, a] = _horner(acc[:, a], table[low:-1][::-1, a], u[:, 0])
+                acc[:, 1 - a] = table[low, 1 - a]
+            acc = _horner(acc, table[:low][::-1], u)
+        if deg_x != deg_y:
+            acc[:, a, low + 1 :] = 0.0  # the narrower rows' padding, which Horner touched
+        return acc.view(complex).reshape(2 * len(u), -1)
+
+    @cached
+    def _pair_table(self) -> np.ndarray:
+        """(n, 2, n, 2) table, n = max(deg_x, deg_y) + 1, zeros elsewhere:
+        [k, 0, j] is `_float_table`[k, j], the coefficient of x**k y**j,
+        and [k, 1, i] is `_float_table`[i, k], that of x**i y**k."""
+        table = self._float_table
+        n = max(table.shape[:2])
+        pair = np.zeros((n, 2, n, 2))
+        pair[: table.shape[0], 0, : table.shape[1]] = table
+        pair[: table.shape[1], 1, : table.shape[0]] = table.transpose(1, 0, 2)
+        return pair
 
     def eval(self, u, v):
         return self.eval_partial(u, "x").eval(v)
@@ -367,6 +403,18 @@ class BiPoly:
 
 
 # -- helpers ---------------------------------------------------------------
+
+
+def _horner(acc: np.ndarray, steps: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """acc <- acc * u + c for each c of steps in turn, acc and c holding
+    (real, imaginary) pairs in their last axis, in real arithmetic, one
+    multiply or add per step and part."""
+    re = u.real
+    im = u.imag * _CROSS_SIGN  # (-Im u, +Im u): the cross terms of (a + bi)(re + i im)
+    for c in steps:
+        acc = acc * re + acc[..., ::-1] * im
+        acc += c
+    return acc
 
 
 def _bipoly(rows: Iterable[UniPoly]) -> BiPoly:

@@ -8,11 +8,13 @@ add their multiplicities, so each arc (from, to) is listed once and a
 vertex's out-multiplicities add up to deg_y Phi.
 
 The BFS is level-synchronous and repeats two steps, each one function.
-`_solve` solves a level's rows: `BiPoly.eval_rows` evaluates the rows
-Phi(u, y) and/or Phi(x, u) of every vertex of the level at once, they are
-interleaved in BFS order (padded with zeros if deg_x != deg_y), and one
-`roots_of_rows` call solves them all.  No per-row polynomial or root
-object is built on the way.  `_VertexTable.intern` then identifies each
+`_solve` solves a level's rows: one evaluation call gives the rows
+Phi(u, y) and/or Phi(x, u) of every vertex of the level in BFS order
+(`BiPoly.eval_rows` for one direction; for a weak level,
+`BiPoly.eval_row_pairs` writes both rows of each vertex interleaved, the
+narrower padded with zeros if deg_x != deg_y), and one `roots_of_rows`
+call solves them all.  No per-row polynomial or root object is built on
+the way.  `_VertexTable.intern` then identifies each
 root with a vertex, or makes it a new one while the vertex budget has
 room, in the order a vertex-at-a-time BFS would meet the roots, so ids,
 dedup and budget cut-offs are those of that BFS.  A probe's seeds are
@@ -207,14 +209,13 @@ def _rows(phi: BiPoly, values: list[complex], axes) -> np.ndarray:
     """The rows of values along axes in BFS order: (u0, axes[0]), (u0, axes[1]),
     (u1, axes[0]), ...; axis "x" gives Phi(u, y), axis "y" gives Phi(x, u).
 
-    One `eval_rows` call per axis.  Rows of the narrower axis are padded
-    with exact zeros, which root finding trims.
+    One evaluation call: `BiPoly.eval_rows` for one axis, and for both
+    `BiPoly.eval_row_pairs`, whose rows come interleaved, the narrower
+    ones padded with +0.0, which root finding trims.
     """
-    parts = [phi.eval_rows(values, axis) for axis in axes]
-    rows = np.zeros((len(values) * len(parts), max(p.shape[1] for p in parts)), dtype=complex)
-    for a, part in enumerate(parts):
-        rows[a :: len(parts), : part.shape[1]] = part
-    return rows
+    if len(axes) == 2:
+        return phi.eval_row_pairs(values)
+    return phi.eval_rows(values, axes[0])
 
 
 def _solve(phi: BiPoly, values: list[complex], axes):
@@ -326,8 +327,8 @@ class _Sweep:
         row that intern to one vertex add their multiplicities."""
         targets: list[int] = []
         table, max_vertices = self.table, self.budget.max_vertices
-        for r, (vals, mults) in enumerate(found):
-            vid, axis = self.owner(r)
+        owners = [(vid, axis) for vid in self.level for axis in self.axes]
+        for (vid, axis), (vals, mults) in zip(owners, found):
             ids: dict[int, int] = {}
             for val, mult in zip(vals, mults):
                 wid = table.intern(val, len(table.values) < max_vertices)
@@ -349,8 +350,8 @@ class _Sweep:
 
 
 def _explore(phi: BiPoly, sweeps: list[_Sweep], max_depth: int) -> None:
-    """Run the sweeps, which share one direction, with one `eval_rows` call
-    per axis and one `roots_of_rows` call per level for all of them.
+    """Run the sweeps, which share one direction, with one evaluation call
+    and one `roots_of_rows` call per level for all of them.
 
     Each level stacks the rows of every live sweep in list order.  A row's
     coefficients and roots do not depend on the other rows of the call, so

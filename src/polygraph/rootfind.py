@@ -1,9 +1,10 @@
 """All complex roots of univariate polynomials, with multiplicities.
 
 `roots_of_rows` is the one root-finding kernel.  It takes a stacked
-(rows, width) complex array of coefficients, low to high, trims each row
-at the top by `trimmed_lengths` unless it is given each row's length,
-deflates exact zeros at the origin, buckets the rows by the
+(rows, width) complex array of coefficients, low to high, tests each row
+for finiteness once, trims each row at the top by the rule of
+`trimmed_lengths` (reusing that test) unless it is given each row's
+length, deflates exact zeros at the origin, buckets the rows by the
 degree that remains and the number of those zeros, and takes the
 eigenvalues of each bucket's stacked companion matrices in one `eigvals`
 call (LAPACK zgeev balances them first; the method of `np.roots`, backward
@@ -148,8 +149,8 @@ def roots_of_rows(c: np.ndarray, lengths=None) -> list[tuple[list[complex], list
     if not len(c):
         return []
     width = c.shape[1]
-    finite = np.isfinite(c).all(axis=1)
-    length = trimmed_lengths(c) if lengths is None else np.asarray(lengths)
+    finite = np.logical_and.reduce(np.isfinite(c), axis=1)
+    length = _trimmed_lengths(c, finite) if lengths is None else np.asarray(lengths)
     unsolvable = np.flatnonzero(~finite | (length == 0))
     stop = unsolvable[0] if len(unsolvable) else len(c)
     n_zeros = (c[:stop] != 0).argmax(axis=1) if stop else 0  # c may have no columns
@@ -166,7 +167,7 @@ def roots_of_rows(c: np.ndarray, lengths=None) -> list[tuple[list[complex], list
             n, n_zero = divmod(keys[a], width + 1)
             full = sorted_rows[a:b, :n]
             eig, z, p, d, ok = _eigen_roots(full[:, n_zero:])
-            if not ok.all():
+            if not np.logical_and.reduce(ok):
                 i = int(np.argmin(ok))  # the bucket's first failing row
                 failed.append((order[a + i], eig[i]))
                 continue
@@ -181,9 +182,12 @@ def roots_of_rows(c: np.ndarray, lengths=None) -> list[tuple[list[complex], list
             if n_roots > 1:
                 dist = np.abs(z[:, :, None] - z[:, None, :])
                 dist.reshape(b - a, -1)[:, :: n_roots + 1] = np.inf  # the diagonal
-                reach = CLUSTER_BASE ** (1.0 / n_roots) * (1.0 + np.abs(z).max(axis=1))
-                for i in np.flatnonzero(dist.min(axis=(1, 2)) <= reach).tolist():
-                    found[i] = _clustered(full[i : i + 1], eig[i], n_zero)
+                top = np.maximum.reduce(np.abs(z), axis=1)
+                reach = CLUSTER_BASE ** (1.0 / n_roots) * (1.0 + top)
+                near = np.minimum.reduce(dist, axis=(1, 2)) <= reach
+                if np.logical_or.reduce(near):
+                    for i in np.flatnonzero(near).tolist():
+                        found[i] = _clustered(full[i : i + 1], eig[i], n_zero)
             for k, item in zip(order[a:b], found):
                 results[k] = item
     if failed:
@@ -206,10 +210,15 @@ def trimmed_lengths(c: np.ndarray) -> np.ndarray:
     dropped: 0 for a zero row, the width for a non-finite one (its reader
     rejects it)."""
     c = np.asarray(c, dtype=complex)
-    finite = np.isfinite(c).all(axis=1)
+    return _trimmed_lengths(c, np.logical_and.reduce(np.isfinite(c), axis=1))
+
+
+def _trimmed_lengths(c: np.ndarray, finite: np.ndarray) -> np.ndarray:
+    """`trimmed_lengths` of the complex array c, whose rows are finite where finite is."""
     mag = np.where(finite[:, None], np.abs(c), 0.0)  # keep NaN out of max and >
-    kept = mag > TRIM_REL * mag.max(axis=1, keepdims=True)
-    trimmed = np.where(kept.any(axis=1), c.shape[1] - kept[:, ::-1].argmax(axis=1), 0)
+    kept = mag > TRIM_REL * np.maximum.reduce(mag, axis=1, keepdims=True)
+    nonzero = np.logical_or.reduce(kept, axis=1)
+    trimmed = np.where(nonzero, c.shape[1] - kept[:, ::-1].argmax(axis=1), 0)
     return np.where(finite, trimmed, c.shape[1])
 
 
@@ -258,7 +267,7 @@ def _noise(c: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Evaluation-noise bound for |p| at radii r (Horner roundoff model)."""
     n = c.shape[1] - 1
     terms = np.abs(c)[:, None, :] * np.power(r[..., None], np.arange(n + 1))
-    return 4.0 * (2 * n + 1) * _EPS * terms.sum(axis=-1) + 1e-300
+    return 4.0 * (2 * n + 1) * _EPS * np.add.reduce(terms, axis=-1) + 1e-300
 
 
 def _expand(lead: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -307,7 +316,8 @@ def _eigen_roots(c: np.ndarray) -> tuple[np.ndarray, ...]:
     z = eig + 0.0
     p, d = _horner_pd(c, z)
     r = np.abs(z)
-    ok = (np.abs(p) <= 64.0 * _noise(c, r) + _EPS * np.abs(d) * (1.0 + r)).all(axis=1)
+    within = np.abs(p) <= 64.0 * _noise(c, r) + _EPS * np.abs(d) * (1.0 + r)
+    ok = np.logical_and.reduce(within, axis=1)
     return eig, z, p, d, ok
 
 
@@ -414,7 +424,7 @@ def _polish(
     for _ in range(POLISH_STEPS):
         step = mult * pv / dv
         going = going & (np.abs(step) > 4.0 * _EPS * np.abs(best))
-        if not going.any():
+        if not np.logical_or.reduce(going, axis=None):
             break
         cur = best - step
         pv, dv = _horner_pd(c, cur)
@@ -435,9 +445,12 @@ def _sorted_roots(
     if n_zero:
         vals = np.concatenate([vals, np.zeros((len(vals), 1), dtype=complex)], axis=1)
         mult = np.append(mult, n_zero)
+    if vals.shape[1] <= 1:  # nothing to order
+        mults = mult.tolist()
+        return [(row, mults.copy()) for row in vals.tolist()]
     # Real parts equal up to rounding noise must compare equal, so the
     # imaginary part, not the last bits, orders such roots.
-    grid = 1e-9 * (1.0 + np.abs(vals).max(axis=1, initial=0.0))
+    grid = 1e-9 * (1.0 + np.maximum.reduce(np.abs(vals), axis=1))
     order = np.lexsort((vals.imag, np.rint(vals.real / grid[:, None])))
     vals = vals[np.arange(len(vals))[:, None], order]
     return list(zip(vals.tolist(), mult[order].tolist()))

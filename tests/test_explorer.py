@@ -120,6 +120,19 @@ class TestNeighbors:
             want = [v for v, _ in out_neighbors(phi, u)]
             assert len(outs) == 3 and all(min(abs(a - b) for a in outs) < 1e-9 for b in want)
 
+    def test_a_weak_level_is_evaluated_in_one_call(self, monkeypatch):
+        calls, levels = [], []
+        for name in ("eval_rows", "eval_row_pairs"):
+            real = getattr(BiPoly, name)
+            monkeypatch.setattr(
+                BiPoly, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
+            )
+        real_roots = explorer.roots_of_rows
+        monkeypatch.setattr(explorer, "roots_of_rows", lambda c: levels.append(len(c)) or real_roots(c))
+        g = explore_component(parse("y^2 - x^3 - x - 1"), 1 + 0.5j, Budget(300, 6))
+        assert g.order == 300 and len(g.arcs) == 379
+        assert calls == ["eval_row_pairs"] * 6 and len(levels) == 6
+
 
 class TestExplore:
     def test_grid_depth_2_is_l1_ball(self):
@@ -301,16 +314,16 @@ class TestFailureContract:
     def test_universal_vertex_error_comes_from_its_vertex(self, monkeypatch):
         fail_vid = self._fail_vid(SKEW_GRID)
         want = _bfs_prefix(SKEW_GRID, 0j, (fail_vid, "y"))
-        real = BiPoly.eval_rows
+        real = BiPoly.eval_row_pairs
 
-        def universal_at_fail_vid(phi, us, axis):
-            rows = real(phi, us, axis)
+        def universal_at_fail_vid(phi, us):
+            rows = real(phi, us)  # a weak level's rows alternate (v, "x"), (v, "y")
             for k, v in enumerate(us):
-                if axis == "y" and v == want[fail_vid]:
-                    rows[k] = 0  # Phi(x, v) vanishes: v is a universal sink
+                if v == want[fail_vid]:
+                    rows[2 * k + 1] = 0  # Phi(x, v) vanishes: v is a universal sink
             return rows
 
-        monkeypatch.setattr(BiPoly, "eval_rows", universal_at_fail_vid)
+        monkeypatch.setattr(BiPoly, "eval_row_pairs", universal_at_fail_vid)
         with pytest.raises(UniversalVertexError) as info:
             explore_component(SKEW_GRID, 0j, Budget(max_depth=4))
         assert info.value.payload["vertex"] == str(want[fail_vid])

@@ -413,6 +413,37 @@ class TestEvalRows:
         for axis in ("x", "y"):
             assert phi.eval_rows(us, axis).tobytes() == phi.to_float().eval_rows(us, axis).tobytes()
 
+    def test_row_pairs_are_bitwise_the_two_directions_interleaved_and_padded(self):
+        # Coefficient parts and values with signed zeros, overflow (1e80 to a
+        # power above 3) and inf: padding a shorter Horner with leading zeros
+        # instead would turn some -0.0 into +0.0 on a Phi with deg_x != deg_y.
+        rng = random.Random(28)
+        parts = [0.0, -0.0, 1.0, -1.0, 2.5, -0.75]
+        specials = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                    1e80, -1e80j, complex(1e80, -1e80), complex("inf"), complex(0, float("-inf"))]
+        shapes = set()
+        for _ in range(300):
+            dx, dy = rng.randint(0, 5), rng.randint(0, 5)
+            entries = {
+                (i, j): complex(rng.choice(parts), rng.choice(parts))
+                for i in range(dx + 1) for j in range(dy + 1) if rng.random() < 0.6
+            }
+            entries[(dx, rng.randint(0, dy))] = complex(rng.uniform(0.5, 2), rng.choice(parts))
+            entries[(rng.randint(0, dx), dy)] = complex(rng.choice(parts), -rng.uniform(0.5, 2))
+            phi = BiPoly.make(entries)
+            shapes.add((phi.deg_x, phi.deg_y))
+            us = rng.sample(specials, 3) + [
+                complex(rng.choice(parts) * rng.uniform(0.1, 3), rng.choice(parts) * rng.uniform(0.1, 3))
+                for _ in range(rng.randint(0, 4))
+            ]
+            rng.shuffle(us)
+            out_rows, in_rows = phi.eval_rows(us, "x"), phi.eval_rows(us, "y")
+            want = np.zeros((2 * len(us), max(out_rows.shape[1], in_rows.shape[1])), dtype=complex)
+            want[0::2, : out_rows.shape[1]] = out_rows
+            want[1::2, : in_rows.shape[1]] = in_rows
+            assert phi.eval_row_pairs(us).tobytes() == want.tobytes(), (str(phi), us)
+        assert {(d, d) for d in range(6)} <= shapes and len(shapes) == 36
+
     def test_overflow_is_left_non_finite(self):
         (row,) = parse("x^2*y - 1.0").eval_rows([1e200], "x")
         assert not np.isfinite(row).all()

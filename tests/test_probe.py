@@ -18,7 +18,6 @@ from polygraph import (
 )
 from polygraph import analyzer, explorer, singular_vertex_values
 from polygraph import probe as probe_module
-from polygraph.bipoly import BiPoly
 from polygraph.errors import (
     DomainError,
     EvaluationOverflow,
@@ -133,18 +132,22 @@ def _row_error_in_rows(monkeypatch, grid_seeds, error, phi, axis):
     # are expanded; a non-finite row raises EvaluationOverflow at once.
     seeds, values = grid_seeds[phi]
     failing_at = {v: s for s, v in values.items()}
-    real = BiPoly.eval_rows
+    real = explorer._rows
     hit = []
 
-    def rows_failing(phi, us, row_axis):
-        rows = real(phi, us, row_axis)
+    def rows_failing(phi, us, axes):
+        # A symmetric Phi's weak level has only out-rows; any other Phi's
+        # rows alternate (v, "x"), (v, "y").
+        rows = real(phi, us, axes)
         for k, v in enumerate(us):
-            if row_axis == axis and v in failing_at:
+            if axis in axes and v in failing_at:
                 hit.append(failing_at[v])
-                rows[k] = 0 if error is UniversalVertexError else complex("nan")
+                rows[k * len(axes) + axes.index(axis)] = (
+                    0 if error is UniversalVertexError else complex("nan")
+                )
         return rows
 
-    monkeypatch.setattr(BiPoly, "eval_rows", rows_failing)
+    monkeypatch.setattr(explorer, "_rows", rows_failing)
     with pytest.raises(error) as lockstep:
         _grid_probe(phi)
     assert hit == [3, 1]

@@ -121,6 +121,26 @@ def test_singular_inventory_is_unchanged(monkeypatch, name):
     assert fast == slow
 
 
+@pytest.mark.parametrize(
+    "name", ["complete_3", "complete_4", "complete_5", "bipartite_2", "bipartite_3", "prism_4"]
+)
+def test_a_symmetric_inventory_solves_its_d_rows_once(monkeypatch, name):
+    # L's out-rows, D's out-rows and, only without the shortcut, E's in-rows.
+    axes = []
+    real = explorer.neighbors
+    monkeypatch.setattr(
+        explorer, "neighbors", lambda phi, values, axis: axes.append(axis) or real(phi, values, axis)
+    )
+
+    def run(phi):
+        inv = singular_inventory(phi, analyze(phi))
+        return inv, repr(inv)
+
+    fast, slow = _with_and_without(monkeypatch, SYMMETRIC[name], run)
+    assert fast == slow
+    assert axes == ["x", "x"] + ["x", "x", "y"]
+
+
 @pytest.mark.parametrize("name", list(SYMMETRIC))
 def test_weak_components_are_unchanged(monkeypatch, name):
     if not _standard(SYMMETRIC[name]):
@@ -237,5 +257,7 @@ def test_a_not_symmetric_phi_reads_both_sides(monkeypatch):
     axes = []
     real = BiPoly.eval_rows
     monkeypatch.setattr(BiPoly, "eval_rows", lambda p, us, axis: axes.append(axis) or real(p, us, axis))
+    real_pairs = BiPoly.eval_row_pairs
+    monkeypatch.setattr(BiPoly, "eval_row_pairs", lambda p, us: axes.extend("xy") or real_pairs(p, us))
     explorer._weak_components(phi, [0.3 + 0.2j], Budget(20, 3))
     assert set(axes) == {"x", "y"}
