@@ -7,7 +7,9 @@ hand-built rows with exact zeros at the origin and multiple roots.  Each
 batch stores its input rows, its `lengths` (None unless the caller passed
 them) and the root values and multiplicities the kernel returned, every
 float as `float.hex`.  A rewrite of the kernel must reproduce every bit,
-the sign of a zero part included.
+the sign of a zero part included.  The stored input rows and lengths must
+also be those the cases hand the kernel today, so a change to how rows are
+evaluated fails here instead of at the next regeneration.
 
 Regenerate with `PYTHONPATH=src python tests/test_roots_golden.py`, and
 only in a change that means to alter the kernel's output.
@@ -125,10 +127,14 @@ def _record_batches() -> dict:
     return out
 
 
+def _hex_rows(c) -> list:
+    return [[_hex(complex(v)) for v in row] for row in c]
+
+
 def _encode(c, lengths) -> dict:
     found = rootfind.roots_of_rows(c, lengths)
     return {
-        "rows": [[_hex(complex(v)) for v in row] for row in c],
+        "rows": _hex_rows(c),
         "lengths": lengths,
         "roots": [[[_hex(v) for v in vals], mults] for vals, mults in found],
     }
@@ -146,6 +152,19 @@ def test_golden_covers_the_recorded_shapes(golden):
     assert {2, 3, 5} <= widths
     assert any(m > 1 for b in batches for _, mults in b["roots"] for m in mults)
     assert any(b["lengths"] is not None for b in batches)
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    return _record_batches()
+
+
+@pytest.mark.parametrize("name", sorted([*_cases(), "hand_built"]))
+def test_golden_inputs_are_what_the_generator_records(golden, recorded, name):
+    # A change to the rows the callers hand the kernel shows here, not at
+    # the next regeneration.
+    recorded = [(_hex_rows(c), lengths) for c, lengths in recorded[name]]
+    assert recorded == [(b["rows"], b["lengths"]) for b in golden[name]]
 
 
 @pytest.mark.parametrize("name", sorted([*_cases(), "hand_built"]))
