@@ -12,10 +12,10 @@ trims only the rows `eval_partial` evaluates in floats before their degree
 is read.  Highlights:
 
 * partial evaluation Phi(u, y) / Phi(x, u): `eval_rows` evaluates a whole
-  vector of values in floats at once, by Horner over a cached dense
-  coefficient table, and `eval_partial` is its one-row case (or exact);
-  `eval_row_pairs` gives both rows of each value, interleaved, from one
-  Horner pass over that table stacked with its transpose (also cached),
+  vector of values in floats at once, for one direction or for both
+  interleaved, by one Horner pass over a cached dense table that holds the
+  coefficients and their transpose, and `eval_partial` is its one-row
+  case (or exact),
 * exact resultants by evaluation: `unipoly.resultant_by_evaluation` takes
   the coefficient polynomials in the eliminated variable (it evaluates
   them over Z[i] at one Kronecker point, or at a run of integers and
@@ -186,8 +186,8 @@ class BiPoly:
             return False
         if self.den:
             return self.rows == tuple(c.rename("x") for c in self._columns)
-        bits = self._float_table.view(np.int64)
-        return np.array_equal(bits, bits.transpose(1, 0, 2))
+        bits = self._table.view(np.int64)
+        return np.array_equal(bits[:, 0], bits[:, 1])
 
     @cached
     def _columns(self) -> tuple:
@@ -216,74 +216,56 @@ class BiPoly:
         return UniPoly.make([p.eval(u) for p in self.coeff_polys(other)], other)
 
     @cached
-    def _float_table(self) -> np.ndarray:
-        """Dense (deg_x+1, deg_y+1, 2) table, (1, 1, 2) for the zero
-        polynomial: [i, j] holds the real and imaginary parts of the
-        coefficient of x**i y**j."""
-        table = np.zeros((max(self.deg_x, 0) + 1, max(self.deg_y, 0) + 1, 2))
+    def _table(self) -> np.ndarray:
+        """Dense (n, 2, n, 2) table, n = max(deg_x, deg_y, 0) + 1, zeros
+        elsewhere: [k, 0, j] holds the real and imaginary parts of the
+        coefficient of x**k y**j and [k, 1, i] those of x**i y**k, so
+        [:, 0] is the table of Phi(u, y) in powers of u and [:, 1] that of
+        Phi(x, u)."""
+        n = max(self.deg_x, self.deg_y, 0) + 1
+        table = np.zeros((n, 2, n, 2))
         for j, r in enumerate(self.to_float().rows):
             for i, z in enumerate(r.coeffs):
-                table[i, j] = z.real, z.imag
+                table[i, 0, j] = table[j, 1, i] = z.real, z.imag
         return table
 
-    def eval_rows(self, us, axis: str) -> np.ndarray:
-        """Float rows Phi(u, y) (axis 'x') or Phi(x, u) (axis 'y'), one per u.
+    def eval_rows(self, us, axes: str) -> np.ndarray:
+        """Float rows Phi(u, y) (axis 'x') and/or Phi(x, u) (axis 'y') of
+        each u, in the order (u0, axes[0]), (u0, axes[1]), (u1, axes[0]), ...;
+        axes is 'x', 'y' or 'xy'.
 
-        Returns a (len(us), d+1) complex array, coefficients ascending and
-        untrimmed, d the degree in the kept variable (one zero column for
-        the zero polynomial); non-finite entries are left for the caller to
-        reject.  Horner in the substituted variable
-        runs elementwise over the coefficient table in real arithmetic, one
-        multiply or add per step and part, so a row's bits do not depend on
-        which other rows share the call.
+        Returns a (len(axes) * len(us), w) complex array, coefficients
+        ascending and untrimmed: w is d+1, d the degree in the kept
+        variable, for one axis, and max(deg_x, deg_y) + 1 for 'xy', the
+        narrower rows padded with +0.0 (one zero column for the zero
+        polynomial).  Non-finite entries are left for the caller to reject.
+        Horner in the substituted variable runs elementwise over `_table`
+        in real arithmetic, one multiply or add per step and part, so a
+        row's bits do not depend on which other rows share the call: for
+        'xy' with deg_x != deg_y, the direction with more steps runs its
+        extra leading steps alone and the other one starts at its own top
+        coefficient.
         """
-        if axis not in ("x", "y"):
-            raise DomainError(f"axis must be x or y, got {axis!r}")
-        table = self._float_table if axis == "x" else self._float_table.transpose(1, 0, 2)
-        u = np.asarray(us, dtype=complex).reshape(-1, 1, 1)
-        acc = np.empty((len(u),) + table.shape[1:])
-        acc[:] = table[-1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            acc = _horner(acc, table[-2::-1], u)
-        return acc.view(complex)[..., 0]
-
-    def eval_row_pairs(self, us) -> np.ndarray:
-        """The rows Phi(u, y) and Phi(x, u) of each u, interleaved.
-
-        Row 2k is ``eval_rows(us, "x")[k]`` and row 2k+1 is ``eval_rows(us,
-        "y")[k]``, bit for bit, each padded with +0.0 to the width
-        max(deg_x, deg_y) + 1.  One Horner pass runs over `_pair_table`: the
-        direction with more steps runs its extra leading steps alone, and
-        the other one starts at its own top coefficient, so each row takes
-        the steps of its `eval_rows` pass and no other.
-        """
-        table = self._pair_table
-        deg_x, deg_y = max(self.deg_x, 0), max(self.deg_y, 0)
-        low = min(deg_x, deg_y)
+        if axes not in ("x", "y", "xy"):
+            raise DomainError(f"axes must be x, y or xy, got {axes!r}")
+        first = "xy".index(axes[0])
+        sides = slice(first, first + len(axes))  # of _table: 0 Phi(u, y), 1 Phi(x, u)
+        steps = (max(self.deg_x, 0), max(self.deg_y, 0))  # each side's Horner steps
+        low, high = min(steps[sides]), max(steps[sides])
+        width = max(steps[::-1][sides]) + 1  # a side's row width is the other's steps + 1
+        table = self._table[: high + 1, sides, :width]
         u = np.asarray(us, dtype=complex).reshape(-1, 1, 1, 1)
         acc = np.empty((len(u),) + table.shape[1:])
         acc[:] = table[-1]
         with np.errstate(over="ignore", invalid="ignore"):
-            if deg_x != deg_y:
-                a = int(deg_y > deg_x)  # the direction with more steps
+            if low != high:
+                a = steps.index(high)  # the direction with more steps
                 acc[:, a] = _horner(acc[:, a], table[low:-1][::-1, a], u[:, 0])
                 acc[:, 1 - a] = table[low, 1 - a]
             acc = _horner(acc, table[:low][::-1], u)
-        if deg_x != deg_y:
+        if low != high:
             acc[:, a, low + 1 :] = 0.0  # the narrower rows' padding, which Horner touched
-        return acc.view(complex).reshape(2 * len(u), -1)
-
-    @cached
-    def _pair_table(self) -> np.ndarray:
-        """(n, 2, n, 2) table, n = max(deg_x, deg_y) + 1, zeros elsewhere:
-        [k, 0, j] is `_float_table`[k, j], the coefficient of x**k y**j,
-        and [k, 1, i] is `_float_table`[i, k], that of x**i y**k."""
-        table = self._float_table
-        n = max(table.shape[:2])
-        pair = np.zeros((n, 2, n, 2))
-        pair[: table.shape[0], 0, : table.shape[1]] = table
-        pair[: table.shape[1], 1, : table.shape[0]] = table.transpose(1, 0, 2)
-        return pair
+        return acc.view(complex).reshape(-1, width)
 
     def eval(self, u, v):
         return self.eval_partial(u, "x").eval(v)

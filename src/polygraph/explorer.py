@@ -8,16 +8,15 @@ add their multiplicities, so each arc (from, to) is listed once and a
 vertex's out-multiplicities add up to deg_y Phi.
 
 The BFS is level-synchronous and repeats two steps, each one function.
-`_solve` solves a level's rows: one evaluation call gives the rows
-Phi(u, y) and/or Phi(x, u) of every vertex of the level in BFS order
-(`BiPoly.eval_rows` for one direction; for a weak level,
-`BiPoly.eval_row_pairs` writes both rows of each vertex interleaved, the
-narrower padded with zeros if deg_x != deg_y), and one `roots_of_rows`
-call solves them all.  No per-row polynomial or root object is built on
-the way.  `_VertexTable.intern` then identifies each
-root with a vertex, or makes it a new one while the vertex budget has
-room, in the order a vertex-at-a-time BFS would meet the roots, so ids,
-dedup and budget cut-offs are those of that BFS.  A probe's seeds are
+`_solve` solves a level's rows: one `BiPoly.eval_rows` call gives the
+rows Phi(u, y) and/or Phi(x, u) of every vertex of the level in BFS order
+(for a weak level both rows of each vertex, interleaved, the narrower
+padded with zeros if deg_x != deg_y), and one `roots_of_rows` call solves
+them all.  No per-row polynomial or root object is built on the way.
+`_VertexTable.intern` then identifies each root with a vertex, or makes it
+a new one while the vertex budget has room, in the order a
+vertex-at-a-time BFS would meet the roots, so ids, dedup and budget
+cut-offs are those of that BFS.  A probe's seeds are
 explored in lockstep: each level stacks the rows of every seed's sweep
 into that one array.  A row's coefficients and roots do not depend on the
 other rows of the array, so each graph, and each error, is what
@@ -49,8 +48,6 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
 
 from .analyzer import analyze, require_standard
 from .bipoly import BiPoly
@@ -205,33 +202,20 @@ class _VertexTable:
 # -- neighbor enumeration ---------------------------------------------------------
 
 
-def _rows(phi: BiPoly, values: list[complex], axes) -> np.ndarray:
-    """The rows of values along axes in BFS order: (u0, axes[0]), (u0, axes[1]),
-    (u1, axes[0]), ...; axis "x" gives Phi(u, y), axis "y" gives Phi(x, u).
-
-    One evaluation call: `BiPoly.eval_rows` for one axis, and for both
-    `BiPoly.eval_row_pairs`, whose rows come interleaved, the narrower
-    ones padded with +0.0, which root finding trims.
-    """
-    if len(axes) == 2:
-        return phi.eval_row_pairs(values)
-    return phi.eval_rows(values, axes[0])
-
-
-def _solve(phi: BiPoly, values: list[complex], axes):
-    """(found, error): the roots of the rows `_rows(phi, values, axes)` up
-    to the first row that `roots_of_rows` rejects, and that row's error, or
-    None.  A non-finite row gives EvaluationOverflow, a zero row
+def _solve(phi: BiPoly, values: list[complex], axes: str):
+    """(found, error): the roots of the rows `phi.eval_rows(values, axes)`
+    up to the first row that `roots_of_rows` rejects, and that row's error,
+    or None.  A non-finite row gives EvaluationOverflow, a zero row
     UniversalVertexError (its vertex is a universal source on axis "x", a
     sink on "y"), and a RootFindingError passes through.
 
     A weak sweep of a symmetric phi solves each vertex's row once: its
     in-row Phi(x, u) is its out-row Phi(u, y) bit for bit, so each result
     serves both, and a rejected out-row is the first rejected row."""
-    if len(axes) == 2 and phi.is_symmetric:
-        found, error = _solve(phi, values, ("x",))
+    if axes == "xy" and phi.is_symmetric:
+        found, error = _solve(phi, values, "x")
         return [f for f in found for _axis in axes], error
-    rows = _rows(phi, values, axes)
+    rows = phi.eval_rows(values, axes)
     try:
         return roots_of_rows(rows), None
     except (EvaluationOverflow, ZeroPolynomialError, RootFindingError) as exc:
@@ -255,7 +239,9 @@ def neighbors(phi: BiPoly, values, axis: str) -> list[list[tuple[complex, int]]]
     if it is not finite, UniversalVertexError if it vanishes identically,
     and RootFindingError if its roots fail the residual check.
     """
-    found, error = _solve(phi, list(values), (axis,))
+    if axis not in ("x", "y"):
+        raise DomainError(f"axis must be x or y, got {axis!r}")
+    found, error = _solve(phi, list(values), axis)
     if error is not None:
         raise error
     return [list(zip(vals, mults)) for vals, mults in found]
@@ -273,7 +259,7 @@ def in_neighbors(phi: BiPoly, v: complex) -> list[tuple[complex, int]]:
 
 # -- BFS engine ---------------------------------------------------------------------
 
-_AXES = {"weak": ("x", "y"), "fwd": ("x",), "bwd": ("y",)}
+_AXES = {"weak": "xy", "fwd": "x", "bwd": "y"}
 
 
 class _Sweep:

@@ -28,6 +28,7 @@ from polygraph import (
 from polygraph import explorer, rootfind
 from polygraph.bipoly import BiPoly
 from polygraph.errors import (
+    DomainError,
     EvaluationOverflow,
     ExplorationError,
     NotStandardError,
@@ -110,7 +111,7 @@ class TestNeighbors:
     def test_rows_of_a_mixed_degree_level_are_padded(self):
         # deg_x = 1 and deg_y = 3: each vertex has 3 out-neighbors and 1 in-neighbor.
         phi = parse("y^3 - 2*x*y + x - 1")
-        rows = explorer._rows(phi, [0.5 + 0.25j, 2j], ("x", "y"))
+        rows = phi.eval_rows([0.5 + 0.25j, 2j], "xy")
         assert rows.shape == (4, 4) and not rows[1::2, 2:].any()
         g = explore_component(phi, 0.5 + 0.25j, Budget(max_depth=2, max_vertices=200))
         for vid, u in g.vertices:
@@ -120,18 +121,24 @@ class TestNeighbors:
             want = [v for v, _ in out_neighbors(phi, u)]
             assert len(outs) == 3 and all(min(abs(a - b) for a in outs) < 1e-9 for b in want)
 
+    def test_rows_take_only_the_axes_x_y_and_xy(self):
+        phi = parse("y^2 - x^3 - x - 1")
+        for axes in ("yx", "xx", "", "z"):
+            with pytest.raises(DomainError):
+                phi.eval_rows([1 + 0.5j], axes)
+        # Interleaved rows are no neighbor lists: neighbors takes x or y only.
+        with pytest.raises(DomainError):
+            neighbors(phi, [1 + 0.5j], "xy")
+
     def test_a_weak_level_is_evaluated_in_one_call(self, monkeypatch):
         calls, levels = [], []
-        for name in ("eval_rows", "eval_row_pairs"):
-            real = getattr(BiPoly, name)
-            monkeypatch.setattr(
-                BiPoly, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
-            )
+        real = BiPoly.eval_rows
+        monkeypatch.setattr(BiPoly, "eval_rows", lambda p, us, axes: calls.append(axes) or real(p, us, axes))
         real_roots = explorer.roots_of_rows
         monkeypatch.setattr(explorer, "roots_of_rows", lambda c: levels.append(len(c)) or real_roots(c))
         g = explore_component(parse("y^2 - x^3 - x - 1"), 1 + 0.5j, Budget(300, 6))
         assert g.order == 300 and len(g.arcs) == 379
-        assert calls == ["eval_row_pairs"] * 6 and len(levels) == 6
+        assert calls == ["xy"] * 6 and len(levels) == 6
 
 
 class TestExplore:
@@ -314,16 +321,17 @@ class TestFailureContract:
     def test_universal_vertex_error_comes_from_its_vertex(self, monkeypatch):
         fail_vid = self._fail_vid(SKEW_GRID)
         want = _bfs_prefix(SKEW_GRID, 0j, (fail_vid, "y"))
-        real = BiPoly.eval_row_pairs
+        real = BiPoly.eval_rows
 
-        def universal_at_fail_vid(phi, us):
-            rows = real(phi, us)  # a weak level's rows alternate (v, "x"), (v, "y")
+        def universal_at_fail_vid(phi, us, axes):
+            assert axes == "xy"
+            rows = real(phi, us, axes)  # a weak level's rows alternate (v, "x"), (v, "y")
             for k, v in enumerate(us):
                 if v == want[fail_vid]:
                     rows[2 * k + 1] = 0  # Phi(x, v) vanishes: v is a universal sink
             return rows
 
-        monkeypatch.setattr(BiPoly, "eval_row_pairs", universal_at_fail_vid)
+        monkeypatch.setattr(BiPoly, "eval_rows", universal_at_fail_vid)
         with pytest.raises(UniversalVertexError) as info:
             explore_component(SKEW_GRID, 0j, Budget(max_depth=4))
         assert info.value.payload["vertex"] == str(want[fail_vid])

@@ -441,7 +441,7 @@ class TestEvalRows:
             want = np.zeros((2 * len(us), max(out_rows.shape[1], in_rows.shape[1])), dtype=complex)
             want[0::2, : out_rows.shape[1]] = out_rows
             want[1::2, : in_rows.shape[1]] = in_rows
-            assert phi.eval_row_pairs(us).tobytes() == want.tobytes(), (str(phi), us)
+            assert phi.eval_rows(us, "xy").tobytes() == want.tobytes(), (str(phi), us)
         assert {(d, d) for d in range(6)} <= shapes and len(shapes) == 36
 
     def test_overflow_is_left_non_finite(self):

@@ -18,6 +18,7 @@ from polygraph import (
 )
 from polygraph import analyzer, explorer, singular_vertex_values
 from polygraph import probe as probe_module
+from polygraph.bipoly import BiPoly
 from polygraph.errors import (
     DomainError,
     EvaluationOverflow,
@@ -132,7 +133,7 @@ def _row_error_in_rows(monkeypatch, grid_seeds, error, phi, axis):
     # are expanded; a non-finite row raises EvaluationOverflow at once.
     seeds, values = grid_seeds[phi]
     failing_at = {v: s for s, v in values.items()}
-    real = explorer._rows
+    real = BiPoly.eval_rows
     hit = []
 
     def rows_failing(phi, us, axes):
@@ -147,7 +148,7 @@ def _row_error_in_rows(monkeypatch, grid_seeds, error, phi, axis):
                 )
         return rows
 
-    monkeypatch.setattr(explorer, "_rows", rows_failing)
+    monkeypatch.setattr(BiPoly, "eval_rows", rows_failing)
     with pytest.raises(error) as lockstep:
         _grid_probe(phi)
     assert hit == [3, 1]

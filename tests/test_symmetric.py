@@ -256,8 +256,6 @@ def test_a_not_symmetric_phi_reads_both_sides(monkeypatch):
                        (0, 1): math.nextafter(1.0, 2.0), (0, 0): 1.0})
     axes = []
     real = BiPoly.eval_rows
-    monkeypatch.setattr(BiPoly, "eval_rows", lambda p, us, axis: axes.append(axis) or real(p, us, axis))
-    real_pairs = BiPoly.eval_row_pairs
-    monkeypatch.setattr(BiPoly, "eval_row_pairs", lambda p, us: axes.extend("xy") or real_pairs(p, us))
+    monkeypatch.setattr(BiPoly, "eval_rows", lambda p, us, a: axes.extend(a) or real(p, us, a))
     explorer._weak_components(phi, [0.3 + 0.2j], Budget(20, 3))
     assert set(axes) == {"x", "y"}
