@@ -13,7 +13,7 @@ import json
 import sys
 
 from .analyzer import VERTEX_TOL, analyze, singular_inventory
-from .errors import PolygraphError
+from .errors import DomainError, PolygraphError
 from .explorer import (
     DEFAULT_DEDUP_EPS,
     DEFAULT_MAX_DEPTH,
@@ -53,6 +53,17 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
+
+
+def _read_json(path: str, reader):
+    """reader(the JSON value in the file at path).  A value that reader
+    finds of the wrong shape or types raises DomainError."""
+    with open(path) as fh:
+        obj = json.load(fh)
+    try:
+        return reader(obj)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"malformed JSON in {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _budget(args) -> Budget:
@@ -163,9 +174,7 @@ def _cmd_explore(args) -> None:
 
 def _cmd_synth(args) -> None:
     if args.digraph:
-        with open(args.digraph) as fh:
-            d = FiniteDigraph.from_json(json.load(fh))
-        phi = digraph_to_poly(d)
+        phi = digraph_to_poly(_read_json(args.digraph, FiniteDigraph.from_json))
     elif args.complete is not None:
         phi = complete_graph_poly(args.complete)
     elif args.bipartite is not None:
@@ -208,8 +217,7 @@ def _cmd_probe(args) -> None:
 
 
 def _cmd_export(args) -> None:
-    with open(args.graph) as fh:
-        g = ExploredDigraph.from_json(json.load(fh))
+    g = _read_json(args.graph, ExploredDigraph.from_json)
     sys.stdout.write(export(g, args.format).decode())
 
 

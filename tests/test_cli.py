@@ -299,3 +299,19 @@ def test_export_of_a_missing_file_exit_2(capsys, tmp_path):
     code, out, err = run_cli(capsys, "export", str(tmp_path / "missing.json"))
     assert code == EXIT_DOMAIN and out == ""
     assert json.loads(err)["error"]["type"] == "FileNotFoundError"
+
+
+@pytest.mark.parametrize("argv, content", [
+    (("export",), {"seed": 0, "truncated": False, "arcs": [],
+                   "vertices": [{"id": 0, "re": "1", "im": "2"}]}),
+    (("export",), [1, 2]),
+    (("synth", "--digraph"), {"vertices": ["1", "2"], "arcs": 5}),
+], ids=["export_string_parts", "export_list", "synth_int_arcs"])
+def test_json_of_the_wrong_types_exit_2(capsys, tmp_path, argv, content):
+    # Well-formed JSON whose values have the wrong types is a domain error.
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(content))
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == EXIT_DOMAIN and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"]["type"] == "DomainError"
