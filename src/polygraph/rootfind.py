@@ -5,13 +5,15 @@
 for finiteness once, trims each row at the top by the rule of
 `trimmed_lengths` (reusing that test) unless it is given each row's
 length, deflates exact zeros at the origin, buckets the rows by the
-degree that remains and the number of those zeros, and takes the
-eigenvalues of each bucket's stacked companion matrices in one `eigvals`
-call (LAPACK zgeev balances them first; the method of `np.roots`, backward
-stable by Edelman & Murakami 1995).  The rows are sorted by bucket once,
+degree that remains and the number of those zeros, and solves each
+bucket at once: degrees 1 and 2 by closed forms (degree 2 by the scaled,
+cancellation-free quadratic formula), degree >= 3 by the eigenvalues of
+the bucket's stacked companion matrices in one `eigvals` call (LAPACK
+zgeev balances them first; the method of `np.roots`, backward stable by
+Edelman & Murakami 1995).  The rows are sorted by bucket once,
 so each bucket is a slice, and one np.errstate covers the whole call.  A
-row is accepted only if every eigenvalue's residual is within 64 times the
-evaluation-noise bound plus what the rounding of the eigenvalue itself can
+row is accepted only if every root's residual is within 64 times the
+evaluation-noise bound plus what the rounding of the root itself can
 cause, so a row's result does not depend on the other rows of the call.
 It returns each row's root values and multiplicities, and it alone judges
 whether a row can be solved: the first row, in order, that is non-finite,
@@ -27,8 +29,8 @@ keeps every nonzero coefficient.
 Every root of a bucket then gets multiplicity-corrected Newton steps.  The
 residual check's p and p' are the first step's, unless the row has zeros
 at the origin, whose polish runs on the undeflated row.  A
-multiplicity-m root comes out as a cluster of eigenvalues of radius about
-eps**(1/m).  A row with close eigenvalues is clustered by single linkage at
+multiplicity-m root comes out as a cluster of first roots of radius about
+eps**(1/m).  A row with close first roots is clustered by single linkage at
 nested radii, each distinct clustering scored once by how well the
 reconstructed product matches the input coefficients; each multiple root
 is re-polished on the (m-1)-th derivative, where it is simple, and the
@@ -143,7 +145,7 @@ def roots_of_rows(c: np.ndarray, lengths=None) -> list[tuple[list[complex], list
     cannot be solved raises with payload ``row=k``: EvaluationOverflow if
     it holds a NaN or inf, ZeroPolynomialError if it is zero, and
     RootFindingError if it fails the residual check; its ``best`` holds
-    that row's eigenvalues (NaN where LAPACK rejected the row).
+    that row's first roots (NaN where LAPACK rejected the row).
     """
     c = np.asarray(c, dtype=complex)
     if not len(c):
@@ -175,7 +177,7 @@ def roots_of_rows(c: np.ndarray, lengths=None) -> list[tuple[list[complex], list
                 p, d = _horner_pd(full, z)
             n_roots = z.shape[1]
             found = _sorted_roots(_polish(full, z, 1, p, d), np.ones(n_roots, dtype=int), n_zero)
-            # A row whose eigenvalues are all farther apart than the widest
+            # A row whose first roots are all farther apart than the widest
             # cluster radius, CLUSTER_BASE**(1/n) * (1 + max|z|), keeps them
             # as simple roots: `_best_clustering` would return them as
             # singletons.  Any other row is solved again from its clusters.
@@ -193,7 +195,7 @@ def roots_of_rows(c: np.ndarray, lengths=None) -> list[tuple[list[complex], list
     if failed:
         k, best = min(failed, key=lambda kb: kb[0])
         raise RootFindingError(
-            "companion eigenvalues failed the residual check",
+            "first roots failed the residual check",
             best=[complex(v) for v in best],
             row=k,
         )
@@ -287,38 +289,64 @@ def _reconstruction_error(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.max(np.abs(prod - c), axis=1) / np.max(np.abs(c), axis=1)
 
 
-# -- companion-matrix eigenvalues ----------------------------------------------
+# -- first roots: closed forms and companion-matrix eigenvalues ----------------
 
 
 def _eigen_roots(c: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Companion eigenvalues of the rows of c and their residual check.
+    """The roots of the rows of c, all of one degree n, and their residual check.
 
-    Returns the eigenvalues as LAPACK gave them (rows, n), the same with
-    every -0.0 part made +0.0, p and p' at the latter, and a per-row pass
-    mask.  A row passes if every root z has |p(z)| within 64*noise plus
+    Degree 1 takes -c0/c1 and degree 2 `_quadratic_roots`; degree >= 3
+    takes the eigenvalues of the companion matrices.  Returns the roots as
+    these gave them (rows, n), the same with every -0.0 part made +0.0, p
+    and p' at the latter, and a per-row pass mask.  A row passes if every root z has |p(z)| within 64*noise plus
     eps*|p'(z)|*(1 + |z|), the residual that the rounding of z alone can
     cause: the noise bound is relative to the coefficients and vanishes
     with c0 at z = 0.  The sign of a zero part changes no magnitude, so
-    the check is that of the raw eigenvalues, and for a row with no zeros
-    at the origin p and p' are the first Newton step's.  A row LAPACK
-    rejects (say, one whose coefficients overflow the companion matrix)
-    gets NaN roots and fails.  Call it under the kernel's np.errstate.
+    the check is that of the raw roots, and for a row with no zeros
+    at the origin p and p' are the first Newton step's.  A row whose
+    closed form is not finite, or that LAPACK rejects (say, one whose
+    coefficients overflow the companion matrix), gets non-finite roots and
+    fails.  Call it under the kernel's np.errstate.
     """
     rows, n = c.shape[0], c.shape[1] - 1
     if n <= 1:  # no roots, or the closed form of degree 1
         eig = -c[:, :n] / c[:, n:]
+    elif n == 2:
+        eig = _quadratic_roots(c[:, 1] / c[:, 2], c[:, 0] / c[:, 2])
     else:
         comp = np.zeros((rows, n, n), dtype=complex)
         comp.reshape(rows, n * n)[:, n :: n + 1] = 1.0  # the subdiagonal
         comp[:, 0, :] = -c[:, -2::-1] / c[:, -1:]
         eig = _eigvals(comp)
-    # + 0.0 turns a -0.0 part into +0.0, as the cluster mean of one eigenvalue does.
+    # + 0.0 turns a -0.0 part into +0.0, as the cluster mean of one root does.
     z = eig + 0.0
     p, d = _horner_pd(c, z)
     r = np.abs(z)
     within = np.abs(p) <= 64.0 * _noise(c, r) + _EPS * np.abs(d) * (1.0 + r)
     ok = np.logical_and.reduce(within, axis=1)
     return eig, z, p, d, ok
+
+
+def _quadratic_roots(b: np.ndarray, a0: np.ndarray) -> np.ndarray:
+    """Both roots (rows, 2) of z**2 + b*z + a0, a0 nonzero, for each entry.
+
+    The cancellation-free formula (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 1.8): the root of larger modulus is
+    q = -(b + r)/2, r = sqrt(b**2 - 4*a0) with Re(conj(b)*r) >= 0 so that b
+    and r do not cancel, and the other is a0/q.  Both are taken at the
+    scale s, the power of two at or just below max(|b|, sqrt|a0|): dividing
+    by s is exact, short of a subnormal result, and b/s and a0/s**2 are
+    below 2 and 4 in modulus with one of them at least 1, so the
+    discriminant cannot overflow and its larger term cannot underflow.  A
+    non-finite b or a0 gives non-finite roots.
+    """
+    _, e = np.frexp(np.maximum(np.abs(b), np.sqrt(np.abs(a0))))
+    s = np.ldexp(0.5, e)
+    b, a0 = b / s, a0 / s
+    r = np.sqrt(b * b - 4.0 * (a0 / s))
+    r *= np.copysign(1.0, (b.conj() * r).real)
+    q = (b + r) / -2.0
+    return np.stack([s * q, a0 / q], axis=1)
 
 
 def _eigvals(m: np.ndarray) -> np.ndarray:
@@ -337,7 +365,7 @@ def _eigvals(m: np.ndarray) -> np.ndarray:
 def _best_clustering(z: np.ndarray, c: np.ndarray) -> list[tuple[complex, int]]:
     """Try cluster radii CLUSTER_BASE**(1/m) for rising tentative multiplicity m.
 
-    Eigenvalues i and j are near at radius r if |z_i - z_j| <= r * (1 +
+    First roots i and j are near at radius r if |z_i - z_j| <= r * (1 +
     max(|z_i|, |z_j|)); clusters are the components of that relation, by
     boolean transitive closure.  The radii rise, so the clusterings are
     nested and each distinct one is scored once.  More merging is preferred
@@ -395,7 +423,7 @@ def _refine_cluster(v: complex, m: int, c: np.ndarray) -> tuple[complex, int]:
 
 def _clustered(full: np.ndarray, eig: np.ndarray, n_zero: int) -> tuple[list[complex], list[int]]:
     """Values and multiplicities of the one row of full, (1, n), from the
-    clusters of its nonzero roots' eigenvalues eig, each refined and then
+    clusters of its nonzero first roots eig, each refined and then
     Newton-polished as a root of its multiplicity."""
     row = full[0, n_zero:]
     clusters = [_refine_cluster(v, m, row) for v, m in _best_clustering(eig, row)]
