@@ -461,3 +461,78 @@ def test_multiple_roots_are_refined_on_a_derivative():
         errors.append(min(abs(v - r) for v in found) / abs(r))
     assert missed <= 3
     assert max(errors) < 1e-13
+
+
+def _assert_quadratic_solved(c: list[complex]) -> None:
+    """The row c, low to high, is accepted with two roots counted by
+    multiplicity; where two roots come back they match np.roots."""
+    rs = roots(UniPoly.make(c, "y"))
+    assert rs.total_multiplicity() == 2
+    if len(rs.root_values) == 2:
+        want = np.roots(c[::-1])
+        for w in want:
+            assert min(abs(v - w) for v in rs.root_values) <= 1e-12 * abs(w), (c, rs, want)
+
+
+def _unit(rng: random.Random) -> complex:
+    return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+
+def _ldexp(z: complex, k: int) -> complex:
+    return complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
+
+
+def test_quadratics_scaled_by_powers_of_two():
+    rng = random.Random(31)
+    for k in range(-1000, 1001, 50):
+        for _ in range(10):
+            _assert_quadratic_solved([_ldexp(_unit(rng), k) for _ in range(3)])
+
+
+def test_quadratics_with_coefficients_far_apart():
+    rng = random.Random(32)
+    for _ in range(300):
+        _assert_quadratic_solved([_ldexp(_unit(rng), rng.randint(-300, 300)) for _ in range(3)])
+    # b = 0: the roots are the two square roots of -c0/c2.
+    for _ in range(100):
+        c0, c2 = (_ldexp(_unit(rng), rng.randint(-300, 300)) for _ in range(2))
+        _assert_quadratic_solved([c0, 0j, c2])
+
+
+def test_quadratics_with_near_double_roots():
+    # (y - r)(y - r - d) with every coefficient exact, so r and r + d are
+    # the exact roots.  np.roots' own error grows like eps/|d| here, so the
+    # two roots are checked against r and r + d instead; rows whose roots
+    # are within the cluster radius come back as one double root.
+    r = 1.5 + 0.5j
+    for k in range(4, 40, 2):
+        d = math.ldexp(1.0, -k) * (1 + 1j)
+        rs = roots(UniPoly.make([r * r + r * d, -(2 * r + d), 1.0], "y"))
+        assert rs.total_multiplicity() == 2
+        if len(rs.root_values) == 2:
+            assert all(abs(v - w) <= 1e-12 * abs(w) for v, w in zip(rs.root_values, (r, r + d)))
+        else:
+            assert abs(rs.root_values[0] - (r + d / 2)) <= abs(d)
+
+
+@pytest.mark.parametrize(
+    "coeffs, want",
+    [([1, 1, 1e-200], (-1e200, -1.0)), ([3, 1e200, 1], (-1e200, -3e-200))],
+)
+def test_quadratic_whose_discriminant_overflows_unscaled(coeffs, want):
+    # b**2 = 1e400 is beyond the float range: the closed form must work at
+    # a scale at which it is not.
+    rs = roots(UniPoly.make(coeffs, "y"))
+    assert rs.multiplicities == (1, 1)
+    assert all(abs(v - w) <= 1e-15 * abs(w) for v, w in zip(rs.root_values, want))
+
+
+def test_eigvals_solves_only_degree_three_and_up(monkeypatch):
+    def degree_three_and_up(m):
+        assert m.shape[1] >= 3
+        return np.linalg.eigvals(m)
+
+    monkeypatch.setattr(rootfind, "eigvals", degree_three_and_up)
+    rows = [[2, -3, 1], [0, 1, 1], [1, 1], [1, 0, 0, 1], [0, 0, -1, 0, 1]]
+    found = roots_batch([UniPoly.make(c, "y") for c in rows])
+    assert [rs.total_multiplicity() for rs in found] == [2, 2, 1, 3, 4]
