@@ -152,10 +152,24 @@ class ExploredDigraph:
     @staticmethod
     def from_json(obj: dict) -> "ExploredDigraph":
         """The graph of an `as_json` object, with an empty frontier: the
-        format does not store it."""
+        format does not store it.  Raises DomainError unless the ids are
+        distinct ints, the seed and every arc end are among them, and
+        every multiplicity is a positive int (an int is never a bool)."""
+        vertices = tuple((v["id"], complex(v["re"], v["im"])) for v in obj["vertices"])
+        arcs = tuple((a["from"], a["to"], a["mult"]) for a in obj["arcs"])
+        ids = [vid for vid, _ in vertices]
+        if not all(type(vid) is int for vid in ids) or len(set(ids)) < len(ids):
+            raise DomainError("vertex ids must be distinct ints")
+        declared = set(ids)
+        for end in [obj["seed"]] + [e for f, t, _ in arcs for e in (f, t)]:
+            if type(end) is not int or end not in declared:
+                raise DomainError("the seed and every arc end must be a vertex id", id=end)
+        for f, t, m in arcs:
+            if type(m) is not int or m < 1:
+                raise DomainError("arc multiplicities must be positive ints", arc=[f, t])
         return ExploredDigraph(
-            vertices=tuple((v["id"], complex(v["re"], v["im"])) for v in obj["vertices"]),
-            arcs=tuple((a["from"], a["to"], a["mult"]) for a in obj["arcs"]),
+            vertices=vertices,
+            arcs=arcs,
             truncated=obj["truncated"],
             seed_id=obj["seed"],
         )

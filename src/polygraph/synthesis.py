@@ -56,9 +56,11 @@ class FiniteDigraph:
             if not is_exact(v):
                 raise SynthesisError("vertex values must be exact", value=str(txt))
             values.append(v)
-        return FiniteDigraph(
-            tuple(values), tuple((int(a), int(b)) for a, b in obj["arcs"])
-        )
+        arcs = tuple((a, b) for a, b in obj["arcs"])
+        for arc in arcs:
+            if not all(type(e) is int for e in arc):  # not bool, float or str
+                raise DomainError("arc endpoints must be ints", arc=list(arc))
+        return FiniteDigraph(tuple(values), arcs)
 
     def as_json(self) -> dict:
         return {

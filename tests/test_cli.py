@@ -315,3 +315,38 @@ def test_json_of_the_wrong_types_exit_2(capsys, tmp_path, argv, content):
     assert code == EXIT_DOMAIN and out == ""
     assert err.count("\n") == 1
     assert json.loads(err)["error"]["type"] == "DomainError"
+
+
+def _graph(ids, seed, arcs):
+    return {"seed": seed, "truncated": False,
+            "vertices": [{"id": i, "re": 1.0, "im": 0.0} for i in ids],
+            "arcs": [{"from": f, "to": t, "mult": m} for f, t, m in arcs]}
+
+
+@pytest.mark.parametrize("argv, content", [
+    (("export",), _graph([0], 0, [(0, 3, 1)])),
+    (("export",), _graph([0], 5, [])),
+    (("export",), _graph([0, 0], 0, [])),
+    (("export",), _graph([0, True], 0, [])),
+    (("export",), _graph([0, 1.0], 0, [])),
+    (("export",), _graph([0, 1], 0, [(0, 1.0, 1)])),
+    (("export",), _graph([0, 1], 0, [(0, 1, 0)])),
+    (("export",), _graph([0, 1], 0, [(0, 1, 1.5)])),
+    (("export",), _graph([0, 1], 0, [(0, 1, True)])),
+    (("synth", "--digraph"), {"vertices": ["1", "2"], "arcs": [[0, 1.7], [1, 0]]}),
+    (("synth", "--digraph"), {"vertices": ["1", "2"], "arcs": [[0, "1"], [1, 0]]}),
+    (("synth", "--digraph"), {"vertices": ["1", "2"], "arcs": [[0, True], [True, 0]]}),
+], ids=["export_undeclared_arc_end", "export_undeclared_seed", "export_repeated_id",
+        "export_bool_id", "export_float_id", "export_float_arc_end", "export_zero_mult",
+        "export_float_mult", "export_bool_mult", "synth_float_end", "synth_str_end",
+        "synth_bool_end"])
+def test_graph_files_that_do_not_check_out_exit_2(capsys, tmp_path, argv, content):
+    # Each file would read as a graph if ids, ends and multiplicities went
+    # unchecked: export would write the DOT arc 0 -> 3, and synth would
+    # read 1.7, "1" and true as the vertex 1.
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(content))
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == EXIT_DOMAIN and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"]["type"] == "DomainError"
