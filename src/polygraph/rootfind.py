@@ -5,12 +5,12 @@
 for finiteness once, trims each row at the top by the rule of
 `trimmed_lengths` (reusing that test) unless it is given each row's
 length, deflates exact zeros at the origin, buckets the rows by the
-degree that remains and the number of those zeros, and solves each
-bucket at once: degrees 1 and 2 by closed forms (degree 2 by the scaled,
-cancellation-free quadratic formula), degree >= 3 by the eigenvalues of
-the bucket's stacked companion matrices in one `eigvals` call (LAPACK
-zgeev balances them first; the method of `np.roots`, backward stable by
-Edelman & Murakami 1995).  The rows are sorted by bucket once,
+degree that remains and the number of those zeros, and takes each
+bucket's first roots at once: degrees 1 and 2 by closed forms (degree 2
+by the scaled, cancellation-free quadratic formula), degree >= 3 by the
+eigenvalues of the bucket's stacked companion matrices in one `eigvals`
+call (LAPACK zgeev balances them first; the method of `np.roots`,
+backward stable by Edelman & Murakami 1995).  The rows are sorted by bucket once,
 so each bucket is a slice, and one np.errstate covers the whole call.  A
 row is accepted only if every root's residual is within 64 times the
 evaluation-noise bound plus what the rounding of the root itself can
@@ -195,7 +195,7 @@ def roots_of_rows(c: np.ndarray, lengths=None) -> list[tuple[list[complex], list
     if failed:
         k, best = min(failed, key=lambda kb: kb[0])
         raise RootFindingError(
-            "first roots failed the residual check",
+            "roots failed the residual check",
             best=[complex(v) for v in best],
             row=k,
         )
@@ -298,15 +298,16 @@ def _eigen_roots(c: np.ndarray) -> tuple[np.ndarray, ...]:
     Degree 1 takes -c0/c1 and degree 2 `_quadratic_roots`; degree >= 3
     takes the eigenvalues of the companion matrices.  Returns the roots as
     these gave them (rows, n), the same with every -0.0 part made +0.0, p
-    and p' at the latter, and a per-row pass mask.  A row passes if every root z has |p(z)| within 64*noise plus
-    eps*|p'(z)|*(1 + |z|), the residual that the rounding of z alone can
-    cause: the noise bound is relative to the coefficients and vanishes
-    with c0 at z = 0.  The sign of a zero part changes no magnitude, so
-    the check is that of the raw roots, and for a row with no zeros
-    at the origin p and p' are the first Newton step's.  A row whose
-    closed form is not finite, or that LAPACK rejects (say, one whose
-    coefficients overflow the companion matrix), gets non-finite roots and
-    fails.  Call it under the kernel's np.errstate.
+    and p' at the latter, and a per-row pass mask.  A row passes if every
+    root z has |p(z)| within 64*noise plus eps*|p'(z)|*(1 + |z|), the
+    residual that the rounding of z alone can cause: the noise bound is
+    relative to the coefficients and vanishes with c0 at z = 0.  The sign
+    of a zero part changes no magnitude, so the check is that of the raw
+    roots, and for a row with no zeros at the origin p and p' are the
+    first Newton step's.  A row whose closed form is not finite, or that
+    LAPACK rejects (say, one whose coefficients overflow the companion
+    matrix), gets non-finite roots and fails.  Call it under the kernel's
+    np.errstate.
     """
     rows, n = c.shape[0], c.shape[1] - 1
     if n <= 1:  # no roots, or the closed form of degree 1
