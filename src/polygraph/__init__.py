@@ -64,7 +64,7 @@ from .quadratic import (
     recurrence_orbit,
     singular_inventory_quad,
 )
-from .rootfind import Root, RootSet, poly_from_roots, roots, roots_batch
+from .rootfind import poly_from_roots, roots, roots_batch
 from .scalars import GaussRat
 from .synthesis import (
     FiniteDigraph,

@@ -257,7 +257,7 @@ def _singular_roots(report: StandardReport) -> list[list[complex]]:
     factors = [L, D] if E.rename("x") == D else [L, D, E]
     if report.L.mode == "exact":
         factors = [p.divexact(p.gcd(p.derivative())) if p.degree > 0 else p for p in factors]
-    found = [rs.values() for rs in roots_batch([_unit_image(p) for p in factors])]
+    found = [[v for v, _ in pairs] for pairs in roots_batch([_unit_image(p) for p in factors])]
     return found if len(found) == 3 else found + found[1:]
 
 

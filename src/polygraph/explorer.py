@@ -77,8 +77,10 @@ class Budget:
     dedup_eps: float = DEFAULT_DEDUP_EPS
 
     def __post_init__(self):
-        if self.max_vertices <= 0 or self.max_depth <= 0 or self.dedup_eps <= 0:
-            raise DomainError("budget fields must be positive")
+        if type(self.max_vertices) is not int or type(self.max_depth) is not int:
+            raise DomainError("max_vertices and max_depth must be ints")
+        if self.max_vertices <= 0 or self.max_depth <= 0 or not 0 < self.dedup_eps < math.inf:
+            raise DomainError("budget fields must be positive and finite")
 
 
 class Shape(enum.Enum):
@@ -153,20 +155,23 @@ class ExploredDigraph:
     def from_json(obj: dict) -> "ExploredDigraph":
         """The graph of an `as_json` object, with an empty frontier: the
         format does not store it.  Raises DomainError unless the ids are
-        distinct ints, the seed and every arc end are among them, and
-        every multiplicity is a positive int (an int is never a bool)."""
+        the ints 0..n-1 in order, as `as_json` writes them, the seed and
+        every arc end are among them, every multiplicity is a positive int
+        (an int is never a bool) and `truncated` is a bool."""
         vertices = tuple((v["id"], complex(v["re"], v["im"])) for v in obj["vertices"])
         arcs = tuple((a["from"], a["to"], a["mult"]) for a in obj["arcs"])
         ids = [vid for vid, _ in vertices]
-        if not all(type(vid) is int for vid in ids) or len(set(ids)) < len(ids):
-            raise DomainError("vertex ids must be distinct ints")
-        declared = set(ids)
+        declared = range(len(ids))
+        if not all(type(vid) is int for vid in ids) or ids != list(declared):
+            raise DomainError("vertex ids must be the ints 0..n-1 in order")
         for end in [obj["seed"]] + [e for f, t, _ in arcs for e in (f, t)]:
             if type(end) is not int or end not in declared:
                 raise DomainError("the seed and every arc end must be a vertex id", id=end)
         for f, t, m in arcs:
             if type(m) is not int or m < 1:
                 raise DomainError("arc multiplicities must be positive ints", arc=[f, t])
+        if type(obj["truncated"]) is not bool:
+            raise DomainError("truncated must be a bool", truncated=obj["truncated"])
         return ExploredDigraph(
             vertices=vertices,
             arcs=arcs,

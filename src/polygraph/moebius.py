@@ -172,9 +172,10 @@ def _u_te(n: int) -> SymPoly:
     e = SymPoly.var(TE, "e")
     if n == 1:
         return SymPoly.const(TE, 1)
-    if n == 2:
-        return t
-    return t * _u_te(n - 1) - e * _u_te(n - 2)
+    prev, cur = SymPoly.const(TE, 1), t
+    for _ in range(n - 2):
+        prev, cur = cur, t * cur - e * prev
+    return cur
 
 
 @lru_cache(maxsize=None)

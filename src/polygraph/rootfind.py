@@ -18,8 +18,9 @@ cause, so a row's result does not depend on the other rows of the call.
 It returns each row's root values and multiplicities, and it alone judges
 whether a row can be solved: the first row, in order, that is non-finite,
 zero or fails the residual check raises, naming its index.  `roots_batch`
-stacks UniPolys for it, each at its own length, and wraps its output in
-`RootSet`s; `roots` is a batch of one.
+stacks UniPolys for it, each at its own length, and pairs each root value
+with its multiplicity, the shape `neighbors` returns; `roots` is a batch
+of one.
 
 `trimmed_lengths` is the one rule for rounding debris.  It trims only rows
 evaluated in floats: the kernel's own rows (every explorer and `neighbors`
@@ -34,21 +35,18 @@ eps**(1/m).  A row with close first roots is clustered by single linkage at
 nested radii, each distinct clustering scored once by how well the
 reconstructed product matches the input coefficients; each multiple root
 is re-polished on the (m-1)-th derivative, where it is simple, and the
-clusters, Newton-polished in turn, replace that row's result.  A `RootSet`
-builds its diagnostics on first read: each root's residual |p(root)|, a
-Horner evaluation-noise bound and the coefficient reconstruction error.
+clusters, Newton-polished in turn, replace that row's result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 from numpy.linalg import LinAlgError, eigvals
 
 from .errors import DomainError, EvaluationOverflow, RootFindingError, ZeroPolynomialError
-from .unipoly import UniPoly, cached, from_roots as _expand_roots
+from .unipoly import UniPoly, from_roots as _expand_roots
 
 # A row's leading coefficients at most this fraction of its largest are debris.
 TRIM_REL = 1e-12
@@ -58,79 +56,26 @@ POLISH_STEPS = 3
 _EPS = np.finfo(float).eps
 
 
-@dataclass(frozen=True)
-class Root:
-    value: complex
-    multiplicity: int
-    residual: float
+def roots(p: UniPoly) -> list[tuple[complex, int]]:
+    """All roots of p as sorted (value, multiplicity) pairs (exact inputs
+    are converted); raises DomainError if p's float image is a constant."""
+    (found,) = roots_batch([p])
+    if not found:
+        raise DomainError("root finding needs degree >= 1", degree=0)
+    return found
 
 
-@dataclass(frozen=True)
-class RootSet:
-    """The roots of one row; diagnostics are computed from coeffs on first read."""
-
-    root_values: tuple[complex, ...]
-    multiplicities: tuple[int, ...]
-    degree: int
-    lead: complex
-    var: str = "x"
-    coeffs: tuple[complex, ...] = field(default=(), compare=False, repr=False)
-
-    def values(self) -> list[complex]:
-        return list(self.root_values)
-
-    def with_multiplicity(self) -> list[tuple[complex, int]]:
-        return list(zip(self.root_values, self.multiplicities))
-
-    def total_multiplicity(self) -> int:
-        return sum(self.multiplicities)
-
-    @cached
-    def roots(self) -> tuple[Root, ...]:
-        residuals = np.abs(_horner(self._row, self._values))[0].tolist()
-        return tuple(map(Root, self.root_values, self.multiplicities, residuals))
-
-    @cached
-    def residual_bound(self) -> float:
-        return float(np.max(_noise(self._row, np.abs(self._values)), initial=1e-300))
-
-    @cached
-    def reconstruction_error(self) -> float:
-        flat = np.repeat(self._values, self.multiplicities, axis=1)
-        return float(_reconstruction_error(self._row, flat)[0])
-
-    @property
-    def _row(self) -> np.ndarray:
-        return np.array([self.coeffs], dtype=complex)
-
-    @property
-    def _values(self) -> np.ndarray:
-        return np.array([self.root_values], dtype=complex).reshape(1, -1)
-
-
-def roots(p: UniPoly) -> RootSet:
-    """Find all roots of p with multiplicities (exact inputs are converted)."""
-    (rs,) = roots_batch([p])
-    if rs.degree < 1:
-        raise DomainError("root finding needs degree >= 1", degree=rs.degree)
-    return rs
-
-
-def roots_batch(polys: Sequence[UniPoly]) -> list[RootSet]:
-    """Roots of every polynomial in one `roots_of_rows` call; entry k belongs
-    to polys[k].  Each row is the polynomial's own coefficients, untrimmed:
-    a UniPoly keeps every nonzero coefficient, and `to_float` keeps every
-    coefficient of an exact one.  A constant row gets a RootSet with no
-    roots; errors are those of `roots_of_rows`."""
+def roots_batch(polys: Sequence[UniPoly]) -> list[list[tuple[complex, int]]]:
+    """Roots of every polynomial in one `roots_of_rows` call, as sorted
+    (value, multiplicity) pairs; entry k belongs to polys[k].  Each row is
+    the polynomial's own coefficients, untrimmed: a UniPoly keeps every
+    nonzero coefficient, and `to_float` keeps every coefficient of an exact
+    one.  A constant row has no roots; errors are those of `roots_of_rows`."""
     rows = [p.to_float().coeffs for p in polys]
     stacked = np.zeros((len(rows), max(map(len, rows), default=0)), dtype=complex)
     for k, c in enumerate(rows):
         stacked[k, : len(c)] = c
-    found = roots_of_rows(stacked, list(map(len, rows)))
-    return [
-        RootSet(tuple(vals), tuple(mults), len(c) - 1, c[-1], p.var, c)
-        for p, c, (vals, mults) in zip(polys, rows, found)
-    ]
+    return [list(zip(vals, mults)) for vals, mults in roots_of_rows(stacked, list(map(len, rows)))]
 
 
 def roots_of_rows(c: np.ndarray, lengths=None) -> list[tuple[list[complex], list[int]]]:
@@ -224,17 +169,10 @@ def _trimmed_lengths(c: np.ndarray, finite: np.ndarray) -> np.ndarray:
     return np.where(finite, trimmed, c.shape[1])
 
 
-def poly_from_roots(root_set, lead=None, var: str | None = None) -> UniPoly:
-    """Expand lead * prod (v - r_i)**m_i; the verification oracle for roots()."""
-    if isinstance(root_set, RootSet):
-        pairs = root_set.with_multiplicity()
-        lead = root_set.lead if lead is None else lead
-        var = root_set.var if var is None else var
-    else:
-        pairs = [(complex(v), int(m)) for v, m in root_set]
-        lead = 1.0 if lead is None else lead
-        var = "x" if var is None else var
-    flat = [v for v, m in pairs for _ in range(m)]
+def poly_from_roots(pairs, lead=1.0, var: str = "x") -> UniPoly:
+    """Expand lead * prod (v - r_i)**m_i over the (value, multiplicity)
+    pairs; the verification oracle for roots()."""
+    flat = [complex(v) for v, m in pairs for _ in range(int(m))]
     return _expand_roots(flat, complex(lead), var)
 
 

@@ -191,6 +191,16 @@ def test_domain_error_exit_2(capsys):
     assert payload["type"] == "NotStandardError"
 
 
+@pytest.mark.parametrize("eps", ["inf", "nan"])
+def test_non_finite_dedup_eps_exit_2(capsys, eps):
+    # With eps = inf every root merges into the seed, so the ray "y-x-1"
+    # would close as one vertex with a loop and "truncated": false.
+    code, out, err = run_cli(capsys, "explore", "y-x-1", "--depth", "3", "--dedup-eps", eps)
+    assert code == EXIT_DOMAIN and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"]["type"] == "DomainError"
+
+
 @pytest.mark.parametrize("argv", [
     ("analyze", "x^2 + @"),
     ("analyze", "3/0"),
@@ -317,8 +327,8 @@ def test_json_of_the_wrong_types_exit_2(capsys, tmp_path, argv, content):
     assert json.loads(err)["error"]["type"] == "DomainError"
 
 
-def _graph(ids, seed, arcs):
-    return {"seed": seed, "truncated": False,
+def _graph(ids, seed, arcs, truncated=False):
+    return {"seed": seed, "truncated": truncated,
             "vertices": [{"id": i, "re": 1.0, "im": 0.0} for i in ids],
             "arcs": [{"from": f, "to": t, "mult": m} for f, t, m in arcs]}
 
@@ -333,17 +343,24 @@ def _graph(ids, seed, arcs):
     (("export",), _graph([0, 1], 0, [(0, 1, 0)])),
     (("export",), _graph([0, 1], 0, [(0, 1, 1.5)])),
     (("export",), _graph([0, 1], 0, [(0, 1, True)])),
+    (("export",), _graph([10, 11, 12, 13], 10, [(10, 11, 1), (11, 12, 1), (10, 12, 1),
+                                                (12, 13, 1), (11, 13, 1)], truncated=True)),
+    (("export",), _graph([1, 0], 0, [(0, 1, 1)])),
+    (("export",), _graph([0], 0, [], truncated="false")),
     (("synth", "--digraph"), {"vertices": ["1", "2"], "arcs": [[0, 1.7], [1, 0]]}),
     (("synth", "--digraph"), {"vertices": ["1", "2"], "arcs": [[0, "1"], [1, 0]]}),
     (("synth", "--digraph"), {"vertices": ["1", "2"], "arcs": [[0, True], [True, 0]]}),
 ], ids=["export_undeclared_arc_end", "export_undeclared_seed", "export_repeated_id",
         "export_bool_id", "export_float_id", "export_float_arc_end", "export_zero_mult",
-        "export_float_mult", "export_bool_mult", "synth_float_end", "synth_str_end",
+        "export_float_mult", "export_bool_mult", "export_ids_from_10", "export_ids_out_of_order",
+        "export_truncated_string", "synth_float_end", "synth_str_end",
         "synth_bool_end"])
 def test_graph_files_that_do_not_check_out_exit_2(capsys, tmp_path, argv, content):
-    # Each file would read as a graph if ids, ends and multiplicities went
-    # unchecked: export would write the DOT arc 0 -> 3, and synth would
-    # read 1.7, "1" and true as the vertex 1.
+    # Each file would read as a graph if ids, ends, multiplicities and
+    # truncated went unchecked: export would write the DOT arc 0 -> 3,
+    # classify would index past the ids 10..13, a truthy "false" would mark
+    # a closed graph truncated, and synth would read 1.7, "1" and true as
+    # the vertex 1.
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(content))
     code, out, err = run_cli(capsys, *argv, str(path))

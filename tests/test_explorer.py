@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 from collections import Counter, deque
 
@@ -181,6 +182,23 @@ class TestExplore:
         g = explore_component(phi, 0j, Budget(max_depth=1, max_vertices=50, dedup_eps=eps))
         near_one = [v for _, v in g.vertices if abs(v - 1) < 0.1]
         assert len(near_one) == 2
+
+
+@pytest.mark.parametrize("fields", [
+    dict(dedup_eps=math.inf),
+    dict(dedup_eps=math.nan),
+    dict(max_depth=2.5),
+    dict(max_vertices=100.0),
+    dict(max_depth=True),
+    dict(max_vertices=0),
+    dict(dedup_eps=0.0),
+], ids=["inf_eps", "nan_eps", "float_depth", "float_vertices", "bool_depth", "no_vertices",
+        "zero_eps"])
+def test_budget_takes_positive_int_sizes_and_a_finite_eps(fields):
+    # An infinite eps merges every root into the seed, so "y-x-1" would
+    # close as one vertex with a loop; a float depth would fail in the BFS.
+    with pytest.raises(DomainError):
+        Budget(**fields)
 
 
 def test_merged_roots_add_their_multiplicities():

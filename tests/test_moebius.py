@@ -326,6 +326,15 @@ class TestCycleConditions:
             assert bn.divexact(b).terms == un.terms
             assert (dn - an).divexact(d - a).terms == un.terms
 
+    def test_prime_condition_is_u_n_beyond_the_recursion_limit(self):
+        # A prime n has no proper divisor conditions, so its condition is
+        # U_n itself, with (n + 1) / 2 terms; n = 601 is deeper than the
+        # default recursion limit allows U_n to recurse.
+        n = 601
+        cond = cycle_condition_te(n)
+        assert cond.terms == _u_te(n).terms
+        assert len(cond.terms) == (n + 1) // 2
+
     def test_requires_n_at_least_2(self):
         with pytest.raises(DomainError):
             cycle_condition(1)
