@@ -41,8 +41,6 @@ from .scalars import GR_ONE
 from .textio import format_unipoly
 from .unipoly import UniPoly, cached
 
-VERTEX_TOL = 1e-7  # default classification tolerance for singular vertices
-_VANISH_BAND = 10.0  # a residual within this factor of tol flags an inventory
 _ROUNDING_UNIT = Fraction(1, 2**53)  # of a double, relative
 
 
@@ -135,13 +133,7 @@ class AppliedStep:
     count: int = 0
 
 
-# -- zero tests --------------------------------------------------------------
-
-
-def _relative_residual(p: UniPoly, u: complex) -> float:
-    """|p(u)| / (scale * (1 + |u|)**deg p), scale the largest |coefficient|."""
-    scale = max(p.coeff_scale(), 1e-300) * (1.0 + abs(u)) ** max(p.degree, 0)
-    return abs(complex(p.eval(u))) / scale
+# -- rounding bounds ----------------------------------------------------------
 
 
 def _norm1(phi: BiPoly) -> Fraction:
@@ -247,51 +239,56 @@ def _unit_image(p: UniPoly) -> UniPoly:
     return p.scale(Fraction(2) ** -e).to_float()
 
 
-def _singular_roots(report: StandardReport) -> list[list[complex]]:
-    """Distinct roots of L, D and E, one list per factor, from one
-    `roots_batch` call on the unit images of the exact factors.  The factors
-    of an exact Phi are made squarefree first, so their roots are simple;
-    those of a float Phi are its report's images up to the scale.  E equal
-    to D (a symmetric Phi) is solved once.  A constant factor has no roots."""
-    L, D, E = report.exact
-    factors = [L, D] if E.rename("x") == D else [L, D, E]
-    if report.L.mode == "exact":
-        factors = [p.divexact(p.gcd(p.derivative())) if p.degree > 0 else p for p in factors]
+def _squarefree(p: UniPoly) -> UniPoly:
+    """The exact p over its gcd with p': its roots, each simple."""
+    return p.divexact(p.gcd(p.derivative())) if p.degree > 0 else p
+
+
+def _singular_roots(report: StandardReport, heads: list[UniPoly]) -> list[list[complex]]:
+    """Distinct roots of each exact polynomial of heads, then of D and of E,
+    from one `roots_batch` call on the unit images of their squarefree
+    parts.  E equal to D (a symmetric Phi) is solved once."""
+    _, D, E = report.exact
+    same = E.rename("x") == D
+    factors = [_squarefree(p) for p in heads + ([D] if same else [D, E])]
     found = [[v for v, _ in pairs] for pairs in roots_batch([_unit_image(p) for p in factors])]
-    return found if len(found) == 3 else found + found[1:]
+    return found + found[-1:] if same else found
 
 
-def singular_inventory(
-    phi: BiPoly, report: StandardReport, tol: float = VERTEX_TOL
-) -> SingularInventory:
+def singular_inventory(phi: BiPoly, report: StandardReport) -> SingularInventory:
     """Classified singular vertices of a standard polynomial.
 
-    Each factor's rows come from one `explorer.neighbors` call: the out-rows
-    Phi(u, y) at the roots of L and D, the in-rows Phi(x, u) at those of E.
-    A symmetric Phi whose E has D's roots reads its in-rows off its out-rows.
+    Loops and defective vertices are decided on Phi's exact value: the loop
+    at u has the multiplicity of y = u in Phi(u, y), and the out- (in-)
+    defective vertices are the roots of Phi's leading coefficient a_d (b_e)
+    in y (x).  A root of D (E) is a multi-arc origin (end) where its row
+    Phi(u, y) (Phi(x, u)) has a multiple root: the rows decide, not D,
+    because where a_d and a_(d-1) both vanish D is 0 though no finite root
+    need be multiple.  Each factor's rows come from one `explorer.neighbors`
+    call, and a symmetric Phi whose E has D's roots reads its in-rows off
+    its out-rows.
     """
     from .explorer import neighbors
 
     require_standard(report)
-    pf = phi.to_float()
-    l_roots, d_roots, e_roots = _singular_roots(report)
+    exact, pf = phi.to_exact(), phi.to_float()
+    # With g_1 the squarefree part of L and g_(j+1) = gcd(g_j, the diagonal
+    # of d^j Phi / dy^j), the loops of multiplicity j are the roots of
+    # g_j / g_(j+1).  A standard Phi(u, y) is not 0, so g_j is constant by
+    # j = deg_y + 1.
+    g, dphi, parts = _squarefree(report.exact[0]), exact, []
+    while g.degree > 0:
+        dphi = dphi.derivative("y")
+        nxt = g.gcd(dphi.diagonal())
+        parts.append(g.divexact(nxt))
+        g = nxt
+    a_d, b_e = exact.coeff_polys("y")[-1], exact.coeff_polys("x")[-1]
+    *loop_roots, out_def, in_def, d_roots, e_roots = _singular_roots(report, parts + [a_d, b_e])
+    loops = [(u, j) for j, us in enumerate(loop_roots, 1) for u in us]
+    # In the order roots_of_rows gives one row's roots.
+    grid = 1e-9 * (1.0 + max((abs(u) for u, _ in loops), default=0.0))
+    loops.sort(key=lambda loop: (round(loop[0].real / grid), loop[0].imag))
 
-    loops: list[tuple[complex, int]] = []
-    for u, row in zip(l_roots, neighbors(pf, l_roots, "x")):
-        mult = sum(m for v, m in row if abs(v - u) <= tol * (1.0 + abs(u)))
-        loops.append((u, max(mult, 1)))
-
-    # A root of D (E) is defective where the leading coefficient in y (x)
-    # vanishes, and a multi-arc origin (end) where its row has a multiple root.
-    # Either test flags the inventory when a residual is within a factor
-    # _VANISH_BAND of tol.
-    a_d = pf.coeff_polys("y")[pf.deg_y]
-    b_e = pf.coeff_polys("x")[pf.deg_x]
-    out_res = [_relative_residual(a_d, u) for u in d_roots]
-    in_res = [_relative_residual(b_e, u) for u in e_roots]
-    out_def = [u for u, q in zip(d_roots, out_res) if q <= tol]
-    in_def = [u for u, q in zip(e_roots, in_res) if q <= tol]
-    near = any(tol / _VANISH_BAND < q <= tol * _VANISH_BAND for q in out_res + in_res)
     out_rows = neighbors(pf, d_roots, "x")
     # A symmetric Phi's in-row Phi(x, u) is its out-row Phi(u, y) bit for bit.
     same = pf.is_symmetric and e_roots == d_roots
@@ -305,7 +302,7 @@ def singular_inventory(
         multi_arc_ends=tuple(multi_end),
         out_defective=tuple(out_def),
         in_defective=tuple(in_def),
-        numerically_uncertain=report.numerically_uncertain or near,
+        numerically_uncertain=report.numerically_uncertain,
     )
 
 
@@ -318,7 +315,7 @@ def singular_vertex_values(phi: BiPoly, report: StandardReport | None = None) ->
     """
     report = require_standard(report if report is not None else analyze(phi))
     vals: list[complex] = []
-    for us in _singular_roots(report):
+    for us in _singular_roots(report, [report.exact[0]]):
         for u in us:
             if all(abs(u - v) > 1e-6 * (1 + abs(v)) for v in vals):
                 vals.append(u)

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .analyzer import VERTEX_TOL, analyze, singular_inventory
+from .analyzer import analyze, singular_inventory
 from .errors import DomainError, PolygraphError
 from .explorer import (
     DEFAULT_DEDUP_EPS,
@@ -87,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="standardness report for a polynomial")
     p.add_argument("poly")
     p.add_argument("--singular", action="store_true", help="include the vertex inventory")
-    p.add_argument("--tol", type=float, default=VERTEX_TOL)
     p.set_defaults(run=_cmd_analyze)
 
     for name in ("explore", "strong"):
@@ -146,7 +145,7 @@ def _cmd_analyze(args) -> None:
     report = analyze(phi)
     out = report.as_json()
     if args.singular and report.is_standard:
-        inv = singular_inventory(phi, report, tol=args.tol)
+        inv = singular_inventory(phi, report)
         out["singular"] = {
             "loops": [[v.real, v.imag, m] for v, m in inv.loops],
             "multi_arc_origins": [[v.real, v.imag] for v in inv.multi_arc_origins],

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .bipoly import BiPoly
-from .errors import ParseError
+from .errors import DomainError, ParseError
 from .scalars import GR_I, GaussRat, is_exact
 from .unipoly import UniPoly
 
@@ -262,11 +262,20 @@ def bipoly_to_json(p: BiPoly) -> dict:
 
 
 def bipoly_from_json(obj: dict) -> BiPoly:
+    """The BiPoly of a `bipoly_to_json` object.  Raises DomainError unless
+    the mode is "exact" or "float", every exponent is an int >= 0 (an int
+    is never a bool) and no exponent pair appears twice."""
     mode = obj.get("mode")
+    if mode not in ("exact", "float"):
+        raise DomainError('mode must be "exact" or "float"', mode=mode)
     out = {}
     for i, j, real, imag in obj["coeffs"]:
+        if not all(type(k) is int and k >= 0 for k in (i, j)):
+            raise DomainError("exponents must be ints >= 0", exponents=[i, j])
+        if (i, j) in out:
+            raise DomainError("an exponent pair appears twice", exponents=[i, j])
         if mode == "exact":
-            out[(int(i), int(j))] = GaussRat(Fraction(str(real)), Fraction(str(imag)))
+            out[(i, j)] = GaussRat(Fraction(str(real)), Fraction(str(imag)))
         else:
-            out[(int(i), int(j))] = complex(float(real), float(imag))
+            out[(i, j)] = complex(float(real), float(imag))
     return BiPoly.make(out)

@@ -121,7 +121,7 @@ def test_criterion_3_six_cycle_example():
     with criterion(3, "degree-one six-cycle example") as elapsed:
         s3 = math.sqrt(3.0)
         m = Mobius(1.0, -2.0 + s3, 1.0, -1.0 + s3)
-        assert check_condition(m, 6, tol=1e-9)
+        assert check_condition(m, 6)
         assert projective_order(m) == 6
         phi = to_poly(m)
         verdict = classify_deg1(phi)

@@ -351,6 +351,31 @@ class TestSingularInventory:
         inv = singular_inventory(phi, report)
         assert any(abs(v) < 1e-7 for v in inv.out_defective)
 
+    @pytest.mark.parametrize(
+        "text, loop",
+        [
+            # Phi(3, y) = (y - 3)^m (y - 3 - 2**-24): the root 2**-24 away
+            # is another vertex and adds nothing to the loop at 3.
+            ("(y-x)*(y-x-1/16777216) + (x-3)", (3, 1)),
+            ("(y-x)^2*(y-x-1/16777216) + (x-3)", (3, 2)),
+            # Phi(u, y) = (y - u)^4 at u = 36 - 24i.
+            ("(y-x)^4 - (x - 36 + 24i)", (36 - 24j, 4)),
+        ],
+    )
+    def test_loop_multiplicity_is_exact(self, text, loop):
+        phi = parse(text)
+        assert singular_inventory(phi, analyze(phi)).loops == (loop,)
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("k", [20, 40])
+    def test_scaled_degree_drop_vertex_is_listed_once(self, k, mode):
+        # Phi(s x, s y) for Phi = x*y^2 - y - x: a_2 = s^3 x vanishes at 0
+        # only, while D = s^3 x (1 + 4 s^2 x^2) has two more roots near 0.
+        s = GaussRat.of(2**k)
+        phi = parse("x*y^2 - y - x").affine_transform(s, GaussRat.of(0), GaussRat.of(1))
+        phi = phi if mode == "exact" else phi.to_float()
+        assert singular_inventory(phi, analyze(phi)).out_defective == (0,)
+
     @pytest.mark.parametrize("text", ["y^3-x^2*y+2*x+i", "y^3-0.3*x^2*y+2.0*x+i"])
     def test_one_root_call_for_l_d_e_and_one_row_call_per_factor(self, text, monkeypatch):
         import polygraph.analyzer as analyzer_mod
@@ -376,7 +401,7 @@ class TestSingularInventory:
         singular_vertex_values(phi, report)
         assert calls == {"roots_batch": 1, "neighbors": 0}
         singular_inventory(phi, report)
-        assert calls == {"roots_batch": 2, "neighbors": 3}
+        assert calls == {"roots_batch": 2, "neighbors": 2}
 
     @pytest.mark.parametrize("text", ["(-1+i)*x^2*y^2 + 2*y + 1", "y^2-x^3-1"])
     def test_repeated_factor_in_d_or_e_lists_each_vertex_once(self, text):

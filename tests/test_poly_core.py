@@ -11,6 +11,7 @@ import pytest
 
 from polygraph import BiPoly, GaussRat, UniPoly, analyze, parse
 from polygraph.errors import (
+    DomainError,
     EvaluationOverflow,
     ExactArithmeticRequired,
     ParseError,
@@ -122,6 +123,24 @@ class TestParse:
             p = parse(text)
             q = bipoly_from_json(bipoly_to_json(p))
             assert q.coeffs == p.coeffs and q.mode == p.mode
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"mode": "float", "coeffs": [[1.7, 0, 1.0, 0.0]]},
+            {"mode": "float", "coeffs": [[0, True, 1.0, 0.0]]},
+            {"mode": "exact", "coeffs": [[-1, 0, "1", "0"], [0, 1, "1", "0"]]},
+            {"mode": "exact", "coeffs": [[0, "1", "1", "0"]]},
+            {"mode": "bogus", "coeffs": [[0, 1, 1.0, 0.0]]},
+            {"coeffs": [[0, 1, 1.0, 0.0]]},
+            {"mode": "exact", "coeffs": [[0, 1, "1", "0"], [0, 1, "2", "0"]]},
+        ],
+        ids=["float_exponent", "bool_exponent", "negative_exponent", "str_exponent",
+             "bogus_mode", "no_mode", "repeated_pair"],
+    )
+    def test_json_that_does_not_check_out_raises(self, obj):
+        with pytest.raises(DomainError):
+            bipoly_from_json(obj)
 
 
 # The three printers `textio.format_terms` replaced, kept as the reference:
