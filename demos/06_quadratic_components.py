@@ -17,9 +17,9 @@ from polygraph import (
     classify_deg2,
     explore_component,
     normalize,
+    out_neighbors,
     recurrence_orbit,
 )
-from polygraph.rootfind import roots
 from polygraph.scalars import GaussRat
 
 print("classification across sample coefficients (b = 0, c = 1):")
@@ -44,7 +44,7 @@ print("\nwalking a component with the recurrence (a = 2cos(2pi/5), c = 1):")
 a = 2 * math.cos(2 * math.pi / 5)
 q = QuadSym(a, 0.0, 1.0)
 v0 = 0.3 + 0j
-v1 = roots(q.as_bipoly().eval_partial(v0, "x"))[0][0]
+v1 = out_neighbors(q.as_bipoly(), v0)[0][0]
 orbit = recurrence_orbit(q, v0, v1, 10)
 print("  " + "  ".join(f"{v:.3f}" for v in orbit))
 print(f"  v5 = -v0: {abs(orbit[5] + orbit[0]) < 1e-9};"

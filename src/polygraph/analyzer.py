@@ -311,13 +311,14 @@ def singular_vertex_values(phi: BiPoly, report: StandardReport | None = None) ->
 
     L, D and E are solved as separate rows of one batch: one root call on
     the product would face degree deg L + deg D + deg E and every multiple
-    root at once.
+    root at once.  A root within 1e-6 * |v| of a value v already listed is
+    v, a bound relative to v alone, so distinct roots near 0 stay apart.
     """
     report = require_standard(report if report is not None else analyze(phi))
     vals: list[complex] = []
     for us in _singular_roots(report, [report.exact[0]]):
         for u in us:
-            if all(abs(u - v) > 1e-6 * (1 + abs(v)) for v in vals):
+            if all(abs(u - v) > 1e-6 * abs(v) for v in vals):
                 vals.append(u)
     return sorted(vals, key=lambda z: (z.real, z.imag))
 

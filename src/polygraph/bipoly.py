@@ -7,15 +7,13 @@ a zero row is the exact zero `UniPoly`; mixing modes follows the scalar
 rule of :mod:`polygraph.scalars`.  Every ring operation, coefficient view
 and exact algorithm is written with `UniPoly` operations on the rows, so
 only `unipoly` knows how exact coefficients are stored.  A float
-polynomial keeps every nonzero coefficient; `rootfind.trimmed_lengths`
-trims only the rows `eval_partial` evaluates in floats before their degree
-is read.  Highlights:
+polynomial keeps every nonzero coefficient, and so does every row it
+evaluates: only the root kernel trims rounding debris.  Highlights:
 
-* partial evaluation Phi(u, y) / Phi(x, u): `eval_rows` evaluates a whole
+* row evaluation Phi(u, y) / Phi(x, u): `eval_rows` evaluates a whole
   vector of values in floats at once, for one direction or for both
   interleaved, by one Horner pass over a cached dense table that holds the
-  coefficients and their transpose, and `eval_partial` is its one-row
-  case (or exact),
+  coefficients and their transpose,
 * exact resultants by evaluation: `unipoly.resultant_by_evaluation` takes
   the coefficient polynomials in the eliminated variable (it evaluates
   them over Z[i] at one Kronecker point, or at a run of integers and
@@ -37,8 +35,7 @@ from .errors import (
     ExactArithmeticRequired,
     ZeroPolynomialError,
 )
-from .rootfind import trimmed_lengths
-from .scalars import GR_ZERO, GaussRat, is_exact, square_and_multiply
+from .scalars import GR_ZERO, GaussRat, is_exact, require_finite, square_and_multiply
 from .unipoly import UniPoly, cached, convolve, gcd_all, resultant_by_evaluation, transpose
 
 _CROSS_SIGN = np.array([-1.0, 1.0])
@@ -201,20 +198,6 @@ class BiPoly:
 
     # -- evaluation ------------------------------------------------------------
 
-    def eval_partial(self, u, axis: str) -> UniPoly:
-        """Phi(u, y) for axis='x', Phi(x, u) for axis='y'.
-
-        Exact when both Phi and u are; otherwise the one-row case of
-        `eval_rows`, its leading end trimmed by `rootfind.trimmed_lengths`.
-        """
-        if axis not in ("x", "y"):
-            raise DomainError(f"axis must be x or y, got {axis!r}")
-        other = "y" if axis == "x" else "x"
-        if not (self.mode == "exact" and is_exact(u)):
-            row = self.eval_rows([complex(u)], axis)
-            return UniPoly.make(row[0, : trimmed_lengths(row)[0]], other)
-        return UniPoly.make([p.eval(u) for p in self.coeff_polys(other)], other)
-
     @cached
     def _table(self) -> np.ndarray:
         """Dense (n, 2, n, 2) table, n = max(deg_x, deg_y, 0) + 1, zeros
@@ -268,7 +251,12 @@ class BiPoly:
         return acc.view(complex).reshape(-1, width)
 
     def eval(self, u, v):
-        return self.eval_partial(u, "x").eval(v)
+        """Phi(u, v) by Horner in y over the rows' values at u: exact when
+        Phi, u and v are; a non-finite float value raises EvaluationOverflow."""
+        acc = GR_ZERO
+        for r in reversed(self.rows):
+            acc = acc * v + r.eval(u)
+        return acc if is_exact(acc) else require_finite(complex(acc), "polynomial evaluation")
 
     def diagonal(self) -> UniPoly:
         """Phi(x, x) as a UniPoly in x (the loop polynomial), by Horner in y."""

@@ -263,7 +263,7 @@ def neighbors(phi: BiPoly, values, axis: str) -> list[list[tuple[complex, int]]]
     found, error = _solve(phi, list(values), axis)
     if error is not None:
         raise error
-    return [list(zip(vals, mults)) for vals, mults in found]
+    return found
 
 
 def out_neighbors(phi: BiPoly, u: complex) -> list[tuple[complex, int]]:
@@ -327,15 +327,15 @@ class _Sweep:
         return self.level[vid], self.axes[a]
 
     def materialize(self, found) -> list[int]:
-        """Record the roots (values, multiplicities) of the first len(found)
-        rows of the level; returns their targets in BFS order.  Roots of a
-        row that intern to one vertex add their multiplicities."""
+        """Record the roots, (value, multiplicity) pairs, of the first
+        len(found) rows of the level; returns their targets in BFS order.
+        Roots of a row that intern to one vertex add their multiplicities."""
         targets: list[int] = []
         table, max_vertices = self.table, self.budget.max_vertices
         owners = [(vid, axis) for vid in self.level for axis in self.axes]
-        for (vid, axis), (vals, mults) in zip(owners, found):
+        for (vid, axis), pairs in zip(owners, found):
             ids: dict[int, int] = {}
-            for val, mult in zip(vals, mults):
+            for val, mult in pairs:
                 wid = table.intern(val, len(table.values) < max_vertices)
                 if wid is None:
                     self.truncated = True

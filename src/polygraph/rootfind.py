@@ -2,8 +2,8 @@
 
 `roots_of_rows` is the one root-finding kernel.  It takes a stacked
 (rows, width) complex array of coefficients, low to high, tests each row
-for finiteness once, trims each row at the top by the rule of
-`trimmed_lengths` (reusing that test) unless it is given each row's
+for finiteness once, trims rounding debris off the top of each row
+(`_trimmed_lengths`, reusing that test) unless it is given each row's
 length, deflates exact zeros at the origin, buckets the rows by the
 degree that remains and the number of those zeros, and takes each
 bucket's first roots at once: degrees 1 and 2 by closed forms (degree 2
@@ -15,26 +15,25 @@ so each bucket is a slice, and one np.errstate covers the whole call.  A
 row is accepted only if every root's residual is within 64 times the
 evaluation-noise bound plus what the rounding of the root itself can
 cause, so a row's result does not depend on the other rows of the call.
-It returns each row's root values and multiplicities, and it alone judges
-whether a row can be solved: the first row, in order, that is non-finite,
-zero or fails the residual check raises, naming its index.  `roots_batch`
-stacks UniPolys for it, each at its own length, and pairs each root value
-with its multiplicity, the shape `neighbors` returns; `roots` is a batch
-of one.
+It returns each row's roots as sorted (value, multiplicity) pairs, the
+shape `roots_batch` and `neighbors` return, and it alone judges whether a
+row can be solved: the first row, in order, that is non-finite, zero or
+fails the residual check raises, naming its index.  `roots_batch` stacks
+UniPolys for it, each at its own length; `roots` is a batch of one.
 
-`trimmed_lengths` is the one rule for rounding debris.  It trims only rows
-evaluated in floats: the kernel's own rows (every explorer and `neighbors`
-row) and the rows of `BiPoly.eval_partial`; any other UniPoly or BiPoly
-keeps every nonzero coefficient.
+The trim is the one rule for rounding debris, and only the kernel's own
+float rows (every explorer and `neighbors` row) are trimmed; any UniPoly
+or BiPoly keeps every nonzero coefficient.
 
 Every root of a bucket then gets multiplicity-corrected Newton steps.  The
 residual check's p and p' are the first step's, unless the row has zeros
 at the origin, whose polish runs on the undeflated row.  A
 multiplicity-m root comes out as a cluster of first roots of radius about
 eps**(1/m).  A row with close first roots is clustered by single linkage at
-nested radii, each distinct clustering scored once by how well the
-reconstructed product matches the input coefficients; each multiple root
-is re-polished on the (m-1)-th derivative, where it is simple, and the
+nested radii, each a multiple of its largest first root's modulus, and
+each distinct clustering is scored once by how well the reconstructed
+product matches the input coefficients; each multiple root is
+re-polished on the (m-1)-th derivative, where it is simple, and the
 clusters, Newton-polished in turn, replace that row's result.
 """
 
@@ -50,7 +49,7 @@ from .unipoly import UniPoly, from_roots as _expand_roots
 
 # A row's leading coefficients at most this fraction of its largest are debris.
 TRIM_REL = 1e-12
-# Cluster radii are CLUSTER_BASE**(1/m) * (1 + max|z|) for tentative multiplicity m.
+# Cluster radii are CLUSTER_BASE**(1/m) * max|z| for tentative multiplicity m.
 CLUSTER_BASE = 1e-12
 POLISH_STEPS = 3
 _EPS = np.finfo(float).eps
@@ -75,22 +74,24 @@ def roots_batch(polys: Sequence[UniPoly]) -> list[list[tuple[complex, int]]]:
     stacked = np.zeros((len(rows), max(map(len, rows), default=0)), dtype=complex)
     for k, c in enumerate(rows):
         stacked[k, : len(c)] = c
-    return [list(zip(vals, mults)) for vals, mults in roots_of_rows(stacked, list(map(len, rows)))]
+    return roots_of_rows(stacked, list(map(len, rows)))
 
 
-def roots_of_rows(c: np.ndarray, lengths=None) -> list[tuple[list[complex], list[int]]]:
-    """Root values and multiplicities of every row of c; entry k belongs to c[k].
+def roots_of_rows(c: np.ndarray, lengths=None) -> list[list[tuple[complex, int]]]:
+    """Roots of every row of c as sorted (value, multiplicity) pairs; entry
+    k belongs to c[k].
 
     c is a (rows, width) complex array of coefficients, low to high.  Row k
-    is c[k, :lengths[k]], or c[k, :trimmed_lengths(c)[k]] without lengths,
-    so rounding debris and exact zero padding at the top drop out.  Roots
-    come sorted by real part rounded to 1e-9 * (1 + max |root|) of the row,
-    then by imaginary part, so rounding noise in equal real parts cannot
-    reorder them.  A constant row has no roots.  The first row k that
-    cannot be solved raises with payload ``row=k``: EvaluationOverflow if
-    it holds a NaN or inf, ZeroPolynomialError if it is zero, and
-    RootFindingError if it fails the residual check; its ``best`` holds
-    that row's first roots (NaN where LAPACK rejected the row).
+    is c[k, :lengths[k]], or without lengths c[k] with its top coefficients
+    at most TRIM_REL times its largest dropped, so rounding debris and
+    exact zero padding at the top drop out.  Roots come sorted by real part
+    rounded to 1e-9 * (1 + max |root|) of the row, then by imaginary part,
+    so rounding noise in equal real parts cannot reorder them.  A constant
+    row has no roots.  The first row k that cannot be solved raises with
+    payload ``row=k``: EvaluationOverflow if it holds a NaN or inf,
+    ZeroPolynomialError if it is zero, and RootFindingError if it fails the
+    residual check; its ``best`` holds that row's first roots (NaN where
+    LAPACK rejected the row).
     """
     c = np.asarray(c, dtype=complex)
     if not len(c):
@@ -123,14 +124,14 @@ def roots_of_rows(c: np.ndarray, lengths=None) -> list[tuple[list[complex], list
             n_roots = z.shape[1]
             found = _sorted_roots(_polish(full, z, 1, p, d), np.ones(n_roots, dtype=int), n_zero)
             # A row whose first roots are all farther apart than the widest
-            # cluster radius, CLUSTER_BASE**(1/n) * (1 + max|z|), keeps them
+            # cluster radius, CLUSTER_BASE**(1/n) * max|z|, keeps them
             # as simple roots: `_best_clustering` would return them as
             # singletons.  Any other row is solved again from its clusters.
             if n_roots > 1:
                 dist = np.abs(z[:, :, None] - z[:, None, :])
                 dist.reshape(b - a, -1)[:, :: n_roots + 1] = np.inf  # the diagonal
                 top = np.maximum.reduce(np.abs(z), axis=1)
-                reach = CLUSTER_BASE ** (1.0 / n_roots) * (1.0 + top)
+                reach = CLUSTER_BASE ** (1.0 / n_roots) * top
                 near = np.minimum.reduce(dist, axis=(1, 2)) <= reach
                 if np.logical_or.reduce(near):
                     for i in np.flatnonzero(near).tolist():
@@ -151,17 +152,11 @@ def roots_of_rows(c: np.ndarray, lengths=None) -> list[tuple[list[complex], list
     return results
 
 
-def trimmed_lengths(c: np.ndarray) -> np.ndarray:
-    """Each row's length, c being (rows, width) coefficients low to high,
-    once its top coefficients at most TRIM_REL times its largest are
-    dropped: 0 for a zero row, the width for a non-finite one (its reader
-    rejects it)."""
-    c = np.asarray(c, dtype=complex)
-    return _trimmed_lengths(c, np.logical_and.reduce(np.isfinite(c), axis=1))
-
-
 def _trimmed_lengths(c: np.ndarray, finite: np.ndarray) -> np.ndarray:
-    """`trimmed_lengths` of the complex array c, whose rows are finite where finite is."""
+    """Each row's length, c being (rows, width) complex coefficients low to
+    high and finite where finite is, once its top coefficients at most
+    TRIM_REL times its largest are dropped: 0 for a zero row, the width for
+    a non-finite one (the kernel rejects it)."""
     mag = np.where(finite[:, None], np.abs(c), 0.0)  # keep NaN out of max and >
     kept = mag > TRIM_REL * np.maximum.reduce(mag, axis=1, keepdims=True)
     nonzero = np.logical_or.reduce(kept, axis=1)
@@ -304,9 +299,9 @@ def _eigvals(m: np.ndarray) -> np.ndarray:
 def _best_clustering(z: np.ndarray, c: np.ndarray) -> list[tuple[complex, int]]:
     """Try cluster radii CLUSTER_BASE**(1/m) for rising tentative multiplicity m.
 
-    First roots i and j are near at radius r if |z_i - z_j| <= r * (1 +
-    max(|z_i|, |z_j|)); clusters are the components of that relation, by
-    boolean transitive closure.  The radii rise, so the clusterings are
+    First roots i and j are near at radius r if |z_i - z_j| <= r * max|z|,
+    a scale of the row's own; clusters are the components of that relation,
+    by boolean transitive closure.  The radii rise, so the clusterings are
     nested and each distinct one is scored once.  More merging is preferred
     whenever it reconstructs the coefficients essentially as well as no
     merging, because a merged cluster is only wrong if two genuinely
@@ -314,8 +309,7 @@ def _best_clustering(z: np.ndarray, c: np.ndarray) -> list[tuple[complex, int]]:
     mismatch.
     """
     n = len(z)
-    r = np.abs(z)[:, None]
-    dist, scale = np.abs(z[:, None] - z), 1.0 + np.maximum(r, r.T)
+    dist, scale = np.abs(z[:, None] - z), np.max(np.abs(z))
     seen: list[tuple[float, list[tuple[complex, int]]]] = []
     linked = None
     for m_try in range(1, n + 1):
@@ -360,9 +354,9 @@ def _refine_cluster(v: complex, m: int, c: np.ndarray) -> tuple[complex, int]:
     return complex(best), m
 
 
-def _clustered(full: np.ndarray, eig: np.ndarray, n_zero: int) -> tuple[list[complex], list[int]]:
-    """Values and multiplicities of the one row of full, (1, n), from the
-    clusters of its nonzero first roots eig, each refined and then
+def _clustered(full: np.ndarray, eig: np.ndarray, n_zero: int) -> list[tuple[complex, int]]:
+    """The sorted (value, multiplicity) pairs of the one row of full, (1, n),
+    from the clusters of its nonzero first roots eig, each refined and then
     Newton-polished as a root of its multiplicity."""
     row = full[0, n_zero:]
     clusters = [_refine_cluster(v, m, row) for v, m in _best_clustering(eig, row)]
@@ -406,18 +400,18 @@ def _polish(
 
 def _sorted_roots(
     vals: np.ndarray, mult: np.ndarray, n_zero: int
-) -> list[tuple[list[complex], list[int]]]:
-    """Each row's values, with n_zero roots at 0 appended, and multiplicities,
-    sorted; column j of vals has multiplicity mult[j] in every row."""
+) -> list[list[tuple[complex, int]]]:
+    """Each row's sorted (value, multiplicity) pairs, with n_zero roots at 0
+    appended; column j of vals has multiplicity mult[j] in every row."""
     if n_zero:
         vals = np.concatenate([vals, np.zeros((len(vals), 1), dtype=complex)], axis=1)
         mult = np.append(mult, n_zero)
     if vals.shape[1] <= 1:  # nothing to order
         mults = mult.tolist()
-        return [(row, mults.copy()) for row in vals.tolist()]
+        return [list(zip(row, mults)) for row in vals.tolist()]
     # Real parts equal up to rounding noise must compare equal, so the
     # imaginary part, not the last bits, orders such roots.
     grid = 1e-9 * (1.0 + np.maximum.reduce(np.abs(vals), axis=1))
     order = np.lexsort((vals.imag, np.rint(vals.real / grid[:, None])))
     vals = vals[np.arange(len(vals))[:, None], order]
-    return list(zip(vals.tolist(), mult[order].tolist()))
+    return [list(zip(v, m)) for v, m in zip(vals.tolist(), mult[order].tolist())]

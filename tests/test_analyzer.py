@@ -145,12 +145,9 @@ class TestFloatCoefficientsAreKept:
         assert abs(far[0] / -(2.0**55) - 1) < 1e-9 and far[1] == 1
         assert not inv.numerically_uncertain
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the root kernel's clustering merges the simple roots "
-        "+-3.2e-7 of L = x^2 - 1e-13 into a double root at 0",
-    )
     def test_tiny_constant_term_has_its_two_loops(self):
+        # L = x^2 - 1e-13 has the simple roots +-3.2e-7, far apart on their
+        # own scale: cluster radii relative to 1 would merge them at 0.
         phi = parse("x*y - 1e-13")
         loops = sorted(singular_inventory(phi, analyze(phi)).loops, key=lambda l: l[0].real)
         r = 1e-13 ** 0.5
@@ -367,14 +364,27 @@ class TestSingularInventory:
         assert singular_inventory(phi, analyze(phi)).loops == (loop,)
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
-    @pytest.mark.parametrize("k", [20, 40])
+    @pytest.mark.parametrize("k", [20, 22, 40])
     def test_scaled_degree_drop_vertex_is_listed_once(self, k, mode):
         # Phi(s x, s y) for Phi = x*y^2 - y - x: a_2 = s^3 x vanishes at 0
         # only, while D = s^3 x (1 + 4 s^2 x^2) has two more roots near 0.
+        # The loops 0 and +-sqrt(2)/s and the multi-arc origins +-i/(2s) are
+        # all far apart on their own scale, however small s makes them.
         s = GaussRat.of(2**k)
         phi = parse("x*y^2 - y - x").affine_transform(s, GaussRat.of(0), GaussRat.of(1))
         phi = phi if mode == "exact" else phi.to_float()
-        assert singular_inventory(phi, analyze(phi)).out_defective == (0,)
+        report = analyze(phi)
+        inv = singular_inventory(phi, report)
+        assert inv.out_defective == (0,)
+        r = 2.0**0.5 / 2**k
+        loops = sorted(inv.loops, key=lambda loop: loop[0].real)
+        assert [m for _, m in loops] == [1, 1, 1] and loops[1][0] == 0
+        assert all(abs(u - w) <= 1e-12 * r for (u, _), w in zip(loops, (-r, 0, r)))
+        origins = sorted(inv.multi_arc_origins, key=lambda z: z.imag)
+        assert len(origins) == 2
+        h = 0.5 / 2**k
+        assert all(abs(u - w) <= 1e-12 * h for u, w in zip(origins, (-1j * h, 1j * h)))
+        assert len(singular_vertex_values(phi, report)) == 7
 
     @pytest.mark.parametrize("text", ["y^3-x^2*y+2*x+i", "y^3-0.3*x^2*y+2.0*x+i"])
     def test_one_root_call_for_l_d_e_and_one_row_call_per_factor(self, text, monkeypatch):

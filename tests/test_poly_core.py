@@ -9,12 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polygraph import BiPoly, GaussRat, UniPoly, analyze, parse
+from polygraph import BiPoly, GaussRat, UniPoly, analyze, out_neighbors, parse
 from polygraph.errors import (
     DomainError,
     EvaluationOverflow,
     ExactArithmeticRequired,
     ParseError,
+    UniversalVertexError,
     ZeroPolynomialError,
 )
 from polygraph.sympoly import SymPoly
@@ -351,42 +352,49 @@ class TestCanonicalForm:
         assert phi.coeffs == {(2, 0): gr(Fraction(1, 2)), (0, 1): gr(0, 2), (0, 0): gr(-4)}
 
 
-class TestEvalPartial:
-    def test_grid_at_zero(self):
-        q = parse("(y-x)^4-1").eval_partial(gr(0), "x")
-        assert q.var == "y" and q.degree == 4
-        assert q.coeff(0) == gr(-1) and q.coeff(4) == gr(1)
+class TestEval:
+    def test_grid_is_exact(self):
+        got = parse("(y-x)^4-1").eval(gr(0), gr(2, 1))
+        assert type(got) is GaussRat and got == gr(2, 1) ** 4 - gr(1)
 
-    def test_linear_fractional_row(self):
-        # ((cx+d)y - (ax+b)) at x = u0 -> (c u0 + d) y - (a u0 + b)
+    def test_linear_fractional_value(self):
+        # ((cx+d)y - (ax+b)) at (u0, v0) -> (c u0 + d) v0 - (a u0 + b)
         a, b, c, d = gr(2), gr(3), gr(5), gr(7)
         phi = BiPoly.make({(1, 1): c, (0, 1): d, (1, 0): -a, (0, 0): -b})
-        u0 = gr(Fraction(1, 2))
-        row = phi.eval_partial(u0, "x")
-        assert row.coeff(1) == c * u0 + d
-        assert row.coeff(0) == -(a * u0 + b)
+        u0, v0 = gr(Fraction(1, 2)), gr(Fraction(-2, 3), 1)
+        assert phi.eval(u0, v0) == (c * u0 + d) * v0 - (a * u0 + b)
 
     def test_quadratic_sum_of_roots_shape(self):
-        # x^2+y^2+a*x*y+c at x = v0 -> y^2 + (a v0) y + (v0^2 + c)
+        # x^2+y^2+a*x*y+c at (v0, w) -> w^2 + (a v0) w + (v0^2 + c)
         a, c = gr(3), gr(-2)
         phi = BiPoly.make({(2, 0): gr(1), (0, 2): gr(1), (1, 1): a, (0, 0): c})
-        v0 = gr(4)
-        row = phi.eval_partial(v0, "x")
-        assert row.coeff(2) == gr(1)
-        assert row.coeff(1) == a * v0
-        assert row.coeff(0) == v0 * v0 + c
+        v0, w = gr(4), gr(Fraction(1, 3), -1)
+        assert phi.eval(v0, w) == w * w + a * v0 * w + v0 * v0 + c
 
-    def test_universal_vertex_gives_zero_polynomial(self):
+    def test_float_point_gives_the_value_of_the_float_copy(self):
+        phi = parse("(y-x)^4-1 + 3i*x^2*y")
+        got = phi.eval(0.5, 3.0)
+        assert type(got) is complex and got == phi.to_float().eval(0.5, 3.0)
+        assert got == complex(phi.eval(gr(Fraction(1, 2)), gr(3)))
+
+    def test_non_finite_value_raises(self):
+        with pytest.raises(EvaluationOverflow):
+            parse("x^2*y - 1.0").eval(1e200, 1.0)
+        with pytest.raises(EvaluationOverflow):
+            parse("x*y^3 - 1.0").eval(2.0, 1e120)
+
+    def test_universal_vertex_is_a_root_of_every_row_value(self):
         phi = parse("(x-1)*y + x - 1")
-        assert phi.eval_partial(gr(1), "x").is_zero
+        assert all(phi.eval(gr(1), gr(v)) == gr(0) for v in (-2, 0, 5))
+        with pytest.raises(UniversalVertexError):
+            out_neighbors(phi, 1.0)
 
     def test_float_row_drops_rounding_debris_at_its_top(self):
         # 0.1*3.0 - 0.3 is 5.6e-17, not 0: the y^2 coefficient of the row is
-        # rounding debris, so the row has degree 1.
+        # rounding debris, so the row has degree 1 and the one root -1.
         phi = parse("(0.1*x - 0.3)*y^2 + y + 1")
         assert phi.eval_rows([3.0], "x")[0, 2] != 0
-        row = phi.eval_partial(3.0, "x")
-        assert row.degree == 1 and row.coeff(1) == 1 and row.coeff(0) == 1
+        assert out_neighbors(phi, 3.0) == [(-1, 1)]
 
 
 def _random_bipoly(rng: random.Random, exact: bool) -> BiPoly:
@@ -402,7 +410,7 @@ def _random_bipoly(rng: random.Random, exact: bool) -> BiPoly:
 
 
 class TestEvalRows:
-    def test_rows_are_bitwise_those_of_one_row_and_of_eval_partial(self):
+    def test_rows_are_bitwise_those_of_one_row(self):
         rng = random.Random(11)
         for trial in range(60):
             phi = _random_bipoly(rng, exact=trial % 2 == 0)
@@ -417,14 +425,12 @@ class TestEvalRows:
                     assert np.array_equal(batch[k], alone)
                     # Bit for bit, signed zeros included.
                     assert batch[k].tobytes() == alone.tobytes()
-                    assert UniPoly.make(batch[k].tolist(), other) == phi.eval_partial(u, axis)
 
     def test_degree_drop_row(self):
         phi = parse("x*y + 1")
         (row,) = phi.eval_rows([0j], "x")
         assert row.tolist() == [1, 0]
-        assert phi.eval_partial(0j, "x") == UniPoly.make([1 + 0j], "y")
-        assert phi.eval_partial(0j, "x").degree == 0
+        assert out_neighbors(phi, 0j) == []
 
     def test_exact_phi_rows_equal_those_of_its_float_copy(self):
         phi = parse("(y-x)^4-1 + 3i*x^2*y")
@@ -467,7 +473,7 @@ class TestEvalRows:
         (row,) = parse("x^2*y - 1.0").eval_rows([1e200], "x")
         assert not np.isfinite(row).all()
         with pytest.raises(EvaluationOverflow):
-            parse("x^2*y - 1.0").eval_partial(1e200, "x")
+            out_neighbors(parse("x^2*y - 1.0"), 1e200)
 
 
 class TestGcd:
@@ -639,7 +645,9 @@ class TestResultant:
                 continue
             res = p.resultant(q, "y")
             for x0 in (gr(0), gr(1), gr(-2), gr(3, 1), gr(Fraction(1, 2), -1)):
-                pu, qu = p.eval_partial(x0, "x"), q.eval_partial(x0, "x")
+                pu, qu = (
+                    UniPoly.make([c.eval(x0) for c in f.coeff_polys("y")], "y") for f in (p, q)
+                )
                 if pu.degree < p.deg_y or qu.degree < q.deg_y:
                     continue
                 assert res.eval(x0) == det(sylvester(pu, qu)), (p, q, x0)
@@ -803,9 +811,9 @@ class TestInvariants:
 
 
 def test_only_rootfind_names_the_trim_rule():
-    # Construction and arithmetic keep every float coefficient; debris is
-    # trimmed only by rootfind.trimmed_lengths, where a degree is read off
-    # an evaluated, interpolated or summed row.
+    # Construction, arithmetic and row evaluation keep every float
+    # coefficient; debris is trimmed only inside the root kernel, where a
+    # row's degree is read off.
     src = Path(__file__).resolve().parent.parent / "src" / "polygraph"
     modules = sorted(src.glob("*.py"))
     assert len(modules) > 10
@@ -835,4 +843,21 @@ def test_only_unipoly_knows_its_private_names():
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.ImportFrom) and node.module in ("unipoly", "polygraph.unipoly"):
                 offenders += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert not offenders, offenders
+
+
+def test_bipoly_imports_nothing_from_rootfind():
+    # Rows go from BiPoly.eval_rows to the root kernel, never back: bipoly
+    # evaluates rows and rootfind alone trims and solves them.
+    path = Path(__file__).resolve().parent.parent / "src" / "polygraph" / "bipoly.py"
+    offenders = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        if any(n.split(".")[-1] == "rootfind" for n in names):
+            offenders.append(node.lineno)
     assert not offenders, offenders

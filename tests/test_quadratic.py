@@ -20,13 +20,13 @@ from polygraph import (
     explore_component,
     labels_equivalent,
     normalize,
+    out_neighbors,
     recurrence_orbit,
     singular_inventory_quad,
 )
 from polygraph import quadratic
 from polygraph.errors import DomainError, NotStandardError
 from polygraph.quadratic import characteristic_roots
-from polygraph.rootfind import roots
 from polygraph.scalars import GaussRat
 
 
@@ -87,7 +87,7 @@ class TestRecurrenceOrbit:
         a = 2 * math.cos(2 * math.pi / 5)
         q = QuadSym(a, 0.0, 1.0)
         v0 = 0.3 + 0j
-        v1 = roots(q.as_bipoly().eval_partial(v0, "x"))[0][0]
+        v1 = out_neighbors(q.as_bipoly(), v0)[0][0]
         orbit = recurrence_orbit(q, v0, v1, 10)
         assert abs(orbit[5] + orbit[0]) < 1e-9
         assert abs(orbit[10] - orbit[0]) < 1e-9
@@ -97,7 +97,7 @@ class TestRecurrenceOrbit:
         q = QuadSym(2 * math.cos(2 * math.pi / 7), 0.0, 1.0)
         phi = q.as_bipoly()
         v0 = 0.5 + 0.1j
-        v1 = roots(phi.eval_partial(v0, "x"))[0][0]
+        v1 = out_neighbors(phi, v0)[0][0]
         orbit = recurrence_orbit(q, v0, v1, 20)
         for u, v in zip(orbit, orbit[1:]):
             assert abs(complex(phi.eval(u, v))) < 1e-7 * max(1.0, abs(u) ** 2)
@@ -143,7 +143,7 @@ class TestSingularInventory:
         doubles = sorted(inv.double_arc_origins, key=lambda z: z.imag)
         assert abs(doubles[0] + 1j) < 1e-9 and abs(doubles[1] - 1j) < 1e-9
         # a double-arc origin has a repeated out-neighbor
-        rs = roots(phi.eval_partial(doubles[1], "x"))
+        rs = out_neighbors(phi, doubles[1])
         assert any(m == 2 for _, m in rs)
 
 
@@ -310,7 +310,7 @@ class TestClassify:
         q = QuadSym(a, 0.0, 1.0)
         phi = q.as_bipoly()
         v0 = 0.45 + 0.2j
-        v1 = roots(phi.eval_partial(v0, "x"))[0][0]
+        v1 = out_neighbors(phi, v0)[0][0]
         m = classify_deg2(q).component_cycle_length
         orbit = recurrence_orbit(q, v0, v1, m)
         g = explore_component(phi, v0, Budget(max_vertices=100, max_depth=40))
@@ -370,9 +370,7 @@ class TestCharacteristicRoots:
 
     def test_rootfind_agreement(self):
         a = 2 * math.cos(2 * math.pi / 5)
-        rs = roots(
-            QuadSym(a, 0.0, 1.0).as_bipoly().eval_partial(0j, "x")
-        )
+        rs = out_neighbors(QuadSym(a, 0.0, 1.0).as_bipoly(), 0j)
         # lambda^2 + a lambda + 1 has the same root product/sum structure
         q = QuadSym(a, 0.0, 1.0)
         w1, w2 = characteristic_roots(q)

@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from polygraph import analyze, parse, poly_from_roots, rootfind, roots, roots_batch
+from polygraph import GaussRat, analyze, parse, poly_from_roots, rootfind, roots, roots_batch
 from polygraph.errors import (
     DomainError,
     EvaluationOverflow,
@@ -28,8 +28,13 @@ def _mults(pairs) -> list[int]:
     return [m for _, m in pairs]
 
 
+def _row(phi, u, axis="x") -> UniPoly:
+    """The float row Phi(u, y) (axis "x") or Phi(x, u) (axis "y"), untrimmed."""
+    return UniPoly.make(phi.eval_rows([u], axis)[0], "y" if axis == "x" else "x")
+
+
 def test_quartic_roots_of_unity():
-    rs = roots(parse("(y-x)^4-1").eval_partial(0.0, "x"))
+    rs = roots(_row(parse("(y-x)^4-1"), 0.0))
     got = sorted(_values(rs), key=lambda z: (round(z.real, 9), round(z.imag, 9)))
     expected = [-1, -1j, 1j, 1]
     assert all(abs(g - e) < 1e-12 for g, e in zip(got, expected))
@@ -37,7 +42,7 @@ def test_quartic_roots_of_unity():
 
 
 def test_double_root():
-    rs = roots(parse("(y-2)^2").eval_partial(0.0, "x"))
+    rs = roots(_row(parse("(y-2)^2"), 0.0))
     assert rs == [(pytest.approx(2.0), 2)] or (
         len(rs) == 1 and rs[0][1] == 2 and abs(rs[0][0] - 2) < 1e-8
     )
@@ -47,7 +52,7 @@ def test_triangle_polynomial_row():
     # Phi(1, y) for the triangle synthesis polynomial has roots {2, 3}
     k3 = FiniteDigraph.on_integers(3, [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)])
     phi = digraph_to_poly(k3)
-    rs = roots(phi.eval_partial(1.0, "x"))
+    rs = roots(_row(phi, 1.0))
     vals = sorted(v.real for v in _values(rs))
     assert abs(vals[0] - 2) < 1e-9 and abs(vals[1] - 3) < 1e-9
 
@@ -106,7 +111,7 @@ def test_zero_and_constant_rejected():
 
 
 def test_exact_input_converted():
-    rs = roots(parse("y^2 - 2").eval_partial(0, "x"))
+    rs = roots(UniPoly.make([GaussRat.of(-2), GaussRat.of(0), GaussRat.of(1)], "y"))
     vals = sorted(v.real for v in _values(rs))
     assert abs(vals[0] + 2**0.5) < 1e-12 and abs(vals[1] - 2**0.5) < 1e-12
 
@@ -159,7 +164,7 @@ def test_root_order_ignores_rounding_noise():
         for _ in range(2000)
     ]
     phi = parse("(y-x)^4-1")
-    batch = roots_batch([phi.eval_partial(u, "x") for u in us])
+    batch = roots_batch([_row(phi, u) for u in us])
     for u, rs in zip(us, batch):
         want = [u - 1, u - 1j, u + 1j, u + 1]
         got = _values(rs)
@@ -227,9 +232,9 @@ def _padded(rows: list[UniPoly], width: int) -> np.ndarray:
     return c
 
 
-def _bits(vals: list[complex]) -> list[tuple[str, str]]:
-    """Root values as exact bit patterns: -0.0 and +0.0 differ."""
-    return [(v.real.hex(), v.imag.hex()) for v in vals]
+def _bits(pairs) -> list[tuple[str, str, int]]:
+    """Roots as exact bit patterns with multiplicities: -0.0 and +0.0 differ."""
+    return [(v.real.hex(), v.imag.hex(), m) for v, m in pairs]
 
 
 def test_kernel_matches_roots_batch_on_random_batches():
@@ -266,14 +271,12 @@ def test_kernel_matches_roots_batch_on_random_batches():
         batch = roots_batch(rows)
         # Zero padding to a common width is trimmed away.
         found = rootfind.roots_of_rows(_padded(rows, 9))
-        assert [(_bits(_values(rs)), _mults(rs)) for rs in batch] == [
-            (_bits(vals), mults) for vals, mults in found
-        ]
+        assert [_bits(rs) for rs in batch] == [_bits(pairs) for pairs in found]
         # Each row alone gives the same bits as in the batch.
-        for p, (vals, mults), rs in zip(rows, found, batch):
-            alone = rootfind.roots_of_rows(_padded([p], len(p.coeffs)))[0]
-            assert (_bits(alone[0]), alone[1]) == (_bits(vals), mults)
-            assert sum(mults) == sum(_mults(rs)) == p.degree
+        for p, pairs in zip(rows, found):
+            (alone,) = rootfind.roots_of_rows(_padded([p], len(p.coeffs)))
+            assert _bits(alone) == _bits(pairs)
+            assert sum(_mults(pairs)) == p.degree
 
 
 def test_kernel_on_a_mixed_width_level():
@@ -283,10 +286,10 @@ def test_kernel_on_a_mixed_width_level():
     rows = np.zeros((2 * len(us), 4), dtype=complex)
     rows[0::2] = phi.eval_rows(us, "x")
     rows[1::2, :2] = phi.eval_rows(us, "y")
-    want = roots_batch([phi.eval_partial(u, axis) for u in us for axis in ("x", "y")])
+    want = roots_batch([_row(phi, u, axis) for u in us for axis in ("x", "y")])
     found = rootfind.roots_of_rows(rows)
-    assert [len(v) for v, _ in found] == [3, 1] * len(us)
-    assert found == [(_values(rs), _mults(rs)) for rs in want]
+    assert [len(pairs) for pairs in found] == [3, 1] * len(us)
+    assert found == want
 
 
 def test_kernel_errors():
@@ -295,27 +298,29 @@ def test_kernel_errors():
         rootfind.roots_of_rows(rows)
     # A row that trims to a constant has no roots; one with zeros at 0 keeps them.
     assert rootfind.roots_of_rows(np.array([[3, 1e-15, 0], [0, 0, 2]], dtype=complex)) == [
-        ([], []),
-        ([0j], [2]),
+        [],
+        [(0j, 2)],
     ]
 
 
-class TestTrimmedLengths:
-    def test_zero_row_has_length_zero(self):
-        assert rootfind.trimmed_lengths(np.zeros((1, 3), dtype=complex)).tolist() == [0]
+class TestKernelTrim:
+    """Without lengths the kernel trims each row at the top by its own largest coefficient."""
 
-    def test_non_finite_row_keeps_its_width(self):
-        rows = np.array([[1, np.nan, 0], [np.inf, 0, 0]], dtype=complex)
-        assert rootfind.trimmed_lengths(rows).tolist() == [3, 3]
+    @pytest.mark.parametrize("row", [[1, np.nan, 0], [np.inf, 0, 0], [1, 2, np.nan]])
+    def test_non_finite_row_is_rejected_not_trimmed(self, row):
+        with pytest.raises(EvaluationOverflow):
+            rootfind.roots_of_rows(np.array([row], dtype=complex))
 
     def test_zero_padding_is_dropped(self):
         rows = np.array([[1, 2, 0, 0], [0, 0, 0, 5]], dtype=complex)
-        assert rootfind.trimmed_lengths(rows).tolist() == [2, 4]
+        assert rootfind.roots_of_rows(rows) == [[(-0.5, 1)], [(0j, 3)]]
 
     def test_debris_is_measured_against_its_own_row(self):
         # 1e-15 beside a 3 is dropped; alone in its row it is the row.
         rows = np.array([[1, 3, 1e-15], [0, 0, 1e-15]], dtype=complex)
-        assert rootfind.trimmed_lengths(rows).tolist() == [2, 3]
+        (short,), zeros = rootfind.roots_of_rows(rows)
+        assert short[1] == 1 and abs(short[0] + 1 / 3) < 1e-15
+        assert zeros == [(0j, 2)]
 
 
 _CAUSES = {
@@ -381,6 +386,7 @@ def _clustering_by_union_find(z, c):
     """The loop `_best_clustering` replaced: union-find single linkage and
     one reconstruction per radius."""
     n, seen = len(z), []
+    scale = max(abs(v) for v in z)
     for m_try in range(1, n + 1):
         parent = list(range(n))
 
@@ -391,7 +397,6 @@ def _clustering_by_union_find(z, c):
 
         for i in range(n):
             for j in range(i + 1, n):
-                scale = 1.0 + max(abs(z[i]), abs(z[j]))
                 if abs(z[i] - z[j]) <= rootfind.CLUSTER_BASE ** (1.0 / m_try) * scale:
                     ri, rj = find(i), find(j)
                     parent[max(ri, rj)] = min(ri, rj)
@@ -428,7 +433,7 @@ def test_eigenvalue_zero_beside_a_tiny_constant_term():
     # |p(0)| = |c0| exceeds any noise bound proportional to |c0|, so the
     # check must also allow for the rounding of the eigenvalue itself.
     u = complex(-1, 2.9582283945787943e-31)
-    (rs,) = roots_batch([parse("(y-x)^4-1").eval_partial(u, "x")])
+    (rs,) = roots_batch([_row(parse("(y-x)^4-1"), u)])
     assert _mults(rs) == [1, 1, 1, 1]
     want = sorted([u - 1, u - 1j, u + 1j, u + 1], key=lambda z: (round(z.real, 9), z.imag))
     assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(_values(rs), want))
@@ -532,3 +537,28 @@ def test_eigvals_solves_only_degree_three_and_up(monkeypatch):
     rows = [[2, -3, 1], [0, 1, 1], [1, 1], [1, 0, 0, 1], [0, 0, -1, 0, 1]]
     found = roots_batch([UniPoly.make(c, "y") for c in rows])
     assert [sum(_mults(rs)) for rs in found] == [2, 2, 1, 3, 4]
+
+
+def test_simple_roots_far_below_1_stay_apart():
+    # y^3 - 1e-13 y = y (y^2 - 1e-13): the roots +-3.2e-7 and 0 are far
+    # apart on their own scale; radii relative to 1 would merge all three.
+    rs = roots(UniPoly.make([0.0, -1e-13, 0.0, 1.0]))
+    r = 1e-13**0.5
+    assert _mults(rs) == [1, 1, 1]
+    assert all(abs(v - w) <= 1e-12 * r for v, w in zip(_values(rs), (-r, 0, r)))
+
+
+def test_quadratics_at_every_scale_keep_two_simple_roots():
+    # Monic quadratics whose coefficients b and a0 have random directions
+    # and moduli from 2**-300 to 2**300: a pair of roots merges only if it
+    # is close relative to the larger of the two.
+    rng = random.Random(1)
+
+    def draw() -> complex:
+        return 2.0 ** rng.uniform(-300, 300) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+
+    polys = [UniPoly.make([draw(), draw(), 1.0], "y") for _ in range(2000)]
+    for p, rs in zip(polys, roots_batch(polys)):
+        assert _mults(rs) == [1, 1], (p, rs)
+        residuals, bound = root_residuals(p, rs)
+        assert all(r <= bound for r in residuals), (p, rs)

@@ -136,7 +136,7 @@ def _encode(c, lengths) -> dict:
     return {
         "rows": _hex_rows(c),
         "lengths": lengths,
-        "roots": [[[_hex(v) for v in vals], mults] for vals, mults in found],
+        "roots": [[[_hex(v) for v, _ in pairs], [m for _, m in pairs]] for pairs in found],
     }
 
 

@@ -116,9 +116,10 @@ def test_mixed_bipoly_operations_equal_the_float_copy():
             if not p.is_zero:
                 assert p.resultant(q, var) == pf.resultant(q, var)
                 assert q.resultant(p, var) == q.resultant(pf, var)
-        u = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        u, v = (complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(2))
         for axis in ("x", "y"):
-            assert p.eval_partial(u, axis) == pf.eval_partial(u, axis)
+            assert p.eval_rows([u], axis).tobytes() == pf.eval_rows([u], axis).tobytes()
+        assert p.eval(u, v) == pf.eval(u, v)
 
 
 def test_mixed_unipoly_operations_equal_the_float_copy():
