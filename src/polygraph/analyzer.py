@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from .bipoly import BiPoly
 from .errors import DomainError, ExactArithmeticRequired, NotStandardError
-from .rootfind import roots_batch
+from .rootfind import roots_batch, sorted_pairs
 from .scalars import GR_ONE
 from .textio import format_unipoly
 from .unipoly import UniPoly, cached
@@ -284,10 +284,7 @@ def singular_inventory(phi: BiPoly, report: StandardReport) -> SingularInventory
         g = nxt
     a_d, b_e = exact.coeff_polys("y")[-1], exact.coeff_polys("x")[-1]
     *loop_roots, out_def, in_def, d_roots, e_roots = _singular_roots(report, parts + [a_d, b_e])
-    loops = [(u, j) for j, us in enumerate(loop_roots, 1) for u in us]
-    # In the order roots_of_rows gives one row's roots.
-    grid = 1e-9 * (1.0 + max((abs(u) for u, _ in loops), default=0.0))
-    loops.sort(key=lambda loop: (round(loop[0].real / grid), loop[0].imag))
+    loops = sorted_pairs([(u, j) for j, us in enumerate(loop_roots, 1) for u in us])
 
     out_rows = neighbors(pf, d_roots, "x")
     # A symmetric Phi's in-row Phi(x, u) is its out-row Phi(u, y) bit for bit.

@@ -23,16 +23,19 @@ UniPolys for it, each at its own length; `roots` is a batch of one.
 
 The trim is the one rule for rounding debris, and only the kernel's own
 float rows (every explorer and `neighbors` row) are trimmed; any UniPoly
-or BiPoly keeps every nonzero coefficient.
+or BiPoly keeps every nonzero coefficient.  Such a row's rounding is of the
+size of its coefficients, not of its roots (y**2 + x**2 - 2 at fl(sqrt(2))
+is y**2 + 4.4e-16, the double root 0 split into +-2.1e-8), so its cluster
+radii and order grid keep the floor 1; a UniPoly's have the floor 0.
 
 Every root of a bucket then gets multiplicity-corrected Newton steps.  The
 residual check's p and p' are the first step's, unless the row has zeros
 at the origin, whose polish runs on the undeflated row.  A
 multiplicity-m root comes out as a cluster of first roots of radius about
 eps**(1/m).  A row with close first roots is clustered by single linkage at
-nested radii, each a multiple of its largest first root's modulus, and
-each distinct clustering is scored once by how well the reconstructed
-product matches the input coefficients; each multiple root is
+nested radii, each a multiple of the floor plus its largest first root's
+modulus, and each distinct clustering is scored once by how well the
+reconstructed product matches the input coefficients; each multiple root is
 re-polished on the (m-1)-th derivative, where it is simple, and the
 clusters, Newton-polished in turn, replace that row's result.
 """
@@ -49,7 +52,7 @@ from .unipoly import UniPoly, from_roots as _expand_roots
 
 # A row's leading coefficients at most this fraction of its largest are debris.
 TRIM_REL = 1e-12
-# Cluster radii are CLUSTER_BASE**(1/m) * max|z| for tentative multiplicity m.
+# Cluster radii are CLUSTER_BASE**(1/m) * (floor + max|z|) for tentative multiplicity m.
 CLUSTER_BASE = 1e-12
 POLISH_STEPS = 3
 _EPS = np.finfo(float).eps
@@ -85,8 +88,9 @@ def roots_of_rows(c: np.ndarray, lengths=None) -> list[list[tuple[complex, int]]
     is c[k, :lengths[k]], or without lengths c[k] with its top coefficients
     at most TRIM_REL times its largest dropped, so rounding debris and
     exact zero padding at the top drop out.  Roots come sorted by real part
-    rounded to 1e-9 * (1 + max |root|) of the row, then by imaginary part,
-    so rounding noise in equal real parts cannot reorder them.  A constant
+    rounded to 1e-9 * (floor + max |root|) of the row, then by imaginary
+    part, so rounding noise in equal real parts cannot reorder them; the
+    floor is 1 on a trimmed row and 0 on a row of given length.  A constant
     row has no roots.  The first row k that cannot be solved raises with
     payload ``row=k``: EvaluationOverflow if it holds a NaN or inf,
     ZeroPolynomialError if it is zero, and RootFindingError if it fails the
@@ -99,6 +103,7 @@ def roots_of_rows(c: np.ndarray, lengths=None) -> list[list[tuple[complex, int]]
     width = c.shape[1]
     finite = np.logical_and.reduce(np.isfinite(c), axis=1)
     length = _trimmed_lengths(c, finite) if lengths is None else np.asarray(lengths)
+    floor = 1.0 if lengths is None else 0.0
     unsolvable = np.flatnonzero(~finite | (length == 0))
     stop = unsolvable[0] if len(unsolvable) else len(c)
     n_zeros = (c[:stop] != 0).argmax(axis=1) if stop else 0  # c may have no columns
@@ -122,20 +127,20 @@ def roots_of_rows(c: np.ndarray, lengths=None) -> list[list[tuple[complex, int]]
             if n_zero:
                 p, d = _horner_pd(full, z)
             n_roots = z.shape[1]
-            found = _sorted_roots(_polish(full, z, 1, p, d), np.ones(n_roots, dtype=int), n_zero)
+            found = _sorted_roots(_polish(full, z, 1, p, d), np.ones(n_roots, int), n_zero, floor)
             # A row whose first roots are all farther apart than the widest
-            # cluster radius, CLUSTER_BASE**(1/n) * max|z|, keeps them
-            # as simple roots: `_best_clustering` would return them as
+            # cluster radius, CLUSTER_BASE**(1/n) * (floor + max|z|), keeps
+            # them as simple roots: `_best_clustering` would return them as
             # singletons.  Any other row is solved again from its clusters.
             if n_roots > 1:
                 dist = np.abs(z[:, :, None] - z[:, None, :])
                 dist.reshape(b - a, -1)[:, :: n_roots + 1] = np.inf  # the diagonal
                 top = np.maximum.reduce(np.abs(z), axis=1)
-                reach = CLUSTER_BASE ** (1.0 / n_roots) * top
+                reach = CLUSTER_BASE ** (1.0 / n_roots) * (floor + top)
                 near = np.minimum.reduce(dist, axis=(1, 2)) <= reach
                 if np.logical_or.reduce(near):
                     for i in np.flatnonzero(near).tolist():
-                        found[i] = _clustered(full[i : i + 1], eig[i], n_zero)
+                        found[i] = _clustered(full[i : i + 1], eig[i], n_zero, floor)
             for k, item in zip(order[a:b], found):
                 results[k] = item
     if failed:
@@ -162,6 +167,12 @@ def _trimmed_lengths(c: np.ndarray, finite: np.ndarray) -> np.ndarray:
     nonzero = np.logical_or.reduce(kept, axis=1)
     trimmed = np.where(nonzero, c.shape[1] - kept[:, ::-1].argmax(axis=1), 0)
     return np.where(finite, trimmed, c.shape[1])
+
+
+def sorted_pairs(pairs) -> list[tuple[complex, int]]:
+    """(value, multiplicity) pairs in the order `roots_batch` gives one row's roots."""
+    vals = np.array([[v for v, _ in pairs]], dtype=complex)
+    return _sorted_roots(vals, np.array([m for _, m in pairs], dtype=int), 0, 0.0)[0]
 
 
 def poly_from_roots(pairs, lead=1.0, var: str = "x") -> UniPoly:
@@ -296,20 +307,20 @@ def _eigvals(m: np.ndarray) -> np.ndarray:
 # -- multiplicity clustering and polishing -------------------------------------
 
 
-def _best_clustering(z: np.ndarray, c: np.ndarray) -> list[tuple[complex, int]]:
+def _best_clustering(z: np.ndarray, c: np.ndarray, floor: float) -> list[tuple[complex, int]]:
     """Try cluster radii CLUSTER_BASE**(1/m) for rising tentative multiplicity m.
 
-    First roots i and j are near at radius r if |z_i - z_j| <= r * max|z|,
-    a scale of the row's own; clusters are the components of that relation,
-    by boolean transitive closure.  The radii rise, so the clusterings are
-    nested and each distinct one is scored once.  More merging is preferred
+    First roots i and j are near at radius r if |z_i - z_j| <= r * (floor +
+    max|z|); clusters are the components of that relation, by boolean
+    transitive closure.  The radii rise, so the clusterings are nested and
+    each distinct one is scored once.  More merging is preferred
     whenever it reconstructs the coefficients essentially as well as no
     merging, because a merged cluster is only wrong if two genuinely
     distinct roots were joined, and that shows up as a reconstruction
     mismatch.
     """
     n = len(z)
-    dist, scale = np.abs(z[:, None] - z), np.max(np.abs(z))
+    dist, scale = np.abs(z[:, None] - z), floor + np.max(np.abs(z))
     seen: list[tuple[float, list[tuple[complex, int]]]] = []
     linked = None
     for m_try in range(1, n + 1):
@@ -354,16 +365,15 @@ def _refine_cluster(v: complex, m: int, c: np.ndarray) -> tuple[complex, int]:
     return complex(best), m
 
 
-def _clustered(full: np.ndarray, eig: np.ndarray, n_zero: int) -> list[tuple[complex, int]]:
+def _clustered(full: np.ndarray, eig: np.ndarray, n_zero: int, floor) -> list[tuple[complex, int]]:
     """The sorted (value, multiplicity) pairs of the one row of full, (1, n),
     from the clusters of its nonzero first roots eig, each refined and then
     Newton-polished as a root of its multiplicity."""
     row = full[0, n_zero:]
-    clusters = [_refine_cluster(v, m, row) for v, m in _best_clustering(eig, row)]
+    clusters = [_refine_cluster(v, m, row) for v, m in _best_clustering(eig, row, floor)]
     vals = np.array([[v for v, _ in clusters]])
     mult = np.array([m for _, m in clusters])
-    (found,) = _sorted_roots(_polish(full, vals, mult, *_horner_pd(full, vals)), mult, n_zero)
-    return found
+    return _sorted_roots(_polish(full, vals, mult, *_horner_pd(full, vals)), mult, n_zero, floor)[0]
 
 
 def _polish(
@@ -399,7 +409,7 @@ def _polish(
 
 
 def _sorted_roots(
-    vals: np.ndarray, mult: np.ndarray, n_zero: int
+    vals: np.ndarray, mult: np.ndarray, n_zero: int, floor: float
 ) -> list[list[tuple[complex, int]]]:
     """Each row's sorted (value, multiplicity) pairs, with n_zero roots at 0
     appended; column j of vals has multiplicity mult[j] in every row."""
@@ -411,7 +421,7 @@ def _sorted_roots(
         return [list(zip(row, mults)) for row in vals.tolist()]
     # Real parts equal up to rounding noise must compare equal, so the
     # imaginary part, not the last bits, orders such roots.
-    grid = 1e-9 * (1.0 + np.maximum.reduce(np.abs(vals), axis=1))
-    order = np.lexsort((vals.imag, np.rint(vals.real / grid[:, None])))
+    grid = 1e-9 * (floor + np.maximum.reduce(np.abs(vals), axis=1, keepdims=True))
+    order = np.lexsort((vals.imag, np.rint(vals.real / np.where(grid > 0, grid, 1.0))))
     vals = vals[np.arange(len(vals))[:, None], order]
     return [list(zip(v, m)) for v, m in zip(vals.tolist(), mult[order].tolist())]

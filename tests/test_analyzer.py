@@ -149,7 +149,7 @@ class TestFloatCoefficientsAreKept:
         # L = x^2 - 1e-13 has the simple roots +-3.2e-7, far apart on their
         # own scale: cluster radii relative to 1 would merge them at 0.
         phi = parse("x*y - 1e-13")
-        loops = sorted(singular_inventory(phi, analyze(phi)).loops, key=lambda l: l[0].real)
+        loops = singular_inventory(phi, analyze(phi)).loops
         r = 1e-13 ** 0.5
         assert [m for _, m in loops] == [1, 1]
         assert all(abs(u - s * r) <= 1e-9 * r for (u, _), s in zip(loops, (-1, 1)))
@@ -376,15 +376,32 @@ class TestSingularInventory:
         report = analyze(phi)
         inv = singular_inventory(phi, report)
         assert inv.out_defective == (0,)
+        # Both come in real-part order on their own scale, not in LAPACK's.
         r = 2.0**0.5 / 2**k
-        loops = sorted(inv.loops, key=lambda loop: loop[0].real)
-        assert [m for _, m in loops] == [1, 1, 1] and loops[1][0] == 0
-        assert all(abs(u - w) <= 1e-12 * r for (u, _), w in zip(loops, (-r, 0, r)))
-        origins = sorted(inv.multi_arc_origins, key=lambda z: z.imag)
-        assert len(origins) == 2
+        assert [m for _, m in inv.loops] == [1, 1, 1] and inv.loops[1][0] == 0
+        assert all(abs(u - w) <= 1e-12 * r for (u, _), w in zip(inv.loops, (-r, 0, r)))
+        assert len(inv.multi_arc_origins) == 2
         h = 0.5 / 2**k
-        assert all(abs(u - w) <= 1e-12 * h for u, w in zip(origins, (-1j * h, 1j * h)))
+        assert all(
+            abs(u - w) <= 1e-12 * h for u, w in zip(inv.multi_arc_origins, (-1j * h, 1j * h))
+        )
         assert len(singular_vertex_values(phi, report)) == 7
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_double_root_split_by_rounding_is_a_multi_arc_origin(self, mode):
+        # Phi = y^2 + x^2 - 2: D's roots +-sqrt(2) are not floats, and the
+        # row at fl(sqrt(2)) is y^2 + 4.4e-16, the double root 0 split into
+        # +-2.1e-8 by the rounding of u*u - 2.  That noise is of the size of
+        # the row's coefficients, so the roots merge, however small they are.
+        from polygraph.explorer import out_neighbors
+
+        phi = parse("y^2 + x^2 - 2")
+        phi = phi if mode == "exact" else phi.to_float()
+        origins = singular_inventory(phi, analyze(phi)).multi_arc_origins
+        assert len(origins) == 2
+        assert all(abs(u - w) <= 1e-15 for u, w in zip(origins, (-(2.0**0.5), 2.0**0.5)))
+        assert out_neighbors(phi, 2.0**0.5) == [(0, 2)]
+        assert out_neighbors(phi, -(2.0**0.5)) == [(0, 2)]
 
     @pytest.mark.parametrize("text", ["y^3-x^2*y+2*x+i", "y^3-0.3*x^2*y+2.0*x+i"])
     def test_one_root_call_for_l_d_e_and_one_row_call_per_factor(self, text, monkeypatch):

@@ -376,17 +376,17 @@ def test_each_distinct_clustering_is_scored_once(monkeypatch):
         return real(c, z)
 
     monkeypatch.setattr(rootfind, "_reconstruction_error", counting)
-    clusters = rootfind._best_clustering(z, c)
+    clusters = rootfind._best_clustering(z, c, 0.0)
     assert len(scored) == 2
     assert [m for _, m in clusters] == [3, 1, 1]
     assert all(abs(v - w) < 1e-12 for (v, _), w in zip(clusters, [2, -1, 3j]))
 
 
-def _clustering_by_union_find(z, c):
+def _clustering_by_union_find(z, c, floor):
     """The loop `_best_clustering` replaced: union-find single linkage and
     one reconstruction per radius."""
     n, seen = len(z), []
-    scale = max(abs(v) for v in z)
+    scale = floor + max(abs(v) for v in z)
     for m_try in range(1, n + 1):
         parent = list(range(n))
 
@@ -410,7 +410,8 @@ def _clustering_by_union_find(z, c):
     return min((cl for e, cl in seen if e <= floor), key=len)
 
 
-def test_clustering_matches_the_union_find_loop():
+@pytest.mark.parametrize("floor", [0.0, 1.0])
+def test_clustering_matches_the_union_find_loop(floor):
     rng = random.Random(23)
 
     def point():
@@ -424,7 +425,7 @@ def test_clustering_matches_the_union_find_loop():
         comp[np.arange(1, p.degree), np.arange(p.degree - 1)] = 1.0
         comp[0] = -c[-2::-1]
         z = np.linalg.eigvals(comp)
-        assert rootfind._best_clustering(z, c) == _clustering_by_union_find(z, c)
+        assert rootfind._best_clustering(z, c, floor) == _clustering_by_union_find(z, c, floor)
 
 
 def test_eigenvalue_zero_beside_a_tiny_constant_term():
@@ -546,6 +547,31 @@ def test_simple_roots_far_below_1_stay_apart():
     r = 1e-13**0.5
     assert _mults(rs) == [1, 1, 1]
     assert all(abs(v - w) <= 1e-12 * r for v, w in zip(_values(rs), (-r, 0, r)))
+
+
+def test_roots_far_below_1_come_in_real_part_order():
+    # y^3 - 1e-24 y: the deflated 0 is appended after +-1e-12, and a grid
+    # of 1e-9 would round all three real parts to 0 and keep that order.
+    rs = roots(UniPoly.make([0.0, -1e-24, 0.0, 1.0]))
+    assert _values(rs) == [-1e-12, 0, 1e-12] and _mults(rs) == [1, 1, 1]
+    pairs = [(1e-12, 1), (0j, 2), (-1e-12, 1), (2e-12j, 1), (-2e-12j, 3)]
+    assert rootfind.sorted_pairs(pairs) == [
+        pairs[2], pairs[4], pairs[1], pairs[3], pairs[0]
+    ]
+    assert rootfind.sorted_pairs([]) == []
+
+
+def test_a_float_row_keeps_the_absolute_floor_on_its_radii():
+    # y^2 + 4.4e-16, as Phi = y^2 + x^2 - 2 gives it at fl(sqrt(2)): a row
+    # the kernel trims is noisy at the size of its coefficients, so its
+    # first roots +-2.1e-8i are one double root 0.  The same coefficients
+    # as a UniPoly are its own, and its roots stay two simple ones.
+    c = np.array([[4.440892098500626e-16, 0, 1]], dtype=complex)
+    assert rootfind.roots_of_rows(c) == [[(0, 2)]]
+    (rs,) = roots_batch([UniPoly.make(c[0].tolist(), "y")])
+    r = 4.440892098500626e-16**0.5
+    assert _mults(rs) == [1, 1]
+    assert all(abs(v - w) <= 1e-12 * r for v, w in zip(_values(rs), (-1j * r, 1j * r)))
 
 
 def test_quadratics_at_every_scale_keep_two_simple_roots():
