@@ -6,8 +6,9 @@ For Phi(x,y) = sum a_i(x) y^i = sum b_j(y) x^j the report carries:
 * B = gcd(b_0..b_e): roots are universal sink vertices,
 * D = Res_y(Phi, dPhi/dy) and E = Res_x(Phi, dPhi/dx): zero iff Phi has a
   repeated factor in that variable; their roots locate defective vertices
-  and multiple-arc endpoints,
-* L(x) = Phi(x,x): roots are the loop vertices,
+  and multiple-arc endpoints.  Both come from Phi's own coefficients
+  (`BiPoly.resultant_with_derivative`): an exact analysis builds no dPhi,
+* L(x) = Phi(x,x), the rows summed in one pass: roots are the loop vertices,
 * S = L*D*E: the singular vertices are its roots.  The verdict does not
   read it, so S is computed on first read.
 
@@ -141,10 +142,10 @@ def _norm1(phi: BiPoly) -> Fraction:
     return sum((r.norm1() for r in phi.rows), Fraction(0))
 
 
-def _resultant_bound(phi: BiPoly, dphi: BiPoly, d: int) -> Fraction:
+def _resultant_bound(phi: BiPoly, var: str) -> Fraction:
     """How far moving each coefficient of an exact phi by one rounding unit
-    can move each coefficient of Res(phi, dphi), to first order, in the
-    variable where phi has degree d >= 1.
+    can move each coefficient of Res_var(phi, dphi/dvar), to first order,
+    where phi has degree d >= 1 in var.
 
     The Sylvester matrix has d - 1 rows of phi and d rows of dphi, 2d - 1 in
     all, and its determinant is linear in each row; the 1-norm is
@@ -153,7 +154,8 @@ def _resultant_bound(phi: BiPoly, dphi: BiPoly, d: int) -> Fraction:
     unit on one row moves it by that product times the unit.  Like the
     resultant, the bound is homogeneous of degree 2d - 1 in phi.
     """
-    return (2 * d - 1) * _ROUNDING_UNIT * _norm1(phi) ** (d - 1) * _norm1(dphi) ** d
+    d = phi.degree(var)
+    return (2 * d - 1) * _ROUNDING_UNIT * _norm1(phi) ** (d - 1) * _norm1(phi.derivative(var)) ** d
 
 
 # -- analysis -----------------------------------------------------------------
@@ -175,14 +177,13 @@ def analyze(phi: BiPoly) -> StandardReport:
             is_standard=False, failure_reasons=(Failure.CONSTANT,), exact=(zero, zero, zero_y),
         )
 
-    dphi_y, dphi_x = exact.derivative("y"), exact.derivative("x")
     A = exact.content("y")
-    D = exact.resultant(dphi_y, "y") if not dphi_y.is_zero else UniPoly.zero("x")
+    D = exact.resultant_with_derivative("y")
     if exact.is_symmetric:  # Phi's columns are its rows
         B, E = A.rename("y"), D.rename("y")
     else:
         B = exact.content("x")
-        E = exact.resultant(dphi_x, "x") if not dphi_x.is_zero else UniPoly.zero("y")
+        E = exact.resultant_with_derivative("x")
     L = exact.diagonal()
     exact_lde = L, D, E
     checks = (
@@ -200,8 +201,8 @@ def analyze(phi: BiPoly) -> StandardReport:
         # modulus, is read, so the flag errs towards set; a zero D, E or L
         # is within any bound.
         uncertain = (
-            (exact.deg_y > 0 and D.max_part() <= _resultant_bound(exact, dphi_y, exact.deg_y))
-            or (exact.deg_x > 0 and E.max_part() <= _resultant_bound(exact, dphi_x, exact.deg_x))
+            (exact.deg_y > 0 and D.max_part() <= _resultant_bound(exact, "y"))
+            or (exact.deg_x > 0 and E.max_part() <= _resultant_bound(exact, "x"))
             or L.max_part() <= _ROUNDING_UNIT * _norm1(exact)
         )
         A, B, D, E, L = (p.to_float() for p in (A, B, D, E, L))

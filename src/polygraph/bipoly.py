@@ -18,7 +18,10 @@ evaluates: only the root kernel trims rounding debris.  Highlights:
   the coefficient polynomials in the eliminated variable (it evaluates
   them over Z[i] at one Kronecker point, or at a run of integers and
   interpolates); a float operand is lifted to its exact binary value
-  (`to_exact`) and the result is the float image of the exact resultant,
+  (`to_exact`) and the result is the float image of the exact resultant.
+  `resultant_with_derivative` gives Res(Phi, dPhi) from Phi's coefficients
+  alone, with dPhi's images made from Phi's, so no dPhi is built,
+* the diagonal Phi(x, x), the rows summed in one pass (`unipoly.diagonal`),
 * squarefree part (exact), exact division, affine reparametrization.
 """
 
@@ -36,7 +39,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .scalars import GR_ZERO, GaussRat, is_exact, require_finite, square_and_multiply
-from .unipoly import UniPoly, cached, convolve, gcd_all, resultant_by_evaluation, transpose
+from .unipoly import UniPoly, cached, convolve, diagonal, gcd_all, resultant_by_evaluation, transpose
 
 _CROSS_SIGN = np.array([-1.0, 1.0])
 
@@ -259,11 +262,9 @@ class BiPoly:
         return acc if is_exact(acc) else require_finite(complex(acc), "polynomial evaluation")
 
     def diagonal(self) -> UniPoly:
-        """Phi(x, x) as a UniPoly in x (the loop polynomial), by Horner in y."""
-        acc = UniPoly.zero()
-        for r in reversed(self.rows):
-            acc = acc.shift(1) + r
-        return acc
+        """Phi(x, x) as a UniPoly in x (the loop polynomial): the rows summed
+        as sum_j a_j(x) x**j in one pass, `unipoly.diagonal`."""
+        return diagonal(self.rows)
 
     def _substitute(self, sx: "BiPoly", sy: "BiPoly") -> "BiPoly":
         """Phi(sx, sy), by Horner in y over Horner in x."""
@@ -322,6 +323,25 @@ class BiPoly:
         return resultant_by_evaluation(
             self.coeff_polys(var), other.coeff_polys(var), bound, other_var
         )
+
+    def resultant_with_derivative(self, var: str) -> UniPoly:
+        """`self.resultant(self.derivative(var), var)` of an exact Phi, with
+        no dPhi built: `unipoly.resultant_by_evaluation` makes dPhi's images
+        from Phi's.  With d = deg_var Phi, d <= 0 gives 0 and d = 1 the
+        coefficient of var (Res(Phi, c) = c).  The degree bound is
+        `resultant`'s, read off Phi's coefficients in var: dPhi drops the
+        one of var**0 and lowers the total degree of the others by 1."""
+        if self.mode != "exact":
+            raise ExactArithmeticRequired("resultant_with_derivative requires exact scalars")
+        other_var = "y" if var == "x" else "x"
+        pc = self.coeff_polys(var)
+        d = len(pc) - 1
+        if d <= 1:
+            return pc[1] if d == 1 else UniPoly.zero(other_var)
+        degs = [p.degree for p in pc]
+        total_q = max(k + e for k, e in enumerate(degs) if k and e >= 0) - 1
+        bound = min(max(degs) * (d - 1) + max(degs[1:]) * d, self.total_degree * total_q)
+        return resultant_by_evaluation(pc, None, bound, other_var)
 
     # -- squarefree part ---------------------------------------------------------
 

@@ -35,8 +35,10 @@ multiplicity-m root comes out as a cluster of first roots of radius about
 eps**(1/m).  A row with close first roots is clustered by single linkage at
 nested radii, each a multiple of the floor plus its largest first root's
 modulus, and each distinct clustering is scored once by how well the
-reconstructed product matches the input coefficients; each multiple root is
-re-polished on the (m-1)-th derivative, where it is simple, and the
+reconstructed product matches the input coefficients; the row's exact
+zeros at the origin join the search as roots at 0, so a cluster it forms
+there takes them in and 0 is listed once.  Each multiple root away from 0
+is re-polished on the (m-1)-th derivative, where it is simple, and the
 clusters, Newton-polished in turn, replace that row's result.
 """
 
@@ -307,7 +309,9 @@ def _eigvals(m: np.ndarray) -> np.ndarray:
 # -- multiplicity clustering and polishing -------------------------------------
 
 
-def _best_clustering(z: np.ndarray, c: np.ndarray, floor: float) -> list[tuple[complex, int]]:
+def _best_clustering(
+    z: np.ndarray, c: np.ndarray, floor: float, n_zero: int = 0
+) -> list[tuple[complex, int]]:
     """Try cluster radii CLUSTER_BASE**(1/m) for rising tentative multiplicity m.
 
     First roots i and j are near at radius r if |z_i - z_j| <= r * (floor +
@@ -317,8 +321,12 @@ def _best_clustering(z: np.ndarray, c: np.ndarray, floor: float) -> list[tuple[c
     whenever it reconstructs the coefficients essentially as well as no
     merging, because a merged cluster is only wrong if two genuinely
     distinct roots were joined, and that shows up as a reconstruction
-    mismatch.
+    mismatch.  c is the row with its n_zero zeros at the origin, which join
+    the search as first roots at 0: the cluster that holds them is the
+    root 0 of the cluster's size, listed last.
     """
+    if n_zero:
+        z = np.concatenate([z, np.zeros(n_zero, dtype=complex)])
     n = len(z)
     dist, scale = np.abs(z[:, None] - z), floor + np.max(np.abs(z))
     seen: list[tuple[float, list[tuple[complex, int]]]] = []
@@ -333,6 +341,9 @@ def _best_clustering(z: np.ndarray, c: np.ndarray, floor: float) -> list[tuple[c
         # Row i of the closure is i's cluster; a cluster is listed at its least member.
         firsts = np.flatnonzero(np.argmax(near, axis=1) == np.arange(n))
         clusters = [(complex(np.mean(z[near[i]])), int(near[i].sum())) for i in firsts]
+        if n_zero:  # near[-1] is the cluster of the zeros
+            clusters = [cl for i, cl in zip(firsts, clusters) if not near[-1, i]]
+            clusters.append((0j, int(near[-1].sum())))
         flat = np.array([[v for v, m in clusters for _ in range(m)]])
         seen.append((float(_reconstruction_error(c[None, :], flat)[0]), clusters))
     best_err = min(e for e, _ in seen)
@@ -367,13 +378,16 @@ def _refine_cluster(v: complex, m: int, c: np.ndarray) -> tuple[complex, int]:
 
 def _clustered(full: np.ndarray, eig: np.ndarray, n_zero: int, floor) -> list[tuple[complex, int]]:
     """The sorted (value, multiplicity) pairs of the one row of full, (1, n),
-    from the clusters of its nonzero first roots eig, each refined and then
-    Newton-polished as a root of its multiplicity."""
-    row = full[0, n_zero:]
-    clusters = [_refine_cluster(v, m, row) for v, m in _best_clustering(eig, row, floor)]
-    vals = np.array([[v for v, _ in clusters]])
-    mult = np.array([m for _, m in clusters])
-    return _sorted_roots(_polish(full, vals, mult, *_horner_pd(full, vals)), mult, n_zero, floor)[0]
+    from the clusters of its nonzero first roots eig and its n_zero zeros at
+    the origin, each cluster away from 0 refined and then Newton-polished
+    as a root of its multiplicity.  A cluster the search forms at 0 takes
+    the zeros in, so 0 is listed once."""
+    clusters = _best_clustering(eig, full[0], floor, n_zero)
+    at_zero = clusters.pop()[1] if n_zero else 0
+    clusters = [_refine_cluster(v, m, full[0, n_zero:]) for v, m in clusters]
+    vals = np.array([[v for v, _ in clusters]], dtype=complex)
+    mult = np.array([m for _, m in clusters], dtype=int)
+    return _sorted_roots(_polish(full, vals, mult, *_horner_pd(full, vals)), mult, at_zero, floor)[0]
 
 
 def _polish(

@@ -19,15 +19,18 @@ resultants by the same PRS.  Below a size rule (`KRONECKER_WORK`) it
 takes one, at the Kronecker point x = 2**s chosen above a proven bound on
 the coefficients of the resultant, and reads them back as balanced
 base-2**s digits; above it, it takes one at each of bound + 1 integers and
-interpolates.  `GaussRat` is the public scalar only: `make` and scalar
-arguments take it, `coeffs`, `coeff(k)`, `lead` and exact `eval` return
-it.
+interpolates.  Res(P, dP/dt) takes P's coefficients alone: dP/dt has the
+numerators k*a_k over P's denominator, so its images at each point are k
+times P's and no derivative is built.  `GaussRat` is the public scalar
+only: `make` and scalar arguments take it, `coeffs`, `coeff(k)`, `lead`
+and exact `eval` return it.
 
 This module is the only one that knows the format.  A `BiPoly` is a tuple
 of UniPoly rows, the coefficients of y**j as polynomials in x, and works on
 them through the public operations; `shift` (times x**k), `scale` by an int,
-`transpose` (the coefficients by powers of x instead of y) and `convolve`
-(the rows of a product, one normalization per row) are there for it.
+`transpose` (the coefficients by powers of x instead of y), `convolve`
+(the rows of a product, one normalization per row) and `diagonal` (the
+rows summed as sum_j rows[j] * x**j, in one pass) are there for it.
 """
 
 from __future__ import annotations
@@ -337,6 +340,14 @@ def _gz_horner(p: Sequence, u: tuple, d: int) -> tuple:
     return re, im
 
 
+def _gz_at(p: Sequence, t: int) -> tuple:
+    """p(t) for an int t, by Horner over Z[i]."""
+    re = im = 0
+    for a, b in reversed(p):
+        re, im = re * t + a, im * t + b
+    return re, im
+
+
 def _gi_mul(s: tuple, t: tuple) -> tuple:
     return (s[0] * t[0] - s[1] * t[1], s[0] * t[1] + s[1] * t[0])
 
@@ -478,17 +489,24 @@ def _gz_common(polys: Sequence[UniPoly]) -> tuple[list, int]:
     ], den
 
 
-# The one PRS at the Kronecker point runs on integers of about bound * s
-# bits, where interpolation runs bound + 1 PRSs on small integers.  It is
-# taken while max(deg P, deg Q) * (bound + 1) * s is at most this many bits.
-# Below that it was the faster one on every resultant measured; above it, it
-# lost at eliminated degree >= 7 (1.6 to 23 times slower) and won at 3.
-KRONECKER_WORK = 2**15
+# The size rule.  The one PRS at the Kronecker point runs on integers of
+# about bound * s bits, where interpolation runs bound + 1 PRSs on small
+# integers.  It is taken while deg**2 * (bound + 1) * s is at most this
+# many bits, deg = max(deg P, deg Q): timed on both paths, the crossover
+# falls with the eliminated degree faster than linearly, and at degree 3
+# the Kronecker PRS won on bounds up to 84 (a 3-regular round trip's D).
+KRONECKER_WORK = 2**18
 
 
-def _kronecker_bits(a: list, b: list) -> int:
+def _norm(p: Sequence) -> int:
+    """The sum of |re| + |im| over the coefficients of p."""
+    return sum(abs(re) + abs(im) for re, im in p)
+
+
+def _kronecker_bits(a: list, b: list | None) -> int:
     """s with 2**(s-1) > C = |a|**deg b * |b|**deg a, where |a| is the sum of
-    |re| + |im| over every coefficient of every a[k].
+    |re| + |im| over every coefficient of every a[k]; b None stands for a's
+    derivative sum_k k a[k] t**(k-1), so |b| = sum_k k |a[k]|.
 
     Res(a, b) is the Sylvester determinant, a sum over permutations of
     products of deg b entries a[k] and deg a entries b[k].  This 1-norm is
@@ -498,73 +516,90 @@ def _kronecker_bits(a: list, b: list) -> int:
     a[-1] and b[-1] too, so they do not vanish at 2**s (their balanced
     digits are not all 0) and the resultant commutes with x = 2**s.
     """
-    def norm(p: list) -> int:
-        return sum(abs(re) + abs(im) for c in p for re, im in c)
+    norms = [_norm(c) for c in a]
+    if b is None:
+        norm_b, deg_b = sum(k * n for k, n in enumerate(norms)), len(a) - 2
+    else:
+        norm_b, deg_b = sum(map(_norm, b)), len(b) - 1
+    return (sum(norms) ** deg_b * norm_b ** (len(a) - 1)).bit_length() + 1
 
-    return (norm(a) ** (len(b) - 1) * norm(b) ** (len(a) - 1)).bit_length() + 1
+
+def _images(a: list, b: list | None, t: int) -> tuple[list, list]:
+    """The coefficients of a and b at x = t, an int; b None stands for a's
+    derivative, whose images are k times a's (von zur Gathen and Gerhard,
+    Modern Computer Algebra, Sec. 8.4), so a is evaluated once."""
+    pa = [_gz_at(c, t) for c in a]
+    if b is None:
+        return pa, [(k * re, k * im) for k, (re, im) in enumerate(pa) if k]
+    return pa, [_gz_at(c, t) for c in b]
 
 
-def _res_kronecker(a: list, b: list, s: int) -> list:
+def _digits(v: int, s: int) -> list:
+    """The balanced base-2**s digits of the int v, lowest first."""
+    base = 1 << s
+    half = base >> 1
+    digits = []
+    while v:
+        d = v & (base - 1)
+        if d >= half:
+            d -= base
+        digits.append(d)
+        v = (v - d) >> s
+    return digits
+
+
+def _res_kronecker(a: list, b: list | None, s: int) -> list:
     """Res_t(a, b) at the one point x = 2**s, read back as balanced base-2**s
     digits (von zur Gathen and Gerhard, Modern Computer Algebra, Sec. 8.4);
     s is `_kronecker_bits(a, b)`."""
-    base = 1 << s
-    half = base >> 1
-    at = (base, 0)
-    parts = []
-    for v in _gz_resultant([_gz_horner(c, at, 1) for c in a], [_gz_horner(c, at, 1) for c in b]):
-        digits = []
-        while v:
-            d = v & (base - 1)
-            if d >= half:
-                d -= base
-            digits.append(d)
-            v = (v - d) >> s
-        parts.append(digits)
-    re, im = parts
+    re, im = (_digits(v, s) for v in _gz_resultant(*_images(a, b, 1 << s)))
     n = max(len(re), len(im))
     return list(zip(re + [0] * (n - len(re)), im + [0] * (n - len(im))))
 
 
-def _res_interpolated(a: list, b: list, bound: int) -> list:
+def _res_interpolated(a: list, b: list | None, bound: int) -> list:
     """Res_t(a, b) for a resultant of degree <= bound, from its values at the
     first run t0..t0+bound of integers where neither leading coefficient
-    vanishes (only there does specialisation commute with the resultant)."""
+    vanishes (only there does specialisation commute with the resultant);
+    a's derivative, b None, has a's leading coefficient times deg a."""
+    leads = [a[-1]] if b is None else [a[-1], b[-1]]
     t0 = t = 0
     while t <= t0 + bound:
-        if (0, 0) in (_gz_horner(a[-1], (t, 0), 1), _gz_horner(b[-1], (t, 0), 1)):
+        if any(_gz_at(c, t) == (0, 0) for c in leads):
             t0 = t + 1
         t += 1
-    vals = [
-        _gz_resultant([_gz_horner(c, (t, 0), 1) for c in a], [_gz_horner(c, (t, 0), 1) for c in b])
-        for t in range(t0, t0 + bound + 1)
-    ]
+    vals = [_gz_resultant(*_images(a, b, t)) for t in range(t0, t0 + bound + 1)]
     f = math.factorial(bound)
     return [(re // f, im // f) for re, im in _gz_interpolate(vals, t0)]
 
 
 def resultant_by_evaluation(
-    pc: Sequence[UniPoly], qc: Sequence[UniPoly], bound: int, var: str
+    pc: Sequence[UniPoly], qc: Sequence[UniPoly] | None, bound: int, var: str
 ) -> UniPoly:
-    """Res_t(P, Q) in var for P = sum_k pc[k] t**k and Q = sum_k qc[k] t**k.
+    """Res_t(P, Q) in var for P = sum_k pc[k] t**k and Q = sum_k qc[k] t**k,
+    or Q = dP/dt for qc None.
 
     pc and qc are exact UniPolys in var with nonzero last entries, deg P and
     deg Q are >= 1, and bound bounds the degree of the resultant.  Each side
     is taken over its common denominator, which leaves Z[i] polynomials a
-    and b.  One scalar subresultant PRS at the Kronecker point x = 2**s
-    gives Res(a, b) when max(deg P, deg Q) * (bound + 1) * s is at most
-    KRONECKER_WORK; above it, bound + 1 scalar PRSs at integers and Newton
-    interpolation do.
+    and b; dP/dt is k a[k] over P's denominator, and its images are k times
+    P's, so it is never built.  One scalar subresultant PRS at the Kronecker
+    point x = 2**s gives Res(a, b) when deg**2 * (bound + 1) * s, deg =
+    max(deg P, deg Q), is at most KRONECKER_WORK; above it, bound + 1
+    scalar PRSs at integers and Newton interpolation do.
     """
     a, den_p = _gz_common(pc)
-    b, den_q = _gz_common(qc)
+    if qc is None:
+        b, den_q, deg_q = None, den_p, len(pc) - 2
+    else:
+        (b, den_q), deg_q = _gz_common(qc), len(qc) - 1
     s = _kronecker_bits(a, b)
-    if (max(len(a), len(b)) - 1) * (bound + 1) * s <= KRONECKER_WORK:
+    if max(len(pc) - 1, deg_q) ** 2 * (bound + 1) * s <= KRONECKER_WORK:
         res = _res_kronecker(a, b, s)
     else:
         res = _res_interpolated(a, b, bound)
     # Res(a, b) = den_p**deg Q * den_q**deg P * Res(P, Q)
-    return _gz_poly(res, den_p ** (len(qc) - 1) * den_q ** (len(pc) - 1), var)
+    return _gz_poly(res, den_p**deg_q * den_q ** (len(pc) - 1), var)
 
 
 def transpose(polys: Sequence[UniPoly], var: str) -> list[UniPoly]:
@@ -616,6 +651,30 @@ def convolve(a: Sequence[UniPoly], b: Sequence[UniPoly]) -> list[UniPoly]:
                     out_re[i + m] += s * u - t * v
                     out_im[i + m] += s * v + t * u
     return [_gz_poly(list(zip(r, m)), da * db, var) for r, m in zip(re, im)]
+
+
+def diagonal(polys: Sequence[UniPoly]) -> UniPoly:
+    """sum_j polys[j] * v**j for UniPolys in one variable v (zero ones may
+    be among them): sum_j polys[j] t**j at t = v, in one pass.  Each output
+    coefficient is one sum, over Z[i] on the common denominator and brought
+    to lowest terms once when every poly is exact, in complex doubles
+    otherwise; it adds its terms from the highest j down, the order of
+    Horner in t, so a float result has Horner's bits."""
+    var = polys[0].var if polys else "x"
+    width = max((len(p.terms) + j for j, p in enumerate(polys)), default=0)
+    if not all(p.den for p in polys):
+        out = [0j] * width
+        for j in range(len(polys) - 1, -1, -1):
+            for i, c in enumerate(polys[j].to_float().terms, j):
+                out[i] += c
+        return UniPoly.make(out, var)
+    rows, den = _gz_common(polys)
+    re, im = [0] * width, [0] * width
+    for j, p in enumerate(rows):
+        for i, (s, t) in enumerate(p, j):
+            re[i] += s
+            im[i] += t
+    return _gz_poly(list(zip(re, im)), den, var)
 
 
 def from_roots(roots: Sequence, lead=1.0, var: str = "x") -> UniPoly:

@@ -452,15 +452,32 @@ _SQUARE = parse("x^2 + y^2 - 2*x*y")
 
 def test_analyze_transposes_each_polynomial_once(monkeypatch):
     # Phi's columns (its coefficients by powers of x) feed both B and E:
-    # they are transposed once, on first read, as are those of dPhi/dx.
+    # they are transposed once, on first read.  E's dPhi/dx is never built,
+    # so nothing else is transposed, and a second analysis reads the cache.
     calls = []
     real = bipoly.transpose
     monkeypatch.setattr(bipoly, "transpose", lambda polys, var: calls.append(var) or real(polys, var))
     phi = parse("x^3*y^2 + (1+2i)*x*y - 3/4*y + x^2 - 2")
     first = analyze(phi)
-    assert len(calls) == 2  # Phi and dPhi/dx
+    assert calls == ["y"]
     assert analyze(phi) == first
-    assert len(calls) == 3  # only the new dPhi/dx
+    assert calls == ["y"]
+
+
+def test_an_exact_analysis_builds_no_derivative(monkeypatch):
+    # D and E are Res(Phi, dPhi) taken from Phi's own coefficients
+    # (`BiPoly.resultant_with_derivative`), so no dPhi/dy or dPhi/dx is built.
+    calls = []
+    real = bipoly.BiPoly.derivative
+    monkeypatch.setattr(bipoly.BiPoly, "derivative", lambda p, var: calls.append(var) or real(p, var))
+    texts = ["x^3*y^2 + (1+2i)*x*y - 3/4*y + x^2 - 2", "(y-x)^4-1", "x*y - 1/2", "y^3 - x", "x^2 - 2*x"]
+    phis = [parse(t) for t in texts]
+    reports = [analyze(phi) for phi in phis]
+    assert calls == []
+    for phi, report in zip(phis, reports):
+        for var, got in (("y", report.D), ("x", report.E)):
+            dphi = phi.derivative(var)
+            assert got.is_zero if dphi.is_zero else got == phi.resultant(dphi, var), (phi, var)
 
 
 @pytest.mark.parametrize("call", [

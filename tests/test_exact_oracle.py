@@ -114,34 +114,37 @@ def _common_factor(seed: int, d: int, cmax: int) -> tuple:
 
 # Large coefficients put low degrees on the interpolation side, where
 # sympy is fast.
-_LEAD_012 = parse("x*(x-1)*(x-2)*y^3") + _dense(7, 3, 2, 10**45)
+_LEAD_012 = parse("x*(x-1)*(x-2)*y^3") + _dense(7, 3, 2, 10**120)
 _COMMON_SMALL = _common_factor(21, 2, 5)
-_COMMON_LARGE = _common_factor(31, 3, 10**30)
+_COMMON_LARGE = _common_factor(31, 3, 10**60)
 
 # (name, P, Q or None for dP/dvar, eliminated variable, reconstruction,
-# whether the work figure lies within 2 % of the threshold)
+# whether the work figure lies within 2 % of the threshold).  Q = None takes
+# `BiPoly.resultant_with_derivative`, which builds no dP/dvar.
 PATH_CASES = [
     ("eliminated degree 8", _dense(3, 2, 8, 9), None, "y", "interpolated", False),
     ("numerators near 1e30", _dense(4, 2, 2, 10**6, offset=10**30), None, "y", "kronecker", False),
     ("lead vanishing at t = 0, 1, 2", _LEAD_012, None, "y", "interpolated", False),
     ("common factor, Kronecker side", *_COMMON_SMALL, "y", "kronecker", False),
     ("common factor, interpolation side", *_COMMON_LARGE, "y", "interpolated", False),
-    ("just under the threshold", _dense(0, 3, 3, 5 * 10**39), None, "y", "kronecker", True),
-    ("just over the threshold", _dense(0, 3, 3, 7 * 10**39), None, "y", "interpolated", True),
+    ("just under the threshold", _dense(0, 3, 3, 10**108), None, "y", "kronecker", True),
+    ("just over the threshold", _dense(0, 3, 3, 2 * 10**108), None, "y", "interpolated", True),
 ]
 
 
 @pytest.fixture
 def paths(monkeypatch):
     """Records [reconstruction, work] for each exact resultant: work is
-    max(deg P, deg Q) * (bound + 1) * s, the figure the size rule compares
-    with `unipoly.KRONECKER_WORK`."""
+    deg**2 * (bound + 1) * s, deg = max(deg P, deg Q), the figure the size
+    rule compares with `unipoly.KRONECKER_WORK`."""
     seen = []
     real = bipoly.resultant_by_evaluation
 
     def spy(pc, qc, bound, var):
-        (a, _), (b, _) = unipoly._gz_common(pc), unipoly._gz_common(qc)
-        work = (max(len(a), len(b)) - 1) * (bound + 1) * unipoly._kronecker_bits(a, b)
+        a, _ = unipoly._gz_common(pc)
+        b = None if qc is None else unipoly._gz_common(qc)[0]  # None: dP/dt
+        deg = len(a) - 1 if b is None else max(len(a), len(b)) - 1
+        work = deg**2 * (bound + 1) * unipoly._kronecker_bits(a, b)
         seen.append([None, work])
         return real(pc, qc, bound, var)
 
@@ -160,13 +163,49 @@ def test_resultant_paths_match_sympy(case, paths):
     # Gaussian integer inputs: sympy is several times faster over Z[i], and
     # the random pairs above already cover the denominators.
     name, p, q, var, path, near = case
+    got = p.resultant_with_derivative(var) if q is None else p.resultant(q, var)
     q = p.derivative(var) if q is None else q
-    got = p.resultant(q, var)
     [(taken, work)] = paths
     assert taken == path and (work <= unipoly.KRONECKER_WORK) == (path == "kronecker"), paths
     assert not near or abs(work - unipoly.KRONECKER_WORK) <= unipoly.KRONECKER_WORK // 50, work
     assert got == _sympy_resultant(p, q, var, "ZZ_I")
     assert got.is_zero == name.startswith("common factor")
+
+
+def _symmetric(rng: random.Random, d: int) -> BiPoly:
+    """Phi(x, y) = Phi(y, x) of degree d in each variable."""
+    entries = {}
+    for i in range(d + 1):
+        for j in range(i, d + 1):
+            entries[(i, j)] = entries[(j, i)] = _scalar(rng)
+    entries[(d, 0)] = entries[(0, d)] = GaussRat.of(Fraction(rng.randint(1, 9), rng.randint(2, 7)), 1)
+    return BiPoly.make(entries)
+
+
+def test_resultant_with_derivative_matches_the_resultant_and_sympy(paths):
+    # Res_var(Phi, dPhi/dvar) without dPhi equals the general resultant with
+    # dPhi built and sympy's, on Gaussian rational Phi with denominators 2
+    # to 7, of degree 0, 1 and 2 or more in var, on a symmetric Phi, and on
+    # both reconstructions.
+    rng = random.Random(14)
+    phis = [p for _, p in _cases(14, 10)]
+    phis += [_bipoly(rng, 0, 2), _bipoly(rng, 2, 0), _bipoly(rng, 1, 1), _symmetric(rng, 3)]
+    phis += [_dense(5, 2, 4, 10**40), _LEAD_012]  # large enough to interpolate
+    degrees = set()
+    for phi in phis:
+        for var in "xy":
+            got = phi.resultant_with_derivative(var)
+            dphi = phi.derivative(var)
+            assert got == phi.resultant(dphi, var), (phi, var)
+            if not dphi.is_zero:
+                assert got == _sympy_resultant(phi, dphi, var, "ZZ_I" if phi.den == 1 else "QQ_I"), (phi, var)
+            else:
+                assert got.is_zero and got.var == ("x" if var == "y" else "y")
+            degrees.add(min(phi.degree(var), 2))
+    assert degrees == {0, 1, 2}
+    assert {taken for taken, _ in paths} == {"kronecker", "interpolated"}
+    sym = phis[-3]
+    assert sym.is_symmetric and sym.resultant_with_derivative("x") == sym.resultant_with_derivative("y").rename("y")
 
 
 def _sympy_content(phi: BiPoly, var: str) -> UniPoly:

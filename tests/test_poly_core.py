@@ -389,6 +389,28 @@ class TestEval:
         with pytest.raises(UniversalVertexError):
             out_neighbors(phi, 1.0)
 
+    def test_diagonal_has_the_bits_of_horner_in_y(self):
+        # Phi(x, x) is one sum per coefficient, its terms added from the top
+        # row down as Horner in y adds them, so a float diagonal has Horner's
+        # bits: coefficients of many scales, cancellations and -0.0 included.
+        rng = random.Random(41)
+        for exact in (False, True):
+            for _ in range(60):
+                phi = _random_bipoly(rng, exact)
+                if not exact:
+                    phi = BiPoly.make({
+                        ij: (-0.0 if rng.random() < 0.1 else c * 10.0 ** rng.randint(-12, 12))
+                        for ij, c in phi.coeffs.items()
+                    } | {(0, 1): 1.0, (1, 0): -1.0})
+                horner = UniPoly.zero()
+                for row in reversed(phi.rows):
+                    horner = horner.shift(1) + row
+                got = phi.diagonal()
+                assert got == horner and got.var == "x"
+                if not exact:
+                    bits = lambda p: [(c.real.hex(), c.imag.hex()) for c in p.terms]
+                    assert bits(got) == bits(horner)
+
     def test_float_row_drops_rounding_debris_at_its_top(self):
         # 0.1*3.0 - 0.3 is 5.6e-17, not 0: the y^2 coefficient of the row is
         # rounding debris, so the row has degree 1 and the one root -1.

@@ -428,6 +428,26 @@ def test_clustering_matches_the_union_find_loop(floor):
         assert rootfind._best_clustering(z, c, floor) == _clustering_by_union_find(z, c, floor)
 
 
+@pytest.mark.parametrize("zeros", [1, 2])
+def test_exact_zeros_join_a_cluster_the_search_forms_at_the_origin(zeros):
+    # y**zeros * (y**2 - 1e-18) * (y - 1): the search merges +-1e-9 into one
+    # cluster at 0 (radius 1e-6 * max|z|), and the row's exact zeros at the
+    # origin, deflated before the search, join it.  Before, 0 came out twice,
+    # [(0, 2), (0, 2), (1, 1)], or as a double root at -5e-19 beside a simple
+    # root at 0.
+    rs = roots(from_roots([0] * zeros + [1e-9, -1e-9, 1], 1.0, "y"))
+    assert _mults(rs) == [zeros + 2, 1]
+    assert _values(rs)[0] == 0 and abs(_values(rs)[1] - 1) < 1e-15
+
+
+def test_exact_zeros_stay_apart_from_distinct_small_roots():
+    # y * (y**2 - 1e-13): the roots +-3.16e-7 are far apart at the scale of
+    # the row's roots, so the zero keeps its own entry.
+    rs = roots(UniPoly.make([0.0, -1e-13, 0.0, 1.0], "y"))
+    assert _mults(rs) == [1, 1, 1]
+    assert _values(rs)[1] == 0 and abs(_values(rs)[2] - 1e-13**0.5) < 1e-21
+
+
 def test_eigenvalue_zero_beside_a_tiny_constant_term():
     # The row's constant term is about -1.2e-30j and its smallest root is
     # u + 1 = 2.96e-31j, but the companion eigenvalue comes out as exactly 0.

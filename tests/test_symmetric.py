@@ -217,9 +217,9 @@ def test_a_symmetric_sweep_solves_each_row_once(monkeypatch):
 
 def test_a_symmetric_analysis_takes_one_resultant_and_one_root_row_for_d_and_e(monkeypatch):
     resultants, batches = [], []
-    real_res, real_roots = BiPoly.resultant, analyzer.roots_batch
+    real_res, real_roots = BiPoly.resultant_with_derivative, analyzer.roots_batch
     monkeypatch.setattr(
-        BiPoly, "resultant", lambda p, q, var: resultants.append(var) or real_res(p, q, var)
+        BiPoly, "resultant_with_derivative", lambda p, var: resultants.append(var) or real_res(p, var)
     )
     monkeypatch.setattr(
         analyzer, "roots_batch", lambda polys: batches.append(len(polys)) or real_roots(polys)
