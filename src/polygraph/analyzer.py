@@ -7,7 +7,8 @@ For Phi(x,y) = sum a_i(x) y^i = sum b_j(y) x^j the report carries:
 * D = Res_y(Phi, dPhi/dy) and E = Res_x(Phi, dPhi/dx): zero iff Phi has a
   repeated factor in that variable; their roots locate defective vertices
   and multiple-arc endpoints.  Both come from Phi's own coefficients
-  (`BiPoly.resultant_with_derivative`): an exact analysis builds no dPhi,
+  (`BiPoly.resultant_with_derivative`), and so does the rounding bound of
+  a float Phi (`unipoly.sylvester_norm`): an analysis builds no dPhi,
 * L(x) = Phi(x,x), the rows summed in one pass: roots are the loop vertices,
 * S = L*D*E: the singular vertices are its roots.  The verdict does not
   read it, so S is computed on first read.
@@ -40,7 +41,7 @@ from .errors import DomainError, ExactArithmeticRequired, NotStandardError
 from .rootfind import roots_batch, sorted_pairs
 from .scalars import GR_ONE
 from .textio import format_unipoly
-from .unipoly import UniPoly, cached
+from .unipoly import UniPoly, cached, sylvester_norm
 
 _ROUNDING_UNIT = Fraction(1, 2**53)  # of a double, relative
 
@@ -145,17 +146,11 @@ def _norm1(phi: BiPoly) -> Fraction:
 def _resultant_bound(phi: BiPoly, var: str) -> Fraction:
     """How far moving each coefficient of an exact phi by one rounding unit
     can move each coefficient of Res_var(phi, dphi/dvar), to first order,
-    where phi has degree d >= 1 in var.
-
-    The Sylvester matrix has d - 1 rows of phi and d rows of dphi, 2d - 1 in
-    all, and its determinant is linear in each row; the 1-norm is
-    submultiplicative, so the product of the rows' 1-norms bounds every
-    coefficient of the determinant (a Hadamard-type bound), and a rounding
-    unit on one row moves it by that product times the unit.  Like the
-    resultant, the bound is homogeneous of degree 2d - 1 in phi.
-    """
-    d = phi.degree(var)
-    return (2 * d - 1) * _ROUNDING_UNIT * _norm1(phi) ** (d - 1) * _norm1(phi.derivative(var)) ** d
+    where phi has degree d >= 1 in var: (2d - 1) units times
+    `unipoly.sylvester_norm`, read off phi's coefficients in var, so no
+    dphi is built.  Like the resultant, it is homogeneous of degree 2d - 1
+    in phi."""
+    return (2 * phi.degree(var) - 1) * _ROUNDING_UNIT * sylvester_norm(phi.coeff_polys(var))
 
 
 # -- analysis -----------------------------------------------------------------
@@ -240,18 +235,13 @@ def _unit_image(p: UniPoly) -> UniPoly:
     return p.scale(Fraction(2) ** -e).to_float()
 
 
-def _squarefree(p: UniPoly) -> UniPoly:
-    """The exact p over its gcd with p': its roots, each simple."""
-    return p.divexact(p.gcd(p.derivative())) if p.degree > 0 else p
-
-
 def _singular_roots(report: StandardReport, heads: list[UniPoly]) -> list[list[complex]]:
     """Distinct roots of each exact polynomial of heads, then of D and of E,
     from one `roots_batch` call on the unit images of their squarefree
     parts.  E equal to D (a symmetric Phi) is solved once."""
     _, D, E = report.exact
     same = E.rename("x") == D
-    factors = [_squarefree(p) for p in heads + ([D] if same else [D, E])]
+    factors = [p.squarefree_part() for p in heads + ([D] if same else [D, E])]
     found = [[v for v, _ in pairs] for pairs in roots_batch([_unit_image(p) for p in factors])]
     return found + found[-1:] if same else found
 
@@ -277,7 +267,7 @@ def singular_inventory(phi: BiPoly, report: StandardReport) -> SingularInventory
     # of d^j Phi / dy^j), the loops of multiplicity j are the roots of
     # g_j / g_(j+1).  A standard Phi(u, y) is not 0, so g_j is constant by
     # j = deg_y + 1.
-    g, dphi, parts = _squarefree(report.exact[0]), exact, []
+    g, dphi, parts = report.exact[0].squarefree_part(), exact, []
     while g.degree > 0:
         dphi = dphi.derivative("y")
         nxt = g.gcd(dphi.diagonal())

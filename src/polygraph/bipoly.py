@@ -14,13 +14,12 @@ evaluates: only the root kernel trims rounding debris.  Highlights:
   vector of values in floats at once, for one direction or for both
   interleaved, by one Horner pass over a cached dense table that holds the
   coefficients and their transpose,
-* exact resultants by evaluation: `unipoly.resultant_by_evaluation` takes
-  the coefficient polynomials in the eliminated variable (it evaluates
-  them over Z[i] at one Kronecker point, or at a run of integers and
-  interpolates); a float operand is lifted to its exact binary value
-  (`to_exact`) and the result is the float image of the exact resultant.
-  `resultant_with_derivative` gives Res(Phi, dPhi) from Phi's coefficients
-  alone, with dPhi's images made from Phi's, so no dPhi is built,
+* the one exact resultant, Res(Phi, dPhi) of an exact Phi in either
+  variable: `resultant_with_derivative` passes Phi's coefficient
+  polynomials in the eliminated variable to
+  `unipoly.resultant_by_evaluation`, which evaluates them over Z[i] at one
+  Kronecker point, or at a run of integers and interpolates, and makes
+  dPhi's images from Phi's, so no dPhi is built,
 * the diagonal Phi(x, x), the rows summed in one pass (`unipoly.diagonal`),
 * squarefree part (exact), exact division, affine reparametrization.
 """
@@ -33,11 +32,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    ExactArithmeticRequired,
-    ZeroPolynomialError,
-)
+from .errors import DomainError, ExactArithmeticRequired
 from .scalars import GR_ZERO, GaussRat, is_exact, require_finite, square_and_multiply
 from .unipoly import UniPoly, cached, convolve, diagonal, gcd_all, resultant_by_evaluation, transpose
 
@@ -291,46 +286,15 @@ class BiPoly:
 
     # -- resultants -------------------------------------------------------------
 
-    def resultant(self, other: "BiPoly", var: str) -> UniPoly:
-        """Sylvester resultant in var, as a UniPoly in the other variable.
-
-        bound, the smaller of the Sylvester row bound and the Bezout bound
-        (Cox, Little and O'Shea, Ch. 8 Sec. 7), bounds its degree.  It takes
-        one scalar resultant at the Kronecker point x = 2**s and reads the
-        coefficients off its digits, or, above the size rule of
-        `unipoly.resultant_by_evaluation`, takes bound + 1 at integers and
-        interpolates.  With a float operand both are taken in floats, by the
-        scalar rule, and lifted to their exact binary values; the result is
-        the float image of their exact resultant, and raises
-        EvaluationOverflow beyond the float range.
-        """
-        if self.mode == "float" or other.mode == "float":
-            p, q = self.to_float().to_exact(), other.to_float().to_exact()
-            return p.resultant(q, var).to_float()
-        other_var = "y" if var == "x" else "x"
-        if self.is_zero and other.is_zero:
-            raise ZeroPolynomialError("resultant of two zero polynomials")
-        if self.is_zero or other.is_zero:
-            return UniPoly.zero(other_var)
-        dv_p, dv_q = self.degree(var), other.degree(var)
-        if dv_p == 0 or dv_q == 0:  # Res(c, q) = c**deg q and Res(p, c) = c**deg p
-            c, k = (self, dv_q) if dv_p == 0 else (other, dv_p)
-            return c.coeff_polys(var)[0].power(k)
-        bound = min(
-            self.degree(other_var) * dv_q + other.degree(other_var) * dv_p,
-            self.total_degree * other.total_degree,
-        )
-        return resultant_by_evaluation(
-            self.coeff_polys(var), other.coeff_polys(var), bound, other_var
-        )
-
     def resultant_with_derivative(self, var: str) -> UniPoly:
-        """`self.resultant(self.derivative(var), var)` of an exact Phi, with
-        no dPhi built: `unipoly.resultant_by_evaluation` makes dPhi's images
-        from Phi's.  With d = deg_var Phi, d <= 0 gives 0 and d = 1 the
-        coefficient of var (Res(Phi, c) = c).  The degree bound is
-        `resultant`'s, read off Phi's coefficients in var: dPhi drops the
-        one of var**0 and lowers the total degree of the others by 1."""
+        """Res_var(Phi, dPhi/dvar) of an exact Phi, a UniPoly in the other
+        variable, with no dPhi built: `unipoly.resultant_by_evaluation` makes
+        dPhi's images from Phi's.  With d = deg_var Phi, d <= 0 gives 0 and
+        d = 1 the coefficient of var (Res(Phi, c) = c).  Its degree is at
+        most the smaller of the Sylvester row bound and the Bezout bound
+        (Cox, Little and O'Shea, Ch. 8 Sec. 7), read off Phi's coefficients
+        in var: dPhi drops the one of var**0 and lowers the total degree of
+        the others by 1."""
         if self.mode != "exact":
             raise ExactArithmeticRequired("resultant_with_derivative requires exact scalars")
         other_var = "y" if var == "x" else "x"
@@ -341,7 +305,7 @@ class BiPoly:
         degs = [p.degree for p in pc]
         total_q = max(k + e for k, e in enumerate(degs) if k and e >= 0) - 1
         bound = min(max(degs) * (d - 1) + max(degs[1:]) * d, self.total_degree * total_q)
-        return resultant_by_evaluation(pc, None, bound, other_var)
+        return resultant_by_evaluation(pc, bound, other_var)
 
     # -- squarefree part ---------------------------------------------------------
 
@@ -380,7 +344,7 @@ class BiPoly:
         g = _gcd_bivar_y(prim, prim.derivative("y"))
         rad = prim if g.is_constant() else prim.divexact_y(g)
         if cont.degree > 0:
-            rad = rad * BiPoly.from_unipoly(cont.divexact(cont.gcd(cont.derivative())))
+            rad = rad * BiPoly.from_unipoly(cont.squarefree_part())
         rad = rad.normalized()
         return self if rad == self.normalized() else rad
 

@@ -13,14 +13,17 @@ Exact arithmetic, evaluation, division and the gcd run on these integers
 below): integer convolution, pseudo-division followed by one division by
 lc**e and the denominators, and the subresultant PRS (Collins 1967; Brown
 and Traub 1971).  `gcd_all`, the one gcd path, folds the PRS gcd over any
-number of polynomials and makes the result monic once.
-`resultant_by_evaluation`, the exact resultant of `bipoly`, takes scalar
-resultants by the same PRS.  Below a size rule (`KRONECKER_WORK`) it
-takes one, at the Kronecker point x = 2**s chosen above a proven bound on
-the coefficients of the resultant, and reads them back as balanced
-base-2**s digits; above it, it takes one at each of bound + 1 integers and
-interpolates.  Res(P, dP/dt) takes P's coefficients alone: dP/dt has the
-numerators k*a_k over P's denominator, so its images at each point are k
+number of polynomials and makes the result monic once;
+`UniPoly.squarefree_part` divides by the gcd with the derivative.
+
+`resultant_by_evaluation` is the one exact resultant: Res_t(P, dP/dt) for
+P = sum_k p_k t**k with UniPoly coefficients p_k, by scalar resultants
+taken with the same PRS.  Below a size rule (`KRONECKER_WORK`) it takes
+one, at the Kronecker point x = 2**s chosen above `sylvester_norm`, a
+proven bound on the coefficients of the resultant, and reads them back as
+balanced base-2**s digits; above it, it takes one at each of bound + 1
+integers and interpolates.  It takes P's coefficients alone: dP/dt has the
+numerators k*p_k over P's denominator, so its images at each point are k
 times P's and no derivative is built.  `GaussRat` is the public scalar
 only: `make` and scalar arguments take it, `coeffs`, `coeff(k)`, `lead`
 and exact `eval` return it.
@@ -251,6 +254,11 @@ class UniPoly:
         if self.is_zero:
             return other.is_zero
         return other.divmod(self)[1].is_zero
+
+    def squarefree_part(self) -> "UniPoly":
+        """self over its monic gcd with its derivative (exact): its roots,
+        each simple, under its leading coefficient; a constant is itself."""
+        return self.divexact(self.gcd(self.derivative())) if self.degree > 0 else self
 
     # -- misc --------------------------------------------------------------
 
@@ -492,46 +500,42 @@ def _gz_common(polys: Sequence[UniPoly]) -> tuple[list, int]:
 # The size rule.  The one PRS at the Kronecker point runs on integers of
 # about bound * s bits, where interpolation runs bound + 1 PRSs on small
 # integers.  It is taken while deg**2 * (bound + 1) * s is at most this
-# many bits, deg = max(deg P, deg Q): timed on both paths, the crossover
-# falls with the eliminated degree faster than linearly, and at degree 3
-# the Kronecker PRS won on bounds up to 84 (a 3-regular round trip's D).
+# many bits, deg = deg P: timed on both paths, the crossover falls with the
+# eliminated degree faster than linearly, and at degree 3 the Kronecker PRS
+# won on bounds up to 84 (a 3-regular round trip's D).
 KRONECKER_WORK = 2**18
 
 
-def _norm(p: Sequence) -> int:
-    """The sum of |re| + |im| over the coefficients of p."""
-    return sum(abs(re) + abs(im) for re, im in p)
+def sylvester_norm(pc: Sequence[UniPoly]) -> Fraction:
+    """C = |P|**(d-1) * |P'|**d for P = sum_k pc[k] t**k of degree d >= 1
+    in t, where |P| is the sum of |re| + |im| over every coefficient of
+    every pc[k] and P' = dP/dt, so |P'| = sum_k k |pc[k]|.
 
-
-def _kronecker_bits(a: list, b: list | None) -> int:
-    """s with 2**(s-1) > C = |a|**deg b * |b|**deg a, where |a| is the sum of
-    |re| + |im| over every coefficient of every a[k]; b None stands for a's
-    derivative sum_k k a[k] t**(k-1), so |b| = sum_k k |a[k]|.
-
-    Res(a, b) is the Sylvester determinant, a sum over permutations of
-    products of deg b entries a[k] and deg a entries b[k].  This 1-norm is
-    submultiplicative, so C bounds it on Res and thus |re| and |im| of each
-    coefficient: the balanced base-2**s digits of Res(2**s) are those parts.
-    As deg a, deg b >= 1, C bounds the parts of the leading coefficients
-    a[-1] and b[-1] too, so they do not vanish at 2**s (their balanced
-    digits are not all 0) and the resultant commutes with x = 2**s.
+    Res(P, P') is the determinant of the Sylvester matrix, whose d - 1 rows
+    of P and d rows of P' have these 1-norms.  The 1-norm is
+    submultiplicative, so C bounds |re| and |im| of every coefficient of
+    Res(P, P'); and as each row is linear in P, moving every coefficient c
+    of P by at most e |c| moves each of them by at most (2d - 1) e C, to
+    first order.
     """
-    norms = [_norm(c) for c in a]
-    if b is None:
-        norm_b, deg_b = sum(k * n for k, n in enumerate(norms)), len(a) - 2
-    else:
-        norm_b, deg_b = sum(map(_norm, b)), len(b) - 1
-    return (sum(norms) ** deg_b * norm_b ** (len(a) - 1)).bit_length() + 1
+    a, den = _gz_common(pc)
+    return Fraction(_sylvester_int(a), den ** (2 * len(a) - 3))
 
 
-def _images(a: list, b: list | None, t: int) -> tuple[list, list]:
-    """The coefficients of a and b at x = t, an int; b None stands for a's
-    derivative, whose images are k times a's (von zur Gathen and Gerhard,
-    Modern Computer Algebra, Sec. 8.4), so a is evaluated once."""
+def _sylvester_int(a: list) -> int:
+    """`sylvester_norm` of the P whose Z[i] numerators over its common
+    denominator den are a: C * den**(2d - 1), an int."""
+    norms = [sum(abs(re) + abs(im) for re, im in c) for c in a]
+    d = len(a) - 1
+    return sum(norms) ** (d - 1) * sum(k * n for k, n in enumerate(norms)) ** d
+
+
+def _images(a: list, t: int) -> tuple[list, list]:
+    """The coefficients of a and of its derivative sum_k k a[k] t**(k-1) at
+    x = t, an int: the derivative's are k times a's (von zur Gathen and
+    Gerhard, Modern Computer Algebra, Sec. 8.4), so a is evaluated once."""
     pa = [_gz_at(c, t) for c in a]
-    if b is None:
-        return pa, [(k * re, k * im) for k, (re, im) in enumerate(pa) if k]
-    return pa, [_gz_at(c, t) for c in b]
+    return pa, [(k * re, k * im) for k, (re, im) in enumerate(pa) if k]
 
 
 def _digits(v: int, s: int) -> list:
@@ -548,58 +552,54 @@ def _digits(v: int, s: int) -> list:
     return digits
 
 
-def _res_kronecker(a: list, b: list | None, s: int) -> list:
-    """Res_t(a, b) at the one point x = 2**s, read back as balanced base-2**s
-    digits (von zur Gathen and Gerhard, Modern Computer Algebra, Sec. 8.4);
-    s is `_kronecker_bits(a, b)`."""
-    re, im = (_digits(v, s) for v in _gz_resultant(*_images(a, b, 1 << s)))
+def _res_kronecker(a: list, s: int) -> list:
+    """Res_t(a, da/dt) at the one point x = 2**s, read back as balanced
+    base-2**s digits (von zur Gathen and Gerhard, Modern Computer Algebra,
+    Sec. 8.4), for 2**(s-1) above a's `sylvester_norm`.  That norm bounds
+    |re| and |im| of each coefficient of the resultant, so its digits are
+    those parts, and of the leading coefficient of a (deg a >= 2), which
+    thus does not vanish at 2**s: the resultant commutes with x = 2**s."""
+    re, im = (_digits(v, s) for v in _gz_resultant(*_images(a, 1 << s)))
     n = max(len(re), len(im))
     return list(zip(re + [0] * (n - len(re)), im + [0] * (n - len(im))))
 
 
-def _res_interpolated(a: list, b: list | None, bound: int) -> list:
-    """Res_t(a, b) for a resultant of degree <= bound, from its values at the
-    first run t0..t0+bound of integers where neither leading coefficient
-    vanishes (only there does specialisation commute with the resultant);
-    a's derivative, b None, has a's leading coefficient times deg a."""
-    leads = [a[-1]] if b is None else [a[-1], b[-1]]
+def _res_interpolated(a: list, bound: int) -> list:
+    """Res_t(a, da/dt) for a resultant of degree <= bound, from its values
+    at the first run t0..t0+bound of integers where a's leading coefficient
+    (deg a times that of da/dt) does not vanish: only there does
+    specialisation commute with the resultant."""
     t0 = t = 0
     while t <= t0 + bound:
-        if any(_gz_at(c, t) == (0, 0) for c in leads):
+        if _gz_at(a[-1], t) == (0, 0):
             t0 = t + 1
         t += 1
-    vals = [_gz_resultant(*_images(a, b, t)) for t in range(t0, t0 + bound + 1)]
+    vals = [_gz_resultant(*_images(a, t)) for t in range(t0, t0 + bound + 1)]
     f = math.factorial(bound)
     return [(re // f, im // f) for re, im in _gz_interpolate(vals, t0)]
 
 
-def resultant_by_evaluation(
-    pc: Sequence[UniPoly], qc: Sequence[UniPoly] | None, bound: int, var: str
-) -> UniPoly:
-    """Res_t(P, Q) in var for P = sum_k pc[k] t**k and Q = sum_k qc[k] t**k,
-    or Q = dP/dt for qc None.
+def resultant_by_evaluation(pc: Sequence[UniPoly], bound: int, var: str) -> UniPoly:
+    """Res_t(P, dP/dt) in var for P = sum_k pc[k] t**k.
 
-    pc and qc are exact UniPolys in var with nonzero last entries, deg P and
-    deg Q are >= 1, and bound bounds the degree of the resultant.  Each side
-    is taken over its common denominator, which leaves Z[i] polynomials a
-    and b; dP/dt is k a[k] over P's denominator, and its images are k times
-    P's, so it is never built.  One scalar subresultant PRS at the Kronecker
-    point x = 2**s gives Res(a, b) when deg**2 * (bound + 1) * s, deg =
-    max(deg P, deg Q), is at most KRONECKER_WORK; above it, bound + 1
-    scalar PRSs at integers and Newton interpolation do.
+    pc are exact UniPolys in var with a nonzero last entry, deg P >= 2, and
+    bound bounds the degree of the resultant.  P is taken over its common
+    denominator, which leaves a Z[i] polynomial a; dP/dt is k a[k] over the
+    same denominator, and its images are k times a's, so it is never
+    built.  One scalar subresultant PRS at the Kronecker point x = 2**s,
+    2**(s-1) above `sylvester_norm` on a, gives Res(a, da/dt) when
+    deg P**2 * (bound + 1) * s is at most KRONECKER_WORK; above it, bound
+    + 1 scalar PRSs at integers and Newton interpolation do.
     """
-    a, den_p = _gz_common(pc)
-    if qc is None:
-        b, den_q, deg_q = None, den_p, len(pc) - 2
+    a, den = _gz_common(pc)
+    d = len(a) - 1
+    s = _sylvester_int(a).bit_length() + 1
+    if d**2 * (bound + 1) * s <= KRONECKER_WORK:
+        res = _res_kronecker(a, s)
     else:
-        (b, den_q), deg_q = _gz_common(qc), len(qc) - 1
-    s = _kronecker_bits(a, b)
-    if max(len(pc) - 1, deg_q) ** 2 * (bound + 1) * s <= KRONECKER_WORK:
-        res = _res_kronecker(a, b, s)
-    else:
-        res = _res_interpolated(a, b, bound)
-    # Res(a, b) = den_p**deg Q * den_q**deg P * Res(P, Q)
-    return _gz_poly(res, den_p**deg_q * den_q ** (len(pc) - 1), var)
+        res = _res_interpolated(a, bound)
+    # Res(a, da/dt) = den**(2d - 1) * Res(P, dP/dt)
+    return _gz_poly(res, den ** (2 * d - 1), var)
 
 
 def transpose(polys: Sequence[UniPoly], var: str) -> list[UniPoly]:

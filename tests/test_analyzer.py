@@ -464,20 +464,53 @@ def test_analyze_transposes_each_polynomial_once(monkeypatch):
     assert calls == ["y"]
 
 
+def _sylvester_resultant(phi: BiPoly, var: str) -> UniPoly:
+    """Res_var(phi, dphi/dvar) of an exact phi of degree d >= 1 in var: the
+    determinant of its (2d - 1)-square Sylvester matrix, whose entries are
+    polynomials in the other variable, by Bareiss fraction-free
+    elimination, each of its divisions exact."""
+    p = phi.coeff_polys(var)[::-1]  # descending powers of var
+    q = [c.scale(k) for k, c in enumerate(phi.coeff_polys(var))][:0:-1]
+    d, zero = len(p) - 1, UniPoly.zero(p[0].var)
+    m = [[zero] * r + p + [zero] * (d - 2 - r) for r in range(d - 1)]
+    m += [[zero] * r + q + [zero] * (d - 1 - r) for r in range(d)]
+    sign, prev = 1, UniPoly.one(p[0].var)
+    for k in range(len(m) - 1):
+        pivot = next((r for r in range(k, len(m)) if not m[r][k].is_zero), None)
+        if pivot is None:
+            return zero
+        if pivot != k:
+            m[k], m[pivot], sign = m[pivot], m[k], -sign
+        for i in range(k + 1, len(m)):
+            for j in range(k + 1, len(m)):
+                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]).divexact(prev)
+        prev = m[k][k]
+    return m[-1][-1] if sign > 0 else -m[-1][-1]
+
+
 def test_an_exact_analysis_builds_no_derivative(monkeypatch):
     # D and E are Res(Phi, dPhi) taken from Phi's own coefficients
-    # (`BiPoly.resultant_with_derivative`), so no dPhi/dy or dPhi/dx is built.
+    # (`BiPoly.resultant_with_derivative`), and a float Phi's rounding bound
+    # is read off them too (`unipoly.sylvester_norm`), so no dPhi/dy or
+    # dPhi/dx is built, for an exact Phi or a float one.
     calls = []
     real = bipoly.BiPoly.derivative
     monkeypatch.setattr(bipoly.BiPoly, "derivative", lambda p, var: calls.append(var) or real(p, var))
-    texts = ["x^3*y^2 + (1+2i)*x*y - 3/4*y + x^2 - 2", "(y-x)^4-1", "x*y - 1/2", "y^3 - x", "x^2 - 2*x"]
+    texts = [
+        "x^3*y^2 + (1+2i)*x*y - 3/4*y + x^2 - 2", "(y-x)^4-1", "x*y - 1/2", "y^3 - x", "x^2 - 2*x",
+        "0.5*x^3*y^2 + (1+2i)*x*y - 0.75*y + x^2 - 2", "(y-x)^4-1.0", "x*y - 1e-13", "(y-x-1)*(y-x-1.00000001)",
+        "x^3 + x^2*y + x*y^2 + y^3 + 0.25",
+    ]
     phis = [parse(t) for t in texts]
     reports = [analyze(phi) for phi in phis]
     assert calls == []
+    assert [phi.mode for phi in phis] == ["exact"] * 5 + ["float"] * 5
+    assert any(r.numerically_uncertain for r in reports) and not all(r.numerically_uncertain for r in reports)
     for phi, report in zip(phis, reports):
+        exact = phi.to_exact()
         for var, got in (("y", report.D), ("x", report.E)):
-            dphi = phi.derivative(var)
-            assert got.is_zero if dphi.is_zero else got == phi.resultant(dphi, var), (phi, var)
+            want = _sylvester_resultant(exact, var) if exact.degree(var) >= 1 else UniPoly.zero()
+            assert got == (want if phi.mode == "exact" else want.to_float()).rename(got.var), (phi, var)
 
 
 @pytest.mark.parametrize("call", [

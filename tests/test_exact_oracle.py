@@ -3,7 +3,7 @@
 The inputs have Gaussian rational coefficients with denominators 2 to 7,
 so they exercise the stored common denominator, which the integral inputs
 of the benchmark do not.  Exact resultants take one of two reconstructions
-(`unipoly.resultant_by_evaluation`): the small random pairs all take the
+(`unipoly.resultant_by_evaluation`): the small random Phi all take the
 Kronecker point, and the Gaussian integer cases of `PATH_CASES` pin both
 sides of the size rule.  sympy is an optional test dependency.
 """
@@ -83,14 +83,15 @@ def _sympy_resultant(a: BiPoly, b: BiPoly, var: str, domain: str = "QQ_I") -> Un
 
 
 def test_resultant_matches_sympy():
+    # D = Res_y(Phi, dPhi/dy) and E = Res_x(Phi, dPhi/dx), the one exact
+    # resultant in both variables.
     checked = 0
-    for rng, p in _cases(11, 20):
-        q = _bipoly(rng, rng.randint(1, 2), rng.randint(1, 2))
-        pairs = [(p, q, "y"), (p, q, "x"), (p, p.derivative("y"), "y"), (p, p.derivative("x"), "x")]
-        for a, b, var in pairs:
-            assert a.resultant(b, var) == _sympy_resultant(a, b, var), (a, b, var)
+    for _, p in _cases(11, 20):
+        for var in "xy":
+            got = p.resultant_with_derivative(var)
+            assert got == _sympy_resultant(p, p.derivative(var), var), (p, var)
             checked += 1
-    assert checked == 80
+    assert checked == 40
 
 
 def _dense(seed: int, dx: int, dy: int, cmax: int, offset: int = 0) -> BiPoly:
@@ -106,47 +107,43 @@ def _dense(seed: int, dx: int, dy: int, cmax: int, offset: int = 0) -> BiPoly:
     return BiPoly.make(entries)
 
 
-def _common_factor(seed: int, d: int, cmax: int) -> tuple:
-    """(f*g, f*h) in y with a common factor f of degree 1 in y."""
+def _square_factor(seed: int, d: int, cmax: int) -> BiPoly:
+    """f**2 * g with f of degree 1 and g of degree d - 2 in y."""
     f = _dense(seed, 1, 1, cmax)
-    return f * _dense(seed + 1, 2, d - 1, cmax), f * _dense(seed + 2, 1, d - 1, cmax)
+    return f * f * _dense(seed + 1, 2, d - 2, cmax)
 
 
 # Large coefficients put low degrees on the interpolation side, where
 # sympy is fast.
 _LEAD_012 = parse("x*(x-1)*(x-2)*y^3") + _dense(7, 3, 2, 10**120)
-_COMMON_SMALL = _common_factor(21, 2, 5)
-_COMMON_LARGE = _common_factor(31, 3, 10**60)
 
-# (name, P, Q or None for dP/dvar, eliminated variable, reconstruction,
-# whether the work figure lies within 2 % of the threshold).  Q = None takes
-# `BiPoly.resultant_with_derivative`, which builds no dP/dvar.
+# (name, Phi, eliminated variable, reconstruction, whether the work figure
+# lies within 2 % of the threshold) for Res(Phi, dPhi/dvar) by
+# `BiPoly.resultant_with_derivative`, which builds no dPhi/dvar.
 PATH_CASES = [
-    ("eliminated degree 8", _dense(3, 2, 8, 9), None, "y", "interpolated", False),
-    ("numerators near 1e30", _dense(4, 2, 2, 10**6, offset=10**30), None, "y", "kronecker", False),
-    ("lead vanishing at t = 0, 1, 2", _LEAD_012, None, "y", "interpolated", False),
-    ("common factor, Kronecker side", *_COMMON_SMALL, "y", "kronecker", False),
-    ("common factor, interpolation side", *_COMMON_LARGE, "y", "interpolated", False),
-    ("just under the threshold", _dense(0, 3, 3, 10**108), None, "y", "kronecker", True),
-    ("just over the threshold", _dense(0, 3, 3, 2 * 10**108), None, "y", "interpolated", True),
+    ("eliminated degree 8", _dense(3, 2, 8, 9), "y", "interpolated", False),
+    ("numerators near 1e30", _dense(4, 2, 2, 10**6, offset=10**30), "y", "kronecker", False),
+    ("lead vanishing at t = 0, 1, 2", _LEAD_012, "y", "interpolated", False),
+    ("common factor, Kronecker side", _square_factor(21, 3, 5), "y", "kronecker", False),
+    ("common factor, interpolation side", _square_factor(31, 3, 10**60), "y", "interpolated", False),
+    ("just under the threshold", _dense(0, 3, 3, 10**108), "y", "kronecker", True),
+    ("just over the threshold", _dense(0, 3, 3, 2 * 10**108), "y", "interpolated", True),
 ]
 
 
 @pytest.fixture
 def paths(monkeypatch):
     """Records [reconstruction, work] for each exact resultant: work is
-    deg**2 * (bound + 1) * s, deg = max(deg P, deg Q), the figure the size
-    rule compares with `unipoly.KRONECKER_WORK`."""
+    deg**2 * (bound + 1) * s, deg = deg P, the figure the size rule compares
+    with `unipoly.KRONECKER_WORK`."""
     seen = []
     real = bipoly.resultant_by_evaluation
 
-    def spy(pc, qc, bound, var):
+    def spy(pc, bound, var):
         a, _ = unipoly._gz_common(pc)
-        b = None if qc is None else unipoly._gz_common(qc)[0]  # None: dP/dt
-        deg = len(a) - 1 if b is None else max(len(a), len(b)) - 1
-        work = deg**2 * (bound + 1) * unipoly._kronecker_bits(a, b)
-        seen.append([None, work])
-        return real(pc, qc, bound, var)
+        s = unipoly._sylvester_int(a).bit_length() + 1
+        seen.append([None, (len(a) - 1) ** 2 * (bound + 1) * s])
+        return real(pc, bound, var)
 
     monkeypatch.setattr(bipoly, "resultant_by_evaluation", spy)
     for name in ("kronecker", "interpolated"):
@@ -161,14 +158,13 @@ def paths(monkeypatch):
 @pytest.mark.parametrize("case", PATH_CASES, ids=[c[0] for c in PATH_CASES])
 def test_resultant_paths_match_sympy(case, paths):
     # Gaussian integer inputs: sympy is several times faster over Z[i], and
-    # the random pairs above already cover the denominators.
-    name, p, q, var, path, near = case
-    got = p.resultant_with_derivative(var) if q is None else p.resultant(q, var)
-    q = p.derivative(var) if q is None else q
+    # the random Phi above already cover the denominators.
+    name, p, var, path, near = case
+    got = p.resultant_with_derivative(var)
     [(taken, work)] = paths
     assert taken == path and (work <= unipoly.KRONECKER_WORK) == (path == "kronecker"), paths
     assert not near or abs(work - unipoly.KRONECKER_WORK) <= unipoly.KRONECKER_WORK // 50, work
-    assert got == _sympy_resultant(p, q, var, "ZZ_I")
+    assert got == _sympy_resultant(p, p.derivative(var), var, "ZZ_I")
     assert got.is_zero == name.startswith("common factor")
 
 
@@ -182,11 +178,10 @@ def _symmetric(rng: random.Random, d: int) -> BiPoly:
     return BiPoly.make(entries)
 
 
-def test_resultant_with_derivative_matches_the_resultant_and_sympy(paths):
-    # Res_var(Phi, dPhi/dvar) without dPhi equals the general resultant with
-    # dPhi built and sympy's, on Gaussian rational Phi with denominators 2
-    # to 7, of degree 0, 1 and 2 or more in var, on a symmetric Phi, and on
-    # both reconstructions.
+def test_resultant_with_derivative_matches_sympy(paths):
+    # Res_var(Phi, dPhi/dvar) without dPhi equals sympy's, on Gaussian
+    # rational Phi with denominators 2 to 7, of degree 0, 1 and 2 or more
+    # in var, on a symmetric Phi, and on both reconstructions.
     rng = random.Random(14)
     phis = [p for _, p in _cases(14, 10)]
     phis += [_bipoly(rng, 0, 2), _bipoly(rng, 2, 0), _bipoly(rng, 1, 1), _symmetric(rng, 3)]
@@ -196,7 +191,6 @@ def test_resultant_with_derivative_matches_the_resultant_and_sympy(paths):
         for var in "xy":
             got = phi.resultant_with_derivative(var)
             dphi = phi.derivative(var)
-            assert got == phi.resultant(dphi, var), (phi, var)
             if not dphi.is_zero:
                 assert got == _sympy_resultant(phi, dphi, var, "ZZ_I" if phi.den == 1 else "QQ_I"), (phi, var)
             else:

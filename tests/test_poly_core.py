@@ -9,14 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polygraph import BiPoly, GaussRat, UniPoly, analyze, out_neighbors, parse
+from polygraph import BiPoly, GaussRat, UniPoly, analyze, out_neighbors, parse, unipoly
 from polygraph.errors import (
     DomainError,
     EvaluationOverflow,
     ExactArithmeticRequired,
     ParseError,
     UniversalVertexError,
-    ZeroPolynomialError,
 )
 from polygraph.sympoly import SymPoly
 from polygraph.textio import bipoly_from_json, bipoly_to_json, format_bipoly, format_scalar, format_unipoly
@@ -523,13 +522,10 @@ class TestGcd:
 
 
 class TestResultant:
+    # Res(Phi, dPhi/dvar), the one exact resultant, against oracles that do
+    # not share its kernel: hand and scalar Sylvester determinants.
     def test_repeated_factor_forces_zero(self):
-        p = parse("(y-x)^2")
-        assert p.resultant(p.derivative("y"), "y").is_zero
-
-    def test_constant_second_argument(self):
-        r = parse("y-x-1").resultant(parse("1"), "y")
-        assert r.degree == 0 and r.coeff(0) == gr(1)
+        assert parse("(y-x)^2").resultant_with_derivative("y").is_zero
 
     def test_hand_sylvester_oracle(self):
         # Independent oracle: cofactor expansion of the 3x3 Sylvester matrix of
@@ -557,23 +553,40 @@ class TestResultant:
         oracle = det3(m)
         assert oracle.coeffs == (gr(0), gr(-4))  # -4x
 
-        phi = parse("y^2 - x")
-        got = phi.resultant(phi.derivative("y"), "y")
+        got = parse("y^2 - x").resultant_with_derivative("y")
         assert got.coeffs == oracle.coeffs
 
-    def test_both_zero_raises(self):
-        with pytest.raises(ZeroPolynomialError):
-            BiPoly.zero().resultant(BiPoly.zero(), "y")
+    def test_degree_zero_in_var_gives_zero(self):
+        # dPhi/dvar = 0 when Phi is free of var, the zero Phi included: the
+        # resultant is the zero polynomial in the other variable.
+        for text, var, other in (("0", "y", "x"), ("0", "x", "y"), ("7/3 - i", "y", "x"), ("x^2 + 3", "y", "x"),
+                                 ("(2+i)*y^3 - y", "x", "y")):
+            got = parse(text).resultant_with_derivative(var)
+            assert got.is_zero and got.var == other, (text, var)
 
-    def test_degree_zero_operand_is_a_power(self):
-        # Res(c, q) = c**deg q and Res(p, c) = c**deg p in both modes.
-        p = parse("x*y^3 + y - 1")
-        c = parse("2*x + i")
-        assert p.resultant(c, "y") == c.coeff_polys("y")[0].power(3)
-        assert c.resultant(p, "y") == c.coeff_polys("y")[0].power(3)
-        cf = c.to_float()
-        assert p.resultant(cf, "y") == cf.coeff_polys("y")[0].power(3)
-        assert p.resultant(cf, "y").mode == "float"
+    def test_degree_one_is_the_coefficient_of_var(self):
+        # Phi = a*var + b: dPhi/dvar = a and the Sylvester matrix is [a].
+        for text, var, want in (("y - x - 1", "y", "1"), ("x*y + 3", "y", "x"), ("(1/2+i)*x^2*y - x", "y", "(1/2+i)*x^2"),
+                                ("(2-3*i)*y^2*x + y - 5", "x", "(2-3*i)*y^2")):
+            got = parse(text).resultant_with_derivative(var)
+            assert BiPoly.from_unipoly(got) == parse(want), (text, var)
+
+    def test_float_phi_is_rejected(self):
+        with pytest.raises(ExactArithmeticRequired):
+            parse("0.5*y^2 - x").resultant_with_derivative("y")
+
+    def test_float_phi_is_analyzed_on_its_exact_binary_value(self):
+        # D is the float image of the resultant of the lifted Phi, whose
+        # 1e150 is a binary value just above 10**150: 4 * 1e150**2 rounds to
+        # 3.9999999999999996e300, not to the double nearest 4 * 10**300.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for text in ("1e150*x*y^2 + y + 1", "0.1*y^2 + 0.3*x*y + 0.7", "(0.5+1.5i)*x^2*y^3 - 0.25*y + x"):
+                p = parse(text)
+                assert analyze(p).D == p.to_exact().resultant_with_derivative("y").to_float(), text
+            D = analyze(parse("1e150*x*y^2 + y + 1")).D
+        assert D.coeffs == (0.0, -1e150, 3.9999999999999996e300)
+        assert D.coeffs[2] != float(4 * 10**300)
 
     def test_huge_float_constant_resultant_is_exact(self):
         # E = Res_x(Phi, Phi_x) with Phi_x the constant c is c itself: no
@@ -583,17 +596,10 @@ class TestResultant:
             report = analyze(parse("(1e308+1e308i)*x + y"))
         assert report.E.coeffs == (1e308 + 1e308j,)
 
-    def test_float_resultant_is_the_image_of_the_lifted_one(self):
-        # Each operand is lifted to its exact binary value, so a resultant
-        # with 1e308 coefficients, whose values at complex points overflow,
-        # is the float image of the exact one: (-1e308 - 1e308*x) - 1 rounds
-        # to -1e308 - 1e308*x.
-        p, q = parse("1e308*x*y + 1e308*y + 1"), parse("y - 1.0")
-        res = p.resultant(q, "y")
-        assert res == p.to_exact().resultant(q.to_exact(), "y").to_float()
-        assert res.coeffs == (-1e308, -1e308)
-
     def test_float_matches_exact(self):
+        # A float Phi is analyzed on its exact binary value: integer
+        # coefficients are exact doubles, so its D is the float image of
+        # the exact Phi's.
         rng = random.Random(3)
         for _ in range(20):
             entries = {}
@@ -604,16 +610,15 @@ class TestResultant:
             p = BiPoly.make(entries)
             if p.deg_y < 1:
                 continue
-            exact = p.resultant(p.derivative("y"), "y")
-            approx = p.to_float().resultant(p.derivative("y").to_float(), "y")
-            scale = max(exact.coeff_scale(), 1.0)
-            for k in range(max(exact.degree, approx.degree) + 1):
-                assert abs(complex(exact.coeff(k)) - complex(approx.coeff(k))) <= 1e-6 * scale
+            exact = p.resultant_with_derivative("y")
+            assert analyze(p.to_float()).D == exact.to_float(), p
 
-    def test_specialisation_matches_scalar_determinant(self):
-        # Independent oracle: where neither leading coefficient in y vanishes,
-        # Res_y(P, Q)(x0) is the determinant of the Sylvester matrix of
-        # P(x0, y) and Q(x0, y), here by Gaussian elimination over Q(i).
+    def test_specialisation_matches_scalar_determinant(self, monkeypatch):
+        # Independent oracle: where Phi's leading coefficient in y does not
+        # vanish, Res_y(Phi, dPhi/dy)(x0) is the determinant of the Sylvester
+        # matrix of Phi(x0, y) and its derivative, here by Gaussian
+        # elimination over Q(i).  Each resultant is taken by the size rule's
+        # path and again interpolated, and the two must agree.
         def det(rows):
             rows = [r[:] for r in rows]
             out = gr(1)
@@ -651,45 +656,72 @@ class TestResultant:
         def with_lead(p, lead):
             return p + lead * BiPoly.make({(0, p.deg_y + 1): gr(1)})
 
-        pairs = [(rand_bipoly(), rand_bipoly()) for _ in range(30)]
+        phis = [rand_bipoly() for _ in range(30)]
         # Leading coefficients in y that vanish at x = 0, 1, 2 (and 3): the
-        # exact resultant must not sample there, or its interpolant is wrong
-        # at the points checked below.
+        # interpolated resultant must not sample there, or it is wrong.
         x_012 = parse("x*(x-1)*(x-2)")
-        x_3 = parse("x-3")
-        for k in range(10):
-            p, q = rand_bipoly(), rand_bipoly()
-            pairs.append((with_lead(p, x_012), with_lead(q, x_3) if k % 2 else q))
+        x_0123 = x_012 * parse("x-3")
+        phis += [with_lead(rand_bipoly(), x_0123 if k % 2 else x_012) for k in range(10)]
 
         checked = 0
-        for p, q in pairs:
-            if p.deg_y < 1 or q.deg_y < 1:
+        for phi in phis:
+            if phi.deg_y < 1:
                 continue
-            res = p.resultant(q, "y")
+            res = phi.resultant_with_derivative("y")
+            with monkeypatch.context() as m:
+                m.setattr(unipoly, "KRONECKER_WORK", 0)
+                assert phi.resultant_with_derivative("y") == res, phi
             for x0 in (gr(0), gr(1), gr(-2), gr(3, 1), gr(Fraction(1, 2), -1)):
-                pu, qu = (
-                    UniPoly.make([c.eval(x0) for c in f.coeff_polys("y")], "y") for f in (p, q)
-                )
-                if pu.degree < p.deg_y or qu.degree < q.deg_y:
+                pu = UniPoly.make([c.eval(x0) for c in phi.coeff_polys("y")], "y")
+                if pu.degree < phi.deg_y:
                     continue
-                assert res.eval(x0) == det(sylvester(pu, qu)), (p, q, x0)
+                assert res.eval(x0) == det(sylvester(pu, pu.derivative())), (phi, x0)
                 checked += 1
-        assert checked >= 110  # 91 on the random pairs, 30 on the vanishing leads
+        assert checked >= 138  # 108 on the random Phi, 30 on the vanishing leads
 
     def test_zero_iff_positive_degree_gcd(self):
+        # Res(P, P') = 0 iff P has a repeated factor, i.e. gcd(P, P') is
+        # not constant; half the P carry a planted square g**2.
         rng = random.Random(5)
-        for _ in range(40):
+        counts = [0, 0]
+        for k in range(40):
             def rand_poly():
                 return UniPoly.make([gr(rng.randint(-3, 3)) for _ in range(rng.randint(1, 4))], "y")
 
-            a, b, g = rand_poly(), rand_poly(), rand_poly()
-            if a.is_zero or b.is_zero or g.is_zero:
+            a, g = rand_poly(), rand_poly()
+            p = a * g * g if k % 2 else a * g
+            if p.degree < 1:
                 continue
-            p = BiPoly.from_unipoly(a * g)
-            q = BiPoly.from_unipoly(b * g)
-            res = p.resultant(q, "y")
-            gcd_pos = (a * g).gcd(b * g).degree > 0
-            assert res.is_zero == gcd_pos
+            res = BiPoly.from_unipoly(p).resultant_with_derivative("y")
+            assert res.is_zero == (p.gcd(p.derivative()).degree > 0), p
+            counts[res.is_zero] += 1
+        assert counts == [20, 15]  # nonzero, zero
+
+    def test_sylvester_norm_is_the_product_of_the_rows_norms(self):
+        # The shared bound of the Kronecker point and of the analyzer's
+        # rounding bound is |Phi|**(d-1) * |dPhi/dvar|**d, with the 1-norm
+        # summing |re| + |im| over the coefficients and dPhi built.
+        def norm1(phi):
+            return sum((abs(c.re) + abs(c.im) for c in phi.coeffs.values()), Fraction(0))
+
+        def scalar(rng):
+            im = Fraction(rng.randint(-4, 4), rng.randint(2, 7)) if rng.random() < 0.5 else 0
+            return gr(Fraction(rng.randint(-9, 9), rng.randint(2, 7)), im)
+
+        rng = random.Random(17)
+        seen = set()
+        for _ in range(40):
+            dx, dy = rng.randint(1, 5), rng.randint(1, 5)
+            entries = {(i, j): scalar(rng) for i in range(dx + 1) for j in range(dy + 1)}
+            entries[(dx, dy)] = gr(Fraction(rng.randint(1, 9), rng.randint(2, 7)), 1)
+            phi = BiPoly.make(entries)
+            assert phi.den > 1
+            for var in "xy":
+                d = phi.degree(var)
+                want = norm1(phi) ** (d - 1) * norm1(phi.derivative(var)) ** d
+                assert unipoly.sylvester_norm(phi.coeff_polys(var)) == want, (phi, var)
+                seen.add(d)
+        assert seen == {1, 2, 3, 4, 5}
 
 
 class TestPower:
@@ -754,7 +786,31 @@ class TestSquarefree:
             rad = p.squarefree_part()
             if rad.deg_y < 1:
                 continue
-            assert not rad.resultant(rad.derivative("y"), "y").is_zero
+            assert not rad.resultant_with_derivative("y").is_zero
+
+    def test_unipoly_squarefree_part(self):
+        # p over its monic gcd with p': each root once, the leading
+        # coefficient kept; a constant or zero p is returned itself.
+        def uni(text):
+            return parse(text).coeff_polys("x")[0]
+
+        assert uni("5*(y-1)^3*(y+2)").squarefree_part() == uni("5*(y-1)*(y+2)")
+        assert uni("(1/2-i)*(y-i)^2*y^4").squarefree_part() == uni("(1/2-i)*(y-i)*y")
+        assert uni("y^2 + 1").squarefree_part() == uni("y^2 + 1")
+        for p in (uni("7/3"), UniPoly.zero()):
+            assert p.squarefree_part() is p
+        rng = random.Random(21)
+        for _ in range(20):
+            a, g = (UniPoly.make([gr(rng.randint(-3, 3), rng.randint(-1, 1)) for _ in range(rng.randint(2, 3))])
+                    for _ in range(2))
+            if a.degree < 1 or g.degree < 1:
+                continue
+            p = a * g * g
+            rad = p.squarefree_part()
+            assert rad.gcd(rad.derivative()).degree == 0, p
+            # rad divides p, and p divides rad**deg p: the same roots.
+            top = rad.power(p.degree)
+            assert p.divexact(rad) * rad == p and top.divexact(p) * p == top, p
 
     def test_float_rejected(self):
         with pytest.raises(ExactArithmeticRequired):

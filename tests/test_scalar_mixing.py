@@ -112,10 +112,6 @@ def test_mixed_bipoly_operations_equal_the_float_copy():
         assert q - p == q - pf
         assert p * q == pf * q
         assert q * p == q * pf
-        for var in ("x", "y"):
-            if not p.is_zero:
-                assert p.resultant(q, var) == pf.resultant(q, var)
-                assert q.resultant(p, var) == q.resultant(pf, var)
         u, v = (complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(2))
         for axis in ("x", "y"):
             assert p.eval_rows([u], axis).tobytes() == pf.eval_rows([u], axis).tobytes()

@@ -23,9 +23,9 @@ from polygraph.unipoly import (
     _gz_gcd,
     _gz_poly,
     _gz_resultant,
-    _kronecker_bits,
     _res_interpolated,
     _res_kronecker,
+    _sylvester_int,
 )
 
 
@@ -294,25 +294,23 @@ def _t_times(pc: list, fc: list) -> list:
 def test_resultant_reconstructions_agree():
     # The Kronecker digits and the interpolation of resultant_by_evaluation,
     # each called directly whatever the size rule would pick, give the same
-    # Res_t(a, b); among the inputs are leads that vanish at t = 0, 1, 2
-    # (the interpolation then samples from t = 3) and planted common factors.
+    # Res_t(a, da/dt); among the inputs are leads that vanish at t = 0, 1, 2
+    # (the interpolation then samples from t = 3) and planted square factors.
     rng = random.Random(8)
     lead_012 = UniPoly.make([GR_ZERO, GaussRat.of(2), GaussRat.of(-3), GR_ONE])  # x(x-1)(x-2)
     zeros = 0
     for n in range(48):
         kind = ("integer", "rational", "gaussian")[n % 3]
-        pc = [_poly(rng, rng.randint(0, 3), kind) for _ in range(rng.randint(2, 6))]
-        qc = [_poly(rng, rng.randint(0, 3), kind) for _ in range(rng.randint(2, 6))]
+        pc = [_poly(rng, rng.randint(0, 3), kind) for _ in range(rng.randint(3, 6))]
         if n % 4 == 1:
             pc[-1] = pc[-1] * lead_012
         if n % 4 == 2:
             fc = [_poly(rng, rng.randint(0, 2), kind) for _ in range(2)]
-            pc, qc = _t_times(pc, fc), _t_times(qc, fc)
+            pc = _t_times(_t_times(pc, fc), fc)
         a, _ = _gz_common(pc)
-        b, _ = _gz_common(qc)
-        bound = max(len(c) - 1 for c in a) * (len(b) - 1) + max(len(c) - 1 for c in b) * (len(a) - 1)
-        got = _gz_poly(_res_kronecker(a, b, _kronecker_bits(a, b)), 1, "x")
-        assert got == _gz_poly(_res_interpolated(a, b, bound), 1, "x"), (pc, qc)
+        bound = max(len(c) - 1 for c in a) * (2 * len(a) - 3)  # the Sylvester row bound, or above it
+        got = _gz_poly(_res_kronecker(a, _sylvester_int(a).bit_length() + 1), 1, "x")
+        assert got == _gz_poly(_res_interpolated(a, bound), 1, "x"), pc
         zeros += got.is_zero
     assert zeros >= 12
 
