@@ -202,8 +202,14 @@ class _VertexTable:
     def intern(self, z: complex, room: bool) -> int | None:
         """The vertex nearest z and closer than eps, the first in block
         position, then id, order among equally near ones.  On a miss, z
-        becomes a new vertex if room is true; otherwise None."""
-        cx, cy = cell = (math.floor(z.real / self.eps), math.floor(z.imag / self.eps))
+        becomes a new vertex if room is true; otherwise None.  A value whose
+        cell index is beyond the float range raises EvaluationOverflow."""
+        try:
+            cx, cy = cell = (math.floor(z.real / self.eps), math.floor(z.imag / self.eps))
+        except OverflowError:
+            raise EvaluationOverflow(
+                "vertex value over dedup_eps is beyond the float range", vertex=str(z), dedup_eps=self.eps
+            ) from None
         best, best_key = None, (self.eps, -1)
         values = self.values
         for pos, vid in self.near.get(cell, ()):

@@ -12,8 +12,11 @@ Exact arithmetic, evaluation, division and the gcd run on these integers
 (polynomials over Z[i] as lists of (re, im) pairs, the `_gz_*` helpers
 below): integer convolution, pseudo-division followed by one division by
 lc**e and the denominators, and the subresultant PRS (Collins 1967; Brown
-and Traub 1971).  `gcd_all`, the one gcd path, folds the PRS gcd over any
-number of polynomials and makes the result monic once;
+and Traub 1971), whose steps take the remainder-only pseudo-division
+`_gz_prem`.  `gcd_all`, the one gcd path, is a certificate, then the PRS:
+when the norms of the polynomials' values at one power of two beyond their
+root bounds have gcd 1, so have the polynomials; otherwise it folds the
+PRS gcd over them and makes the result monic once.
 `UniPoly.squarefree_part` divides by the gcd with the derivative.
 
 `resultant_by_evaluation` is the one exact resultant: Res_t(P, dP/dt) for
@@ -361,8 +364,13 @@ def _gi_mul(s: tuple, t: tuple) -> tuple:
 
 
 def _gi_pow(s: tuple, k: int) -> tuple:
-    """s**k for k >= 0."""
-    return square_and_multiply(s, k, (1, 0), _gi_mul)
+    """s**k for k >= 0, by repeated products: the PRS's exponents are
+    degree gaps, mostly 0 or 1."""
+    c, d = s
+    re, im = 1, 0
+    for _ in range(k):
+        re, im = re * c - im * d, re * d + im * c
+    return re, im
 
 
 def _gi_divexact(s: tuple, t: tuple) -> tuple:
@@ -404,6 +412,30 @@ def _gz_pseudo_divmod(a: list, b: Sequence) -> tuple[list, list, tuple]:
     return quo, rem, pows[e]
 
 
+def _gz_prem(a: list, b: Sequence) -> list:
+    """The R alone of `_gz_pseudo_divmod(a, b)`, by Knuth's Algorithm R
+    (TAOCP vol. 2, Sec. 4.6.1): step k (k = e-1 .. 0) takes R <- lc*R -
+    t_k x**k b for the leading term t_k of R.  Scaling all of R at each
+    step takes (e - 1) e / 2 products below the top deg b entries, one at
+    the PRS's usual e = 2, and no powers of lc and no quotient; the lazy
+    scaling of `_gz_pseudo_divmod` is for its quotient users."""
+    m = len(b) - 1
+    lr, li = b[-1]
+    rem = a[:]
+    for k in range(len(a) - m - 1, -1, -1):
+        tr, ti = rem.pop()  # the coefficient of x**(k + m)
+        for j in range(k):
+            r, s = rem[j]
+            rem[j] = (lr * r - li * s, lr * s + li * r)
+        for j in range(m):
+            r, s = rem[k + j]
+            c, d = b[j]
+            rem[k + j] = (lr * r - li * s - tr * c + ti * d, lr * s + li * r - tr * d - ti * c)
+    while rem and rem[-1] == (0, 0):
+        rem.pop()
+    return rem
+
+
 def _gz_prs(a: list, b: list) -> tuple[list, list, tuple, int]:
     """The subresultant PRS of a and b over Z[i] (Collins 1967; Brown and
     Traub 1971; Cohen, Alg. 3.3.7), run up to its first element of degree <= 0.
@@ -419,13 +451,14 @@ def _gz_prs(a: list, b: list) -> tuple[list, list, tuple, int]:
     g = h = (1, 0)
     while len(b) > 1:
         delta = len(a) - len(b)
-        _, r, _ = _gz_pseudo_divmod(a, b)
+        r = _gz_prem(a, b)
         if len(a) % 2 == 0 and len(b) % 2 == 0:
             sign = -sign
-        s = _gi_mul(g, _gi_pow(h, delta))
-        a, b = b, [_gi_divexact(c, s) for c in r]
+        q, n = _gz_over(r, _gi_mul(g, _gi_pow(h, delta)))  # r / (g * h**delta) = q / n
+        a, b = b, q if n == 1 else [(re // n, im // n) for re, im in q]
         g = a[-1]
-        h = _gi_divexact(_gi_pow(g, delta), _gi_pow(h, delta - 1)) if delta else h
+        if delta:
+            h = g if delta == 1 else _gi_divexact(_gi_pow(g, delta), _gi_pow(h, delta - 1))
     return a, b, h, sign
 
 
@@ -438,12 +471,34 @@ def _gz_gcd(a: list, b: list) -> list:
 def gcd_all(polys: Sequence[UniPoly], var: str) -> UniPoly:
     """Monic gcd of exact polys, a UniPoly named var; 0 when every poly is 0.
 
-    Folds the subresultant PRS gcd over the polys' Z[i] numerators (von zur
-    Gathen and Gerhard, Modern Computer Algebra, Ch. 6), stops at the first
-    constant fold and makes the result monic once.
+    First a certificate of coprimality (the first image of the heuristic
+    gcd, Char, Geddes and Gonnet 1989): the nonzero Z[i] numerators t are
+    evaluated at xi = 2**k, k = (max_t |t|_1).bit_length() + 2, where |t|_1
+    is the sum of |re| + |im| over t's coefficients, and when the gcd of the
+    norms re**2 + im**2 of the values is 1 the gcd is 1.  Were some G of
+    positive degree a common factor over Q(i), then by Gauss's lemma over
+    the UFD Z[i] its primitive associate G* would divide every t in
+    Z[i][x], so the Gaussian integer G*(xi) would divide every t(xi) and
+    N(G*(xi)) every norm.  But each root r of G* is a root of some t, so
+    |r| < 1 + |t|_1 (Cauchy's bound; t's leading coefficient has modulus
+    >= 1), while xi > 4 |t|_1 >= |r| + 2; with G*'s leading coefficient of
+    modulus >= 1, |G*(xi)| >= prod (xi - |r|) > 2 and N(G*(xi)) > 1.
+
+    Otherwise the subresultant PRS gcd is folded over the numerators (von
+    zur Gathen and Gerhard, Modern Computer Algebra, Ch. 6), stopping at
+    the first constant fold, and the result made monic once.
     """
     if any(not p.den for p in polys):
         raise ExactArithmeticRequired("gcd is only defined in exact mode")
+    ts = [p.terms for p in polys if p.terms]
+    if ts:
+        xi = 1 << (max(sum(abs(re) + abs(im) for re, im in t) for t in ts).bit_length() + 2)
+        n = 0
+        for t in ts:
+            re, im = _gz_at(t, xi)
+            n = math.gcd(n, re * re + im * im)
+            if n == 1:
+                return UniPoly.one(var)
     g: list = []
     for p in polys:
         g = _gz_gcd(g, list(p.terms))
@@ -454,7 +509,9 @@ def gcd_all(polys: Sequence[UniPoly], var: str) -> UniPoly:
 
 def _gz_resultant(a: list, b: list) -> tuple:
     """Res(a, b) of nonzero a and b over Z[i], not both constant, by the
-    subresultant PRS."""
+    subresultant PRS.  When the last entries of a and b are both 0 it
+    returns 0, the determinant of their Sylvester matrix at the formal
+    degrees len - 1: the first pseudo-remainder, by a zero lead, is zero."""
     a, b, h, sign = _gz_prs(a, b)
     if not b:
         return (0, 0)
@@ -463,8 +520,8 @@ def _gz_resultant(a: list, b: list) -> tuple:
     return res if sign > 0 else (-res[0], -res[1])
 
 
-def _gz_interpolate(values: list, t0: int) -> list:
-    """n! * f for the f of degree <= n with f(t0 + k) = values[k], k = 0..n.
+def _gz_interpolate(values: list) -> list:
+    """n! * f for the f of degree <= n with f(k) = values[k], k = 0..n.
 
     Newton's forward-difference form scaled by n! has integer coefficients,
     so Horner on it stays in the integers; real and imaginary parts in turn.
@@ -480,9 +537,9 @@ def _gz_interpolate(values: list, t0: int) -> list:
         scale = 1  # n! / k!
         for k in range(n - 1, -1, -1):
             scale *= k + 1
-            out = [0] + out  # out * (t - t0 - k)
+            out = [0] + out  # out * (t - k)
             for i in range(len(out) - 1):
-                out[i] -= (t0 + k) * out[i + 1]
+                out[i] -= k * out[i + 1]
             out[0] += scale * diffs[k]
         parts.append(out)
     return list(zip(*parts))
@@ -566,17 +623,16 @@ def _res_kronecker(a: list, s: int) -> list:
 
 def _res_interpolated(a: list, bound: int) -> list:
     """Res_t(a, da/dt) for a resultant of degree <= bound, from its values
-    at the first run t0..t0+bound of integers where a's leading coefficient
-    (deg a times that of da/dt) does not vanish: only there does
-    specialisation commute with the resultant."""
-    t0 = t = 0
-    while t <= t0 + bound:
-        if _gz_at(a[-1], t) == (0, 0):
-            t0 = t + 1
-        t += 1
-    vals = [_gz_resultant(*_images(a, t)) for t in range(t0, t0 + bound + 1)]
+    at x = 0..bound.  The resultant is the determinant of the Sylvester
+    matrix of a and da/dt of formal degrees d and d - 1 in t, so it
+    commutes with specialising x, also where a's leading coefficient a_d
+    vanishes: there so does d*a_d, that of da/dt, the specialised matrix
+    has a zero first column and the resultant's value is 0, which
+    `_gz_resultant` returns on the untrimmed images (its first
+    pseudo-remainder, by the zero lead, is zero)."""
+    vals = [_gz_resultant(*_images(a, t)) for t in range(bound + 1)]
     f = math.factorial(bound)
-    return [(re // f, im // f) for re, im in _gz_interpolate(vals, t0)]
+    return [(re // f, im // f) for re, im in _gz_interpolate(vals)]
 
 
 def resultant_by_evaluation(pc: Sequence[UniPoly], bound: int, var: str) -> UniPoly:

@@ -201,6 +201,19 @@ def test_non_finite_dedup_eps_exit_2(capsys, eps):
     assert json.loads(err)["error"]["type"] == "DomainError"
 
 
+@pytest.mark.parametrize("flags", [
+    ("--seed", "1e303", "--depth", "2"),
+    ("--seed", "1", "--dedup-eps", "1e-310"),
+], ids=["huge_seed", "tiny_eps"])
+def test_vertex_beyond_the_dedup_grid_exit_2(capsys, flags):
+    # The vertex table's cell index, value / eps, overflows: one JSON
+    # error, not an OverflowError traceback.
+    code, out, err = run_cli(capsys, "explore", "y-x-1", *flags)
+    assert code == EXIT_DOMAIN and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"]["type"] == "EvaluationOverflow"
+
+
 @pytest.mark.parametrize("argv", [
     ("analyze", "x^2 + @"),
     ("analyze", "3/0"),

@@ -168,6 +168,29 @@ def test_resultant_paths_match_sympy(case, paths):
     assert got.is_zero == name.startswith("common factor")
 
 
+def test_interpolation_across_integer_roots_of_the_lead_matches_sympy(monkeypatch, paths):
+    # Interpolation samples x = 0..bound, here bound >= 2d - 1 >= 3.  Where
+    # the lead a_d(x) of Phi in y has a root, so has d*a_d, the lead of
+    # dPhi/dy: the specialised Sylvester matrix has a zero first column,
+    # and the sampled 0 is the resultant's value there, with no point
+    # skipped.
+    monkeypatch.setattr(unipoly, "KRONECKER_WORK", 0)
+    rng = random.Random(16)
+    hits = 0
+    for _ in range(12):
+        d = rng.randint(2, 3)
+        roots = rng.sample(range(4), rng.randint(1, 3))
+        lead = unipoly.from_roots([GaussRat.of(r) for r in roots], _scalar(rng) or GaussRat.of(1))
+        entries = {(i, d): c for i, c in enumerate(lead.coeffs)}
+        entries.update({(i, j): _scalar(rng) for i in range(rng.randint(1, 2)) for j in range(d)})
+        phi = BiPoly.make(entries)
+        got = phi.resultant_with_derivative("y")
+        assert got == _sympy_resultant(phi, phi.derivative("y"), "y"), phi
+        hits += len(roots)
+    assert {taken for taken, _ in paths} == {"interpolated"}
+    assert hits >= 20
+
+
 def _symmetric(rng: random.Random, d: int) -> BiPoly:
     """Phi(x, y) = Phi(y, x) of degree d in each variable."""
     entries = {}
@@ -210,15 +233,24 @@ def _sympy_content(phi: BiPoly, var: str) -> UniPoly:
     return _unipoly_from_sympy(want.monic(), other)
 
 
-# (text, var, gcd folds taken) for `BiPoly.content`; its fold stops at the
-# first constant gcd.
+# (text, var, PRS gcd folds taken) for `BiPoly.content`.  None are taken
+# when the certificate in front of the fold decides that the coefficients
+# are coprime; otherwise the fold stops at the first constant gcd.
 CONTENT_CASES = [
     # a zero coefficient polynomial (of y) between nonzero ones
     ("(x^2 + 1/3)*(y^2 + x - 2/5)", "y", 3),
-    # gcd 1 after the first pair; the later coefficients share x or x + 1
-    # with the first two, and y with the first
-    ("x + (x+1)*y + x*(x+1)*y^2 + x*(x+1)*y^3", "y", 2),
-    ("x + (x+1)*y + x*(x+1)*y^2 + x*(x+1)*y^3", "x", 2),
+    ("(x+1)*y^2 + x", "y", 0),
+    # coprime: the certificate decides
+    ("x + (x+1)*y + x*(x+1)*y^2 + x*(x+1)*y^3", "y", 0),
+    ("x + (x+1)*y + x*(x+1)*y^2 + x*(x+1)*y^3", "x", 0),
+    # coprime, but every numerator is a multiple of 1 + i or of 5, so
+    # every norm is even or a multiple of 25: gcd 1 after the first pair
+    # of the fold; the later coefficients share x or x + 1 with the first
+    # two, and y with the first
+    ("(1+i)*(x + (x+1)*y + x*(x+1)*y^2 + x*(x+1)*y^3)", "y", 2),
+    ("(1+i)*(x + (x+1)*y + x*(x+1)*y^2 + x*(x+1)*y^3)", "x", 2),
+    ("5*(x + (x+1)*y + x*(x+1)*y^2 + x*(x+1)*y^3)", "y", 2),
+    ("5/7*(x + (x+1)*y + x*(x+1)*y^2 + x*(x+1)*y^3)", "x", 2),
     # a single coefficient polynomial
     ("(3/4+1i)*(x^2 - 1/2)", "y", 1),
     ("(3/4+1i)*(y^2 + 1i*y)", "x", 1),

@@ -201,6 +201,19 @@ def test_budget_takes_positive_int_sizes_and_a_finite_eps(fields):
         Budget(**fields)
 
 
+@pytest.mark.parametrize("seed,budget", [
+    (1e303, Budget(max_depth=2)),
+    (1.0, Budget(dedup_eps=1e-310)),
+], ids=["huge_seed", "tiny_eps"])
+def test_vertex_beyond_the_dedup_grid_raises(seed, budget):
+    # The vertex's cell index, value / dedup_eps, is beyond the float range.
+    for explore in (explore_component, explore_strong_component):
+        with pytest.raises(EvaluationOverflow) as info:
+            explore(parse("y-x-1"), seed, budget)
+        assert info.value.payload["vertex"] == str(complex(seed))
+        assert info.value.payload["dedup_eps"] == budget.dedup_eps
+
+
 def test_merged_roots_add_their_multiplicities():
     # The two roots u + 1 and u + 1.001 of every row fall on one vertex.
     phi = parse("(y - x - 1)*(y - x - 1001/1000)")

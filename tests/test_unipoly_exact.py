@@ -15,12 +15,13 @@ from fractions import Fraction
 
 import pytest
 
-from polygraph import GaussRat, UniPoly
+from polygraph import GaussRat, UniPoly, unipoly
 from polygraph.errors import DomainError
 from polygraph.scalars import GR_ONE, GR_ZERO
 from polygraph.unipoly import (
     _gz_common,
     _gz_gcd,
+    _gz_over,
     _gz_poly,
     _gz_resultant,
     _res_interpolated,
@@ -241,6 +242,87 @@ def test_gcd_matches_reference():
             assert g.lead == GR_ONE
             assert g.divides(p) and g.divides(q)
     assert nontrivial >= 100
+
+
+def ref_prs_fold(polys: list, var: str = "x") -> UniPoly:
+    """gcd_all without its coprimality certificate: the PRS gcd folded over
+    the Z[i] numerators, stopping at the first constant fold."""
+    g: list = []
+    for p in polys:
+        g = _gz_gcd(g, list(p.terms))
+        if len(g) == 1:
+            return UniPoly.one(var)
+    return _gz_poly(*_gz_over(g, g[-1]), var) if g else UniPoly.zero(var)
+
+
+@pytest.fixture
+def prs_folds(monkeypatch):
+    """Counts the PRS gcds that gcd_all takes; none means its certificate
+    decided the gcd is 1."""
+    calls = []
+
+    def counted(a, b):
+        calls.append(None)
+        return _gz_gcd(a, b)
+
+    monkeypatch.setattr(unipoly, "_gz_gcd", counted)
+    return calls
+
+
+def _big(rng: random.Random, bits: int) -> GaussRat:
+    return GaussRat.of(rng.getrandbits(bits) - (1 << (bits - 1)), rng.getrandbits(bits) - (1 << (bits - 1)))
+
+
+def test_gcd_all_equals_the_prs_fold(prs_folds):
+    # gcd_all is the PRS fold bit for bit, whether the certificate decides
+    # or not: on the pairs above and on lists of up to five polynomials,
+    # with zero and constant ones, large coefficients and shared constants.
+    rng = random.Random(9)
+    lists = [[p, q] for p, q in PAIRS]
+    for n in range(300):
+        kind = ("integer", "rational", "gaussian")[n % 3]
+        polys = [_poly(rng, rng.randint(-1, 5), kind) for _ in range(rng.randint(1, 5))]
+        if n % 5 == 1:
+            polys = [p.scale(_big(rng, 90)) for p in polys]
+        if n % 5 == 2:
+            c = rng.choice([GaussRat.of(1, 1), GaussRat.of(5), GaussRat.of(3, 4), GaussRat.of(2)])
+            polys = [p.scale(c) for p in polys]
+        lists.append(polys)
+    decided = 0
+    for polys in lists:
+        prs_folds.clear()
+        assert unipoly.gcd_all(polys, "x") == ref_prs_fold(polys), polys
+        decided += not prs_folds
+    assert decided >= 200 and len(lists) - decided >= 200, decided
+
+
+def test_certificate_never_decides_a_planted_common_factor(prs_folds):
+    # Polynomials sharing a G of positive degree are never certified
+    # coprime: the PRS runs and its gcd has G as a factor.  G is Gaussian,
+    # has coefficients of up to 200 bits, comes times a shared constant
+    # whose norm divides every value's, or has a root next to 2**j.
+    rng = random.Random(10)
+    units = [GR_ONE, -GR_ONE, GaussRat.of(0, 1), GaussRat.of(0, -1)]
+    gs = []
+    for n in range(240):
+        kind = ("integer", "rational", "gaussian")[n % 3]
+        g = _poly(rng, rng.randint(1, 3), kind)
+        if n % 4 == 1:
+            g = UniPoly.make([_big(rng, rng.choice((64, 200))) for _ in range(g.degree)] + [_big(rng, 64)])
+        if n % 4 == 2:
+            g = g.scale(rng.choice([GaussRat.of(1, 1), GaussRat.of(5), GaussRat.of(2, -1)]))
+        if n % 4 == 3:
+            g = UniPoly.make([GaussRat.of(-rng.randint(1, 40), rng.randint(-40, 40)), GR_ONE])  # x - r
+        gs.append((g, kind))
+    # A root next to a power of two 2**j, where G(2**j) is a unit: an
+    # evaluation point at or below the root bound would miss G there.
+    gs += [(UniPoly.make([-GaussRat.of(2**j) - off, GR_ONE]), "integer") for j in range(65) for off in units]
+    for g, kind in gs:
+        polys = [g] + [g * _poly(rng, rng.randint(0, 4), kind) for _ in range(rng.randint(0, 3))]
+        prs_folds.clear()
+        got = unipoly.gcd_all(polys, "x")
+        assert prs_folds and got.degree >= g.degree and g.divides(got), polys
+        assert got == ref_prs_fold(polys)
 
 
 def test_prs_ends_in_the_subresultant():
