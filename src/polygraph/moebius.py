@@ -111,7 +111,7 @@ def projective_order(m: Mobius, n_max: int = DEFAULT_NMAX) -> int | None:
         # m^2 = t m - det I, scalar within ORDER_TOL
         traceless = abs(t) * skew <= ORDER_TOL * abs(det)
     if scalar:
-        return 1
+        return 1 if n_max >= 1 else None
     if traceless:
         return 2 if n_max >= 2 else None
     v = t**2 / det - 2

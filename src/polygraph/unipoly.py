@@ -10,13 +10,16 @@ rule of :mod:`polygraph.scalars`.
 
 Exact arithmetic, evaluation, division and the gcd run on these integers
 (polynomials over Z[i] as lists of (re, im) pairs, the `_gz_*` helpers
-below): integer convolution, pseudo-division followed by one division by
-lc**e and the denominators, and the subresultant PRS (Collins 1967; Brown
-and Traub 1971), whose steps take the remainder-only pseudo-division
-`_gz_prem`.  `gcd_all`, the one gcd path, is a certificate, then the PRS:
-when the norms of the polynomials' values at one power of two beyond their
-root bounds have gcd 1, so have the polynomials; otherwise it folds the
-PRS gcd over them and makes the result monic once.
+below): integer convolution, one pseudo-division (`_gz_pseudo_divmod`,
+Knuth's Algorithm R) and the subresultant PRS (Collins 1967; Brown and
+Traub 1971).  The pseudo-division returns its remainder and the leading
+terms it subtracted: the PRS steps take the remainder, `divmod` builds the
+quotient from the terms over lc**e and the denominators, and
+`lagrange_interpolate`, whose divisors X - U_k are monic, takes the terms
+as the quotient.  `gcd_all`, the one gcd path, is a certificate, then the
+PRS: when the norms of the polynomials' values at one power of two beyond
+their root bounds have gcd 1, so have the polynomials; otherwise it folds
+the PRS gcd over them and makes the result monic once.
 `UniPoly.squarefree_part` divides by the gcd with the derivative.
 
 `resultant_by_evaluation` is the one exact resultant: Res_t(P, dP/dt) for
@@ -237,9 +240,14 @@ class UniPoly:
         # lc**e * a = Q*b + R over Z[i] for the numerators a = A*da, b = B*db,
         # so the quotient is Q*db / (lc**e*da) and the remainder R / (lc**e*da).
         da, db = self.den, other.den
-        quo, rem, lc_e = _gz_pseudo_divmod(list(self.terms), other.terms)
-        den = (lc_e[0] * da, lc_e[1] * da)
-        quo = [(re * db, im * db) for re, im in quo]
+        ts, rem = _gz_pseudo_divmod(list(self.terms), other.terms)
+        lc, pw = other.terms[-1], (1, 0)
+        quo = []
+        for t in ts:  # Q's x**k term is t_k * lc**k = t_k * pw
+            re, im = _gi_mul(t, pw)
+            quo.append((re * db, im * db))
+            pw = _gi_mul(pw, lc)
+        den = (pw[0] * da, pw[1] * da)
         return _gz_poly(*_gz_over(quo, den), self.var), _gz_poly(*_gz_over(rem, den), self.var)
 
     def divexact(self, other: "UniPoly") -> "UniPoly":
@@ -382,67 +390,44 @@ def _gi_divexact(s: tuple, t: tuple) -> tuple:
     return ((s[0] * c + s[1] * d) // n, (s[1] * c - s[0] * d) // n)
 
 
-def _gz_pseudo_divmod(a: list, b: Sequence) -> tuple[list, list, tuple]:
-    """(Q, R, lc**e) with lc**e * a = Q*b + R and deg R < deg b.
+def _gz_pseudo_divmod(a: list, b: Sequence) -> tuple[list, list]:
+    """(t, R) with lc**e * a = Q*b + R, deg R < deg b and Q = sum_k t[k]
+    lc**k x**k, by Knuth's Algorithm R (TAOCP vol. 2, Sec. 4.6.1).
 
     lc is the leading coefficient of b != [] and e = max(deg a - deg b + 1, 0).
-    Step k (k = e-1 .. 0) takes rem <- lc*rem - t_k x**k b for the leading
-    term t_k of rem.  Only the top deg b entries of rem change at step k, so
-    the entry of x**k is scaled by the lc**(e-1-k) it has gathered when it
-    enters that window, and each quotient term is t_k * lc**k.
+    Step k (k = e-1 .. 0) takes R <- lc*R - t[k] x**k b for the leading term
+    t[k] of R, so the term subtracted at step k is scaled by lc in each of
+    the k steps after it.  For a monic b, t is Q and the scaling below the
+    top deg b entries of R, by 1, is skipped.
     """
     m = len(b) - 1
-    e = max(len(a) - m, 0)
-    lc = lr, li = b[-1]
-    pows = [(1, 0)]
-    for _ in range(e):
-        pows.append(_gi_mul(pows[-1], lc))
-    rem = a[:]
-    quo = [(0, 0)] * e
-    for k in range(e - 1, -1, -1):
-        rem[k] = _gi_mul(rem[k], pows[e - 1 - k])
-        t = tr, ti = rem.pop()  # the coefficient of x**(k + m)
-        quo[k] = _gi_mul(t, pows[k])
-        for j in range(m):
-            r, s = rem[k + j]
-            c, d = b[j]
-            rem[k + j] = (lr * r - li * s - tr * c + ti * d, lr * s + li * r - tr * d - ti * c)
-    while rem and rem[-1] == (0, 0):
-        rem.pop()
-    return quo, rem, pows[e]
-
-
-def _gz_prem(a: list, b: Sequence) -> list:
-    """The R alone of `_gz_pseudo_divmod(a, b)`, by Knuth's Algorithm R
-    (TAOCP vol. 2, Sec. 4.6.1): step k (k = e-1 .. 0) takes R <- lc*R -
-    t_k x**k b for the leading term t_k of R.  Scaling all of R at each
-    step takes (e - 1) e / 2 products below the top deg b entries, one at
-    the PRS's usual e = 2, and no powers of lc and no quotient; the lazy
-    scaling of `_gz_pseudo_divmod` is for its quotient users."""
-    m = len(b) - 1
     lr, li = b[-1]
+    monic = lr == 1 and not li
     rem = a[:]
-    for k in range(len(a) - m - 1, -1, -1):
-        tr, ti = rem.pop()  # the coefficient of x**(k + m)
-        for j in range(k):
-            r, s = rem[j]
-            rem[j] = (lr * r - li * s, lr * s + li * r)
+    t = [(0, 0)] * max(len(a) - m, 0)
+    for k in range(len(t) - 1, -1, -1):
+        t[k] = tr, ti = rem.pop()  # the coefficient of x**(k + m)
+        if not monic:
+            for j in range(k):
+                r, s = rem[j]
+                rem[j] = (lr * r - li * s, lr * s + li * r)
         for j in range(m):
             r, s = rem[k + j]
             c, d = b[j]
             rem[k + j] = (lr * r - li * s - tr * c + ti * d, lr * s + li * r - tr * d - ti * c)
     while rem and rem[-1] == (0, 0):
         rem.pop()
-    return rem
+    return t, rem
 
 
 def _gz_prs(a: list, b: list) -> tuple[list, list, tuple, int]:
     """The subresultant PRS of a and b over Z[i] (Collins 1967; Brown and
     Traub 1971; Cohen, Alg. 3.3.7), run up to its first element of degree <= 0.
 
-    Returns (a, b, h, sign): b is that element, a the one before it (an
-    associate of gcd(a, b) when b is []), h the recurrence's h after the last
-    step and sign the sign of Res(a, b) collected on the way.
+    Each step reads the remainder of `_gz_pseudo_divmod` and drops its
+    leading terms.  Returns (a, b, h, sign): b is that element, a the one
+    before it (an associate of gcd(a, b) when b is []), h the recurrence's h
+    after the last step and sign the sign of Res(a, b) collected on the way.
     """
     sign = 1
     if len(a) < len(b):
@@ -451,7 +436,7 @@ def _gz_prs(a: list, b: list) -> tuple[list, list, tuple, int]:
     g = h = (1, 0)
     while len(b) > 1:
         delta = len(a) - len(b)
-        r = _gz_prem(a, b)
+        r = _gz_pseudo_divmod(a, b)[1]
         if len(a) % 2 == 0 and len(b) % 2 == 0:
             sign = -sign
         q, n = _gz_over(r, _gi_mul(g, _gi_pow(h, delta)))  # r / (g * h**delta) = q / n
@@ -766,7 +751,7 @@ def lagrange_interpolate(points: Sequence[tuple], var: str = "x") -> UniPoly:
         prod = _gz_lincomb([(0, 0)] + prod, 1, [_gi_mul(u, c) for c in prod], -1)
     parts = []
     for u, v in zip(us, vs):
-        q = _gz_pseudo_divmod(prod, [(-u[0], -u[1]), (1, 0)])[0]  # P / (X - U_k)
+        q = _gz_pseudo_divmod(prod, [(-u[0], -u[1]), (1, 0)])[0]  # P / (X - U_k), monic
         c, d = _gz_horner(q, u, 1)  # P'(U_k)
         parts.append((q, _gi_mul(v, (c, -d)), c * c + d * d))  # V_k / P'(U_k) = f / n
     norm = math.lcm(*(n for _, _, n in parts))

@@ -455,6 +455,22 @@ class TestStrong:
         assert all(member(v) for _, v in strong.vertices)
 
 
+class TestTrimmedRowCertificates:
+    # y - 2x far from 0: the row y - 2u has one root, 2u, but the kernel's
+    # trim cuts it to a constant, so the sweep finds no neighbour and
+    # certifies a closed single vertex on the infinite double ray.  ROADMAP
+    # item 1 lists these among its reproductions; its fix must flip them.
+    @pytest.mark.xfail(strict=True, reason="row trimmed to a constant: wrong closure certificate")
+    def test_strong_component_far_out_on_the_double_ray_is_not_closed(self):
+        g = explore_strong_component(parse("y-2*x"), 1e12)
+        assert g.truncated or g.order > 1
+
+    @pytest.mark.xfail(strict=True, reason="row trimmed to a constant: wrong closure certificate")
+    def test_weak_component_far_out_on_the_double_ray_is_not_closed(self):
+        g = explore_component(parse("y-2*x"), 1e20)
+        assert g.truncated or g.order > 1
+
+
 class TestClassify:
     def test_directed_cycle(self):
         g = _cycle_graph(5, directed=True)

@@ -108,6 +108,10 @@ class TestProjectiveOrder:
         assert projective_order(m, n_max=5) is None
         assert projective_order(mobius_inversion(2), n_max=1) is None
         assert projective_order(mobius_rotation(7), n_max=6) is None
+        ident = Mobius(GaussRat.of(1), GaussRat.of(0), GaussRat.of(0), GaussRat.of(1))
+        assert projective_order(ident, n_max=0) is None
+        assert projective_order(ident, n_max=1) == 1
+        assert projective_order(Mobius(2.0, 0.0, 0.0, 2.0), n_max=0) is None
 
     def test_least_order_when_a_later_convergent_is_closer(self):
         # v = trace^2/det - 2 lies 0.9 tolerance above 2 cos(2 pi / 2003);

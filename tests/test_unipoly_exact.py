@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from polygraph import GaussRat, UniPoly, unipoly
+from polygraph import GaussRat, UniPoly, parse, unipoly
 from polygraph.errors import DomainError
 from polygraph.scalars import GR_ONE, GR_ZERO
 from polygraph.unipoly import (
@@ -323,6 +323,39 @@ def test_certificate_never_decides_a_planted_common_factor(prs_folds):
         got = unipoly.gcd_all(polys, "x")
         assert prs_folds and got.degree >= g.degree and g.divides(got), polys
         assert got == ref_prs_fold(polys)
+
+
+def test_every_pseudo_division_takes_the_one_kernel(monkeypatch):
+    # Quotients, gcds, resultants and interpolants all divide through
+    # `_gz_pseudo_divmod`; there is no remainder-only twin.
+    assert not hasattr(unipoly, "_gz_prem")
+    calls = []
+    kernel = unipoly._gz_pseudo_divmod
+
+    def counted(a, b):
+        calls.append(None)
+        return kernel(a, b)
+
+    monkeypatch.setattr(unipoly, "_gz_pseudo_divmod", counted)
+    f = UniPoly.make([GaussRat.of(-1), GR_ZERO, GR_ONE])  # x**2 - 1
+    g = f * UniPoly.make([GaussRat.of(2, 1), GR_ONE])
+    h = f * UniPoly.make([GaussRat.of(Fraction(1, 3)), GR_ZERO, GR_ONE])
+    runs = {
+        "non-coprime gcd_all": (lambda: unipoly.gcd_all([g, h], "x"), f),
+        "resultant_with_derivative": (
+            lambda: parse("y^2 - x").resultant_with_derivative("y"),
+            UniPoly.make([GR_ZERO, GaussRat.of(-4)]),
+        ),
+        "divexact": (lambda: g.divexact(f), UniPoly.make([GaussRat.of(2, 1), GR_ONE])),
+        "lagrange_interpolate": (
+            lambda: unipoly.lagrange_interpolate([(GaussRat.of(k), GaussRat.of(k * k)) for k in range(3)]),
+            UniPoly.make([GR_ZERO, GR_ZERO, GR_ONE]),
+        ),
+    }
+    for name, (run, want) in runs.items():
+        calls.clear()
+        assert run() == want, name
+        assert calls, name
 
 
 def test_prs_ends_in_the_subresultant():
